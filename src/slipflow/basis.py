@@ -20,7 +20,6 @@ normal trace; per wavenumber this reduces to a symmetric-definite 1D pencil.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,17 +333,10 @@ def lq_norm(u: ModeField, q: float) -> float:
 def wall_lq_norm(u: ModeField, q: float) -> float:
     """Lq(boundary) norm of |v| from the wall trace coefficients."""
     g = u.grid
-    nj = u.vals.shape[0]
-    x = g.x_nodes
     total = 0.0
     for w in (0, 1):
-        tr = np.zeros((2, g.n_x))
-        for c in (0, 1):
-            coeff = u.wall_vals[:, c, w]
-            phases = np.exp(1j * np.outer(g.kx[:nj], x))
-            vals = coeff[0].real + 2.0 * (coeff[1:, None] * phases[1:]).real.sum(axis=0)
-            tr[c] = vals
-        total += g.w_x * (np.hypot(tr[0], tr[1]) ** q).sum()
+        t1, t2 = (g.trace_values(u.wall_vals[:, c, w]) for c in (0, 1))
+        total += g.w_x * (np.hypot(t1, t2) ** q).sum()
     return float(total ** (1.0 / q))
 
 
@@ -478,31 +470,13 @@ def build_eigenbasis(spec: DomainSpec, n: int, grid: Grid | None = None) -> Basi
     if lam[0] <= 0:
         raise BasisError("nonpositive eigenvalue: resolution too low")
 
-    fields = []
-    tau = np.zeros((n, 2), complex)
-    for idx in order:
-        if fams[idx] == FAMILY_SHEAR:
-            f = ModeField.from_shear_profile(grid, profiles[idx])
-        else:
-            fam = "cos" if fams[idx] == FAMILY_COS else "sin"
-            f = ModeField.from_streamfunction(grid, js[idx], profiles[idx], fam)
-        fields.append(f)
-    for i, f in enumerate(fields):
-        tau[i] = f.tangential_trace_coeffs()[js[order[i]]]
-
-    basis = Basis(
-        grid=grid,
-        eigenvalues=lam,
-        mode_j=np.asarray(js)[order],
-        family=np.asarray(fams)[order],
-        shell_index=np.asarray(shells)[order],
-        profiles_cgl=np.asarray([profiles[i] for i in order]),
-        fields=fields,
-        stack_vals=np.stack([f.vals for f in fields]),
-        stack_dvals=np.stack([f.dvals for f in fields]),
-        stack_wall=np.stack([f.wall_vals for f in fields]),
-        stack_wall_d=np.stack([f.wall_dvals for f in fields]),
-        tau_trace=tau,
+    basis = _basis_from_profiles(
+        grid,
+        lam,
+        np.asarray(js)[order],
+        np.asarray(fams)[order],
+        np.asarray(shells)[order],
+        np.asarray([profiles[i] for i in order]),
     )
     _self_check(basis)
     return basis
@@ -518,6 +492,33 @@ def _self_check(basis: Basis, n_tests: int = 3, tol: float = 1e-6):
             rhs = basis.eigenvalues[i] * inner_h(v, basis.fields[i])
             if abs(lhs - rhs) > tol * basis.eigenvalues[i] * max(1.0, norm_h(v)):
                 raise BasisError("weak eigen-residual check failed")
+
+
+def _basis_from_profiles(grid: Grid, eigenvalues, mode_j, family, shell_index,
+                         profiles) -> Basis:
+    """Basis whose fields are regenerated from their generating CGL profiles."""
+    fields = []
+    for j, fam, prof in zip(mode_j, family, profiles):
+        if fam == FAMILY_SHEAR:
+            fields.append(ModeField.from_shear_profile(grid, prof))
+        else:
+            kind = "cos" if fam == FAMILY_COS else "sin"
+            fields.append(ModeField.from_streamfunction(grid, int(j), prof, kind))
+    tau = np.array([f.tangential_trace_coeffs()[int(j)] for f, j in zip(fields, mode_j)])
+    return Basis(
+        grid=grid,
+        eigenvalues=eigenvalues,
+        mode_j=mode_j,
+        family=family,
+        shell_index=shell_index,
+        profiles_cgl=profiles,
+        fields=fields,
+        stack_vals=np.stack([f.vals for f in fields]),
+        stack_dvals=np.stack([f.dvals for f in fields]),
+        stack_wall=np.stack([f.wall_vals for f in fields]),
+        stack_wall_d=np.stack([f.wall_dvals for f in fields]),
+        tau_trace=tau,
+    )
 
 
 def truncate_basis(basis: Basis, n: int) -> Basis:
@@ -576,11 +577,8 @@ def save_basis(path, basis: Basis, meta: dict | None = None):
     if meta:
         for key, val in meta.items():
             payload[f"meta_{key}"] = np.array(val)
-    if hasattr(path, "write"):
-        np.savez(path, **payload)
-    else:
-        with open(path, "wb") as fh:
-            np.savez(fh, **payload)
+    with open(path, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 def load_basis(path) -> Basis:
@@ -593,39 +591,11 @@ def load_basis(path) -> Basis:
             friction_alpha=float(sp[3]),
             viscosity=float(sp[4]),
         )
-        grid = build_grid(spec)
-        lam = data["eigenvalues"]
-        js = data["mode_j"]
-        fams = data["family"]
-        shells = data["shell_index"]
-        profs = data["profiles_cgl"]
-    fields = []
-    tau = np.zeros((lam.size, 2), complex)
-    for i in range(lam.size):
-        if fams[i] == FAMILY_SHEAR:
-            f = ModeField.from_shear_profile(grid, profs[i])
-        else:
-            fam = "cos" if fams[i] == FAMILY_COS else "sin"
-            f = ModeField.from_streamfunction(grid, int(js[i]), profs[i], fam)
-        fields.append(f)
-        tau[i] = f.tangential_trace_coeffs()[int(js[i])]
-    return Basis(
-        grid=grid,
-        eigenvalues=lam,
-        mode_j=js,
-        family=fams,
-        shell_index=shells,
-        profiles_cgl=profs,
-        fields=fields,
-        stack_vals=np.stack([f.vals for f in fields]),
-        stack_dvals=np.stack([f.dvals for f in fields]),
-        stack_wall=np.stack([f.wall_vals for f in fields]),
-        stack_wall_d=np.stack([f.wall_dvals for f in fields]),
-        tau_trace=tau,
-    )
-
-
-def serialize_basis_bytes(basis: Basis, meta: dict | None = None) -> bytes:
-    buf = io.BytesIO()
-    save_basis(buf, basis, meta)
-    return buf.getvalue()
+        return _basis_from_profiles(
+            build_grid(spec),
+            data["eigenvalues"],
+            data["mode_j"],
+            data["family"],
+            data["shell_index"],
+            data["profiles_cgl"],
+        )

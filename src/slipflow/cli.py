@@ -1,8 +1,10 @@
 """Command-line entry point: basis | lift | simulate | verify | optimize.
 
-Every artifact embeds the config hash and toolkit version; workflows that
-promise determinism write byte-identical files on rerun.  Exit codes:
-0 success, 1 configuration/validation error, 2 numerical failure.
+Every JSON report and CSV table embeds the config hash and toolkit
+version; basis.npz and target.npz carry the config hash only, and the
+control JSON files carry neither.  Workflows that promise determinism write
+byte-identical files on rerun.  Exit codes: 0 success, 1
+configuration/validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +21,7 @@ import numpy as np
 from . import __version__
 from . import control as ctl
 from . import diagnostics as diag
-from .basis import BasisError, norm_h1, save_basis
-from .basis import inner_h as _inner_h
+from .basis import BasisError, inner_h, inner_v, norm_h1, save_basis
 from .config import ConfigError, load_config
 from .control import ControlError
 from .dynamics import DynamicsError
@@ -60,8 +62,6 @@ def cmd_basis(cfg, out: Path, args) -> int:
     worst = 0.0
     for _ in range(5):
         v = basis.field(rng.standard_normal(basis.size))
-        from .basis import inner_h, inner_v
-
         for i in range(basis.size):
             r = abs(
                 inner_v(v, basis.fields[i])
@@ -71,7 +71,7 @@ def cmd_basis(cfg, out: Path, args) -> int:
     ortho = 0.0
     for i in range(basis.size):
         for j in range(i, basis.size):
-            g = _inner_h(basis.fields[i], basis.fields[j])
+            g = inner_h(basis.fields[i], basis.fields[j])
             ortho = max(ortho, abs(g - (1.0 if i == j else 0.0)))
     _json_dump(
         out / "basis_report.json",
@@ -103,7 +103,7 @@ def cmd_lift(cfg, out: Path, args) -> int:
         f = lifted.field_at(float(t))
         df = lifted.dt_field_at(float(t))
         if tn[ti] > 1e-14:
-            num = norm_h1(f) + np.sqrt(max(_inner_h(df, df), 0.0))
+            num = norm_h1(f) + np.sqrt(max(inner_h(df, df), 0.0))
             ratios.append(num / tn[ti])
     with open(out / "trace_norms.csv", "w") as fh:
         fh.write(f"# {_meta(cfg)}\n")
@@ -154,10 +154,7 @@ def cmd_simulate(cfg, out: Path, args) -> int:
         return EXIT_NUMERICAL
     final_sq = np.array([tr.u_sq[-1] for tr in good])
     sup_sq = np.array([np.max(tr.u_sq) for tr in good])
-    rng = np.random.default_rng(0)
-    boots = np.array(
-        [final_sq[rng.integers(0, final_sq.size, final_sq.size)].mean() for _ in range(200)]
-    )
+    ci = diag.bootstrap_ci(lambda idx: final_sq[idx].mean(), final_sq.size, 0)
     with open(out / "summary.csv", "w") as fh:
         fh.write(f"# {_meta(cfg)}\n")
         fh.write("seed,final_u_sq,sup_u_sq,blown_up\n")
@@ -172,10 +169,7 @@ def cmd_simulate(cfg, out: Path, args) -> int:
             "blowups": blow,
             "mean_final_u_sq": float(final_sq.mean()),
             "mean_sup_u_sq": float(sup_sq.mean()),
-            "ci_final_u_sq": [
-                float(np.quantile(boots, 0.025)),
-                float(np.quantile(boots, 0.975)),
-            ],
+            "ci_final_u_sq": list(ci),
             "noise_on": bool(noise_on),
         },
         cfg,
@@ -217,7 +211,7 @@ def cmd_verify(cfg, out: Path, args) -> int:
     reps = diag.certify_stability(
         tr_a, ctrl_a, tr_b, ctrl_b, sim.ops, c0, nu, c3=2.0 * noise.lipschitz_k
     )
-    damping = diag.empirical_damping_rate(tr_a[: min(5, len(tr_a))], ctrl_a, sim.ops, nu)
+    damping = diag.empirical_damping_rate(tr_a[:5], ctrl_a, sim)
 
     reports = {
         "second_moment": rep2,
@@ -227,7 +221,7 @@ def cmd_verify(cfg, out: Path, args) -> int:
     }
     all_finite = True
     for name, rep in reports.items():
-        rep.to_json(out / f"report_{name}.json", extra={"config_hash": cfg.config_hash})
+        _json_dump(out / f"report_{name}.json", asdict(rep), cfg)
         all_finite &= rep.finite
     _json_dump(
         out / "verify_summary.json",
@@ -277,13 +271,10 @@ def cmd_optimize(cfg, out: Path, args) -> int:
         threads=args.threads,
         c0=cfg.data["damping_rate"],
     )
-    hist.to_json(
+    _json_dump(
         out / "history.json",
-        extra={
-            "config_hash": cfg.config_hash,
-            "version": __version__,
-            "theta_star": [float(v) for v in pmap.read(ctrl_star)],
-        },
+        {**asdict(hist), "theta_star": [float(v) for v in pmap.read(ctrl_star)]},
+        cfg,
     )
     hist.to_csv(out / "history.csv", meta=_meta(cfg))
     best.save(out / "best_control.json")
@@ -307,6 +298,13 @@ def main(argv=None) -> int:
         help="path-level worker threads (default from SLIPFLOW_THREADS)",
     )
     args = parser.parse_args(argv)
+    # checked here, not by argparse, whose own errors exit with code 2
+    if args.seed is not None and args.seed < 0:
+        print("validation error: --seed must be >= 0", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.paths is not None and args.paths < 1:
+        print("validation error: --paths must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         cfg = load_config(args.config)

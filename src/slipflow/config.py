@@ -117,6 +117,8 @@ class RunConfig:
             raise ConfigError("t_final must be a positive integer multiple of dt")
         if d["monte_carlo"]["paths"] < 1:
             raise ConfigError("monte_carlo.paths must be >= 1")
+        if d["monte_carlo"]["seed_bank_start"] < 0:
+            raise ConfigError("monte_carlo.seed_bank_start must be >= 0")
         if d["basis_size"] < 1:
             raise ConfigError("basis_size must be >= 1")
         if d["damping_rate"] <= 0:
@@ -185,8 +187,6 @@ class RunConfig:
     def admissible_spec(self) -> AdmissibleSpec:
         c = self.data["control"]
         return AdmissibleSpec(
-            n_modes=c["n_modes"],
-            n_times=c["n_times"],
             radius=c["radius"],
             lambda1=c["lambda1"],
             lambda2=c["lambda2"],

@@ -19,11 +19,12 @@ set at every candidate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Simulator
+from .diagnostics import bootstrap_ci
+from .dynamics import BlowupError, InsufficientPathsError, Simulator
 from .lifting import BoundaryControl, project_compatible, trace_norm_series
 
 __all__ = [
@@ -48,8 +49,6 @@ class ControlError(RuntimeError):
 class AdmissibleSpec:
     """Compact admissible family of boundary controls."""
 
-    n_modes: int             # Fourier modes per wall
-    n_times: int             # control time-grid points
     radius: float            # bound on the time-integrated trace norm
     lambda1: float = 1.0     # wall penalty weight on a
     lambda2: float = 1.0     # wall penalty weight on b
@@ -92,16 +91,6 @@ class CostReport:
     ci_half_width: float
     paths_used: int
     blowup_count: int
-
-    def to_json(self, path=None, extra: dict | None = None) -> str:
-        payload = asdict(self)
-        if extra:
-            payload.update(extra)
-        text = json.dumps(payload, indent=1, sort_keys=True, default=float) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 @dataclass(eq=False)
@@ -148,7 +137,7 @@ def make_target(ctrl_star: BoundaryControl | None, sim: Simulator,
     """Reference field from a noise-free simulation under the given control."""
     tr = sim.run(seed=0, ctrl=ctrl_star, u0=u0, noise_on=False, store_beta=True)
     if tr.blown_up:
-        raise ControlError("target simulation blew up")
+        raise BlowupError("target simulation blew up")
     gamma, _ = sim.gamma_series(ctrl_star)
     return Target(
         times=sim.times.copy(),
@@ -209,17 +198,14 @@ def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
             continue
         per_path.append(0.5 * float(np.trapezoid(tr.tracking, tr.times)))
     if not per_path:
-        raise ControlError("all paths blew up; no usable cost sample")
+        raise InsufficientPathsError("all paths blew up; no usable cost sample")
     per_path = np.asarray(per_path)
     tracking = float(per_path.mean())
     pen = 0.0 if ctrl is None else penalty_term(ctrl, spec)
     if per_path.size > 1:
-        rng = np.random.default_rng(np.random.SeedSequence([0xC051, ci_seed]))
-        boots = np.empty(200)
-        for b in range(200):
-            idx = rng.integers(0, per_path.size, per_path.size)
-            boots[b] = per_path[idx].mean()
-        ci = 0.5 * float(np.quantile(boots, 0.975) - np.quantile(boots, 0.025))
+        lo, hi = bootstrap_ci(lambda idx: per_path[idx].mean(), per_path.size,
+                              np.random.SeedSequence([0xC051, ci_seed]))
+        ci = 0.5 * (hi - lo)
     else:
         ci = 0.0
     return CostReport(
@@ -294,22 +280,6 @@ class OptimizeHistory:
     @property
     def costs(self) -> np.ndarray:
         return np.array([it["cost"] for it in self.iterates])
-
-    def to_json(self, path=None, extra: dict | None = None) -> str:
-        payload = {
-            "method": self.method,
-            "evaluations": self.evaluations,
-            "budget": self.budget,
-            "budget_exhausted": self.budget_exhausted,
-            "iterates": self.iterates,
-        }
-        if extra:
-            payload.update(extra)
-        text = json.dumps(payload, indent=1, sort_keys=True, default=float) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
     def to_csv(self, path, meta: str = ""):
         with open(path, "w") as fh:

@@ -20,12 +20,11 @@ energy balance.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GalerkinOperators, Trajectory
+from .dynamics import GalerkinOperators, InsufficientPathsError, Simulator, Trajectory, drift
 from .lifting import BoundaryControl, trace_norm_series
 
 __all__ = [
@@ -102,51 +101,48 @@ class EstimateReport:
     def finite(self) -> bool:
         return bool(np.isfinite(self.fitted_c))
 
-    def to_json(self, path=None, extra: dict | None = None) -> str:
-        payload = asdict(self)
-        if extra:
-            payload.update(extra)
-        text = json.dumps(payload, indent=1, sort_keys=True, default=float) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+
+def bootstrap_ci(stat, n: int, seed, n_boot: int = 200) -> tuple:
+    """2.5/97.5 percentile interval of stat(idx) over path resamples.
+
+    Each of the n_boot resamples idx draws n path indices with replacement
+    from a generator seeded by `seed`.
+    """
+    rng = np.random.default_rng(seed)
+    stats = np.array([stat(rng.integers(0, n, size=n)) for _ in range(n_boot)])
+    return float(np.quantile(stats, 0.025)), float(np.quantile(stats, 0.975))
 
 
-def bootstrap_ci(per_path_lhs, per_path_rhs, rhs_const: float, seed: int = 0,
-                 n_boot: int = 200) -> tuple:
+def _ratio_ci(per_path_lhs, per_path_rhs, rhs_const: float, seed: int) -> tuple:
     """Percentile CI of the fitted constant under path resampling."""
     lhs = np.asarray(per_path_lhs, float)
     rhs = np.asarray(per_path_rhs, float)
-    rng = np.random.default_rng(np.random.SeedSequence([0xB001, seed]))
-    n = lhs.size
-    stats = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, n, size=n)
+
+    def ratio(idx):
         num = lhs[idx].mean()
         den = rhs[idx].mean() + rhs_const
         if den > 0:
-            stats[b] = num / den
-        else:
-            stats[b] = 0.0 if num == 0 else np.inf
-    return float(np.quantile(stats, 0.025)), float(np.quantile(stats, 0.975))
+            return num / den
+        return 0.0 if num == 0 else np.inf
+
+    return bootstrap_ci(ratio, lhs.size, np.random.SeedSequence([0xB001, seed]))
 
 
 def _usable(trajectories) -> tuple[list, int]:
     good = [tr for tr in trajectories if not tr.blown_up]
+    if not good:
+        raise InsufficientPathsError(f"no usable path among {len(trajectories)}")
     return good, len(trajectories) - len(good)
 
 
 def certify_second_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
-                          nu: float, min_paths: int = 1, seed: int = 0) -> EstimateReport:
+                          nu: float, seed: int = 0) -> EstimateReport:
     """Fitted constant of the weighted second-moment energy bound.
 
     LHS: E max_t w^2 |u|^2 + nu E int w^2 |u|_E^2.
     RHS: E |u(0)|^2 + int w^2 (trace^2 + 1).
     """
     good, excluded = _usable(trajectories)
-    if len(good) < min_paths:
-        raise ValueError(f"need at least {min_paths} usable paths, got {len(good)}")
     t = good[0].times
     w = energy_weight(ctrl, c0, t)
     w2 = w.values**2
@@ -160,7 +156,7 @@ def certify_second_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
     rhs_const = float(np.trapezoid(w2 * w.load2, t))
     lhs = float(lhs_paths.mean())
     rhs = float(rhs_paths.mean()) + rhs_const
-    lo, hi = bootstrap_ci(lhs_paths, rhs_paths, rhs_const, seed=seed)
+    lo, hi = _ratio_ci(lhs_paths, rhs_paths, rhs_const, seed)
     return EstimateReport(
         name="second_moment",
         lhs=lhs,
@@ -183,7 +179,7 @@ def _initial_full_sq(tr: Trajectory, ops: GalerkinOperators, gamma0: np.ndarray)
 
 def certify_fourth_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
                           nu: float, ops: GalerkinOperators | None = None,
-                          min_paths: int = 1, seed: int = 0) -> EstimateReport:
+                          seed: int = 0) -> EstimateReport:
     """Fitted constant of the weighted fourth-moment bound.
 
     LHS: E max_t w^4 |u|^4 + nu^2 E (int w^2 |u|_E^2)^2.
@@ -191,8 +187,6 @@ def certify_fourth_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
     initial term falls back to |u(0)|^4.
     """
     good, excluded = _usable(trajectories)
-    if len(good) < min_paths:
-        raise ValueError(f"need at least {min_paths} usable paths")
     t = good[0].times
     w = energy_weight(ctrl, c0, t)
     w2, w4 = w.values**2, w.values**4
@@ -210,7 +204,7 @@ def certify_fourth_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
     rhs_const = float(nu**2 * np.trapezoid(w4 * w.load4, t))
     lhs = float(lhs_paths.mean())
     rhs = float(rhs_paths.mean()) + rhs_const
-    lo, hi = bootstrap_ci(lhs_paths, rhs_paths, rhs_const, seed=seed)
+    lo, hi = _ratio_ci(lhs_paths, rhs_paths, rhs_const, seed)
     return EstimateReport(
         name="fourth_moment",
         lhs=lhs,
@@ -222,14 +216,6 @@ def certify_fourth_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
         n_excluded=excluded,
         details={"c0": c0, "nu": nu},
     )
-
-
-def _control_gamma_series(ctrl: BoundaryControl | None, times, n_ctrl: int) -> np.ndarray:
-    out = np.zeros((len(times), n_ctrl))
-    if ctrl is not None:
-        for ell, t in enumerate(times):
-            out[ell], _ = ctrl.interp(float(t))
-    return out
 
 
 def certify_stability(trajs_1, ctrl_1, trajs_2, ctrl_2, ops: GalerkinOperators,
@@ -244,10 +230,13 @@ def certify_stability(trajs_1, ctrl_1, trajs_2, ctrl_2, ops: GalerkinOperators,
     """
     if len(trajs_1) != len(trajs_2):
         raise ValueError("bundles must pair path for path")
-    t = trajs_1[0].times
-    n_ctrl = ops.n_ctrl
-    g1 = _control_gamma_series(ctrl_1, t, n_ctrl)
-    g2 = _control_gamma_series(ctrl_2, t, n_ctrl)
+    pairs = [(a, b) for a, b in zip(trajs_1, trajs_2) if not (a.blown_up or b.blown_up)]
+    if not pairs:
+        raise InsufficientPathsError(f"no usable path pair among {len(trajs_1)}")
+    t = pairs[0][0].times
+    zero = np.zeros((len(t), ops.n_ctrl))
+    g1 = zero if ctrl_1 is None else ctrl_1.series(t)[0]
+    g2 = zero if ctrl_2 is None else ctrl_2.series(t)[0]
     ghat = g1 - g2
 
     tn1 = np.zeros(len(t)) if ctrl_1 is None else trace_norm_series(ctrl_1, t)
@@ -256,9 +245,7 @@ def certify_stability(trajs_1, ctrl_1, trajs_2, ctrl_2, ops: GalerkinOperators,
     tnd = np.zeros(len(t)) if dctrl is None else trace_norm_series(dctrl, t)
 
     lhs_paths, rhs_paths = [], []
-    for tr1, tr2 in zip(trajs_1, trajs_2):
-        if tr1.blown_up or tr2.blown_up:
-            continue
+    for tr1, tr2 in pairs:
         if tr1.seed != tr2.seed:
             raise ValueError("paired paths must share seeds")
         if tr1.beta_series is None or tr2.beta_series is None:
@@ -282,7 +269,7 @@ def certify_stability(trajs_1, ctrl_1, trajs_2, ctrl_2, ops: GalerkinOperators,
     rhs_paths = np.asarray(rhs_paths)
     lhs = float(lhs_paths.mean())
     rhs = float(rhs_paths.mean())
-    lo, hi = bootstrap_ci(lhs_paths, rhs_paths, 0.0, seed=seed)
+    lo, hi = _ratio_ci(lhs_paths, rhs_paths, 0.0, seed)
     if rhs > 0:
         fitted = lhs / rhs
     else:
@@ -334,7 +321,7 @@ def certify_wellposed_cost(trajectories, ctrl: BoundaryControl | None, c0: float
     wx_paths = np.array([np.max(w2 * tr.u_sq) for tr in good])
     lhs = float(lhs_paths.mean())
     rhs = float(np.sqrt(np.mean(wx_paths**2)) / w.values[-1] ** 2)
-    lo, hi = bootstrap_ci(lhs_paths, wx_paths * 0.0, rhs, seed=seed)
+    lo, hi = _ratio_ci(lhs_paths, wx_paths * 0.0, rhs, seed)
     return EstimateReport(
         name="wellposed_cost",
         lhs=lhs,
@@ -353,27 +340,21 @@ def certify_wellposed_cost(trajectories, ctrl: BoundaryControl | None, c0: float
 
 
 def empirical_damping_rate(trajectories, ctrl: BoundaryControl | None,
-                           ops: GalerkinOperators, nu: float) -> float:
+                           sim: Simulator) -> float:
     """Smallest rate c closing the drift-side bound along the sampled paths.
 
     The one-step energy balance reads d|u|^2 + 2 nu |u|_E^2 dt = (I1 + I2
     + I3) dt + martingale, where I1 collects the lifted-field energy
     coupling and the wall terms, I2 the time-derivative and convective
     couplings against u, and I3 the squared noise magnitude.  Their sum
-    equals 2 beta . drift + 2 nu |u|_E^2 + I3 exactly, which is how it is
-    evaluated here; the reported value is the max over paths and times of
-    (I1 + I2 + I3) / (2 (trace^2 + 1)(|u|^2 + 1)).  Needs stored
+    equals 2 beta . drift + 2 nu |u|_E^2 + I3 exactly, with the drift the
+    simulator integrated (convection included only if it was), which is how
+    it is evaluated here; the reported value is the max over paths and
+    times of (I1 + I2 + I3) / (2 (trace^2 + 1)(|u|^2 + 1)).  Needs stored
     coefficient series.
     """
-    from .dynamics import drift as drift_fn
-
-    t = trajectories[0].times
-    n_ctrl = ops.n_ctrl
-    gam = _control_gamma_series(ctrl, t, n_ctrl)
-    gdot = np.zeros_like(gam)
-    if ctrl is not None:
-        for ell, tt in enumerate(t):
-            _, gdot[ell] = ctrl.interp(float(tt))
+    ops, nu, t = sim.ops, sim.nu, sim.times
+    gam, gdot = sim.gamma_series(ctrl)
     tn = np.zeros(len(t)) if ctrl is None else trace_norm_series(ctrl, t)
     load = tn**2 + 1.0
     worst = -np.inf
@@ -383,7 +364,7 @@ def empirical_damping_rate(trajectories, ctrl: BoundaryControl | None,
         b = tr.beta_series
         total = np.empty(len(t))
         for ell in range(len(t)):
-            f = drift_fn(b[ell], ops, nu, gam[ell], gdot[ell])
+            f = drift(b[ell], ops, nu, gam[ell], gdot[ell], sim.include_nonlinear)
             total[ell] = 2.0 * b[ell] @ f + 2.0 * nu * (ops.lam @ b[ell] ** 2)
         total += tr.noise_sq
         denom = 2.0 * load * (tr.u_sq + 1.0)

@@ -12,8 +12,9 @@ e_i gives the coefficient dynamics
 
 with the noise family G_k = g_k + rho_k * u (additive plus diagonal
 multiplicative).  All couplings are precomputed as dense tensors once per
-(basis, lifting cache), so a time step is a handful of small contractions;
-the hot loop lives in ._kernels with numba and numpy backends.
+(basis, lifting cache), so a time step is a handful of small contractions.
+One numpy kernel steps a whole path; `drift`/`step_em` are the single-step
+reference it is tested against.
 
 Convection projections are evaluated pseudospectrally on a physical grid
 wide enough that quadratic products are integrated exactly (no aliasing
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .basis import Basis, ModeField, inner_h, inner_v
 from .geometry import Grid
 from .lifting import BoundaryControl, LiftingCache
@@ -34,6 +34,7 @@ from .lifting import BoundaryControl, LiftingCache
 __all__ = [
     "DynamicsError",
     "BlowupError",
+    "InsufficientPathsError",
     "NoiseModel",
     "GalerkinState",
     "Trajectory",
@@ -55,6 +56,10 @@ class DynamicsError(RuntimeError):
 
 class BlowupError(DynamicsError):
     """State left the finite range during stepping."""
+
+
+class InsufficientPathsError(DynamicsError):
+    """No usable (non-blown-up) path is left to estimate from."""
 
 
 @dataclass(eq=False)
@@ -214,7 +219,6 @@ class GalerkinOperators:
     lift_h / lift_v  = (A_c, e_i) in the mass / energy pairing
     btrace[i, c]     = int_Gamma b_c (e_i . tau)
     gram_h / gram_v  = pairings of the unit lifted fields
-    wall_quad[c,i,p] = int_Gamma a_c (e_i . tau)(e_p . tau)
     """
 
     lam: np.ndarray
@@ -226,7 +230,6 @@ class GalerkinOperators:
     btrace: np.ndarray
     gram_h: np.ndarray
     gram_v: np.ndarray
-    wall_quad: np.ndarray
 
     @property
     def n(self) -> int:
@@ -268,7 +271,6 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
         btrace = np.zeros((n, nc))
         gram_h = np.zeros((nc, nc))
         gram_v = np.zeros((nc, nc))
-        wall_quad = np.zeros((nc, n, n))
     else:
         nc = cache.n_dofs
         a1 = np.empty((nc, g.n_x, g.n_q))
@@ -315,34 +317,21 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
 
         # wall pairings on the physical x grid (exact: trace products stay
         # below the quadrature band)
-        nm = cache.n_modes
-        phases = np.exp(1j * np.outer(g.kx, g.x_nodes))  # (K+1, n_x)
-
-        def trace_values(mode_coeffs):
-            vals = mode_coeffs[0].real + 2.0 * (
-                mode_coeffs[1:, None] * phases[1 : mode_coeffs.size]
-            ).real.sum(axis=0)
-            return vals
-
         tr = np.zeros((n, 2, g.n_x))
         for i in range(n):
             ji = int(basis.mode_j[i])
             for wall in (0, 1):
                 cvec = np.zeros(ji + 1, complex)
                 cvec[ji] = basis.tau_trace[i, wall]
-                tr[i, wall] = trace_values(cvec)
+                tr[i, wall] = g.trace_values(cvec)
 
         btrace = np.zeros((n, nc))
-        wall_quad = np.zeros((nc, n, n))
         for c in range(nc):
             unit = BoundaryControl.zeros(lx, cache.n_modes, [0.0], cache.p)
             unit.gamma[0, c] = 1.0
             table = unit.coeffs(unit.gamma[0])  # (4, nm+1): a_b, a_t, b_b, b_t
-            a_vals = np.stack([trace_values(table[0]), trace_values(table[1])])
-            b_vals = np.stack([trace_values(table[2]), trace_values(table[3])])
+            b_vals = np.stack([g.trace_values(table[2]), g.trace_values(table[3])])
             btrace[:, c] = g.w_x * np.einsum("wx,iwx->i", b_vals, tr)
-            if np.abs(table[:2]).max() > 0:
-                wall_quad[c] = g.w_x * np.einsum("wx,iwx,pwx->ip", a_vals, tr, tr)
 
     return GalerkinOperators(
         lam=basis.eigenvalues.copy(),
@@ -354,7 +343,6 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
         btrace=btrace,
         gram_h=gram_h,
         gram_v=gram_v,
-        wall_quad=wall_quad,
     )
 
 
@@ -423,6 +411,61 @@ def wiener_increments(seed: int, n_steps: int, m: int, dt: float) -> np.ndarray:
     return np.sqrt(dt) * rng.standard_normal((n_steps, m))
 
 
+def _em_path(beta0, ops: GalerkinOperators, nu, dt, include_nonlinear,
+             gamma, gamma_dot, beta_ref, gamma_ref, add_mat, rho, dw,
+             store_beta, blowup_limit):
+    """Euler-Maruyama over one path, the drift contracted as in `drift`.
+
+    Records the squared mass/energy norms, the tracking error against the
+    reference series and the squared noise magnitude at every time point.
+    The path aborts when the state stops being finite or its squared norm
+    passes blowup_limit; the abort step is returned and later entries stay
+    NaN.
+    """
+    n_steps = dw.shape[0]
+    n = beta0.shape[0]
+    lam, lift_v, btrace, lift_h, gram_h = ops.lam, ops.lift_v, ops.btrace, ops.lift_h, ops.gram_h
+    u_sq = np.full(n_steps + 1, np.nan)
+    u_esq = np.full(n_steps + 1, np.nan)
+    tracking = np.full(n_steps + 1, np.nan)
+    noise_sq = np.full(n_steps + 1, np.nan)
+    beta_hist = np.zeros((n_steps + 1 if store_beta else 1, n))
+    beta = beta0.copy()
+    conv_flat = ops.conv_bb.reshape(n, -1)
+    blowup_step = -1
+    for ell in range(n_steps + 1):
+        u_sq[ell] = beta @ beta
+        u_esq[ell] = lam @ (beta * beta)
+        bd = beta - beta_ref[ell]
+        gd = gamma[ell] - gamma_ref[ell]
+        tracking[ell] = bd @ bd + 2.0 * (bd @ (lift_h @ gd)) + gd @ (gram_h @ gd)
+        gmat = add_mat + beta[:, None] * rho[None, :]
+        noise_sq[ell] = float(np.sum(gmat * gmat))
+        if store_beta:
+            beta_hist[ell] = beta
+        if ell == n_steps:
+            break
+        g = gamma[ell]
+        f = (
+            -nu * lam * beta
+            - nu * (lift_v @ g)
+            + nu * (btrace @ g)
+            - lift_h @ gamma_dot[ell]
+        )
+        if include_nonlinear:
+            f = f - (
+                conv_flat @ np.outer(beta, beta).ravel()
+                + (ops.conv_bc @ g) @ beta
+                + (ops.conv_cc @ g) @ g
+            )
+        beta = beta + dt * f + gmat @ dw[ell]
+        nrm = beta @ beta
+        if not np.isfinite(nrm) or nrm > blowup_limit:
+            blowup_step = ell + 1
+            break
+    return beta_hist, beta, u_sq, u_esq, tracking, noise_sq, blowup_step
+
+
 class Simulator:
     """Bundles the assembled operators with a time grid and noise model."""
 
@@ -452,29 +495,15 @@ class Simulator:
     # -- control plumbing --------------------------------------------------
 
     def gamma_series(self, ctrl: BoundaryControl | None):
-        nc = self.ops.n_ctrl
+        """Control values and slopes on the time grid; zeros without a control."""
         if ctrl is None:
-            z = np.zeros((self.n_steps + 1, nc))
+            z = np.zeros((self.n_steps + 1, self.ops.n_ctrl))
             return z, z.copy()
         if self.cache is None or ctrl.n_modes != self.cache.n_modes:
             raise DynamicsError("control does not match the lifting cache")
         if ctrl.t_grid[-1] < self.t_final - 1e-9:
             raise DynamicsError("control horizon shorter than the simulation")
-        gamma = np.empty((self.n_steps + 1, nc))
-        gdot = np.empty_like(gamma)
-        for ell, t in enumerate(self.times):
-            gamma[ell], gdot[ell] = ctrl.interp(float(t))
-        return gamma, gdot
-
-    def _tensors(self):
-        if self.include_nonlinear:
-            return self.ops.conv_bb, self.ops.conv_bc, self.ops.conv_cc
-        n, nc = self.ops.n, self.ops.n_ctrl
-        return (
-            np.zeros((n, n, n)),
-            np.zeros((n, n, nc)),
-            np.zeros((n, nc, nc)),
-        )
+        return ctrl.series(self.times)
 
     def run(self, seed: int = 0, ctrl: BoundaryControl | None = None,
             u0: np.ndarray | None = None, noise_on: bool = True,
@@ -501,13 +530,9 @@ class Simulator:
             if beta_ref.shape != (self.n_steps + 1, n):
                 raise DynamicsError("target does not match the simulation grid")
 
-        cbb, cbc, ccc = self._tensors()
-        hist, beta_final, u_sq, u_esq, tracking, noise_sq, blow = _kernels.em_loop(
-            beta0, self.ops.lam, self.nu, self.dt,
-            cbb, cbc, ccc,
-            self.ops.lift_v, self.ops.btrace, self.ops.lift_h, self.ops.gram_h,
-            gamma, gdot, beta_ref, gamma_ref,
-            add, rho, dw,
+        hist, beta_final, u_sq, u_esq, tracking, noise_sq, blow = _em_path(
+            beta0, self.ops, self.nu, self.dt, self.include_nonlinear,
+            gamma, gdot, beta_ref, gamma_ref, add, rho, dw,
             store_beta, self.blowup_limit,
         )
         return Trajectory(
@@ -542,14 +567,3 @@ class Simulator:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, enumerate(seeds)))
         return out
-
-    # -- field reconstruction ----------------------------------------------
-
-    def state_field(self, beta: np.ndarray) -> ModeField:
-        return self.basis.field(beta)
-
-    def full_field(self, beta: np.ndarray, gamma_row: np.ndarray | None) -> ModeField:
-        f = self.basis.field(beta)
-        if gamma_row is not None and self.cache is not None:
-            f = f + self.cache.field(gamma_row)
-        return f

@@ -155,9 +155,11 @@ class Grid:
         """(n_x, n_q) tensor-product weights; sums to the channel area L_x * 1."""
         return np.full((self.n_x, 1), self.w_x) * self.w_y[None, :]
 
-    @property
-    def wall_ids(self) -> dict:
-        return {BOTTOM: 0.0, TOP: 1.0}
+    def trace_values(self, coeffs) -> np.ndarray:
+        """Samples at the x nodes of the real wall trace c_0 + 2 Re sum_j c_j exp(i k_j x)."""
+        coeffs = np.asarray(coeffs)
+        phases = np.exp(1j * np.outer(self.kx[1 : coeffs.size], self.x_nodes))
+        return coeffs[0].real + 2.0 * (coeffs[1:, None] * phases).real.sum(axis=0)
 
     def outward_normal(self, wall: str) -> np.ndarray:
         if wall == BOTTOM:

@@ -126,16 +126,21 @@ class BoundaryControl:
 
     def interp(self, t: float):
         """Piecewise-linear value and slope of the coefficient vector at t."""
+        gamma, slope = self.series([t])
+        return gamma[0], slope[0]
+
+    def series(self, times):
+        """Piecewise-linear values and slopes at each time, (n_times, n_dofs) each."""
+        t = np.asarray(times, float)
         tg = self.t_grid
         if tg.size == 1:
-            return self.gamma[0].copy(), np.zeros(self.n_dofs)
-        if t < tg[0] - 1e-12 or t > tg[-1] + 1e-12:
-            raise LiftingError(f"time {t} outside the control horizon")
-        s = min(int(np.searchsorted(tg, t, side="right")) - 1, tg.size - 2)
-        s = max(s, 0)
-        dt = tg[s + 1] - tg[s]
-        slope = (self.gamma[s + 1] - self.gamma[s]) / dt
-        return self.gamma[s] + (t - tg[s]) * slope, slope
+            return np.repeat(self.gamma[:1], t.size, axis=0), np.zeros((t.size, self.n_dofs))
+        outside = (t < tg[0] - 1e-12) | (t > tg[-1] + 1e-12)
+        if outside.any():
+            raise LiftingError(f"time {float(t[outside][0])} outside the control horizon")
+        s = np.clip(np.searchsorted(tg, t, side="right") - 1, 0, tg.size - 2)
+        slope = (self.gamma[s + 1] - self.gamma[s]) / (tg[s + 1] - tg[s])[:, None]
+        return self.gamma[s] + (t - tg[s])[:, None] * slope, slope
 
     def copy(self) -> "BoundaryControl":
         return BoundaryControl(
@@ -227,13 +232,16 @@ def _hp_norm(table, dtable, p, kx, length_x) -> float:
 
 def trace_norm(ctrl: BoundaryControl, t: float) -> float:
     """Mixed fractional wall norm of (a, b) at time t (multiplier surrogate)."""
+    return float(trace_norm_series(ctrl, [t])[0])
+
+
+def trace_norm_series(ctrl: BoundaryControl, times) -> np.ndarray:
     kx = 2.0 * np.pi * np.arange(ctrl.n_modes + 1) / ctrl.length_x
-    row, slope = ctrl.interp(t)
-    return _hp_norm(ctrl.coeffs(row), ctrl.coeffs(slope), ctrl.p, kx, ctrl.length_x)
-
-
-def trace_norm_series(ctrl: BoundaryControl, times: np.ndarray) -> np.ndarray:
-    return np.array([trace_norm(ctrl, float(t)) for t in np.asarray(times)])
+    rows, slopes = ctrl.series(times)
+    return np.array([
+        _hp_norm(ctrl.coeffs(row), ctrl.coeffs(slope), ctrl.p, kx, ctrl.length_x)
+        for row, slope in zip(rows, slopes)
+    ])
 
 
 # -- harmonic stage -----------------------------------------------------------
@@ -247,7 +255,6 @@ class HarmonicLift:
     # closed-form wall data needed for the tangential-stress correction
     h_wall: np.ndarray      # (n_modes+1, 2) potential profile at walls
     dh_wall: np.ndarray     # (n_modes+1, 2) wall-normal derivative at walls
-    laplacian_residual: float
 
 
 def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> HarmonicLift:
@@ -278,7 +285,6 @@ def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> HarmonicLift:
     h_wall[0] = (c0, c0 + c1)
     dh_wall[0] = (c1, c1)
 
-    lap = 0.0
     for j in range(1, n_modes + 1):
         k = grid.kx[j]
         sh, ch = np.sinh(k), np.cosh(k)
@@ -299,7 +305,7 @@ def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> HarmonicLift:
         f.wall_dvals[j, 1] = (k * k * h0, k * k * h1)
         h_wall[j] = (h0, h1)
         dh_wall[j] = (dh0, dh1)
-    return HarmonicLift(field=f, h_wall=h_wall, dh_wall=dh_wall, laplacian_residual=lap)
+    return HarmonicLift(field=f, h_wall=h_wall, dh_wall=dh_wall)
 
 
 def harmonic_stress_trace(lift_h: HarmonicLift, grid: Grid, alpha: float, n_modes: int):

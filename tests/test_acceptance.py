@@ -288,8 +288,7 @@ def test_criterion_08_stability(stack):
 def test_criterion_09_control_recovery(stack):
     _, basis32, cache = stack
     basis = truncate_basis(basis32, 12)
-    aspec = ctl.AdmissibleSpec(n_modes=2, n_times=2, radius=20.0,
-                               lambda1=1e-4, lambda2=1e-4)
+    aspec = ctl.AdmissibleSpec(radius=20.0, lambda1=1e-4, lambda2=1e-4)
     pmap = ctl.ParamMap(length_x=2 * np.pi, n_modes=2, t_grid=(0.0, 0.5),
                         slots=(("a", "bottom", 1, "re"), ("b", "top", 2, "re")))
     theta_star = np.array([0.5, 0.6])
@@ -343,13 +342,14 @@ def test_criterion_10_determinism(tmp_path):
     pairs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        assert cli_main(["basis", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert cli_main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 0
+        for cmd in ("basis", "simulate", "optimize", "verify"):
+            assert cli_main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
         pairs.append(out)
     files = ["basis.npz", "eigenvalues.csv", "traj_000.csv", "summary.csv",
              "summary.json", "history.json", "history.csv", "best_control.json",
-             "target.npz"]
+             "target.npz", "report_second_moment.json", "report_fourth_moment.json",
+             "report_wellposed_cost.json", "report_stability.json",
+             "verify_summary.json"]
     same = {f: (pairs[0] / f).read_bytes() == (pairs[1] / f).read_bytes() for f in files}
     ok = all(same.values())
     _report(10, ok, f"byte-identical reruns across {len(files)} artifacts: {ok}")

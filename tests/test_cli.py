@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,3 +209,32 @@ def test_cmd_optimize_zero_budget(tmp_path):
     assert hist["iterates"] == []
     best = json.loads((out / "best_control.json").read_text())
     assert np.abs(np.array(best["gamma"])).max() == 0.0
+
+
+@pytest.mark.parametrize(
+    "command, flags, overrides, code",
+    [
+        ("verify", ["--paths", "2"], {"noise": {"mult_gain": [5000.0, 5000.0]}}, 2),
+        ("optimize", [], {"noise": {"mult_gain": [5000.0, 5000.0]},
+                          "optimize": {"budget": 4, "paths": 2, "noise_on": True}}, 2),
+        ("simulate", ["--seed", "-1"], {}, 1),
+        ("simulate", ["--paths", "-3"], {}, 1),
+        ("verify", ["--paths", "0"], {}, 1),
+        ("simulate", [], {"monte_carlo": {"paths": 2, "seed_bank_start": -5}}, 1),
+    ],
+    ids=["verify-all-paths-blow-up", "optimize-all-paths-blow-up", "negative-seed", "negative-paths", "zero-paths",
+         "negative-seed-bank"],
+)
+def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, code):
+    p = write_cfg(tmp_path, **overrides)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "slipflow.cli", command, "--config", str(p),
+         "--out", str(tmp_path / "out"), *flags],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()

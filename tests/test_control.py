@@ -1,8 +1,11 @@
 import json
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from slipflow.cli import _json_dump
 from slipflow.control import (
     AdmissibleSpec,
     ControlError,
@@ -22,7 +25,7 @@ from slipflow.lifting import BoundaryControl, compatibility_residual
 
 @pytest.fixture(scope="module")
 def aspec():
-    return AdmissibleSpec(n_modes=2, n_times=2, radius=20.0, lambda1=1e-4, lambda2=1e-4)
+    return AdmissibleSpec(radius=20.0, lambda1=1e-4, lambda2=1e-4)
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +55,9 @@ def sim_noisy(basis_small, cache_small):
 
 def test_admissible_spec_guards():
     with pytest.raises(ControlError):
-        AdmissibleSpec(n_modes=1, n_times=2, radius=0.0)
+        AdmissibleSpec(radius=0.0)
     with pytest.raises(ControlError):
-        AdmissibleSpec(n_modes=1, n_times=2, radius=1.0, lambda1=0.0)
+        AdmissibleSpec(radius=1.0, lambda1=0.0)
 
 
 def test_project_admissible_interior(make_control, aspec):
@@ -64,7 +67,7 @@ def test_project_admissible_interior(make_control, aspec):
 
 
 def test_project_admissible_radial(make_control):
-    spec = AdmissibleSpec(n_modes=2, n_times=2, radius=1.0)
+    spec = AdmissibleSpec(radius=1.0)
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 1.0, seed=41)
     ctrl.gamma *= 2.0 / admissible_norm(ctrl)  # norm exactly 2R
     out = project_admissible(ctrl, spec)
@@ -72,7 +75,7 @@ def test_project_admissible_radial(make_control):
 
 
 def test_project_admissible_idempotent(make_control):
-    spec = AdmissibleSpec(n_modes=2, n_times=2, radius=0.5)
+    spec = AdmissibleSpec(radius=0.5)
     for seed in range(100):
         ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 1.0, seed=500 + seed)
         once = project_admissible(ctrl, spec)
@@ -83,7 +86,7 @@ def test_project_admissible_idempotent(make_control):
 
 
 def test_exponential_integrability_bound(make_control):
-    spec = AdmissibleSpec(n_modes=2, n_times=2, radius=0.5)
+    spec = AdmissibleSpec(radius=0.5)
     ctrl = project_admissible(
         make_control(2 * np.pi, 2, [0.0, 0.5], 1.0, seed=42), spec
     )
@@ -259,7 +262,7 @@ def test_history_serialization(tmp_path, sim_det, pmap, aspec):
                        u0=u0, noise_on=False)
     jpath = tmp_path / "hist.json"
     cpath = tmp_path / "hist.csv"
-    hist.to_json(jpath, extra={"config_hash": "cafe"})
+    _json_dump(jpath, asdict(hist), SimpleNamespace(config_hash="cafe"))
     hist.to_csv(cpath, meta="config_hash=cafe")
     data = json.loads(jpath.read_text())
     assert data["config_hash"] == "cafe"

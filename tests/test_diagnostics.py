@@ -1,8 +1,11 @@
 import json
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from slipflow.cli import _json_dump
 from slipflow.diagnostics import (
     certify_fourth_moment,
     certify_second_moment,
@@ -11,7 +14,14 @@ from slipflow.diagnostics import (
     empirical_damping_rate,
     energy_weight,
 )
-from slipflow.dynamics import Simulator, Trajectory, build_noise, make_initial_coeffs
+from slipflow.dynamics import (
+    InsufficientPathsError,
+    NoiseModel,
+    Simulator,
+    Trajectory,
+    build_noise,
+    make_initial_coeffs,
+)
 from slipflow.lifting import trace_norm
 
 
@@ -141,10 +151,21 @@ def test_moment_reports_full_run(sim_mod, mc_bundle):
     assert np.mean(x**2) >= np.mean(x) ** 2 * (1 - 1e-12)
 
 
-def test_min_path_guard(sim_mod):
-    trajs = sim_mod.run_many(range(2), u0=None)
-    with pytest.raises(ValueError):
-        certify_second_moment(trajs, None, 1.0, 0.5, min_paths=10)
+def test_min_path_guard(basis_small):
+    # every path blows up, so no certifier has a sample left
+    n = basis_small.size
+    noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([5000.0]))
+    sim = Simulator(basis_small, None, noise, t_final=0.05, dt=0.005)
+    trajs = sim.run_many(range(3), u0=np.ones(n), store_beta=True)
+    assert all(tr.blown_up for tr in trajs)
+    with pytest.raises(InsufficientPathsError):
+        certify_second_moment(trajs, None, 1.0, 0.5)
+    with pytest.raises(InsufficientPathsError):
+        certify_fourth_moment(trajs, None, 1.0, 0.5)
+    with pytest.raises(InsufficientPathsError):
+        certify_wellposed_cost(trajs, None, 1.0)
+    with pytest.raises(InsufficientPathsError):
+        certify_stability(trajs, None, trajs, None, sim.ops, 1.0, 0.5)
 
 
 def test_moment_stability_under_refinement(spec_small, grid_small, make_control):
@@ -258,35 +279,26 @@ def test_wellposed_trivial_zero(sim_mod):
 
 def test_empirical_damping_rate_finite(sim_mod, mc_bundle):
     trajs, ctrl, _ = mc_bundle
-    rate = empirical_damping_rate(trajs[:5], ctrl, sim_mod.ops, sim_mod.nu)
+    rate = empirical_damping_rate(trajs[:5], ctrl, sim_mod)
     assert np.isfinite(rate)
 
 
-def test_wall_quadratic_tensor_against_sampling(sim_mod, basis_small, grid_small,
-                                                mc_bundle):
-    # int_Gamma a (u.tau)^2 from the cached tensor vs direct wall sampling
-    trajs, ctrl, _ = mc_bundle
-    rng = np.random.default_rng(55)
-    b = rng.standard_normal(basis_small.size)
-    g = ctrl.gamma[0]
-    tensor_val = np.einsum("c,cip,i,p->", g, sim_mod.ops.wall_quad, b, b)
-    table = ctrl.coeffs(g)
-    x = grid_small.x_nodes
-    direct = 0.0
-    for w, atab in ((0, table[0]), (1, table[1])):
-        a_vals = atab[0].real + 2.0 * (
-            atab[1:, None] * np.exp(1j * np.outer(grid_small.kx[1 : atab.size], x))
-        ).real.sum(axis=0)
-        tau_vals = np.zeros_like(x)
-        for i in range(basis_small.size):
-            ji = int(basis_small.mode_j[i])
-            tc = basis_small.tau_trace[i, w]
-            ti = tc.real * np.ones_like(x) if ji == 0 else 2.0 * (
-                tc * np.exp(1j * grid_small.kx[ji] * x)
-            ).real
-            tau_vals += b[i] * ti
-        direct += grid_small.w_x * float(a_vals @ tau_vals**2)
-    assert abs(tensor_val - direct) < 1e-10 * max(1.0, abs(direct))
+def test_empirical_damping_rate_uses_integrated_drift(sim_mod, make_control):
+    # a linear run is rated with the drift it integrated: the convection
+    # tensors it never used cannot change the rate
+    ops = sim_mod.ops
+    linear = Simulator(sim_mod.basis, sim_mod.cache, sim_mod.noise, t_final=0.5,
+                       dt=0.005, include_nonlinear=False, ops=ops)
+    no_conv = replace(ops, conv_bb=np.zeros_like(ops.conv_bb),
+                      conv_bc=np.zeros_like(ops.conv_bc), conv_cc=np.zeros_like(ops.conv_cc))
+    zeroed = Simulator(sim_mod.basis, sim_mod.cache, sim_mod.noise, t_final=0.5,
+                       dt=0.005, include_nonlinear=False, ops=no_conv)
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=95)
+    b0 = make_initial_coeffs(ops.n, "random", 3, 0.6, 1.0)
+    trajs = linear.run_many(range(2), ctrl=ctrl, u0=b0, store_beta=True)
+    rate = empirical_damping_rate(trajs, ctrl, linear)
+    assert rate == empirical_damping_rate(trajs, ctrl, zeroed)
+    assert rate != empirical_damping_rate(trajs, ctrl, sim_mod)
 
 
 def test_damping_load_identity(sim_mod, mc_bundle):
@@ -299,10 +311,21 @@ def test_damping_load_identity(sim_mod, mc_bundle):
     b = rng.standard_normal(ops.n)
     g = ctrl.gamma[0]
     mixed_total = b @ np.einsum("ipc,p,c->i", ops.conv_bc, b, g)
-    wall = np.einsum("c,cip,i,p->", g, ops.wall_quad, b, b)
+    # wall = int_Gamma a (u.tau)^2 by direct sampling of both traces
+    u = sim_mod.basis.field(b)
+    grid = sim_mod.grid
+    table = ctrl.coeffs(g)
+    wall = 0.0
+    for w in (0, 1):
+        a_vals, tau_vals = (
+            c[0].real + 2.0 * (
+                c[1:, None] * np.exp(1j * np.outer(grid.kx[1 : c.size], grid.x_nodes))
+            ).real.sum(axis=0)
+            for c in (table[w], u.tangential_trace_coeffs()[:, w])
+        )
+        wall += grid.w_x * float(a_vals @ tau_vals**2)
     # mixed_total = ((u.grad) lift, u) + ((lift.grad) u, u); isolate the
     # second part by the divergence-free wall identity and compare routes
-    u = sim_mod.basis.field(b)
     lift_field = sim_mod.cache.field(g)
     # ((u.grad) lift, u) by direct quadrature: project conv of (u, lift)
     u1, u2 = u.physical()
@@ -323,7 +346,7 @@ def test_report_serialization(tmp_path, sim_mod, mc_bundle):
     trajs, ctrl, _ = mc_bundle
     rep = certify_second_moment(trajs, ctrl, 1.0, sim_mod.nu)
     path = tmp_path / "rep.json"
-    rep.to_json(path, extra={"config_hash": "deadbeef"})
+    _json_dump(path, asdict(rep), SimpleNamespace(config_hash="deadbeef"))
     data = json.loads(path.read_text())
     assert data["name"] == "second_moment"
     assert data["config_hash"] == "deadbeef"

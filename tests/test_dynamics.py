@@ -271,6 +271,47 @@ def test_determinism_bitwise(sim_small, make_control):
     assert not np.array_equal(t1.beta_final, t3.beta_final)
 
 
+# -- kernel against the single-step reference ------------------------------------
+
+
+def test_kernel_matches_step_em(sim_small, make_control):
+    # control, noise and convection all on: the whole stored path agrees
+    # with step_em iterated on the same Wiener increments
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.25, 0.5], 0.3, seed=77)
+    b0 = make_initial_coeffs(sim_small.ops.n, "random", 3, 0.5, 1.0)
+    tr = sim_small.run(seed=4, ctrl=ctrl, u0=b0, store_beta=True, keep_wiener=True)
+    assert not tr.blown_up
+    gamma, gdot = ctrl.series(sim_small.times)
+    state = GalerkinState(t=0.0, beta=b0.copy())
+    ref = [state.beta]
+    for ell in range(sim_small.n_steps):
+        state = step_em(state, sim_small.dt, tr.wiener[ell], sim_small.ops,
+                        sim_small.noise, sim_small.nu, gamma[ell], gdot[ell])
+        ref.append(state.beta)
+    assert np.abs(tr.beta_series - np.array(ref)).max() < 1e-12
+
+
+@pytest.mark.parametrize("dt, t_final", [(0.5, 1.0), (0.1, 2.0)])
+def test_kernel_blowup_step_matches_step_em(basis_small, dt, t_final):
+    # explicit Euler past its stability limit on the linear problem
+    n = basis_small.size
+    noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
+    sim = Simulator(basis_small, None, noise, t_final=t_final, dt=dt,
+                    include_nonlinear=False, blowup_limit=1e4)
+    u0 = 10.0 * np.ones(n)
+    tr = sim.run(seed=0, u0=u0, noise_on=False)
+    state = GalerkinState(t=0.0, beta=u0)
+    first = -1
+    for ell in range(sim.n_steps):
+        state = step_em(state, dt, np.zeros(1), sim.ops, noise, sim.nu,
+                        include_nonlinear=False)
+        if state.beta @ state.beta > sim.blowup_limit:
+            first = ell + 1
+            break
+    assert first > 0
+    assert tr.blown_up and tr.blowup_step == first
+
+
 def test_parseval_reconstruction(sim_small, basis_small):
     b0 = make_initial_coeffs(basis_small.size, "random", 3, 0.5, 1.0)
     tr = sim_small.run(seed=2, u0=b0)

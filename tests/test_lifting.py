@@ -328,3 +328,24 @@ def test_control_horizon_guard(make_control):
     ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=50)
     with pytest.raises(LiftingError):
         ctrl.interp(1.5)
+
+
+def test_control_series_piecewise_linear(make_control):
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.3, 1.0], 0.5, seed=51)
+    times = np.linspace(0.0, 1.0, 11)
+    gamma, slope = ctrl.series(times)
+    for d in range(ctrl.n_dofs):
+        ref = np.interp(times, ctrl.t_grid, ctrl.gamma[:, d])
+        assert np.allclose(gamma[:, d], ref, rtol=0.0, atol=1e-14)
+    seg = np.where(times < 0.3, 0, 1)
+    expected = np.diff(ctrl.gamma, axis=0) / np.diff(ctrl.t_grid)[:, None]
+    assert np.array_equal(slope, expected[seg])
+    for ell, t in enumerate(times):
+        g, s = ctrl.interp(float(t))
+        assert np.array_equal(g, gamma[ell]) and np.array_equal(s, slope[ell])
+    with pytest.raises(LiftingError, match="outside the control horizon"):
+        ctrl.series([0.5, 1.5])
+    static = BoundaryControl.zeros(2 * np.pi, 2, [0.0])
+    static.gamma[:] = 1.0
+    g, s = static.series(times)
+    assert np.array_equal(g, np.ones((times.size, static.n_dofs))) and not s.any()
