@@ -22,7 +22,7 @@ from . import __version__
 from . import control as ctl
 from . import diagnostics as diag
 from .basis import BasisError, inner_h, inner_v, norm_h1, save_basis
-from .config import ConfigError, load_config
+from .config import SEED_LIMIT, ConfigError, load_config
 from .control import ControlError
 from .dynamics import DynamicsError
 from .geometry import GeometryError
@@ -189,7 +189,11 @@ def cmd_verify(cfg, out: Path, args) -> int:
     c0 = cfg.data["damping_rate"]
     nu = cfg.domain_spec().viscosity
 
-    paths = args.paths or cfg.data["verify"]["paths"] or cfg.data["monte_carlo"]["paths"]
+    paths = args.paths
+    if paths is None:
+        paths = cfg.data["verify"]["paths"]
+    if paths is None:
+        paths = cfg.data["monte_carlo"]["paths"]
     seeds = cfg.seed_bank(paths, args.seed)
     trajs = sim.run_many(seeds, ctrl=ctrl, u0=u0, threads=args.threads)
 
@@ -294,16 +298,27 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("SLIPFLOW_THREADS", "1")),
-        help="path-level worker threads (default from SLIPFLOW_THREADS)",
+        default=None,
+        help="workers over fixed-width path chunks (default from SLIPFLOW_THREADS, else 1)",
     )
     args = parser.parse_args(argv)
     # checked here, not by argparse, whose own errors exit with code 2
-    if args.seed is not None and args.seed < 0:
-        print("validation error: --seed must be >= 0", file=sys.stderr)
+    if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
+        print("validation error: --seed must be >= 0 and < 2**64", file=sys.stderr)
         return EXIT_CONFIG
     if args.paths is not None and args.paths < 1:
         print("validation error: --paths must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
+    source = "--threads"
+    if args.threads is None:
+        source = "SLIPFLOW_THREADS"
+        try:
+            args.threads = int(os.environ.get(source, "1"))
+        except ValueError:
+            print(f"validation error: {source} must be an integer", file=sys.stderr)
+            return EXIT_CONFIG
+    if args.threads < 1:
+        print(f"validation error: {source} must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

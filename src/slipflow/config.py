@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,15 @@ _DEFAULTS = {
 }
 
 
+# seed-bank starts stay below this, so every Philox key (start + path index)
+# fits in the generator's 128 bits
+SEED_LIMIT = 2**64
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _merge(defaults, user, path=""):
     if isinstance(defaults, dict):
         if not isinstance(user, dict):
@@ -117,8 +127,8 @@ class RunConfig:
             raise ConfigError("t_final must be a positive integer multiple of dt")
         if d["monte_carlo"]["paths"] < 1:
             raise ConfigError("monte_carlo.paths must be >= 1")
-        if d["monte_carlo"]["seed_bank_start"] < 0:
-            raise ConfigError("monte_carlo.seed_bank_start must be >= 0")
+        if not 0 <= d["monte_carlo"]["seed_bank_start"] < SEED_LIMIT:
+            raise ConfigError("monte_carlo.seed_bank_start must be >= 0 and < 2**64")
         if d["basis_size"] < 1:
             raise ConfigError("basis_size must be >= 1")
         if d["damping_rate"] <= 0:
@@ -133,6 +143,15 @@ class RunConfig:
         gains = d["noise"]["mult_gain"]
         if len(gains) not in (1, m):
             raise ConfigError("noise.mult_gain must have length 1 or m")
+        v = d["verify"]
+        if v["paths"] is not None and not (_is_int(v["paths"]) and v["paths"] >= 1):
+            raise ConfigError("verify.paths must be null or an integer >= 1")
+        if not (_is_int(v["stability_paths"]) and v["stability_paths"] >= 1):
+            raise ConfigError("verify.stability_paths must be an integer >= 1")
+        scale = v["stability_scale"]
+        if not (isinstance(scale, (int, float)) and not isinstance(scale, bool)
+                and math.isfinite(scale)):
+            raise ConfigError("verify.stability_scale must be a finite number")
 
     # -- builders ----------------------------------------------------------
 

@@ -13,8 +13,12 @@ e_i gives the coefficient dynamics
 with the noise family G_k = g_k + rho_k * u (additive plus diagonal
 multiplicative).  All couplings are precomputed as dense tensors once per
 (basis, lifting cache), so a time step is a handful of small contractions.
-One numpy kernel steps a whole path; `drift`/`step_em` are the single-step
-reference it is tested against.
+One numpy kernel steps a fixed-width block of BLOCK paths together;
+`Simulator.run_many` splits its seeds into such chunks (the last one padded)
+and `--threads` spreads chunks over workers.  Every path is stepped on the
+same shapes, so a seed's path is bitwise the same whatever its batch,
+position or thread count.  `drift`/`step_em` are the single-step reference
+the kernel is tested against.
 
 Convection projections are evaluated pseudospectrally on a physical grid
 wide enough that quadratic products are integrated exactly (no aliasing
@@ -411,59 +415,100 @@ def wiener_increments(seed: int, n_steps: int, m: int, dt: float) -> np.ndarray:
     return np.sqrt(dt) * rng.standard_normal((n_steps, m))
 
 
-def _em_path(beta0, ops: GalerkinOperators, nu, dt, include_nonlinear,
-             gamma, gamma_dot, beta_ref, gamma_ref, add_mat, rho, dw,
-             store_beta, blowup_limit):
-    """Euler-Maruyama over one path, the drift contracted as in `drift`.
+# Paths per kernel call.  Fixed, and the last chunk of a batch is padded, so
+# every path is stepped by the same BLAS calls on the same shapes: BLAS
+# rounding depends on the row count, and this makes a seed's bits
+# independent of its batch, its position in it and the thread count.
+BLOCK = 16
 
-    Records the squared mass/energy norms, the tracking error against the
-    reference series and the squared noise magnitude at every time point.
-    The path aborts when the state stops being finite or its squared norm
-    passes blowup_limit; the abort step is returned and later entries stay
-    NaN.
+
+def _em_block(beta0, ops: GalerkinOperators, nu, dt, include_nonlinear,
+              gamma, gamma_dot, beta_ref, gamma_ref, add, rho, dw, blowup_limit, paths):
+    """Euler-Maruyama over a (W, n) block of paths sharing control and target.
+
+    beta0 is (W, n) and dw (W, n_steps, m); rows from `paths` on are padding.
+    The control drift (lift_v, btrace, lift_h and conv_cc terms) is the same
+    for every path and is formed once per step; the quadratic term is one
+    GEMM of the (W, n^2) outer products against conv_bb.  The history
+    (n_steps + 1, W, n) is kept and the per-step diagnostics (squared
+    mass/energy norms, tracking error against the reference series, squared
+    noise magnitude) are evaluated from it afterwards.  A path aborts when
+    its squared norm is not finite or passes blowup_limit: its abort step is
+    returned, its final state is the offending one, its later diagnostics
+    are NaN and its later history is zero, and its working row is zeroed.
+    Stepping stops once every non-padding row has aborted.
     """
-    n_steps = dw.shape[0]
-    n = beta0.shape[0]
-    lam, lift_v, btrace, lift_h, gram_h = ops.lam, ops.lift_v, ops.btrace, ops.lift_h, ops.gram_h
-    u_sq = np.full(n_steps + 1, np.nan)
-    u_esq = np.full(n_steps + 1, np.nan)
-    tracking = np.full(n_steps + 1, np.nan)
-    noise_sq = np.full(n_steps + 1, np.nan)
-    beta_hist = np.zeros((n_steps + 1 if store_beta else 1, n))
-    beta = beta0.copy()
-    conv_flat = ops.conv_bb.reshape(n, -1)
-    blowup_step = -1
-    for ell in range(n_steps + 1):
-        u_sq[ell] = beta @ beta
-        u_esq[ell] = lam @ (beta * beta)
-        bd = beta - beta_ref[ell]
-        gd = gamma[ell] - gamma_ref[ell]
-        tracking[ell] = bd @ bd + 2.0 * (bd @ (lift_h @ gd)) + gd @ (gram_h @ gd)
-        gmat = add_mat + beta[:, None] * rho[None, :]
-        noise_sq[ell] = float(np.sum(gmat * gmat))
-        if store_beta:
-            beta_hist[ell] = beta
-        if ell == n_steps:
-            break
-        g = gamma[ell]
-        f = (
-            -nu * lam * beta
-            - nu * (lift_v @ g)
-            + nu * (btrace @ g)
-            - lift_h @ gamma_dot[ell]
-        )
-        if include_nonlinear:
-            f = f - (
-                conv_flat @ np.outer(beta, beta).ravel()
-                + (ops.conv_bc @ g) @ beta
-                + (ops.conv_cc @ g) @ g
-            )
-        beta = beta + dt * f + gmat @ dw[ell]
-        nrm = beta @ beta
-        if not np.isfinite(nrm) or nrm > blowup_limit:
-            blowup_step = ell + 1
-            break
-    return beta_hist, beta, u_sq, u_esq, tracking, noise_sq, blowup_step
+    w_rows, n = beta0.shape
+    n_steps = dw.shape[1]
+    lam = ops.lam
+    dw_t = dw.transpose(1, 0, 2)                             # (n_steps, W, m)
+    # path-independent drift per step, then each path's additive noise
+    ctrl_drift = (-nu * (gamma @ ops.lift_v.T) + nu * (gamma @ ops.btrace.T)
+                  - gamma_dot @ ops.lift_h.T)
+    ctrl_on = include_nonlinear and bool(np.any(gamma))
+    if ctrl_on:
+        ctrl_drift -= np.einsum("icd,tc,td->ti", ops.conv_cc, gamma, gamma)
+    push = np.empty((n_steps, w_rows, n))
+    push[:] = (dt * ctrl_drift[:n_steps])[:, None, :]
+    for k in range(rho.size):
+        push += dw_t[:, :, k, None] * add[:, k]
+    growth = (dw_t * rho).sum(axis=-1, keepdims=True)     # multiplicative noise
+    decay = 1.0 - dt * nu * lam
+    conv_t = ops.conv_bb.reshape(n, -1).T                  # views, no copies
+    conv_bc = ops.conv_bc.reshape(n * n, -1)
+    outer = np.empty((w_rows, n, n))
+    outer_flat = outer.reshape(w_rows, n * n)
+    # a nonfinite norm fails `<= limit` even for an infinite blowup_limit;
+    # below `fast` the block's total norm proves every row is inside
+    limit = min(blowup_limit, np.finfo(float).max)
+    fast = limit * (1.0 - 1e-9)
+
+    hist = np.zeros((n_steps + 1, w_rows, n))
+    hist[0] = beta0
+    b = beta0
+    beta_final = np.empty((w_rows, n))
+    blowup_step = np.full(w_rows, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ell in range(n_steps):
+            step = b * (decay + growth[ell]) + push[ell]
+            if include_nonlinear:
+                np.einsum("wp,wq->wpq", b, b, out=outer)
+                nl = outer_flat @ conv_t
+                if ctrl_on:
+                    nl += b @ (conv_bc @ gamma[ell]).reshape(n, n).T
+                step -= dt * nl
+            if not np.vdot(step, step) <= fast:
+                bad = ~(np.einsum("ij,ij->i", step, step) <= limit)
+                fresh = bad & (blowup_step < 0)
+                blowup_step[fresh] = ell + 1
+                beta_final[fresh] = step[fresh]
+                step[bad] = 0.0
+                if (blowup_step[:paths] >= 0).all():
+                    break
+            b = step
+            hist[ell + 1] = b
+    alive = blowup_step < 0
+    beta_final[alive] = b[alive]
+    del push, outer
+
+    u_sq = np.einsum("twi,twi->tw", hist, hist)
+    u_esq = np.einsum("twi,twi,i->tw", hist, hist, lam)
+    gd = gamma - gamma_ref
+    buf = np.subtract(hist, beta_ref[:, None, :])
+    tracking = (np.einsum("twi,twi->tw", buf, buf)
+                + 2.0 * np.einsum("twi,ti->tw", buf, gd @ ops.lift_h.T)
+                + np.einsum("tc,cd,td->t", gd, ops.gram_h, gd)[:, None])
+    noise_sq = np.zeros_like(u_sq)
+    for k in range(rho.size):
+        np.multiply(hist, rho[k], out=buf)
+        buf += add[:, k]
+        noise_sq += np.einsum("twi,twi->tw", buf, buf)
+    for w in np.flatnonzero(~alive):
+        s = blowup_step[w]
+        for series in (u_sq, u_esq, tracking, noise_sq):
+            series[s:, w] = np.nan
+        hist[s:, w] = 0.0
+    return hist, beta_final, u_sq, u_esq, tracking, noise_sq, blowup_step
 
 
 class Simulator:
@@ -505,23 +550,14 @@ class Simulator:
             raise DynamicsError("control horizon shorter than the simulation")
         return ctrl.series(self.times)
 
-    def run(self, seed: int = 0, ctrl: BoundaryControl | None = None,
-            u0: np.ndarray | None = None, noise_on: bool = True,
-            store_beta: bool = False, target=None,
-            dw: np.ndarray | None = None, keep_wiener: bool = False,
-            gamma_pair=None) -> Trajectory:
+    def _plan(self, ctrl=None, u0=None, noise_on=True, store_beta=False, target=None,
+              dw=None, keep_wiener=False, gamma_pair=None) -> dict:
+        """Check a run's options once; the result is what every chunk shares."""
         n = self.ops.n
         beta0 = np.zeros(n) if u0 is None else np.asarray(u0, float).copy()
         if beta0.shape != (n,):
             raise DynamicsError("initial coefficients do not match the basis size")
         gamma, gdot = self.gamma_series(ctrl) if gamma_pair is None else gamma_pair
-        if dw is None:
-            dw = wiener_increments(seed, self.n_steps, self.noise.m, self.dt)
-        if not noise_on:
-            dw = np.zeros_like(dw)
-        add = self.noise.additive if noise_on else np.zeros_like(self.noise.additive)
-        rho = self.noise.mult_gain if noise_on else np.zeros_like(self.noise.mult_gain)
-
         if target is None:
             beta_ref = np.zeros((self.n_steps + 1, n))
             gamma_ref = np.zeros((self.n_steps + 1, self.ops.n_ctrl))
@@ -529,41 +565,66 @@ class Simulator:
             beta_ref, gamma_ref = target.beta_series, target.gamma_series
             if beta_ref.shape != (self.n_steps + 1, n):
                 raise DynamicsError("target does not match the simulation grid")
+        add, rho = self.noise.additive, self.noise.mult_gain
+        if not noise_on:
+            add, rho = np.zeros_like(add), np.zeros_like(rho)
+        return dict(beta0=beta0, gamma=gamma, gdot=gdot, beta_ref=beta_ref,
+                    gamma_ref=gamma_ref, add=add, rho=rho, noise_on=noise_on, dw=dw,
+                    store_beta=store_beta, keep_wiener=keep_wiener)
 
-        hist, beta_final, u_sq, u_esq, tracking, noise_sq, blow = _em_path(
+    def _chunk(self, seeds, plan: dict) -> list:
+        """Simulate up to BLOCK seeds as one padded block of the kernel."""
+        n, m = self.ops.n, self.noise.m
+        beta0 = np.zeros((BLOCK, n))
+        beta0[: len(seeds)] = plan["beta0"]
+        dw = np.zeros((BLOCK, self.n_steps, m))      # padding rows: no noise
+        if plan["noise_on"]:
+            for w, seed in enumerate(seeds):
+                dw[w] = (wiener_increments(seed, self.n_steps, m, self.dt)
+                         if plan["dw"] is None else plan["dw"])
+        hist, beta_final, u_sq, u_esq, tracking, noise_sq, blow = _em_block(
             beta0, self.ops, self.nu, self.dt, self.include_nonlinear,
-            gamma, gdot, beta_ref, gamma_ref, add, rho, dw,
-            store_beta, self.blowup_limit,
+            plan["gamma"], plan["gdot"], plan["beta_ref"], plan["gamma_ref"],
+            plan["add"], plan["rho"], dw, self.blowup_limit, len(seeds),
         )
-        return Trajectory(
-            times=self.times.copy(),
-            seed=seed,
-            beta0=beta0,
-            beta_final=beta_final,
-            u_sq=u_sq,
-            u_esq=u_esq,
-            tracking=tracking,
-            noise_sq=noise_sq,
-            blown_up=blow >= 0,
-            blowup_step=int(blow),
-            beta_series=hist if store_beta else None,
-            wiener=dw if keep_wiener else None,
-        )
+        return [
+            Trajectory(
+                times=self.times.copy(),
+                seed=seed,
+                beta0=plan["beta0"].copy(),
+                beta_final=beta_final[w].copy(),
+                u_sq=u_sq[:, w].copy(),
+                u_esq=u_esq[:, w].copy(),
+                tracking=tracking[:, w].copy(),
+                noise_sq=noise_sq[:, w].copy(),
+                blown_up=bool(blow[w] >= 0),
+                blowup_step=int(blow[w]),
+                beta_series=hist[:, w].copy() if plan["store_beta"] else None,
+                wiener=dw[w] if plan["keep_wiener"] else None,
+            )
+            for w, seed in enumerate(seeds)
+        ]
+
+    def run(self, seed: int = 0, ctrl: BoundaryControl | None = None,
+            u0: np.ndarray | None = None, noise_on: bool = True,
+            store_beta: bool = False, target=None,
+            dw: np.ndarray | None = None, keep_wiener: bool = False,
+            gamma_pair=None) -> Trajectory:
+        """One path: a chunk holding one seed, bitwise equal to its run_many path."""
+        plan = self._plan(ctrl, u0, noise_on, store_beta, target, dw, keep_wiener,
+                          gamma_pair)
+        return self._chunk([seed], plan)[0]
 
     def run_many(self, seeds, threads: int = 1, **kw) -> list:
-        seeds = list(seeds)
-        out = [None] * len(seeds)
-        kw.setdefault("gamma_pair", self.gamma_series(kw.get("ctrl")))
-        if threads <= 1:
-            for idx, s in enumerate(seeds):
-                out[idx] = self.run(seed=int(s), **kw)
-            return out
-        from concurrent.futures import ThreadPoolExecutor
+        """Paths for many seeds, stepped in chunks of BLOCK; threads map chunks."""
+        seeds = [int(s) for s in seeds]
+        plan = self._plan(**kw)
+        chunks = [seeds[i : i + BLOCK] for i in range(0, len(seeds), BLOCK)]
+        if threads <= 1 or len(chunks) <= 1:
+            done = [self._chunk(c, plan) for c in chunks]
+        else:
+            from concurrent.futures import ThreadPoolExecutor
 
-        def work(idx_seed):
-            idx, s = idx_seed
-            out[idx] = self.run(seed=int(s), **kw)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, enumerate(seeds)))
-        return out
+            with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+                done = list(pool.map(lambda c: self._chunk(c, plan), chunks))
+        return [tr for chunk in done for tr in chunk]

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from slipflow.cli import main
 from slipflow.config import ConfigError, load_config
@@ -221,13 +227,29 @@ def test_cmd_optimize_zero_budget(tmp_path):
         ("simulate", ["--paths", "-3"], {}, 1),
         ("verify", ["--paths", "0"], {}, 1),
         ("simulate", [], {"monte_carlo": {"paths": 2, "seed_bank_start": -5}}, 1),
+        ("verify", [], {"verify": {"paths": 0}}, 1),
+        ("verify", [], {"verify": {"paths": -2}}, 1),
+        ("verify", [], {"verify": {"stability_paths": 0}}, 1),
+        ("simulate", ["--threads", "0"], {}, 1),
+        ("simulate", ["--threads", "-2"], {}, 1),
+        ("simulate", ["--seed", str(2**64)], {}, 1),
     ],
     ids=["verify-all-paths-blow-up", "optimize-all-paths-blow-up", "negative-seed", "negative-paths", "zero-paths",
-         "negative-seed-bank"],
+         "negative-seed-bank", "zero-verify-paths", "negative-verify-paths", "zero-stability-paths",
+         "zero-threads", "negative-threads", "seed-past-philox-range"],
 )
 def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, code):
+    _check_exit_code(tmp_path, command, flags, overrides, code)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
+def test_cli_rejects_bad_thread_variable(tmp_path, value):
+    _check_exit_code(tmp_path, "simulate", [], {}, 1, {"SLIPFLOW_THREADS": value})
+
+
+def _check_exit_code(tmp_path, command, flags, overrides, code, environ=None):
     p = write_cfg(tmp_path, **overrides)
-    env = dict(os.environ)
+    env = dict(os.environ, **(environ or {}))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -238,3 +260,51 @@ def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, co
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+
+
+# well-formed inputs plus up to two injected faults, so that a fair share
+# of the examples gets past validation into the certifiers
+_FAULTS = [("--seed", -1), ("--seed", 2**64), ("--paths", 0), ("--paths", -2),
+           ("--threads", 0), ("--threads", -1), ("env", "abc"), ("env", ""), ("env", "0"),
+           ("paths", 0), ("paths", -3), ("paths", 2.5), ("stability_paths", 0),
+           ("stability_paths", "3"), ("stability_scale", "0.5"), ("stability_scale", True)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.none() | st.integers(0, 2**64 - 1),
+    paths=st.none() | st.integers(1, 12),
+    threads=st.none() | st.integers(1, 3),
+    env_threads=st.none() | st.sampled_from(["1", "2", " 2 "]),
+    verify_paths=st.none() | st.integers(1, 12),
+    stability_paths=st.integers(1, 6),
+    stability_scale=st.floats(-2.0, 2.0),
+    faults=st.lists(st.sampled_from(_FAULTS), max_size=2),
+)
+def test_verify_exit_code_property(tmp_path, seed, paths, threads, env_threads,
+                                   verify_paths, stability_paths, stability_scale, faults):
+    # any mix of flags, thread variable and verify keys ends in a documented
+    # exit code with a message, never in an exception
+    flags = {"--seed": seed, "--paths": paths, "--threads": threads, "env": env_threads}
+    verify = {"paths": verify_paths, "stability_paths": stability_paths,
+              "stability_scale": stability_scale}
+    for key, value in faults:
+        (flags if key in flags else verify)[key] = value
+    env_threads = flags.pop("env")
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    p = write_cfg(out, time={"t_final": 0.05, "dt": 0.005}, verify=verify)
+    argv = ["verify", "--config", str(p), "--out", str(out / "out")]
+    for flag, value in flags.items():
+        if value is not None:
+            argv += [flag, str(value)]
+    environ = {} if env_threads is None else {"SLIPFLOW_THREADS": env_threads}
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, environ), contextlib.redirect_stderr(err):
+        if env_threads is None:
+            os.environ.pop("SLIPFLOW_THREADS", None)
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().strip()

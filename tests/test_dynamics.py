@@ -4,6 +4,8 @@ import pytest
 from slipflow import basis as bs
 from slipflow.basis import inner_h, inner_v, truncate_basis
 from slipflow.dynamics import (
+    BLOCK,
+    BlowupError,
     DynamicsError,
     GalerkinState,
     NoiseModel,
@@ -391,6 +393,108 @@ def test_run_many_threads_match(sim_small):
     threaded = sim_small.run_many(range(4), u0=b0, threads=4)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.beta_final, b.beta_final)
+
+
+_PATH_ARRAYS = ("times", "beta0", "beta_final", "u_sq", "u_esq", "tracking", "noise_sq",
+                "beta_series", "wiener")
+
+
+def _same_path(a, b):
+    assert (a.seed, a.blown_up, a.blowup_step) == (b.seed, b.blown_up, b.blowup_step)
+    for name in _PATH_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        assert x is None or np.array_equal(x, y, equal_nan=True), name
+
+
+def test_seed_bits_independent_of_batch_and_threads(sim_small, make_control):
+    # a seed's path is the same bits alone, first or last in a batch, in a
+    # padded or a full chunk, and with more worker threads than cores
+    from slipflow.control import Target
+
+    n = sim_small.ops.n
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.25, 0.5], 0.3, seed=77)
+    rng = np.random.default_rng(1)
+    target = Target(times=sim_small.times.copy(),
+                    beta_series=0.1 * rng.standard_normal((sim_small.n_steps + 1, n)),
+                    gamma_series=sim_small.gamma_series(ctrl)[0] * 0.5)
+    kw = dict(ctrl=ctrl, u0=make_initial_coeffs(n, "random", 3, 0.5, 1.0),
+              store_beta=True, keep_wiener=True, target=target)
+    seed = 7
+    solo = sim_small.run(seed=seed, **kw)
+    assert not solo.blown_up
+    for size in (1, 5, BLOCK, BLOCK + 3, 3 * BLOCK + 1):
+        for pos in {0, size - 1}:
+            seeds = list(range(100, 100 + size))
+            seeds[pos] = seed
+            for threads in (1, 2, 4):
+                bundle = sim_small.run_many(seeds, threads=threads, **kw)
+                assert [tr.seed for tr in bundle] == seeds
+                _same_path(bundle[pos], solo)
+
+
+def test_blowup_masked_per_path(basis_small):
+    # dt = 0.1 past the explicit stability limit with additive noise: some
+    # paths of one bundle blow up, the others must not feel it
+    n = basis_small.size
+    noise = build_noise(n, 2, 1.0, 0.0, 5, [0.0, 0.0])
+    sim = Simulator(basis_small, None, noise, t_final=2.0, dt=0.1,
+                    include_nonlinear=False, blowup_limit=400.0)
+    kw = dict(u0=np.zeros(n), store_beta=True, keep_wiener=True)
+    bundle = sim.run_many(range(BLOCK + 4), **kw)
+    blown = [tr for tr in bundle if tr.blown_up]
+    assert 0 < len(blown) < len(bundle)
+    for tr in bundle:
+        _same_path(tr, sim.run(seed=tr.seed, **kw))
+    for tr in blown:
+        state = GalerkinState(t=0.0, beta=np.zeros(n))
+        first = -1
+        for ell in range(sim.n_steps):
+            state = step_em(state, sim.dt, tr.wiener[ell], sim.ops, noise, sim.nu,
+                            include_nonlinear=False)
+            if state.beta @ state.beta > sim.blowup_limit:
+                first = ell + 1
+                break
+        s = tr.blowup_step
+        assert s == first
+        assert np.abs(tr.beta_final - state.beta).max() < 1e-12 * np.abs(state.beta).max()
+        for series in (tr.u_sq, tr.u_esq, tr.tracking, tr.noise_sq):
+            assert np.isfinite(series[:s]).all() and np.isnan(series[s:]).all()
+        assert np.any(tr.beta_series[s - 1]) and not np.any(tr.beta_series[s:])
+
+
+def test_nonfinite_abort_leaks_no_warning(basis_small, cache_small, make_control):
+    # huge multiplicative noise and no norm limit: every path overflows, is
+    # caught as nonfinite, and no RuntimeWarning leaks from its row
+    import warnings
+
+    n = basis_small.size
+    noise = build_noise(n, 2, 0.05, 1.0, 7, [5000.0, 5000.0])
+    sim = Simulator(basis_small, cache_small, noise, t_final=2.0, dt=0.005,
+                    blowup_limit=np.inf)
+    ctrl = make_control(2 * np.pi, 2, [0.0, 2.0], 0.3, seed=77)
+    u0 = np.ones(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bundle = sim.run_many(range(3), ctrl=ctrl, u0=u0, keep_wiener=True)
+    gamma, gdot = ctrl.series(sim.times)
+    for tr in bundle:
+        # the abort step is the first whose squared norm is not finite
+        state = GalerkinState(t=0.0, beta=u0)
+        first = -1
+        with np.errstate(all="ignore"):
+            for ell in range(sim.n_steps):
+                try:
+                    state = step_em(state, sim.dt, tr.wiener[ell], sim.ops, noise,
+                                    sim.nu, gamma[ell], gdot[ell])
+                except BlowupError:
+                    first = ell + 1
+                    break
+                if not np.isfinite(state.beta @ state.beta):
+                    first = ell + 1
+                    break
+        assert first > 0
+        assert tr.blown_up and tr.blowup_step == first
 
 
 def test_weak_form_residual_of_trajectory(basis_small, cache_small, grid_small,
