@@ -31,6 +31,9 @@ __all__ = [
     "BasisError",
     "ModeField",
     "Basis",
+    "sample_fields",
+    "mass_pairing",
+    "energy_pairing",
     "inner_h",
     "inner_v",
     "build_eigenbasis",
@@ -188,25 +191,13 @@ class ModeField:
 
     def physical(self):
         """Sample both components on the (x_nodes, y_nodes) grid."""
-        g = self.grid
-        spec = np.zeros((g.n_x // 2 + 1, 2, g.n_q), complex)
-        spec[: self.vals.shape[0]] = self.vals
-        out = np.fft.irfft(spec * g.n_x, n=g.n_x, axis=0)
-        return out[:, 0, :], out[:, 1, :]
+        s = sample_fields(self.grid, self.vals[None], self.dvals[None])[0]
+        return s[0], s[1]
 
     def physical_gradient(self):
         """Sample (d_x v1, d_y v1, d_x v2, d_y v2) on the quadrature grid."""
-        g = self.grid
-        nj = self.vals.shape[0]
-        k = g.kx[:nj]
-        dx_modes = 1j * k[:, None, None] * self.vals
-        spec = np.zeros((g.n_x // 2 + 1, 4, g.n_q), complex)
-        spec[:nj, 0] = dx_modes[:, 0]
-        spec[:nj, 1] = self.dvals[:, 0]
-        spec[:nj, 2] = dx_modes[:, 1]
-        spec[:nj, 3] = self.dvals[:, 1]
-        out = np.fft.irfft(spec * g.n_x, n=g.n_x, axis=0)
-        return out[:, 0, :], out[:, 1, :], out[:, 2, :], out[:, 3, :]
+        s = sample_fields(self.grid, self.vals[None], self.dvals[None])[0]
+        return s[2], s[3], s[4], s[5]
 
     def divergence_residual(self) -> float:
         """Max abs of i*k*v1 + v2' over modes and quadrature nodes."""
@@ -251,40 +242,76 @@ def _mode_weights(n_modes: int) -> np.ndarray:
     return w
 
 
+def sample_fields(grid: Grid, vals, dvals) -> np.ndarray:
+    """Samples of a stack of fields on the (n_x, n_q) grid, one irfft per 16.
+
+    vals and dvals are (m, J, 2, n_q) coefficient profiles; the result is
+    (m, 6, n_x, n_q) with rows (v1, v2, d_x v1, d_y v1, d_x v2, d_y v2).
+    """
+    m, nj = vals.shape[:2]
+    ik = 1j * grid.kx[:nj, None]
+    out = np.empty((m, 6, grid.n_x, grid.n_q))
+    for s in range(0, m, 16):  # bounds the complex temporaries
+        v, d = vals[s : s + 16], dvals[s : s + 16]
+        spec = np.zeros((v.shape[0], 6, grid.n_x // 2 + 1, grid.n_q), complex)
+        spec[:, :2, :nj] = v.transpose(0, 2, 1, 3)
+        spec[:, 2, :nj] = ik * v[:, :, 0]
+        spec[:, 3, :nj] = d[:, :, 0]
+        spec[:, 4, :nj] = ik * v[:, :, 1]
+        spec[:, 5, :nj] = d[:, :, 1]
+        spec *= grid.n_x
+        out[s : s + 16] = np.fft.irfft(spec, n=grid.n_x, axis=2)
+    return out
+
+
+def _real_gram(a, b) -> np.ndarray:
+    """Re sum a_r conj(b_s) over all trailing axes, as one real GEMM."""
+    a = np.ascontiguousarray(a).reshape(a.shape[0], -1).view(float)
+    b = np.ascontiguousarray(b).reshape(b.shape[0], -1).view(float)
+    return a @ b.T
+
+
+def mass_pairing(grid: Grid, a_vals, b_vals) -> np.ndarray:
+    """L2 pairings (a_r, b_s) of two stacks of (m, J, 2, n_q) profiles."""
+    nj = min(a_vals.shape[1], b_vals.shape[1])
+    w = grid.spec.length_x * _mode_weights(nj - 1)[:, None, None] * grid.w_y
+    return _real_gram(a_vals[:, :nj] * w, b_vals[:, :nj])
+
+
+def energy_pairing(grid: Grid, a, b, alpha: float | None = None) -> np.ndarray:
+    """Pairings 2(D a_r, D b_s) + alpha int_Gamma a_r . b_s of two stacks.
+
+    a and b are (vals, dvals, wall_vals) triples with a leading stack axis.
+    """
+    if alpha is None:
+        alpha = grid.spec.friction_alpha
+    nj = min(a[0].shape[1], b[0].shape[1])
+    k = grid.kx[:nj][:, None]
+
+    def rows(vals, dvals, wall):
+        d11 = 1j * k * vals[:, :nj, 0]
+        d12 = 0.5 * (dvals[:, :nj, 0] + 1j * k * vals[:, :nj, 1])
+        return d11, d12, dvals[:, :nj, 1], wall[:, :nj]
+
+    lw = grid.spec.length_x * _mode_weights(nj - 1)
+    wq = lw[:, None] * grid.w_y
+    scales = (2.0 * wq, 4.0 * wq, 2.0 * wq, alpha * lw[:, None, None])
+    left = [(s * f).reshape(f.shape[0], -1) for s, f in zip(scales, rows(*a))]
+    right = [f.reshape(f.shape[0], -1) for f in rows(*b)]
+    return _real_gram(np.concatenate(left, axis=1), np.concatenate(right, axis=1))
+
+
 def inner_h(u: ModeField, v: ModeField) -> float:
     """L2 inner product over the channel."""
     _check_same_grid(u, v)
-    g = u.grid
-    nj = min(u.vals.shape[0], v.vals.shape[0])
-    s = np.einsum("jcq,jcq,q->j", u.vals[:nj], v.vals[:nj].conj(), g.w_y)
-    return float(g.spec.length_x * (_mode_weights(nj - 1) @ s.real))
+    return float(mass_pairing(u.grid, u.vals[None], v.vals[None])[0, 0])
 
 
 def inner_v(u: ModeField, v: ModeField, alpha: float | None = None) -> float:
     """Strain-plus-friction energy inner product 2(Du, Dv) + alpha int_Gamma u.v."""
     _check_same_grid(u, v)
-    g = u.grid
-    if alpha is None:
-        alpha = g.spec.friction_alpha
-    nj = min(u.vals.shape[0], v.vals.shape[0])
-    k = g.kx[:nj][:, None]
-
-    def strain(f):
-        d11 = 1j * k * f.vals[:nj, 0]
-        d12 = 0.5 * (f.dvals[:nj, 0] + 1j * k * f.vals[:nj, 1])
-        d22 = f.dvals[:nj, 1]
-        return d11, d12, d22
-
-    a11, a12, a22 = strain(u)
-    b11, b12, b22 = strain(v)
-    body = np.einsum(
-        "jq,q->j",
-        a11 * b11.conj() + 2.0 * a12 * b12.conj() + a22 * b22.conj(),
-        g.w_y,
-    )
-    wall = np.einsum("jcw,jcw->j", u.wall_vals[:nj], v.wall_vals[:nj].conj())
-    total = 2.0 * body.real + alpha * wall.real
-    return float(g.spec.length_x * (_mode_weights(nj - 1) @ total))
+    a, b = ((f.vals[None], f.dvals[None], f.wall_vals[None]) for f in (u, v))
+    return float(energy_pairing(u.grid, a, b, alpha)[0, 0])
 
 
 def grad_sq(u: ModeField) -> float:
@@ -363,6 +390,11 @@ class Basis:
     @property
     def size(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def stack(self):
+        """(vals, dvals, wall_vals) stacks of the entries, for the pairings."""
+        return self.stack_vals, self.stack_dvals, self.stack_wall
 
     def field(self, coeffs) -> ModeField:
         """Velocity field with the given basis coefficients."""
@@ -543,15 +575,7 @@ def truncate_basis(basis: Basis, n: int) -> Basis:
 
 def project(field: ModeField, basis: Basis) -> np.ndarray:
     """L2 coefficients of the field against the basis entries."""
-    g = basis.grid
-    nj = min(field.vals.shape[0], basis.stack_vals.shape[1])
-    s = np.einsum(
-        "jcq,njcq,q->nj",
-        field.vals[:nj],
-        basis.stack_vals[:, :nj].conj(),
-        g.w_y,
-    )
-    return g.spec.length_x * (s.real @ _mode_weights(nj - 1))
+    return mass_pairing(basis.grid, basis.stack_vals, field.vals[None])[:, 0]
 
 
 # -- persistence -------------------------------------------------------------

@@ -83,8 +83,14 @@ _DEFAULTS = {
 SEED_LIMIT = 2**64
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# type of a leaf's default -> accepted types of its value, and their name
+_LEAF_TYPES = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list"),
+}
 
 
 def _merge(defaults, user, path=""):
@@ -100,6 +106,10 @@ def _merge(defaults, user, path=""):
             else (dict(defaults[key]) if isinstance(defaults[key], dict) else defaults[key])
             for key in defaults
         }
+    if defaults is not None:  # a None default has its own check in validate
+        accepted, name = _LEAF_TYPES[type(defaults)]
+        if not isinstance(user, accepted) or isinstance(user, bool) != isinstance(defaults, bool):
+            raise ConfigError(f"{path} must be {name}")
     return user
 
 
@@ -144,14 +154,12 @@ class RunConfig:
         if len(gains) not in (1, m):
             raise ConfigError("noise.mult_gain must have length 1 or m")
         v = d["verify"]
-        if v["paths"] is not None and not (_is_int(v["paths"]) and v["paths"] >= 1):
+        if v["paths"] is not None and (type(v["paths"]) is not int or v["paths"] < 1):
             raise ConfigError("verify.paths must be null or an integer >= 1")
-        if not (_is_int(v["stability_paths"]) and v["stability_paths"] >= 1):
-            raise ConfigError("verify.stability_paths must be an integer >= 1")
-        scale = v["stability_scale"]
-        if not (isinstance(scale, (int, float)) and not isinstance(scale, bool)
-                and math.isfinite(scale)):
-            raise ConfigError("verify.stability_scale must be a finite number")
+        if v["stability_paths"] < 1:
+            raise ConfigError("verify.stability_paths must be >= 1")
+        if not math.isfinite(v["stability_scale"]):
+            raise ConfigError("verify.stability_scale must be finite")
 
     # -- builders ----------------------------------------------------------
 

@@ -20,9 +20,14 @@ same shapes, so a seed's path is bitwise the same whatever its batch,
 position or thread count.  `drift`/`step_em` are the single-step reference
 the kernel is tested against.
 
-Convection projections are evaluated pseudospectrally on a physical grid
-wide enough that quadratic products are integrated exactly (no aliasing
-reaches the resolved band).
+Assembly samples the basis and the lifted unit fields with one batched
+sampler (`basis.sample_fields`) on a physical grid wide enough that quadratic
+products are integrated exactly (no aliasing reaches the resolved band).
+One convection contraction, one GEMM per advecting field, gives all three
+convection tensors; the lift couplings and Gram matrices are the stacked
+mass and energy pairings; the wall term is exact by Parseval on the trace
+coefficients.  The assembled conv_bb is checked for skew symmetry and for
+the Fourier-triad pattern of its nonzeros.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Basis, ModeField, inner_h, inner_v
+from .basis import Basis, ModeField, energy_pairing, mass_pairing, sample_fields
 from .geometry import Grid
 from .lifting import BoundaryControl, LiftingCache
 
@@ -182,16 +187,6 @@ class Trajectory:
 # -- convection projections ---------------------------------------------------
 
 
-def _weighted_basis_samples(basis: Basis):
-    g = basis.grid
-    e1 = np.empty((basis.size, g.n_x, g.n_q))
-    e2 = np.empty_like(e1)
-    for i, f in enumerate(basis.fields):
-        e1[i], e2[i] = f.physical()
-    w2d = g.quad_weights_domain
-    return e1, e2, e1 * w2d, e2 * w2d
-
-
 def nonlinear_term(y: ModeField, basis: Basis) -> np.ndarray:
     """Coefficients ((y . grad) y, e_i) by pseudospectral quadrature.
 
@@ -244,109 +239,84 @@ class GalerkinOperators:
         return self.lift_h.shape[1]
 
 
+def _convection(test_w, u, grad_v) -> np.ndarray:
+    """C[i, p, q] = ((u_p . grad) v_q, e_i) from sampled fields.
+
+    test_w (n, 2, n_x, n_q) holds the quadrature-weighted test fields, u the
+    (P, 2, n_x, n_q) advecting velocities and grad_v the (Q, 4, n_x, n_q)
+    gradients (d_x v1, d_y v1, d_x v2, d_y v2) of the advected fields.  One
+    GEMM per p contracts both components.
+    """
+    n, n_p, n_v = test_w.shape[0], u.shape[0], grad_v.shape[0]
+    test = test_w.reshape(n, -1)
+    gx, gy = grad_v[:, 0::2], grad_v[:, 1::2]
+    out = np.empty((n, n_p, n_v))
+    w, tmp = np.empty(gx.shape), np.empty(gx.shape)
+    for p in range(n_p):
+        np.multiply(gx, u[p, 0], out=w)
+        w += np.multiply(gy, u[p, 1], out=tmp)
+        out[:, p] = test @ w.reshape(n_v, -1).T
+    return out
+
+
+def _check_convection(conv_bb: np.ndarray, mode_j, scale: float):
+    """Raise unless conv_bb is skew in (i, q) and vanishes off the Fourier
+    triads j_i in {j_p + j_q, |j_p - j_q|}, both to 1e-12 * scale."""
+    bound = 1e-12 * scale
+    j = np.asarray(mode_j)
+    for p in range(conv_bb.shape[1]):
+        block = conv_bb[:, p, :]
+        if np.abs(block + block.T).max() > bound:
+            raise DynamicsError("convection tensor is not skew-symmetric")
+        off = (j[:, None] != j[p] + j) & (j[:, None] != np.abs(j[p] - j))
+        if np.abs(block[off]).max(initial=0.0) > bound:
+            raise DynamicsError("convection tensor couples modes off the Fourier triads")
+
+
 def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOperators:
     g = basis.grid
     n = basis.size
-    lx = g.spec.length_x
-    e1, e2, we1, we2 = _weighted_basis_samples(basis)
-
-    grads = []
-    for f in basis.fields:
-        grads.append(f.physical_gradient())
-    gx1 = np.stack([gr[0] for gr in grads])
-    gy1 = np.stack([gr[1] for gr in grads])
-    gx2 = np.stack([gr[2] for gr in grads])
-    gy2 = np.stack([gr[3] for gr in grads])
-
-    conv_bb = np.empty((n, n, n))
-    for p in range(n):
-        w1 = e1[p][None] * gx1 + e2[p][None] * gy1
-        w2 = e1[p][None] * gx2 + e2[p][None] * gy2
-        conv_bb[:, p, :] = np.einsum("ixy,qxy->iq", we1, w1) + np.einsum(
-            "ixy,qxy->iq", we2, w2
+    e = sample_fields(g, basis.stack_vals, basis.stack_dvals)
+    test_w = e[:, :2] * g.quad_weights_domain
+    conv_bb = _convection(test_w, e[:, :2], e[:, 2:])
+    # bound on the summed magnitudes of any entry's quadrature terms: the
+    # scale of its rounding, even where the tensor vanishes in exact arithmetic
+    u_max, g_max = (max(x.max(), -x.min()) for x in (e[:, :2], e[:, 2:]))
+    scale = 2.0 * np.abs(test_w).sum(axis=(1, 2, 3)).max() * u_max * g_max
+    _check_convection(conv_bb, basis.mode_j, scale)
+    if cache is None:
+        return GalerkinOperators(
+            lam=basis.eigenvalues.copy(), conv_bb=conv_bb, conv_bc=np.zeros((n, n, 1)),
+            conv_cc=np.zeros((n, 1, 1)), lift_h=np.zeros((n, 1)), lift_v=np.zeros((n, 1)),
+            btrace=np.zeros((n, 1)), gram_h=np.zeros((1, 1)), gram_v=np.zeros((1, 1)),
         )
 
-    if cache is None:
-        nc = 1
-        conv_bc = np.zeros((n, n, nc))
-        conv_cc = np.zeros((n, nc, nc))
-        lift_h = np.zeros((n, nc))
-        lift_v = np.zeros((n, nc))
-        btrace = np.zeros((n, nc))
-        gram_h = np.zeros((nc, nc))
-        gram_v = np.zeros((nc, nc))
-    else:
-        nc = cache.n_dofs
-        a1 = np.empty((nc, g.n_x, g.n_q))
-        a2 = np.empty_like(a1)
-        agx1 = np.empty_like(a1)
-        agy1 = np.empty_like(a1)
-        agx2 = np.empty_like(a1)
-        agy2 = np.empty_like(a1)
-        for c, f in enumerate(cache.fields):
-            a1[c], a2[c] = f.physical()
-            agx1[c], agy1[c], agx2[c], agy2[c] = f.physical_gradient()
+    a = sample_fields(g, cache.stack_vals, cache.stack_dvals)
+    conv_bc = _convection(test_w, e[:, :2], a[:, 2:])
+    conv_bc += _convection(test_w, a[:, :2], e[:, 2:]).transpose(0, 2, 1)
+    conv_cc = _convection(test_w, a[:, :2], a[:, 2:])
 
-        conv_bc = np.empty((n, n, nc))
-        for p in range(n):
-            w1 = e1[p][None] * agx1 + e2[p][None] * agy1
-            w1 += a1 * gx1[p][None] + a2 * gy1[p][None]
-            w2 = e1[p][None] * agx2 + e2[p][None] * agy2
-            w2 += a1 * gx2[p][None] + a2 * gy2[p][None]
-            conv_bc[:, p, :] = np.einsum("ixy,cxy->ic", we1, w1) + np.einsum(
-                "ixy,cxy->ic", we2, w2
-            )
-        conv_cc = np.empty((n, nc, nc))
-        for c in range(nc):
-            w1 = a1[c][None] * agx1 + a2[c][None] * agy1
-            w2 = a1[c][None] * agx2 + a2[c][None] * agy2
-            conv_cc[:, c, :] = np.einsum("ixy,dxy->id", we1, w1) + np.einsum(
-                "ixy,dxy->id", we2, w2
-            )
-
-        lift_h = np.empty((n, nc))
-        lift_v = np.empty((n, nc))
-        for c, f in enumerate(cache.fields):
-            for i, e in enumerate(basis.fields):
-                lift_h[i, c] = inner_h(f, e)
-                lift_v[i, c] = inner_v(f, e, cache.alpha)
-        gram_h = np.empty((nc, nc))
-        gram_v = np.empty((nc, nc))
-        for c in range(nc):
-            for d in range(c, nc):
-                gram_h[c, d] = gram_h[d, c] = inner_h(cache.fields[c], cache.fields[d])
-                gram_v[c, d] = gram_v[d, c] = inner_v(
-                    cache.fields[c], cache.fields[d], cache.alpha
-                )
-
-        # wall pairings on the physical x grid (exact: trace products stay
-        # below the quadrature band)
-        tr = np.zeros((n, 2, g.n_x))
-        for i in range(n):
-            ji = int(basis.mode_j[i])
-            for wall in (0, 1):
-                cvec = np.zeros(ji + 1, complex)
-                cvec[ji] = basis.tau_trace[i, wall]
-                tr[i, wall] = g.trace_values(cvec)
-
-        btrace = np.zeros((n, nc))
-        for c in range(nc):
-            unit = BoundaryControl.zeros(lx, cache.n_modes, [0.0], cache.p)
-            unit.gamma[0, c] = 1.0
-            table = unit.coeffs(unit.gamma[0])  # (4, nm+1): a_b, a_t, b_b, b_t
-            b_vals = np.stack([g.trace_values(table[2]), g.trace_values(table[3])])
-            btrace[:, c] = g.w_x * np.einsum("wx,iwx->i", b_vals, tr)
+    # wall pairing int_Gamma b_c (e_i . tau) by Parseval on the trace
+    # coefficients; only entries with j_i <= n_modes meet the control band
+    nc, nm = cache.n_dofs, cache.n_modes
+    proto = BoundaryControl.zeros(g.spec.length_x, nm, [0.0], cache.p)
+    b_rows = np.zeros((nc, 2, g.spec.modes_x + 1), complex)
+    b_rows[:, :, : nm + 1] = [proto.coeffs(row)[2:] for row in np.eye(nc)]
+    j = basis.mode_j
+    btrace = g.spec.length_x * np.where(j == 0, 1.0, 2.0)[:, None] * np.einsum(
+        "iw,cwi->ic", basis.tau_trace, b_rows[:, :, j].conj()
+    ).real
 
     return GalerkinOperators(
         lam=basis.eigenvalues.copy(),
         conv_bb=conv_bb,
         conv_bc=conv_bc,
         conv_cc=conv_cc,
-        lift_h=lift_h,
-        lift_v=lift_v,
+        lift_h=mass_pairing(g, basis.stack_vals, cache.stack_vals),
+        lift_v=energy_pairing(g, basis.stack, cache.stack, cache.alpha),
         btrace=btrace,
-        gram_h=gram_h,
-        gram_v=gram_v,
+        gram_h=mass_pairing(g, cache.stack_vals, cache.stack_vals),
+        gram_v=energy_pairing(g, cache.stack, cache.stack, cache.alpha),
     )
 
 
@@ -551,13 +521,13 @@ class Simulator:
         return ctrl.series(self.times)
 
     def _plan(self, ctrl=None, u0=None, noise_on=True, store_beta=False, target=None,
-              dw=None, keep_wiener=False, gamma_pair=None) -> dict:
+              dw=None, keep_wiener=False) -> dict:
         """Check a run's options once; the result is what every chunk shares."""
         n = self.ops.n
         beta0 = np.zeros(n) if u0 is None else np.asarray(u0, float).copy()
         if beta0.shape != (n,):
             raise DynamicsError("initial coefficients do not match the basis size")
-        gamma, gdot = self.gamma_series(ctrl) if gamma_pair is None else gamma_pair
+        gamma, gdot = self.gamma_series(ctrl)
         if target is None:
             beta_ref = np.zeros((self.n_steps + 1, n))
             gamma_ref = np.zeros((self.n_steps + 1, self.ops.n_ctrl))
@@ -608,11 +578,9 @@ class Simulator:
     def run(self, seed: int = 0, ctrl: BoundaryControl | None = None,
             u0: np.ndarray | None = None, noise_on: bool = True,
             store_beta: bool = False, target=None,
-            dw: np.ndarray | None = None, keep_wiener: bool = False,
-            gamma_pair=None) -> Trajectory:
+            dw: np.ndarray | None = None, keep_wiener: bool = False) -> Trajectory:
         """One path: a chunk holding one seed, bitwise equal to its run_many path."""
-        plan = self._plan(ctrl, u0, noise_on, store_beta, target, dw, keep_wiener,
-                          gamma_pair)
+        plan = self._plan(ctrl, u0, noise_on, store_beta, target, dw, keep_wiener)
         return self._chunk([seed], plan)[0]
 
     def run_many(self, seeds, threads: int = 1, **kw) -> list:

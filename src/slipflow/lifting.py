@@ -442,6 +442,11 @@ class LiftingCache:
         self.stack_wall = np.stack([f.wall_vals for f in fields])
         self.stack_wall_d = np.stack([f.wall_dvals for f in fields])
 
+    @property
+    def stack(self):
+        """(vals, dvals, wall_vals) stacks of the unit fields, for the pairings."""
+        return self.stack_vals, self.stack_dvals, self.stack_wall
+
     def field(self, gamma_row) -> ModeField:
         return ModeField.combine(
             np.asarray(gamma_row, float),

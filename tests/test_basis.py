@@ -219,3 +219,24 @@ def test_tiebreak_order_deterministic(basis_small):
         if lam[i] == lam[i + 1] and basis_small.mode_j[i] == basis_small.mode_j[i + 1]:
             if basis_small.shell_index[i] == basis_small.shell_index[i + 1]:
                 assert basis_small.family[i] < basis_small.family[i + 1]
+
+
+def test_stack_pairings_against_quadrature(basis_small, grid_small):
+    # mass and energy pairings of a stack against sampled-field quadrature
+    g = grid_small
+    fields = [random_field(g, s) for s in range(3)] + basis_small.fields[:4]
+    stack = tuple(np.stack([getattr(f, a) for f in fields]) for a in ("vals", "dvals", "wall_vals"))
+    w2d = g.quad_weights_domain
+    m = len(fields)
+    mass, energy = np.empty((m, m)), np.empty((m, m))
+    for r, u in enumerate(fields):
+        for s, v in enumerate(fields):
+            (u1, u2), (v1, v2) = u.physical(), v.physical()
+            a, b = u.physical_gradient(), v.physical_gradient()
+            strain = a[0] * b[0] + a[3] * b[3] + 0.5 * (a[1] + a[2]) * (b[1] + b[2])
+            wall = sum(g.trace_values(u.wall_vals[:, c, w]) @ g.trace_values(v.wall_vals[:, c, w])
+                       for c in (0, 1) for w in (0, 1))
+            mass[r, s] = np.sum((u1 * v1 + u2 * v2) * w2d)
+            energy[r, s] = 2.0 * np.sum(strain * w2d) + g.spec.friction_alpha * g.w_x * wall
+    assert np.abs(bs.mass_pairing(g, stack[0], stack[0]) - mass).max() < 1e-12 * np.abs(mass).max()
+    assert np.abs(bs.energy_pairing(g, stack, stack) - energy).max() < 1e-12 * np.abs(energy).max()

@@ -233,10 +233,14 @@ def test_cmd_optimize_zero_budget(tmp_path):
         ("simulate", ["--threads", "0"], {}, 1),
         ("simulate", ["--threads", "-2"], {}, 1),
         ("simulate", ["--seed", str(2**64)], {}, 1),
+        ("simulate", [], {"monte_carlo": {"paths": "abc"}}, 1),
+        ("simulate", [], {"basis_size": "8"}, 1),
+        ("optimize", [], {"optimize": {"budget": "x"}}, 1),
     ],
     ids=["verify-all-paths-blow-up", "optimize-all-paths-blow-up", "negative-seed", "negative-paths", "zero-paths",
          "negative-seed-bank", "zero-verify-paths", "negative-verify-paths", "zero-stability-paths",
-         "zero-threads", "negative-threads", "seed-past-philox-range"],
+         "zero-threads", "negative-threads", "seed-past-philox-range", "string-paths",
+         "string-basis-size", "string-budget"],
 )
 def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, code):
     _check_exit_code(tmp_path, command, flags, overrides, code)

@@ -10,6 +10,7 @@ from slipflow.dynamics import (
     GalerkinState,
     NoiseModel,
     Simulator,
+    _check_convection,
     assemble_operators,
     build_noise,
     diffusion,
@@ -116,6 +117,39 @@ def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, ma
         + (ops.conv_cc @ gam) @ gam
     )
     assert np.abs(tensor - direct).max() < 1e-10 * max(1.0, np.abs(direct).max())
+
+
+@pytest.mark.parametrize("fault", ["skew", "triad"])
+def test_convection_check_rejects_tampered_tensor(sim_small, basis_small, fault):
+    conv = sim_small.ops.conv_bb.copy()
+    j = basis_small.mode_j
+    scale = np.abs(conv).max()
+    _check_convection(conv, j, scale)
+    if fault == "skew":
+        # break skew symmetry on the largest (on-triad) entry
+        conv[np.unravel_index(np.abs(conv).argmax(), conv.shape)] += 1e-6 * scale
+    else:
+        # a skew-symmetric pair of entries off the Fourier triads
+        i, p, q = next((i, p, q) for i in range(j.size) for p in range(j.size)
+                       for q in range(i + 1, j.size)
+                       if j[i] not in (j[p] + j[q], abs(j[p] - j[q])))
+        conv[i, p, q] += 1e-6 * scale
+        conv[q, p, i] -= 1e-6 * scale
+    with pytest.raises(DynamicsError, match=fault):
+        _check_convection(conv, j, scale)
+
+
+def test_mass_pairings_against_quadrature(sim_small, basis_small, cache_small, grid_small):
+    w2d = grid_small.quad_weights_domain
+
+    def quadrature(us, vs):
+        su, sv = [f.physical() for f in us], [f.physical() for f in vs]
+        return np.array([[np.sum((a[0] * b[0] + a[1] * b[1]) * w2d) for b in sv] for a in su])
+
+    lift_h = quadrature(basis_small.fields, cache_small.fields)
+    gram_h = quadrature(cache_small.fields, cache_small.fields)
+    assert np.abs(sim_small.ops.lift_h - lift_h).max() <= 1e-12 * np.abs(lift_h).max()
+    assert np.abs(sim_small.ops.gram_h - gram_h).max() <= 1e-12 * np.abs(gram_h).max()
 
 
 # -- drift ----------------------------------------------------------------------
