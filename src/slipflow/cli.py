@@ -146,7 +146,7 @@ def cmd_simulate(cfg, out: Path, args) -> int:
         return EXIT_NUMERICAL
     final_sq = np.array([tr.u_sq[-1] for tr in good])
     sup_sq = np.array([np.max(tr.u_sq) for tr in good])
-    ci = diag.bootstrap_ci(lambda idx: final_sq[idx].mean(), final_sq.size, 0)
+    ci = diag.bootstrap_ci(lambda idx: final_sq[idx].mean(axis=1), final_sq.size, 0)
     with open(out / "summary.csv", "w") as fh:
         fh.write(f"# {_meta(cfg)}\n")
         fh.write("seed,final_u_sq,sup_u_sq,blown_up\n")

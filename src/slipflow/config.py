@@ -17,7 +17,7 @@ import numpy as np
 from .control import AdmissibleSpec, ParamMap
 from .dynamics import Simulator, build_noise, make_initial_coeffs
 from .geometry import DomainSpec, GeometryError, build_grid
-from .lifting import BoundaryControl, LiftingCache
+from .lifting import BoundaryControl, LiftingCache, LiftingError
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -107,10 +107,22 @@ def _merge(defaults, user, path=""):
             for key in defaults
         }
     if defaults is not None:  # a None default has its own check in validate
-        accepted, name = _LEAF_TYPES[type(defaults)]
-        if not isinstance(user, accepted) or isinstance(user, bool) != isinstance(defaults, bool):
-            raise ConfigError(f"{path} must be {name}")
+        _check_leaf(defaults, user, path)
     return user
+
+
+def _check_leaf(default, value, path, record=False):
+    """Raise unless value has the type of default.  A list's elements are
+    checked against its first default element; a list inside a list is a
+    record, checked position by position."""
+    accepted, name = _LEAF_TYPES[type(default)]
+    if not isinstance(value, accepted) or isinstance(value, bool) != isinstance(default, bool):
+        raise ConfigError(f"{path} must be {name}")
+    if isinstance(default, list) and default:
+        if record and len(value) != len(default):
+            raise ConfigError(f"{path} must hold {len(default)} entries")
+        for i, item in enumerate(value):
+            _check_leaf(default[i] if record else default[0], item, f"{path}[{i}]", True)
 
 
 @dataclass(eq=False)
@@ -143,16 +155,30 @@ class RunConfig:
             raise ConfigError("basis_size must be >= 1")
         if d["damping_rate"] <= 0:
             raise ConfigError("damping_rate must be positive")
-        if d["control"]["n_modes"] > d["domain"]["modes_x"]:
-            raise ConfigError("control.n_modes cannot exceed domain.modes_x")
+        c = d["control"]
+        if not 0 <= c["n_modes"] <= d["domain"]["modes_x"]:
+            raise ConfigError("control.n_modes must lie in 0..domain.modes_x")
+        if c["coeff_file"] is not None and not isinstance(c["coeff_file"], str):
+            raise ConfigError("control.coeff_file must be null or a string")
+        theta0 = d["optimize"]["theta0"]
+        if theta0 is not None:
+            _check_leaf([0.0], theta0, "optimize.theta0")
         try:
             DomainSpec(**d["domain"])
-        except GeometryError as exc:
+            proto = BoundaryControl.zeros(d["domain"]["length_x"], c["n_modes"], [0.0], c["p"])
+        except (GeometryError, LiftingError) as exc:
             raise ConfigError(str(exc)) from exc
+        for i, slot in enumerate(c["slots"]):
+            try:
+                proto.dof_index(*slot)
+            except LiftingError as exc:
+                raise ConfigError(f"control.slots[{i}]: {exc}") from exc
         m = d["noise"]["m"]
         gains = d["noise"]["mult_gain"]
         if len(gains) not in (1, m):
             raise ConfigError("noise.mult_gain must have length 1 or m")
+        if not all(g >= 0 for g in gains):
+            raise ConfigError("noise.mult_gain must be nonnegative")
         v = d["verify"]
         if v["paths"] is not None and (type(v["paths"]) is not int or v["paths"] < 1):
             raise ConfigError("verify.paths must be null or an integer >= 1")
@@ -228,7 +254,7 @@ class RunConfig:
             length_x=self.data["domain"]["length_x"],
             n_modes=c["n_modes"],
             t_grid=t_grid,
-            slots=tuple((s[0], s[1], int(s[2]), s[3]) for s in c["slots"]),
+            slots=tuple(map(tuple, c["slots"])),
             p=c["p"],
         )
 
@@ -236,7 +262,10 @@ class RunConfig:
         """Control from coeff_file if given, else static slots at theta."""
         c = self.data["control"]
         if c["coeff_file"]:
-            return BoundaryControl.load(c["coeff_file"])
+            try:
+                return BoundaryControl.load(c["coeff_file"])
+            except (OSError, ValueError, KeyError) as exc:
+                raise ConfigError(f"cannot read control.coeff_file: {exc}") from exc
         theta = np.asarray(c["theta"], float)
         if not theta.any():
             return None

@@ -25,7 +25,7 @@ import numpy as np
 
 from .diagnostics import bootstrap_ci
 from .dynamics import BlowupError, InsufficientPathsError, Simulator
-from .lifting import BoundaryControl, project_compatible, trace_norm_series
+from .lifting import BoundaryControl, project_compatible, trace_norm_series, wall_norm_sq
 
 __all__ = [
     "ControlError",
@@ -153,30 +153,17 @@ def penalty_term(ctrl: BoundaryControl, spec: AdmissibleSpec) -> float:
     Coefficients are piecewise linear in time, so the squared wall norm is
     piecewise quadratic and Simpson per segment integrates it exactly.
     """
-    lx = ctrl.length_x
-
-    def wall_sq(gamma_row):
-        table = ctrl.coeffs(gamma_row)
-        sa = sb = 0.0
-        for w in (0, 1):
-            ca, cb = table[w], table[2 + w]
-            sa += abs(ca[0]) ** 2 + 2.0 * float(np.abs(ca[1:]) ** 2 @ np.ones(ca.size - 1))
-            sb += abs(cb[0]) ** 2 + 2.0 * float(np.abs(cb[1:]) ** 2 @ np.ones(cb.size - 1))
-        return lx * sa, lx * sb
-
-    tg = ctrl.t_grid
+    tg, g = ctrl.t_grid, ctrl.gamma
     if tg.size == 1:
         raise ControlError("penalty needs a time horizon (t_grid of length >= 2)")
-    total = 0.0
-    for s in range(tg.size - 1):
-        h = tg[s + 1] - tg[s]
-        a0, b0 = wall_sq(ctrl.gamma[s])
-        am, bm = wall_sq(0.5 * (ctrl.gamma[s] + ctrl.gamma[s + 1]))
-        a1, b1 = wall_sq(ctrl.gamma[s + 1])
-        ia = h / 6.0 * (a0 + 4.0 * am + a1)
-        ib = h / 6.0 * (b0 + 4.0 * bm + b1)
-        total += 0.5 * spec.lambda1 * ia + 0.5 * spec.lambda2 * ib
-    return total
+    # (start, mid, end) rows of every segment
+    tab = ctrl.coeffs(np.stack([g[:-1], 0.5 * (g[:-1] + g[1:]), g[1:]]))
+    a0, am, a1 = wall_norm_sq(tab[..., :2, :], 0.0, ctrl.length_x)
+    b0, bm, b1 = wall_norm_sq(tab[..., 2:, :], 0.0, ctrl.length_x)
+    h = np.diff(tg)
+    ia = h / 6.0 * (a0 + 4.0 * am + a1)
+    ib = h / 6.0 * (b0 + 4.0 * bm + b1)
+    return float(np.sum(0.5 * spec.lambda1 * ia + 0.5 * spec.lambda2 * ib))
 
 
 def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
@@ -190,20 +177,14 @@ def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
     trajs = sim.run_many(
         seeds, ctrl=ctrl, u0=u0, noise_on=noise_on, target=target, threads=threads
     )
-    per_path = []
-    blowups = 0
-    for tr in trajs:
-        if tr.blown_up:
-            blowups += 1
-            continue
-        per_path.append(0.5 * float(np.trapezoid(tr.tracking, tr.times)))
-    if not per_path:
+    good = [tr.tracking for tr in trajs if not tr.blown_up]
+    if not good:
         raise InsufficientPathsError("all paths blew up; no usable cost sample")
-    per_path = np.asarray(per_path)
+    per_path = 0.5 * np.trapezoid(np.stack(good), sim.times, axis=-1)
     tracking = float(per_path.mean())
     pen = 0.0 if ctrl is None else penalty_term(ctrl, spec)
     if per_path.size > 1:
-        lo, hi = bootstrap_ci(lambda idx: per_path[idx].mean(), per_path.size,
+        lo, hi = bootstrap_ci(lambda idx: per_path[idx].mean(axis=1), per_path.size,
                               np.random.SeedSequence([0xC051, ci_seed]))
         ci = 0.5 * (hi - lo)
     else:
@@ -214,7 +195,7 @@ def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
         penalty=pen,
         ci_half_width=ci,
         paths_used=per_path.size,
-        blowup_count=blowups,
+        blowup_count=len(trajs) - len(good),
     )
 
 

@@ -4,7 +4,9 @@ Every bound is checked the same way: Monte Carlo surrogates of both sides
 are computed from simulated paths, the fitted constant is their ratio, and
 a bootstrap over paths provides a confidence interval.  Expectations are
 plain path means, `sup over [0, t]` is the max over the time grid, and time
-integrals are trapezoidal.
+integrals are trapezoidal.  The certifiers work on (paths, times) stacks of
+the per-path series, and the bootstrap draws all its resamples as one
+(n_boot, n) index matrix.
 
 The exponential damping weight is
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import GalerkinOperators, InsufficientPathsError, Simulator, Trajectory, drift
+from .dynamics import DynamicsError, GalerkinOperators, InsufficientPathsError, Simulator, drift
 from .lifting import BoundaryControl, trace_norm_series
 
 __all__ = [
@@ -55,22 +57,28 @@ class WeightSeries:
     def __post_init__(self):
         v = self.values
         if v[0] != 1.0 or (np.diff(v) > 1e-12).any() or (v <= 0).any():
-            raise ValueError("weight must start at 1, be nonincreasing and positive")
+            raise DynamicsError(
+                "damping weight must start at 1, be nonincreasing and positive "
+                "(c0 times the control load is too large: it underflows)"
+            )
 
 
 def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoid integral along the last axis, 0 at t[0]."""
     out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
+    out[..., 1:] = np.cumsum(0.5 * (y[..., 1:] + y[..., :-1]) * np.diff(t), axis=-1)
     return out
+
+
+def _trace_sq(ctrl: BoundaryControl | None, times: np.ndarray) -> np.ndarray:
+    """Squared trace-norm series of a control; zeros without one."""
+    return np.zeros(len(times)) if ctrl is None else trace_norm_series(ctrl, times) ** 2
 
 
 def energy_weight(ctrl: BoundaryControl | None, c0: float, times: np.ndarray) -> WeightSeries:
     """Damping weight exp(-c0 t - c0 int ||(a,b)||^2) on the given time grid."""
     times = np.asarray(times, float)
-    if ctrl is None:
-        tn2 = np.zeros_like(times)
-    else:
-        tn2 = trace_norm_series(ctrl, times) ** 2
+    tn2 = _trace_sq(ctrl, times)
     expo = c0 * times + c0 * _cumtrapz(tn2, times)
     return WeightSeries(
         kind="energy",
@@ -103,29 +111,39 @@ class EstimateReport:
 
 
 def bootstrap_ci(stat, n: int, seed, n_boot: int = 200) -> tuple:
-    """2.5/97.5 percentile interval of stat(idx) over path resamples.
+    """2.5/97.5 percentile interval of stat over path resamples.
 
-    Each of the n_boot resamples idx draws n path indices with replacement
-    from a generator seeded by `seed`.
+    The resamples are the rows of one (n_boot, n) matrix of path indices
+    drawn with replacement from a generator seeded by `seed`, the same
+    stream as n_boot successive draws of n; stat maps the matrix to n_boot
+    values.
     """
-    rng = np.random.default_rng(seed)
-    stats = np.array([stat(rng.integers(0, n, size=n)) for _ in range(n_boot)])
+    stats = stat(np.random.default_rng(seed).integers(0, n, size=(n_boot, n)))
     return float(np.quantile(stats, 0.025)), float(np.quantile(stats, 0.975))
 
 
-def _ratio_ci(per_path_lhs, per_path_rhs, rhs_const: float, seed: int) -> tuple:
+def _ratio(num, den):
+    """num / den where den > 0; elsewhere 0 for a zero num and inf otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, np.divide(num, den), np.where(num == 0, 0.0, np.inf))
+
+
+def _ratio_ci(lhs: np.ndarray, rhs: np.ndarray, rhs_const: float, seed: int) -> tuple:
     """Percentile CI of the fitted constant under path resampling."""
-    lhs = np.asarray(per_path_lhs, float)
-    rhs = np.asarray(per_path_rhs, float)
+    return bootstrap_ci(
+        lambda idx: _ratio(lhs[idx].mean(axis=1), rhs[idx].mean(axis=1) + rhs_const),
+        lhs.size, np.random.SeedSequence([0xB001, seed]),
+    )
 
-    def ratio(idx):
-        num = lhs[idx].mean()
-        den = rhs[idx].mean() + rhs_const
-        if den > 0:
-            return num / den
-        return 0.0 if num == 0 else np.inf
 
-    return bootstrap_ci(ratio, lhs.size, np.random.SeedSequence([0xB001, seed]))
+def _report(name, lhs_paths, rhs_paths, rhs_const, excluded, seed, details) -> EstimateReport:
+    """Fitted constant mean(lhs) / (mean(rhs) + rhs_const) with its bootstrap CI."""
+    lhs = float(lhs_paths.mean())
+    rhs = float(rhs_paths.mean()) + rhs_const
+    lo, hi = _ratio_ci(lhs_paths, rhs_paths, rhs_const, seed)
+    return EstimateReport(name=name, lhs=lhs, rhs=rhs, fitted_c=float(_ratio(lhs, rhs)),
+                          ci_low=lo, ci_high=hi, n_paths=lhs_paths.size,
+                          n_excluded=excluded, details=details)
 
 
 def _usable(trajectories) -> tuple[list, int]:
@@ -133,6 +151,11 @@ def _usable(trajectories) -> tuple[list, int]:
     if not good:
         raise InsufficientPathsError(f"no usable path among {len(trajectories)}")
     return good, len(trajectories) - len(good)
+
+
+def _series(trajectories, name: str) -> np.ndarray:
+    """(paths, ...) stack of one per-path array."""
+    return np.stack([getattr(tr, name) for tr in trajectories])
 
 
 def certify_second_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
@@ -144,37 +167,13 @@ def certify_second_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
     """
     good, excluded = _usable(trajectories)
     t = good[0].times
+    u_sq, u_esq = _series(good, "u_sq"), _series(good, "u_esq")
     w = energy_weight(ctrl, c0, t)
     w2 = w.values**2
-    lhs_paths = np.array(
-        [
-            np.max(w2 * tr.u_sq) + nu * np.trapezoid(w2 * tr.u_esq, t)
-            for tr in good
-        ]
-    )
-    rhs_paths = np.array([tr.u_sq[0] for tr in good])
+    lhs_paths = np.max(w2 * u_sq, axis=1) + nu * np.trapezoid(w2 * u_esq, t, axis=-1)
     rhs_const = float(np.trapezoid(w2 * w.load2, t))
-    lhs = float(lhs_paths.mean())
-    rhs = float(rhs_paths.mean()) + rhs_const
-    lo, hi = _ratio_ci(lhs_paths, rhs_paths, rhs_const, seed)
-    return EstimateReport(
-        name="second_moment",
-        lhs=lhs,
-        rhs=rhs,
-        fitted_c=lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf),
-        ci_low=lo,
-        ci_high=hi,
-        n_paths=len(good),
-        n_excluded=excluded,
-        details={"c0": c0, "nu": nu},
-    )
-
-
-def _initial_full_sq(tr: Trajectory, ops: GalerkinOperators, gamma0: np.ndarray) -> float:
-    b0 = tr.beta0
-    return float(
-        b0 @ b0 + 2.0 * b0 @ (ops.lift_h @ gamma0) + gamma0 @ (ops.gram_h @ gamma0)
-    )
+    return _report("second_moment", lhs_paths, u_sq[:, 0], rhs_const, excluded, seed,
+                   {"c0": c0, "nu": nu})
 
 
 def certify_fourth_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
@@ -188,34 +187,22 @@ def certify_fourth_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
     """
     good, excluded = _usable(trajectories)
     t = good[0].times
+    u_sq, u_esq = _series(good, "u_sq"), _series(good, "u_esq")
     w = energy_weight(ctrl, c0, t)
     w2, w4 = w.values**2, w.values**4
-    lhs_paths = np.array(
-        [
-            np.max(w4 * tr.u_sq**2) + nu**2 * np.trapezoid(w2 * tr.u_esq, t) ** 2
-            for tr in good
-        ]
-    )
+    lhs_paths = (np.max(w4 * u_sq**2, axis=1)
+                 + nu**2 * np.trapezoid(w2 * u_esq, t, axis=-1) ** 2)
     if ops is not None and ctrl is not None:
+        # |y(0)|^2 = |u(0) + lift(0)|^2 in coefficients
         gamma0, _ = ctrl.interp(0.0)
-        rhs_paths = np.array([_initial_full_sq(tr, ops, gamma0) ** 2 for tr in good])
+        b0 = _series(good, "beta0")
+        rhs_paths = (np.vecdot(b0, b0) + 2.0 * np.vecdot(b0, ops.lift_h @ gamma0)
+                     + gamma0 @ (ops.gram_h @ gamma0)) ** 2
     else:
-        rhs_paths = np.array([tr.u_sq[0] ** 2 for tr in good])
+        rhs_paths = u_sq[:, 0] ** 2
     rhs_const = float(nu**2 * np.trapezoid(w4 * w.load4, t))
-    lhs = float(lhs_paths.mean())
-    rhs = float(rhs_paths.mean()) + rhs_const
-    lo, hi = _ratio_ci(lhs_paths, rhs_paths, rhs_const, seed)
-    return EstimateReport(
-        name="fourth_moment",
-        lhs=lhs,
-        rhs=rhs,
-        fitted_c=lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf),
-        ci_low=lo,
-        ci_high=hi,
-        n_paths=len(good),
-        n_excluded=excluded,
-        details={"c0": c0, "nu": nu},
-    )
+    return _report("fourth_moment", lhs_paths, rhs_paths, rhs_const, excluded, seed,
+                   {"c0": c0, "nu": nu})
 
 
 def certify_stability(trajs_1, ctrl_1, trajs_2, ctrl_2, ops: GalerkinOperators,
@@ -233,58 +220,38 @@ def certify_stability(trajs_1, ctrl_1, trajs_2, ctrl_2, ops: GalerkinOperators,
     pairs = [(a, b) for a, b in zip(trajs_1, trajs_2) if not (a.blown_up or b.blown_up)]
     if not pairs:
         raise InsufficientPathsError(f"no usable path pair among {len(trajs_1)}")
-    t = pairs[0][0].times
+    one, two = zip(*pairs)
+    if any(a.seed != b.seed for a, b in pairs):
+        raise ValueError("paired paths must share seeds")
+    if any(tr.beta_series is None for tr in one + two):
+        raise ValueError("stability needs trajectories with stored coefficients")
+    t = one[0].times
     zero = np.zeros((len(t), ops.n_ctrl))
     g1 = zero if ctrl_1 is None else ctrl_1.series(t)[0]
     g2 = zero if ctrl_2 is None else ctrl_2.series(t)[0]
     ghat = g1 - g2
+    tnd_sq = _trace_sq(_diff_control(ctrl_1, ctrl_2), t)
 
-    tn1 = np.zeros(len(t)) if ctrl_1 is None else trace_norm_series(ctrl_1, t)
-    tn2 = np.zeros(len(t)) if ctrl_2 is None else trace_norm_series(ctrl_2, t)
-    dctrl = _diff_control(ctrl_1, ctrl_2)
-    tnd = np.zeros(len(t)) if dctrl is None else trace_norm_series(dctrl, t)
-
-    lhs_paths, rhs_paths = [], []
-    for tr1, tr2 in pairs:
-        if tr1.seed != tr2.seed:
-            raise ValueError("paired paths must share seeds")
-        if tr1.beta_series is None or tr2.beta_series is None:
-            raise ValueError("stability needs trajectories with stored coefficients")
-        bhat = tr1.beta_series - tr2.beta_series
-        yhat_sq = (
-            np.einsum("li,li->l", bhat, bhat)
-            + 2.0 * np.einsum("li,li->l", bhat, ghat @ ops.lift_h.T)
-            + np.einsum("lc,lc->l", ghat, ghat @ ops.gram_h.T)
-        )
-        yhat_esq = (
-            np.einsum("li,li,i->l", bhat, bhat, ops.lam)
-            + 2.0 * np.einsum("li,li->l", bhat, ghat @ ops.lift_v.T)
-            + np.einsum("lc,lc->l", ghat, ghat @ ops.gram_v.T)
-        )
-        f1 = c3 + max(3.0 * c0, c2) * (1.0 + tn1**2 + tn2**2 + tr1.u_esq)
-        xi = np.exp(-_cumtrapz(f1, t))
-        lhs_paths.append(np.max(xi**2 * yhat_sq) + 2.0 * nu * np.trapezoid(xi**2 * yhat_esq, t))
-        rhs_paths.append(yhat_sq[0] + np.trapezoid(xi**2 * tnd**2, t))
-    lhs_paths = np.asarray(lhs_paths)
-    rhs_paths = np.asarray(rhs_paths)
-    lhs = float(lhs_paths.mean())
-    rhs = float(rhs_paths.mean())
-    lo, hi = _ratio_ci(lhs_paths, rhs_paths, 0.0, seed)
-    if rhs > 0:
-        fitted = lhs / rhs
-    else:
-        fitted = 0.0 if lhs <= 1e-24 else np.inf
-    return EstimateReport(
-        name="stability",
-        lhs=lhs,
-        rhs=rhs,
-        fitted_c=fitted,
-        ci_low=lo,
-        ci_high=hi,
-        n_paths=lhs_paths.size,
-        n_excluded=len(trajs_1) - lhs_paths.size,
-        details={"c0": c0, "c2": c2, "c3": c3, "nu": nu},
+    bhat = _series(one, "beta_series") - _series(two, "beta_series")    # (P, L, n)
+    yhat_sq = (
+        np.einsum("pli,pli->pl", bhat, bhat)
+        + 2.0 * np.einsum("pli,li->pl", bhat, ghat @ ops.lift_h.T)
+        + np.einsum("lc,lc->l", ghat, ghat @ ops.gram_h.T)
     )
+    yhat_esq = (
+        np.einsum("pli,pli,i->pl", bhat, bhat, ops.lam)
+        + 2.0 * np.einsum("pli,li->pl", bhat, ghat @ ops.lift_v.T)
+        + np.einsum("lc,lc->l", ghat, ghat @ ops.gram_v.T)
+    )
+    load = 1.0 + _trace_sq(ctrl_1, t) + _trace_sq(ctrl_2, t) + _series(one, "u_esq")
+    xi2 = np.exp(-_cumtrapz(c3 + max(3.0 * c0, c2) * load, t)) ** 2
+    lhs_paths = np.max(xi2 * yhat_sq, axis=1) + 2.0 * nu * np.trapezoid(xi2 * yhat_esq, t, axis=-1)
+    rhs_paths = yhat_sq[:, 0] + np.trapezoid(xi2 * tnd_sq, t, axis=-1)
+    rep = _report("stability", lhs_paths, rhs_paths, 0.0, len(trajs_1) - len(pairs), seed,
+                  {"c0": c0, "c2": c2, "c3": c3, "nu": nu})
+    if rep.rhs <= 0:
+        rep.fitted_c = 0.0 if rep.lhs <= 1e-24 else np.inf
+    return rep
 
 
 def _diff_control(c1: BoundaryControl | None, c2: BoundaryControl | None):
@@ -315,28 +282,15 @@ def certify_wellposed_cost(trajectories, ctrl: BoundaryControl | None, c0: float
     """
     good, excluded = _usable(trajectories)
     t = good[0].times
+    u_sq = _series(good, "u_sq")
     w = energy_weight(ctrl, c0, t)
-    w2 = w.values**2
-    lhs_paths = np.array([np.max(tr.u_sq) for tr in good])
-    wx_paths = np.array([np.max(w2 * tr.u_sq) for tr in good])
-    lhs = float(lhs_paths.mean())
+    lhs_paths = np.max(u_sq, axis=1)
+    wx_paths = np.max(w.values**2 * u_sq, axis=1)
     rhs = float(np.sqrt(np.mean(wx_paths**2)) / w.values[-1] ** 2)
-    lo, hi = _ratio_ci(lhs_paths, wx_paths * 0.0, rhs, seed)
-    return EstimateReport(
-        name="wellposed_cost",
-        lhs=lhs,
-        rhs=rhs,
-        fitted_c=lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else np.inf),
-        ci_low=lo,
-        ci_high=hi,
-        n_paths=len(good),
-        n_excluded=excluded,
-        details={
-            "c0": c0,
-            "weight_at_horizon": float(w.values[-1]),
-            "holds_exactly": bool(lhs <= rhs * (1.0 + 1e-12) + 1e-300),
-        },
-    )
+    rep = _report("wellposed_cost", lhs_paths, np.zeros_like(lhs_paths), rhs, excluded, seed,
+                  {"c0": c0, "weight_at_horizon": float(w.values[-1])})
+    rep.details["holds_exactly"] = bool(rep.lhs <= rhs * (1.0 + 1e-12) + 1e-300)
+    return rep
 
 
 def empirical_damping_rate(trajectories, ctrl: BoundaryControl | None,
@@ -349,24 +303,18 @@ def empirical_damping_rate(trajectories, ctrl: BoundaryControl | None,
     couplings against u, and I3 the squared noise magnitude.  Their sum
     equals 2 beta . drift + 2 nu |u|_E^2 + I3 exactly, with the drift the
     simulator integrated (convection included only if it was), which is how
-    it is evaluated here; the reported value is the max over paths and
-    times of (I1 + I2 + I3) / (2 (trace^2 + 1)(|u|^2 + 1)).  Needs stored
+    it is evaluated here, for all usable paths and times at once; the
+    reported value is the max over paths and times of
+    (I1 + I2 + I3) / (2 (trace^2 + 1)(|u|^2 + 1)).  Needs stored
     coefficient series.
     """
+    paths = [tr for tr in trajectories if not (tr.blown_up or tr.beta_series is None)]
+    if not paths:
+        return -np.inf
     ops, nu, t = sim.ops, sim.nu, sim.times
     gam, gdot = sim.gamma_series(ctrl)
-    tn = np.zeros(len(t)) if ctrl is None else trace_norm_series(ctrl, t)
-    load = tn**2 + 1.0
-    worst = -np.inf
-    for tr in trajectories:
-        if tr.blown_up or tr.beta_series is None:
-            continue
-        b = tr.beta_series
-        total = np.empty(len(t))
-        for ell in range(len(t)):
-            f = drift(b[ell], ops, nu, gam[ell], gdot[ell], sim.include_nonlinear)
-            total[ell] = 2.0 * b[ell] @ f + 2.0 * nu * (ops.lam @ b[ell] ** 2)
-        total += tr.noise_sq
-        denom = 2.0 * load * (tr.u_sq + 1.0)
-        worst = max(worst, float(np.max(total / denom)))
-    return worst
+    b = _series(paths, "beta_series")                                   # (P, L, n)
+    f = drift(b, ops, nu, gam, gdot, sim.include_nonlinear)
+    total = 2.0 * np.vecdot(b, f) + 2.0 * nu * np.vecdot(b**2, ops.lam) + _series(paths, "noise_sq")
+    denom = 2.0 * (_trace_sq(ctrl, t) + 1.0) * (_series(paths, "u_sq") + 1.0)
+    return float(np.max(total / denom))

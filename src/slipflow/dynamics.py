@@ -301,7 +301,7 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
     nc, nm = cache.n_dofs, cache.n_modes
     proto = BoundaryControl.zeros(g.spec.length_x, nm, [0.0], cache.p)
     b_rows = np.zeros((nc, 2, g.spec.modes_x + 1), complex)
-    b_rows[:, :, : nm + 1] = [proto.coeffs(row)[2:] for row in np.eye(nc)]
+    b_rows[:, :, : nm + 1] = proto.coeffs(np.eye(nc))[:, 2:]
     j = basis.mode_j
     btrace = g.spec.length_x * np.where(j == 0, 1.0, 2.0)[:, None] * np.einsum(
         "iw,cwi->ic", basis.tau_trace, b_rows[:, :, j].conj()
@@ -326,19 +326,27 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
 def drift(beta: np.ndarray, ops: GalerkinOperators, nu: float,
           gamma: np.ndarray, gamma_dot: np.ndarray,
           include_nonlinear: bool = True) -> np.ndarray:
-    """Reference drift assembly (numpy, mirrors the kernel contraction)."""
+    """Reference drift assembly (numpy, mirrors the kernel contraction).
+
+    beta is one state (n,) or a stack (..., n) with controls (..., n_ctrl)
+    that broadcast against it; the one-state case is the reference of
+    `step_em` and of the kernel.
+    """
     f = (
         -nu * ops.lam * beta
-        - nu * (ops.lift_v @ gamma)
-        + nu * (ops.btrace @ gamma)
-        - ops.lift_h @ gamma_dot
+        - nu * (gamma @ ops.lift_v.T)
+        + nu * (gamma @ ops.btrace.T)
+        - gamma_dot @ ops.lift_h.T
     )
     if include_nonlinear:
-        n = ops.n
+        n, nc = ops.n, ops.n_ctrl
+        outer = (beta[..., :, None] * beta[..., None, :]).reshape(beta.shape[:-1] + (n * n,))
+        bc = (gamma @ ops.conv_bc.reshape(n * n, nc).T).reshape(gamma.shape[:-1] + (n, n))
+        cc = (gamma @ ops.conv_cc.reshape(n * nc, nc).T).reshape(gamma.shape[:-1] + (n, nc))
         nl = (
-            ops.conv_bb.reshape(n, -1) @ np.outer(beta, beta).ravel()
-            + (ops.conv_bc @ gamma) @ beta
-            + (ops.conv_cc @ gamma) @ gamma
+            outer @ ops.conv_bb.reshape(n, -1).T
+            + (bc @ beta[..., None])[..., 0]
+            + (cc @ gamma[..., None])[..., 0]
         )
         f = f - nl
     return f

@@ -20,7 +20,9 @@ sqrt(L_x * sum_walls sum_j (1 + k_j^2)^s |f_j|^2), and the exponent p enters
 only through the orders 1 - 1/p (for a) and -1/p (for b).  This keeps the
 scaling structure of the continuous norms while remaining a quadratic form
 of the coefficients; it is the one deliberate modelling simplification of
-this module.
+this module.  `wall_norm_sq` is that one weighted form over stacked
+coefficient tables: the trace-norm series and, at order 0, the wall penalty
+of the control problem are calls to it.
 """
 
 from __future__ import annotations
@@ -46,10 +48,12 @@ __all__ = [
     "lift",
     "trace_norm",
     "trace_norm_series",
+    "wall_norm_sq",
 ]
 
 KIND_A = "a"
 KIND_B = "b"
+WALLS = ("bottom", "top")
 TRACES = ((KIND_A, 0), (KIND_A, 1), (KIND_B, 0), (KIND_B, 1))
 
 
@@ -105,23 +109,25 @@ class BoundaryControl:
         return cls(length_x, n_modes, t, np.zeros((t.size, 4 * (2 * n_modes + 1))), p)
 
     def dof_index(self, kind: str, wall: str, j: int, part: str = "re") -> int:
-        w = 0 if wall == "bottom" else 1
-        t = TRACES.index((kind, w))
+        """Position of one coefficient in a gamma row; LiftingError if it does not exist."""
+        if kind not in (KIND_A, KIND_B) or wall not in WALLS or part not in ("re", "im"):
+            raise LiftingError(f"no trace coefficient {kind!r} on wall {wall!r}, part {part!r}")
+        if not isinstance(j, (int, np.integer)) or not 0 <= j <= self.n_modes:
+            raise LiftingError(f"mode {j!r} must be an integer in 0..{self.n_modes}")
+        t = TRACES.index((kind, WALLS.index(wall)))
         if j == 0:
             if part != "re":
                 raise LiftingError("mean mode has no imaginary part")
             return t * self.block
-        off = 1 + 2 * (j - 1) + (0 if part == "re" else 1)
-        return t * self.block + off
+        return t * self.block + 2 * j - 1 + (part == "im")
 
-    def coeffs(self, gamma_row: np.ndarray) -> np.ndarray:
-        """(4, n_modes+1) complex coefficient table for one time point."""
-        out = np.zeros((4, self.n_modes + 1), complex)
-        for t in range(4):
-            blk = gamma_row[t * self.block : (t + 1) * self.block]
-            out[t, 0] = blk[0]
-            if self.n_modes:
-                out[t, 1:] = blk[1::2] + 1j * blk[2::2]
+    def coeffs(self, gamma_rows: np.ndarray) -> np.ndarray:
+        """(..., 4, n_modes+1) complex coefficient tables of (..., n_dofs) rows."""
+        rows = np.asarray(gamma_rows, float)
+        blk = rows.reshape(rows.shape[:-1] + (4, self.block))
+        out = np.empty(blk.shape[:-1] + (self.n_modes + 1,), complex)
+        out[..., 0] = blk[..., 0]
+        out[..., 1:] = blk[..., 1::2] + 1j * blk[..., 2::2]
         return out
 
     def interp(self, t: float):
@@ -156,7 +162,7 @@ class BoundaryControl:
             "p": self.p,
             "t_grid": self.t_grid.tolist(),
             "traces": [
-                {"kind": k, "wall": ("bottom", "top")[w]}
+                {"kind": k, "wall": WALLS[w]}
                 for k, w in TRACES
             ],
             "gamma": self.gamma.tolist(),
@@ -208,26 +214,17 @@ def compatibility_residual(ctrl: BoundaryControl) -> float:
 # -- trace norms --------------------------------------------------------------
 
 
-def _multiplier_norm_sq(coeff_b, coeff_t, order, kx, length_x) -> float:
-    mult = (1.0 + kx * kx) ** order
-    tot = mult[0] * (abs(coeff_b[0]) ** 2 + abs(coeff_t[0]) ** 2)
-    tot += 2.0 * float(
-        mult[1:] @ (np.abs(coeff_b[1:]) ** 2 + np.abs(coeff_t[1:]) ** 2)
-    )
-    return length_x * tot
+def wall_norm_sq(tables: np.ndarray, order: float, length_x: float) -> np.ndarray:
+    """L_x sum_walls sum_j m_j (1 + k_j^2)^order |c_j|^2 over (..., 2, J) wall pairs.
 
-
-def _hp_norm(table, dtable, p, kx, length_x) -> float:
-    def term(cb, ct, s):
-        return np.sqrt(_multiplier_norm_sq(cb, ct, s, kx, length_x))
-
-    return (
-        term(table[0], table[1], 1.0 - 1.0 / p)
-        + term(dtable[0], dtable[1], 0.5)
-        + term(table[2], table[3], -1.0 / p)
-        + term(table[2], table[3], 0.0)
-        + term(dtable[2], dtable[3], -0.5)
-    )
+    m_0 = 1 and m_j = 2 otherwise: the mean and the two conjugate modes of a
+    real trace.
+    """
+    k = 2.0 * np.pi * np.arange(tables.shape[-1]) / length_x
+    mult = (1.0 + k * k) ** order
+    sq = (np.abs(tables) ** 2).sum(axis=-2)
+    # vecdot sums each row as a 1-D dot does, so a stack and its rows agree bitwise
+    return length_x * (mult[0] * sq[..., 0] + 2.0 * np.vecdot(sq[..., 1:], mult[1:]))
 
 
 def trace_norm(ctrl: BoundaryControl, t: float) -> float:
@@ -236,12 +233,18 @@ def trace_norm(ctrl: BoundaryControl, t: float) -> float:
 
 
 def trace_norm_series(ctrl: BoundaryControl, times) -> np.ndarray:
-    kx = 2.0 * np.pi * np.arange(ctrl.n_modes + 1) / ctrl.length_x
+    """Trace norm at each time: a at order 1 - 1/p, b at -1/p and 0, and the
+    slopes of a and b at 1/2 and -1/2."""
     rows, slopes = ctrl.series(times)
-    return np.array([
-        _hp_norm(ctrl.coeffs(row), ctrl.coeffs(slope), ctrl.p, kx, ctrl.length_x)
-        for row, slope in zip(rows, slopes)
-    ])
+    tab, dtab = ctrl.coeffs(rows), ctrl.coeffs(slopes)
+    p, lx = ctrl.p, ctrl.length_x
+    return (
+        np.sqrt(wall_norm_sq(tab[..., :2, :], 1.0 - 1.0 / p, lx))
+        + np.sqrt(wall_norm_sq(dtab[..., :2, :], 0.5, lx))
+        + np.sqrt(wall_norm_sq(tab[..., 2:, :], -1.0 / p, lx))
+        + np.sqrt(wall_norm_sq(tab[..., 2:, :], 0.0, lx))
+        + np.sqrt(wall_norm_sq(dtab[..., 2:, :], -0.5, lx))
+    )
 
 
 # -- harmonic stage -----------------------------------------------------------

@@ -236,11 +236,26 @@ def test_cmd_optimize_zero_budget(tmp_path):
         ("simulate", [], {"monte_carlo": {"paths": "abc"}}, 1),
         ("simulate", [], {"basis_size": "8"}, 1),
         ("optimize", [], {"optimize": {"budget": "x"}}, 1),
+        ("simulate", [], {"control": {"theta": ["a", 0.2]}}, 1),
+        ("optimize", [], {"optimize": {"theta0": "x"}}, 1),
+        ("optimize", [], {"optimize": {"theta_star": ["q", 1]}}, 1),
+        ("simulate", [], {"noise": {"mult_gain": ["a"]}}, 1),
+        ("simulate", [], {"control": {"n_modes": -1}}, 1),
+        ("simulate", [], {"control": {"coeff_file": 3}}, 1),
+        ("simulate", [], {"control": {"slots": [["a", "middle", 1, "re"], ["b", "top", 2, "re"]]}}, 1),
+        ("verify", [], {"control": {"slots": [["a", "bottom", 9, "re"], ["b", "top", 2, "re"]]}}, 1),
+        ("simulate", [], {"control": {"slots": [["z", "bottom", 1, "re"], ["b", "top", 2, "re"]]}}, 1),
+        ("simulate", [], {"control": {"slots": [["a", "bottom", 1.5, "re"], ["b", "top", 2, "re"]]}}, 1),
+        ("simulate", [], {"control": {"slots": [["a", "bottom", 0, "im"], ["b", "top", 2, "re"]]}}, 1),
+        ("verify", ["--paths", "2"], {"damping_rate": 1e5}, 2),
     ],
     ids=["verify-all-paths-blow-up", "optimize-all-paths-blow-up", "negative-seed", "negative-paths", "zero-paths",
          "negative-seed-bank", "zero-verify-paths", "negative-verify-paths", "zero-stability-paths",
          "zero-threads", "negative-threads", "seed-past-philox-range", "string-paths",
-         "string-basis-size", "string-budget"],
+         "string-basis-size", "string-budget", "string-in-theta", "string-theta0",
+         "string-in-theta-star", "string-in-mult-gain", "negative-control-modes",
+         "integer-coeff-file", "slot-wall-middle", "slot-mode-past-band", "slot-kind-z",
+         "slot-float-mode", "slot-imaginary-mean", "weight-underflow"],
 )
 def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, code):
     _check_exit_code(tmp_path, command, flags, overrides, code)
@@ -273,8 +288,33 @@ _FAULTS = [("--seed", -1), ("--seed", 2**64), ("--paths", 0), ("--paths", -2),
            ("paths", 0), ("paths", -3), ("paths", 2.5), ("stability_paths", 0),
            ("stability_paths", "3"), ("stability_scale", "0.5"), ("stability_scale", True)]
 
+# config leaves that hold lists or may be null: well-formed, wrong-typed and
+# out-of-range values, plus scalars of every JSON type
+_SLOT = ["b", "top", 2, "re"]
+_LEAF_FAULTS = [
+    (("control", "theta"), v) for v in ([0.1, -0.2], [0.0, 0.0], ["a", 0.2], [True, 0.1], [0.1])
+] + [
+    (("control", "slots"), [s, _SLOT]) for s in (["b", "bottom", 0, "re"], ["a", "middle", 1, "re"],
+                                                ["z", "bottom", 1, "re"], ["a", "bottom", 9, "re"],
+                                                ["a", "bottom", 1.5, "re"], ["a", "bottom", 0, "im"],
+                                                ["a", "top", 1, "x"], ["a", "bottom", 1], "a")
+] + [
+    (("control", "n_modes"), v) for v in (0, 1, 3, -1, 4)
+] + [
+    (("control", "coeff_file"), v) for v in (3, "", "missing.json", ["x"])
+] + [
+    (("optimize", "theta0"), v) for v in (None, [0.1, 0.2], "x", ["a"], [True])
+] + [
+    (("optimize", "theta_star"), v) for v in ([0.4, 0.5], ["q", 1])
+] + [
+    (("noise", "mult_gain"), v) for v in ([0.0], [0.2, 0.1], [-0.1], ["a"], [0.1, 0.1, 0.1])
+]
+_LEAVES = sorted({leaf for leaf, _ in _LEAF_FAULTS})
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2.0, 2.0)
+            | st.sampled_from(["", "a", "re"]))
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     seed=st.none() | st.integers(0, 2**64 - 1),
@@ -285,19 +325,37 @@ _FAULTS = [("--seed", -1), ("--seed", 2**64), ("--paths", 0), ("--paths", -2),
     stability_paths=st.integers(1, 6),
     stability_scale=st.floats(-2.0, 2.0),
     faults=st.lists(st.sampled_from(_FAULTS), max_size=2),
+    leaves=st.lists(st.sampled_from(_LEAF_FAULTS) | st.tuples(st.sampled_from(_LEAVES), _SCALARS),
+                    max_size=2),
 )
 def test_verify_exit_code_property(tmp_path, seed, paths, threads, env_threads,
-                                   verify_paths, stability_paths, stability_scale, faults):
-    # any mix of flags, thread variable and verify keys ends in a documented
-    # exit code with a message, never in an exception
+                                   verify_paths, stability_paths, stability_scale, faults,
+                                   leaves):
+    # any mix of flags, thread variable, verify keys and list or nullable
+    # config leaves ends in a documented exit code with a message, never in
+    # an exception
     flags = {"--seed": seed, "--paths": paths, "--threads": threads, "env": env_threads}
-    verify = {"paths": verify_paths, "stability_paths": stability_paths,
-              "stability_scale": stability_scale}
+    sections = {"verify": {"paths": verify_paths, "stability_paths": stability_paths,
+                           "stability_scale": stability_scale}}
     for key, value in faults:
-        (flags if key in flags else verify)[key] = value
-    env_threads = flags.pop("env")
+        (flags if key in flags else sections["verify"])[key] = value
+    for (section, key), value in leaves:
+        sections.setdefault(section, {})[key] = value
+    _check_verify_in_process(tmp_path, flags, sections)
+
+
+@pytest.mark.parametrize("leaf, value", _LEAF_FAULTS, ids=repr)
+def test_verify_exit_code_config_leaves(tmp_path, leaf, value):
+    # every curated leaf value on its own, which the derandomized property
+    # test above reaches only in part
+    _check_verify_in_process(tmp_path, {}, {leaf[0]: {leaf[1]: value}})
+
+
+def _check_verify_in_process(tmp_path, flags, sections):
+    flags = dict(flags)
+    env_threads = flags.pop("env", None)
     out = Path(tempfile.mkdtemp(dir=tmp_path))
-    p = write_cfg(out, time={"t_final": 0.05, "dt": 0.005}, verify=verify)
+    p = write_cfg(out, time={"t_final": 0.05, "dt": 0.005}, **sections)
     argv = ["verify", "--config", str(p), "--out", str(out / "out")]
     for flag, value in flags.items():
         if value is not None:

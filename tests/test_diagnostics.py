@@ -7,6 +7,9 @@ import pytest
 
 from slipflow.cli import _json_dump
 from slipflow.diagnostics import (
+    _ratio,
+    _ratio_ci,
+    bootstrap_ci,
     certify_fourth_moment,
     certify_second_moment,
     certify_stability,
@@ -20,9 +23,10 @@ from slipflow.dynamics import (
     Simulator,
     Trajectory,
     build_noise,
+    drift,
     make_initial_coeffs,
 )
-from slipflow.lifting import trace_norm
+from slipflow.lifting import trace_norm, trace_norm_series
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +240,49 @@ def test_stability_multiple_pairs_single_constant(sim_mod, make_control):
     assert max(cs) < np.inf
 
 
+def test_stability_matches_per_pair_loop(sim_mod, mc_bundle, make_control):
+    # the stacked certifier against the per-pair loop it replaced: same
+    # arithmetic per pair, so the sides agree bit for bit
+    trajs, ctrl, b0 = mc_bundle
+    ops, nu, t = sim_mod.ops, sim_mod.nu, trajs[0].times
+    other = make_control(2 * np.pi, 2, [0.0, 0.5], 0.1, seed=92)
+    pair = sim_mod.run_many(range(60), ctrl=other, u0=b0, store_beta=True)
+    rep = certify_stability(trajs, ctrl, pair, other, ops, 1.0, nu, c3=0.025)
+    ghat = ctrl.series(t)[0] - other.series(t)[0]
+    diff = ctrl.copy()
+    diff.gamma = ctrl.gamma - other.gamma
+    tn1, tn2, tnd = (trace_norm_series(c, t) for c in (ctrl, other, diff))
+    lhs, rhs = [], []
+    for tr1, tr2 in zip(trajs, pair):
+        bhat = tr1.beta_series - tr2.beta_series
+        yhat_sq = (np.einsum("li,li->l", bhat, bhat)
+                   + 2.0 * np.einsum("li,li->l", bhat, ghat @ ops.lift_h.T)
+                   + np.einsum("lc,lc->l", ghat, ghat @ ops.gram_h.T))
+        yhat_esq = (np.einsum("li,li,i->l", bhat, bhat, ops.lam)
+                    + 2.0 * np.einsum("li,li->l", bhat, ghat @ ops.lift_v.T)
+                    + np.einsum("lc,lc->l", ghat, ghat @ ops.gram_v.T))
+        f1 = 0.025 + 3.0 * (1.0 + tn1**2 + tn2**2 + tr1.u_esq)
+        xi = np.exp(-np.concatenate([[0.0], np.cumsum(0.5 * (f1[1:] + f1[:-1]) * np.diff(t))]))
+        lhs.append(np.max(xi**2 * yhat_sq) + 2.0 * nu * np.trapezoid(xi**2 * yhat_esq, t))
+        rhs.append(yhat_sq[0] + np.trapezoid(xi**2 * tnd**2, t))
+    assert (rep.lhs, rep.rhs) == (float(np.mean(lhs)), float(np.mean(rhs)))
+
+
+def test_empirical_damping_rate_matches_per_time_loop(sim_mod, mc_bundle):
+    # one drift call over every path and time against the per-time drift
+    trajs, ctrl, _ = mc_bundle
+    ops, nu, t = sim_mod.ops, sim_mod.nu, sim_mod.times
+    gam, gdot = ctrl.series(t)
+    load = trace_norm_series(ctrl, t) ** 2 + 1.0
+    worst = -np.inf
+    for tr in trajs[:3]:
+        b = tr.beta_series
+        total = np.array([2.0 * b[ell] @ drift(b[ell], ops, nu, gam[ell], gdot[ell])
+                          + 2.0 * nu * (ops.lam @ b[ell] ** 2) for ell in range(len(t))])
+        worst = max(worst, float(np.max((total + tr.noise_sq) / (2.0 * load * (tr.u_sq + 1.0)))))
+    assert abs(empirical_damping_rate(trajs[:3], ctrl, sim_mod) - worst) <= 1e-13 * abs(worst)
+
+
 def test_stability_guards(sim_mod, mc_bundle):
     trajs, ctrl, _ = mc_bundle
     with pytest.raises(ValueError):
@@ -337,6 +384,46 @@ def test_damping_load_identity(sim_mod, mc_bundle):
     u_grad_lift_u = float(np.sum(w1 * e1 * w2d) + np.sum(w2 * e2 * w2d))
     lift_grad_u_u = mixed_total - u_grad_lift_u
     assert abs(lift_grad_u_u - 0.5 * wall) < 1e-9 * max(1.0, abs(wall))
+
+
+# -- bootstrap -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 24, 201])
+def test_bootstrap_one_draw_matches_sequential_draws(n):
+    # the (n_boot, n) index matrix is row by row the stream of n_boot draws
+    # of n, and x[idx].mean(axis=1) is the per-resample mean bit for bit
+    seed = np.random.SeedSequence([0xC051, 3])
+    x = np.random.default_rng(n).standard_normal(n)
+    seen = []
+    lo, hi = bootstrap_ci(lambda idx: seen.append(idx) or x[idx].mean(axis=1), n, seed)
+    rng = np.random.default_rng(seed)
+    rows = [rng.integers(0, n, size=n) for _ in range(200)]
+    assert np.array_equal(seen[0], np.array(rows))
+    stats = [x[r].mean() for r in rows]
+    assert (lo, hi) == (float(np.quantile(stats, 0.025)), float(np.quantile(stats, 0.975)))
+
+
+def test_ratio_ci_matches_scalar_rule():
+    # resamples reach all three branches: den > 0, a zero num, and inf
+    lhs = np.array([0.0, 0.0, 0.0, 1.0, 2.0])
+    rhs = np.array([1.0, -1.0, -1.0, -1.0, 0.5])
+
+    def scalar(num, den):
+        if den > 0:
+            return num / den
+        return 0.0 if num == 0 else np.inf
+
+    rng = np.random.default_rng(np.random.SeedSequence([0xB001, 4]))
+    rows = [rng.integers(0, 5, size=5) for _ in range(200)]
+    num = np.array([lhs[r].mean() for r in rows])
+    den = np.array([rhs[r].mean() for r in rows]) + 0.25
+    stats = np.array([scalar(a, b) for a, b in zip(num, den)])
+    assert (den > 0).any() and ((den <= 0) & (num == 0)).any() and np.isinf(stats).any()
+    assert np.array_equal(_ratio(num, den), stats)
+    with np.errstate(invalid="ignore"):  # quantiles between two infs
+        expected = np.quantile(stats, 0.025), np.quantile(stats, 0.975)
+        np.testing.assert_array_equal(_ratio_ci(lhs, rhs, 0.25, 4), expected)
 
 
 # -- report serialization --------------------------------------------------------

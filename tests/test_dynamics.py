@@ -208,6 +208,17 @@ def test_drift_time_derivative_term(sim_small, cache_small, basis_small, make_co
     assert np.abs((f_move - f_stat) - expected).max() < 1e-10
 
 
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_drift_stacked_rows_match_per_row(sim_small, make_control, nonlinear):
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.3, 1.0], 0.4, seed=63)
+    gam, gdot = ctrl.series(np.linspace(0.0, 1.0, 7))
+    beta = np.random.default_rng(64).standard_normal((2, 7, sim_small.ops.n))
+    stacked = drift(beta, sim_small.ops, 0.5, gam, gdot, nonlinear)
+    rows = np.array([[drift(b, sim_small.ops, 0.5, g, d, nonlinear)
+                      for b, g, d in zip(path, gam, gdot)] for path in beta])
+    assert np.abs(stacked - rows).max() <= 1e-13 * np.abs(rows).max()
+
+
 # -- stepping -------------------------------------------------------------------
 
 

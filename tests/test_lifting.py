@@ -324,6 +324,24 @@ def test_control_validation():
         BoundaryControl.zeros(2 * np.pi, 2, [0.0], p=2.0)
 
 
+@pytest.mark.parametrize("slot", [("z", "bottom", 1, "re"), ("a", "middle", 1, "re"),
+                                  ("b", "top", 1, "imag"), ("a", "top", 3, "re"),
+                                  ("b", "top", -1, "re"), ("a", "bottom", 1.0, "re"),
+                                  ("a", "bottom", 0, "im")])
+def test_dof_index_rejects_missing_coefficient(slot):
+    with pytest.raises(LiftingError):
+        BoundaryControl.zeros(2 * np.pi, 2, [0.0]).dof_index(*slot)
+
+
+def test_coeffs_stack_matches_rows(make_control):
+    ctrl = make_control(2 * np.pi, 3, np.linspace(0, 1, 5), 0.5, seed=52)
+    stack = np.stack([ctrl.gamma, -2.0 * ctrl.gamma])
+    tables = ctrl.coeffs(stack)
+    assert tables.shape == (2, 5, 4, 4)
+    for idx in np.ndindex(2, 5):
+        assert np.array_equal(tables[idx], ctrl.coeffs(stack[idx]))
+
+
 def test_control_horizon_guard(make_control):
     ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=50)
     with pytest.raises(LiftingError):
