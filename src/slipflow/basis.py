@@ -15,7 +15,13 @@ The eigenbasis diagonalizes the strain-plus-friction energy form
     (v, z)_E = 2 int D(v):D(z) dx + alpha int_Gamma v . z
 
 against the L2 mass form on the space of divergence-free fields with zero
-normal trace; per wavenumber this reduces to a symmetric-definite 1D pencil.
+normal trace.  Per wavenumber this reduces to a symmetric-definite 1D pencil,
+built by `reduced_pencil` on the mode's admissible profiles (zero-mean shear
+profiles at j = 0, clamped streamfunctions at j >= 1); the Stokes correction
+of the lifting solves on the same reduced systems.  Each generating profile
+is signed so that its first entry within 1e-8 relative of its largest
+magnitude is positive, which keeps the sign of profiles with mirrored extrema
+independent of rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import DomainSpec, Grid, GeometryError, build_grid
 
@@ -36,6 +41,7 @@ __all__ = [
     "energy_pairing",
     "inner_h",
     "inner_v",
+    "reduced_pencil",
     "build_eigenbasis",
     "project",
     "korn_ratio",
@@ -408,93 +414,91 @@ class Basis:
         )
 
 
-def _zero_mean_nullspace(grid: Grid) -> np.ndarray:
-    c = (grid.w_y @ grid.interp).reshape(1, -1)
-    return scipy.linalg.null_space(c)
+def reduced_pencil(grid: Grid, j: int, alpha: float):
+    """Energy and mass matrices of mode j on its admissible profiles.
 
-
-def shear_pencil(grid: Grid, alpha: float):
-    """Energy/mass matrices for x-independent shear profiles on nodal values."""
+    Returns (energy, mass, cols): the reduced matrices and the columns that
+    map reduced coordinates to nodal CGL profiles.  At j = 0 the profiles are
+    shear profiles u with zero mean, and cols is an orthonormal basis of the
+    null space of the mean functional; at j >= 1 they are streamfunctions
+    clamped at the walls, and cols picks the interior nodes.
+    """
     lx = grid.spec.length_x
-    p, pd = grid.interp, grid.interp_d1
-    w = grid.w_y
-    mass = lx * (p.T * w) @ p
-    stiff = (pd.T * w) @ pd
-    wall = np.zeros_like(stiff)
-    wall[0, 0] = 1.0
-    wall[-1, -1] = 1.0
-    energy = lx * (stiff + alpha * wall)
-    return energy, mass
+    p, pd, w = grid.interp, grid.interp_d1, grid.w_y
+    if j == 0:
+        wall = np.zeros((grid.n_y, grid.n_y))
+        wall[0, 0] = 1.0
+        wall[-1, -1] = 1.0
+        energy = lx * ((pd.T * w) @ pd + alpha * wall)
+        mass = lx * (p.T * w) @ p
+        cols = np.linalg.svd((w @ p)[None])[2][1:].T
+    else:
+        k = grid.kx[j]
+        curl = grid.interp_d2 + k * k * p
+        d1 = grid.d1
+        energy = lx * (
+            2.0 * k * k * (pd.T * w) @ pd
+            + 0.5 * (curl.T * w) @ curl
+            + 0.5 * alpha * (np.outer(d1[0], d1[0]) + np.outer(d1[-1], d1[-1]))
+        )
+        mass = 0.5 * lx * ((pd.T * w) @ pd + k * k * (p.T * w) @ p)
+        cols = np.eye(grid.n_y)[:, 1:-1]
+    return cols.T @ energy @ cols, cols.T @ mass @ cols, cols
 
 
-def mode_pencil(grid: Grid, j: int, alpha: float):
-    """Energy/mass matrices for mode-j streamfunction profiles on nodal values."""
-    lx = grid.spec.length_x
-    k = grid.kx[j]
-    p, pd, pdd = grid.interp, grid.interp_d1, grid.interp_d2
-    w = grid.w_y
-    curl = pdd + k * k * p
-    energy = lx * (
-        2.0 * k * k * (pd.T * w) @ pd
-        + 0.5 * (curl.T * w) @ curl
-        + 0.5 * alpha * (np.outer(grid.d1[0], grid.d1[0]) + np.outer(grid.d1[-1], grid.d1[-1]))
-    )
-    mass = 0.5 * lx * ((pd.T * w) @ pd + k * k * (p.T * w) @ p)
-    return energy, mass
+def _canonical_sign(vecs: np.ndarray) -> np.ndarray:
+    """Columns of vecs (or one vector) signed so that their leading entry is positive.
+
+    The leading entry is the first one within 1e-8 relative of the largest
+    magnitude, not the largest itself: the channel is mirror-symmetric in y,
+    so an odd profile takes its largest magnitude at two mirrored nodes with
+    opposite signs, and argmax would pick one of the two by rounding.
+    """
+    mag = np.abs(vecs)
+    lead = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=0), axis=0)
+    sign = np.take_along_axis(vecs, lead[None], axis=0)[0]
+    return np.where(sign < 0, -vecs, vecs)
 
 
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(vec)))
-    return -vec if vec[i] < 0 else vec
+def _solve_pencil(a, m):
+    """Eigenpairs of the symmetric-definite pencil (a, m), ascending, m-orthonormal.
 
-
-def _solve_pencil(energy, mass, reduce_cols):
-    a = reduce_cols.T @ energy @ reduce_cols
-    m = reduce_cols.T @ mass @ reduce_cols
-    lam, vecs = scipy.linalg.eigh(a, m)
-    full = reduce_cols @ vecs
-    return lam, np.apply_along_axis(_canonical_sign, 0, full)
+    Cholesky reduction m = L L^T turns it into the standard problem for
+    L^-1 a L^-T, whose eigenvectors y give the pencil's as L^-T y.
+    """
+    low = np.linalg.cholesky(m)
+    c = np.linalg.solve(low, np.linalg.solve(low, a).T)
+    lam, y = np.linalg.eigh(c)
+    return lam, np.linalg.solve(low.T, y)
 
 
 def build_eigenbasis(spec: DomainSpec, n: int, grid: Grid | None = None) -> Basis:
     """Eigenbasis of the energy form over divergence-free zero-normal-trace fields.
 
-    Per wavenumber the problem reduces to a symmetric-definite pencil: shear
-    profiles with a zero-mean constraint at j = 0, clamped streamfunctions
-    for j >= 1 (each eigenvalue carries a cos and a sin realization).  The
-    merged spectrum is sorted by eigenvalue with deterministic tie-breaking
-    by (wavenumber, shell index, family).
+    Per wavenumber the problem reduces to the symmetric-definite pencil of
+    `reduced_pencil` (each eigenvalue at j >= 1 carries a cos and a sin
+    realization).  The merged spectrum is sorted by eigenvalue with
+    deterministic tie-breaking by (wavenumber, shell index, family).
     """
     if grid is None:
         grid = build_grid(spec)
-    alpha = spec.friction_alpha
     n_y = grid.n_y
     capacity = (n_y - 1) + 2 * spec.modes_x * (n_y - 2)
     if n < 1 or n > capacity:
         raise BasisError(f"requested {n} eigenpairs, capacity is {capacity}")
 
     lams, js, fams, shells, profiles = [], [], [], [], []
-
-    z = _zero_mean_nullspace(grid)
-    lam0, u0 = _solve_pencil(*shear_pencil(grid, alpha), z)
-    for m in range(lam0.size):
-        lams.append(lam0[m])
-        js.append(0)
-        fams.append(FAMILY_SHEAR)
-        shells.append(m)
-        profiles.append(u0[:, m])
-
-    interior = np.zeros((n_y, n_y - 2))
-    interior[1:-1] = np.eye(n_y - 2)
-    for j in range(1, spec.modes_x + 1):
-        lamj, phij = _solve_pencil(*mode_pencil(grid, j, alpha), interior)
+    for j in range(spec.modes_x + 1):
+        energy, mass, cols = reduced_pencil(grid, j, spec.friction_alpha)
+        lamj, vecs = _solve_pencil(energy, mass)
+        profj = _canonical_sign(cols @ vecs)
         for m in range(lamj.size):
-            for fam in (FAMILY_COS, FAMILY_SIN):
+            for fam in (FAMILY_SHEAR,) if j == 0 else (FAMILY_COS, FAMILY_SIN):
                 lams.append(lamj[m])
                 js.append(j)
                 fams.append(fam)
                 shells.append(m)
-                profiles.append(phij[:, m])
+                profiles.append(profj[:, m])
 
     lams = np.asarray(lams)
     order = np.argsort(lams, kind="stable")[:n]

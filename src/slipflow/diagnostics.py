@@ -118,8 +118,18 @@ def bootstrap_ci(stat, n: int, seed, n_boot: int = 200) -> tuple:
     stream as n_boot successive draws of n; stat maps the matrix to n_boot
     values.
     """
-    stats = stat(np.random.default_rng(seed).integers(0, n, size=(n_boot, n)))
-    return float(np.quantile(stats, 0.025)), float(np.quantile(stats, 0.975))
+    stats = np.sort(stat(np.random.default_rng(seed).integers(0, n, size=(n_boot, n))))
+    return _quantile(stats, 0.025), _quantile(stats, 0.975)
+
+
+def _quantile(stats: np.ndarray, q: float) -> float:
+    """np.quantile's linear rule on sorted stats, except that between two equal
+    infinite order statistics the bound is that infinity (np.quantile gives
+    inf - inf = nan there)."""
+    i = int((stats.size - 1) * q)
+    if np.isinf(stats[i]) and stats[i] == stats[min(i + 1, stats.size - 1)]:
+        return float(stats[i])
+    return float(np.quantile(stats, q))
 
 
 def _ratio(num, den):

@@ -8,8 +8,10 @@ per wavenumber:
 1. a harmonic potential whose normal derivative matches `a` (closed-form
    cosh/sinh profiles, a linear profile for the mean mode), giving c = grad h;
 2. a stationary Stokes correction with zero normal trace whose tangential
-   stress supplies the remainder b - [2 D(c) n + alpha c] . tau, solved as a
-   symmetric-definite 1D system in streamfunction form.
+   stress supplies the remainder b - [2 D(c) n + alpha c] . tau, solved on
+   the reduced energy systems of `basis.reduced_pencil` that the eigenbasis
+   also uses (zero-mean shear profiles for the mean mode, clamped
+   streamfunctions above).
 
 Both stages are linear, so unit responses per control degree of freedom are
 precomputed once and superposed.
@@ -31,9 +33,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .basis import ModeField
+from .basis import ModeField, reduced_pencil
 from .geometry import Grid
 
 __all__ = [
@@ -339,66 +340,41 @@ class StokesCorrectionSolver:
     """
 
     def __init__(self, grid: Grid, alpha: float, n_modes: int):
-        from .basis import mode_pencil, shear_pencil, _zero_mean_nullspace
-
         if n_modes > grid.spec.modes_x:
             raise LiftingError("control modes exceed the resolved band")
         self.grid = grid
         self.alpha = float(alpha)
         self.n_modes = n_modes
-        lx = grid.spec.length_x
+        # (reduced energy matrix, columns) per mode
+        self._systems = [reduced_pencil(grid, j, alpha)[::2] for j in range(n_modes + 1)]
 
-        self._z = _zero_mean_nullspace(grid)
-        a0, _ = shear_pencil(grid, alpha)
-        self._shear_fact = scipy.linalg.cho_factor(self._z.T @ a0 @ self._z)
-
-        n_y = grid.n_y
-        self._interior = np.zeros((n_y, n_y - 2))
-        self._interior[1:-1] = np.eye(n_y - 2)
-        self._mode_facts = []
-        for j in range(1, n_modes + 1):
-            aj, _ = mode_pencil(grid, j, alpha)
-            red = self._interior.T @ aj @ self._interior
-            try:
-                self._mode_facts.append(scipy.linalg.cho_factor(red))
-            except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-                raise LiftingError(f"singular correction system at mode {j}") from exc
-        self._lx = lx
-        self._r0 = grid.d1[0]
-        self._r1 = grid.d1[-1]
+    def _solve_mode(self, j: int, rhs) -> np.ndarray:
+        """Nodal profile of mode j whose energy pairing with every admissible profile is rhs."""
+        energy, cols = self._systems[j]
+        try:
+            return cols @ np.linalg.solve(energy, cols.T @ rhs)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise LiftingError(f"singular correction system at mode {j}") from exc
 
     def solve(self, bt_bottom, bt_top) -> ModeField:
         """Correction field for tangential-stress coefficients per wall."""
         g = self.grid
+        lx = g.spec.length_x
         bt_bottom = np.asarray(bt_bottom, complex)
         bt_top = np.asarray(bt_top, complex)
         out = ModeField.zeros(g)
-
-        # mean mode on zero-mean shear profiles; mean data of a real trace is real
-        rhs = np.zeros(g.n_y)
-        rhs[0] = self._lx * bt_bottom[0].real
-        rhs[-1] = -self._lx * bt_top[0].real
-        u0 = self._z @ scipy.linalg.cho_solve(self._shear_fact, self._z.T @ rhs)
-        sh = ModeField.from_shear_profile(g, u0)
-        out.vals[0] = sh.vals[0]
-        out.dvals[0] = sh.dvals[0]
-        out.wall_vals[0] = sh.wall_vals[0]
-        out.wall_dvals[0] = sh.wall_dvals[0]
-
-        for j in range(1, self.n_modes + 1):
-            rhs_full = 0.5 * self._lx * (bt_bottom[j] * self._r0 - bt_top[j] * self._r1)
-            rr = self._interior.T @ rhs_full
-            fact = self._mode_facts[j - 1]
-            phi_int = scipy.linalg.cho_solve(fact, rr.real) + 1j * scipy.linalg.cho_solve(
-                fact, rr.imag
-            )
-            phi = np.zeros(g.n_y, complex)
-            phi[1:-1] = phi_int
-            mf = ModeField.from_streamfunction(g, j, phi, "complex")
-            out.vals[j] = mf.vals[j]
-            out.dvals[j] = mf.dvals[j]
-            out.wall_vals[j] = mf.wall_vals[j]
-            out.wall_dvals[j] = mf.wall_dvals[j]
+        for j in range(self.n_modes + 1):
+            if j == 0:
+                # zero-mean shear profiles; the mean data of a real trace is real
+                rhs = np.zeros(g.n_y)
+                rhs[0] = lx * bt_bottom[0].real
+                rhs[-1] = -lx * bt_top[0].real
+                mf = ModeField.from_shear_profile(g, self._solve_mode(0, rhs))
+            else:
+                rhs = 0.5 * lx * (bt_bottom[j] * g.d1[0] - bt_top[j] * g.d1[-1])
+                mf = ModeField.from_streamfunction(g, j, self._solve_mode(j, rhs), "complex")
+            for name in ("vals", "dvals", "wall_vals", "wall_dvals"):
+                getattr(out, name)[j] = getattr(mf, name)[j]
         return out
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from slipflow import basis as bs
 from slipflow.basis import (
@@ -14,6 +15,7 @@ from slipflow.basis import (
     save_basis,
     truncate_basis,
 )
+from slipflow.geometry import DomainSpec, build_grid
 
 
 def random_field(grid, seed, n_modes=None, smooth=1.5):
@@ -240,3 +242,30 @@ def test_stack_pairings_against_quadrature(basis_small, grid_small):
             energy[r, s] = 2.0 * np.sum(strain * w2d) + g.spec.friction_alpha * g.w_x * wall
     assert np.abs(bs.mass_pairing(g, stack[0], stack[0]) - mass).max() < 1e-12 * np.abs(mass).max()
     assert np.abs(bs.energy_pairing(g, stack, stack) - energy).max() < 1e-12 * np.abs(energy).max()
+
+
+def test_canonical_sign_survives_rounding():
+    # an odd profile takes its largest magnitude at two mirrored nodes; a
+    # perturbation at rounding level must not move the sign of any profile
+    spec = DomainSpec(length_x=2 * np.pi, modes_x=8, nodes_y=24, friction_alpha=1.0,
+                      viscosity=0.5)
+    rng = np.random.default_rng(41)
+    for prof in build_eigenbasis(spec, 128).profiles_cgl:
+        for _ in range(20):
+            noisy = prof * (1.0 + 1e-12 * rng.standard_normal(prof.size))
+            assert np.array_equal(bs._canonical_sign(noisy), noisy)
+
+
+# the grids of the test fixtures, the CLI tests and the benchmark workloads
+@pytest.mark.parametrize("modes_x, nodes_y, alpha", [(3, 16, 0.0), (4, 24, 1.0), (8, 24, 1.0)])
+def test_pencil_matches_scipy_eigh(modes_x, nodes_y, alpha):
+    grid = build_grid(DomainSpec(length_x=2 * np.pi, modes_x=modes_x, nodes_y=nodes_y,
+                                 friction_alpha=alpha, viscosity=0.5))
+    for j in range(modes_x + 1):
+        a, m, cols = bs.reduced_pencil(grid, j, alpha)
+        lam, vecs = bs._solve_pencil(a, m)
+        ref_lam, ref_vecs = scipy.linalg.eigh(a, m)
+        assert (np.abs(lam - ref_lam) <= 1e-11 * ref_lam).all()
+        got, ref = (bs._canonical_sign(cols @ v) for v in (vecs, ref_vecs))
+        err = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
+        assert err.max() <= 1e-11

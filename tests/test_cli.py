@@ -261,6 +261,25 @@ def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, co
     _check_exit_code(tmp_path, command, flags, overrides, code)
 
 
+def test_runtime_does_not_import_scipy(tmp_path):
+    # a fresh interpreter: this one has scipy loaded through the test oracles
+    p = write_cfg(tmp_path, optimize={"budget": 2, "theta_star": [0.4, 0.5], "paths": 1})
+    argv = ["--config", str(p), "--out", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from slipflow.cli import main\n"
+        "for cmd in ('basis', 'lift', 'simulate', 'verify', 'optimize'):\n"
+        f"    assert main([cmd, *{argv!r}]) == 0, cmd\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
 def test_cli_rejects_bad_thread_variable(tmp_path, value):
     _check_exit_code(tmp_path, "simulate", [], {}, 1, {"SLIPFLOW_THREADS": value})
