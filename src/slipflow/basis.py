@@ -6,7 +6,11 @@ complex Fourier-coefficient profiles
     v(x, y) = C_0(y) + 2 Re sum_{j>=1} C_j(y) exp(i k_j x),
 
 with each profile sampled at the Gauss quadrature nodes together with its
-wall-normal derivative and wall traces.  Divergence-free fields are built
+wall-normal derivative and wall traces.  A set of fields is one ModeField
+whose arrays carry a leading stack axis; the sampler `sample_fields` and
+the pairings `mass_pairing`/`energy_pairing` work on such stacks, and the
+one-field operations (`inner_h`, `inner_v`, `project`, `physical`) are
+their one-row case.  Divergence-free fields are built
 from per-mode streamfunctions (j >= 1) and shear profiles (j = 0), which
 makes the incompressibility constraint exact by construction.
 
@@ -74,6 +78,10 @@ class ModeField:
     dvals           wall-normal derivative profiles
     wall_vals[j, c, w]   trace at wall w (0 = bottom, 1 = top)
     wall_dvals           wall-normal derivative traces
+
+    A stack of fields on one grid is one ModeField whose four arrays carry a
+    leading stack axis: indexing and len act on that axis, `f[None]` is the
+    one-field stack of f and `ModeField.stack` stacks single fields.
     """
 
     __slots__ = ("grid", "vals", "dvals", "wall_vals", "wall_dvals")
@@ -87,7 +95,7 @@ class ModeField:
 
     @property
     def n_modes(self) -> int:
-        return self.vals.shape[0] - 1
+        return self.vals.shape[-3] - 1
 
     @classmethod
     def zeros(cls, grid: Grid, n_modes: int | None = None) -> "ModeField":
@@ -99,6 +107,14 @@ class ModeField:
             np.zeros((j, 2, 2), complex),
             np.zeros((j, 2, 2), complex),
         )
+
+    @classmethod
+    def stack(cls, fields) -> "ModeField":
+        """One stack of the given single fields, which share the first one's grid."""
+        for f in fields[1:]:
+            _check_same_grid(fields[0], f)
+        return cls(fields[0].grid, *(np.stack([getattr(f, a) for f in fields])
+                                     for a in ("vals", "dvals", "wall_vals", "wall_dvals")))
 
     @classmethod
     def from_shear_profile(cls, grid: Grid, u_cgl: np.ndarray) -> "ModeField":
@@ -140,27 +156,20 @@ class ModeField:
         f.wall_dvals[j, 1] = (-1j * k * dphi[0], -1j * k * dphi[-1])
         return f
 
-    @classmethod
-    def combine(cls, weights, stack_vals, stack_dvals, stack_wall, stack_wall_d, grid):
+    def combine(self, weights) -> "ModeField":
+        """The stack's linear combination(s) with (..., m) weights over its m fields."""
         w = np.asarray(weights)
-        return cls(
-            grid,
-            np.tensordot(w, stack_vals, axes=1),
-            np.tensordot(w, stack_dvals, axes=1),
-            np.tensordot(w, stack_wall, axes=1),
-            np.tensordot(w, stack_wall_d, axes=1),
-        )
+        return ModeField(self.grid, *(np.tensordot(w, a, axes=1) for a in
+                                      (self.vals, self.dvals, self.wall_vals, self.wall_dvals)))
 
     # -- algebra -----------------------------------------------------------
 
-    def copy(self) -> "ModeField":
-        return ModeField(
-            self.grid,
-            self.vals.copy(),
-            self.dvals.copy(),
-            self.wall_vals.copy(),
-            self.wall_dvals.copy(),
-        )
+    def __len__(self) -> int:
+        return self.vals.shape[0]
+
+    def __getitem__(self, idx) -> "ModeField":
+        return ModeField(self.grid, self.vals[idx], self.dvals[idx],
+                         self.wall_vals[idx], self.wall_dvals[idx])
 
     def __add__(self, other: "ModeField") -> "ModeField":
         _check_same_grid(self, other)
@@ -197,12 +206,12 @@ class ModeField:
 
     def physical(self):
         """Sample both components on the (x_nodes, y_nodes) grid."""
-        s = sample_fields(self.grid, self.vals[None], self.dvals[None])[0]
+        s = sample_fields(self[None])[0]
         return s[0], s[1]
 
     def physical_gradient(self):
         """Sample (d_x v1, d_y v1, d_x v2, d_y v2) on the quadrature grid."""
-        s = sample_fields(self.grid, self.vals[None], self.dvals[None])[0]
+        s = sample_fields(self[None])[0]
         return s[2], s[3], s[4], s[5]
 
     def divergence_residual(self) -> float:
@@ -213,17 +222,17 @@ class ModeField:
         return float(np.abs(res).max())
 
     def normal_trace_coeffs(self) -> np.ndarray:
-        """Coefficients of v.n per (mode, wall); bottom normal is (0,-1)."""
-        out = np.empty((self.vals.shape[0], 2), complex)
-        out[:, 0] = -self.wall_vals[:, 1, 0]
-        out[:, 1] = self.wall_vals[:, 1, 1]
+        """Coefficients of v.n per ([field,] mode, wall); bottom normal is (0,-1)."""
+        out = np.empty(self.wall_vals.shape[:-2] + (2,), complex)
+        out[..., 0] = -self.wall_vals[..., 1, 0]
+        out[..., 1] = self.wall_vals[..., 1, 1]
         return out
 
     def tangential_trace_coeffs(self) -> np.ndarray:
-        """Coefficients of v.tau per (mode, wall); tau is (1,0) bottom, (-1,0) top."""
-        out = np.empty((self.vals.shape[0], 2), complex)
-        out[:, 0] = self.wall_vals[:, 0, 0]
-        out[:, 1] = -self.wall_vals[:, 0, 1]
+        """Coefficients of v.tau per ([field,] mode, wall); tau is (1,0) bottom, (-1,0) top."""
+        out = np.empty(self.wall_vals.shape[:-2] + (2,), complex)
+        out[..., 0] = self.wall_vals[..., 0, 0]
+        out[..., 1] = -self.wall_vals[..., 0, 1]
         return out
 
     def tangential_stress_coeffs(self, alpha: float) -> np.ndarray:
@@ -248,12 +257,13 @@ def _mode_weights(n_modes: int) -> np.ndarray:
     return w
 
 
-def sample_fields(grid: Grid, vals, dvals) -> np.ndarray:
-    """Samples of a stack of fields on the (n_x, n_q) grid, one irfft per 16.
+def sample_fields(fields: ModeField) -> np.ndarray:
+    """Samples of a stack of m fields on the (n_x, n_q) grid, one irfft per 16.
 
-    vals and dvals are (m, J, 2, n_q) coefficient profiles; the result is
-    (m, 6, n_x, n_q) with rows (v1, v2, d_x v1, d_y v1, d_x v2, d_y v2).
+    The result is (m, 6, n_x, n_q) with rows (v1, v2, d_x v1, d_y v1,
+    d_x v2, d_y v2).
     """
+    grid, vals, dvals = fields.grid, fields.vals, fields.dvals
     m, nj = vals.shape[:2]
     ik = 1j * grid.kx[:nj, None]
     out = np.empty((m, 6, grid.n_x, grid.n_q))
@@ -277,47 +287,45 @@ def _real_gram(a, b) -> np.ndarray:
     return a @ b.T
 
 
-def mass_pairing(grid: Grid, a_vals, b_vals) -> np.ndarray:
-    """L2 pairings (a_r, b_s) of two stacks of (m, J, 2, n_q) profiles."""
-    nj = min(a_vals.shape[1], b_vals.shape[1])
+def mass_pairing(a: ModeField, b: ModeField) -> np.ndarray:
+    """L2 pairings (a_r, b_s) of two stacks of fields on one grid."""
+    _check_same_grid(a, b)
+    grid = a.grid
+    nj = min(a.n_modes, b.n_modes) + 1
     w = grid.spec.length_x * _mode_weights(nj - 1)[:, None, None] * grid.w_y
-    return _real_gram(a_vals[:, :nj] * w, b_vals[:, :nj])
+    return _real_gram(a.vals[:, :nj] * w, b.vals[:, :nj])
 
 
-def energy_pairing(grid: Grid, a, b, alpha: float | None = None) -> np.ndarray:
-    """Pairings 2(D a_r, D b_s) + alpha int_Gamma a_r . b_s of two stacks.
-
-    a and b are (vals, dvals, wall_vals) triples with a leading stack axis.
-    """
+def energy_pairing(a: ModeField, b: ModeField, alpha: float | None = None) -> np.ndarray:
+    """Pairings 2(D a_r, D b_s) + alpha int_Gamma a_r . b_s of two stacks of fields."""
+    _check_same_grid(a, b)
+    grid = a.grid
     if alpha is None:
         alpha = grid.spec.friction_alpha
-    nj = min(a[0].shape[1], b[0].shape[1])
+    nj = min(a.n_modes, b.n_modes) + 1
     k = grid.kx[:nj][:, None]
 
-    def rows(vals, dvals, wall):
-        d11 = 1j * k * vals[:, :nj, 0]
-        d12 = 0.5 * (dvals[:, :nj, 0] + 1j * k * vals[:, :nj, 1])
-        return d11, d12, dvals[:, :nj, 1], wall[:, :nj]
+    def rows(f):
+        d11 = 1j * k * f.vals[:, :nj, 0]
+        d12 = 0.5 * (f.dvals[:, :nj, 0] + 1j * k * f.vals[:, :nj, 1])
+        return d11, d12, f.dvals[:, :nj, 1], f.wall_vals[:, :nj]
 
     lw = grid.spec.length_x * _mode_weights(nj - 1)
     wq = lw[:, None] * grid.w_y
     scales = (2.0 * wq, 4.0 * wq, 2.0 * wq, alpha * lw[:, None, None])
-    left = [(s * f).reshape(f.shape[0], -1) for s, f in zip(scales, rows(*a))]
-    right = [f.reshape(f.shape[0], -1) for f in rows(*b)]
+    left = [(s * f).reshape(f.shape[0], -1) for s, f in zip(scales, rows(a))]
+    right = [f.reshape(f.shape[0], -1) for f in rows(b)]
     return _real_gram(np.concatenate(left, axis=1), np.concatenate(right, axis=1))
 
 
 def inner_h(u: ModeField, v: ModeField) -> float:
     """L2 inner product over the channel."""
-    _check_same_grid(u, v)
-    return float(mass_pairing(u.grid, u.vals[None], v.vals[None])[0, 0])
+    return float(mass_pairing(u[None], v[None])[0, 0])
 
 
 def inner_v(u: ModeField, v: ModeField, alpha: float | None = None) -> float:
     """Strain-plus-friction energy inner product 2(Du, Dv) + alpha int_Gamma u.v."""
-    _check_same_grid(u, v)
-    a, b = ((f.vals[None], f.dvals[None], f.wall_vals[None]) for f in (u, v))
-    return float(energy_pairing(u.grid, a, b, alpha)[0, 0])
+    return float(energy_pairing(u[None], v[None], alpha)[0, 0])
 
 
 def grad_sq(u: ModeField) -> float:
@@ -386,32 +394,16 @@ class Basis:
     family: np.ndarray            # (n,) FAMILY_SHEAR / FAMILY_COS / FAMILY_SIN
     shell_index: np.ndarray       # (n,) index within the per-mode spectrum
     profiles_cgl: np.ndarray      # (n, n_y) generating profile (u or psi) on CGL
-    fields: list                  # n single-mode ModeFields
-    stack_vals: np.ndarray        # (n, K+1, 2, n_q) for fast linear combinations
-    stack_dvals: np.ndarray
-    stack_wall: np.ndarray
-    stack_wall_d: np.ndarray
+    fields: ModeField             # stack of the n single-mode entries
     tau_trace: np.ndarray         # (n, 2) coefficients of e_i . tau on each wall
 
     @property
     def size(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def stack(self):
-        """(vals, dvals, wall_vals) stacks of the entries, for the pairings."""
-        return self.stack_vals, self.stack_dvals, self.stack_wall
-
     def field(self, coeffs) -> ModeField:
-        """Velocity field with the given basis coefficients."""
-        return ModeField.combine(
-            np.asarray(coeffs, float),
-            self.stack_vals,
-            self.stack_dvals,
-            self.stack_wall,
-            self.stack_wall_d,
-            self.grid,
-        )
+        """Velocity field with the given basis coefficients; (..., n) rows give a stack."""
+        return self.fields.combine(np.asarray(coeffs, float))
 
 
 def reduced_pencil(grid: Grid, j: int, alpha: float):
@@ -540,7 +532,8 @@ def _basis_from_profiles(grid: Grid, eigenvalues, mode_j, family, shell_index,
         else:
             kind = "cos" if fam == FAMILY_COS else "sin"
             fields.append(ModeField.from_streamfunction(grid, int(j), prof, kind))
-    tau = np.array([f.tangential_trace_coeffs()[int(j)] for f, j in zip(fields, mode_j)])
+    fields = ModeField.stack(fields)
+    tau = fields.tangential_trace_coeffs()[np.arange(len(fields)), mode_j]
     return Basis(
         grid=grid,
         eigenvalues=eigenvalues,
@@ -549,10 +542,6 @@ def _basis_from_profiles(grid: Grid, eigenvalues, mode_j, family, shell_index,
         shell_index=shell_index,
         profiles_cgl=profiles,
         fields=fields,
-        stack_vals=np.stack([f.vals for f in fields]),
-        stack_dvals=np.stack([f.dvals for f in fields]),
-        stack_wall=np.stack([f.wall_vals for f in fields]),
-        stack_wall_d=np.stack([f.wall_dvals for f in fields]),
         tau_trace=tau,
     )
 
@@ -569,17 +558,13 @@ def truncate_basis(basis: Basis, n: int) -> Basis:
         shell_index=basis.shell_index[:n],
         profiles_cgl=basis.profiles_cgl[:n],
         fields=basis.fields[:n],
-        stack_vals=basis.stack_vals[:n],
-        stack_dvals=basis.stack_dvals[:n],
-        stack_wall=basis.stack_wall[:n],
-        stack_wall_d=basis.stack_wall_d[:n],
         tau_trace=basis.tau_trace[:n],
     )
 
 
 def project(field: ModeField, basis: Basis) -> np.ndarray:
     """L2 coefficients of the field against the basis entries."""
-    return mass_pairing(basis.grid, basis.stack_vals, field.vals[None])[:, 0]
+    return mass_pairing(basis.fields, field[None])[:, 0]
 
 
 # -- persistence -------------------------------------------------------------

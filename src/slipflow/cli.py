@@ -58,12 +58,11 @@ def cmd_basis(cfg, out: Path, args) -> int:
                 f"{int(basis.family[i])},{int(basis.shell_index[i])}\n"
             )
     # residual report over a fixed probe set
-    probes = np.random.default_rng(0).standard_normal((5, basis.size))
-    v = tuple(np.tensordot(probes, s, axes=1) for s in basis.stack)
+    probes = basis.field(np.random.default_rng(0).standard_normal((5, basis.size)))
     lam = basis.eigenvalues
-    worst = np.abs(energy_pairing(basis.grid, v, basis.stack)
-                   - lam * mass_pairing(basis.grid, v[0], basis.stack_vals)) / lam
-    gram = mass_pairing(basis.grid, basis.stack_vals, basis.stack_vals)
+    worst = np.abs(energy_pairing(probes, basis.fields)
+                   - lam * mass_pairing(probes, basis.fields)) / lam
+    gram = mass_pairing(basis.fields, basis.fields)
     ortho = np.abs(gram - np.eye(basis.size)).max()
     _json_dump(
         out / "basis_report.json",

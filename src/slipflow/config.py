@@ -175,6 +175,13 @@ class RunConfig:
                 raise ConfigError(f"control.slots[{i}]: {exc}") from exc
         m = d["noise"]["m"]
         gains = d["noise"]["mult_gain"]
+        if m < 0:
+            raise ConfigError("noise.m must be >= 0")
+        for section in ("noise", "initial"):
+            if d[section]["seed"] < 0:
+                raise ConfigError(f"{section}.seed must be >= 0")
+        if d["initial"]["kind"] not in ("zero", "random"):
+            raise ConfigError("initial.kind must be 'zero' or 'random'")
         if len(gains) not in (1, m):
             raise ConfigError("noise.mult_gain must have length 1 or m")
         if not all(g >= 0 for g in gains):

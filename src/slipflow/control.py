@@ -168,8 +168,7 @@ def penalty_term(ctrl: BoundaryControl, spec: AdmissibleSpec) -> float:
 
 def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
                   spec: AdmissibleSpec, seeds, u0: np.ndarray | None = None,
-                  noise_on: bool = True, threads: int = 1,
-                  ci_seed: int = 0) -> CostReport:
+                  noise_on: bool = True, threads: int = 1) -> CostReport:
     """Monte Carlo tracking cost plus exact penalty under the given seed bank."""
     seeds = list(seeds)
     if not seeds:
@@ -185,7 +184,7 @@ def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
     pen = 0.0 if ctrl is None else penalty_term(ctrl, spec)
     if per_path.size > 1:
         lo, hi = bootstrap_ci(lambda idx: per_path[idx].mean(axis=1), per_path.size,
-                              np.random.SeedSequence([0xC051, ci_seed]))
+                              np.random.SeedSequence([0xC051, 0]))
         ci = 0.5 * (hi - lo)
     else:
         ci = 0.0
@@ -246,7 +245,8 @@ class OptimizeHistory:
     budget_exhausted: bool
     iterates: list = field(default_factory=list)  # accepted iterates only
 
-    def record(self, theta, report: CostReport):
+    def record(self, theta, report: CostReport, ctrl: BoundaryControl, c0: float):
+        """Append an accepted iterate with the admissibility bookkeeping of its control."""
         self.iterates.append(
             {
                 "iterate": len(self.iterates),
@@ -255,6 +255,8 @@ class OptimizeHistory:
                 "tracking": report.tracking,
                 "penalty": report.penalty,
                 "ci_half_width": report.ci_half_width,
+                "admissible_norm": admissible_norm(ctrl),
+                "exp_integrability": exponential_integrability_bound(ctrl, c0),
             }
         )
 
@@ -309,10 +311,7 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
 
     rep_inc = cost(ctrl_inc)
     history.evaluations = 1
-    history.record(theta, rep_inc)
-    # admissibility bookkeeping for the accepted iterate
-    history.iterates[-1]["admissible_norm"] = admissible_norm(ctrl_inc)
-    history.iterates[-1]["exp_integrability"] = exponential_integrability_bound(ctrl_inc, c0)
+    history.record(theta, rep_inc, ctrl_inc, c0)
 
     dim = pmap.dim
     step = step0
@@ -334,11 +333,7 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
                     if rep.total < rep_inc.total:
                         theta = pmap.read(cand)
                         ctrl_inc, rep_inc = cand, rep
-                        history.record(theta, rep_inc)
-                        history.iterates[-1]["admissible_norm"] = admissible_norm(cand)
-                        history.iterates[-1]["exp_integrability"] = (
-                            exponential_integrability_bound(cand, c0)
-                        )
+                        history.record(theta, rep_inc, cand, c0)
                         improved = True
                         break
                 if improved:
@@ -363,11 +358,7 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
             if rep.total < rep_inc.total:
                 theta = pmap.read(cand)
                 ctrl_inc, rep_inc = cand, rep
-                history.record(theta, rep_inc)
-                history.iterates[-1]["admissible_norm"] = admissible_norm(cand)
-                history.iterates[-1]["exp_integrability"] = (
-                    exponential_integrability_bound(cand, c0)
-                )
+                history.record(theta, rep_inc, cand, c0)
             else:
                 step *= 0.7
     history.budget_exhausted = history.evaluations >= budget

@@ -46,13 +46,10 @@ __all__ = [
 class WeightSeries:
     """Exponential damping weight and the control load series on a time grid."""
 
-    kind: str                   # "energy" (control-only) or "stability" (pathwise)
-    times: np.ndarray
     values: np.ndarray          # weight in (0, 1]
     trace_sq: np.ndarray        # squared trace-norm series of the control
     load2: np.ndarray           # trace_sq + 1
     load4: np.ndarray           # trace_sq^2 + 1
-    c0: float
 
     def __post_init__(self):
         v = self.values
@@ -81,13 +78,7 @@ def energy_weight(ctrl: BoundaryControl | None, c0: float, times: np.ndarray) ->
     tn2 = _trace_sq(ctrl, times)
     expo = c0 * times + c0 * _cumtrapz(tn2, times)
     return WeightSeries(
-        kind="energy",
-        times=times,
-        values=np.exp(-expo),
-        trace_sq=tn2,
-        load2=tn2 + 1.0,
-        load4=tn2**2 + 1.0,
-        c0=c0,
+        values=np.exp(-expo), trace_sq=tn2, load2=tn2 + 1.0, load4=tn2**2 + 1.0
     )
 
 
@@ -138,19 +129,19 @@ def _ratio(num, den):
         return np.where(den > 0, np.divide(num, den), np.where(num == 0, 0.0, np.inf))
 
 
-def _ratio_ci(lhs: np.ndarray, rhs: np.ndarray, rhs_const: float, seed: int) -> tuple:
+def _ratio_ci(lhs: np.ndarray, rhs: np.ndarray, rhs_const: float) -> tuple:
     """Percentile CI of the fitted constant under path resampling."""
     return bootstrap_ci(
         lambda idx: _ratio(lhs[idx].mean(axis=1), rhs[idx].mean(axis=1) + rhs_const),
-        lhs.size, np.random.SeedSequence([0xB001, seed]),
+        lhs.size, np.random.SeedSequence([0xB001, 0]),
     )
 
 
-def _report(name, lhs_paths, rhs_paths, rhs_const, excluded, seed, details) -> EstimateReport:
+def _report(name, lhs_paths, rhs_paths, rhs_const, excluded, details) -> EstimateReport:
     """Fitted constant mean(lhs) / (mean(rhs) + rhs_const) with its bootstrap CI."""
     lhs = float(lhs_paths.mean())
     rhs = float(rhs_paths.mean()) + rhs_const
-    lo, hi = _ratio_ci(lhs_paths, rhs_paths, rhs_const, seed)
+    lo, hi = _ratio_ci(lhs_paths, rhs_paths, rhs_const)
     return EstimateReport(name=name, lhs=lhs, rhs=rhs, fitted_c=float(_ratio(lhs, rhs)),
                           ci_low=lo, ci_high=hi, n_paths=lhs_paths.size,
                           n_excluded=excluded, details=details)
@@ -169,7 +160,7 @@ def _series(trajectories, name: str) -> np.ndarray:
 
 
 def certify_second_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
-                          nu: float, seed: int = 0) -> EstimateReport:
+                          nu: float) -> EstimateReport:
     """Fitted constant of the weighted second-moment energy bound.
 
     LHS: E max_t w^2 |u|^2 + nu E int w^2 |u|_E^2.
@@ -182,13 +173,12 @@ def certify_second_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
     w2 = w.values**2
     lhs_paths = np.max(w2 * u_sq, axis=1) + nu * np.trapezoid(w2 * u_esq, t, axis=-1)
     rhs_const = float(np.trapezoid(w2 * w.load2, t))
-    return _report("second_moment", lhs_paths, u_sq[:, 0], rhs_const, excluded, seed,
+    return _report("second_moment", lhs_paths, u_sq[:, 0], rhs_const, excluded,
                    {"c0": c0, "nu": nu})
 
 
 def certify_fourth_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
-                          nu: float, ops: GalerkinOperators | None = None,
-                          seed: int = 0) -> EstimateReport:
+                          nu: float, ops: GalerkinOperators | None = None) -> EstimateReport:
     """Fitted constant of the weighted fourth-moment bound.
 
     LHS: E max_t w^4 |u|^4 + nu^2 E (int w^2 |u|_E^2)^2.
@@ -211,13 +201,13 @@ def certify_fourth_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
     else:
         rhs_paths = u_sq[:, 0] ** 2
     rhs_const = float(nu**2 * np.trapezoid(w4 * w.load4, t))
-    return _report("fourth_moment", lhs_paths, rhs_paths, rhs_const, excluded, seed,
+    return _report("fourth_moment", lhs_paths, rhs_paths, rhs_const, excluded,
                    {"c0": c0, "nu": nu})
 
 
 def certify_stability(trajs_1, ctrl_1, trajs_2, ctrl_2, ops: GalerkinOperators,
-                      c0: float, nu: float, c2: float = 1.0, c3: float = 0.0,
-                      seed: int = 0) -> EstimateReport:
+                      c0: float, nu: float, c2: float = 1.0,
+                      c3: float = 0.0) -> EstimateReport:
     """Fitted constant of the two-solution stability bound under common noise.
 
     Paths are paired by position (they must share Wiener increments).  The
@@ -257,7 +247,7 @@ def certify_stability(trajs_1, ctrl_1, trajs_2, ctrl_2, ops: GalerkinOperators,
     xi2 = np.exp(-_cumtrapz(c3 + max(3.0 * c0, c2) * load, t)) ** 2
     lhs_paths = np.max(xi2 * yhat_sq, axis=1) + 2.0 * nu * np.trapezoid(xi2 * yhat_esq, t, axis=-1)
     rhs_paths = yhat_sq[:, 0] + np.trapezoid(xi2 * tnd_sq, t, axis=-1)
-    rep = _report("stability", lhs_paths, rhs_paths, 0.0, len(trajs_1) - len(pairs), seed,
+    rep = _report("stability", lhs_paths, rhs_paths, 0.0, len(trajs_1) - len(pairs),
                   {"c0": c0, "c2": c2, "c3": c3, "nu": nu})
     if rep.rhs <= 0:
         rep.fitted_c = 0.0 if rep.lhs <= 1e-24 else np.inf
@@ -278,8 +268,8 @@ def _diff_control(c1: BoundaryControl | None, c2: BoundaryControl | None):
     return out
 
 
-def certify_wellposed_cost(trajectories, ctrl: BoundaryControl | None, c0: float,
-                           seed: int = 0) -> EstimateReport:
+def certify_wellposed_cost(trajectories, ctrl: BoundaryControl | None,
+                           c0: float) -> EstimateReport:
     """Sample-exact chain bounding the unweighted second moment.
 
     Pathwise, max_t |u|^2 <= max_t (w^2 |u|^2) * w(T)^-2 because the weight
@@ -297,7 +287,7 @@ def certify_wellposed_cost(trajectories, ctrl: BoundaryControl | None, c0: float
     lhs_paths = np.max(u_sq, axis=1)
     wx_paths = np.max(w.values**2 * u_sq, axis=1)
     rhs = float(np.sqrt(np.mean(wx_paths**2)) / w.values[-1] ** 2)
-    rep = _report("wellposed_cost", lhs_paths, np.zeros_like(lhs_paths), rhs, excluded, seed,
+    rep = _report("wellposed_cost", lhs_paths, np.zeros_like(lhs_paths), rhs, excluded,
                   {"c0": c0, "weight_at_horizon": float(w.values[-1])})
     rep.details["holds_exactly"] = bool(rep.lhs <= rhs * (1.0 + 1e-12) + 1e-300)
     return rep

@@ -20,12 +20,13 @@ same shapes, so a seed's path is bitwise the same whatever its batch,
 position or thread count.  `drift`/`step_em` are the single-step reference
 the kernel is tested against.
 
-Assembly samples the basis and the lifted unit fields with one batched
-sampler (`basis.sample_fields`) on a physical grid wide enough that quadratic
+Assembly samples the basis and the lifted unit fields, each one ModeField
+stack (`Basis.fields`, `LiftingCache.fields`), with one batched sampler
+(`basis.sample_fields`) on a physical grid wide enough that quadratic
 products are integrated exactly (no aliasing reaches the resolved band).
 One convection contraction, one GEMM per advecting field, gives all three
-convection tensors; the lift couplings and Gram matrices are the stacked
-mass and energy pairings; the wall term is exact by Parseval on the trace
+convection tensors; the lift couplings and Gram matrices are the mass and
+energy pairings of those stacks; the wall term is exact by Parseval on the trace
 coefficients.  The assembled conv_bb is checked for skew symmetry and for
 the Fourier-triad pattern of its nonzeros.
 """
@@ -276,7 +277,7 @@ def _check_convection(conv_bb: np.ndarray, mode_j, scale: float):
 def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOperators:
     g = basis.grid
     n = basis.size
-    e = sample_fields(g, basis.stack_vals, basis.stack_dvals)
+    e = sample_fields(basis.fields)
     test_w = e[:, :2] * g.quad_weights_domain
     conv_bb = _convection(test_w, e[:, :2], e[:, 2:])
     # bound on the summed magnitudes of any entry's quadrature terms: the
@@ -291,7 +292,7 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
             btrace=np.zeros((n, 1)), gram_h=np.zeros((1, 1)), gram_v=np.zeros((1, 1)),
         )
 
-    a = sample_fields(g, cache.stack_vals, cache.stack_dvals)
+    a = sample_fields(cache.fields)
     conv_bc = _convection(test_w, e[:, :2], a[:, 2:])
     conv_bc += _convection(test_w, a[:, :2], e[:, 2:]).transpose(0, 2, 1)
     conv_cc = _convection(test_w, a[:, :2], a[:, 2:])
@@ -312,11 +313,11 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
         conv_bb=conv_bb,
         conv_bc=conv_bc,
         conv_cc=conv_cc,
-        lift_h=mass_pairing(g, basis.stack_vals, cache.stack_vals),
-        lift_v=energy_pairing(g, basis.stack, cache.stack, cache.alpha),
+        lift_h=mass_pairing(basis.fields, cache.fields),
+        lift_v=energy_pairing(basis.fields, cache.fields, cache.alpha),
         btrace=btrace,
-        gram_h=mass_pairing(g, cache.stack_vals, cache.stack_vals),
-        gram_v=energy_pairing(g, cache.stack, cache.stack, cache.alpha),
+        gram_h=mass_pairing(cache.fields, cache.fields),
+        gram_v=energy_pairing(cache.fields, cache.fields, cache.alpha),
     )
 
 

@@ -395,8 +395,8 @@ def lift_static_coeffs(table, grid: Grid, alpha: float, n_modes: int,
 class LiftingCache:
     """Unit lifted fields per control degree of freedom (compatible projection).
 
-    Each stored field is the lifting of one projected unit coefficient, so
-    any compatible coefficient vector lifts by superposition.  The cache is
+    `fields` stacks the lifting of each projected unit coefficient, so any
+    compatible coefficient vector lifts by superposition.  The cache is
     immutable after construction and safe to share.
     """
 
@@ -415,26 +415,10 @@ class LiftingCache:
             unit = project_compatible(unit)
             table = unit.coeffs(unit.gamma[0])
             fields.append(lift_static_coeffs(table, grid, alpha, n_modes, solver))
-        self.fields = fields
-        self.stack_vals = np.stack([f.vals for f in fields])
-        self.stack_dvals = np.stack([f.dvals for f in fields])
-        self.stack_wall = np.stack([f.wall_vals for f in fields])
-        self.stack_wall_d = np.stack([f.wall_dvals for f in fields])
-
-    @property
-    def stack(self):
-        """(vals, dvals, wall_vals) stacks of the unit fields, for the pairings."""
-        return self.stack_vals, self.stack_dvals, self.stack_wall
+        self.fields = ModeField.stack(fields)
 
     def field(self, gamma_row) -> ModeField:
-        return ModeField.combine(
-            np.asarray(gamma_row, float),
-            self.stack_vals,
-            self.stack_dvals,
-            self.stack_wall,
-            self.stack_wall_d,
-            self.grid,
-        )
+        return self.fields.combine(np.asarray(gamma_row, float))
 
 
 @dataclass(eq=False)

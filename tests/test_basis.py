@@ -190,13 +190,13 @@ def test_save_load_roundtrip(tmp_path, basis_small):
     again = load_basis(path)
     assert np.array_equal(again.eigenvalues, basis_small.eigenvalues)
     assert np.array_equal(again.mode_j, basis_small.mode_j)
-    assert np.array_equal(again.stack_vals, basis_small.stack_vals)
+    assert np.array_equal(again.fields.vals, basis_small.fields.vals)
 
 
 def test_deterministic_rebuild(spec_small, grid_small, basis_small):
     again = build_eigenbasis(spec_small, basis_small.size, grid_small)
     assert np.array_equal(again.eigenvalues, basis_small.eigenvalues)
-    assert np.array_equal(again.stack_vals, basis_small.stack_vals)
+    assert np.array_equal(again.fields.vals, basis_small.fields.vals)
 
 
 def test_truncation_nested(basis_small):
@@ -226,8 +226,8 @@ def test_tiebreak_order_deterministic(basis_small):
 def test_stack_pairings_against_quadrature(basis_small, grid_small):
     # mass and energy pairings of a stack against sampled-field quadrature
     g = grid_small
-    fields = [random_field(g, s) for s in range(3)] + basis_small.fields[:4]
-    stack = tuple(np.stack([getattr(f, a) for f in fields]) for a in ("vals", "dvals", "wall_vals"))
+    fields = [random_field(g, s) for s in range(3)] + list(basis_small.fields[:4])
+    stack = ModeField.stack(fields)
     w2d = g.quad_weights_domain
     m = len(fields)
     mass, energy = np.empty((m, m)), np.empty((m, m))
@@ -240,8 +240,36 @@ def test_stack_pairings_against_quadrature(basis_small, grid_small):
                        for c in (0, 1) for w in (0, 1))
             mass[r, s] = np.sum((u1 * v1 + u2 * v2) * w2d)
             energy[r, s] = 2.0 * np.sum(strain * w2d) + g.spec.friction_alpha * g.w_x * wall
-    assert np.abs(bs.mass_pairing(g, stack[0], stack[0]) - mass).max() < 1e-12 * np.abs(mass).max()
-    assert np.abs(bs.energy_pairing(g, stack, stack) - energy).max() < 1e-12 * np.abs(energy).max()
+    assert np.abs(bs.mass_pairing(stack, stack) - mass).max() < 1e-12 * np.abs(mass).max()
+    assert np.abs(bs.energy_pairing(stack, stack) - energy).max() < 1e-12 * np.abs(energy).max()
+
+
+def test_fields_are_one_stack(basis_small, cache_small):
+    # a set of fields is one ModeField whose arrays carry a leading stack axis
+    assert isinstance(basis_small.fields, ModeField)
+    assert isinstance(cache_small.fields, ModeField)
+    assert len(basis_small.fields) == basis_small.size
+    assert len(cache_small.fields) == cache_small.n_dofs
+    g = basis_small.grid
+    for i, (j, fam, prof) in enumerate(zip(basis_small.mode_j, basis_small.family,
+                                           basis_small.profiles_cgl)):
+        if fam == bs.FAMILY_SHEAR:
+            ref = ModeField.from_shear_profile(g, prof)
+        else:
+            ref = ModeField.from_streamfunction(g, int(j), prof,
+                                                "cos" if fam == bs.FAMILY_COS else "sin")
+        got = basis_small.fields[i]
+        for name in ("vals", "dvals", "wall_vals", "wall_dvals"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+    weights = np.random.default_rng(5).standard_normal((5, basis_small.size))
+    rows = basis_small.fields.combine(weights)
+    for r, w in enumerate(weights):
+        one = basis_small.field(w)
+        for name in ("vals", "dvals", "wall_vals", "wall_dvals"):
+            ref = getattr(one, name)
+            assert np.abs(getattr(rows, name)[r] - ref).max() <= 1e-14 * np.abs(ref).max()
+    small = truncate_basis(basis_small, 5)
+    assert np.array_equal(small.fields.vals, basis_small.fields.vals[:5])
 
 
 def test_canonical_sign_survives_rounding():

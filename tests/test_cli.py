@@ -247,6 +247,10 @@ def test_cmd_optimize_zero_budget(tmp_path):
         ("simulate", [], {"control": {"slots": [["z", "bottom", 1, "re"], ["b", "top", 2, "re"]]}}, 1),
         ("simulate", [], {"control": {"slots": [["a", "bottom", 1.5, "re"], ["b", "top", 2, "re"]]}}, 1),
         ("simulate", [], {"control": {"slots": [["a", "bottom", 0, "im"], ["b", "top", 2, "re"]]}}, 1),
+        ("simulate", [], {"noise": {"seed": -1}}, 1),
+        ("simulate", [], {"initial": {"seed": -1}}, 1),
+        ("simulate", [], {"noise": {"m": -1, "mult_gain": [0.1]}}, 1),
+        ("simulate", [], {"initial": {"kind": "bogus"}}, 1),
         ("verify", ["--paths", "2"], {"damping_rate": 1e5}, 2),
     ],
     ids=["verify-all-paths-blow-up", "optimize-all-paths-blow-up", "negative-seed", "negative-paths", "zero-paths",
@@ -255,7 +259,8 @@ def test_cmd_optimize_zero_budget(tmp_path):
          "string-basis-size", "string-budget", "string-in-theta", "string-theta0",
          "string-in-theta-star", "string-in-mult-gain", "negative-control-modes",
          "integer-coeff-file", "slot-wall-middle", "slot-mode-past-band", "slot-kind-z",
-         "slot-float-mode", "slot-imaginary-mean", "weight-underflow"],
+         "slot-float-mode", "slot-imaginary-mean", "negative-noise-seed",
+         "negative-initial-seed", "negative-noise-m", "unknown-initial-kind", "weight-underflow"],
 )
 def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, code):
     _check_exit_code(tmp_path, command, flags, overrides, code)
@@ -307,8 +312,9 @@ _FAULTS = [("--seed", -1), ("--seed", 2**64), ("--paths", 0), ("--paths", -2),
            ("paths", 0), ("paths", -3), ("paths", 2.5), ("stability_paths", 0),
            ("stability_paths", "3"), ("stability_scale", "0.5"), ("stability_scale", True)]
 
-# config leaves that hold lists or may be null: well-formed, wrong-typed and
-# out-of-range values, plus scalars of every JSON type
+# config leaves that hold lists, may be null or need a check beyond their
+# type: well-formed, wrong-typed and out-of-range values, plus scalars of
+# every JSON type
 _SLOT = ["b", "top", 2, "re"]
 _LEAF_FAULTS = [
     (("control", "theta"), v) for v in ([0.1, -0.2], [0.0, 0.0], ["a", 0.2], [True, 0.1], [0.1])
@@ -327,6 +333,12 @@ _LEAF_FAULTS = [
     (("optimize", "theta_star"), v) for v in ([0.4, 0.5], ["q", 1])
 ] + [
     (("noise", "mult_gain"), v) for v in ([0.0], [0.2, 0.1], [-0.1], ["a"], [0.1, 0.1, 0.1])
+] + [
+    (("noise", "m"), v) for v in (-1, 0)
+] + [
+    ((section, "seed"), -1) for section in ("noise", "initial")
+] + [
+    (("initial", "kind"), v) for v in ("zero", "bogus")
 ]
 _LEAVES = sorted({leaf for leaf, _ in _LEAF_FAULTS})
 _SCALARS = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2.0, 2.0)
