@@ -209,11 +209,6 @@ class ModeField:
         s = sample_fields(self[None])[0]
         return s[0], s[1]
 
-    def physical_gradient(self):
-        """Sample (d_x v1, d_y v1, d_x v2, d_y v2) on the quadrature grid."""
-        s = sample_fields(self[None])[0]
-        return s[2], s[3], s[4], s[5]
-
     def divergence_residual(self) -> float:
         """Max abs of i*k*v1 + v2' over modes and quadrature nodes."""
         nj = self.vals.shape[0]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DynamicsError, GalerkinOperators, InsufficientPathsError, Simulator, drift
+from .dynamics import DynamicsError, GalerkinOperators, InsufficientPathsError, Simulator
 from .lifting import BoundaryControl, trace_norm_series
 
 __all__ = [
@@ -314,7 +314,7 @@ def empirical_damping_rate(trajectories, ctrl: BoundaryControl | None,
     ops, nu, t = sim.ops, sim.nu, sim.times
     gam, gdot = sim.gamma_series(ctrl)
     b = _series(paths, "beta_series")                                   # (P, L, n)
-    f = drift(b, ops, nu, gam, gdot, sim.include_nonlinear)
+    f = sim.drift(b, gam, gdot)
     total = 2.0 * np.vecdot(b, f) + 2.0 * nu * np.vecdot(b**2, ops.lam) + _series(paths, "noise_sq")
     denom = 2.0 * (_trace_sq(ctrl, t) + 1.0) * (_series(paths, "u_sq") + 1.0)
     return float(np.max(total / denom))

@@ -11,24 +11,36 @@ e_i gives the coefficient dynamics
                + sum_k (G_k(y), e_i) dW_k,
 
 with the noise family G_k = g_k + rho_k * u (additive plus diagonal
-multiplicative).  All couplings are precomputed as dense tensors once per
-(basis, lifting cache), so a time step is a handful of small contractions.
+multiplicative).  The linear couplings (eigenvalues, lift pairings, wall
+term) are small matrices assembled once per (basis, lifting cache).  The
+convection acts on the whole velocity y and is evaluated on one of two
+paths, chosen by the basis size n:
+
+* below N_PS, dense tensors conv_bb, conv_bc, conv_cc (n^3 entries), so a
+  step is a few small contractions;
+* from N_PS on, the transform method (`Convection`): per step the block's
+  y and grad y are synthesized on the physical grid with one GEMM per
+  x-mode and an irfft, (y . grad) y is formed pointwise, and an rfft and
+  one GEMM per x-mode project it back.  No n^3 tensor is built.
+
+Both are the same quadrature: the grid is wide enough that quadratic
+products are integrated exactly (no aliasing reaches the resolved band).
+The dense tensors come from one batched sampler (`basis.sample_fields`)
+and one convection contraction, one GEMM per advecting field, and are
+checked for skew symmetry and the Fourier-triad pattern of their nonzeros;
+the pseudospectral tables are checked by a skew probe b(u, v, w) =
+-b(u, w, v) on seeded random fields.  The lift couplings and Gram matrices
+are the mass and energy pairings of the basis and lifting stacks, and the
+wall term is exact by Parseval on the trace coefficients.
+
 One numpy kernel steps a fixed-width block of BLOCK paths together;
 `Simulator.run_many` splits its seeds into such chunks (the last one padded)
 and `--threads` spreads chunks over workers.  Every path is stepped on the
 same shapes, so a seed's path is bitwise the same whatever its batch,
-position or thread count.  `drift`/`step_em` are the single-step reference
-the kernel is tested against.
-
-Assembly samples the basis and the lifted unit fields, each one ModeField
-stack (`Basis.fields`, `LiftingCache.fields`), with one batched sampler
-(`basis.sample_fields`) on a physical grid wide enough that quadratic
-products are integrated exactly (no aliasing reaches the resolved band).
-One convection contraction, one GEMM per advecting field, gives all three
-convection tensors; the lift couplings and Gram matrices are the mass and
-energy pairings of those stacks; the wall term is exact by Parseval on the trace
-coefficients.  The assembled conv_bb is checked for skew symmetry and for
-the Fourier-triad pattern of its nonzeros.
+position or thread count.  `drift`/`step_em` on the dense tensors are the
+single-step reference the kernel is tested against on both paths; the
+tensors are assembled on first read, so only that reference builds them
+from N_PS on.
 """
 
 from __future__ import annotations
@@ -49,6 +61,7 @@ __all__ = [
     "GalerkinState",
     "Trajectory",
     "GalerkinOperators",
+    "Convection",
     "assemble_operators",
     "nonlinear_term",
     "drift",
@@ -185,51 +198,179 @@ class Trajectory:
         np.savez(path, **payload)
 
 
-# -- convection projections ---------------------------------------------------
+# -- convection ------------------------------------------------------------------
+
+
+class Convection:
+    """Pseudospectral convection ((y . grad) y, e_i) for stacks of fields y.
+
+    y = sum_i beta_i e_i + sum_c gamma_c a_c lies in the span of the basis
+    entries e_i and of a stack of further fields a_c (the lifted unit
+    fields); a call maps rows z = (beta, gamma) of shape (W, n + n_a) to the
+    (W, n) convection coefficients.  Per x-mode j one real GEMM synthesizes
+    the spectral samples (v1, v2, d_x v1, d_y v1, d_x v2, d_y v2) of y at j
+    from the coefficients of the entries living at j and of the a_c reaching
+    j; an irfft along x gives the grid, the products are formed pointwise,
+    an rfft goes back, and one GEMM per j projects onto the entries at j
+    with the Parseval weights w_x m_j w_y.  The grid is wide enough that the
+    quadratic product cannot alias onto the resolved band, so this is the
+    same quadrature as the dense tensors.  The tables depend on (basis,
+    fields) only and every row is independent, so a row's bits depend on
+    its coefficients and the row count W alone.
+    """
+
+    def __init__(self, basis: Basis, fields: ModeField | None = None):
+        g = basis.grid
+        n_a = 0 if fields is None else len(fields)
+        if n_a and fields.n_modes > g.spec.modes_x:
+            raise DynamicsError("field exceeds the dealiased band of the grid")
+        self.grid, self.n, self.n_a = g, basis.size, n_a
+        self.n_bins = g.spec.modes_x + 1
+        e = basis.fields
+        self.synthesis, self.projection = [], []
+        for j in range(self.n_bins):
+            own = np.flatnonzero(basis.mode_j == j)
+            rows, vals, dvals = own, e.vals[own, j], e.dvals[own, j]
+            if n_a and j <= fields.n_modes and (fields.vals[:, j].any()
+                                                or fields.dvals[:, j].any()):
+                rows = np.concatenate([own, self.n + np.arange(n_a)])
+                vals = np.concatenate([vals, fields.vals[:, j]])
+                dvals = np.concatenate([dvals, fields.dvals[:, j]])
+            if rows.size:
+                ik = 1j * g.kx[j]
+                spec = np.stack([vals[:, 0], vals[:, 1], ik * vals[:, 0], dvals[:, 0],
+                                 ik * vals[:, 1], dvals[:, 1]], axis=1)  # (rows, 6, n_q)
+                self.synthesis.append((j, rows, spec.view(float).reshape(rows.size, -1)))
+            if own.size:
+                weight = g.w_x * (1.0 if j == 0 else 2.0) * g.w_y
+                proj = np.ascontiguousarray(e.vals[own, j] * weight)     # (n_j, 2, n_q)
+                self.projection.append((j, own, proj.view(float).reshape(own.size, -1).T.copy()))
+
+    def samples(self, z: np.ndarray) -> np.ndarray:
+        """(W, 6, n_q, n_x) grid samples of the fields with coefficient rows z."""
+        w_rows = z.shape[0]
+        spec = np.zeros((self.n_bins, w_rows, 6 * self.grid.n_q * 2))
+        for j, rows, table in self.synthesis:
+            np.matmul(z[:, rows], table, out=spec[j])
+        spec = spec.view(complex).reshape(self.n_bins, w_rows, 6, self.grid.n_q)
+        # the shorter input is zero-padded to the n_x // 2 + 1 bins
+        return np.fft.irfft(np.moveaxis(spec, 0, -1), n=self.grid.n_x, norm="forward")
+
+    def project(self, w: np.ndarray) -> np.ndarray:
+        """(W, n) coefficients (w, e_i) of (W, 2, n_q, n_x) grid samples."""
+        f = np.fft.rfft(w)[..., : self.n_bins]
+        f = np.ascontiguousarray(np.moveaxis(f, -1, 0)).view(float)
+        f = f.reshape(self.n_bins, w.shape[0], -1)
+        out = np.empty((w.shape[0], self.n))
+        for j, own, table in self.projection:
+            out[:, own] = f[j] @ table
+        return out
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        s = self.samples(z)
+        return self.project(_advect(s, s))
+
+    def rows(self, beta: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
+        """(m, n + n_a) rows z of stacked states beta (..., n) and controls that broadcast."""
+        beta = np.asarray(beta, float)
+        lead = beta.shape[:-1]
+        z = np.zeros(lead + (self.n + self.n_a,))
+        z[..., : self.n] = beta
+        if self.n_a and gamma is not None:
+            z[..., self.n :] = gamma
+        return z.reshape(-1, self.n + self.n_a)
+
+    def stacked(self, beta: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
+        """Convection of stacked states beta (..., n); 64 rows a call bound the temporaries."""
+        z = self.rows(beta, gamma)
+        out = np.concatenate([self(z[s : s + 64]) for s in range(0, len(z), 64)])
+        return out.reshape(np.shape(beta))
+
+
+def _advect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Grid samples of (u . grad) v: u from the rows of a, grad v from those of b."""
+    return a[:, 0:1] * b[:, 2::2] + a[:, 1:2] * b[:, 3::2]
 
 
 def nonlinear_term(y: ModeField, basis: Basis) -> np.ndarray:
-    """Coefficients ((y . grad) y, e_i) by pseudospectral quadrature.
+    """Coefficients ((y . grad) y, e_i): the one-field case of `Convection`.
 
     Exact for fields within the resolved band; the physical grid is wide
     enough that the quadratic product cannot alias back onto it.
     """
-    g = basis.grid
-    if y.n_modes > g.spec.modes_x:
-        raise DynamicsError("field exceeds the dealiased band of the grid")
-    u1, u2 = y.physical()
-    gx1, gy1, gx2, gy2 = y.physical_gradient()
-    w1 = u1 * gx1 + u2 * gy1
-    w2 = u1 * gx2 + u2 * gy2
-    w2d = g.quad_weights_domain
-    out = np.empty(basis.size)
-    for i, f in enumerate(basis.fields):
-        e1, e2 = f.physical()
-        out[i] = float(np.sum(w1 * e1 * w2d) + np.sum(w2 * e2 * w2d))
-    return out
+    conv = Convection(basis, y[None])
+    return conv.stacked(np.zeros(basis.size), np.ones(1))
 
 
-@dataclass(eq=False)
+def _probe_skew(conv: Convection):
+    """Raise unless b(u, v, w) = -b(u, w, v) for 4 seeded random u, v, w in the basis span.
+
+    This is the check of the evaluator's tables that `_check_convection` is
+    for the dense tensors, with the same rule: 1e-12 times the summed
+    magnitudes of the quadrature terms of both sides.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([0x5CE3, conv.n]))
+    coef = rng.standard_normal((3, 4, conv.n))
+    su, sv, sw = (conv.samples(conv.rows(c)) for c in coef)
+    b_uvw = np.vecdot(conv.project(_advect(su, sv)), coef[2])
+    b_uwv = np.vecdot(conv.project(_advect(su, sw)), coef[1])
+    w2d = conv.grid.quad_weights_domain.T
+    au, av, aw = np.abs(su), np.abs(sv), np.abs(sw)
+    scale = ((_advect(au, av) * aw[:, :2]).sum(axis=1) * w2d).sum(axis=(1, 2)) + (
+        (_advect(au, aw) * av[:, :2]).sum(axis=1) * w2d).sum(axis=(1, 2))
+    if (np.abs(b_uvw + b_uwv) > 1e-12 * scale).any():
+        raise DynamicsError("pseudospectral convection is not skew-symmetric")
+
+
+class _Dense:
+    """A convection tensor of GalerkinOperators, assembled (and checked) on first read."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, ops, owner=None):
+        if ops is None:
+            return None                  # the dataclass default: not given
+        if getattr(ops, self.slot) is None:
+            built = _convection_tensors(ops.basis, ops.cache)
+            for name, tensor in zip(("_conv_bb", "_conv_bc", "_conv_cc"), built):
+                if getattr(ops, name) is None:
+                    setattr(ops, name, tensor)
+        return getattr(ops, self.slot)
+
+    def __set__(self, ops, value):
+        setattr(ops, self.slot, value)
+
+
+@dataclass(eq=False, repr=False)
 class GalerkinOperators:
-    """Dense couplings of the basis and the lifting cache.
+    """Couplings of the basis and the lifting cache.
 
-    conv_bb[i, p, q] = ((e_p . grad) e_q, e_i)
-    conv_bc[i, p, c] = ((e_p . grad) A_c + (A_c . grad) e_p, e_i)
-    conv_cc[i, c, d] = ((A_c . grad) A_d, e_i)
     lift_h / lift_v  = (A_c, e_i) in the mass / energy pairing
     btrace[i, c]     = int_Gamma b_c (e_i . tau)
     gram_h / gram_v  = pairings of the unit lifted fields
+    conv_bb[i, p, q] = ((e_p . grad) e_q, e_i)
+    conv_bc[i, p, c] = ((e_p . grad) A_c + (A_c . grad) e_p, e_i)
+    conv_cc[i, c, d] = ((A_c . grad) A_d, e_i)
+
+    The dense convection tensors (n^3 entries) are the reference of
+    `drift`/`step_em`, and the kernel's convection below N_PS.  Unless
+    given, they are assembled from `basis` and `cache` on first read and
+    checked there for skew symmetry and the Fourier-triad pattern; at
+    N_PS and above the simulator never reads them.
     """
 
     lam: np.ndarray
-    conv_bb: np.ndarray
-    conv_bc: np.ndarray
-    conv_cc: np.ndarray
     lift_h: np.ndarray
     lift_v: np.ndarray
     btrace: np.ndarray
     gram_h: np.ndarray
     gram_v: np.ndarray
+    conv_bb: np.ndarray | None = _Dense()
+    conv_bc: np.ndarray | None = _Dense()
+    conv_cc: np.ndarray | None = _Dense()
+    basis: Basis | None = None
+    cache: LiftingCache | None = None
 
     @property
     def n(self) -> int:
@@ -274,7 +415,8 @@ def _check_convection(conv_bb: np.ndarray, mode_j, scale: float):
             raise DynamicsError("convection tensor couples modes off the Fourier triads")
 
 
-def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOperators:
+def _convection_tensors(basis: Basis, cache: LiftingCache | None):
+    """The checked dense tensors (conv_bb, conv_bc, conv_cc) of GalerkinOperators."""
     g = basis.grid
     n = basis.size
     e = sample_fields(basis.fields)
@@ -286,16 +428,26 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
     scale = 2.0 * np.abs(test_w).sum(axis=(1, 2, 3)).max() * u_max * g_max
     _check_convection(conv_bb, basis.mode_j, scale)
     if cache is None:
-        return GalerkinOperators(
-            lam=basis.eigenvalues.copy(), conv_bb=conv_bb, conv_bc=np.zeros((n, n, 1)),
-            conv_cc=np.zeros((n, 1, 1)), lift_h=np.zeros((n, 1)), lift_v=np.zeros((n, 1)),
-            btrace=np.zeros((n, 1)), gram_h=np.zeros((1, 1)), gram_v=np.zeros((1, 1)),
-        )
-
+        return conv_bb, np.zeros((n, n, 1)), np.zeros((n, 1, 1))
     a = sample_fields(cache.fields)
     conv_bc = _convection(test_w, e[:, :2], a[:, 2:])
     conv_bc += _convection(test_w, a[:, :2], e[:, 2:]).transpose(0, 2, 1)
-    conv_cc = _convection(test_w, a[:, :2], a[:, 2:])
+    return conv_bb, conv_bc, _convection(test_w, a[:, :2], a[:, 2:])
+
+
+def assemble_operators(basis: Basis, cache: LiftingCache | None,
+                       dense: bool = True) -> GalerkinOperators:
+    """The couplings of basis and cache; with `dense=False` the convection
+    tensors are left to be assembled on first read."""
+    g = basis.grid
+    n = basis.size
+    ops = dict(lam=basis.eigenvalues.copy(), basis=basis, cache=cache)
+    if dense:
+        ops.update(zip(("conv_bb", "conv_bc", "conv_cc"), _convection_tensors(basis, cache)))
+    if cache is None:
+        return GalerkinOperators(lift_h=np.zeros((n, 1)), lift_v=np.zeros((n, 1)),
+                                 btrace=np.zeros((n, 1)), gram_h=np.zeros((1, 1)),
+                                 gram_v=np.zeros((1, 1)), **ops)
 
     # wall pairing int_Gamma b_c (e_i . tau) by Parseval on the trace
     # coefficients; only entries with j_i <= n_modes meet the control band
@@ -309,15 +461,12 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
     ).real
 
     return GalerkinOperators(
-        lam=basis.eigenvalues.copy(),
-        conv_bb=conv_bb,
-        conv_bc=conv_bc,
-        conv_cc=conv_cc,
         lift_h=mass_pairing(basis.fields, cache.fields),
         lift_v=energy_pairing(basis.fields, cache.fields, cache.alpha),
         btrace=btrace,
         gram_h=mass_pairing(cache.fields, cache.fields),
         gram_v=energy_pairing(cache.fields, cache.fields, cache.alpha),
+        **ops,
     )
 
 
@@ -400,15 +549,27 @@ def wiener_increments(seed: int, n_steps: int, m: int, dt: float) -> np.ndarray:
 # independent of its batch, its position in it and the thread count.
 BLOCK = 16
 
+# Basis size from which the kernel evaluates the convection pseudospectrally
+# (`Convection`) instead of through the dense n^3 tensors.  Measured at
+# modes_x = 8, nodes_y = 24 with BLAS on one thread, per step of a 16-path
+# block: dense 0.59 ms at n = 80 and 0.77 ms at n = 88, growing as n^3;
+# pseudospectral 0.63-0.69 ms, nearly flat in n.  The dense path also pays
+# 0.15-0.2 s of tensor assembly there.
+N_PS = 84
 
-def _em_block(beta0, ops: GalerkinOperators, nu, dt, include_nonlinear,
-              gamma, gamma_dot, beta_ref, gamma_ref, add, rho, dw, blowup_limit, paths):
+
+def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None, nu, dt,
+              include_nonlinear, gamma, gamma_dot, beta_ref, gamma_ref, add, rho, dw,
+              blowup_limit, paths):
     """Euler-Maruyama over a (W, n) block of paths sharing control and target.
 
     beta0 is (W, n) and dw (W, n_steps, m); rows from `paths` on are padding.
-    The control drift (lift_v, btrace, lift_h and conv_cc terms) is the same
-    for every path and is formed once per step; the quadratic term is one
-    GEMM of the (W, n^2) outer products against conv_bb.  The history
+    The control drift (lift_v, btrace, lift_h terms) is the same for every
+    path and is formed once per step.  With `conv` None the convection is
+    dense: conv_cc joins the control drift, conv_bc gives one (n, n) matrix
+    per step and the quadratic term is one GEMM of the (W, n^2) outer
+    products against conv_bb.  Otherwise `conv` evaluates all of it on the
+    rows (beta, gamma) of the block, pseudospectrally.  The history
     (n_steps + 1, W, n) is kept and the per-step diagnostics (squared
     mass/energy norms, tracking error against the reference series, squared
     noise magnitude) are evaluated from it afterwards.  A path aborts when
@@ -425,7 +586,7 @@ def _em_block(beta0, ops: GalerkinOperators, nu, dt, include_nonlinear,
     ctrl_drift = (-nu * (gamma @ ops.lift_v.T) + nu * (gamma @ ops.btrace.T)
                   - gamma_dot @ ops.lift_h.T)
     ctrl_on = include_nonlinear and bool(np.any(gamma))
-    if ctrl_on:
+    if ctrl_on and conv is None:
         ctrl_drift -= np.einsum("icd,tc,td->ti", ops.conv_cc, gamma, gamma)
     push = np.empty((n_steps, w_rows, n))
     push[:] = (dt * ctrl_drift[:n_steps])[:, None, :]
@@ -433,10 +594,13 @@ def _em_block(beta0, ops: GalerkinOperators, nu, dt, include_nonlinear,
         push += dw_t[:, :, k, None] * add[:, k]
     growth = (dw_t * rho).sum(axis=-1, keepdims=True)     # multiplicative noise
     decay = 1.0 - dt * nu * lam
-    conv_t = ops.conv_bb.reshape(n, -1).T                  # views, no copies
-    conv_bc = ops.conv_bc.reshape(n * n, -1)
-    outer = np.empty((w_rows, n, n))
-    outer_flat = outer.reshape(w_rows, n * n)
+    if conv is not None:
+        rows = np.zeros((w_rows, n + conv.n_a))               # (beta, gamma) per path
+    elif include_nonlinear:
+        conv_t = ops.conv_bb.reshape(n, -1).T              # views, no copies
+        conv_bc = ops.conv_bc.reshape(n * n, -1)
+        outer = np.empty((w_rows, n, n))
+        outer_flat = outer.reshape(w_rows, n * n)
     # a nonfinite norm fails `<= limit` even for an infinite blowup_limit;
     # below `fast` the block's total norm proves every row is inside
     limit = min(blowup_limit, np.finfo(float).max)
@@ -450,7 +614,11 @@ def _em_block(beta0, ops: GalerkinOperators, nu, dt, include_nonlinear,
     with np.errstate(over="ignore", invalid="ignore"):
         for ell in range(n_steps):
             step = b * (decay + growth[ell]) + push[ell]
-            if include_nonlinear:
+            if conv is not None:
+                rows[:, :n] = b
+                rows[:, n:] = gamma[ell, : conv.n_a]
+                step -= dt * conv(rows)
+            elif include_nonlinear:
                 np.einsum("wp,wq->wpq", b, b, out=outer)
                 nl = outer_flat @ conv_t
                 if ctrl_on:
@@ -468,7 +636,7 @@ def _em_block(beta0, ops: GalerkinOperators, nu, dt, include_nonlinear,
             hist[ell + 1] = b
     alive = blowup_step < 0
     beta_final[alive] = b[alive]
-    del push, outer
+    del push
 
     u_sq = np.einsum("twi,twi->tw", hist, hist)
     u_esq = np.einsum("twi,twi,i->tw", hist, hist, lam)
@@ -491,7 +659,13 @@ def _em_block(beta0, ops: GalerkinOperators, nu, dt, include_nonlinear,
 
 
 class Simulator:
-    """Bundles the assembled operators with a time grid and noise model."""
+    """Bundles the assembled operators with a time grid and noise model.
+
+    Below N_PS basis entries the convection is the dense tensors of `ops`,
+    assembled here; from N_PS on it is `convection`, a `Convection` on the
+    basis and the lifted unit fields whose tables are probed for skew
+    symmetry here, and the dense tensors are not assembled.
+    """
 
     def __init__(self, basis: Basis, cache: LiftingCache | None, noise: NoiseModel,
                  t_final: float, dt: float, include_nonlinear: bool = True,
@@ -514,7 +688,20 @@ class Simulator:
         self.times = dt * np.arange(n_steps + 1)
         self.include_nonlinear = include_nonlinear
         self.blowup_limit = blowup_limit
-        self.ops = assemble_operators(basis, cache) if ops is None else ops
+        wide = basis.size >= N_PS
+        self.ops = assemble_operators(basis, cache, dense=not wide) if ops is None else ops
+        self.convection = None
+        if wide and include_nonlinear:
+            self.convection = Convection(basis, None if cache is None else cache.fields)
+            _probe_skew(self.convection)
+
+    def drift(self, beta: np.ndarray, gamma: np.ndarray, gamma_dot: np.ndarray) -> np.ndarray:
+        """The drift the kernel integrates, for one state or stacked (..., n) states."""
+        if self.convection is None:
+            return drift(beta, self.ops, self.nu, gamma, gamma_dot, self.include_nonlinear)
+        f = drift(beta, self.ops, self.nu, gamma, gamma_dot, include_nonlinear=False)
+        gamma = gamma[..., : self.convection.n_a]
+        return f - self.convection.stacked(np.broadcast_to(beta, f.shape), gamma)
 
     # -- control plumbing --------------------------------------------------
 
@@ -562,7 +749,7 @@ class Simulator:
                 dw[w] = (wiener_increments(seed, self.n_steps, m, self.dt)
                          if plan["dw"] is None else plan["dw"])
         hist, beta_final, u_sq, u_esq, tracking, noise_sq, blow = _em_block(
-            beta0, self.ops, self.nu, self.dt, self.include_nonlinear,
+            beta0, self.ops, self.convection, self.nu, self.dt, self.include_nonlinear,
             plan["gamma"], plan["gdot"], plan["beta_ref"], plan["gamma_ref"],
             plan["add"], plan["rho"], dw, self.blowup_limit, len(seeds),
         )

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from slipflow.basis import build_eigenbasis
+from slipflow.dynamics import assemble_operators
 from slipflow.geometry import DomainSpec, build_grid
 from slipflow.lifting import BoundaryControl, LiftingCache, project_compatible
 
@@ -25,6 +28,22 @@ def basis_small(spec_small, grid_small):
 @pytest.fixture(scope="session")
 def cache_small(spec_small, grid_small):
     return LiftingCache(grid_small, spec_small.friction_alpha, 2)
+
+
+@pytest.fixture(scope="session")
+def wide():
+    """An n = 128 basis, above N_PS, with its lifting cache and operators.
+
+    The dense convection tensors of `ops` are assembled on first read, once
+    for the session, by the tests that compare against them.
+    """
+    spec = DomainSpec(length_x=2 * np.pi, modes_x=8, nodes_y=24,
+                      friction_alpha=1.0, viscosity=0.5)
+    grid = build_grid(spec)
+    basis = build_eigenbasis(spec, 128, grid)
+    cache = LiftingCache(grid, spec.friction_alpha, 2)
+    return SimpleNamespace(basis=basis, cache=cache,
+                           ops=assemble_operators(basis, cache, dense=False))
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from slipflow.basis import sample_fields
 from slipflow.cli import _json_dump
 from slipflow.diagnostics import (
     _ratio,
@@ -349,6 +350,23 @@ def test_empirical_damping_rate_uses_integrated_drift(sim_mod, make_control):
     assert rate != empirical_damping_rate(trajs, ctrl, sim_mod)
 
 
+def test_empirical_damping_rate_on_pseudospectral_path(wide, make_control):
+    # at n >= N_PS the rate uses the simulator's pseudospectral convection;
+    # the same simulator with the dense tensors rates the paths alike
+    import copy
+
+    noise = build_noise(wide.basis.size, 2, 0.04, 1.0, 7, [0.1, 0.05])
+    sim = Simulator(wide.basis, wide.cache, noise, t_final=0.05, dt=0.005, ops=wide.ops)
+    dense = copy.copy(sim)
+    dense.convection = None
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=96)
+    b0 = make_initial_coeffs(sim.ops.n, "random", 3, 0.4, 1.0)
+    trajs = sim.run_many(range(3), ctrl=ctrl, u0=b0, store_beta=True)
+    rate = empirical_damping_rate(trajs, ctrl, sim)
+    assert sim.convection is not None
+    assert abs(rate - empirical_damping_rate(trajs, ctrl, dense)) <= 1e-13 * abs(rate)
+
+
 def test_damping_load_identity(sim_mod, mc_bundle):
     # the convective split behind the drift-side load: the wall quadratic
     # term equals twice the mixed convection defect
@@ -377,7 +395,7 @@ def test_damping_load_identity(sim_mod, mc_bundle):
     lift_field = sim_mod.cache.field(g)
     # ((u.grad) lift, u) by direct quadrature: project conv of (u, lift)
     u1, u2 = u.physical()
-    g1x, g1y, g2x, g2y = lift_field.physical_gradient()
+    g1x, g1y, g2x, g2y = sample_fields(lift_field[None])[0, 2:]
     w1 = u1 * g1x + u2 * g1y
     w2 = u1 * g2x + u2 * g2y
     w2d = sim_mod.grid.quad_weights_domain

@@ -5,12 +5,15 @@ from slipflow import basis as bs
 from slipflow.basis import inner_h, inner_v, truncate_basis
 from slipflow.dynamics import (
     BLOCK,
+    N_PS,
     BlowupError,
+    Convection,
     DynamicsError,
     GalerkinState,
     NoiseModel,
     Simulator,
     _check_convection,
+    _probe_skew,
     assemble_operators,
     build_noise,
     diffusion,
@@ -627,3 +630,84 @@ def test_trajectory_npz_export(tmp_path, sim_small):
         assert np.array_equal(data["beta_series"], tr.beta_series)
         assert np.array_equal(data["u_sq"], tr.u_sq)
         assert int(data["seed"]) == 1
+
+
+# -- pseudospectral convection (n >= N_PS) -----------------------------------------
+
+
+def _wide_sim(wide, **kw):
+    noise = build_noise(wide.basis.size, 2, 0.05, 1.0, 7, [0.1, 0.05])
+    kw.setdefault("ops", wide.ops)
+    return Simulator(wide.basis, wide.cache, noise, t_final=0.05, dt=0.005, **kw)
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_pseudospectral_matches_dense(wide, make_control, n, controlled):
+    # conv_bb beta beta + conv_bc gamma beta + conv_cc gamma gamma, row by row
+    basis = truncate_basis(wide.basis, n)
+    ops = wide.ops if n == wide.basis.size else assemble_operators(basis, wide.cache)
+    rng = np.random.default_rng(n)
+    beta = 0.5 * rng.standard_normal((BLOCK, n))
+    gam = np.zeros((BLOCK, wide.cache.n_dofs))
+    if controlled:
+        ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=n)
+        gam[:] = ctrl.series(np.linspace(0.0, 1.0, BLOCK))[0]
+    conv = Convection(basis, wide.cache.fields)
+    ps = conv(conv.rows(beta, gam))
+    dense = (np.einsum("ipq,wp,wq->wi", ops.conv_bb, beta, beta)
+             + np.einsum("ipc,wc,wp->wi", ops.conv_bc, gam, beta)
+             + np.einsum("icd,wc,wd->wi", ops.conv_cc, gam, gam))
+    assert np.abs(ps - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_pseudospectral_kernel_matches_step_em(wide, make_control):
+    sim = _wide_sim(wide)
+    assert wide.basis.size >= N_PS and sim.convection is not None
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=77)
+    b0 = make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0)
+    tr = sim.run(seed=4, ctrl=ctrl, u0=b0, store_beta=True, keep_wiener=True)
+    assert not tr.blown_up
+    gamma, gdot = ctrl.series(sim.times)
+    state = GalerkinState(t=0.0, beta=b0.copy())
+    ref = [state.beta]
+    for ell in range(sim.n_steps):
+        state = step_em(state, sim.dt, tr.wiener[ell], sim.ops, sim.noise, sim.nu,
+                        gamma[ell], gdot[ell])
+        ref.append(state.beta)
+    assert np.abs(tr.beta_series - np.array(ref)).max() < 1e-12
+
+
+def test_pseudospectral_seed_bits_independent_of_batch(wide, make_control):
+    sim = _wide_sim(wide)
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=78)
+    kw = dict(ctrl=ctrl, u0=make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0),
+              store_beta=True, keep_wiener=True)
+    seed = 7
+    solo = sim.run(seed=seed, **kw)
+    for size in (5, 19):
+        for pos in (0, size - 1):
+            seeds = list(range(100, 100 + size))
+            seeds[pos] = seed
+            bundle = sim.run_many(seeds, threads=2 if size > BLOCK else 1, **kw)
+            _same_path(bundle[pos], solo)
+
+
+def test_pseudospectral_path_builds_no_dense_tensors(wide, sim_small, make_control):
+    from slipflow.diagnostics import empirical_damping_rate
+
+    assert sim_small.convection is None and sim_small.ops._conv_bb is not None
+    sim = _wide_sim(wide, ops=None)
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=79)
+    trajs = sim.run_many(range(3), ctrl=ctrl, store_beta=True)
+    assert np.isfinite(empirical_damping_rate(trajs, ctrl, sim))
+    assert all(getattr(sim.ops, f"_conv_{k}") is None for k in ("bb", "bc", "cc"))
+
+
+def test_skew_probe_rejects_tampered_projection(wide):
+    conv = Convection(wide.basis, wide.cache.fields)
+    _probe_skew(conv)
+    j, own, table = conv.projection[2]
+    table[0, 0] += 1e-6 * np.abs(table).max()
+    with pytest.raises(DynamicsError, match="skew"):
+        _probe_skew(conv)
