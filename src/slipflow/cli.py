@@ -138,11 +138,8 @@ def cmd_simulate(cfg, out: Path, args) -> int:
     save_n = min(len(trajs), cfg.data["simulate"]["save_paths"])
     for i in range(save_n):
         trajs[i].export_csv(out / f"traj_{i:03d}.csv", meta=_meta(cfg))
-    good = [tr for tr in trajs if not tr.blown_up]
+    good = sim.usable(trajs)
     blow = len(trajs) - len(good)
-    if not good:
-        print("all paths blew up", file=sys.stderr)
-        return EXIT_NUMERICAL
     final_sq = np.array([tr.u_sq[-1] for tr in good])
     sup_sq = np.array([np.max(tr.u_sq) for tr in good])
     ci = diag.bootstrap_ci(lambda idx: final_sq[idx].mean(axis=1), final_sq.size, 0)
@@ -187,6 +184,7 @@ def cmd_verify(cfg, out: Path, args) -> int:
         paths = cfg.data["monte_carlo"]["paths"]
     seeds = cfg.seed_bank(paths, args.seed)
     trajs = sim.run_many(seeds, ctrl=ctrl, u0=u0, threads=args.threads)
+    sim.usable(trajs)  # exit 2 if every path blew up
 
     rep2 = diag.certify_second_moment(trajs, ctrl, c0, nu)
     rep4 = diag.certify_fourth_moment(trajs, ctrl, c0, nu, sim.ops)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import bootstrap_ci
-from .dynamics import BlowupError, InsufficientPathsError, Simulator
+from .dynamics import BlowupError, Simulator
 from .lifting import BoundaryControl, project_compatible, trace_norm_series, wall_norm_sq
 
 __all__ = [
@@ -137,7 +137,7 @@ def make_target(ctrl_star: BoundaryControl | None, sim: Simulator,
     """Reference field from a noise-free simulation under the given control."""
     tr = sim.run(seed=0, ctrl=ctrl_star, u0=u0, noise_on=False, store_beta=True)
     if tr.blown_up:
-        raise BlowupError("target simulation blew up")
+        raise BlowupError("target simulation blew up" + sim.blowup_hint())
     gamma, _ = sim.gamma_series(ctrl_star)
     return Target(
         times=sim.times.copy(),
@@ -176,9 +176,7 @@ def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
     trajs = sim.run_many(
         seeds, ctrl=ctrl, u0=u0, noise_on=noise_on, target=target, threads=threads
     )
-    good = [tr.tracking for tr in trajs if not tr.blown_up]
-    if not good:
-        raise InsufficientPathsError("all paths blew up; no usable cost sample")
+    good = [tr.tracking for tr in sim.usable(trajs)]
     per_path = 0.5 * np.trapezoid(np.stack(good), sim.times, axis=-1)
     tracking = float(per_path.mean())
     pen = 0.0 if ctrl is None else penalty_term(ctrl, spec)

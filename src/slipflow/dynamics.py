@@ -19,9 +19,9 @@ paths, chosen by the basis size n:
 * below N_PS, dense tensors conv_bb, conv_bc, conv_cc (n^3 entries), so a
   step is a few small contractions;
 * from N_PS on, the transform method (`Convection`): per step the block's
-  y and grad y are synthesized on the physical grid with one GEMM per
-  x-mode and an irfft, (y . grad) y is formed pointwise, and an rfft and
-  one GEMM per x-mode project it back.  No n^3 tensor is built.
+  y and grad y are synthesized on the physical grid by one GEMM per x-mode
+  and one by a real DFT matrix, (y . grad) y is formed pointwise, and the
+  analysis DFT matrix and one GEMM per x-mode project it back (no FFT).
 
 Both are the same quadrature: the grid is wide enough that quadratic
 products are integrated exactly (no aliasing reaches the resolved band).
@@ -208,11 +208,12 @@ class Convection:
     entries e_i and of a stack of further fields a_c (the lifted unit
     fields); a call maps rows z = (beta, gamma) of shape (W, n + n_a) to the
     (W, n) convection coefficients.  Per x-mode j one real GEMM synthesizes
-    the spectral samples (v1, v2, d_x v1, d_y v1, d_x v2, d_y v2) of y at j
-    from the coefficients of the entries living at j and of the a_c reaching
-    j; an irfft along x gives the grid, the products are formed pointwise,
-    an rfft goes back, and one GEMM per j projects onto the entries at j
-    with the Parseval weights w_x m_j w_y.  The grid is wide enough that the
+    the [re | im] planes of the spectral samples (v1, v2, d_x v1, d_x v2,
+    d_y v1, d_y v2) of y at j from the coefficients of the entries at j and
+    of the a_c reaching j; the real DFT matrix `to_grid` (n_x, 2 n_bins)
+    gives the grid, the products are formed pointwise, `from_grid` (2 n_bins,
+    n_x) goes back, and one GEMM per j projects onto the entries at j with
+    the Parseval weights w_x m_j w_y.  The grid is wide enough that the
     quadratic product cannot alias onto the resolved band, so this is the
     same quadrature as the dense tensors.  The tables depend on (basis,
     fields) only and every row is independent, so a row's bits depend on
@@ -226,6 +227,13 @@ class Convection:
             raise DynamicsError("field exceeds the dealiased band of the grid")
         self.grid, self.n, self.n_a = g, basis.size, n_a
         self.n_bins = g.spec.modes_x + 1
+        if self.n_bins > g.n_x // 2:
+            raise DynamicsError("the x-grid has no room for the resolved bins below Nyquist")
+        # bin axis rows 2j, 2j + 1: re and im of bin j at phase k_j x_m mod 2 pi
+        phase = np.outer(np.arange(self.n_bins), np.arange(g.n_x)) % g.n_x * (2 * np.pi / g.n_x)
+        self.from_grid = np.stack([np.cos(phase), -np.sin(phase)], axis=1).reshape(-1, g.n_x)
+        self.to_grid = 2.0 * self.from_grid.T     # irfft(., n_x, norm="forward"),
+        self.to_grid[:, 0] = 1.0                  # where bin 0 counts once
         e = basis.fields
         self.synthesis, self.projection = [], []
         for j in range(self.n_bins):
@@ -236,34 +244,30 @@ class Convection:
                 rows = np.concatenate([own, self.n + np.arange(n_a)])
                 vals = np.concatenate([vals, fields.vals[:, j]])
                 dvals = np.concatenate([dvals, fields.dvals[:, j]])
-            if rows.size:
-                ik = 1j * g.kx[j]
-                spec = np.stack([vals[:, 0], vals[:, 1], ik * vals[:, 0], dvals[:, 0],
-                                 ik * vals[:, 1], dvals[:, 1]], axis=1)  # (rows, 6, n_q)
-                self.synthesis.append((j, rows, spec.view(float).reshape(rows.size, -1)))
-            if own.size:
-                weight = g.w_x * (1.0 if j == 0 else 2.0) * g.w_y
-                proj = np.ascontiguousarray(e.vals[own, j] * weight)     # (n_j, 2, n_q)
-                self.projection.append((j, own, proj.view(float).reshape(own.size, -1).T.copy()))
+            if rows.size:                       # [re | im] planes of (rows, 6, n_q)
+                spec = np.concatenate([vals, 1j * g.kx[j] * vals, dvals], axis=1)
+                spec = np.concatenate([spec.real, spec.imag], axis=1)
+                self.synthesis.append((j, rows, spec.reshape(rows.size, -1)))
+            if own.size:                        # [re | im] planes of (n_j, 2, n_q)
+                proj = e.vals[own, j] * (g.w_x * (1.0 if j == 0 else 2.0) * g.w_y)
+                proj = np.concatenate([proj.real, proj.imag], axis=1)
+                self.projection.append((j, own, proj.reshape(own.size, -1).T.copy()))
 
     def samples(self, z: np.ndarray) -> np.ndarray:
-        """(W, 6, n_q, n_x) grid samples of the fields with coefficient rows z."""
+        """(W, n_x, 6, n_q) grid samples of the fields with coefficient rows z."""
         w_rows = z.shape[0]
-        spec = np.zeros((self.n_bins, w_rows, 6 * self.grid.n_q * 2))
+        spec = np.zeros((w_rows, 2 * self.n_bins, 6 * self.grid.n_q))
         for j, rows, table in self.synthesis:
-            np.matmul(z[:, rows], table, out=spec[j])
-        spec = spec.view(complex).reshape(self.n_bins, w_rows, 6, self.grid.n_q)
-        # the shorter input is zero-padded to the n_x // 2 + 1 bins
-        return np.fft.irfft(np.moveaxis(spec, 0, -1), n=self.grid.n_x, norm="forward")
+            np.matmul(z[:, rows], table, out=spec[:, 2 * j : 2 * j + 2].reshape(w_rows, -1))
+        return np.matmul(self.to_grid, spec).reshape(w_rows, self.grid.n_x, 6, -1)
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        """(W, n) coefficients (w, e_i) of (W, 2, n_q, n_x) grid samples."""
-        f = np.fft.rfft(w)[..., : self.n_bins]
-        f = np.ascontiguousarray(np.moveaxis(f, -1, 0)).view(float)
-        f = f.reshape(self.n_bins, w.shape[0], -1)
-        out = np.empty((w.shape[0], self.n))
+        """(W, n) coefficients (w, e_i) of (W, n_x, 2, n_q) grid samples."""
+        w_rows = w.shape[0]
+        f = np.matmul(self.from_grid, w.reshape(w_rows, self.grid.n_x, -1))
+        out = np.empty((w_rows, self.n))
         for j, own, table in self.projection:
-            out[:, own] = f[j] @ table
+            out[:, own] = f[:, 2 * j : 2 * j + 2].reshape(w_rows, -1) @ table
         return out
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -289,7 +293,7 @@ class Convection:
 
 def _advect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Grid samples of (u . grad) v: u from the rows of a, grad v from those of b."""
-    return a[:, 0:1] * b[:, 2::2] + a[:, 1:2] * b[:, 3::2]
+    return a[:, :, 0:1] * b[:, :, 2:4] + a[:, :, 1:2] * b[:, :, 4:6]
 
 
 def nonlinear_term(y: ModeField, basis: Basis) -> np.ndarray:
@@ -314,10 +318,10 @@ def _probe_skew(conv: Convection):
     su, sv, sw = (conv.samples(conv.rows(c)) for c in coef)
     b_uvw = np.vecdot(conv.project(_advect(su, sv)), coef[2])
     b_uwv = np.vecdot(conv.project(_advect(su, sw)), coef[1])
-    w2d = conv.grid.quad_weights_domain.T
+    w2d = conv.grid.quad_weights_domain
     au, av, aw = np.abs(su), np.abs(sv), np.abs(sw)
-    scale = ((_advect(au, av) * aw[:, :2]).sum(axis=1) * w2d).sum(axis=(1, 2)) + (
-        (_advect(au, aw) * av[:, :2]).sum(axis=1) * w2d).sum(axis=(1, 2))
+    scale = ((_advect(au, av) * aw[:, :, :2]).sum(axis=2) * w2d).sum(axis=(1, 2)) + (
+        (_advect(au, aw) * av[:, :, :2]).sum(axis=2) * w2d).sum(axis=(1, 2))
     if (np.abs(b_uvw + b_uwv) > 1e-12 * scale).any():
         raise DynamicsError("pseudospectral convection is not skew-symmetric")
 
@@ -552,10 +556,10 @@ BLOCK = 16
 # Basis size from which the kernel evaluates the convection pseudospectrally
 # (`Convection`) instead of through the dense n^3 tensors.  Measured at
 # modes_x = 8, nodes_y = 24 with BLAS on one thread, per step of a 16-path
-# block: dense 0.59 ms at n = 80 and 0.77 ms at n = 88, growing as n^3;
-# pseudospectral 0.63-0.69 ms, nearly flat in n.  The dense path also pays
-# 0.15-0.2 s of tensor assembly there.
-N_PS = 84
+# block: dense 0.38-0.47 ms at n = 56 and 0.51-0.54 ms at n = 60, growing
+# as n^3; pseudospectral 0.49-0.62 ms, nearly flat in n.  The dense path
+# also pays 0.14 s of tensor assembly at n = 60.
+N_PS = 60
 
 
 def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None, nu, dt,
@@ -702,6 +706,24 @@ class Simulator:
         f = drift(beta, self.ops, self.nu, gamma, gamma_dot, include_nonlinear=False)
         gamma = gamma[..., : self.convection.n_a]
         return f - self.convection.stacked(np.broadcast_to(beta, f.shape), gamma)
+
+    def usable(self, trajs: list) -> list:
+        """The paths of trajs that did not blow up; raises InsufficientPathsError if none."""
+        good = [tr for tr in trajs if not tr.blown_up]
+        if not good:
+            raise InsufficientPathsError(f"all {len(trajs)} paths blew up{self.blowup_hint()}")
+        return good
+
+    def blowup_hint(self) -> str:
+        """Names the explicit Euler limit dt < 2 / (nu lam_max) if dt is past it, else "".
+
+        Past it the top mode's factor 1 - dt nu lam_max leaves [-1, 1].
+        """
+        lam_max = float(self.ops.lam.max())
+        if self.dt * self.nu * lam_max < 2.0:
+            return ""
+        return (f"; dt = {self.dt:g} is at or past the explicit Euler limit "
+                f"2/(nu*lam_max) = {2.0 / (self.nu * lam_max):.3g}")
 
     # -- control plumbing --------------------------------------------------
 

@@ -266,6 +266,21 @@ def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, co
     _check_exit_code(tmp_path, command, flags, overrides, code)
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "optimize"])
+def test_cli_names_explicit_euler_limit_when_all_paths_blow_up(tmp_path, command):
+    # lam_max = 39.48 on BASE's basis, so the limit 2/(nu*lam_max) is 0.101
+    err = _check_exit_code(tmp_path, command, ["--paths", "2"],
+                           {"time": {"t_final": 8.0, "dt": 0.2},
+                            "optimize": {"budget": 2, "paths": 2, "noise_on": True}}, 2)
+    assert "dt = 0.2 is at or past the explicit Euler limit 2/(nu*lam_max) = 0.101" in err
+
+
+def test_cli_blowup_below_euler_limit_has_no_hint(tmp_path):
+    err = _check_exit_code(tmp_path, "simulate", ["--paths", "2"],
+                           {"noise": {"mult_gain": [5000.0, 5000.0]}}, 2)
+    assert "all 2 paths blew up" in err and "Euler" not in err
+
+
 def test_runtime_does_not_import_scipy(tmp_path):
     # a fresh interpreter: this one has scipy loaded through the test oracles
     p = write_cfg(tmp_path, optimize={"budget": 2, "theta_star": [0.4, 0.5], "paths": 1})
@@ -303,6 +318,7 @@ def _check_exit_code(tmp_path, command, flags, overrides, code, environ=None):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+    return proc.stderr
 
 
 # well-formed inputs plus up to two injected faults, so that a fair share

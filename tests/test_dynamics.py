@@ -1,3 +1,6 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from slipflow.dynamics import (
     wiener_increments,
 )
 from slipflow.geometry import DomainSpec, build_grid
+from slipflow.lifting import LiftingCache
 
 
 @pytest.fixture(scope="module")
@@ -641,24 +645,69 @@ def _wide_sim(wide, **kw):
     return Simulator(wide.basis, wide.cache, noise, t_final=0.05, dt=0.005, **kw)
 
 
-@pytest.mark.parametrize("controlled", [False, True])
-@pytest.mark.parametrize("n", [32, 64, 128])
-def test_pseudospectral_matches_dense(wide, make_control, n, controlled):
+@pytest.fixture(scope="module")
+def narrow():
+    """A modes_x = 3 grid (n_x = 12) with an n = 24 basis, dense operators assembled."""
+    spec = DomainSpec(length_x=2 * np.pi, modes_x=3, nodes_y=16,
+                      friction_alpha=1.0, viscosity=0.5)
+    grid = build_grid(spec)
+    basis = bs.build_eigenbasis(spec, 24, grid)
+    cache = LiftingCache(grid, spec.friction_alpha, 2)
+    return SimpleNamespace(basis=basis, cache=cache, ops=assemble_operators(basis, cache))
+
+
+def _check_matches_dense(stack, make_control, n, controlled):
     # conv_bb beta beta + conv_bc gamma beta + conv_cc gamma gamma, row by row
-    basis = truncate_basis(wide.basis, n)
-    ops = wide.ops if n == wide.basis.size else assemble_operators(basis, wide.cache)
+    basis = truncate_basis(stack.basis, n)
+    ops = stack.ops if n == stack.basis.size else assemble_operators(basis, stack.cache)
     rng = np.random.default_rng(n)
     beta = 0.5 * rng.standard_normal((BLOCK, n))
-    gam = np.zeros((BLOCK, wide.cache.n_dofs))
+    gam = np.zeros((BLOCK, stack.cache.n_dofs))
     if controlled:
         ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=n)
         gam[:] = ctrl.series(np.linspace(0.0, 1.0, BLOCK))[0]
-    conv = Convection(basis, wide.cache.fields)
+    conv = Convection(basis, stack.cache.fields)
     ps = conv(conv.rows(beta, gam))
     dense = (np.einsum("ipq,wp,wq->wi", ops.conv_bb, beta, beta)
              + np.einsum("ipc,wc,wp->wi", ops.conv_bc, gam, beta)
              + np.einsum("icd,wc,wd->wi", ops.conv_cc, gam, gam))
     assert np.abs(ps - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_pseudospectral_matches_dense(wide, make_control, n, controlled):
+    _check_matches_dense(wide, make_control, n, controlled)
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+def test_pseudospectral_matches_dense_at_modes_x_3(narrow, make_control, controlled):
+    _check_matches_dense(narrow, make_control, narrow.basis.size, controlled)
+
+
+@pytest.mark.parametrize("modes_x", [1, 3, 8, 16])
+def test_dft_matrices_match_numpy_fft(modes_x):
+    spec = DomainSpec(length_x=2 * np.pi, modes_x=modes_x, nodes_y=16,
+                      friction_alpha=1.0, viscosity=0.5)
+    grid = build_grid(spec)
+    conv = Convection(bs.build_eigenbasis(spec, 4, grid))
+    n_bins, n_x = modes_x + 1, grid.n_x
+    assert conv.to_grid.shape == (n_x, 2 * n_bins) and conv.from_grid.shape == (2 * n_bins, n_x)
+    rng = np.random.default_rng(modes_x)
+    spectra = rng.standard_normal((8, n_bins)) + 1j * rng.standard_normal((8, n_bins))
+    planes = np.stack([spectra.real, spectra.imag], axis=-1).reshape(8, -1)
+    ref = np.fft.irfft(spectra, n=n_x, norm="forward")
+    assert np.abs(planes @ conv.to_grid.T - ref).max() <= 1e-14 * np.abs(ref).max()
+    samples = rng.standard_normal((8, n_x))
+    ref = np.ascontiguousarray(np.fft.rfft(samples)[:, :n_bins]).view(float)
+    assert np.abs(samples @ conv.from_grid.T - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_convection_rejects_grid_without_room_below_nyquist(basis_small):
+    # modes_x = 4 needs n_bins = 5 <= n_x // 2; 9 nodes leave 4
+    grid = dataclasses.replace(basis_small.grid, x_nodes=basis_small.grid.x_nodes[:9])
+    with pytest.raises(DynamicsError, match="Nyquist"):
+        Convection(dataclasses.replace(basis_small, grid=grid))
 
 
 def test_pseudospectral_kernel_matches_step_em(wide, make_control):
@@ -704,10 +753,12 @@ def test_pseudospectral_path_builds_no_dense_tensors(wide, sim_small, make_contr
     assert all(getattr(sim.ops, f"_conv_{k}") is None for k in ("bb", "bc", "cc"))
 
 
-def test_skew_probe_rejects_tampered_projection(wide):
+@pytest.mark.parametrize("table", ["projection", "synthesis", "to_grid", "from_grid"])
+def test_skew_probe_rejects_tampered_table(wide, table):
     conv = Convection(wide.basis, wide.cache.fields)
     _probe_skew(conv)
-    j, own, table = conv.projection[2]
-    table[0, 0] += 1e-6 * np.abs(table).max()
+    tab = {"projection": conv.projection[2][2], "synthesis": conv.synthesis[2][2],
+           "to_grid": conv.to_grid, "from_grid": conv.from_grid}[table]
+    tab[4, 4] += 1e-6 * np.abs(tab).max()
     with pytest.raises(DynamicsError, match="skew"):
         _probe_skew(conv)
