@@ -26,15 +26,11 @@ from .config import SEED_LIMIT, ConfigError, load_config
 from .control import ControlError
 from .dynamics import DynamicsError
 from .geometry import GeometryError
-from .lifting import LiftingError, lift, project_compatible, trace_norm_series
+from .lifting import LiftingError, lift, project_compatible
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
-
-
-def _meta(cfg) -> str:
-    return f"config_hash={cfg.config_hash} version={__version__}"
 
 
 def _json_dump(path, payload, cfg):
@@ -46,17 +42,23 @@ def _json_dump(path, payload, cfg):
         fh.write("\n")
 
 
+def _write_csv(path, cfg, header, rows):
+    """A CSV table under a config-hash line: integers verbatim, other values to 17 digits."""
+    with open(path, "w") as fh:
+        fh.write(f"# config_hash={cfg.config_hash} version={__version__}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            # seeds reach 2**64, which a float format would round
+            fh.write(",".join(str(v) if isinstance(v, (int, np.integer)) else f"{v:.17g}"
+                              for v in row) + "\n")
+
+
 def cmd_basis(cfg, out: Path, args) -> int:
     basis = cfg.basis()
     save_basis(out / "basis.npz", basis, meta={"config_hash": cfg.config_hash})
-    with open(out / "eigenvalues.csv", "w") as fh:
-        fh.write(f"# {_meta(cfg)}\n")
-        fh.write("index,eigenvalue,wavenumber,family,shell\n")
-        for i in range(basis.size):
-            fh.write(
-                f"{i},{basis.eigenvalues[i]:.17g},{int(basis.mode_j[i])},"
-                f"{int(basis.family[i])},{int(basis.shell_index[i])}\n"
-            )
+    columns = ["index", "eigenvalue", "wavenumber", "family", "shell"]
+    rows = zip(range(basis.size), basis.eigenvalues, basis.mode_j, basis.family, basis.shell_index)
+    _write_csv(out / "eigenvalues.csv", cfg, columns, rows)
     # residual report over a fixed probe set
     probes = basis.field(np.random.default_rng(0).standard_normal((5, basis.size)))
     lam = basis.eigenvalues
@@ -87,7 +89,7 @@ def cmd_lift(cfg, out: Path, args) -> int:
     ctrl = project_compatible(ctrl)
     lifted = lift(ctrl, cache)
     res = lifted.boundary_residuals()
-    tn = trace_norm_series(ctrl, ctrl.t_grid)
+    tn = lifted.trace_norms
     # lifting-estimate surrogate: lifted size against the trace norm
     ratios = []
     for ti, t in enumerate(ctrl.t_grid):
@@ -96,11 +98,7 @@ def cmd_lift(cfg, out: Path, args) -> int:
         if tn[ti] > 1e-14:
             num = norm_h1(f) + np.sqrt(max(inner_h(df, df), 0.0))
             ratios.append(num / tn[ti])
-    with open(out / "trace_norms.csv", "w") as fh:
-        fh.write(f"# {_meta(cfg)}\n")
-        fh.write("time,trace_norm\n")
-        for t, v in zip(ctrl.t_grid, tn):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+    _write_csv(out / "trace_norms.csv", cfg, ["time", "trace_norm"], zip(ctrl.t_grid, tn))
     _json_dump(
         out / "lift_report.json",
         {
@@ -136,20 +134,22 @@ def cmd_simulate(cfg, out: Path, args) -> int:
         threads=args.threads,
     )
     save_n = min(len(trajs), cfg.data["simulate"]["save_paths"])
-    for i in range(save_n):
-        trajs[i].export_csv(out / f"traj_{i:03d}.csv", meta=_meta(cfg))
+    for i, tr in enumerate(trajs[:save_n]):
+        cols = min(4, tr.beta_final.size)
+        beta = np.full((tr.times.size, cols), np.nan) if tr.beta_series is None else tr.beta_series
+        norms = np.sqrt(np.stack([tr.u_sq, tr.u_esq, tr.noise_sq], axis=1))
+        norms[~np.isfinite(norms)] = np.nan  # a blown-up path writes nan, not inf
+        header = ["time", "u_l2", "u_energy", "tracking", "noise_frob"]
+        _write_csv(out / f"traj_{i:03d}.csv", cfg, header + [f"beta_{c}" for c in range(cols)],
+                   np.column_stack([tr.times, norms[:, :2], tr.tracking, norms[:, 2],
+                                    beta[:, :cols]]))
     good = sim.usable(trajs)
     blow = len(trajs) - len(good)
     final_sq = np.array([tr.u_sq[-1] for tr in good])
     sup_sq = np.array([np.max(tr.u_sq) for tr in good])
     ci = diag.bootstrap_ci(lambda idx: final_sq[idx].mean(axis=1), final_sq.size, 0)
-    with open(out / "summary.csv", "w") as fh:
-        fh.write(f"# {_meta(cfg)}\n")
-        fh.write("seed,final_u_sq,sup_u_sq,blown_up\n")
-        for tr in trajs:
-            fh.write(
-                f"{tr.seed},{tr.u_sq[-1]:.17g},{np.nanmax(tr.u_sq):.17g},{int(tr.blown_up)}\n"
-            )
+    _write_csv(out / "summary.csv", cfg, ["seed", "final_u_sq", "sup_u_sq", "blown_up"],
+               [(tr.seed, tr.u_sq[-1], np.nanmax(tr.u_sq), int(tr.blown_up)) for tr in trajs])
     _json_dump(
         out / "summary.json",
         {
@@ -269,13 +269,21 @@ def cmd_optimize(cfg, out: Path, args) -> int:
         {**asdict(hist), "theta_star": [float(v) for v in pmap.read(ctrl_star)]},
         cfg,
     )
-    hist.to_csv(out / "history.csv", meta=_meta(cfg))
+    dim = len(hist.iterates[0]["theta"]) if hist.iterates else 0
+    keys = ["iterate", "cost", "tracking", "penalty", "ci_half_width"]
+    _write_csv(out / "history.csv", cfg, keys + [f"theta_{i}" for i in range(dim)],
+               [[it[k] for k in keys] + it["theta"] for it in hist.iterates])
     best.save(out / "best_control.json")
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1 like any validation error, not 2
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="slipflow",
         description="stochastic channel-flow toolkit with slip-wall boundary control",
     )
@@ -290,8 +298,13 @@ def main(argv=None) -> int:
         default=None,
         help="workers over fixed-width path chunks (default from SLIPFLOW_THREADS, else 1)",
     )
-    args = parser.parse_args(argv)
-    # checked here, not by argparse, whose own errors exit with code 2
+    try:
+        args = parser.parse_args(argv)
+    except ConfigError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except SystemExit:  # --help, after printing the usage
+        return EXIT_OK
     if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
         print("validation error: --seed must be >= 0 and < 2**64", file=sys.stderr)
         return EXIT_CONFIG

@@ -202,24 +202,22 @@ class RunConfig:
     def grid(self):
         return build_grid(self.domain_spec())
 
-    def basis(self, grid=None, n=None):
+    def basis(self):
         from .basis import build_eigenbasis
 
-        return build_eigenbasis(
-            self.domain_spec(), n or self.data["basis_size"], grid
-        )
+        return build_eigenbasis(self.domain_spec(), self.data["basis_size"])
 
     def lifting_cache(self, grid) -> LiftingCache:
         c = self.data["control"]
         return LiftingCache(grid, self.domain_spec().friction_alpha, c["n_modes"], c["p"])
 
-    def noise(self, n=None):
+    def noise(self):
         nz = self.data["noise"]
         gains = nz["mult_gain"]
         if len(gains) == 1:
             gains = gains * nz["m"]
         return build_noise(
-            n or self.data["basis_size"],
+            self.data["basis_size"],
             nz["m"],
             nz["additive_scale"],
             nz["additive_decay"],
@@ -238,10 +236,10 @@ class RunConfig:
             include_nonlinear=self.data["simulate"]["nonlinear"],
         )
 
-    def initial_coeffs(self, n=None):
+    def initial_coeffs(self):
         ic = self.data["initial"]
         return make_initial_coeffs(
-            n or self.data["basis_size"], ic["kind"], ic["seed"], ic["scale"], ic["decay"]
+            self.data["basis_size"], ic["kind"], ic["seed"], ic["scale"], ic["decay"]
         )
 
     def admissible_spec(self) -> AdmissibleSpec:

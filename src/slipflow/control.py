@@ -262,18 +262,6 @@ class OptimizeHistory:
     def costs(self) -> np.ndarray:
         return np.array([it["cost"] for it in self.iterates])
 
-    def to_csv(self, path, meta: str = ""):
-        with open(path, "w") as fh:
-            if meta:
-                fh.write(f"# {meta}\n")
-            dim = len(self.iterates[0]["theta"]) if self.iterates else 0
-            cols = ",".join(f"theta_{i}" for i in range(dim))
-            fh.write(f"iterate,cost,tracking,penalty,ci_half_width{',' + cols if cols else ''}\n")
-            for it in self.iterates:
-                row = [it["iterate"], it["cost"], it["tracking"], it["penalty"], it["ci_half_width"]]
-                row += it["theta"]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
 
 def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
              sim: Simulator, seeds, budget: int, method: str = "compass",

@@ -159,27 +159,6 @@ class Trajectory:
     beta_series: np.ndarray | None = None
     wiener: np.ndarray | None = None
 
-    def export_csv(self, path, n_beta: int = 4, meta: str = ""):
-        cols = min(n_beta, self.beta_final.size)
-        with open(path, "w") as fh:
-            if meta:
-                fh.write(f"# {meta}\n")
-            names = ",".join(f"beta_{i}" for i in range(cols))
-            fh.write(f"time,u_l2,u_energy,tracking,noise_frob{',' + names if cols else ''}\n")
-            for ell, t in enumerate(self.times):
-                row = [
-                    t,
-                    np.sqrt(self.u_sq[ell]) if np.isfinite(self.u_sq[ell]) else np.nan,
-                    np.sqrt(self.u_esq[ell]) if np.isfinite(self.u_esq[ell]) else np.nan,
-                    self.tracking[ell],
-                    np.sqrt(self.noise_sq[ell]) if np.isfinite(self.noise_sq[ell]) else np.nan,
-                ]
-                if cols and self.beta_series is not None:
-                    row.extend(self.beta_series[ell, :cols])
-                elif cols:
-                    row.extend([np.nan] * cols)
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
     def export_npz(self, path):
         payload = {
             "times": self.times,
@@ -668,7 +647,8 @@ class Simulator:
     Below N_PS basis entries the convection is the dense tensors of `ops`,
     assembled here; from N_PS on it is `convection`, a `Convection` on the
     basis and the lifted unit fields whose tables are probed for skew
-    symmetry here, and the dense tensors are not assembled.
+    symmetry here, and the dense tensors are not assembled.  A linear run
+    (include_nonlinear False) assembles neither.
     """
 
     def __init__(self, basis: Basis, cache: LiftingCache | None, noise: NoiseModel,
@@ -693,7 +673,8 @@ class Simulator:
         self.include_nonlinear = include_nonlinear
         self.blowup_limit = blowup_limit
         wide = basis.size >= N_PS
-        self.ops = assemble_operators(basis, cache, dense=not wide) if ops is None else ops
+        self.ops = (assemble_operators(basis, cache, dense=include_nonlinear and not wide)
+                    if ops is None else ops)
         self.convection = None
         if wide and include_nonlinear:
             self.convection = Convection(basis, None if cache is None else cache.fields)

@@ -6,12 +6,14 @@ wall with piecewise-linear time dependence.  The lifting runs in two stages
 per wavenumber:
 
 1. a harmonic potential whose normal derivative matches `a` (closed-form
-   cosh/sinh profiles, a linear profile for the mean mode), giving c = grad h;
+   cosh/sinh profiles, a linear profile for the mean mode); `solve_harmonic`
+   returns its gradient c = grad h as a `ModeField`;
 2. a stationary Stokes correction with zero normal trace whose tangential
-   stress supplies the remainder b - [2 D(c) n + alpha c] . tau, solved on
-   the reduced energy systems of `basis.reduced_pencil` that the eigenbasis
-   also uses (zero-mean shear profiles for the mean mode, clamped
-   streamfunctions above).
+   stress supplies the remainder b - [2 D(c) n + alpha c] . tau, where the
+   stress of c is `ModeField.tangential_stress_coeffs`, the one slip-stress
+   formula of the package.  It is solved on the reduced energy systems of
+   `basis.reduced_pencil` that the eigenbasis also uses (zero-mean shear
+   profiles for the mean mode, clamped streamfunctions above).
 
 Both stages are linear, so unit responses per control degree of freedom are
 precomputed once and superposed.
@@ -251,23 +253,12 @@ def trace_norm_series(ctrl: BoundaryControl, times) -> np.ndarray:
 # -- harmonic stage -----------------------------------------------------------
 
 
-@dataclass(eq=False)
-class HarmonicLift:
-    """Potential-gradient field c = grad h matching the normal data."""
-
-    field: ModeField
-    # closed-form wall data needed for the tangential-stress correction
-    h_wall: np.ndarray      # (n_modes+1, 2) potential profile at walls
-    dh_wall: np.ndarray     # (n_modes+1, 2) wall-normal derivative at walls
-
-
-def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> HarmonicLift:
+def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> ModeField:
     """Neumann potential per mode: h'' = k^2 h with -h'(0)=a_b, h'(1)=a_t.
 
     The mean mode reduces to a linear profile and is solvable only under the
     zero-net-flux compatibility a_b(0) + a_t(0) = 0; the potential is pinned
-    by a zero boundary mean.  Returns the gradient as a velocity field plus
-    the wall data needed downstream.
+    by a zero boundary mean.  Returns the gradient as a velocity field.
     """
     a_bottom = np.asarray(a_bottom, complex)
     a_top = np.asarray(a_top, complex)
@@ -277,17 +268,12 @@ def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> HarmonicLift:
             "mean normal data does not cancel across the walls"
         )
     f = ModeField.zeros(grid)
-    h_wall = np.zeros((n_modes + 1, 2), complex)
-    dh_wall = np.zeros((n_modes + 1, 2), complex)
     yq = grid.y_nodes
 
     # mean mode: h = c0 + c1 y, c1 = -a_b(0); vertical through-flow (0, c1)
     c1 = -a_bottom[0]
-    c0 = -0.5 * c1
     f.vals[0, 1] = c1
     f.wall_vals[0, 1] = (c1, c1)
-    h_wall[0] = (c0, c0 + c1)
-    dh_wall[0] = (c1, c1)
 
     for j in range(1, n_modes + 1):
         k = grid.kx[j]
@@ -307,22 +293,7 @@ def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> HarmonicLift:
         f.wall_vals[j, 1] = (dh0, dh1)
         f.wall_dvals[j, 0] = (1j * k * dh0, 1j * k * dh1)
         f.wall_dvals[j, 1] = (k * k * h0, k * k * h1)
-        h_wall[j] = (h0, h1)
-        dh_wall[j] = (dh0, dh1)
-    return HarmonicLift(field=f, h_wall=h_wall, dh_wall=dh_wall)
-
-
-def harmonic_stress_trace(lift_h: HarmonicLift, grid: Grid, alpha: float, n_modes: int):
-    """Coefficients of [2 D(c) n + alpha c] . tau on each wall for c = grad h."""
-    out = np.zeros((n_modes + 1, 2), complex)
-    for j in range(1, n_modes + 1):
-        k = grid.kx[j]
-        h0, h1 = lift_h.h_wall[j]
-        dh0, dh1 = lift_h.dh_wall[j]
-        out[j, 0] = 1j * k * (alpha * h0 - 2.0 * dh0)
-        out[j, 1] = -1j * k * (2.0 * dh1 + alpha * h1)
-    # mean mode: c is a constant vertical flow, D(c) = 0 and c . tau = 0
-    return out
+    return f
 
 
 # -- Stokes correction stage --------------------------------------------------
@@ -378,17 +349,6 @@ class StokesCorrectionSolver:
         return out
 
 
-def lift_static_coeffs(table, grid: Grid, alpha: float, n_modes: int,
-                       solver: StokesCorrectionSolver | None = None) -> ModeField:
-    """Lift one coefficient table (4, n_modes+1): harmonic stage plus correction."""
-    if solver is None:
-        solver = StokesCorrectionSolver(grid, alpha, n_modes)
-    har = solve_harmonic(table[0], table[1], grid, n_modes)
-    stress = harmonic_stress_trace(har, grid, alpha, n_modes)
-    corr = solver.solve(table[2] - stress[:, 0], table[3] - stress[:, 1])
-    return har.field + corr
-
-
 # -- unit-response cache ------------------------------------------------------
 
 
@@ -414,7 +374,11 @@ class LiftingCache:
             unit.gamma[0, c] = 1.0
             unit = project_compatible(unit)
             table = unit.coeffs(unit.gamma[0])
-            fields.append(lift_static_coeffs(table, grid, alpha, n_modes, solver))
+            # harmonic stage for a, then the correction supplies the rest of b
+            har = solve_harmonic(table[0], table[1], grid, n_modes)
+            stress = har.tangential_stress_coeffs(alpha)[: n_modes + 1]
+            corr = solver.solve(table[2] - stress[:, 0], table[3] - stress[:, 1])
+            fields.append(har + corr)
         self.fields = ModeField.stack(fields)
 
     def field(self, gamma_row) -> ModeField:

@@ -203,6 +203,39 @@ def test_cmd_optimize_recovery_and_rerun(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_csv_tables_format(tmp_path):
+    # seeds near 2**64 round under a float format, so integer columns must stay verbatim
+    seed = 2**64 - 6
+    p = write_cfg(tmp_path, simulate={"store_beta": True},
+                  optimize={"budget": 4, "theta_star": [0.4, 0.5], "paths": 2})
+    out = tmp_path / "out"
+    for cmd in ("basis", "lift", "simulate", "optimize"):
+        argv = [cmd, "--config", str(p), "--out", str(out), "--seed", str(seed)]
+        assert main(argv + (["--paths", "2"] if cmd == "simulate" else [])) == 0
+    tables = {
+        "eigenvalues.csv": ("index,eigenvalue,wavenumber,family,shell", {0, 2, 3, 4}),
+        "trace_norms.csv": ("time,trace_norm", set()),
+        "summary.csv": ("seed,final_u_sq,sup_u_sq,blown_up", {0, 3}),
+        "traj_000.csv": ("time,u_l2,u_energy,tracking,noise_frob,beta_0,beta_1,beta_2,beta_3",
+                         set()),
+        "history.csv": ("iterate,cost,tracking,penalty,ci_half_width,theta_0,theta_1", {0}),
+    }
+    for name, (header, int_cols) in tables.items():
+        lines = (out / name).read_text().splitlines()
+        assert lines[0].startswith("# config_hash="), name
+        assert lines[1] == header, name
+        for line in lines[2:]:
+            for i, c in enumerate(line.split(",")):
+                if i in int_cols:
+                    assert c.isdigit(), (name, c)  # every integer column is nonnegative
+                else:
+                    assert f"{float(c):.17g}" == c, (name, c)
+    summary = (out / "summary.csv").read_text().splitlines()[2:]
+    assert [int(r.split(",")[0]) for r in summary] == [seed, seed + 1]
+    iterates = json.loads((out / "history.json").read_text())["iterates"]
+    assert len((out / "history.csv").read_text().splitlines()) == len(iterates) + 2
+
+
 def test_cmd_optimize_zero_budget(tmp_path):
     p = write_cfg(
         tmp_path,
@@ -252,6 +285,8 @@ def test_cmd_optimize_zero_budget(tmp_path):
         ("simulate", [], {"noise": {"m": -1, "mult_gain": [0.1]}}, 1),
         ("simulate", [], {"initial": {"kind": "bogus"}}, 1),
         ("verify", ["--paths", "2"], {"damping_rate": 1e5}, 2),
+        ("simulate", ["--bogus"], {}, 1),
+        ("simulate", ["--seed", "abc"], {}, 1),
     ],
     ids=["verify-all-paths-blow-up", "optimize-all-paths-blow-up", "negative-seed", "negative-paths", "zero-paths",
          "negative-seed-bank", "zero-verify-paths", "negative-verify-paths", "zero-stability-paths",
@@ -260,10 +295,23 @@ def test_cmd_optimize_zero_budget(tmp_path):
          "string-in-theta-star", "string-in-mult-gain", "negative-control-modes",
          "integer-coeff-file", "slot-wall-middle", "slot-mode-past-band", "slot-kind-z",
          "slot-float-mode", "slot-imaginary-mean", "negative-noise-seed",
-         "negative-initial-seed", "negative-noise-m", "unknown-initial-kind", "weight-underflow"],
+         "negative-initial-seed", "negative-noise-m", "unknown-initial-kind", "weight-underflow",
+         "unknown-flag", "string-seed"],
 )
 def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, code):
     _check_exit_code(tmp_path, command, flags, overrides, code)
+
+
+def test_main_returns_1_on_usage_errors(tmp_path, capsys):
+    p = str(write_cfg(tmp_path))
+    for argv in (["simulate", "--config", p, "--bogus"],
+                 ["simulate", "--config", p, "--seed", "abc"],
+                 ["simulate"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("validation error: ")
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: slipflow")
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "optimize"])

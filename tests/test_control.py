@@ -261,12 +261,7 @@ def test_history_serialization(tmp_path, sim_det, pmap, aspec):
     _, hist = optimize(np.zeros(2), pmap, aspec, target, sim_det, [0], budget=20,
                        u0=u0, noise_on=False)
     jpath = tmp_path / "hist.json"
-    cpath = tmp_path / "hist.csv"
     _json_dump(jpath, asdict(hist), SimpleNamespace(config_hash="cafe"))
-    hist.to_csv(cpath, meta="config_hash=cafe")
     data = json.loads(jpath.read_text())
     assert data["config_hash"] == "cafe"
     assert len(data["iterates"]) == len(hist.iterates)
-    lines = cpath.read_text().strip().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) == 2 + len(hist.iterates)

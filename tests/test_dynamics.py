@@ -753,7 +753,25 @@ def test_pseudospectral_path_builds_no_dense_tensors(wide, sim_small, make_contr
     assert all(getattr(sim.ops, f"_conv_{k}") is None for k in ("bb", "bc", "cc"))
 
 
-@pytest.mark.parametrize("table", ["projection", "synthesis", "to_grid", "from_grid"])
+def test_linear_run_builds_no_dense_tensors(basis_small, cache_small, make_control):
+    from slipflow.diagnostics import empirical_damping_rate
+
+    noise = build_noise(basis_small.size, 2, 0.05, 1.0, 7, [0.1, 0.05])
+    kw = dict(t_final=0.1, dt=0.005, include_nonlinear=False)
+    sim = Simulator(basis_small, cache_small, noise, **kw)
+    dense = Simulator(basis_small, cache_small, noise,
+                      ops=assemble_operators(basis_small, cache_small), **kw)
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.1], 0.3, seed=80)
+    run = dict(ctrl=ctrl, u0=make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0),
+               store_beta=True)
+    trajs = sim.run_many(range(3), **run)
+    assert np.isfinite(empirical_damping_rate(trajs, ctrl, sim))
+    assert all(getattr(sim.ops, f"_conv_{k}") is None for k in ("bb", "bc", "cc"))
+    for a, b in zip(trajs, dense.run_many(range(3), **run)):
+        _same_path(a, b)
+
+
+@pytest.mark.parametrize("table",["projection", "synthesis", "to_grid", "from_grid"])
 def test_skew_probe_rejects_tampered_table(wide, table):
     conv = Convection(wide.basis, wide.cache.fields)
     _probe_skew(conv)

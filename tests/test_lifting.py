@@ -61,7 +61,7 @@ def test_project_compatible_leaves_other_modes(make_control):
 
 def test_harmonic_zero(grid_small):
     h = solve_harmonic(np.zeros(3, complex), np.zeros(3, complex), grid_small, 2)
-    assert np.abs(h.field.vals).max() == 0.0
+    assert np.abs(h.vals).max() == 0.0
 
 
 def test_harmonic_closed_form(grid_small):
@@ -70,7 +70,7 @@ def test_harmonic_closed_form(grid_small):
     ab[1] = 0.5
     h = solve_harmonic(ab, np.zeros(3, complex), grid_small, 2)
     k = grid_small.kx[1]
-    prof = h.field.vals[1, 0] / (1j * k)
+    prof = h.vals[1, 0] / (1j * k)
     exact = 0.5 * np.cosh(1.0 - grid_small.y_nodes) / np.sinh(1.0)
     assert np.abs(prof - exact).max() < 1e-12
 
@@ -87,7 +87,7 @@ def test_harmonic_against_fd_oracle(grid_small):
         k = grid_small.kx[j]
         y_fd, h_fd = fd_harmonic(k, ab, at, n=1600)
         # compare the vertical velocity H'(y) at the fd nodes
-        prof_gauss = h.field.vals[j, 1]  # H'
+        prof_gauss = h.vals[j, 1]  # H'
         # evaluate spectral H' from closed form instead: dh at fd nodes
         sh, ch = np.sinh(k), np.cosh(k)
         bb = -ab / k
@@ -108,12 +108,12 @@ def test_harmonic_interior_residual(grid_small, make_control):
         h = solve_harmonic(table[0], table[1], grid_small, 2)
         for j in (1, 2):
             k = grid_small.kx[j]
-            dh = h.field.vals[j, 1]  # H' at gauss nodes
+            dh = h.vals[j, 1]  # H' at gauss nodes
             # reconstruct H at CGL from the closed form via vals: H = v1/(ik)
-            prof = h.field.vals[j, 0] / (1j * k)
-            d2h = h.field.dvals[j, 1]  # H''
+            prof = h.vals[j, 0] / (1j * k)
+            d2h = h.dvals[j, 1]  # H''
             assert np.abs(d2h - k * k * prof).max() < 1e-8
-        assert h.field.divergence_residual() < 1e-10
+        assert h.divergence_residual() < 1e-10
 
 
 def test_harmonic_incompatible_rejected(grid_small):
