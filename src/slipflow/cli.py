@@ -330,7 +330,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     out = Path(args.out or cfg.data["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"validation error: cannot create output directory {out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     handlers = {
         "basis": cmd_basis,

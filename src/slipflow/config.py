@@ -288,12 +288,14 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(user, dict):
+        raise ConfigError("the config's top level is not a JSON object")
     unknown = set(user) - _SECTIONS
     if unknown:
         raise ConfigError(f"unknown top-level sections {sorted(unknown)}")

@@ -16,8 +16,11 @@ term) are small matrices assembled once per (basis, lifting cache).  The
 convection acts on the whole velocity y and is evaluated on one of two
 paths, chosen by the basis size n:
 
-* below N_PS, dense tensors conv_bb, conv_bc, conv_cc (n^3 entries), so a
-  step is a few small contractions;
+* below N_PS, dense tensors conv_bb, conv_bc, conv_cc (n^3 entries): the
+  kernel contracts conv_bb and conv_bc on the rows (beta, gamma) of its
+  block by one GEMM against a table T built once per simulator and one
+  batched mat-vec per step, and conv_cc gamma gamma joins the control drift
+  by two GEMMs before the loop;
 * from N_PS on, the transform method (`Convection`): per step the block's
   y and grad y are synthesized on the physical grid by one GEMM per x-mode
   and one by a real DFT matrix, (y . grad) y is formed pointwise, and the
@@ -535,31 +538,34 @@ BLOCK = 16
 # Basis size from which the kernel evaluates the convection pseudospectrally
 # (`Convection`) instead of through the dense n^3 tensors.  Measured at
 # modes_x = 8, nodes_y = 24 with BLAS on one thread, per step of a 16-path
-# block: dense 0.38-0.47 ms at n = 56 and 0.51-0.54 ms at n = 60, growing
-# as n^3; pseudospectral 0.49-0.62 ms, nearly flat in n.  The dense path
-# also pays 0.14 s of tensor assembly at n = 60.
+# block with a control: dense 0.28-0.35 ms at n = 56, 0.34-0.38 ms at n = 60
+# and 0.42-0.48 ms at n = 64, growing as n^3; pseudospectral 0.45-0.60 ms,
+# nearly flat in n.  The dense path also pays 0.12-0.16 s of tensor assembly
+# at these sizes, so the step alone now favours it up to about n = 64.
 N_PS = 60
 
 
-def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None, nu, dt,
-              include_nonlinear, gamma, gamma_dot, beta_ref, gamma_ref, add, rho, dw,
-              blowup_limit, paths):
+def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
+              table: np.ndarray | None, nu, dt, gamma, gamma_dot, beta_ref, gamma_ref,
+              add, rho, dw, blowup_limit, paths):
     """Euler-Maruyama over a (W, n) block of paths sharing control and target.
 
     beta0 is (W, n) and dw (W, n_steps, m); rows from `paths` on are padding.
     The control drift (lift_v, btrace, lift_h terms) is the same for every
-    path and is formed once per step.  With `conv` None the convection is
-    dense: conv_cc joins the control drift, conv_bc gives one (n, n) matrix
-    per step and the quadratic term is one GEMM of the (W, n^2) outer
-    products against conv_bb.  Otherwise `conv` evaluates all of it on the
-    rows (beta, gamma) of the block, pseudospectrally.  The history
-    (n_steps + 1, W, n) is kept and the per-step diagnostics (squared
-    mass/energy norms, tracking error against the reference series, squared
-    noise magnitude) are evaluated from it afterwards.  A path aborts when
-    its squared norm is not finite or passes blowup_limit: its abort step is
-    returned, its final state is the offending one, its later diagnostics
-    are NaN and its later history is zero, and its working row is zeroed.
-    Stepping stops once every non-padding row has aborted.
+    path and is formed once per step.  The convection is evaluated on the
+    rows z = (beta, gamma) of the block: by `conv`, pseudospectrally, or,
+    with `table` the dense (n + n_ctrl, n^2) table T of `Simulator`, as
+    y = z @ T (one GEMM) and nl_w = beta_w @ y_w reshaped (n, n) (one batched
+    mat-vec); conv_cc then joins the control drift, by two GEMMs as in
+    `drift`, and without a control only the beta rows of T are read.  Both
+    None is a linear run.  The history (n_steps + 1, W, n) is written in
+    place and the per-step diagnostics (squared mass/energy norms, tracking
+    error against the reference series, squared noise magnitude) are
+    evaluated from it afterwards.  A path aborts when its squared norm is
+    not finite or passes blowup_limit: its abort step is returned, its final
+    state is the offending one, its later diagnostics are NaN and its later
+    history is zero, and its working row is zeroed.  Stepping stops once
+    every non-padding row has aborted.
     """
     w_rows, n = beta0.shape
     n_steps = dw.shape[1]
@@ -568,22 +574,21 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None, nu, dt,
     # path-independent drift per step, then each path's additive noise
     ctrl_drift = (-nu * (gamma @ ops.lift_v.T) + nu * (gamma @ ops.btrace.T)
                   - gamma_dot @ ops.lift_h.T)
-    ctrl_on = include_nonlinear and bool(np.any(gamma))
-    if ctrl_on and conv is None:
-        ctrl_drift -= np.einsum("icd,tc,td->ti", ops.conv_cc, gamma, gamma)
+    ctrl_on = bool(np.any(gamma))
+    if ctrl_on and table is not None:
+        nc = ops.n_ctrl
+        cc = (gamma @ ops.conv_cc.reshape(n * nc, nc).T).reshape(-1, n, nc)
+        ctrl_drift -= (cc @ gamma[:, :, None])[:, :, 0]
     push = np.empty((n_steps, w_rows, n))
     push[:] = (dt * ctrl_drift[:n_steps])[:, None, :]
     for k in range(rho.size):
         push += dw_t[:, :, k, None] * add[:, k]
-    growth = (dw_t * rho).sum(axis=-1, keepdims=True)     # multiplicative noise
-    decay = 1.0 - dt * nu * lam
-    if conv is not None:
-        rows = np.zeros((w_rows, n + conv.n_a))               # (beta, gamma) per path
-    elif include_nonlinear:
-        conv_t = ops.conv_bb.reshape(n, -1).T              # views, no copies
-        conv_bc = ops.conv_bc.reshape(n * n, -1)
-        outer = np.empty((w_rows, n, n))
-        outer_flat = outer.reshape(w_rows, n * n)
+    # decay and multiplicative noise
+    fac = (1.0 - dt * nu * lam) + (dw_t * rho).sum(axis=-1, keepdims=True)
+    n_a = conv.n_a if conv is not None else ops.n_ctrl if ctrl_on else 0
+    rows = np.zeros((w_rows, n + n_a))                       # (beta, gamma) per path
+    if table is not None:
+        table = table[: n + n_a]
     # a nonfinite norm fails `<= limit` even for an infinite blowup_limit;
     # below `fast` the block's total norm proves every row is inside
     limit = min(blowup_limit, np.finfo(float).max)
@@ -596,19 +601,21 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None, nu, dt,
     blowup_step = np.full(w_rows, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         for ell in range(n_steps):
-            step = b * (decay + growth[ell]) + push[ell]
-            if conv is not None:
-                rows[:, :n] = b
-                rows[:, n:] = gamma[ell, : conv.n_a]
-                step -= dt * conv(rows)
-            elif include_nonlinear:
-                np.einsum("wp,wq->wpq", b, b, out=outer)
-                nl = outer_flat @ conv_t
-                if ctrl_on:
-                    nl += b @ (conv_bc @ gamma[ell]).reshape(n, n).T
-                step -= dt * nl
+            step = np.multiply(b, fac[ell], out=hist[ell + 1])
+            step += push[ell]
+            if conv is not None or table is not None:
+                if n_a:
+                    rows[:, :n] = b
+                    rows[:, n:] = gamma[ell, :n_a]
+                z = rows if n_a else b
+                if conv is not None:
+                    nl = conv(z)
+                else:
+                    nl = np.matmul(b[:, None, :], (z @ table).reshape(w_rows, n, n))[:, 0]
+                nl *= dt
+                step -= nl
             if not np.vdot(step, step) <= fast:
-                bad = ~(np.einsum("ij,ij->i", step, step) <= limit)
+                bad = ~(np.vecdot(step, step) <= limit)
                 fresh = bad & (blowup_step < 0)
                 blowup_step[fresh] = ell + 1
                 beta_final[fresh] = step[fresh]
@@ -616,10 +623,9 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None, nu, dt,
                 if (blowup_step[:paths] >= 0).all():
                     break
             b = step
-            hist[ell + 1] = b
     alive = blowup_step < 0
     beta_final[alive] = b[alive]
-    del push
+    del push, fac
 
     u_sq = np.einsum("twi,twi->tw", hist, hist)
     u_esq = np.einsum("twi,twi,i->tw", hist, hist, lam)
@@ -627,7 +633,7 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None, nu, dt,
     buf = np.subtract(hist, beta_ref[:, None, :])
     tracking = (np.einsum("twi,twi->tw", buf, buf)
                 + 2.0 * np.einsum("twi,ti->tw", buf, gd @ ops.lift_h.T)
-                + np.einsum("tc,cd,td->t", gd, ops.gram_h, gd)[:, None])
+                + ((gd @ ops.gram_h) * gd).sum(axis=1)[:, None])
     noise_sq = np.zeros_like(u_sq)
     for k in range(rho.size):
         np.multiply(hist, rho[k], out=buf)
@@ -645,7 +651,9 @@ class Simulator:
     """Bundles the assembled operators with a time grid and noise model.
 
     Below N_PS basis entries the convection is the dense tensors of `ops`,
-    assembled here; from N_PS on it is `convection`, a `Convection` on the
+    assembled here and laid out once as `table`, T[q, (p, i)] =
+    conv_bb[i, p, q] and T[n + c, (p, i)] = conv_bc[i, p, c], the kernel's
+    GEMM operand; from N_PS on it is `convection`, a `Convection` on the
     basis and the lifted unit fields whose tables are probed for skew
     symmetry here, and the dense tensors are not assembled.  A linear run
     (include_nonlinear False) assembles neither.
@@ -675,10 +683,13 @@ class Simulator:
         wide = basis.size >= N_PS
         self.ops = (assemble_operators(basis, cache, dense=include_nonlinear and not wide)
                     if ops is None else ops)
-        self.convection = None
+        self.convection = self.table = None
         if wide and include_nonlinear:
             self.convection = Convection(basis, None if cache is None else cache.fields)
             _probe_skew(self.convection)
+        elif include_nonlinear:
+            self.table = np.concatenate([t.transpose(2, 1, 0).reshape(t.shape[2], -1)
+                                         for t in (self.ops.conv_bb, self.ops.conv_bc)])
 
     def drift(self, beta: np.ndarray, gamma: np.ndarray, gamma_dot: np.ndarray) -> np.ndarray:
         """The drift the kernel integrates, for one state or stacked (..., n) states."""
@@ -752,7 +763,7 @@ class Simulator:
                 dw[w] = (wiener_increments(seed, self.n_steps, m, self.dt)
                          if plan["dw"] is None else plan["dw"])
         hist, beta_final, u_sq, u_esq, tracking, noise_sq, blow = _em_block(
-            beta0, self.ops, self.convection, self.nu, self.dt, self.include_nonlinear,
+            beta0, self.ops, self.convection, self.table, self.nu, self.dt,
             plan["gamma"], plan["gdot"], plan["beta_ref"], plan["gamma_ref"],
             plan["add"], plan["rho"], dw, self.blowup_limit, len(seeds),
         )

@@ -287,6 +287,15 @@ def test_cmd_optimize_zero_budget(tmp_path):
         ("verify", ["--paths", "2"], {"damping_rate": 1e5}, 2),
         ("simulate", ["--bogus"], {}, 1),
         ("simulate", ["--seed", "abc"], {}, 1),
+        ("simulate", [], b"3", 1),
+        ("simulate", [], b"null", 1),
+        ("simulate", [], b"[{}]", 1),
+        ("simulate", [], b'"x"', 1),
+        ("simulate", [], b'{"basis_size": "\xff"}', 1),
+        ("simulate", [], b"[" * 100000, 1),
+        ("simulate", ["--config", "."], {}, 1),
+        ("simulate", ["--out", "cfg.json"], {}, 1),
+        ("simulate", ["--out", "cfg.json/sub"], {}, 1),
     ],
     ids=["verify-all-paths-blow-up", "optimize-all-paths-blow-up", "negative-seed", "negative-paths", "zero-paths",
          "negative-seed-bank", "zero-verify-paths", "negative-verify-paths", "zero-stability-paths",
@@ -296,7 +305,9 @@ def test_cmd_optimize_zero_budget(tmp_path):
          "integer-coeff-file", "slot-wall-middle", "slot-mode-past-band", "slot-kind-z",
          "slot-float-mode", "slot-imaginary-mean", "negative-noise-seed",
          "negative-initial-seed", "negative-noise-m", "unknown-initial-kind", "weight-underflow",
-         "unknown-flag", "string-seed"],
+         "unknown-flag", "string-seed", "top-level-number", "top-level-null",
+         "top-level-list", "top-level-string", "config-not-utf8", "config-nested-too-deep",
+         "config-is-directory", "out-is-file", "out-under-file"],
 )
 def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, code):
     _check_exit_code(tmp_path, command, flags, overrides, code)
@@ -354,14 +365,20 @@ def test_cli_rejects_bad_thread_variable(tmp_path, value):
 
 
 def _check_exit_code(tmp_path, command, flags, overrides, code, environ=None):
-    p = write_cfg(tmp_path, **overrides)
+    # overrides as bytes are the whole config file; relative paths in flags
+    # resolve against tmp_path, which holds the config as cfg.json
+    if isinstance(overrides, bytes):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(overrides)
+    else:
+        p = write_cfg(tmp_path, **overrides)
     env = dict(os.environ, **(environ or {}))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "slipflow.cli", command, "--config", str(p),
          "--out", str(tmp_path / "out"), *flags],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=env, timeout=300, cwd=tmp_path,
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

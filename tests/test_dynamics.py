@@ -328,21 +328,55 @@ def test_determinism_bitwise(sim_small, make_control):
 # -- kernel against the single-step reference ------------------------------------
 
 
-def test_kernel_matches_step_em(sim_small, make_control):
-    # control, noise and convection all on: the whole stored path agrees
-    # with step_em iterated on the same Wiener increments
-    ctrl = make_control(2 * np.pi, 2, [0.0, 0.25, 0.5], 0.3, seed=77)
-    b0 = make_initial_coeffs(sim_small.ops.n, "random", 3, 0.5, 1.0)
-    tr = sim_small.run(seed=4, ctrl=ctrl, u0=b0, store_beta=True, keep_wiener=True)
+def _check_kernel_matches_step_em(sim, ctrl):
+    # the whole stored path agrees with step_em iterated on the same Wiener
+    # increments
+    b0 = make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0)
+    tr = sim.run(seed=4, ctrl=ctrl, u0=b0, store_beta=True, keep_wiener=True)
     assert not tr.blown_up
-    gamma, gdot = ctrl.series(sim_small.times)
+    gamma, gdot = sim.gamma_series(ctrl)
     state = GalerkinState(t=0.0, beta=b0.copy())
     ref = [state.beta]
-    for ell in range(sim_small.n_steps):
-        state = step_em(state, sim_small.dt, tr.wiener[ell], sim_small.ops,
-                        sim_small.noise, sim_small.nu, gamma[ell], gdot[ell])
+    for ell in range(sim.n_steps):
+        state = step_em(state, sim.dt, tr.wiener[ell], sim.ops, sim.noise, sim.nu,
+                        gamma[ell], gdot[ell])
         ref.append(state.beta)
     assert np.abs(tr.beta_series - np.array(ref)).max() < 1e-12
+
+
+def test_kernel_matches_step_em(sim_small, wide, make_control):
+    # dense convection, additive and multiplicative noise on: with a
+    # time-varying control, without one (the kernel reads only the beta rows
+    # of its table), and at n = 48 on the modes_x = 8 grid, the widest dense
+    # case below N_PS
+    assert sim_small.convection is None and sim_small.table is not None
+    _check_kernel_matches_step_em(sim_small, make_control(2 * np.pi, 2, [0.0, 0.25, 0.5],
+                                                          0.3, seed=77))
+    _check_kernel_matches_step_em(sim_small, None)
+    basis = truncate_basis(wide.basis, 48)
+    sim = Simulator(basis, wide.cache, build_noise(48, 2, 0.05, 1.0, 7, [0.1, 0.05]),
+                    t_final=0.05, dt=0.005)
+    assert basis.size < N_PS and sim.convection is None
+    _check_kernel_matches_step_em(sim, make_control(2 * np.pi, 2, [0.0, 0.025, 0.05],
+                                                    0.3, seed=77))
+
+
+def test_dense_table_built_once(sim_small, make_control, monkeypatch):
+    # T[q, (p, i)] = conv_bb[i, p, q] and T[n + c, (p, i)] = conv_bc[i, p, c],
+    # built by the constructor and handed to every kernel call
+    import slipflow.dynamics as dyn
+
+    ops, table = sim_small.ops, sim_small.table
+    n = ops.n
+    assert table.shape == (n + ops.n_ctrl, n * n)
+    assert np.array_equal(table[:n].reshape(n, n, n), ops.conv_bb.transpose(2, 1, 0))
+    assert np.array_equal(table[n:].reshape(-1, n, n), ops.conv_bc.transpose(2, 1, 0))
+    seen, kernel = [], dyn._em_block
+    monkeypatch.setattr(dyn, "_em_block", lambda *a: seen.append(a[3]) or kernel(*a))
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=81)
+    sim_small.run_many(range(3))
+    sim_small.run_many(range(2), ctrl=ctrl)
+    assert len(seen) == 2 and all(t is table for t in seen) and sim_small.table is table
 
 
 @pytest.mark.parametrize("dt, t_final", [(0.5, 1.0), (0.1, 2.0)])
@@ -712,19 +746,8 @@ def test_convection_rejects_grid_without_room_below_nyquist(basis_small):
 
 def test_pseudospectral_kernel_matches_step_em(wide, make_control):
     sim = _wide_sim(wide)
-    assert wide.basis.size >= N_PS and sim.convection is not None
-    ctrl = make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=77)
-    b0 = make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0)
-    tr = sim.run(seed=4, ctrl=ctrl, u0=b0, store_beta=True, keep_wiener=True)
-    assert not tr.blown_up
-    gamma, gdot = ctrl.series(sim.times)
-    state = GalerkinState(t=0.0, beta=b0.copy())
-    ref = [state.beta]
-    for ell in range(sim.n_steps):
-        state = step_em(state, sim.dt, tr.wiener[ell], sim.ops, sim.noise, sim.nu,
-                        gamma[ell], gdot[ell])
-        ref.append(state.beta)
-    assert np.abs(tr.beta_series - np.array(ref)).max() < 1e-12
+    assert wide.basis.size >= N_PS and sim.convection is not None and sim.table is None
+    _check_kernel_matches_step_em(sim, make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=77))
 
 
 def test_pseudospectral_seed_bits_independent_of_batch(wide, make_control):
