@@ -26,11 +26,13 @@ paths, chosen by the basis size n:
   and one by a real DFT matrix, (y . grad) y is formed pointwise, and the
   analysis DFT matrix and one GEMM per x-mode project it back (no FFT).
 
-Both are the same quadrature: the grid is wide enough that quadratic
-products are integrated exactly (no aliasing reaches the resolved band).
-The dense tensors come from one batched sampler (`basis.sample_fields`)
-and one convection contraction, one GEMM per advecting field, and are
-checked for skew symmetry and the Fourier-triad pattern of their nonzeros;
+Both integrate the quadratic products exactly.  The pseudospectral grid is
+wide enough that no aliasing reaches the resolved band.  The dense tensors
+are summed triad by triad from the Fourier coefficients (`_triad_sum`): the
+x-integral of three single-mode pieces is exact by orthogonality, so no x
+grid is sampled, and the y-integral is the Gauss rule.  They are checked
+for vanishing off the Fourier triads their fields' modes allow, conv_bb
+also for skew symmetry, at a rounding scale bounded from the coefficients;
 the pseudospectral tables are checked by a skew probe b(u, v, w) =
 -b(u, w, v) on seeded random fields.  The lift couplings and Gram matrices
 are the mass and energy pairings of the basis and lifting stacks, and the
@@ -48,11 +50,12 @@ from N_PS on.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import Basis, ModeField, energy_pairing, mass_pairing, sample_fields
+from .basis import Basis, ModeField, energy_pairing, mass_pairing
 from .geometry import Grid
 from .lifting import BoundaryControl, LiftingCache
 
@@ -341,8 +344,9 @@ class GalerkinOperators:
 
     The dense convection tensors (n^3 entries) are the reference of
     `drift`/`step_em`, and the kernel's convection below N_PS.  Unless
-    given, they are assembled from `basis` and `cache` on first read and
-    checked there for skew symmetry and the Fourier-triad pattern; at
+    given, they are assembled from `basis` and `cache` on first read,
+    triad by triad from the Fourier coefficients, and checked there: all
+    three vanish off the Fourier triads and conv_bb is skew in (i, q).  At
     N_PS and above the simulator never reads them.
     """
 
@@ -367,58 +371,149 @@ class GalerkinOperators:
         return self.lift_h.shape[1]
 
 
-def _convection(test_w, u, grad_v) -> np.ndarray:
-    """C[i, p, q] = ((u_p . grad) v_q, e_i) from sampled fields.
+class _Pieces:
+    """The single-mode pieces of a stack of fields, sorted by mode.
 
-    test_w (n, 2, n_x, n_q) holds the quadrature-weighted test fields, u the
-    (P, 2, n_x, n_q) advecting velocities and grad_v the (Q, 4, n_x, n_q)
-    gradients (d_x v1, d_y v1, d_x v2, d_y v2) of the advected fields.  One
-    GEMM per p contracts both components.
+    Piece r is the mode-`mode[r]` part A e^{i k x} + c.c. of field
+    `owner[r]`.  `u` (r, 2, n_q) holds A as an advecting velocity and `grad`
+    (r, 2, 2, n_q) the gradient 2 (i k A_c, A_c') as an advected field
+    (axis 1: d_x, d_y), with the 2 of the conjugate half that `_triad_sum`
+    leaves out.  At j = 0 both hold the full real profile: synthesis on the
+    grid drops the imaginary part of bin 0.  `blocks` maps each mode j to
+    the slice of its pieces and their owners, the positions their entries
+    take in a tensor over the fields.
     """
-    n, n_p, n_v = test_w.shape[0], u.shape[0], grad_v.shape[0]
-    test = test_w.reshape(n, -1)
-    gx, gy = grad_v[:, 0::2], grad_v[:, 1::2]
-    out = np.empty((n, n_p, n_v))
-    w, tmp = np.empty(gx.shape), np.empty(gx.shape)
-    for p in range(n_p):
-        np.multiply(gx, u[p, 0], out=w)
-        w += np.multiply(gy, u[p, 1], out=tmp)
-        out[:, p] = test @ w.reshape(n_v, -1).T
-    return out
+
+    def __init__(self, fields: ModeField):
+        self.grid = fields.grid
+        # (fields, modes): where a field of the stack does not vanish
+        self.support = np.zeros((len(fields), self.grid.spec.modes_x + 1), bool)
+        self.support[:, : fields.n_modes + 1] = (fields.vals.any(axis=(2, 3))
+                                                 | fields.dvals.any(axis=(2, 3)))
+        self.mode, self.owner = np.nonzero(self.support.T)  # sorted by (mode, owner)
+        zero = self.mode == 0
+        self.u = fields.vals[self.owner, self.mode]
+        dvals = fields.dvals[self.owner, self.mode]
+        self.u[zero], dvals[zero] = self.u[zero].real, dvals[zero].real
+        ik = 1j * self.grid.kx[self.mode, None, None]
+        self.grad = np.stack([ik * self.u, dvals], axis=1)
+        self.grad[~zero] *= 2.0
+        cuts = np.searchsorted(self.mode, np.arange(self.support.shape[1] + 1))
+        self.blocks = {j: (slice(lo, hi), self.owner[lo:hi])
+                       for j, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])) if hi > lo}
+
+    def magnitudes(self):
+        """(fields, modes) tables of max_y sum_d |u_d| and max |grad|; 0 off the support."""
+        u_mag, g_mag = np.zeros(self.support.shape), np.zeros(self.support.shape)
+        u_mag[self.owner, self.mode] = np.abs(self.u).sum(axis=1).max(axis=1)
+        g_mag[self.owner, self.mode] = np.abs(self.grad).max(axis=(1, 2, 3))
+        return u_mag, g_mag
 
 
-def _check_convection(conv_bb: np.ndarray, mode_j, scale: float):
-    """Raise unless conv_bb is skew in (i, q) and vanishes off the Fourier
-    triads j_i in {j_p + j_q, |j_p - j_q|}, both to 1e-12 * scale."""
+def _reach(p_modes: np.ndarray, q_modes: np.ndarray) -> np.ndarray:
+    """R[k, p, q] = sum_ab p_modes[p, a] N[k, a, b] q_modes[q, b] over (fields, modes)
+    tables, N[k, a, b] the signs s with |s a + b| = k (s = +1 only at a = 0):
+    the Fourier triads that take modes a and b to k."""
+    j = np.arange(p_modes.shape[1])
+    count = sum((np.abs(s * j[:, None] + j) == j[:, None, None]) & ((s > 0) | (j[:, None] > 0))
+                for s in (1, -1))
+    return np.matmul(np.asarray(p_modes, float) @ count, np.asarray(q_modes, float).T)
+
+
+def _triad_sum(out: np.ndarray, test: _Pieces, adv: _Pieces, advd: _Pieces):
+    """out[i, q, p] += ((u_p . grad) v_q, e_i) for the fields u_p of adv,
+    v_q of advd and e_i of test (one piece each), summed over their pieces
+    triad by triad.
+
+    With every piece written A e^{i k_j x} + c.c., the x-integral of a
+    product of three is L_x times the sum over the sign choices with
+    s_i j_i + s_p j_p + s_q j_q = 0.  They come in conjugate pairs, so an
+    entry is 2 L_x Re of the half with s_q = +1 (`grad` carries the 2).  Per
+    mode j_p and sign s_p the profiles (u_p . grad) v_q are formed for every
+    piece q at once; per block j_q, one GEMM takes them against the
+    Gauss-weighted test block at j_i = |s_p j_p + j_q|, conjugated where
+    s_i = -1, and the result is added at its fields' positions.
+    """
+    g = test.grid
+    w = g.spec.length_x * g.w_y * test.u
+    rows = (w.view(float).reshape(len(w), -1),          # Re(conj(e) f) = [Re e, Im e] . f
+            w.conj().view(float).reshape(len(w), -1))   # Re(e f)
+    for jp, (ps, at_p) in adv.blocks.items():
+        for sp in (1,) if jp == 0 else (1, -1):
+            u = adv.u[ps] if sp > 0 else adv.u[ps].conj()
+            f = advd.grad[:, None, 0] * u[None, :, 0, None]
+            f += advd.grad[:, None, 1] * u[None, :, 1, None]   # (Q, P, 2, n_q)
+            f = f.view(float).reshape(f.shape[0], f.shape[1], -1)
+            for jq, (qs, at_q) in advd.blocks.items():
+                t = sp * jp + jq
+                if abs(t) in test.blocks:
+                    i_s, at_i = test.blocks[abs(t)]
+                    res = rows[t < 0][i_s] @ f[qs].reshape(-1, f.shape[2]).T
+                    out[at_i[:, None, None], at_q[:, None], at_p] += res.reshape(
+                        at_i.size, at_q.size, -1)
+
+
+def _check_convection(conv: np.ndarray, mode_j, scale: float, supp_p=None, supp_q=None):
+    """Raise unless conv[i, p, q] vanishes off the Fourier triads j_i in
+    {a + b, |a - b|}, a and b modes of the p-th and q-th fields, to 1e-12 * scale.
+
+    supp_p and supp_q are the (fields, modes) supports of the advecting and
+    advected stacks; without them conv is conv_bb, whose fields are the
+    basis entries, and it must also be skew in (i, q).
+    """
     bound = 1e-12 * scale
     j = np.asarray(mode_j)
-    for p in range(conv_bb.shape[1]):
-        block = conv_bb[:, p, :]
-        if np.abs(block + block.T).max() > bound:
+    skew = supp_p is None
+    if skew:
+        supp_p = supp_q = j[:, None] == np.arange(j.max() + 1)
+    reach = _reach(supp_p, supp_q)
+    for p in range(0, conv.shape[1], 16):               # 16 p a pass bound the temporaries
+        block = conv[:, p : p + 16]
+        if skew and np.abs(block + block.transpose(2, 1, 0)).max() > bound:
             raise DynamicsError("convection tensor is not skew-symmetric")
-        off = (j[:, None] != j[p] + j) & (j[:, None] != np.abs(j[p] - j))
-        if np.abs(block[off]).max(initial=0.0) > bound:
+        if np.abs(block[reach[j, p : p + 16] == 0]).max(initial=0.0) > bound:
             raise DynamicsError("convection tensor couples modes off the Fourier triads")
 
 
+def _check_scales(e: _Pieces, a: _Pieces | None) -> tuple:
+    """Rounding scales of conv_bb, conv_bc and conv_cc for their checks.
+
+    Each bounds the summed magnitudes |e_i| |u_p| |grad v_q| of the terms of
+    any entry's sum in `_triad_sum`, over its triads, y and the components,
+    even where the entry vanishes in exact arithmetic: the largest
+    Gauss-weighted test magnitude at mode k times, per (p, q), the triads
+    that reach k weighted by the pieces' largest magnitudes.
+    """
+    g = e.grid
+    test = np.zeros(e.support.shape[1])
+    np.maximum.at(test, e.mode, g.spec.length_x * (np.abs(e.u) * g.w_y).sum(axis=(1, 2)))
+    (eu, eg), (au, ag) = e.magnitudes(), (e if a is None else a).magnitudes()
+    terms = (_reach(eu, eg), _reach(eu, ag) + _reach(au, eg).transpose(0, 2, 1), _reach(au, ag))
+    return tuple((test * t.max(axis=(1, 2))).max() for t in terms)
+
+
 def _convection_tensors(basis: Basis, cache: LiftingCache | None):
-    """The checked dense tensors (conv_bb, conv_bc, conv_cc) of GalerkinOperators."""
-    g = basis.grid
+    """The checked dense tensors (conv_bb, conv_bc, conv_cc) of GalerkinOperators,
+    each assembled by `_triad_sum` on the pieces of the basis entries (e) and
+    of the lifted unit fields (a)."""
     n = basis.size
-    e = sample_fields(basis.fields)
-    test_w = e[:, :2] * g.quad_weights_domain
-    conv_bb = _convection(test_w, e[:, :2], e[:, 2:])
-    # bound on the summed magnitudes of any entry's quadrature terms: the
-    # scale of its rounding, even where the tensor vanishes in exact arithmetic
-    u_max, g_max = (max(x.max(), -x.min()) for x in (e[:, :2], e[:, 2:]))
-    scale = 2.0 * np.abs(test_w).sum(axis=(1, 2, 3)).max() * u_max * g_max
-    _check_convection(conv_bb, basis.mode_j, scale)
+    e = _Pieces(basis.fields)
+    a = None if cache is None else _Pieces(cache.fields)
+    scales = _check_scales(e, a)
+    conv_bb = np.zeros((n, n, n))
+    _triad_sum(conv_bb.transpose(0, 2, 1), e, e, e)
+    _check_convection(conv_bb, basis.mode_j, scales[0])
     if cache is None:
         return conv_bb, np.zeros((n, n, 1)), np.zeros((n, 1, 1))
-    a = sample_fields(cache.fields)
-    conv_bc = _convection(test_w, e[:, :2], a[:, 2:])
-    conv_bc += _convection(test_w, a[:, :2], e[:, 2:]).transpose(0, 2, 1)
-    return conv_bb, conv_bc, _convection(test_w, a[:, :2], a[:, 2:])
+    n_a = len(cache.fields)
+    conv_bc = np.zeros((n, n, n_a))
+    _triad_sum(conv_bc.transpose(0, 2, 1), e, e, a)
+    _triad_sum(conv_bc, e, a, e)
+    conv_cc = np.zeros((n, n_a, n_a))
+    _triad_sum(conv_cc.transpose(0, 2, 1), e, a, a)
+    _check_convection(conv_bc, basis.mode_j, scales[1], e.support, a.support)
+    _check_convection(conv_cc, basis.mode_j, scales[2], a.support, a.support)
+    return conv_bb, conv_bc, conv_cc
 
 
 def assemble_operators(basis: Basis, cache: LiftingCache | None,
@@ -538,19 +633,26 @@ BLOCK = 16
 # Basis size from which the kernel evaluates the convection pseudospectrally
 # (`Convection`) instead of through the dense n^3 tensors.  Measured at
 # modes_x = 8, nodes_y = 24 with BLAS on one thread, per step of a 16-path
-# block with a control: dense 0.28-0.35 ms at n = 56, 0.34-0.38 ms at n = 60
-# and 0.42-0.48 ms at n = 64, growing as n^3; pseudospectral 0.45-0.60 ms,
-# nearly flat in n.  The dense path also pays 0.12-0.16 s of tensor assembly
-# at these sizes, so the step alone now favours it up to about n = 64.
+# block with a control: dense 0.35-0.39 ms at n = 56, 0.40-0.45 ms at n = 60,
+# 0.45-0.52 ms at n = 64 and 0.65-0.69 ms at n = 72, growing as n^3;
+# pseudospectral 0.48-0.78 ms, nearly flat in n.  The dense path also pays
+# 0.016-0.024 s of operator assembly at n = 56-64, so its step is the faster
+# up to about n = 70, and its step plus assembly, on one 200-step block, up
+# to between n = 64 and 72.  Moving N_PS changes the path, and so the bits,
+# of every size in between.
 N_PS = 60
 
 
 def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
               table: np.ndarray | None, nu, dt, gamma, gamma_dot, beta_ref, gamma_ref,
-              add, rho, dw, blowup_limit, paths):
+              add, rho, dw, blowup_limit, paths, work):
     """Euler-Maruyama over a (W, n) block of paths sharing control and target.
 
     beta0 is (W, n) and dw (W, n_steps, m); rows from `paths` on are padding.
+    work (2, n_steps + 1, W, n) holds the kernel's large arrays and is
+    overwritten: the per-step pushes, then a buffer for the diagnostics,
+    and the history, whose rows hold each step's decay factor until the
+    step scales it by the state.
     The control drift (lift_v, btrace, lift_h terms) is the same for every
     path and is formed once per step.  The convection is evaluated on the
     rows z = (beta, gamma) of the block: by `conv`, pseudospectrally, or,
@@ -579,12 +681,13 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
         nc = ops.n_ctrl
         cc = (gamma @ ops.conv_cc.reshape(n * nc, nc).T).reshape(-1, n, nc)
         ctrl_drift -= (cc @ gamma[:, :, None])[:, :, 0]
-    push = np.empty((n_steps, w_rows, n))
+    push, hist = work[0, :n_steps], work[1]
     push[:] = (dt * ctrl_drift[:n_steps])[:, None, :]
     for k in range(rho.size):
-        push += dw_t[:, :, k, None] * add[:, k]
-    # decay and multiplicative noise
-    fac = (1.0 - dt * nu * lam) + (dw_t * rho).sum(axis=-1, keepdims=True)
+        push += np.multiply(dw_t[:, :, k, None], add[:, k], out=hist[1:])
+    # decay and multiplicative noise, in the history row each one scales into
+    hist[1:] = 1.0 - dt * nu * lam
+    hist[1:] += (dw_t * rho).sum(axis=-1, keepdims=True)
     n_a = conv.n_a if conv is not None else ops.n_ctrl if ctrl_on else 0
     rows = np.zeros((w_rows, n + n_a))                       # (beta, gamma) per path
     if table is not None:
@@ -594,14 +697,14 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
     limit = min(blowup_limit, np.finfo(float).max)
     fast = limit * (1.0 - 1e-9)
 
-    hist = np.zeros((n_steps + 1, w_rows, n))
     hist[0] = beta0
     b = beta0
     beta_final = np.empty((w_rows, n))
     blowup_step = np.full(w_rows, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         for ell in range(n_steps):
-            step = np.multiply(b, fac[ell], out=hist[ell + 1])
+            step = hist[ell + 1]
+            step *= b
             step += push[ell]
             if conv is not None or table is not None:
                 if n_a:
@@ -625,12 +728,11 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
             b = step
     alive = blowup_step < 0
     beta_final[alive] = b[alive]
-    del push, fac
 
     u_sq = np.einsum("twi,twi->tw", hist, hist)
     u_esq = np.einsum("twi,twi,i->tw", hist, hist, lam)
     gd = gamma - gamma_ref
-    buf = np.subtract(hist, beta_ref[:, None, :])
+    buf = np.subtract(hist, beta_ref[:, None, :], out=work[0])       # push is spent
     tracking = (np.einsum("twi,twi->tw", buf, buf)
                 + 2.0 * np.einsum("twi,ti->tw", buf, gd @ ops.lift_h.T)
                 + ((gd @ ops.gram_h) * gd).sum(axis=1)[:, None])
@@ -683,6 +785,9 @@ class Simulator:
         wide = basis.size >= N_PS
         self.ops = (assemble_operators(basis, cache, dense=include_nonlinear and not wide)
                     if ops is None else ops)
+        # the kernel's large arrays, one set per thread, reused across calls:
+        # fresh ones would be new pages, faulted in on every call
+        self._work = threading.local()
         self.convection = self.table = None
         if wide and include_nonlinear:
             self.convection = Convection(basis, None if cache is None else cache.fields)
@@ -762,10 +867,13 @@ class Simulator:
             for w, seed in enumerate(seeds):
                 dw[w] = (wiener_increments(seed, self.n_steps, m, self.dt)
                          if plan["dw"] is None else plan["dw"])
+        work = getattr(self._work, "arrays", None)
+        if work is None:
+            work = self._work.arrays = np.empty((2, self.n_steps + 1, BLOCK, n))
         hist, beta_final, u_sq, u_esq, tracking, noise_sq, blow = _em_block(
             beta0, self.ops, self.convection, self.table, self.nu, self.dt,
             plan["gamma"], plan["gdot"], plan["beta_ref"], plan["gamma_ref"],
-            plan["add"], plan["rho"], dw, self.blowup_limit, len(seeds),
+            plan["add"], plan["rho"], dw, self.blowup_limit, len(seeds), work,
         )
         return [
             Trajectory(

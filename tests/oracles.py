@@ -1,13 +1,21 @@
-"""Independent finite-difference oracles for the 1D wall-value problems.
+"""Independent oracles for the spectral solvers and the operator assembly.
 
-Second-order central differences on a uniform grid with Richardson
-extrapolation, kept deliberately separate from the spectral solvers they
-check.
+* Finite differences for the 1D wall-value problems: second-order central
+  differences on a uniform grid with Richardson extrapolation, kept
+  deliberately separate from the spectral solvers they check.
+* `sampled_convection_tensors`: the dense convection tensors by quadrature
+  on the sampled (n_x, n_q) grid, every field sampled by
+  `basis.sample_fields` and every product formed pointwise.  The dynamics
+  module assembles the same tensors triad by triad from the Fourier
+  coefficients, without sampling; this is the reference it is tested
+  against.
 """
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+
+from slipflow.basis import sample_fields
 
 
 def _fd_harmonic_once(k, a_bottom, a_top, n):
@@ -111,3 +119,42 @@ def fd_stokes_mode(k, alpha, bt_bottom, bt_top, n=2000):
     y, coarse = _fd_stokes_mode_once(k, alpha, bt_bottom, bt_top, n)
     _, fine = _fd_stokes_mode_once(k, alpha, bt_bottom, bt_top, 2 * n)
     return y, (4.0 * fine[::2] - coarse) / 3.0
+
+
+def _sampled_convection(test_w, u, grad_v):
+    """C[i, p, q] = ((u_p . grad) v_q, e_i) from sampled fields.
+
+    test_w (n, 2, n_x, n_q) holds the quadrature-weighted test fields, u the
+    (P, 2, n_x, n_q) advecting velocities and grad_v the (Q, 4, n_x, n_q)
+    gradients (d_x v1, d_y v1, d_x v2, d_y v2) of the advected fields.  One
+    GEMM per p contracts both components.
+    """
+    n, n_p, n_v = test_w.shape[0], u.shape[0], grad_v.shape[0]
+    test = test_w.reshape(n, -1)
+    gx, gy = grad_v[:, 0::2], grad_v[:, 1::2]
+    out = np.empty((n, n_p, n_v))
+    w, tmp = np.empty(gx.shape), np.empty(gx.shape)
+    for p in range(n_p):
+        np.multiply(gx, u[p, 0], out=w)
+        w += np.multiply(gy, u[p, 1], out=tmp)
+        out[:, p] = test @ w.reshape(n_v, -1).T
+    return out
+
+
+def sampled_convection_tensors(basis, cache):
+    """(conv_bb, conv_bc, conv_cc, scale) by quadrature on the sampled grid.
+
+    scale bounds the summed magnitudes of any conv_bb entry's quadrature
+    terms: the scale of its rounding, even where the entry vanishes in
+    exact arithmetic.
+    """
+    g = basis.grid
+    e = sample_fields(basis.fields)
+    test_w = e[:, :2] * g.quad_weights_domain
+    conv_bb = _sampled_convection(test_w, e[:, :2], e[:, 2:])
+    u_max, g_max = (max(x.max(), -x.min()) for x in (e[:, :2], e[:, 2:]))
+    scale = 2.0 * np.abs(test_w).sum(axis=(1, 2, 3)).max() * u_max * g_max
+    a = sample_fields(cache.fields)
+    conv_bc = _sampled_convection(test_w, e[:, :2], a[:, 2:])
+    conv_bc += _sampled_convection(test_w, a[:, :2], e[:, 2:]).transpose(0, 2, 1)
+    return conv_bb, conv_bc, _sampled_convection(test_w, a[:, :2], a[:, 2:]), scale

@@ -3,8 +3,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import sampled_convection_tensors
 
 from slipflow import basis as bs
+from slipflow import dynamics as dyn
 from slipflow.basis import inner_h, inner_v, truncate_basis
 from slipflow.dynamics import (
     BLOCK,
@@ -16,6 +18,8 @@ from slipflow.dynamics import (
     NoiseModel,
     Simulator,
     _check_convection,
+    _check_scales,
+    _Pieces,
     _probe_skew,
     assemble_operators,
     build_noise,
@@ -126,24 +130,97 @@ def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, ma
     assert np.abs(tensor - direct).max() < 1e-10 * max(1.0, np.abs(direct).max())
 
 
-@pytest.mark.parametrize("fault", ["skew", "triad"])
-def test_convection_check_rejects_tampered_tensor(sim_small, basis_small, fault):
-    conv = sim_small.ops.conv_bb.copy()
+@pytest.mark.parametrize("tensor,fault", [("bb", "skew"), ("bb", "triad"),
+                                          ("bc", "triad"), ("cc", "triad")],
+                         ids=["skew", "triad", "bc-triad", "cc-triad"])
+def test_convection_check_rejects_tampered_tensor(sim_small, basis_small, cache_small,
+                                                  tensor, fault):
+    conv = getattr(sim_small.ops, f"conv_{tensor}").copy()
     j = basis_small.mode_j
     scale = np.abs(conv).max()
-    _check_convection(conv, j, scale)
+    # (fields, modes) supports of the advecting and advected stacks
+    basis_supp, lift_supp = (_Pieces(f).support for f in (basis_small.fields, cache_small.fields))
+    supports = {"bb": (), "bc": (basis_supp, lift_supp), "cc": (lift_supp, lift_supp)}[tensor]
+    _check_convection(conv, j, scale, *supports)
     if fault == "skew":
         # break skew symmetry on the largest (on-triad) entry
         conv[np.unravel_index(np.abs(conv).argmax(), conv.shape)] += 1e-6 * scale
-    else:
+    elif tensor == "bb":
         # a skew-symmetric pair of entries off the Fourier triads
         i, p, q = next((i, p, q) for i in range(j.size) for p in range(j.size)
                        for q in range(i + 1, j.size)
                        if j[i] not in (j[p] + j[q], abs(j[p] - j[q])))
         conv[i, p, q] += 1e-6 * scale
         conv[q, p, i] -= 1e-6 * scale
+    else:
+        # an entry no triad of the two fields' modes reaches
+        supp_p, supp_q = supports
+        i, p, q = next((i, p, q) for i in range(j.size) for p in range(conv.shape[1])
+                       for q in range(conv.shape[2])
+                       if not any(j[i] in (a + b, abs(a - b)) for a in np.flatnonzero(supp_p[p])
+                                  for b in np.flatnonzero(supp_q[q])))
+        assert conv[i, p, q] == 0.0
+        conv[i, p, q] += 1e-6 * scale
     with pytest.raises(DynamicsError, match=fault):
-        _check_convection(conv, j, scale)
+        _check_convection(conv, j, scale, *supports)
+
+
+def test_reach_counts_fourier_triads():
+    # R[k, a, b] on one-hot mode tables: the signs s with |s a + b| = k,
+    # s = +1 alone at a = 0 (a real mode has no conjugate to pair with)
+    j = 6
+    ref = np.zeros((j, j, j))
+    for a in range(j):
+        for b in range(j):
+            for s in (1,) if a == 0 else (1, -1):
+                if abs(s * a + b) < j:
+                    ref[abs(s * a + b), a, b] += 1
+    assert np.array_equal(dyn._reach(np.eye(j), np.eye(j)), ref)
+
+
+@pytest.fixture(scope="module")
+def full_band(wide):
+    """n = 48 on the modes_x = 8 grid with a control of n_modes = 8: the lifted
+    fields reach the top mode, so products land past the band."""
+    basis = truncate_basis(wide.basis, 48)
+    cache = LiftingCache(basis.grid, basis.grid.spec.friction_alpha, 8)
+    return SimpleNamespace(basis=basis, cache=cache, ops=assemble_operators(basis, cache))
+
+
+@pytest.fixture(scope="module", params=["sim_small", "narrow", "full_band"])
+def sampled_case(request):
+    """A config's assembled operators with the sampled-quadrature oracle of its tensors."""
+    stack = request.getfixturevalue(request.param)       # basis, cache and ops
+    return stack, sampled_convection_tensors(stack.basis, stack.cache)
+
+
+def test_convection_tensors_match_sampled_oracle(sampled_case):
+    stack, oracle = sampled_case
+    assert stack.basis.size < N_PS
+    for name, ref in zip(("conv_bb", "conv_bc", "conv_cc"), oracle):
+        tensor = getattr(stack.ops, name)
+        assert tensor.shape == ref.shape, name
+        assert np.abs(tensor - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
+def test_check_scales_from_coefficients(sampled_case):
+    # each scale bounds every entry (an entry is at most its summed term
+    # magnitudes), and conv_bb's is no larger than the sampled quadrature's
+    stack, oracle = sampled_case
+    scales = _check_scales(_Pieces(stack.basis.fields), _Pieces(stack.cache.fields))
+    assert scales[0] <= oracle[3]
+    for name, scale in zip(("conv_bb", "conv_bc", "conv_cc"), scales):
+        assert np.abs(getattr(stack.ops, name)).max() <= scale, name
+
+
+def test_dense_assembly_samples_no_grid(basis_small, cache_small, monkeypatch):
+    def refuse(fields):
+        raise AssertionError("the dense assembly sampled fields on the grid")
+
+    monkeypatch.setattr(bs, "sample_fields", refuse)
+    assert not hasattr(dyn, "sample_fields") and basis_small.size < N_PS
+    ops = assemble_operators(basis_small, cache_small)
+    assert all(getattr(ops, f"_conv_{k}") is not None for k in ("bb", "bc", "cc"))
 
 
 def test_mass_pairings_against_quadrature(sim_small, basis_small, cache_small, grid_small):
@@ -364,8 +441,6 @@ def test_kernel_matches_step_em(sim_small, wide, make_control):
 def test_dense_table_built_once(sim_small, make_control, monkeypatch):
     # T[q, (p, i)] = conv_bb[i, p, q] and T[n + c, (p, i)] = conv_bc[i, p, c],
     # built by the constructor and handed to every kernel call
-    import slipflow.dynamics as dyn
-
     ops, table = sim_small.ops, sim_small.table
     n = ops.n
     assert table.shape == (n + ops.n_ctrl, n * n)
@@ -517,6 +592,26 @@ def test_seed_bits_independent_of_batch_and_threads(sim_small, make_control):
                 bundle = sim_small.run_many(seeds, threads=threads, **kw)
                 assert [tr.seed for tr in bundle] == seeds
                 _same_path(bundle[pos], solo)
+
+
+def test_kernel_arrays_reused_across_calls(sim_small, basis_small, cache_small, make_control):
+    # the kernel's large arrays live on the simulator, one set per thread;
+    # a run after one whose paths all stopped at the first step is the same
+    # bits as on a fresh simulator, and so is a run on worker threads
+    n = basis_small.size
+    fresh = Simulator(basis_small, cache_small, sim_small.noise, t_final=0.5, dt=0.005,
+                      ops=sim_small.ops)
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=82)
+    kw = dict(ctrl=ctrl, u0=make_initial_coeffs(n, "random", 3, 0.5, 1.0), store_beta=True)
+    sim_small.run_many(range(3), **kw)
+    work = sim_small._work.arrays
+    blown = sim_small.run_many(range(3), ctrl=ctrl, u0=np.full(n, 1e7))
+    assert all(tr.blowup_step == 1 for tr in blown) and sim_small._work.arrays is work
+    seeds = range(BLOCK + 2)
+    for a, b, c in zip(sim_small.run_many(seeds, **kw), fresh.run_many(seeds, **kw),
+                       sim_small.run_many(seeds, threads=2, **kw)):
+        _same_path(a, b)
+        _same_path(a, c)
 
 
 def test_blowup_masked_per_path(basis_small):
