@@ -46,6 +46,7 @@ __all__ = [
     "inner_h",
     "inner_v",
     "reduced_pencil",
+    "max_basis_size",
     "build_eigenbasis",
     "project",
     "korn_ratio",
@@ -459,6 +460,12 @@ def _solve_pencil(a, m):
     return lam, np.linalg.solve(low.T, y)
 
 
+def max_basis_size(spec: DomainSpec) -> int:
+    """The eigenpairs the grid of spec resolves: nodes_y - 1 shear profiles at
+    j = 0 and a cos and a sin of nodes_y - 2 streamfunctions at each j >= 1."""
+    return (spec.nodes_y - 1) + 2 * spec.modes_x * (spec.nodes_y - 2)
+
+
 def build_eigenbasis(spec: DomainSpec, n: int, grid: Grid | None = None) -> Basis:
     """Eigenbasis of the energy form over divergence-free zero-normal-trace fields.
 
@@ -469,8 +476,7 @@ def build_eigenbasis(spec: DomainSpec, n: int, grid: Grid | None = None) -> Basi
     """
     if grid is None:
         grid = build_grid(spec)
-    n_y = grid.n_y
-    capacity = (n_y - 1) + 2 * spec.modes_x * (n_y - 2)
+    capacity = max_basis_size(spec)
     if n < 1 or n > capacity:
         raise BasisError(f"requested {n} eigenpairs, capacity is {capacity}")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -125,16 +124,9 @@ def cmd_simulate(cfg, out: Path, args) -> int:
     paths = args.paths or cfg.data["monte_carlo"]["paths"]
     seeds = cfg.seed_bank(paths, args.seed)
     noise_on = cfg.data["simulate"]["noise_on"]
-    trajs = sim.run_many(
-        seeds,
-        ctrl=ctrl,
-        u0=u0,
-        noise_on=noise_on,
-        store_beta=cfg.data["simulate"]["store_beta"],
-        threads=args.threads,
-    )
-    save_n = min(len(trajs), cfg.data["simulate"]["save_paths"])
-    for i, tr in enumerate(trajs[:save_n]):
+    trajs = sim.run_many(seeds, ctrl=ctrl, u0=u0, noise_on=noise_on,
+                         store_beta=cfg.data["simulate"]["store_beta"])
+    for i, tr in enumerate(trajs[: cfg.data["simulate"]["save_paths"]]):
         cols = min(4, tr.beta_final.size)
         beta = np.full((tr.times.size, cols), np.nan) if tr.beta_series is None else tr.beta_series
         norms = np.sqrt(np.stack([tr.u_sq, tr.u_esq, tr.noise_sq], axis=1))
@@ -183,7 +175,7 @@ def cmd_verify(cfg, out: Path, args) -> int:
     if paths is None:
         paths = cfg.data["monte_carlo"]["paths"]
     seeds = cfg.seed_bank(paths, args.seed)
-    trajs = sim.run_many(seeds, ctrl=ctrl, u0=u0, threads=args.threads)
+    trajs = sim.run_many(seeds, ctrl=ctrl, u0=u0)
     sim.usable(trajs)  # exit 2 if every path blew up
 
     rep2 = diag.certify_second_moment(trajs, ctrl, c0, nu)
@@ -199,8 +191,8 @@ def cmd_verify(cfg, out: Path, args) -> int:
         ctrl_a = ctrl
     ctrl_b = ctrl_a.copy()
     ctrl_b.gamma *= cfg.data["verify"]["stability_scale"]
-    tr_a = sim.run_many(seeds_s, ctrl=ctrl_a, u0=u0, store_beta=True, threads=args.threads)
-    tr_b = sim.run_many(seeds_s, ctrl=ctrl_b, u0=u0, store_beta=True, threads=args.threads)
+    tr_a = sim.run_many(seeds_s, ctrl=ctrl_a, u0=u0, store_beta=True)
+    tr_b = sim.run_many(seeds_s, ctrl=ctrl_b, u0=u0, store_beta=True)
     reps = diag.certify_stability(
         tr_a, ctrl_a, tr_b, ctrl_b, sim.ops, c0, nu, c3=2.0 * noise.lipschitz_k
     )
@@ -261,7 +253,6 @@ def cmd_optimize(cfg, out: Path, args) -> int:
         noise_on=opt["noise_on"],
         step0=opt["step0"],
         step_min=opt["step_min"],
-        threads=args.threads,
         c0=cfg.data["damping_rate"],
     )
     _json_dump(
@@ -292,12 +283,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (default from config)")
     parser.add_argument("--seed", type=int, default=None, help="seed bank start override")
     parser.add_argument("--paths", type=int, default=None, help="path count override")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="workers over fixed-width path chunks (default from SLIPFLOW_THREADS, else 1)",
-    )
+    parser.add_argument("--threads", type=int, choices=[1], help="accepted for old callers")
     try:
         args = parser.parse_args(argv)
     except ConfigError as exc:
@@ -310,17 +296,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     if args.paths is not None and args.paths < 1:
         print("validation error: --paths must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    source = "--threads"
-    if args.threads is None:
-        source = "SLIPFLOW_THREADS"
-        try:
-            args.threads = int(os.environ.get(source, "1"))
-        except ValueError:
-            print(f"validation error: {source} must be an integer", file=sys.stderr)
-            return EXIT_CONFIG
-    if args.threads < 1:
-        print(f"validation error: {source} must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import build_eigenbasis, max_basis_size
 from .control import AdmissibleSpec, ParamMap
 from .dynamics import Simulator, build_noise, make_initial_coeffs
 from .geometry import DomainSpec, GeometryError, build_grid
@@ -151,8 +152,6 @@ class RunConfig:
             raise ConfigError("monte_carlo.paths must be >= 1")
         if not 0 <= d["monte_carlo"]["seed_bank_start"] < SEED_LIMIT:
             raise ConfigError("monte_carlo.seed_bank_start must be >= 0 and < 2**64")
-        if d["basis_size"] < 1:
-            raise ConfigError("basis_size must be >= 1")
         if d["damping_rate"] <= 0:
             raise ConfigError("damping_rate must be positive")
         c = d["control"]
@@ -164,10 +163,12 @@ class RunConfig:
         if theta0 is not None:
             _check_leaf([0.0], theta0, "optimize.theta0")
         try:
-            DomainSpec(**d["domain"])
+            spec = DomainSpec(**d["domain"])
             proto = BoundaryControl.zeros(d["domain"]["length_x"], c["n_modes"], [0.0], c["p"])
         except (GeometryError, LiftingError) as exc:
             raise ConfigError(str(exc)) from exc
+        if not 1 <= d["basis_size"] <= max_basis_size(spec):
+            raise ConfigError(f"basis_size must lie in 1..{max_basis_size(spec)} on this grid")
         for i, slot in enumerate(c["slots"]):
             try:
                 proto.dof_index(*slot)
@@ -193,6 +194,8 @@ class RunConfig:
             raise ConfigError("verify.stability_paths must be >= 1")
         if not math.isfinite(v["stability_scale"]):
             raise ConfigError("verify.stability_scale must be finite")
+        if d["simulate"]["save_paths"] < 0:
+            raise ConfigError("simulate.save_paths must be >= 0")
 
     # -- builders ----------------------------------------------------------
 
@@ -203,8 +206,6 @@ class RunConfig:
         return build_grid(self.domain_spec())
 
     def basis(self):
-        from .basis import build_eigenbasis
-
         return build_eigenbasis(self.domain_spec(), self.data["basis_size"])
 
     def lifting_cache(self, grid) -> LiftingCache:

@@ -168,14 +168,12 @@ def penalty_term(ctrl: BoundaryControl, spec: AdmissibleSpec) -> float:
 
 def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
                   spec: AdmissibleSpec, seeds, u0: np.ndarray | None = None,
-                  noise_on: bool = True, threads: int = 1) -> CostReport:
+                  noise_on: bool = True) -> CostReport:
     """Monte Carlo tracking cost plus exact penalty under the given seed bank."""
     seeds = list(seeds)
     if not seeds:
         raise ControlError("empty seed bank")
-    trajs = sim.run_many(
-        seeds, ctrl=ctrl, u0=u0, noise_on=noise_on, target=target, threads=threads
-    )
+    trajs = sim.run_many(seeds, ctrl=ctrl, u0=u0, noise_on=noise_on, target=target)
     good = [tr.tracking for tr in sim.usable(trajs)]
     per_path = 0.5 * np.trapezoid(np.stack(good), sim.times, axis=-1)
     tracking = float(per_path.mean())
@@ -266,8 +264,7 @@ class OptimizeHistory:
 def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
              sim: Simulator, seeds, budget: int, method: str = "compass",
              u0: np.ndarray | None = None, noise_on: bool = True,
-             step0: float = 0.25, step_min: float = 1e-4, threads: int = 1,
-             c0: float = 1.0) -> tuple:
+             step0: float = 0.25, step_min: float = 1e-4, c0: float = 1.0) -> tuple:
     """Projected derivative-free descent with a frozen seed bank.
 
     `budget` counts cost evaluations.  A candidate replaces the incumbent
@@ -284,9 +281,7 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
         return project_admissible(pmap.control(th), spec)
 
     def cost(ctrl):
-        return estimate_cost(
-            ctrl, target, sim, spec, seeds, u0=u0, noise_on=noise_on, threads=threads
-        )
+        return estimate_cost(ctrl, target, sim, spec, seeds, u0=u0, noise_on=noise_on)
 
     history = OptimizeHistory(method=method, evaluations=0, budget=budget,
                               budget_exhausted=False)

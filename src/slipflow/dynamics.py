@@ -39,18 +39,16 @@ are the mass and energy pairings of the basis and lifting stacks, and the
 wall term is exact by Parseval on the trace coefficients.
 
 One numpy kernel steps a fixed-width block of BLOCK paths together;
-`Simulator.run_many` splits its seeds into such chunks (the last one padded)
-and `--threads` spreads chunks over workers.  Every path is stepped on the
-same shapes, so a seed's path is bitwise the same whatever its batch,
-position or thread count.  `drift`/`step_em` on the dense tensors are the
-single-step reference the kernel is tested against on both paths; the
-tensors are assembled on first read, so only that reference builds them
-from N_PS on.
+`Simulator.run_many` steps its seeds in such chunks (the last one padded),
+one after another.  Every path is stepped on the same shapes, so a seed's
+path is bitwise the same whatever its batch and its position in it.
+`drift`/`step_em` on the dense tensors are the single-step reference the
+kernel is tested against on both paths; the tensors are assembled on first
+read, so only that reference builds them from N_PS on.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +69,6 @@ __all__ = [
     "assemble_operators",
     "nonlinear_term",
     "drift",
-    "diffusion",
     "step_em",
     "Simulator",
     "make_initial_coeffs",
@@ -122,6 +119,7 @@ class NoiseModel:
         return max(g_sum, float(self.mult_gain.sum()))
 
     def matrix(self, beta: np.ndarray) -> np.ndarray:
+        """Diffusion matrix: column k holds the coefficients of g_k + rho_k u."""
         return self.additive + np.outer(beta, self.mult_gain)
 
 
@@ -164,23 +162,6 @@ class Trajectory:
     blowup_step: int
     beta_series: np.ndarray | None = None
     wiener: np.ndarray | None = None
-
-    def export_npz(self, path):
-        payload = {
-            "times": self.times,
-            "seed": np.array(self.seed),
-            "beta0": self.beta0,
-            "beta_final": self.beta_final,
-            "u_sq": self.u_sq,
-            "u_esq": self.u_esq,
-            "tracking": self.tracking,
-            "noise_sq": self.noise_sq,
-            "blown_up": np.array(self.blown_up),
-            "blowup_step": np.array(self.blowup_step),
-        }
-        if self.beta_series is not None:
-            payload["beta_series"] = self.beta_series
-        np.savez(path, **payload)
 
 
 # -- convection ------------------------------------------------------------------
@@ -516,15 +497,12 @@ def _convection_tensors(basis: Basis, cache: LiftingCache | None):
     return conv_bb, conv_bc, conv_cc
 
 
-def assemble_operators(basis: Basis, cache: LiftingCache | None,
-                       dense: bool = True) -> GalerkinOperators:
-    """The couplings of basis and cache; with `dense=False` the convection
-    tensors are left to be assembled on first read."""
+def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOperators:
+    """The couplings of basis and cache; the convection tensors are assembled
+    on first read."""
     g = basis.grid
     n = basis.size
     ops = dict(lam=basis.eigenvalues.copy(), basis=basis, cache=cache)
-    if dense:
-        ops.update(zip(("conv_bb", "conv_bc", "conv_cc"), _convection_tensors(basis, cache)))
     if cache is None:
         return GalerkinOperators(lift_h=np.zeros((n, 1)), lift_v=np.zeros((n, 1)),
                                  btrace=np.zeros((n, 1)), gram_h=np.zeros((1, 1)),
@@ -583,11 +561,6 @@ def drift(beta: np.ndarray, ops: GalerkinOperators, nu: float,
     return f
 
 
-def diffusion(beta: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Diffusion matrix: column k holds the coefficients of g_k + rho_k u."""
-    return noise.matrix(beta)
-
-
 def step_em(state: GalerkinState, dt: float, dw: np.ndarray,
             ops: GalerkinOperators, noise: NoiseModel, nu: float,
             gamma: np.ndarray | None = None, gamma_dot: np.ndarray | None = None,
@@ -599,7 +572,7 @@ def step_em(state: GalerkinState, dt: float, dw: np.ndarray,
     g = np.zeros(nc) if gamma is None else gamma
     gd = np.zeros(nc) if gamma_dot is None else gamma_dot
     f = drift(state.beta, ops, nu, g, gd, include_nonlinear)
-    beta = state.beta + dt * f + diffusion(state.beta, noise) @ dw
+    beta = state.beta + dt * f + noise.matrix(state.beta) @ dw
     if not np.all(np.isfinite(beta)):
         raise BlowupError(f"state became nonfinite at t = {state.t + dt}")
     return GalerkinState(t=state.t + dt, beta=beta)
@@ -627,7 +600,7 @@ def wiener_increments(seed: int, n_steps: int, m: int, dt: float) -> np.ndarray:
 # Paths per kernel call.  Fixed, and the last chunk of a batch is padded, so
 # every path is stepped by the same BLAS calls on the same shapes: BLAS
 # rounding depends on the row count, and this makes a seed's bits
-# independent of its batch, its position in it and the thread count.
+# independent of its batch and its position in it.
 BLOCK = 16
 
 # Basis size from which the kernel evaluates the convection pseudospectrally
@@ -783,11 +756,10 @@ class Simulator:
         self.include_nonlinear = include_nonlinear
         self.blowup_limit = blowup_limit
         wide = basis.size >= N_PS
-        self.ops = (assemble_operators(basis, cache, dense=include_nonlinear and not wide)
-                    if ops is None else ops)
-        # the kernel's large arrays, one set per thread, reused across calls:
-        # fresh ones would be new pages, faulted in on every call
-        self._work = threading.local()
+        self.ops = assemble_operators(basis, cache) if ops is None else ops
+        # the kernel's large arrays, reused by every call: fresh ones would be
+        # new pages, faulted in on every call
+        self._work = np.empty((2, n_steps + 1, BLOCK, basis.size))
         self.convection = self.table = None
         if wide and include_nonlinear:
             self.convection = Convection(basis, None if cache is None else cache.fields)
@@ -867,13 +839,10 @@ class Simulator:
             for w, seed in enumerate(seeds):
                 dw[w] = (wiener_increments(seed, self.n_steps, m, self.dt)
                          if plan["dw"] is None else plan["dw"])
-        work = getattr(self._work, "arrays", None)
-        if work is None:
-            work = self._work.arrays = np.empty((2, self.n_steps + 1, BLOCK, n))
         hist, beta_final, u_sq, u_esq, tracking, noise_sq, blow = _em_block(
             beta0, self.ops, self.convection, self.table, self.nu, self.dt,
             plan["gamma"], plan["gdot"], plan["beta_ref"], plan["gamma_ref"],
-            plan["add"], plan["rho"], dw, self.blowup_limit, len(seeds), work,
+            plan["add"], plan["rho"], dw, self.blowup_limit, len(seeds), self._work,
         )
         return [
             Trajectory(
@@ -901,16 +870,9 @@ class Simulator:
         plan = self._plan(ctrl, u0, noise_on, store_beta, target, dw, keep_wiener)
         return self._chunk([seed], plan)[0]
 
-    def run_many(self, seeds, threads: int = 1, **kw) -> list:
-        """Paths for many seeds, stepped in chunks of BLOCK; threads map chunks."""
+    def run_many(self, seeds, **kw) -> list:
+        """Paths for many seeds, stepped in chunks of BLOCK."""
         seeds = [int(s) for s in seeds]
         plan = self._plan(**kw)
-        chunks = [seeds[i : i + BLOCK] for i in range(0, len(seeds), BLOCK)]
-        if threads <= 1 or len(chunks) <= 1:
-            done = [self._chunk(c, plan) for c in chunks]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
-                done = list(pool.map(lambda c: self._chunk(c, plan), chunks))
-        return [tr for chunk in done for tr in chunk]
+        return [tr for i in range(0, len(seeds), BLOCK)
+                for tr in self._chunk(seeds[i : i + BLOCK], plan)]

@@ -43,7 +43,7 @@ def wide():
     basis = build_eigenbasis(spec, 128, grid)
     cache = LiftingCache(grid, spec.friction_alpha, 2)
     return SimpleNamespace(basis=basis, cache=cache,
-                           ops=assemble_operators(basis, cache, dense=False))
+                           ops=assemble_operators(basis, cache))
 
 
 @pytest.fixture(scope="session")

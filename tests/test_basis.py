@@ -11,6 +11,7 @@ from slipflow.basis import (
     inner_v,
     korn_ratio,
     load_basis,
+    max_basis_size,
     project,
     save_basis,
     truncate_basis,
@@ -180,8 +181,11 @@ def test_korn_rejects_zero(grid_small):
 
 
 def test_capacity_guard(spec_small, grid_small):
+    # max_basis_size is the exact count of the grid's eigenpairs
+    cap = max_basis_size(spec_small)
+    assert build_eigenbasis(spec_small, cap, grid_small).size == cap
     with pytest.raises(BasisError):
-        build_eigenbasis(spec_small, 10**6, grid_small)
+        build_eigenbasis(spec_small, cap + 1, grid_small)
 
 
 def test_save_load_roundtrip(tmp_path, basis_small):

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,6 +121,18 @@ def test_cmd_simulate_reproducible(tmp_path):
     assert summary["paths"] == 6
     assert summary["blowups"] == 0
     assert "config_hash" in summary
+
+
+def test_cmd_simulate_threads_one_is_no_flag(tmp_path):
+    # --threads is kept for old callers, accepts only 1 and changes nothing
+    p = write_cfg(tmp_path)
+    out1, out2 = tmp_path / "plain", tmp_path / "threads1"
+    assert main(["simulate", "--config", str(p), "--out", str(out1)]) == 0
+    assert main(["simulate", "--config", str(p), "--out", str(out2), "--threads", "1"]) == 0
+    names = sorted(f.name for f in out1.iterdir())
+    assert names == sorted(f.name for f in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_cmd_simulate_energy_decay(tmp_path):
@@ -265,6 +276,7 @@ def test_cmd_optimize_zero_budget(tmp_path):
         ("verify", [], {"verify": {"stability_paths": 0}}, 1),
         ("simulate", ["--threads", "0"], {}, 1),
         ("simulate", ["--threads", "-2"], {}, 1),
+        ("simulate", ["--threads", "2"], {}, 1),
         ("simulate", ["--seed", str(2**64)], {}, 1),
         ("simulate", [], {"monte_carlo": {"paths": "abc"}}, 1),
         ("simulate", [], {"basis_size": "8"}, 1),
@@ -296,10 +308,14 @@ def test_cmd_optimize_zero_budget(tmp_path):
         ("simulate", ["--config", "."], {}, 1),
         ("simulate", ["--out", "cfg.json"], {}, 1),
         ("simulate", ["--out", "cfg.json/sub"], {}, 1),
+        ("simulate", [], {"simulate": {"save_paths": -1}}, 1),
+        ("basis", [], {"basis_size": 10000}, 1),
+        ("simulate", [], {"basis_size": 100}, 1),
     ],
     ids=["verify-all-paths-blow-up", "optimize-all-paths-blow-up", "negative-seed", "negative-paths", "zero-paths",
          "negative-seed-bank", "zero-verify-paths", "negative-verify-paths", "zero-stability-paths",
-         "zero-threads", "negative-threads", "seed-past-philox-range", "string-paths",
+         "zero-threads", "negative-threads", "threads-above-one", "seed-past-philox-range",
+         "string-paths",
          "string-basis-size", "string-budget", "string-in-theta", "string-theta0",
          "string-in-theta-star", "string-in-mult-gain", "negative-control-modes",
          "integer-coeff-file", "slot-wall-middle", "slot-mode-past-band", "slot-kind-z",
@@ -307,7 +323,8 @@ def test_cmd_optimize_zero_budget(tmp_path):
          "negative-initial-seed", "negative-noise-m", "unknown-initial-kind", "weight-underflow",
          "unknown-flag", "string-seed", "top-level-number", "top-level-null",
          "top-level-list", "top-level-string", "config-not-utf8", "config-nested-too-deep",
-         "config-is-directory", "out-is-file", "out-under-file"],
+         "config-is-directory", "out-is-file", "out-under-file", "negative-save-paths",
+         "basis-size-past-capacity", "basis-size-one-past-capacity"],
 )
 def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, code):
     _check_exit_code(tmp_path, command, flags, overrides, code)
@@ -317,6 +334,7 @@ def test_main_returns_1_on_usage_errors(tmp_path, capsys):
     p = str(write_cfg(tmp_path))
     for argv in (["simulate", "--config", p, "--bogus"],
                  ["simulate", "--config", p, "--seed", "abc"],
+                 ["simulate", "--config", p, "--threads", "2"],
                  ["simulate"]):
         assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
@@ -359,12 +377,7 @@ def test_runtime_does_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
-def test_cli_rejects_bad_thread_variable(tmp_path, value):
-    _check_exit_code(tmp_path, "simulate", [], {}, 1, {"SLIPFLOW_THREADS": value})
-
-
-def _check_exit_code(tmp_path, command, flags, overrides, code, environ=None):
+def _check_exit_code(tmp_path, command, flags, overrides, code):
     # overrides as bytes are the whole config file; relative paths in flags
     # resolve against tmp_path, which holds the config as cfg.json
     if isinstance(overrides, bytes):
@@ -372,7 +385,7 @@ def _check_exit_code(tmp_path, command, flags, overrides, code, environ=None):
         p.write_bytes(overrides)
     else:
         p = write_cfg(tmp_path, **overrides)
-    env = dict(os.environ, **(environ or {}))
+    env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -389,7 +402,7 @@ def _check_exit_code(tmp_path, command, flags, overrides, code, environ=None):
 # well-formed inputs plus up to two injected faults, so that a fair share
 # of the examples gets past validation into the certifiers
 _FAULTS = [("--seed", -1), ("--seed", 2**64), ("--paths", 0), ("--paths", -2),
-           ("--threads", 0), ("--threads", -1), ("env", "abc"), ("env", ""), ("env", "0"),
+           ("--threads", 0), ("--threads", -1), ("--threads", 2),
            ("paths", 0), ("paths", -3), ("paths", 2.5), ("stability_paths", 0),
            ("stability_paths", "3"), ("stability_scale", "0.5"), ("stability_scale", True)]
 
@@ -431,8 +444,7 @@ _SCALARS = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2.0, 2.0
 @given(
     seed=st.none() | st.integers(0, 2**64 - 1),
     paths=st.none() | st.integers(1, 12),
-    threads=st.none() | st.integers(1, 3),
-    env_threads=st.none() | st.sampled_from(["1", "2", " 2 "]),
+    threads=st.none() | st.just(1),
     verify_paths=st.none() | st.integers(1, 12),
     stability_paths=st.integers(1, 6),
     stability_scale=st.floats(-2.0, 2.0),
@@ -440,13 +452,11 @@ _SCALARS = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2.0, 2.0
     leaves=st.lists(st.sampled_from(_LEAF_FAULTS) | st.tuples(st.sampled_from(_LEAVES), _SCALARS),
                     max_size=2),
 )
-def test_verify_exit_code_property(tmp_path, seed, paths, threads, env_threads,
-                                   verify_paths, stability_paths, stability_scale, faults,
-                                   leaves):
-    # any mix of flags, thread variable, verify keys and list or nullable
-    # config leaves ends in a documented exit code with a message, never in
-    # an exception
-    flags = {"--seed": seed, "--paths": paths, "--threads": threads, "env": env_threads}
+def test_verify_exit_code_property(tmp_path, seed, paths, threads, verify_paths,
+                                   stability_paths, stability_scale, faults, leaves):
+    # any mix of flags, verify keys and list or nullable config leaves ends
+    # in a documented exit code with a message, never in an exception
+    flags = {"--seed": seed, "--paths": paths, "--threads": threads}
     sections = {"verify": {"paths": verify_paths, "stability_paths": stability_paths,
                            "stability_scale": stability_scale}}
     for key, value in faults:
@@ -464,19 +474,14 @@ def test_verify_exit_code_config_leaves(tmp_path, leaf, value):
 
 
 def _check_verify_in_process(tmp_path, flags, sections):
-    flags = dict(flags)
-    env_threads = flags.pop("env", None)
     out = Path(tempfile.mkdtemp(dir=tmp_path))
     p = write_cfg(out, time={"t_final": 0.05, "dt": 0.005}, **sections)
     argv = ["verify", "--config", str(p), "--out", str(out / "out")]
     for flag, value in flags.items():
         if value is not None:
             argv += [flag, str(value)]
-    environ = {} if env_threads is None else {"SLIPFLOW_THREADS": env_threads}
     err = io.StringIO()
-    with mock.patch.dict(os.environ, environ), contextlib.redirect_stderr(err):
-        if env_threads is None:
-            os.environ.pop("SLIPFLOW_THREADS", None)
+    with contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

@@ -23,7 +23,6 @@ from slipflow.dynamics import (
     _probe_skew,
     assemble_operators,
     build_noise,
-    diffusion,
     drift,
     make_initial_coeffs,
     nonlinear_term,
@@ -45,8 +44,8 @@ def sim_small(basis_small, cache_small):
 
 def test_noise_additive_only(basis_small):
     noise = build_noise(basis_small.size, 2, 0.1, 1.0, 3, [0.0, 0.0])
-    m0 = diffusion(np.zeros(basis_small.size), noise)
-    m1 = diffusion(np.ones(basis_small.size), noise)
+    m0 = noise.matrix(np.zeros(basis_small.size))
+    m1 = noise.matrix(np.ones(basis_small.size))
     assert np.array_equal(m0, m1)
     assert np.array_equal(m0, noise.additive)
 
@@ -55,7 +54,7 @@ def test_noise_linear_multiplicative(basis_small):
     n = basis_small.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.3]))
     beta = np.arange(1.0, n + 1)
-    assert np.allclose(diffusion(beta, noise)[:, 0], 0.3 * beta)
+    assert np.allclose(noise.matrix(beta)[:, 0], 0.3 * beta)
 
 
 def test_noise_lipschitz_and_growth(basis_small):
@@ -66,13 +65,13 @@ def test_noise_lipschitz_and_growth(basis_small):
     for _ in range(100):
         b1 = rng.standard_normal(n)
         b2 = rng.standard_normal(n)
-        d = diffusion(b1, noise) - diffusion(b2, noise)
+        d = noise.matrix(b1) - noise.matrix(b2)
         lhs = np.sum(d * d)
         assert lhs <= k_lip * np.sum((b1 - b2) ** 2) * (1 + 1e-12)
     k_gr = noise.growth_k
     for _ in range(100):
         b = 3.0 * rng.standard_normal(n)
-        g = diffusion(b, noise)
+        g = noise.matrix(b)
         total = np.linalg.norm(g, axis=0).sum()
         assert total <= k_gr * (1.0 + np.linalg.norm(b)) * (1 + 1e-12)
 
@@ -220,6 +219,7 @@ def test_dense_assembly_samples_no_grid(basis_small, cache_small, monkeypatch):
     monkeypatch.setattr(bs, "sample_fields", refuse)
     assert not hasattr(dyn, "sample_fields") and basis_small.size < N_PS
     ops = assemble_operators(basis_small, cache_small)
+    ops.conv_bb  # the first read assembles all three
     assert all(getattr(ops, f"_conv_{k}") is not None for k in ("bb", "bc", "cc"))
 
 
@@ -548,14 +548,6 @@ def test_simulator_guards(basis_small, cache_small):
         sim.run(u0=np.zeros(n + 1))
 
 
-def test_run_many_threads_match(sim_small):
-    b0 = make_initial_coeffs(sim_small.ops.n, "random", 3, 0.5, 1.0)
-    serial = sim_small.run_many(range(4), u0=b0)
-    threaded = sim_small.run_many(range(4), u0=b0, threads=4)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.beta_final, b.beta_final)
-
-
 _PATH_ARRAYS = ("times", "beta0", "beta_final", "u_sq", "u_esq", "tracking", "noise_sq",
                 "beta_series", "wiener")
 
@@ -568,9 +560,9 @@ def _same_path(a, b):
         assert x is None or np.array_equal(x, y, equal_nan=True), name
 
 
-def test_seed_bits_independent_of_batch_and_threads(sim_small, make_control):
-    # a seed's path is the same bits alone, first or last in a batch, in a
-    # padded or a full chunk, and with more worker threads than cores
+def test_seed_bits_independent_of_batch(sim_small, make_control):
+    # a seed's path is the same bits alone, first or last in a batch, and in
+    # a padded or a full chunk
     from slipflow.control import Target
 
     n = sim_small.ops.n
@@ -588,30 +580,27 @@ def test_seed_bits_independent_of_batch_and_threads(sim_small, make_control):
         for pos in {0, size - 1}:
             seeds = list(range(100, 100 + size))
             seeds[pos] = seed
-            for threads in (1, 2, 4):
-                bundle = sim_small.run_many(seeds, threads=threads, **kw)
-                assert [tr.seed for tr in bundle] == seeds
-                _same_path(bundle[pos], solo)
+            bundle = sim_small.run_many(seeds, **kw)
+            assert [tr.seed for tr in bundle] == seeds
+            _same_path(bundle[pos], solo)
 
 
 def test_kernel_arrays_reused_across_calls(sim_small, basis_small, cache_small, make_control):
-    # the kernel's large arrays live on the simulator, one set per thread;
-    # a run after one whose paths all stopped at the first step is the same
-    # bits as on a fresh simulator, and so is a run on worker threads
+    # the kernel's large arrays live on the simulator; a run after one whose
+    # paths all stopped at the first step is the same bits as on a fresh
+    # simulator
     n = basis_small.size
     fresh = Simulator(basis_small, cache_small, sim_small.noise, t_final=0.5, dt=0.005,
                       ops=sim_small.ops)
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=82)
     kw = dict(ctrl=ctrl, u0=make_initial_coeffs(n, "random", 3, 0.5, 1.0), store_beta=True)
     sim_small.run_many(range(3), **kw)
-    work = sim_small._work.arrays
+    work = sim_small._work
     blown = sim_small.run_many(range(3), ctrl=ctrl, u0=np.full(n, 1e7))
-    assert all(tr.blowup_step == 1 for tr in blown) and sim_small._work.arrays is work
+    assert all(tr.blowup_step == 1 for tr in blown) and sim_small._work is work
     seeds = range(BLOCK + 2)
-    for a, b, c in zip(sim_small.run_many(seeds, **kw), fresh.run_many(seeds, **kw),
-                       sim_small.run_many(seeds, threads=2, **kw)):
+    for a, b in zip(sim_small.run_many(seeds, **kw), fresh.run_many(seeds, **kw)):
         _same_path(a, b)
-        _same_path(a, c)
 
 
 def test_blowup_masked_per_path(basis_small):
@@ -751,20 +740,6 @@ def test_tracking_series_matches_field_quadrature(basis_small, cache_small,
         assert abs(tr.tracking[ell] - direct) < 1e-10 * max(1.0, direct)
 
 
-def test_trajectory_npz_export(tmp_path, sim_small):
-    b0 = make_initial_coeffs(sim_small.ops.n, "random", 3, 0.4, 1.0)
-    tr = sim_small.run(seed=1, u0=b0, store_beta=True)
-    p1 = tmp_path / "a.npz"
-    p2 = tmp_path / "b.npz"
-    tr.export_npz(p1)
-    tr.export_npz(p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    with np.load(p1) as data:
-        assert np.array_equal(data["beta_series"], tr.beta_series)
-        assert np.array_equal(data["u_sq"], tr.u_sq)
-        assert int(data["seed"]) == 1
-
-
 # -- pseudospectral convection (n >= N_PS) -----------------------------------------
 
 
@@ -776,7 +751,7 @@ def _wide_sim(wide, **kw):
 
 @pytest.fixture(scope="module")
 def narrow():
-    """A modes_x = 3 grid (n_x = 12) with an n = 24 basis, dense operators assembled."""
+    """A modes_x = 3 grid (n_x = 12) with an n = 24 basis and its operators."""
     spec = DomainSpec(length_x=2 * np.pi, modes_x=3, nodes_y=16,
                       friction_alpha=1.0, viscosity=0.5)
     grid = build_grid(spec)
@@ -856,7 +831,7 @@ def test_pseudospectral_seed_bits_independent_of_batch(wide, make_control):
         for pos in (0, size - 1):
             seeds = list(range(100, 100 + size))
             seeds[pos] = seed
-            bundle = sim.run_many(seeds, threads=2 if size > BLOCK else 1, **kw)
+            bundle = sim.run_many(seeds, **kw)
             _same_path(bundle[pos], solo)
 
 
