@@ -38,10 +38,13 @@ the pseudospectral tables are checked by a skew probe b(u, v, w) =
 are the mass and energy pairings of the basis and lifting stacks, and the
 wall term is exact by Parseval on the trace coefficients.
 
-One numpy kernel steps a fixed-width block of BLOCK paths together;
-`Simulator.run_many` steps its seeds in such chunks (the last one padded),
-one after another.  Every path is stepped on the same shapes, so a seed's
-path is bitwise the same whatever its batch and its position in it.
+One numpy kernel steps a pass of up to STACK blocks of BLOCK paths in one
+loop; `Simulator.run_many` hands it its seeds STACK * BLOCK at a time, the
+last block of the run padded.  Every product whose rounding depends on the
+row count runs block by block, as a stacked matmul over (k, BLOCK, .) rows
+that numpy computes as k separate BLOCK-row products, and every other
+operation is per row.  So a seed's path is bitwise the same whatever its
+batch, its position in it and the number of blocks in its pass.
 `drift`/`step_em` on the dense tensors are the single-step reference the
 kernel is tested against on both paths; the tensors are assembled on first
 read, so only that reference builds them from N_PS on.
@@ -220,20 +223,27 @@ class Convection:
                 self.projection.append((j, own, proj.reshape(own.size, -1).T.copy()))
 
     def samples(self, z: np.ndarray) -> np.ndarray:
-        """(W, n_x, 6, n_q) grid samples of the fields with coefficient rows z."""
-        w_rows = z.shape[0]
-        spec = np.zeros((w_rows, 2 * self.n_bins, 6 * self.grid.n_q))
+        """(..., n_x, 6, n_q) grid samples of the fields with coefficient rows z.
+
+        z is (..., n + n_a); a leading stack axis is a stack of row blocks.
+        Each GEMM is then a stacked matmul, which numpy computes block by
+        block, so a row's bits depend on its block's row count, not on the
+        stack.
+        """
+        lead = z.shape[:-1]
+        spec = np.zeros(lead + (2 * self.n_bins, 6 * self.grid.n_q))
         for j, rows, table in self.synthesis:
-            np.matmul(z[:, rows], table, out=spec[:, 2 * j : 2 * j + 2].reshape(w_rows, -1))
-        return np.matmul(self.to_grid, spec).reshape(w_rows, self.grid.n_x, 6, -1)
+            out = spec[..., 2 * j : 2 * j + 2, :].reshape(lead + (-1,))
+            np.matmul(z[..., rows], table, out=out)
+        return np.matmul(self.to_grid, spec).reshape(lead + (self.grid.n_x, 6, -1))
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        """(W, n) coefficients (w, e_i) of (W, n_x, 2, n_q) grid samples."""
-        w_rows = w.shape[0]
-        f = np.matmul(self.from_grid, w.reshape(w_rows, self.grid.n_x, -1))
-        out = np.empty((w_rows, self.n))
+        """(..., n) coefficients (w, e_i) of (..., n_x, 2, n_q) grid samples."""
+        lead = w.shape[:-3]
+        f = np.matmul(self.from_grid, w.reshape(lead + (self.grid.n_x, -1)))
+        out = np.empty(lead + (self.n,))
         for j, own, table in self.projection:
-            out[:, own] = f[:, 2 * j : 2 * j + 2].reshape(w_rows, -1) @ table
+            out[..., own] = f[..., 2 * j : 2 * j + 2, :].reshape(lead + (-1,)) @ table
         return out
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -259,7 +269,7 @@ class Convection:
 
 def _advect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Grid samples of (u . grad) v: u from the rows of a, grad v from those of b."""
-    return a[:, :, 0:1] * b[:, :, 2:4] + a[:, :, 1:2] * b[:, :, 4:6]
+    return a[..., 0:1, :] * b[..., 2:4, :] + a[..., 1:2, :] * b[..., 4:6, :]
 
 
 def nonlinear_term(y: ModeField, basis: Basis) -> np.ndarray:
@@ -450,8 +460,10 @@ def _check_convection(conv: np.ndarray, mode_j, scale: float, supp_p=None, supp_
     reach = _reach(supp_p, supp_q)
     for p in range(0, conv.shape[1], 16):               # 16 p a pass bound the temporaries
         block = conv[:, p : p + 16]
-        if skew and np.abs(block + block.transpose(2, 1, 0)).max() > bound:
-            raise DynamicsError("convection tensor is not skew-symmetric")
+        if skew:                                        # M + M^T per p on contiguous (i, q) M
+            slab = np.ascontiguousarray(block.transpose(1, 0, 2))
+            if np.abs(slab + slab.transpose(0, 2, 1)).max() > bound:
+                raise DynamicsError("convection tensor is not skew-symmetric")
         if np.abs(block[reach[j, p : p + 16] == 0]).max(initial=0.0) > bound:
             raise DynamicsError("convection tensor couples modes off the Fourier triads")
 
@@ -597,11 +609,25 @@ def wiener_increments(seed: int, n_steps: int, m: int, dt: float) -> np.ndarray:
     return np.sqrt(dt) * rng.standard_normal((n_steps, m))
 
 
-# Paths per kernel call.  Fixed, and the last chunk of a batch is padded, so
-# every path is stepped by the same BLAS calls on the same shapes: BLAS
-# rounding depends on the row count, and this makes a seed's bits
-# independent of its batch and its position in it.
+# Paths per block, the unit that fixes a seed's bits.  BLAS rounding may
+# depend on a GEMM's row count, so every product whose rounding does runs on
+# BLOCK-row blocks (a stacked matmul over (k, BLOCK, .) is k BLOCK-row
+# GEMMs) and the last block of a run is padded: a seed's bits are
+# independent of its batch, its position in it and the width of its pass.
 BLOCK = 16
+
+# Blocks per kernel pass: one Python step loop serves up to STACK * BLOCK
+# paths.  Kernel cost at n = 16 (modes_x = 8, nodes_y = 24, a control, 200
+# steps, BLAS on one thread), microseconds per path-step, best of 15 calls:
+#
+#     rows per pass    16    32    48    64    128   256
+#     us/path-step     1.87  1.39  1.27  1.23  1.15  1.16
+#
+# Per-step overhead, not arithmetic, sets the cost of a narrow pass.  Past 64
+# rows the gain is under a tenth, while the work arrays grow by 51 KB per row
+# at n = 16: 128 rows would add about 6 MB to the peak memory of a 200-path
+# `slipflow verify` at n = 16, more than a tenth of its 53 MB.
+STACK = 4
 
 # Basis size from which the kernel evaluates the convection pseudospectrally
 # (`Convection`) instead of through the dense n^3 tensors.  Measured at
@@ -619,9 +645,13 @@ N_PS = 60
 def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
               table: np.ndarray | None, nu, dt, gamma, gamma_dot, beta_ref, gamma_ref,
               add, rho, dw, blowup_limit, paths, work):
-    """Euler-Maruyama over a (W, n) block of paths sharing control and target.
+    """Euler-Maruyama over W = k BLOCK paths sharing control and target, in one loop.
 
     beta0 is (W, n) and dw (W, n_steps, m); rows from `paths` on are padding.
+    The dense step's GEMM and the pseudospectral convection take the
+    (k, BLOCK, .) view of the rows, k BLOCK-row products, so a row's bits
+    do not depend on k; the step's other operations are per row, and the
+    block-wide norm only decides whether the per-row norms are needed.
     work (2, n_steps + 1, W, n) holds the kernel's large arrays and is
     overwritten: the per-step pushes, then a buffer for the diagnostics,
     and the history, whose rows hold each step's decay factor until the
@@ -630,9 +660,9 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
     path and is formed once per step.  The convection is evaluated on the
     rows z = (beta, gamma) of the block: by `conv`, pseudospectrally, or,
     with `table` the dense (n + n_ctrl, n^2) table T of `Simulator`, as
-    y = z @ T (one GEMM) and nl_w = beta_w @ y_w reshaped (n, n) (one batched
-    mat-vec); conv_cc then joins the control drift, by two GEMMs as in
-    `drift`, and without a control only the beta rows of T are read.  Both
+    y = z @ T (one GEMM per block) and nl_w = beta_w @ y_w reshaped (n, n)
+    (one batched mat-vec); conv_cc then joins the control drift, by two
+    GEMMs as in `drift`, and without a control only the beta rows of T are read.  Both
     None is a linear run.  The history (n_steps + 1, W, n) is written in
     place and the per-step diagnostics (squared mass/energy norms, tracking
     error against the reference series, squared noise magnitude) are
@@ -643,6 +673,7 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
     every non-padding row has aborted.
     """
     w_rows, n = beta0.shape
+    n_blocks = w_rows // BLOCK
     n_steps = dw.shape[1]
     lam = ops.lam
     dw_t = dw.transpose(1, 0, 2)                             # (n_steps, W, m)
@@ -663,15 +694,19 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
     hist[1:] += (dw_t * rho).sum(axis=-1, keepdims=True)
     n_a = conv.n_a if conv is not None else ops.n_ctrl if ctrl_on else 0
     rows = np.zeros((w_rows, n + n_a))                       # (beta, gamma) per path
+    stacked = rows.reshape(n_blocks, BLOCK, -1)              # the same rows, block by block
+    hist_stacked = hist.reshape(n_steps + 1, n_blocks, BLOCK, n)
     if table is not None:
         table = table[: n + n_a]
+        y = np.empty((n_blocks, BLOCK, n * n))
+        y_rows = y.reshape(w_rows, n, n)
     # a nonfinite norm fails `<= limit` even for an infinite blowup_limit;
     # below `fast` the block's total norm proves every row is inside
     limit = min(blowup_limit, np.finfo(float).max)
     fast = limit * (1.0 - 1e-9)
 
     hist[0] = beta0
-    b = beta0
+    b = hist[0]
     beta_final = np.empty((w_rows, n))
     blowup_step = np.full(w_rows, -1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -683,11 +718,12 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
                 if n_a:
                     rows[:, :n] = b
                     rows[:, n:] = gamma[ell, :n_a]
-                z = rows if n_a else b
+                z = stacked if n_a else hist_stacked[ell]      # b is hist[ell]
                 if conv is not None:
-                    nl = conv(z)
+                    nl = conv(z).reshape(w_rows, n)
                 else:
-                    nl = np.matmul(b[:, None, :], (z @ table).reshape(w_rows, n, n))[:, 0]
+                    np.matmul(z, table, out=y)
+                    nl = np.matmul(b[:, None, :], y_rows)[:, 0]
                 nl *= dt
                 step -= nl
             if not np.vdot(step, step) <= fast:
@@ -758,8 +794,11 @@ class Simulator:
         wide = basis.size >= N_PS
         self.ops = assemble_operators(basis, cache) if ops is None else ops
         # the kernel's large arrays, reused by every call: fresh ones would be
-        # new pages, faulted in on every call
-        self._work = np.empty((2, n_steps + 1, BLOCK, basis.size))
+        # new pages, faulted in on every call.  Sized for the widest pass; a
+        # pass of k blocks views the head it needs and touches nothing past
+        # it (but for the rest of a 2 MB huge page, where the OS backs the
+        # buffer with them)
+        self._work = np.empty(2 * (n_steps + 1) * STACK * BLOCK * basis.size)
         self.convection = self.table = None
         if wide and include_nonlinear:
             self.convection = Convection(basis, None if cache is None else cache.fields)
@@ -807,10 +846,14 @@ class Simulator:
             raise DynamicsError("control horizon shorter than the simulation")
         return ctrl.series(self.times)
 
-    def _plan(self, ctrl=None, u0=None, noise_on=True, store_beta=False, target=None,
-              dw=None, keep_wiener=False) -> dict:
+    def _plan(self, n_seeds, ctrl=None, u0=None, noise_on=True, store_beta=False,
+              target=None, dw=None, keep_wiener=False) -> dict:
         """Check a run's options once; the result is what every chunk shares."""
         n = self.ops.n
+        if dw is not None:
+            dw = np.asarray(dw, float)
+            if dw.shape != (n_seeds, self.n_steps, self.noise.m):
+                raise DynamicsError("dw must be a (seeds, n_steps, m) stack of increments")
         beta0 = np.zeros(n) if u0 is None else np.asarray(u0, float).copy()
         if beta0.shape != (n,):
             raise DynamicsError("initial coefficients do not match the basis size")
@@ -829,20 +872,29 @@ class Simulator:
                     gamma_ref=gamma_ref, add=add, rho=rho, noise_on=noise_on, dw=dw,
                     store_beta=store_beta, keep_wiener=keep_wiener)
 
-    def _chunk(self, seeds, plan: dict) -> list:
-        """Simulate up to BLOCK seeds as one padded block of the kernel."""
+    def _chunk(self, seeds, plan: dict, first: int = 0) -> list:
+        """Simulate up to STACK * BLOCK seeds as one pass of the kernel.
+
+        The seeds fill k = ceil(len(seeds) / BLOCK) blocks, the last one
+        padded, and the kernel steps the (k BLOCK, n) rows in one loop.
+        `first` is the position of seeds[0] in the run, the row of its
+        increments in plan["dw"].
+        """
         n, m = self.ops.n, self.noise.m
-        beta0 = np.zeros((BLOCK, n))
+        w_rows = -(-len(seeds) // BLOCK) * BLOCK
+        beta0 = np.zeros((w_rows, n))
         beta0[: len(seeds)] = plan["beta0"]
-        dw = np.zeros((BLOCK, self.n_steps, m))      # padding rows: no noise
+        dw = np.zeros((w_rows, self.n_steps, m))      # padding rows: no noise
         if plan["noise_on"]:
             for w, seed in enumerate(seeds):
                 dw[w] = (wiener_increments(seed, self.n_steps, m, self.dt)
-                         if plan["dw"] is None else plan["dw"])
+                         if plan["dw"] is None else plan["dw"][first + w])
+        work = self._work[: 2 * (self.n_steps + 1) * w_rows * n]
         hist, beta_final, u_sq, u_esq, tracking, noise_sq, blow = _em_block(
             beta0, self.ops, self.convection, self.table, self.nu, self.dt,
             plan["gamma"], plan["gdot"], plan["beta_ref"], plan["gamma_ref"],
-            plan["add"], plan["rho"], dw, self.blowup_limit, len(seeds), self._work,
+            plan["add"], plan["rho"], dw, self.blowup_limit, len(seeds),
+            work.reshape(2, self.n_steps + 1, w_rows, n),
         )
         return [
             Trajectory(
@@ -866,13 +918,23 @@ class Simulator:
             u0: np.ndarray | None = None, noise_on: bool = True,
             store_beta: bool = False, target=None,
             dw: np.ndarray | None = None, keep_wiener: bool = False) -> Trajectory:
-        """One path: a chunk holding one seed, bitwise equal to its run_many path."""
-        plan = self._plan(ctrl, u0, noise_on, store_beta, target, dw, keep_wiener)
+        """One path: a chunk holding one seed, bitwise equal to its run_many path.
+
+        dw, if given, is a (1, n_steps, m) stack of the path's increments.
+        """
+        plan = self._plan(1, ctrl, u0, noise_on, store_beta, target, dw, keep_wiener)
         return self._chunk([seed], plan)[0]
 
     def run_many(self, seeds, **kw) -> list:
-        """Paths for many seeds, stepped in chunks of BLOCK."""
+        """Paths for many seeds, one kernel pass per STACK * BLOCK of them.
+
+        Each pass steps up to STACK blocks of BLOCK seeds in one loop, the
+        last block of the run padded; a seed's path is the same bits as in a
+        one-block pass.  dw, if given, is a (len(seeds), n_steps, m) stack
+        and path w is driven by dw[w] instead of its seed's increments.
+        """
         seeds = [int(s) for s in seeds]
-        plan = self._plan(**kw)
-        return [tr for i in range(0, len(seeds), BLOCK)
-                for tr in self._chunk(seeds[i : i + BLOCK], plan)]
+        plan = self._plan(len(seeds), **kw)
+        width = STACK * BLOCK
+        return [tr for i in range(0, len(seeds), width)
+                for tr in self._chunk(seeds[i : i + width], plan, i)]

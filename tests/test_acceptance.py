@@ -187,18 +187,18 @@ def test_criterion_05_strong_sde_convergence():
     t_final = 0.25
     n_fine = 1024
     levels = [32, 64, 128]
-    errs = {lv: [] for lv in levels}
-    sims = {lv: Simulator(basis, None, noise, t_final=t_final, dt=t_final / lv, ops=ops)
-            for lv in levels + [n_fine]}
-    for seed in range(200):
-        dw_fine = wiener_increments(seed, n_fine, noise.m, t_final / n_fine)
-        finals = {}
-        for lv in levels + [n_fine]:
-            dw = dw_fine.reshape(lv, n_fine // lv, noise.m).sum(axis=1)
-            finals[lv] = sims[lv].run(seed=seed, u0=b0, dw=dw).beta_final
-        for lv in levels:
-            errs[lv].append(np.linalg.norm(finals[lv] - finals[n_fine]))
-    mean_err = np.array([np.mean(errs[lv]) for lv in levels])
+    # each level sums the fine increments of every seed (Brownian path
+    # refinement) and steps all 200 paths in one run_many call
+    seeds = range(200)
+    dw_fine = np.stack([wiener_increments(s, n_fine, noise.m, t_final / n_fine) for s in seeds])
+    finals = {}
+    for lv in levels + [n_fine]:
+        sim = Simulator(basis, None, noise, t_final=t_final, dt=t_final / lv, ops=ops)
+        dw = dw_fine.reshape(len(seeds), lv, n_fine // lv, noise.m).sum(axis=2)
+        finals[lv] = [tr.beta_final for tr in sim.run_many(seeds, u0=b0, dw=dw)]
+    mean_err = np.array([np.mean([np.linalg.norm(a - b)
+                                  for a, b in zip(finals[lv], finals[n_fine])])
+                         for lv in levels])
     dts = np.array([t_final / lv for lv in levels])
     slope = float(np.polyfit(np.log(dts), np.log(mean_err), 1)[0])
     ok = 0.4 <= slope <= 0.6

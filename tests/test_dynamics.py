@@ -11,6 +11,7 @@ from slipflow.basis import inner_h, inner_v, truncate_basis
 from slipflow.dynamics import (
     BLOCK,
     N_PS,
+    STACK,
     BlowupError,
     Convection,
     DynamicsError,
@@ -372,20 +373,16 @@ def test_strong_order_multiplicative():
     n_fine = 1024
     dt_fine = t_final / n_fine
     levels = [32, 64, 128]
-    errs = {lv: [] for lv in levels}
-    for seed in range(60):
-        dw_fine = wiener_increments(seed, n_fine, noise.m, dt_fine)
-        finals = {}
-        for lv in levels + [n_fine]:
-            fold = n_fine // lv
-            dw = dw_fine.reshape(lv, fold, noise.m).sum(axis=1)
-            sim = Simulator(basis, None, noise, t_final=t_final,
-                            dt=t_final / lv, ops=ops)
-            tr = sim.run(seed=seed, u0=b0, dw=dw)
-            finals[lv] = tr.beta_final
-        for lv in levels:
-            errs[lv].append(np.linalg.norm(finals[lv] - finals[n_fine]))
-    mean_err = np.array([np.mean(errs[lv]) for lv in levels])
+    seeds = range(60)
+    dw_fine = np.stack([wiener_increments(s, n_fine, noise.m, dt_fine) for s in seeds])
+    finals = {}
+    for lv in levels + [n_fine]:
+        dw = dw_fine.reshape(len(seeds), lv, n_fine // lv, noise.m).sum(axis=2)
+        sim = Simulator(basis, None, noise, t_final=t_final, dt=t_final / lv, ops=ops)
+        finals[lv] = [tr.beta_final for tr in sim.run_many(seeds, u0=b0, dw=dw)]
+    mean_err = np.array([np.mean([np.linalg.norm(a - b)
+                                  for a, b in zip(finals[lv], finals[n_fine])])
+                         for lv in levels])
     dts = np.array([t_final / lv for lv in levels])
     slope = np.polyfit(np.log(dts), np.log(mean_err), 1)[0]
     assert 0.3 < slope < 0.7  # strong half-order within sampling noise
@@ -576,7 +573,7 @@ def test_seed_bits_independent_of_batch(sim_small, make_control):
     seed = 7
     solo = sim_small.run(seed=seed, **kw)
     assert not solo.blown_up
-    for size in (1, 5, BLOCK, BLOCK + 3, 3 * BLOCK + 1):
+    for size in (1, 5, BLOCK, BLOCK + 3, 3 * BLOCK + 1, STACK * BLOCK, STACK * BLOCK + 3):
         for pos in {0, size - 1}:
             seeds = list(range(100, 100 + size))
             seeds[pos] = seed
@@ -586,9 +583,11 @@ def test_seed_bits_independent_of_batch(sim_small, make_control):
 
 
 def test_kernel_arrays_reused_across_calls(sim_small, basis_small, cache_small, make_control):
-    # the kernel's large arrays live on the simulator; a run after one whose
-    # paths all stopped at the first step is the same bits as on a fresh
-    # simulator
+    # the kernel's large arrays live on the simulator, one buffer for every
+    # pass width; a run after one whose paths all stopped at the first step,
+    # and a pass after a wider or a narrower one, is the same bits as on a
+    # fresh simulator, and a one-block pass leaves the rest of the buffer
+    # untouched
     n = basis_small.size
     fresh = Simulator(basis_small, cache_small, sim_small.noise, t_final=0.5, dt=0.005,
                       ops=sim_small.ops)
@@ -596,11 +595,72 @@ def test_kernel_arrays_reused_across_calls(sim_small, basis_small, cache_small, 
     kw = dict(ctrl=ctrl, u0=make_initial_coeffs(n, "random", 3, 0.5, 1.0), store_beta=True)
     sim_small.run_many(range(3), **kw)
     work = sim_small._work
+
+    def same_as_fresh(seeds):
+        for a, b in zip(sim_small.run_many(seeds, **kw), fresh.run_many(seeds, **kw)):
+            _same_path(a, b)
+        assert sim_small._work is work
+
     blown = sim_small.run_many(range(3), ctrl=ctrl, u0=np.full(n, 1e7))
     assert all(tr.blowup_step == 1 for tr in blown) and sim_small._work is work
-    seeds = range(BLOCK + 2)
-    for a, b in zip(sim_small.run_many(seeds, **kw), fresh.run_many(seeds, **kw)):
-        _same_path(a, b)
+    same_as_fresh(range(BLOCK + 2))
+    one_block = 2 * (sim_small.n_steps + 1) * BLOCK * n
+    assert work.size == STACK * one_block
+    same_as_fresh(range(STACK * BLOCK))
+    work[one_block:] = np.nan
+    same_as_fresh(range(50, 50 + BLOCK))
+    assert np.isnan(work[one_block:]).all()
+    same_as_fresh(range(7, 7 + STACK * BLOCK))
+
+
+@pytest.mark.parametrize("path", ["dense", "pseudospectral"])
+def test_stacked_pass_matches_single_blocks(path, request, make_control):
+    # a pass of k blocks is the same bits as k one-block passes, with a
+    # control, a target, multiplicative noise and one row driven past the
+    # blow-up limit in the pass's last block
+    from slipflow.control import Target
+
+    if path == "dense":
+        sim = request.getfixturevalue("sim_small")
+        assert sim.table is not None
+    else:
+        sim = _wide_sim(request.getfixturevalue("wide"))
+        assert sim.convection is not None
+    assert sim.noise.mult_gain.all()
+    n = sim.ops.n
+    ctrl = make_control(2 * np.pi, 2, [0.0, sim.t_final], 0.3, seed=83)
+    rng = np.random.default_rng(2)
+    target = Target(times=sim.times.copy(),
+                    beta_series=0.1 * rng.standard_normal((sim.n_steps + 1, n)),
+                    gamma_series=0.5 * sim.gamma_series(ctrl)[0])
+    kw = dict(ctrl=ctrl, u0=make_initial_coeffs(n, "random", 3, 0.5, 1.0), target=target,
+              store_beta=True, keep_wiener=True)
+    for k in range(1, STACK + 1):
+        seeds = list(range(200, 200 + k * BLOCK - 2))
+        dw = np.stack([wiener_increments(s, sim.n_steps, sim.noise.m, sim.dt) for s in seeds])
+        blow = (k - 1) * BLOCK + 1
+        dw[blow] *= 1e5
+        stacked = sim.run_many(seeds, dw=dw, **kw)
+        assert [tr.blown_up for tr in stacked] == [w == blow for w in range(len(seeds))]
+        for b in range(k):
+            cut = slice(b * BLOCK, (b + 1) * BLOCK)
+            for a, c in zip(stacked[cut], sim.run_many(seeds[cut], dw=dw[cut], **kw)):
+                _same_path(a, c)
+
+
+def test_wiener_stack_rows_follow_seeds(sim_small):
+    # row w of a dw stack drives the w-th seed's path, past the first pass
+    # too, and a stack must have one row per seed
+    size = STACK * BLOCK + 2
+    dw = 0.01 * np.random.default_rng(4).standard_normal((size, sim_small.n_steps,
+                                                            sim_small.noise.m))
+    bundle = sim_small.run_many(range(size), dw=dw, keep_wiener=True)
+    assert all(np.array_equal(tr.wiener, dw[w]) for w, tr in enumerate(bundle))
+    _same_path(bundle[-1], sim_small.run(seed=size - 1, dw=dw[-1:], keep_wiener=True))
+    with pytest.raises(DynamicsError, match="stack"):
+        sim_small.run_many(range(2), dw=dw[:3])
+    with pytest.raises(DynamicsError, match="stack"):
+        sim_small.run(seed=0, dw=dw[0])
 
 
 def test_blowup_masked_per_path(basis_small):
@@ -827,7 +887,7 @@ def test_pseudospectral_seed_bits_independent_of_batch(wide, make_control):
               store_beta=True, keep_wiener=True)
     seed = 7
     solo = sim.run(seed=seed, **kw)
-    for size in (5, 19):
+    for size in (5, 19, STACK * BLOCK + 1):
         for pos in (0, size - 1):
             seeds = list(range(100, 100 + size))
             seeds[pos] = seed
