@@ -99,14 +99,15 @@ class ModeField:
         return self.vals.shape[-3] - 1
 
     @classmethod
-    def zeros(cls, grid: Grid, n_modes: int | None = None) -> "ModeField":
+    def zeros(cls, grid: Grid, n_modes: int | None = None, stack: tuple = ()) -> "ModeField":
+        """The zero field, or a zero stack of the given shape."""
         j = (grid.spec.modes_x if n_modes is None else n_modes) + 1
         return cls(
             grid,
-            np.zeros((j, 2, grid.n_q), complex),
-            np.zeros((j, 2, grid.n_q), complex),
-            np.zeros((j, 2, 2), complex),
-            np.zeros((j, 2, 2), complex),
+            np.zeros(stack + (j, 2, grid.n_q), complex),
+            np.zeros(stack + (j, 2, grid.n_q), complex),
+            np.zeros(stack + (j, 2, 2), complex),
+            np.zeros(stack + (j, 2, 2), complex),
         )
 
     @classmethod
@@ -119,13 +120,13 @@ class ModeField:
 
     @classmethod
     def from_shear_profile(cls, grid: Grid, u_cgl: np.ndarray) -> "ModeField":
-        """x-independent field (u(y), 0) from CGL nodal values."""
-        f = cls.zeros(grid)
-        du = grid.d1 @ u_cgl
-        f.vals[0, 0] = grid.interp @ u_cgl
-        f.dvals[0, 0] = grid.interp_d1 @ u_cgl
-        f.wall_vals[0, 0] = (u_cgl[0], u_cgl[-1])
-        f.wall_dvals[0, 0] = (du[0], du[-1])
+        """x-independent field (u(y), 0) from CGL nodal values.
+
+        (n_y, m) columns of profiles give a stack of m fields.
+        """
+        u_cgl = np.asarray(u_cgl)
+        f = cls.zeros(grid, stack=u_cgl.shape[1:])
+        f._put_shear(u_cgl)
         return f
 
     @classmethod
@@ -137,25 +138,46 @@ class ModeField:
         The velocity is (phi', -i k phi) in coefficient space.  `family`
         selects the real-field convention: "cos" and "sin" build the two
         H-orthogonal real fields of a real profile, "complex" uses the
-        profile directly as the complex coefficient.
+        profile directly as the complex coefficient.  (n_y, m) columns of
+        profiles give a stack of m fields.
         """
         if j < 1 or j > grid.spec.modes_x:
             raise BasisError(f"mode {j} outside resolved band")
         scale = {"complex": 1.0, "cos": 0.5, "sin": -0.5j}[family]
-        k = grid.kx[j]
         phi = np.asarray(phi_cgl, dtype=complex) * scale
-        dphi = grid.d1 @ phi
-        d2phi = grid.d2 @ phi
-        f = cls.zeros(grid)
-        f.vals[j, 0] = grid.interp @ dphi
-        f.vals[j, 1] = -1j * k * (grid.interp @ phi)
-        f.dvals[j, 0] = grid.interp_d2 @ phi
-        f.dvals[j, 1] = -1j * k * (grid.interp @ dphi)
-        f.wall_vals[j, 0] = (dphi[0], dphi[-1])
-        f.wall_vals[j, 1] = (-1j * k * phi[0], -1j * k * phi[-1])
-        f.wall_dvals[j, 0] = (d2phi[0], d2phi[-1])
-        f.wall_dvals[j, 1] = (-1j * k * dphi[0], -1j * k * dphi[-1])
+        f = cls.zeros(grid, stack=phi.shape[1:])
+        f._put_streamfunction(j, phi)
         return f
+
+    def _columns(self):
+        """Transposed views of the four arrays: (node or wall, component, mode[, field])."""
+        return self.vals.T, self.dvals.T, self.wall_vals.T, self.wall_dvals.T
+
+    def _put_shear(self, u_cgl):
+        """Write row j = 0 of the shear field(s) of the (n_y[, m]) profile(s) u_cgl."""
+        g = self.grid
+        vals, dvals, wall_vals, wall_dvals = self._columns()
+        walls = slice(None, None, g.n_y - 1)  # nodes 0 and n_y - 1
+        vals[:, 0, 0] = g.interp @ u_cgl
+        dvals[:, 0, 0] = g.interp_d1 @ u_cgl
+        wall_vals[:, 0, 0] = u_cgl[walls]
+        wall_dvals[:, 0, 0] = (g.d1 @ u_cgl)[walls]
+
+    def _put_streamfunction(self, j: int, phi):
+        """Write row j of the field(s) of the (n_y[, m]) complex streamfunction(s) phi."""
+        g = self.grid
+        vals, dvals, wall_vals, wall_dvals = self._columns()
+        walls = slice(None, None, g.n_y - 1)
+        ik = -1j * g.kx[j]
+        dphi = g.d1 @ phi
+        vals[:, 0, j] = g.interp @ dphi
+        vals[:, 1, j] = ik * (g.interp @ phi)
+        dvals[:, 0, j] = g.interp_d2 @ phi
+        dvals[:, 1, j] = ik * (g.interp @ dphi)
+        wall_vals[:, 0, j] = dphi[walls]
+        wall_vals[:, 1, j] = ik * phi[walls]
+        wall_dvals[:, 0, j] = (g.d2 @ phi)[walls]
+        wall_dvals[:, 1, j] = ik * dphi[walls]
 
     def combine(self, weights) -> "ModeField":
         """The stack's linear combination(s) with (..., m) weights over its m fields."""
@@ -232,13 +254,12 @@ class ModeField:
         return out
 
     def tangential_stress_coeffs(self, alpha: float) -> np.ndarray:
-        """Coefficients of [2 D(v) n + alpha v] . tau per (mode, wall)."""
-        nj = self.vals.shape[0]
-        k = self.grid.kx[:nj]
-        two_d12 = self.wall_dvals[:, 0, :] + 1j * k[:, None] * self.wall_vals[:, 1, :]
-        out = np.empty((nj, 2), complex)
-        out[:, 0] = -two_d12[:, 0] + alpha * self.wall_vals[:, 0, 0]
-        out[:, 1] = -two_d12[:, 1] - alpha * self.wall_vals[:, 0, 1]
+        """Coefficients of [2 D(v) n + alpha v] . tau per ([field,] mode, wall)."""
+        k = self.grid.kx[: self.n_modes + 1]
+        two_d12 = self.wall_dvals[..., 0, :] + 1j * k[:, None] * self.wall_vals[..., 1, :]
+        out = np.empty(two_d12.shape, complex)
+        out[..., 0] = -two_d12[..., 0] + alpha * self.wall_vals[..., 0, 0]
+        out[..., 1] = -two_d12[..., 1] - alpha * self.wall_vals[..., 0, 1]
         return out
 
     def mean_value(self) -> np.ndarray:
@@ -512,15 +533,23 @@ def build_eigenbasis(spec: DomainSpec, n: int, grid: Grid | None = None) -> Basi
 
 
 def _self_check(basis: Basis, n_tests: int = 3, tol: float = 1e-6):
+    """Weak eigen-residual (v, e_i)_E = lam_i (v, e_i) for 4 entries e_i against
+    each of n_tests random fields v, all by one energy and one mass pairing."""
     rng = np.random.default_rng(0)
     n = basis.size
-    for _ in range(n_tests):
-        v = basis.field(rng.standard_normal(n))
-        for i in rng.integers(0, n, size=4):
-            lhs = inner_v(v, basis.fields[i])
-            rhs = basis.eigenvalues[i] * inner_h(v, basis.fields[i])
-            if abs(lhs - rhs) > tol * basis.eigenvalues[i] * max(1.0, norm_h(v)):
-                raise BasisError("weak eigen-residual check failed")
+    draws = [(rng.standard_normal(n), rng.integers(0, n, size=4)) for _ in range(n_tests)]
+    idx = np.concatenate([i for _, i in draws])
+    # the v's, then the e_i's (unit weights combine to the entries exactly)
+    fields = basis.field(np.concatenate([[c for c, _ in draws], np.eye(n)[idx]]))
+    v, e = fields[:n_tests], fields[n_tests:]
+    pair = (np.repeat(np.arange(n_tests), 4), np.arange(idx.size))
+    mass = mass_pairing(v, fields)
+    lam = basis.eigenvalues[idx]
+    lhs = energy_pairing(v, e)[pair]
+    rhs = lam * mass[:, n_tests:][pair]
+    norm = np.sqrt(np.maximum(mass[:, :n_tests].diagonal(), 0.0))[pair[0]]
+    if (np.abs(lhs - rhs) > tol * lam * np.maximum(1.0, norm)).any():
+        raise BasisError("weak eigen-residual check failed")
 
 
 def _basis_from_profiles(grid: Grid, eigenvalues, mode_j, family, shell_index,

@@ -84,26 +84,25 @@ def _cheb_bary_weights(n: int) -> np.ndarray:
 
 def diff_matrix(nodes: np.ndarray, bary_w: np.ndarray) -> np.ndarray:
     """Barycentric differentiation matrix with the negative-sum diagonal."""
-    n = nodes.size
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                d[i, j] = (bary_w[j] / bary_w[i]) / (nodes[i] - nodes[j])
-    d[np.diag_indices(n)] = -d.sum(axis=1)
+    with np.errstate(divide="ignore"):  # the diagonal, overwritten below
+        d = (bary_w / bary_w[:, None]) / (nodes[:, None] - nodes)
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
     return d
 
 
 def interp_matrix(nodes: np.ndarray, bary_w: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation matrix from `nodes` to `targets`."""
-    p = np.zeros((targets.size, nodes.size))
-    for m, t in enumerate(targets):
-        hit = np.nonzero(np.isclose(t, nodes, rtol=0.0, atol=1e-14))[0]
-        if hit.size:
-            p[m, hit[0]] = 1.0
-            continue
-        terms = bary_w / (t - nodes)
-        p[m] = terms / terms.sum()
+    """Barycentric interpolation matrix from `nodes` to `targets`.
+
+    A target within 1e-14 of a node gets the unit row of the first such node.
+    """
+    hit = np.isclose(targets[:, None], nodes, rtol=0.0, atol=1e-14)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows of hits, overwritten below
+        terms = bary_w / (targets[:, None] - nodes)
+        p = terms / terms.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    p[on_node] = 0.0
+    p[on_node, hit[on_node].argmax(axis=1)] = 1.0
     return p
 
 

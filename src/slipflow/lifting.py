@@ -15,8 +15,11 @@ per wavenumber:
    `basis.reduced_pencil` that the eigenbasis also uses (zero-mean shear
    profiles for the mean mode, clamped streamfunctions above).
 
-Both stages are linear, so unit responses per control degree of freedom are
-precomputed once and superposed.
+Both stages are linear and take (..., n_modes+1) stacks of wall data, so
+`LiftingCache` lifts the unit response of every control degree of freedom
+in one pass: one harmonic call on the stacked rows, then, per x-mode, one
+Stokes solve whose right-hand-side columns are all the coefficients' data
+at that mode.  Any compatible control is a superposition of these fields.
 
 Trace regularity is measured by a Fourier-multiplier surrogate of the mixed
 fractional wall norm: a term of differential order s contributes
@@ -258,41 +261,43 @@ def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> ModeField:
 
     The mean mode reduces to a linear profile and is solvable only under the
     zero-net-flux compatibility a_b(0) + a_t(0) = 0; the potential is pinned
-    by a zero boundary mean.  Returns the gradient as a velocity field.
+    by a zero boundary mean.  Returns the gradient as a velocity field, and
+    (..., n_modes+1) rows of data give a stack of fields.
     """
     a_bottom = np.asarray(a_bottom, complex)
     a_top = np.asarray(a_top, complex)
-    scale = max(np.abs(a_bottom).max(), np.abs(a_top).max(), 1e-30)
-    if abs(a_bottom[0] + a_top[0]) > 1e-12 * scale:
+    scale = np.maximum(np.abs(a_bottom).max(axis=-1), np.abs(a_top).max(axis=-1))
+    if (np.abs(a_bottom[..., 0] + a_top[..., 0]) > 1e-12 * np.maximum(scale, 1e-30)).any():
         raise CompatibilityError(
             "mean normal data does not cancel across the walls"
         )
-    f = ModeField.zeros(grid)
-    yq = grid.y_nodes
+    f = ModeField.zeros(grid, stack=a_bottom.shape[:-1])
 
     # mean mode: h = c0 + c1 y, c1 = -a_b(0); vertical through-flow (0, c1)
-    c1 = -a_bottom[0]
-    f.vals[0, 1] = c1
-    f.wall_vals[0, 1] = (c1, c1)
+    c1 = -a_bottom[..., :1]
+    f.vals[..., 0, 1, :] = c1
+    f.wall_vals[..., 0, 1, :] = c1
 
-    for j in range(1, n_modes + 1):
-        k = grid.kx[j]
-        sh, ch = np.sinh(k), np.cosh(k)
-        bb = -a_bottom[j] / k
-        aa = (a_top[j] + a_bottom[j] * ch) / (k * sh)
-        h = aa * np.cosh(k * yq) + bb * np.sinh(k * yq)
-        dh = k * (aa * np.sinh(k * yq) + bb * np.cosh(k * yq))
-        d2h = k * k * h
-        f.vals[j, 0] = 1j * k * h
-        f.vals[j, 1] = dh
-        f.dvals[j, 0] = 1j * k * dh
-        f.dvals[j, 1] = d2h
-        h0, h1 = aa, aa * ch + bb * sh
-        dh0, dh1 = k * bb, k * (aa * sh + bb * ch)
-        f.wall_vals[j, 0] = (1j * k * h0, 1j * k * h1)
-        f.wall_vals[j, 1] = (dh0, dh1)
-        f.wall_dvals[j, 0] = (1j * k * dh0, 1j * k * dh1)
-        f.wall_dvals[j, 1] = (k * k * h0, k * k * h1)
+    # modes 1..n_modes at once: k is (J,), the data (..., J), profiles (..., J, n_q)
+    k = grid.kx[1 : n_modes + 1]
+    ky = k[:, None] * grid.y_nodes
+    sh, ch = np.sinh(k), np.cosh(k)
+    bb = -a_bottom[..., 1:] / k
+    aa = (a_top[..., 1:] + a_bottom[..., 1:] * ch) / (k * sh)
+    h = aa[..., None] * np.cosh(ky) + bb[..., None] * np.sinh(ky)
+    dh = k[:, None] * (aa[..., None] * np.sinh(ky) + bb[..., None] * np.cosh(ky))
+    ik = 1j * k[:, None]
+    m = slice(1, n_modes + 1)
+    f.vals[..., m, 0, :] = ik * h
+    f.vals[..., m, 1, :] = dh
+    f.dvals[..., m, 0, :] = ik * dh
+    f.dvals[..., m, 1, :] = (k * k)[:, None] * h
+    h01 = np.stack([aa, aa * ch + bb * sh], axis=-1)
+    dh01 = np.stack([k * bb, k * (aa * sh + bb * ch)], axis=-1)
+    f.wall_vals[..., m, 0, :] = ik * h01
+    f.wall_vals[..., m, 1, :] = dh01
+    f.wall_dvals[..., m, 0, :] = ik * dh01
+    f.wall_dvals[..., m, 1, :] = (k * k)[:, None] * h01
     return f
 
 
@@ -320,7 +325,8 @@ class StokesCorrectionSolver:
         self._systems = [reduced_pencil(grid, j, alpha)[::2] for j in range(n_modes + 1)]
 
     def _solve_mode(self, j: int, rhs) -> np.ndarray:
-        """Nodal profile of mode j whose energy pairing with every admissible profile is rhs."""
+        """Nodal profiles of mode j whose energy pairings with every admissible
+        profile are the (n_y, m) columns of rhs, one solve for all columns."""
         energy, cols = self._systems[j]
         try:
             return cols @ np.linalg.solve(energy, cols.T @ rhs)
@@ -328,25 +334,28 @@ class StokesCorrectionSolver:
             raise LiftingError(f"singular correction system at mode {j}") from exc
 
     def solve(self, bt_bottom, bt_top) -> ModeField:
-        """Correction field for tangential-stress coefficients per wall."""
+        """Correction field for tangential-stress coefficients per wall.
+
+        (..., n_modes+1) rows of data give a stack of fields, solved as
+        columns of one right-hand side per mode.
+        """
         g = self.grid
         lx = g.spec.length_x
         bt_bottom = np.asarray(bt_bottom, complex)
-        bt_top = np.asarray(bt_top, complex)
-        out = ModeField.zeros(g)
-        for j in range(self.n_modes + 1):
-            if j == 0:
-                # zero-mean shear profiles; the mean data of a real trace is real
-                rhs = np.zeros(g.n_y)
-                rhs[0] = lx * bt_bottom[0].real
-                rhs[-1] = -lx * bt_top[0].real
-                mf = ModeField.from_shear_profile(g, self._solve_mode(0, rhs))
-            else:
-                rhs = 0.5 * lx * (bt_bottom[j] * g.d1[0] - bt_top[j] * g.d1[-1])
-                mf = ModeField.from_streamfunction(g, j, self._solve_mode(j, rhs), "complex")
-            for name in ("vals", "dvals", "wall_vals", "wall_dvals"):
-                getattr(out, name)[j] = getattr(mf, name)[j]
-        return out
+        stack = bt_bottom.shape[:-1]
+        bt_bottom = bt_bottom.reshape(-1, self.n_modes + 1).T
+        bt_top = np.asarray(bt_top, complex).reshape(-1, self.n_modes + 1).T
+        out = ModeField.zeros(g, stack=bt_bottom.shape[1:])
+        # zero-mean shear profiles at j = 0; the mean data of a real trace is real
+        rhs = np.zeros((g.n_y, bt_bottom.shape[1]))
+        rhs[0] = lx * bt_bottom[0].real
+        rhs[-1] = -lx * bt_top[0].real
+        out._put_shear(self._solve_mode(0, rhs))
+        for j in range(1, self.n_modes + 1):
+            rhs = 0.5 * lx * (np.outer(g.d1[0], bt_bottom[j]) - np.outer(g.d1[-1], bt_top[j]))
+            out._put_streamfunction(j, self._solve_mode(j, rhs))
+        return ModeField(g, *(a.reshape(stack + a.shape[1:])
+                              for a in (out.vals, out.dvals, out.wall_vals, out.wall_dvals)))
 
 
 # -- unit-response cache ------------------------------------------------------
@@ -367,19 +376,17 @@ class LiftingCache:
         self.p = p
         proto = BoundaryControl.zeros(grid.spec.length_x, n_modes, [0.0], p)
         self.n_dofs = proto.n_dofs
-        solver = StokesCorrectionSolver(grid, alpha, n_modes)
-        fields = []
-        for c in range(self.n_dofs):
-            unit = BoundaryControl.zeros(grid.spec.length_x, n_modes, [0.0], p)
-            unit.gamma[0, c] = 1.0
-            unit = project_compatible(unit)
-            table = unit.coeffs(unit.gamma[0])
-            # harmonic stage for a, then the correction supplies the rest of b
-            har = solve_harmonic(table[0], table[1], grid, n_modes)
-            stress = har.tangential_stress_coeffs(alpha)[: n_modes + 1]
-            corr = solver.solve(table[2] - stress[:, 0], table[3] - stress[:, 1])
-            fields.append(har + corr)
-        self.fields = ModeField.stack(fields)
+        # every unit coefficient at once, as the rows of an identity gamma
+        # (its time grid only numbers them)
+        units = project_compatible(BoundaryControl(
+            proto.length_x, n_modes, np.arange(self.n_dofs, dtype=float), np.eye(self.n_dofs), p))
+        tables = units.coeffs(units.gamma)
+        # harmonic stage for a, then the correction supplies the rest of b
+        har = solve_harmonic(tables[:, 0], tables[:, 1], grid, n_modes)
+        stress = har.tangential_stress_coeffs(alpha)[:, : n_modes + 1]
+        corr = StokesCorrectionSolver(grid, alpha, n_modes).solve(
+            tables[:, 2] - stress[..., 0], tables[:, 3] - stress[..., 1])
+        self.fields = har + corr
 
     def field(self, gamma_row) -> ModeField:
         return self.fields.combine(np.asarray(gamma_row, float))

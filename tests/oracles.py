@@ -9,13 +9,26 @@
   module assembles the same tensors triad by triad from the Fourier
   coefficients, without sampling; this is the reference it is tested
   against.
+* The loop forms of the set-up layers: `loop_diff_matrix` and
+  `loop_interp_matrix` build the barycentric grid matrices one entry and
+  one target at a time, and `loop_lifting_fields` lifts one unit control
+  coefficient at a time through single-row harmonic and correction solves.
+  `geometry` builds the matrices by broadcasting and `LiftingCache` lifts
+  every coefficient in one stacked pass; these are the references they are
+  tested against.
 """
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from slipflow.basis import sample_fields
+from slipflow.basis import ModeField, sample_fields
+from slipflow.lifting import (
+    BoundaryControl,
+    StokesCorrectionSolver,
+    project_compatible,
+    solve_harmonic,
+)
 
 
 def _fd_harmonic_once(k, a_bottom, a_top, n):
@@ -158,3 +171,45 @@ def sampled_convection_tensors(basis, cache):
     conv_bc = _sampled_convection(test_w, e[:, :2], a[:, 2:])
     conv_bc += _sampled_convection(test_w, a[:, :2], e[:, 2:]).transpose(0, 2, 1)
     return conv_bb, conv_bc, _sampled_convection(test_w, a[:, :2], a[:, 2:]), scale
+
+
+def loop_diff_matrix(nodes, bary_w):
+    """Barycentric differentiation matrix, entry by entry."""
+    n = nodes.size
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                d[i, j] = (bary_w[j] / bary_w[i]) / (nodes[i] - nodes[j])
+    d[np.diag_indices(n)] = -d.sum(axis=1)
+    return d
+
+
+def loop_interp_matrix(nodes, bary_w, targets):
+    """Barycentric interpolation matrix, target by target."""
+    p = np.zeros((targets.size, nodes.size))
+    for m, t in enumerate(targets):
+        hit = np.nonzero(np.isclose(t, nodes, rtol=0.0, atol=1e-14))[0]
+        if hit.size:
+            p[m, hit[0]] = 1.0
+            continue
+        terms = bary_w / (t - nodes)
+        p[m] = terms / terms.sum()
+    return p
+
+
+def loop_lifting_fields(grid, alpha, n_modes, p=4.0):
+    """The lifted unit fields of a LiftingCache, one coefficient at a time."""
+    lx = grid.spec.length_x
+    solver = StokesCorrectionSolver(grid, alpha, n_modes)
+    fields = []
+    for c in range(BoundaryControl.zeros(lx, n_modes, [0.0], p).n_dofs):
+        unit = BoundaryControl.zeros(lx, n_modes, [0.0], p)
+        unit.gamma[0, c] = 1.0
+        unit = project_compatible(unit)
+        table = unit.coeffs(unit.gamma[0])
+        har = solve_harmonic(table[0], table[1], grid, n_modes)
+        stress = har.tangential_stress_coeffs(alpha)[: n_modes + 1]
+        corr = solver.solve(table[2] - stress[:, 0], table[3] - stress[:, 1])
+        fields.append(har + corr)
+    return ModeField.stack(fields)

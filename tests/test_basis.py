@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -96,6 +98,18 @@ def test_weak_eigen_residual(basis_small):
         for i in range(basis_small.size):
             r = inner_v(v, basis_small.fields[i]) - lam[i] * inner_h(v, basis_small.fields[i])
             assert abs(r) <= 1e-6 * lam[i]
+
+
+def test_self_check_catches_a_wrong_eigenvalue(basis_small):
+    bs._self_check(basis_small)
+    # the check's own draws name the first entry it tests
+    rng = np.random.default_rng(0)
+    rng.standard_normal(basis_small.size)
+    i = rng.integers(0, basis_small.size, size=4)[0]
+    lam = basis_small.eigenvalues.copy()
+    lam[i] *= 1.0 + 1e-4
+    with pytest.raises(BasisError, match="eigen-residual"):
+        bs._self_check(dataclasses.replace(basis_small, eigenvalues=lam))
 
 
 def test_eigenfields_constraints(basis_small):

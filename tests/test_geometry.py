@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
+from oracles import loop_diff_matrix, loop_interp_matrix
 from slipflow.geometry import (
     BOTTOM,
     TOP,
     DomainSpec,
     GeometryError,
+    _cheb_bary_weights,
+    cheb_lobatto_nodes,
+    diff_matrix,
+    gauss_legendre_01,
     integrate_boundary,
     integrate_domain,
+    interp_matrix,
 )
 
 
@@ -99,3 +105,17 @@ def test_dimension_mismatch_errors(grid_small):
 def test_grid_weights_positive(grid_small):
     assert (grid_small.w_y > 0).all()
     assert grid_small.w_x > 0
+
+
+@pytest.mark.parametrize("n_y", [16, 24, 48])
+def test_grid_matrices_match_loop_forms_bitwise(n_y):
+    # the broadcast matrices are the loop forms' bits, for targets off the
+    # nodes (Gauss nodes, as build_grid uses) and on them (nodes themselves,
+    # and a node moved by less than the 1e-14 hit tolerance)
+    y, bw = cheb_lobatto_nodes(n_y), _cheb_bary_weights(n_y)
+    yq = gauss_legendre_01(int(np.ceil(1.5 * n_y)) + 2)[0]
+    targets = np.concatenate([yq[:5], y[[0, 3, -1]], [y[5] + 5e-15], yq[5:], [0.5]])
+    assert np.array_equal(diff_matrix(y, bw), loop_diff_matrix(y, bw))
+    p = interp_matrix(y, bw, targets)
+    assert np.array_equal(p, loop_interp_matrix(y, bw, targets))
+    assert (p[5:9] == np.eye(n_y)[[0, 3, -1, 5]]).all()

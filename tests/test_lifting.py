@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import fd_harmonic, fd_stokes_mode, fd_stokes_shear
+from oracles import fd_harmonic, fd_stokes_mode, fd_stokes_shear, loop_lifting_fields
+from slipflow import lifting
 from slipflow.basis import inner_h, norm_h1
+from slipflow.geometry import DomainSpec, build_grid
 from slipflow.lifting import (
     BoundaryControl,
     CompatibilityError,
@@ -201,6 +203,68 @@ def test_correction_normal_trace_zero(grid_small, make_control):
         out = solver.solve(bb, tt)
         assert np.abs(out.normal_trace_coeffs()).max() < 1e-10
         assert out.divergence_residual() < 1e-10
+
+
+# -- stacked stages and the unit-response cache ---------------------------------
+
+_ARRAYS = ("vals", "dvals", "wall_vals", "wall_dvals")
+
+
+def _close(got, ref, rel=1e-12):
+    # each array to rel of its largest magnitude: a stacked solve rounds
+    # differently from a one-row solve
+    for name in _ARRAYS:
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape, name
+        assert np.abs(a - b).max() <= rel * np.abs(b).max(), name
+
+
+def test_stacked_stages_match_rows(grid_small, make_control):
+    # (..., J) rows of wall data give a stack whose rows are the one-row fields
+    ctrl = make_control(2 * np.pi, 2, np.linspace(0, 1, 5), 1.0, seed=21)
+    tables = ctrl.coeffs(ctrl.gamma)
+    solver = StokesCorrectionSolver(grid_small, 1.0, 2)
+    stages = (lambda t: solve_harmonic(t[..., 0, :], t[..., 1, :], grid_small, 2),
+              lambda t: solver.solve(t[..., 2, :], t[..., 3, :]))
+    for stage in stages:
+        stacked = stage(tables)
+        assert len(stacked) == len(tables)
+        for r, table in enumerate(tables):
+            _close(stacked[r], stage(table))
+        _close(stage(tables[None])[0], stacked, rel=0.0)
+
+
+def test_harmonic_stack_rejects_one_incompatible_row(grid_small, make_control):
+    ctrl = make_control(2 * np.pi, 2, np.linspace(0, 1, 5), 1.0, seed=22)
+    tables = ctrl.coeffs(ctrl.gamma)
+    solve_harmonic(tables[:, 0], tables[:, 1], grid_small, 2)
+    bottom = tables[:, 0].copy()
+    bottom[3, 0] += 1e-6
+    with pytest.raises(CompatibilityError):
+        solve_harmonic(bottom, tables[:, 1], grid_small, 2)
+
+
+# the fixture grid and the benchmark workloads' grid
+@pytest.mark.parametrize("modes_x", [4, 8])
+def test_cache_matches_loop_reference(modes_x):
+    grid = build_grid(DomainSpec(length_x=2 * np.pi, modes_x=modes_x, nodes_y=24,
+                                 friction_alpha=1.0, viscosity=0.5))
+    _close(LiftingCache(grid, 1.0, 2).fields, loop_lifting_fields(grid, 1.0, 2))
+
+
+def test_cache_makes_one_solve_per_mode(grid_small, monkeypatch):
+    # every unit coefficient's correction at a mode is one column of one solve
+    calls = []
+    solve = lifting.np.linalg.solve
+
+    def counting(a, b):
+        calls.append(b.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(lifting.np.linalg, "solve", counting)
+    cache = LiftingCache(grid_small, 1.0, 2)
+    assert len(calls) == cache.n_modes + 1
+    assert all(shape[-1] == cache.n_dofs for shape in calls)
 
 
 # -- full lifting ---------------------------------------------------------------
