@@ -360,10 +360,6 @@ def grad_sq(u: ModeField) -> float:
     return float(g.spec.length_x * (_mode_weights(nj - 1) @ s))
 
 
-def norm_h(u: ModeField) -> float:
-    return float(np.sqrt(max(inner_h(u, u), 0.0)))
-
-
 def norm_v(u: ModeField, alpha: float | None = None) -> float:
     return float(np.sqrt(max(inner_v(u, u, alpha), 0.0)))
 

@@ -124,29 +124,31 @@ def cmd_simulate(cfg, out: Path, args) -> int:
     paths = args.paths or cfg.data["monte_carlo"]["paths"]
     seeds = cfg.seed_bank(paths, args.seed)
     noise_on = cfg.data["simulate"]["noise_on"]
-    trajs = sim.run_many(seeds, ctrl=ctrl, u0=u0, noise_on=noise_on,
+    paths = sim.run_many(seeds, ctrl=ctrl, u0=u0, noise_on=noise_on,
                          store_beta=cfg.data["simulate"]["store_beta"])
-    for i, tr in enumerate(trajs[: cfg.data["simulate"]["save_paths"]]):
-        cols = min(4, tr.beta_final.size)
-        beta = np.full((tr.times.size, cols), np.nan) if tr.beta_series is None else tr.beta_series
-        norms = np.sqrt(np.stack([tr.u_sq, tr.u_esq, tr.noise_sq], axis=1))
-        norms[~np.isfinite(norms)] = np.nan  # a blown-up path writes nan, not inf
-        header = ["time", "u_l2", "u_energy", "tracking", "noise_frob"]
+    saved = paths[: cfg.data["simulate"]["save_paths"]]
+    cols = min(4, basis.size)
+    norms = np.sqrt(np.stack([saved.u_sq, saved.u_esq, saved.noise_sq], axis=-1))
+    norms[~np.isfinite(norms)] = np.nan  # a blown-up path writes nan, not inf
+    beta = (np.full(norms.shape[:2] + (cols,), np.nan) if saved.beta_series is None
+            else saved.beta_series[..., :cols])
+    header = ["time", "u_l2", "u_energy", "tracking", "noise_frob"]
+    for i in range(len(saved)):
         _write_csv(out / f"traj_{i:03d}.csv", cfg, header + [f"beta_{c}" for c in range(cols)],
-                   np.column_stack([tr.times, norms[:, :2], tr.tracking, norms[:, 2],
-                                    beta[:, :cols]]))
-    good = sim.usable(trajs)
-    blow = len(trajs) - len(good)
-    final_sq = np.array([tr.u_sq[-1] for tr in good])
-    sup_sq = np.array([np.max(tr.u_sq) for tr in good])
+                   np.column_stack([saved.times, norms[i, :, :2], saved.tracking[i],
+                                    norms[i, :, 2], beta[i]]))
+    ok = paths.usable()
+    final_sq = paths.u_sq[ok, -1]
+    sup_sq = paths.u_sq[ok].max(axis=1)
     ci = diag.bootstrap_ci(lambda idx: final_sq[idx].mean(axis=1), final_sq.size, 0)
     _write_csv(out / "summary.csv", cfg, ["seed", "final_u_sq", "sup_u_sq", "blown_up"],
-               [(tr.seed, tr.u_sq[-1], np.nanmax(tr.u_sq), int(tr.blown_up)) for tr in trajs])
+               zip(paths.seeds, paths.u_sq[:, -1], np.nanmax(paths.u_sq, axis=1),
+                   paths.blown_up.astype(int)))
     _json_dump(
         out / "summary.json",
         {
-            "paths": len(trajs),
-            "blowups": blow,
+            "paths": len(paths),
+            "blowups": len(paths) - final_sq.size,
             "mean_final_u_sq": float(final_sq.mean()),
             "mean_sup_u_sq": float(sup_sq.mean()),
             "ci_final_u_sq": list(ci),
@@ -175,12 +177,10 @@ def cmd_verify(cfg, out: Path, args) -> int:
     if paths is None:
         paths = cfg.data["monte_carlo"]["paths"]
     seeds = cfg.seed_bank(paths, args.seed)
-    trajs = sim.run_many(seeds, ctrl=ctrl, u0=u0)
-    sim.usable(trajs)  # exit 2 if every path blew up
-
-    rep2 = diag.certify_second_moment(trajs, ctrl, c0, nu)
-    rep4 = diag.certify_fourth_moment(trajs, ctrl, c0, nu, sim.ops)
-    repw = diag.certify_wellposed_cost(trajs, ctrl, c0)
+    bundle = sim.run_many(seeds, ctrl=ctrl, u0=u0)
+    rep2 = diag.certify_second_moment(bundle, ctrl, c0, nu)  # exit 2 if every path blew up
+    rep4 = diag.certify_fourth_moment(bundle, ctrl, c0, nu, sim.ops)
+    repw = diag.certify_wellposed_cost(bundle, ctrl, c0)
 
     n_stab = min(cfg.data["verify"]["stability_paths"], paths)
     seeds_s = cfg.seed_bank(n_stab, args.seed)

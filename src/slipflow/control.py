@@ -173,9 +173,8 @@ def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
     seeds = list(seeds)
     if not seeds:
         raise ControlError("empty seed bank")
-    trajs = sim.run_many(seeds, ctrl=ctrl, u0=u0, noise_on=noise_on, target=target)
-    good = [tr.tracking for tr in sim.usable(trajs)]
-    per_path = 0.5 * np.trapezoid(np.stack(good), sim.times, axis=-1)
+    paths = sim.run_many(seeds, ctrl=ctrl, u0=u0, noise_on=noise_on, target=target)
+    per_path = 0.5 * np.trapezoid(paths.tracking[paths.usable()], sim.times, axis=-1)
     tracking = float(per_path.mean())
     pen = 0.0 if ctrl is None else penalty_term(ctrl, spec)
     if per_path.size > 1:
@@ -190,7 +189,7 @@ def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
         penalty=pen,
         ci_half_width=ci,
         paths_used=per_path.size,
-        blowup_count=len(trajs) - len(good),
+        blowup_count=len(paths) - per_path.size,
     )
 
 

@@ -4,9 +4,9 @@ Every bound is checked the same way: Monte Carlo surrogates of both sides
 are computed from simulated paths, the fitted constant is their ratio, and
 a bootstrap over paths provides a confidence interval.  Expectations are
 plain path means, `sup over [0, t]` is the max over the time grid, and time
-integrals are trapezoidal.  The certifiers work on (paths, times) stacks of
-the per-path series, and the bootstrap draws all its resamples as one
-(n_boot, n) index matrix.
+integrals are trapezoidal.  The certifiers read the (paths, times) stacks of
+a `dynamics.Paths` and its mask of usable paths, and the bootstrap draws all
+its resamples as one (n_boot, n) index matrix.
 
 The exponential damping weight is
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DynamicsError, GalerkinOperators, InsufficientPathsError, Simulator
+from .dynamics import DynamicsError, GalerkinOperators, InsufficientPathsError, Paths, Simulator
 from .lifting import BoundaryControl, trace_norm_series
 
 __all__ = [
@@ -137,47 +137,35 @@ def _ratio_ci(lhs: np.ndarray, rhs: np.ndarray, rhs_const: float) -> tuple:
     )
 
 
-def _report(name, lhs_paths, rhs_paths, rhs_const, excluded, details) -> EstimateReport:
-    """Fitted constant mean(lhs) / (mean(rhs) + rhs_const) with its bootstrap CI."""
+def _report(name, lhs_paths, rhs_paths, rhs_const, total, details) -> EstimateReport:
+    """Fitted constant mean(lhs) / (mean(rhs) + rhs_const) with its bootstrap CI;
+    the paths of the `total` missing from lhs_paths are the excluded ones."""
     lhs = float(lhs_paths.mean())
     rhs = float(rhs_paths.mean()) + rhs_const
     lo, hi = _ratio_ci(lhs_paths, rhs_paths, rhs_const)
     return EstimateReport(name=name, lhs=lhs, rhs=rhs, fitted_c=float(_ratio(lhs, rhs)),
                           ci_low=lo, ci_high=hi, n_paths=lhs_paths.size,
-                          n_excluded=excluded, details=details)
+                          n_excluded=total - lhs_paths.size, details=details)
 
 
-def _usable(trajectories) -> tuple[list, int]:
-    good = [tr for tr in trajectories if not tr.blown_up]
-    if not good:
-        raise InsufficientPathsError(f"no usable path among {len(trajectories)}")
-    return good, len(trajectories) - len(good)
-
-
-def _series(trajectories, name: str) -> np.ndarray:
-    """(paths, ...) stack of one per-path array."""
-    return np.stack([getattr(tr, name) for tr in trajectories])
-
-
-def certify_second_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
+def certify_second_moment(paths: Paths, ctrl: BoundaryControl | None, c0: float,
                           nu: float) -> EstimateReport:
     """Fitted constant of the weighted second-moment energy bound.
 
     LHS: E max_t w^2 |u|^2 + nu E int w^2 |u|_E^2.
     RHS: E |u(0)|^2 + int w^2 (trace^2 + 1).
     """
-    good, excluded = _usable(trajectories)
-    t = good[0].times
-    u_sq, u_esq = _series(good, "u_sq"), _series(good, "u_esq")
+    ok = paths.usable()
+    t, u_sq, u_esq = paths.times, paths.u_sq[ok], paths.u_esq[ok]
     w = energy_weight(ctrl, c0, t)
     w2 = w.values**2
     lhs_paths = np.max(w2 * u_sq, axis=1) + nu * np.trapezoid(w2 * u_esq, t, axis=-1)
     rhs_const = float(np.trapezoid(w2 * w.load2, t))
-    return _report("second_moment", lhs_paths, u_sq[:, 0], rhs_const, excluded,
+    return _report("second_moment", lhs_paths, u_sq[:, 0], rhs_const, len(paths),
                    {"c0": c0, "nu": nu})
 
 
-def certify_fourth_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
+def certify_fourth_moment(paths: Paths, ctrl: BoundaryControl | None, c0: float,
                           nu: float, ops: GalerkinOperators | None = None) -> EstimateReport:
     """Fitted constant of the weighted fourth-moment bound.
 
@@ -185,27 +173,27 @@ def certify_fourth_moment(trajectories, ctrl: BoundaryControl | None, c0: float,
     RHS: E |y(0)|^4 + nu^2 int w^4 (trace^4 + 1); with no lifting data the
     initial term falls back to |u(0)|^4.
     """
-    good, excluded = _usable(trajectories)
-    t = good[0].times
-    u_sq, u_esq = _series(good, "u_sq"), _series(good, "u_esq")
+    ok = paths.usable()
+    t, u_sq, u_esq = paths.times, paths.u_sq[ok], paths.u_esq[ok]
     w = energy_weight(ctrl, c0, t)
     w2, w4 = w.values**2, w.values**4
     lhs_paths = (np.max(w4 * u_sq**2, axis=1)
                  + nu**2 * np.trapezoid(w2 * u_esq, t, axis=-1) ** 2)
     if ops is not None and ctrl is not None:
-        # |y(0)|^2 = |u(0) + lift(0)|^2 in coefficients
+        # |y(0)|^2 = |u(0) + lift(0)|^2 in coefficients, the same on every path
         gamma0, _ = ctrl.interp(0.0)
-        b0 = _series(good, "beta0")
-        rhs_paths = (np.vecdot(b0, b0) + 2.0 * np.vecdot(b0, ops.lift_h @ gamma0)
-                     + gamma0 @ (ops.gram_h @ gamma0)) ** 2
+        b0 = paths.beta0
+        y0_sq = (np.vecdot(b0, b0) + 2.0 * np.vecdot(b0, ops.lift_h @ gamma0)
+                 + gamma0 @ (ops.gram_h @ gamma0))
+        rhs_paths = np.full(len(u_sq), y0_sq**2)
     else:
         rhs_paths = u_sq[:, 0] ** 2
     rhs_const = float(nu**2 * np.trapezoid(w4 * w.load4, t))
-    return _report("fourth_moment", lhs_paths, rhs_paths, rhs_const, excluded,
+    return _report("fourth_moment", lhs_paths, rhs_paths, rhs_const, len(paths),
                    {"c0": c0, "nu": nu})
 
 
-def certify_stability(trajs_1, ctrl_1, trajs_2, ctrl_2, ops: GalerkinOperators,
+def certify_stability(one: Paths, ctrl_1, two: Paths, ctrl_2, ops: GalerkinOperators,
                       c0: float, nu: float, c2: float = 1.0,
                       c3: float = 0.0) -> EstimateReport:
     """Fitted constant of the two-solution stability bound under common noise.
@@ -215,24 +203,23 @@ def certify_stability(trajs_1, ctrl_1, trajs_2, ctrl_2, ops: GalerkinOperators,
     pathwise-weighted mass and energy norms; the right side carries the
     squared trace norm of the control difference plus the initial gap.
     """
-    if len(trajs_1) != len(trajs_2):
+    if len(one) != len(two):
         raise ValueError("bundles must pair path for path")
-    pairs = [(a, b) for a, b in zip(trajs_1, trajs_2) if not (a.blown_up or b.blown_up)]
-    if not pairs:
-        raise InsufficientPathsError(f"no usable path pair among {len(trajs_1)}")
-    one, two = zip(*pairs)
-    if any(a.seed != b.seed for a, b in pairs):
+    ok = ~(one.blown_up | two.blown_up)
+    if not ok.any():
+        raise InsufficientPathsError(f"no usable path pair among {len(one)}")
+    if not (one.seeds == two.seeds).all():
         raise ValueError("paired paths must share seeds")
-    if any(tr.beta_series is None for tr in one + two):
-        raise ValueError("stability needs trajectories with stored coefficients")
-    t = one[0].times
+    if one.beta_series is None or two.beta_series is None:
+        raise ValueError("stability needs paths with stored coefficients")
+    t = one.times
     zero = np.zeros((len(t), ops.n_ctrl))
     g1 = zero if ctrl_1 is None else ctrl_1.series(t)[0]
     g2 = zero if ctrl_2 is None else ctrl_2.series(t)[0]
     ghat = g1 - g2
     tnd_sq = _trace_sq(_diff_control(ctrl_1, ctrl_2), t)
 
-    bhat = _series(one, "beta_series") - _series(two, "beta_series")    # (P, L, n)
+    bhat = one.beta_series[ok] - two.beta_series[ok]                    # (P, L, n)
     yhat_sq = (
         np.einsum("pli,pli->pl", bhat, bhat)
         + 2.0 * np.einsum("pli,li->pl", bhat, ghat @ ops.lift_h.T)
@@ -243,11 +230,11 @@ def certify_stability(trajs_1, ctrl_1, trajs_2, ctrl_2, ops: GalerkinOperators,
         + 2.0 * np.einsum("pli,li->pl", bhat, ghat @ ops.lift_v.T)
         + np.einsum("lc,lc->l", ghat, ghat @ ops.gram_v.T)
     )
-    load = 1.0 + _trace_sq(ctrl_1, t) + _trace_sq(ctrl_2, t) + _series(one, "u_esq")
+    load = 1.0 + _trace_sq(ctrl_1, t) + _trace_sq(ctrl_2, t) + one.u_esq[ok]
     xi2 = np.exp(-_cumtrapz(c3 + max(3.0 * c0, c2) * load, t)) ** 2
     lhs_paths = np.max(xi2 * yhat_sq, axis=1) + 2.0 * nu * np.trapezoid(xi2 * yhat_esq, t, axis=-1)
     rhs_paths = yhat_sq[:, 0] + np.trapezoid(xi2 * tnd_sq, t, axis=-1)
-    rep = _report("stability", lhs_paths, rhs_paths, 0.0, len(trajs_1) - len(pairs),
+    rep = _report("stability", lhs_paths, rhs_paths, 0.0, len(one),
                   {"c0": c0, "c2": c2, "c3": c3, "nu": nu})
     if rep.rhs <= 0:
         rep.fitted_c = 0.0 if rep.lhs <= 1e-24 else np.inf
@@ -268,7 +255,7 @@ def _diff_control(c1: BoundaryControl | None, c2: BoundaryControl | None):
     return out
 
 
-def certify_wellposed_cost(trajectories, ctrl: BoundaryControl | None,
+def certify_wellposed_cost(paths: Paths, ctrl: BoundaryControl | None,
                            c0: float) -> EstimateReport:
     """Sample-exact chain bounding the unweighted second moment.
 
@@ -280,20 +267,19 @@ def certify_wellposed_cost(trajectories, ctrl: BoundaryControl | None,
     which holds on every empirical sample.  With deterministic controls the
     weight is deterministic, so the exponential factor is a plain number.
     """
-    good, excluded = _usable(trajectories)
-    t = good[0].times
-    u_sq = _series(good, "u_sq")
+    ok = paths.usable()
+    t, u_sq = paths.times, paths.u_sq[ok]
     w = energy_weight(ctrl, c0, t)
     lhs_paths = np.max(u_sq, axis=1)
     wx_paths = np.max(w.values**2 * u_sq, axis=1)
     rhs = float(np.sqrt(np.mean(wx_paths**2)) / w.values[-1] ** 2)
-    rep = _report("wellposed_cost", lhs_paths, np.zeros_like(lhs_paths), rhs, excluded,
+    rep = _report("wellposed_cost", lhs_paths, np.zeros_like(lhs_paths), rhs, len(paths),
                   {"c0": c0, "weight_at_horizon": float(w.values[-1])})
     rep.details["holds_exactly"] = bool(rep.lhs <= rhs * (1.0 + 1e-12) + 1e-300)
     return rep
 
 
-def empirical_damping_rate(trajectories, ctrl: BoundaryControl | None,
+def empirical_damping_rate(paths: Paths, ctrl: BoundaryControl | None,
                            sim: Simulator) -> float:
     """Smallest rate c closing the drift-side bound along the sampled paths.
 
@@ -305,16 +291,16 @@ def empirical_damping_rate(trajectories, ctrl: BoundaryControl | None,
     simulator integrated (convection included only if it was), which is how
     it is evaluated here, for all usable paths and times at once; the
     reported value is the max over paths and times of
-    (I1 + I2 + I3) / (2 (trace^2 + 1)(|u|^2 + 1)).  Needs stored
-    coefficient series.
+    (I1 + I2 + I3) / (2 (trace^2 + 1)(|u|^2 + 1)).  Without stored
+    coefficient series or a usable path it is -inf.
     """
-    paths = [tr for tr in trajectories if not (tr.blown_up or tr.beta_series is None)]
-    if not paths:
+    ok = ~paths.blown_up
+    if paths.beta_series is None or not ok.any():
         return -np.inf
     ops, nu, t = sim.ops, sim.nu, sim.times
     gam, gdot = sim.gamma_series(ctrl)
-    b = _series(paths, "beta_series")                                   # (P, L, n)
+    b = paths.beta_series[ok]                                           # (P, L, n)
     f = sim.drift(b, gam, gdot)
-    total = 2.0 * np.vecdot(b, f) + 2.0 * nu * np.vecdot(b**2, ops.lam) + _series(paths, "noise_sq")
-    denom = 2.0 * (_trace_sq(ctrl, t) + 1.0) * (_series(paths, "u_sq") + 1.0)
+    total = 2.0 * np.vecdot(b, f) + 2.0 * nu * np.vecdot(b**2, ops.lam) + paths.noise_sq[ok]
+    denom = 2.0 * (_trace_sq(ctrl, t) + 1.0) * (paths.u_sq[ok] + 1.0)
     return float(np.max(total / denom))

@@ -40,19 +40,22 @@ wall term is exact by Parseval on the trace coefficients.
 
 One numpy kernel steps a pass of up to STACK blocks of BLOCK paths in one
 loop; `Simulator.run_many` hands it its seeds STACK * BLOCK at a time, the
-last block of the run padded.  Every product whose rounding depends on the
-row count runs block by block, as a stacked matmul over (k, BLOCK, .) rows
-that numpy computes as k separate BLOCK-row products, and every other
-operation is per row.  So a seed's path is bitwise the same whatever its
-batch, its position in it and the number of blocks in its pass.
-`drift`/`step_em` on the dense tensors are the single-step reference the
-kernel is tested against on both paths; the tensors are assembled on first
-read, so only that reference builds them from N_PS on.
+last block of the run padded, and returns one `Paths` whose (paths, times)
+arrays each pass fills in place.  Every product whose rounding depends on
+the row count runs as a stacked matmul over (k, BLOCK, .) rows, k separate
+BLOCK-row products, and every other operation is per row, so a seed's path
+is bitwise the same whatever its batch, its position in it and the number
+of blocks in its pass.  `drift`/`step_em` on the dense tensors are the
+single-step reference the kernel is tested against on both paths; the
+tensors are assembled on first read, so only that reference builds them
+from N_PS on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,6 +70,7 @@ __all__ = [
     "NoiseModel",
     "GalerkinState",
     "Trajectory",
+    "Paths",
     "GalerkinOperators",
     "Convection",
     "assemble_operators",
@@ -142,29 +146,69 @@ class GalerkinState:
     beta: np.ndarray
 
 
-@dataclass(eq=False)
-class Trajectory:
-    """One simulated path with its per-step diagnostics.
+class Trajectory(SimpleNamespace):
+    """Path i of a `Paths`: `seed`, `blown_up`, `blowup_step` and views of its
+    rows there under the same names, with the shared `times` and `beta0`."""
 
-    Series are indexed by the time grid; `u_sq` and `u_esq` are the squared
-    mass and energy norms of the homogeneous part, `tracking` the squared
-    L2 distance of y to the target at each time, `noise_sq` the squared
-    Frobenius magnitude of the diffusion.  Same seed and configuration
-    reproduce every array bitwise.
+
+@dataclass(eq=False)
+class Paths:
+    """Simulated paths as stacks with one row per seed, on one time grid.
+
+    `u_sq` and `u_esq` (paths, times) are the squared mass and energy norms
+    of the homogeneous part, `tracking` the squared L2 distance of y to the
+    target, `noise_sq` the squared Frobenius magnitude of the diffusion;
+    `beta_series` (paths, times, n) and `wiener` (paths, n_steps, m) are kept
+    on request.  `blowup_step` is -1 on a path that did not blow up; `seeds`
+    holds Python ints (a seed bank may pass 2**64).  `paths[i]` is path i as
+    a `Trajectory` of views, built once per result; `paths[a:b]` is a `Paths`.
     """
 
+    seeds: np.ndarray
     times: np.ndarray
-    seed: int
     beta0: np.ndarray
     beta_final: np.ndarray
     u_sq: np.ndarray
     u_esq: np.ndarray
     tracking: np.ndarray
     noise_sq: np.ndarray
-    blown_up: bool
-    blowup_step: int
+    blowup_step: np.ndarray
     beta_series: np.ndarray | None = None
     wiener: np.ndarray | None = None
+    hint: str = ""                          # what `usable` appends to its error
+    _rows = ("seeds", "blowup_step", "beta_final", "u_sq", "u_esq", "tracking", "noise_sq",
+             "beta_series", "wiener")       # the per-path fields
+
+    @property
+    def blown_up(self) -> np.ndarray:
+        return self.blowup_step >= 0
+
+    def usable(self) -> np.ndarray:
+        """Mask of the paths that did not blow up; raises InsufficientPathsError if none."""
+        ok = self.blowup_step < 0
+        if not ok.any():
+            raise InsufficientPathsError(f"all {len(self)} paths blew up{self.hint}")
+        return ok
+
+    def __len__(self) -> int:
+        return len(self.blowup_step)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return replace(self, **{k: getattr(self, k)[i] for k in self._rows
+                                    if getattr(self, k) is not None})
+        return self._views[i]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    @cached_property
+    def _views(self) -> list:
+        rows = {k: getattr(self, k) for k in self._rows[2:]}
+        return [Trajectory(times=self.times, seed=seed, beta0=self.beta0,
+                           blown_up=bool(step >= 0), blowup_step=int(step),
+                           **{k: None if a is None else a[w] for k, a in rows.items()})
+                for w, (seed, step) in enumerate(zip(self.seeds, self.blowup_step))]
 
 
 # -- convection ------------------------------------------------------------------
@@ -261,9 +305,10 @@ class Convection:
         return z.reshape(-1, self.n + self.n_a)
 
     def stacked(self, beta: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
-        """Convection of stacked states beta (..., n); 64 rows a call bound the temporaries."""
-        z = self.rows(beta, gamma)
-        out = np.concatenate([self(z[s : s + 64]) for s in range(0, len(z), 64)])
+        """Convection of stacked states beta (..., n), a kernel pass's width of
+        rows a call to bound the temporaries."""
+        z, width = self.rows(beta, gamma), STACK * BLOCK
+        out = np.concatenate([self(z[s : s + width]) for s in range(0, len(z), width)])
         return out.reshape(np.shape(beta))
 
 
@@ -617,16 +662,10 @@ def wiener_increments(seed: int, n_steps: int, m: int, dt: float) -> np.ndarray:
 BLOCK = 16
 
 # Blocks per kernel pass: one Python step loop serves up to STACK * BLOCK
-# paths.  Kernel cost at n = 16 (modes_x = 8, nodes_y = 24, a control, 200
-# steps, BLAS on one thread), microseconds per path-step, best of 15 calls:
-#
-#     rows per pass    16    32    48    64    128   256
-#     us/path-step     1.87  1.39  1.27  1.23  1.15  1.16
-#
-# Per-step overhead, not arithmetic, sets the cost of a narrow pass.  Past 64
-# rows the gain is under a tenth, while the work arrays grow by 51 KB per row
-# at n = 16: 128 rows would add about 6 MB to the peak memory of a 200-path
-# `slipflow verify` at n = 16, more than a tenth of its 53 MB.
+# paths.  Per-step overhead, not arithmetic, sets the cost of a narrow pass;
+# past 64 rows the gain per path-step is under a tenth (the sweep is in the
+# README's time-stepping section), while 128 rows would add about 6 MB of
+# work arrays to the 53 MB peak of a 200-path `slipflow verify` at n = 16.
 STACK = 4
 
 # Basis size from which the kernel evaluates the convection pseudospectrally
@@ -815,13 +854,6 @@ class Simulator:
         gamma = gamma[..., : self.convection.n_a]
         return f - self.convection.stacked(np.broadcast_to(beta, f.shape), gamma)
 
-    def usable(self, trajs: list) -> list:
-        """The paths of trajs that did not blow up; raises InsufficientPathsError if none."""
-        good = [tr for tr in trajs if not tr.blown_up]
-        if not good:
-            raise InsufficientPathsError(f"all {len(trajs)} paths blew up{self.blowup_hint()}")
-        return good
-
     def blowup_hint(self) -> str:
         """Names the explicit Euler limit dt < 2 / (nu lam_max) if dt is past it, else "".
 
@@ -846,95 +878,76 @@ class Simulator:
             raise DynamicsError("control horizon shorter than the simulation")
         return ctrl.series(self.times)
 
-    def _plan(self, n_seeds, ctrl=None, u0=None, noise_on=True, store_beta=False,
-              target=None, dw=None, keep_wiener=False) -> dict:
-        """Check a run's options once; the result is what every chunk shares."""
-        n = self.ops.n
+    def _simulate(self, seeds: list, ctrl: BoundaryControl | None = None,
+                  u0: np.ndarray | None = None, noise_on: bool = True,
+                  store_beta: bool = False, target=None, dw: np.ndarray | None = None,
+                  keep_wiener: bool = False) -> Paths:
+        """`run_many`'s work: check the options, allocate the result once, and
+        let each pass of k = ceil(seeds / BLOCK) blocks, the last one padded,
+        write its rows of it, copied out of the kernel's work buffer."""
+        n, m, n_steps, count = self.ops.n, self.noise.m, self.n_steps, len(seeds)
         if dw is not None:
             dw = np.asarray(dw, float)
-            if dw.shape != (n_seeds, self.n_steps, self.noise.m):
+            if dw.shape != (count, n_steps, m):
                 raise DynamicsError("dw must be a (seeds, n_steps, m) stack of increments")
         beta0 = np.zeros(n) if u0 is None else np.asarray(u0, float).copy()
         if beta0.shape != (n,):
             raise DynamicsError("initial coefficients do not match the basis size")
         gamma, gdot = self.gamma_series(ctrl)
         if target is None:
-            beta_ref = np.zeros((self.n_steps + 1, n))
-            gamma_ref = np.zeros((self.n_steps + 1, self.ops.n_ctrl))
+            beta_ref = np.zeros((n_steps + 1, n))
+            gamma_ref = np.zeros((n_steps + 1, self.ops.n_ctrl))
         else:
             beta_ref, gamma_ref = target.beta_series, target.gamma_series
-            if beta_ref.shape != (self.n_steps + 1, n):
+            if beta_ref.shape != (n_steps + 1, n):
                 raise DynamicsError("target does not match the simulation grid")
         add, rho = self.noise.additive, self.noise.mult_gain
         if not noise_on:
             add, rho = np.zeros_like(add), np.zeros_like(rho)
-        return dict(beta0=beta0, gamma=gamma, gdot=gdot, beta_ref=beta_ref,
-                    gamma_ref=gamma_ref, add=add, rho=rho, noise_on=noise_on, dw=dw,
-                    store_beta=store_beta, keep_wiener=keep_wiener)
+        series = np.empty((4, count, n_steps + 1))    # u_sq, u_esq, tracking, noise_sq
+        out = Paths(np.array(seeds, dtype=object), self.times.copy(), beta0,
+                    np.empty((count, n)), *series, blowup_step=np.empty(count, int),
+                    beta_series=np.empty((count, n_steps + 1, n)) if store_beta else None,
+                    wiener=np.empty((count, n_steps, m)) if keep_wiener else None,
+                    hint=self.blowup_hint())
+        for lo in range(0, count, STACK * BLOCK):
+            cut = slice(lo, min(lo + STACK * BLOCK, count))
+            k = cut.stop - lo
+            w_rows = -(-k // BLOCK) * BLOCK
+            b0 = np.zeros((w_rows, n))
+            b0[:k] = beta0
+            inc = np.zeros((w_rows, n_steps, m))      # padding rows: no noise
+            if noise_on:
+                inc[:k] = dw[cut] if dw is not None else [
+                    wiener_increments(seed, n_steps, m, self.dt) for seed in seeds[cut]]
+            work = self._work[: 2 * (n_steps + 1) * w_rows * n]
+            hist, beta_final, *diagnostics, blow = _em_block(
+                b0, self.ops, self.convection, self.table, self.nu, self.dt, gamma, gdot,
+                beta_ref, gamma_ref, add, rho, inc, self.blowup_limit, k,
+                work.reshape(2, n_steps + 1, w_rows, n))
+            out.beta_final[cut], out.blowup_step[cut] = beta_final[:k], blow[:k]
+            for rows, value in zip(series, diagnostics):
+                rows[cut] = value[:, :k].T
+            if store_beta:                            # hist views the work buffer
+                out.beta_series[cut] = hist[:, :k].transpose(1, 0, 2)
+            if keep_wiener:
+                out.wiener[cut] = inc[:k]
+        return out
 
-    def _chunk(self, seeds, plan: dict, first: int = 0) -> list:
-        """Simulate up to STACK * BLOCK seeds as one pass of the kernel.
+    def run(self, seed: int = 0, **kw) -> Trajectory:
+        """One path as a `Trajectory`, bitwise equal to its run_many path; the
+        options are run_many's, and dw, if given, is a (1, n_steps, m) stack."""
+        return self._simulate([int(seed)], **kw)[0]
 
-        The seeds fill k = ceil(len(seeds) / BLOCK) blocks, the last one
-        padded, and the kernel steps the (k BLOCK, n) rows in one loop.
-        `first` is the position of seeds[0] in the run, the row of its
-        increments in plan["dw"].
-        """
-        n, m = self.ops.n, self.noise.m
-        w_rows = -(-len(seeds) // BLOCK) * BLOCK
-        beta0 = np.zeros((w_rows, n))
-        beta0[: len(seeds)] = plan["beta0"]
-        dw = np.zeros((w_rows, self.n_steps, m))      # padding rows: no noise
-        if plan["noise_on"]:
-            for w, seed in enumerate(seeds):
-                dw[w] = (wiener_increments(seed, self.n_steps, m, self.dt)
-                         if plan["dw"] is None else plan["dw"][first + w])
-        work = self._work[: 2 * (self.n_steps + 1) * w_rows * n]
-        hist, beta_final, u_sq, u_esq, tracking, noise_sq, blow = _em_block(
-            beta0, self.ops, self.convection, self.table, self.nu, self.dt,
-            plan["gamma"], plan["gdot"], plan["beta_ref"], plan["gamma_ref"],
-            plan["add"], plan["rho"], dw, self.blowup_limit, len(seeds),
-            work.reshape(2, self.n_steps + 1, w_rows, n),
-        )
-        return [
-            Trajectory(
-                times=self.times.copy(),
-                seed=seed,
-                beta0=plan["beta0"].copy(),
-                beta_final=beta_final[w].copy(),
-                u_sq=u_sq[:, w].copy(),
-                u_esq=u_esq[:, w].copy(),
-                tracking=tracking[:, w].copy(),
-                noise_sq=noise_sq[:, w].copy(),
-                blown_up=bool(blow[w] >= 0),
-                blowup_step=int(blow[w]),
-                beta_series=hist[:, w].copy() if plan["store_beta"] else None,
-                wiener=dw[w] if plan["keep_wiener"] else None,
-            )
-            for w, seed in enumerate(seeds)
-        ]
-
-    def run(self, seed: int = 0, ctrl: BoundaryControl | None = None,
-            u0: np.ndarray | None = None, noise_on: bool = True,
-            store_beta: bool = False, target=None,
-            dw: np.ndarray | None = None, keep_wiener: bool = False) -> Trajectory:
-        """One path: a chunk holding one seed, bitwise equal to its run_many path.
-
-        dw, if given, is a (1, n_steps, m) stack of the path's increments.
-        """
-        plan = self._plan(1, ctrl, u0, noise_on, store_beta, target, dw, keep_wiener)
-        return self._chunk([seed], plan)[0]
-
-    def run_many(self, seeds, **kw) -> list:
+    def run_many(self, seeds, **kw) -> Paths:
         """Paths for many seeds, one kernel pass per STACK * BLOCK of them.
 
         Each pass steps up to STACK blocks of BLOCK seeds in one loop, the
         last block of the run padded; a seed's path is the same bits as in a
         one-block pass.  dw, if given, is a (len(seeds), n_steps, m) stack
-        and path w is driven by dw[w] instead of its seed's increments.
+        and path w is driven by dw[w] instead of its seed's increments.  The
+        result's arrays are its own: a later call leaves them as they are.
+        Options: ctrl, u0, noise_on, store_beta (keep beta_series), target
+        (of the tracking series), dw and keep_wiener (keep the increments).
         """
-        seeds = [int(s) for s in seeds]
-        plan = self._plan(len(seeds), **kw)
-        width = STACK * BLOCK
-        return [tr for i in range(0, len(seeds), width)
-                for tr in self._chunk(seeds[i : i + width], plan, i)]
+        return self._simulate([int(s) for s in seeds], **kw)

@@ -22,8 +22,8 @@ from slipflow.diagnostics import (
 from slipflow.dynamics import (
     InsufficientPathsError,
     NoiseModel,
+    Paths,
     Simulator,
-    Trajectory,
     build_noise,
     drift,
     make_initial_coeffs,
@@ -83,21 +83,21 @@ def test_weight_loads(sim_mod, make_control):
 # -- moment certification --------------------------------------------------------
 
 
-def _analytic_trajectory(basis, nu, times, b0):
+def _analytic_path(basis, nu, times, b0):
+    """The noise-free linear path as a one-path bundle."""
     lam = basis.eigenvalues
     beta = b0[None, :] * np.exp(-nu * np.outer(times, lam))
-    return Trajectory(
+    return Paths(
+        seeds=np.array([0]),
         times=times,
-        seed=0,
         beta0=b0,
-        beta_final=beta[-1],
-        u_sq=np.einsum("li,li->l", beta, beta),
-        u_esq=np.einsum("li,li,i->l", beta, beta, lam),
-        tracking=np.zeros(len(times)),
-        noise_sq=np.zeros(len(times)),
-        blown_up=False,
-        blowup_step=-1,
-        beta_series=beta,
+        beta_final=beta[None, -1],
+        u_sq=np.einsum("li,li->l", beta, beta)[None],
+        u_esq=np.einsum("li,li,i->l", beta, beta, lam)[None],
+        tracking=np.zeros((1, len(times))),
+        noise_sq=np.zeros((1, len(times))),
+        blowup_step=np.array([-1]),
+        beta_series=beta[None],
     )
 
 
@@ -115,8 +115,7 @@ def test_second_moment_linear_closed_form(basis_small):
     t_end = 0.4
     times = np.linspace(0.0, t_end, 2001)
     b0 = make_initial_coeffs(basis_small.size, "random", 3, 1.0, 1.0)
-    tr = _analytic_trajectory(basis_small, nu, times, b0)
-    rep = certify_second_moment([tr], None, c0, nu)
+    rep = certify_second_moment(_analytic_path(basis_small, nu, times, b0), None, c0, nu)
     lam = basis_small.eigenvalues
     # closed form: sup at t = 0; integral term analytic
     lhs_exact = b0 @ b0 + nu * np.sum(
@@ -133,8 +132,7 @@ def test_fourth_moment_linear_closed_form(basis_small):
     t_end = 0.4
     times = np.linspace(0.0, t_end, 2001)
     b0 = make_initial_coeffs(basis_small.size, "random", 3, 1.0, 1.0)
-    tr = _analytic_trajectory(basis_small, nu, times, b0)
-    rep = certify_fourth_moment([tr], None, c0, nu)
+    rep = certify_fourth_moment(_analytic_path(basis_small, nu, times, b0), None, c0, nu)
     lam = basis_small.eigenvalues
     integral = np.sum(
         lam * b0**2 * (1.0 - np.exp(-2 * (c0 + nu * lam) * t_end)) / (2 * (c0 + nu * lam))

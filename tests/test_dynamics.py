@@ -16,8 +16,11 @@ from slipflow.dynamics import (
     Convection,
     DynamicsError,
     GalerkinState,
+    InsufficientPathsError,
     NoiseModel,
+    Paths,
     Simulator,
+    Trajectory,
     _check_convection,
     _check_scales,
     _Pieces,
@@ -661,6 +664,66 @@ def test_wiener_stack_rows_follow_seeds(sim_small):
         sim_small.run_many(range(2), dw=dw[:3])
     with pytest.raises(DynamicsError, match="stack"):
         sim_small.run(seed=0, dw=dw[0])
+
+
+@pytest.mark.parametrize("path", ["dense", "pseudospectral"])
+def test_result_outlives_the_next_call(path, request, make_control):
+    # a result owns its arrays: a later, wider run on the same simulator
+    # reuses the kernel's work buffer and leaves every array of it as it was
+    if path == "dense":
+        sim = request.getfixturevalue("sim_small")
+    else:
+        sim = _wide_sim(request.getfixturevalue("wide"))
+    ctrl = make_control(2 * np.pi, 2, [0.0, sim.t_final], 0.3, seed=84)
+    kw = dict(ctrl=ctrl, u0=make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0),
+              store_beta=True, keep_wiener=True)
+    first = sim.run_many(range(BLOCK + 3), **kw)
+    names = ("seeds", "times", "beta0", "blowup_step") + _PATH_ARRAYS[2:]
+    before = {k: getattr(first, k).copy() for k in names}
+    sim.run_many(range(50, 50 + STACK * BLOCK), **kw)
+    for k, x in before.items():
+        assert np.array_equal(getattr(first, k), x), k
+
+
+def test_result_protocol(sim_small, make_control, monkeypatch):
+    # what callers outside the package read of a result: len(), iteration
+    # with per-path flags, one-path unpacking, per-path views built once,
+    # slices, the usable mask; and make_target does not go through run_many
+    from slipflow.control import make_target
+
+    n, m = sim_small.ops.n, sim_small.noise.m
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=85)
+    bundle = sim_small.run_many(range(5), ctrl=ctrl, store_beta=True)
+    assert len(bundle) == 5 and [tr.seed for tr in bundle] == list(range(5))
+    assert all(type(tr.blown_up) is bool and not tr.blown_up for tr in bundle)
+    assert bundle.usable().all()
+    (tr,) = sim_small.run_many([7], ctrl=ctrl, keep_wiener=True)
+    assert tr.wiener.shape == (sim_small.n_steps, m) and tr.beta_final.shape == (n,)
+
+    for tr in bundle:                       # rebinding is seen by the next iteration
+        tr.beta_final = 2.0 * tr.beta_final
+    assert all(np.array_equal(tr.beta_final, 2.0 * bundle.beta_final[w])
+               for w, tr in enumerate(bundle))
+    assert bundle[3] is list(bundle)[3] and isinstance(bundle[3], Trajectory)
+    assert np.shares_memory(bundle[3].beta_series, bundle.beta_series)
+    part = bundle[1:3]
+    assert isinstance(part, Paths) and list(part.seeds) == [1, 2]
+    assert np.shares_memory(part.u_sq, bundle.u_sq)
+    assert np.array_equal(part[1].u_sq, bundle[2].u_sq)
+
+    blown = sim_small.run_many(range(3), ctrl=ctrl, u0=np.full(n, 1e7))
+    assert blown.blown_up.all()
+    with pytest.raises(InsufficientPathsError, match="all 3 paths blew up"):
+        blown.usable()
+
+    calls = []
+    real = Simulator.run_many
+    monkeypatch.setattr(Simulator, "run_many",
+                        lambda self, seeds, **kw: calls.append(1) or real(self, seeds, **kw))
+    make_target(ctrl, sim_small)
+    assert calls == []
+    sim_small.run_many(range(2))
+    assert calls == [1]
 
 
 def test_blowup_masked_per_path(basis_small):
