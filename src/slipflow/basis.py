@@ -19,18 +19,18 @@ The eigenbasis diagonalizes the strain-plus-friction energy form
     (v, z)_E = 2 int D(v):D(z) dx + alpha int_Gamma v . z
 
 against the L2 mass form on the space of divergence-free fields with zero
-normal trace.  Per wavenumber this reduces to a symmetric-definite 1D pencil,
-built by `reduced_pencil` on the mode's admissible profiles (zero-mean shear
-profiles at j = 0, clamped streamfunctions at j >= 1); the Stokes correction
-of the lifting solves on the same reduced systems.  Each generating profile
-is signed so that its first entry within 1e-8 relative of its largest
-magnitude is positive, which keeps the sign of profiles with mirrored extrema
-independent of rounding.
+normal trace, alpha being the friction of the fields' grid.  Per wavenumber
+this reduces to a symmetric-definite 1D pencil, built by `reduced_pencil` on
+the mode's admissible profiles (zero-mean shear profiles at j = 0, clamped
+streamfunctions at j >= 1); the Stokes correction of the lifting solves on
+the same reduced systems.  Each generating profile is signed so that its
+first entry within 1e-8 relative of its largest magnitude is positive, which
+keeps the sign of profiles with mirrored extrema independent of rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -253,8 +253,10 @@ class ModeField:
         out[..., 1] = -self.wall_vals[..., 0, 1]
         return out
 
-    def tangential_stress_coeffs(self, alpha: float) -> np.ndarray:
-        """Coefficients of [2 D(v) n + alpha v] . tau per ([field,] mode, wall)."""
+    def tangential_stress_coeffs(self) -> np.ndarray:
+        """Coefficients of [2 D(v) n + alpha v] . tau per ([field,] mode, wall),
+        alpha the friction of the field's grid."""
+        alpha = self.grid.spec.friction_alpha
         k = self.grid.kx[: self.n_modes + 1]
         two_d12 = self.wall_dvals[..., 0, :] + 1j * k[:, None] * self.wall_vals[..., 1, :]
         out = np.empty(two_d12.shape, complex)
@@ -313,12 +315,10 @@ def mass_pairing(a: ModeField, b: ModeField) -> np.ndarray:
     return _real_gram(a.vals[:, :nj] * w, b.vals[:, :nj])
 
 
-def energy_pairing(a: ModeField, b: ModeField, alpha: float | None = None) -> np.ndarray:
+def energy_pairing(a: ModeField, b: ModeField) -> np.ndarray:
     """Pairings 2(D a_r, D b_s) + alpha int_Gamma a_r . b_s of two stacks of fields."""
     _check_same_grid(a, b)
     grid = a.grid
-    if alpha is None:
-        alpha = grid.spec.friction_alpha
     nj = min(a.n_modes, b.n_modes) + 1
     k = grid.kx[:nj][:, None]
 
@@ -329,7 +329,7 @@ def energy_pairing(a: ModeField, b: ModeField, alpha: float | None = None) -> np
 
     lw = grid.spec.length_x * _mode_weights(nj - 1)
     wq = lw[:, None] * grid.w_y
-    scales = (2.0 * wq, 4.0 * wq, 2.0 * wq, alpha * lw[:, None, None])
+    scales = (2.0 * wq, 4.0 * wq, 2.0 * wq, grid.spec.friction_alpha * lw[:, None, None])
     left = [(s * f).reshape(f.shape[0], -1) for s, f in zip(scales, rows(a))]
     right = [f.reshape(f.shape[0], -1) for f in rows(b)]
     return _real_gram(np.concatenate(left, axis=1), np.concatenate(right, axis=1))
@@ -340,9 +340,9 @@ def inner_h(u: ModeField, v: ModeField) -> float:
     return float(mass_pairing(u[None], v[None])[0, 0])
 
 
-def inner_v(u: ModeField, v: ModeField, alpha: float | None = None) -> float:
+def inner_v(u: ModeField, v: ModeField) -> float:
     """Strain-plus-friction energy inner product 2(Du, Dv) + alpha int_Gamma u.v."""
-    return float(energy_pairing(u[None], v[None], alpha)[0, 0])
+    return float(energy_pairing(u[None], v[None])[0, 0])
 
 
 def grad_sq(u: ModeField) -> float:
@@ -360,17 +360,17 @@ def grad_sq(u: ModeField) -> float:
     return float(g.spec.length_x * (_mode_weights(nj - 1) @ s))
 
 
-def norm_v(u: ModeField, alpha: float | None = None) -> float:
-    return float(np.sqrt(max(inner_v(u, u, alpha), 0.0)))
+def norm_v(u: ModeField) -> float:
+    return float(np.sqrt(max(inner_v(u, u), 0.0)))
 
 
 def norm_h1(u: ModeField) -> float:
     return float(np.sqrt(max(inner_h(u, u) + grad_sq(u), 0.0)))
 
 
-def korn_ratio(v: ModeField, alpha: float | None = None) -> float:
+def korn_ratio(v: ModeField) -> float:
     """Ratio of the H1 norm to the energy norm; finite on the discrete space."""
-    nv = norm_v(v, alpha)
+    nv = norm_v(v)
     if nv == 0.0:
         raise BasisError("korn_ratio undefined for the zero field")
     return norm_h1(v) / nv
@@ -419,7 +419,7 @@ class Basis:
         return self.fields.combine(np.asarray(coeffs, float))
 
 
-def reduced_pencil(grid: Grid, j: int, alpha: float):
+def reduced_pencil(grid: Grid, j: int):
     """Energy and mass matrices of mode j on its admissible profiles.
 
     Returns (energy, mass, cols): the reduced matrices and the columns that
@@ -428,7 +428,7 @@ def reduced_pencil(grid: Grid, j: int, alpha: float):
     null space of the mean functional; at j >= 1 they are streamfunctions
     clamped at the walls, and cols picks the interior nodes.
     """
-    lx = grid.spec.length_x
+    lx, alpha = grid.spec.length_x, grid.spec.friction_alpha
     p, pd, w = grid.interp, grid.interp_d1, grid.w_y
     if j == 0:
         wall = np.zeros((grid.n_y, grid.n_y))
@@ -483,7 +483,7 @@ def max_basis_size(spec: DomainSpec) -> int:
     return (spec.nodes_y - 1) + 2 * spec.modes_x * (spec.nodes_y - 2)
 
 
-def build_eigenbasis(spec: DomainSpec, n: int, grid: Grid | None = None) -> Basis:
+def build_eigenbasis(grid: Grid, n: int) -> Basis:
     """Eigenbasis of the energy form over divergence-free zero-normal-trace fields.
 
     Per wavenumber the problem reduces to the symmetric-definite pencil of
@@ -491,15 +491,14 @@ def build_eigenbasis(spec: DomainSpec, n: int, grid: Grid | None = None) -> Basi
     realization).  The merged spectrum is sorted by eigenvalue with
     deterministic tie-breaking by (wavenumber, shell index, family).
     """
-    if grid is None:
-        grid = build_grid(spec)
+    spec = grid.spec
     capacity = max_basis_size(spec)
     if n < 1 or n > capacity:
         raise BasisError(f"requested {n} eigenpairs, capacity is {capacity}")
 
     lams, js, fams, shells, profiles = [], [], [], [], []
     for j in range(spec.modes_x + 1):
-        energy, mass, cols = reduced_pencil(grid, j, spec.friction_alpha)
+        energy, mass, cols = reduced_pencil(grid, j)
         lamj, vecs = _solve_pencil(energy, mass)
         profj = _canonical_sign(cols @ vecs)
         for m in range(lamj.size):
@@ -603,15 +602,7 @@ def save_basis(path, basis: Basis, meta: dict | None = None):
         "family": basis.family,
         "shell_index": basis.shell_index,
         "profiles_cgl": basis.profiles_cgl,
-        "spec": np.array(
-            [
-                basis.grid.spec.length_x,
-                basis.grid.spec.modes_x,
-                basis.grid.spec.nodes_y,
-                basis.grid.spec.friction_alpha,
-                basis.grid.spec.viscosity,
-            ]
-        ),
+        "spec": np.array(astuple(basis.grid.spec)),
     }
     if meta:
         for key, val in meta.items():
@@ -622,14 +613,8 @@ def save_basis(path, basis: Basis, meta: dict | None = None):
 
 def load_basis(path) -> Basis:
     with np.load(path) as data:
-        sp = data["spec"]
-        spec = DomainSpec(
-            length_x=float(sp[0]),
-            modes_x=int(sp[1]),
-            nodes_y=int(sp[2]),
-            friction_alpha=float(sp[3]),
-            viscosity=float(sp[4]),
-        )
+        length_x, modes_x, nodes_y, alpha, nu = data["spec"]
+        spec = DomainSpec(float(length_x), int(modes_x), int(nodes_y), float(alpha), float(nu))
         return _basis_from_profiles(
             build_grid(spec),
             data["eigenvalues"],

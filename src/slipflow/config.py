@@ -206,11 +206,10 @@ class RunConfig:
         return build_grid(self.domain_spec())
 
     def basis(self):
-        return build_eigenbasis(self.domain_spec(), self.data["basis_size"])
+        return build_eigenbasis(self.grid(), self.data["basis_size"])
 
     def lifting_cache(self, grid) -> LiftingCache:
-        c = self.data["control"]
-        return LiftingCache(grid, self.domain_spec().friction_alpha, c["n_modes"], c["p"])
+        return LiftingCache(grid, self.data["control"]["n_modes"])
 
     def noise(self):
         nz = self.data["noise"]
@@ -245,12 +244,7 @@ class RunConfig:
 
     def admissible_spec(self) -> AdmissibleSpec:
         c = self.data["control"]
-        return AdmissibleSpec(
-            radius=c["radius"],
-            lambda1=c["lambda1"],
-            lambda2=c["lambda2"],
-            p=c["p"],
-        )
+        return AdmissibleSpec(radius=c["radius"], lambda1=c["lambda1"], lambda2=c["lambda2"])
 
     def param_map(self) -> ParamMap:
         c = self.data["control"]
@@ -268,10 +262,7 @@ class RunConfig:
         """Control from coeff_file if given, else static slots at theta."""
         c = self.data["control"]
         if c["coeff_file"]:
-            try:
-                return BoundaryControl.load(c["coeff_file"])
-            except (OSError, ValueError, KeyError) as exc:
-                raise ConfigError(f"cannot read control.coeff_file: {exc}") from exc
+            return self._control_file(c["coeff_file"])
         theta = np.asarray(c["theta"], float)
         if not theta.any():
             return None
@@ -279,6 +270,26 @@ class RunConfig:
         if theta.shape != (pmap.dim,):
             raise ConfigError("control.theta length must match control.slots")
         return pmap.control(theta)
+
+    def _control_file(self, path) -> BoundaryControl:
+        """The control in path, whose constants must be the config's own."""
+        try:
+            ctrl = BoundaryControl.load(path)
+        except (OSError, ValueError, KeyError, TypeError, RecursionError,
+                LiftingError) as exc:
+            raise ConfigError(f"cannot read control.coeff_file: {exc}") from exc
+        lx, c = self.data["domain"]["length_x"], self.data["control"]
+        t_final = self.data["time"]["t_final"]
+        for key, fits, owner in (
+            ("length_x", abs(ctrl.length_x - lx) <= 1e-12 * lx, "domain.length_x"),
+            ("n_modes", ctrl.n_modes == c["n_modes"], "control.n_modes"),
+            ("p", ctrl.p == c["p"], "control.p"),
+            ("horizon", ctrl.t_grid.size == 1 or ctrl.t_grid[-1] >= t_final - 1e-12,
+             "time.t_final"),
+        ):
+            if not fits:
+                raise ConfigError(f"control.coeff_file: its {key} does not fit {owner}")
+        return ctrl
 
     def seed_bank(self, n_paths=None, start=None) -> list:
         mc = self.data["monte_carlo"]

@@ -52,7 +52,6 @@ class AdmissibleSpec:
     radius: float            # bound on the time-integrated trace norm
     lambda1: float = 1.0     # wall penalty weight on a
     lambda2: float = 1.0     # wall penalty weight on b
-    p: float = 4.0
 
     def __post_init__(self):
         if self.radius <= 0:

@@ -568,7 +568,7 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
     # wall pairing int_Gamma b_c (e_i . tau) by Parseval on the trace
     # coefficients; only entries with j_i <= n_modes meet the control band
     nc, nm = cache.n_dofs, cache.n_modes
-    proto = BoundaryControl.zeros(g.spec.length_x, nm, [0.0], cache.p)
+    proto = BoundaryControl.zeros(g.spec.length_x, nm, [0.0])
     b_rows = np.zeros((nc, 2, g.spec.modes_x + 1), complex)
     b_rows[:, :, : nm + 1] = proto.coeffs(np.eye(nc))[:, 2:]
     j = basis.mode_j
@@ -578,10 +578,10 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
 
     return GalerkinOperators(
         lift_h=mass_pairing(basis.fields, cache.fields),
-        lift_v=energy_pairing(basis.fields, cache.fields, cache.alpha),
+        lift_v=energy_pairing(basis.fields, cache.fields),
         btrace=btrace,
         gram_h=mass_pairing(cache.fields, cache.fields),
-        gram_v=energy_pairing(cache.fields, cache.fields, cache.alpha),
+        gram_v=energy_pairing(cache.fields, cache.fields),
         **ops,
     )
 

@@ -45,15 +45,16 @@ class DomainSpec:
     length_x: channel period L_x.
     modes_x: number K of resolved Fourier wavenumbers (k_j = 2*pi*j/L_x, |j| <= K).
     nodes_y: wall-normal collocation nodes across y in [0, 1].
-    friction_alpha: wall friction coefficient (>= 0).
+    friction_alpha: wall friction coefficient (>= 0), the one alpha that the
+        energy form, the lifting's Stokes correction and the slip stress read.
     viscosity: kinematic viscosity (> 0).
     """
 
     length_x: float
     modes_x: int
     nodes_y: int
-    friction_alpha: float = 0.0
-    viscosity: float = 1.0
+    friction_alpha: float
+    viscosity: float
 
     def __post_init__(self):
         if not self.length_x > 0:
@@ -176,8 +177,6 @@ class Grid:
 
 def build_grid(spec: DomainSpec) -> Grid:
     """Construct the collocation/quadrature grid for a domain specification."""
-    if not isinstance(spec, DomainSpec):
-        spec = DomainSpec(**spec)
     k = spec.modes_x
     n_x = max(8, 4 * k)  # >= 3K+2: quadratic products de-alias exactly
     x = np.arange(n_x) * (spec.length_x / n_x)

@@ -9,9 +9,10 @@ per wavenumber:
    cosh/sinh profiles, a linear profile for the mean mode); `solve_harmonic`
    returns its gradient c = grad h as a `ModeField`;
 2. a stationary Stokes correction with zero normal trace whose tangential
-   stress supplies the remainder b - [2 D(c) n + alpha c] . tau, where the
-   stress of c is `ModeField.tangential_stress_coeffs`, the one slip-stress
-   formula of the package.  It is solved on the reduced energy systems of
+   stress supplies the remainder b - [2 D(c) n + alpha c] . tau, alpha the
+   friction of the grid, where the stress of c is
+   `ModeField.tangential_stress_coeffs`, the one slip-stress formula of the
+   package.  It is solved on the reduced energy systems of
    `basis.reduced_pencil` that the eigenbasis also uses (zero-mean shear
    profiles for the mean mode, clamped streamfunctions above).
 
@@ -92,6 +93,8 @@ class BoundaryControl:
         self.gamma = np.asarray(self.gamma, float)
         if self.t_grid.ndim != 1 or self.t_grid.size < 1:
             raise LiftingError("time grid must hold at least one point")
+        if not (self.t_grid[0] == 0.0 and (np.diff(self.t_grid) > 0.0).all()):
+            raise LiftingError("time grid must start at 0 and strictly increase")
         if self.gamma.shape != (self.t_grid.size, self.n_dofs):
             raise LiftingError(
                 f"gamma must have shape {(self.t_grid.size, self.n_dofs)}"
@@ -308,21 +311,21 @@ class StokesCorrectionSolver:
     """Per-mode stationary Stokes solves with prescribed tangential stress.
 
     Seeks a divergence-free field with zero normal trace whose tangential
-    stress equals the given wall data, variationally: the energy form tested
-    against all admissible fields equals the wall pairing with the data.  The
-    mean mode runs on zero-mean shear profiles, which fixes the one-parameter
-    indeterminacy of the periodic channel (a mean pressure gradient appears
-    implicitly as the Lagrange multiplier of that constraint).
+    stress at the grid's friction equals the given wall data, variationally:
+    the energy form tested against all admissible fields equals the wall
+    pairing with the data.  The mean mode runs on zero-mean shear profiles,
+    which fixes the one-parameter indeterminacy of the periodic channel (a
+    mean pressure gradient appears implicitly as the Lagrange multiplier of
+    that constraint).
     """
 
-    def __init__(self, grid: Grid, alpha: float, n_modes: int):
+    def __init__(self, grid: Grid, n_modes: int):
         if n_modes > grid.spec.modes_x:
             raise LiftingError("control modes exceed the resolved band")
         self.grid = grid
-        self.alpha = float(alpha)
         self.n_modes = n_modes
         # (reduced energy matrix, columns) per mode
-        self._systems = [reduced_pencil(grid, j, alpha)[::2] for j in range(n_modes + 1)]
+        self._systems = [reduced_pencil(grid, j)[::2] for j in range(n_modes + 1)]
 
     def _solve_mode(self, j: int, rhs) -> np.ndarray:
         """Nodal profiles of mode j whose energy pairings with every admissible
@@ -369,22 +372,20 @@ class LiftingCache:
     immutable after construction and safe to share.
     """
 
-    def __init__(self, grid: Grid, alpha: float, n_modes: int, p: float = 4.0):
+    def __init__(self, grid: Grid, n_modes: int):
         self.grid = grid
-        self.alpha = float(alpha)
         self.n_modes = n_modes
-        self.p = p
-        proto = BoundaryControl.zeros(grid.spec.length_x, n_modes, [0.0], p)
+        proto = BoundaryControl.zeros(grid.spec.length_x, n_modes, [0.0])
         self.n_dofs = proto.n_dofs
         # every unit coefficient at once, as the rows of an identity gamma
         # (its time grid only numbers them)
         units = project_compatible(BoundaryControl(
-            proto.length_x, n_modes, np.arange(self.n_dofs, dtype=float), np.eye(self.n_dofs), p))
+            proto.length_x, n_modes, np.arange(self.n_dofs, dtype=float), np.eye(self.n_dofs)))
         tables = units.coeffs(units.gamma)
         # harmonic stage for a, then the correction supplies the rest of b
         har = solve_harmonic(tables[:, 0], tables[:, 1], grid, n_modes)
-        stress = har.tangential_stress_coeffs(alpha)[:, : n_modes + 1]
-        corr = StokesCorrectionSolver(grid, alpha, n_modes).solve(
+        stress = har.tangential_stress_coeffs()[:, : n_modes + 1]
+        corr = StokesCorrectionSolver(grid, n_modes).solve(
             tables[:, 2] - stress[..., 0], tables[:, 3] - stress[..., 1])
         self.fields = har + corr
 
@@ -426,7 +427,7 @@ class LiftedField:
                 np.abs(ntr[:, 0] - table[0]).max(),
                 np.abs(ntr[:, 1] - table[1]).max(),
             )
-            stress = f.tangential_stress_coeffs(self.cache.alpha)[: nm + 1]
+            stress = f.tangential_stress_coeffs()[: nm + 1]
             tangential = max(
                 tangential,
                 np.abs(stress[:, 0] - table[2]).max(),

@@ -21,13 +21,13 @@ def grid_small(spec_small):
 
 
 @pytest.fixture(scope="session")
-def basis_small(spec_small, grid_small):
-    return build_eigenbasis(spec_small, 12, grid_small)
+def basis_small(grid_small):
+    return build_eigenbasis(grid_small, 12)
 
 
 @pytest.fixture(scope="session")
-def cache_small(spec_small, grid_small):
-    return LiftingCache(grid_small, spec_small.friction_alpha, 2)
+def cache_small(grid_small):
+    return LiftingCache(grid_small, 2)
 
 
 @pytest.fixture(scope="session")
@@ -40,8 +40,8 @@ def wide():
     spec = DomainSpec(length_x=2 * np.pi, modes_x=8, nodes_y=24,
                       friction_alpha=1.0, viscosity=0.5)
     grid = build_grid(spec)
-    basis = build_eigenbasis(spec, 128, grid)
-    cache = LiftingCache(grid, spec.friction_alpha, 2)
+    basis = build_eigenbasis(grid, 128)
+    cache = LiftingCache(grid, 2)
     return SimpleNamespace(basis=basis, cache=cache,
                            ops=assemble_operators(basis, cache))
 
@@ -55,11 +55,6 @@ def spec_free():
 @pytest.fixture(scope="session")
 def grid_free(spec_free):
     return build_grid(spec_free)
-
-
-@pytest.fixture(scope="session")
-def basis_free(spec_free, grid_free):
-    return build_eigenbasis(spec_free, 12, grid_free)
 
 
 def random_compatible_control(length_x, n_modes, t_grid, scale, seed, p=4.0):

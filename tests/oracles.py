@@ -198,18 +198,18 @@ def loop_interp_matrix(nodes, bary_w, targets):
     return p
 
 
-def loop_lifting_fields(grid, alpha, n_modes, p=4.0):
+def loop_lifting_fields(grid, n_modes):
     """The lifted unit fields of a LiftingCache, one coefficient at a time."""
     lx = grid.spec.length_x
-    solver = StokesCorrectionSolver(grid, alpha, n_modes)
+    solver = StokesCorrectionSolver(grid, n_modes)
     fields = []
-    for c in range(BoundaryControl.zeros(lx, n_modes, [0.0], p).n_dofs):
-        unit = BoundaryControl.zeros(lx, n_modes, [0.0], p)
+    for c in range(BoundaryControl.zeros(lx, n_modes, [0.0]).n_dofs):
+        unit = BoundaryControl.zeros(lx, n_modes, [0.0])
         unit.gamma[0, c] = 1.0
         unit = project_compatible(unit)
         table = unit.coeffs(unit.gamma[0])
         har = solve_harmonic(table[0], table[1], grid, n_modes)
-        stress = har.tangential_stress_coeffs(alpha)[: n_modes + 1]
+        stress = har.tangential_stress_coeffs()[: n_modes + 1]
         corr = solver.solve(table[2] - stress[:, 0], table[3] - stress[:, 1])
         fields.append(har + corr)
     return ModeField.stack(fields)

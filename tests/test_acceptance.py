@@ -45,8 +45,8 @@ SPEC = DomainSpec(length_x=2 * np.pi, modes_x=8, nodes_y=24,
 @pytest.fixture(scope="module")
 def stack():
     grid = build_grid(SPEC)
-    basis32 = build_eigenbasis(SPEC, 32, grid)
-    cache = LiftingCache(grid, SPEC.friction_alpha, 2)
+    basis32 = build_eigenbasis(grid, 32)
+    cache = LiftingCache(grid, 2)
     return grid, basis32, cache
 
 
@@ -61,7 +61,7 @@ def test_criterion_01_eigenbasis_certification():
     spec = DomainSpec(length_x=2 * np.pi, modes_x=16, nodes_y=48,
                       friction_alpha=1.0, viscosity=0.5)
     grid = build_grid(spec)
-    basis = build_eigenbasis(spec, 32, grid)
+    basis = build_eigenbasis(grid, 32)
 
     worst_resid = 0.0
     rng = np.random.default_rng(1)
@@ -81,7 +81,7 @@ def test_criterion_01_eigenbasis_certification():
 
     spec0 = DomainSpec(length_x=2 * np.pi, modes_x=16, nodes_y=48,
                        friction_alpha=0.0, viscosity=0.5)
-    basis0 = build_eigenbasis(spec0, 32, build_grid(spec0))
+    basis0 = build_eigenbasis(build_grid(spec0), 32)
     lam0 = basis0.eigenvalues[basis0.mode_j == 0]
     jj = np.arange(1, lam0.size + 1)
     eig_err = np.abs(lam0 - (jj * np.pi) ** 2).max() / ((jj * np.pi) ** 2).max()
@@ -179,7 +179,7 @@ def test_criterion_05_strong_sde_convergence():
     spec = DomainSpec(length_x=2 * np.pi, modes_x=3, nodes_y=16,
                       friction_alpha=1.0, viscosity=0.05)
     grid = build_grid(spec)
-    basis = build_eigenbasis(spec, 6, grid)
+    basis = build_eigenbasis(grid, 6)
     n = basis.size
     noise = build_noise(n, 2, 0.3, 1.0, 3, [0.2, 0.2])
     ops = assemble_operators(basis, None)

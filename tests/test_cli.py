@@ -399,6 +399,41 @@ def _check_exit_code(tmp_path, command, flags, overrides, code):
     return proc.stderr
 
 
+# a control file that fits BASE, and faults in it: malformed entries, and
+# constants that differ from the config's own
+_GOOD_CONTROL = {"length_x": 2 * np.pi, "n_modes": 2, "p": 4.0, "t_grid": [0.0, 0.2],
+                 "gamma": [[0.0] * 20, [0.1] * 20]}
+
+
+def _simulate_under_control(tmp_path, data):
+    path = tmp_path / "control.json"
+    path.write_text(json.dumps(data))
+    cfg = write_cfg(tmp_path, control={"coeff_file": str(path)})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    return code, err.getvalue().splitlines()
+
+
+def test_control_file_fitting_config_runs(tmp_path):
+    assert _simulate_under_control(tmp_path, _GOOD_CONTROL) == (0, [])
+
+
+@pytest.mark.parametrize("fault", [
+    {"n_modes": None}, [], {"gamma": [[0.0] * 19] * 2}, {"p": 1.0}, {"length_x": 3.0},
+    {"n_modes": 3}, {"p": 5.0}, {"t_grid": [0.0, 0.1]},
+    {"t_grid": [0.0, 0.5, 0.5], "gamma": [[0.0] * 20] * 3}, {"t_grid": [0.1, 0.2]},
+    {"t_grid": "x"},
+], ids=["null-modes", "top-level-list", "gamma-shape", "p-one", "length-x-differs",
+        "modes-differ", "p-differs", "horizon-short", "repeated-time", "late-start",
+        "string-times"])
+def test_control_file_faults_exit_one(tmp_path, fault):
+    data = {**_GOOD_CONTROL, **fault} if isinstance(fault, dict) else fault
+    code, lines = _simulate_under_control(tmp_path, data)
+    assert code == 1, lines
+    assert len(lines) == 1 and lines[0].startswith("validation error: "), lines
+
+
 # well-formed inputs plus up to two injected faults, so that a fair share
 # of the examples gets past validation into the certifiers
 _FAULTS = [("--seed", -1), ("--seed", 2**64), ("--paths", 0), ("--paths", -2),

@@ -172,13 +172,13 @@ def test_min_path_guard(basis_small):
         certify_stability(trajs, None, trajs, None, sim.ops, 1.0, 0.5)
 
 
-def test_moment_stability_under_refinement(spec_small, grid_small, make_control):
+def test_moment_stability_under_refinement(grid_small, make_control):
     # fitted constant moves by less than 2x when the basis doubles
     from slipflow.basis import build_eigenbasis, truncate_basis
     from slipflow.lifting import LiftingCache
 
-    big = build_eigenbasis(spec_small, 16, grid_small)
-    cache = LiftingCache(grid_small, spec_small.friction_alpha, 2)
+    big = build_eigenbasis(grid_small, 16)
+    cache = LiftingCache(grid_small, 2)
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.15, seed=94)
     cs = {}
     for n in (8, 16):

@@ -33,7 +33,7 @@ from slipflow.dynamics import (
     step_em,
     wiener_increments,
 )
-from slipflow.geometry import DomainSpec, build_grid
+from slipflow.geometry import DomainSpec, GeometryError, build_grid
 from slipflow.lifting import LiftingCache
 
 
@@ -186,7 +186,7 @@ def full_band(wide):
     """n = 48 on the modes_x = 8 grid with a control of n_modes = 8: the lifted
     fields reach the top mode, so products land past the band."""
     basis = truncate_basis(wide.basis, 48)
-    cache = LiftingCache(basis.grid, basis.grid.spec.friction_alpha, 8)
+    cache = LiftingCache(basis.grid, 8)
     return SimpleNamespace(basis=basis, cache=cache, ops=assemble_operators(basis, cache))
 
 
@@ -225,6 +225,13 @@ def test_dense_assembly_samples_no_grid(basis_small, cache_small, monkeypatch):
     ops = assemble_operators(basis_small, cache_small)
     ops.conv_bb  # the first read assembles all three
     assert all(getattr(ops, f"_conv_{k}") is not None for k in ("bb", "bc", "cc"))
+
+
+def test_operators_reject_lifting_of_other_friction(basis_small, grid_free):
+    # the basis and the lifting read alpha from their grids, so a basis at
+    # alpha = 1 and a lifting at alpha = 0 do not assemble
+    with pytest.raises(GeometryError):
+        assemble_operators(basis_small, LiftingCache(grid_free, 2))
 
 
 def test_mass_pairings_against_quadrature(sim_small, basis_small, cache_small, grid_small):
@@ -367,7 +374,7 @@ def test_strong_order_multiplicative():
     spec = DomainSpec(length_x=2 * np.pi, modes_x=3, nodes_y=16,
                       friction_alpha=1.0, viscosity=0.05)
     grid = build_grid(spec)
-    basis = bs.build_eigenbasis(spec, 6, grid)
+    basis = bs.build_eigenbasis(grid, 6)
     n = basis.size
     noise = build_noise(n, 2, 0.3, 1.0, 3, [0.2, 0.2])
     ops = assemble_operators(basis, None)
@@ -482,8 +489,8 @@ def test_parseval_reconstruction(sim_small, basis_small):
     assert abs(inner_h(field, field) - tr.u_sq[-1]) < 1e-8 * max(1.0, tr.u_sq[-1])
 
 
-def test_initial_projection_monotone(spec_small, grid_small):
-    big = bs.build_eigenbasis(spec_small, 16, grid_small)
+def test_initial_projection_monotone(grid_small):
+    big = bs.build_eigenbasis(grid_small, 16)
     rng = np.random.default_rng(14)
     beta_full = rng.standard_normal(16)
     full_norm = np.linalg.norm(beta_full)
@@ -491,9 +498,9 @@ def test_initial_projection_monotone(spec_small, grid_small):
         assert np.linalg.norm(beta_full[:n]) <= full_norm * (1 + 1e-15)
 
 
-def test_galerkin_consistency_common_noise(spec_small, grid_small):
+def test_galerkin_consistency_common_noise(grid_small):
     # common-noise truncations: the gap shrinks as the basis grows
-    big = bs.build_eigenbasis(spec_small, 16, grid_small)
+    big = bs.build_eigenbasis(grid_small, 16)
     noise_full = build_noise(16, 2, 0.05, 1.5, 5, [0.1, 0.1])
     b_full = make_initial_coeffs(16, "random", 8, 0.6, 0.8)
     finals = {}
@@ -878,8 +885,8 @@ def narrow():
     spec = DomainSpec(length_x=2 * np.pi, modes_x=3, nodes_y=16,
                       friction_alpha=1.0, viscosity=0.5)
     grid = build_grid(spec)
-    basis = bs.build_eigenbasis(spec, 24, grid)
-    cache = LiftingCache(grid, spec.friction_alpha, 2)
+    basis = bs.build_eigenbasis(grid, 24)
+    cache = LiftingCache(grid, 2)
     return SimpleNamespace(basis=basis, cache=cache, ops=assemble_operators(basis, cache))
 
 
@@ -917,7 +924,7 @@ def test_dft_matrices_match_numpy_fft(modes_x):
     spec = DomainSpec(length_x=2 * np.pi, modes_x=modes_x, nodes_y=16,
                       friction_alpha=1.0, viscosity=0.5)
     grid = build_grid(spec)
-    conv = Convection(bs.build_eigenbasis(spec, 4, grid))
+    conv = Convection(bs.build_eigenbasis(grid, 4))
     n_bins, n_x = modes_x + 1, grid.n_x
     assert conv.to_grid.shape == (n_x, 2 * n_bins) and conv.from_grid.shape == (2 * n_bins, n_x)
     rng = np.random.default_rng(modes_x)

@@ -18,16 +18,12 @@ from slipflow.geometry import (
 
 
 def test_spec_rejects_bad_parameters():
-    with pytest.raises(GeometryError):
-        DomainSpec(length_x=-1.0, modes_x=4, nodes_y=16)
-    with pytest.raises(GeometryError):
-        DomainSpec(length_x=1.0, modes_x=0, nodes_y=16)
-    with pytest.raises(GeometryError):
-        DomainSpec(length_x=1.0, modes_x=4, nodes_y=4)
-    with pytest.raises(GeometryError):
-        DomainSpec(length_x=1.0, modes_x=4, nodes_y=16, viscosity=0.0)
-    with pytest.raises(GeometryError):
-        DomainSpec(length_x=1.0, modes_x=4, nodes_y=16, friction_alpha=-0.1)
+    good = dict(length_x=1.0, modes_x=4, nodes_y=16, friction_alpha=1.0, viscosity=0.5)
+    DomainSpec(**good)
+    for bad in ({"length_x": -1.0}, {"modes_x": 0}, {"nodes_y": 4}, {"viscosity": 0.0},
+                {"friction_alpha": -0.1}):
+        with pytest.raises(GeometryError):
+            DomainSpec(**{**good, **bad})
 
 
 def test_domain_area(grid_small):

@@ -130,14 +130,14 @@ def test_harmonic_incompatible_rejected(grid_small):
 
 
 def test_correction_zero(grid_small):
-    solver = StokesCorrectionSolver(grid_small, 1.0, 2)
+    solver = StokesCorrectionSolver(grid_small, 2)
     out = solver.solve(np.zeros(3, complex), np.zeros(3, complex))
     assert np.abs(out.vals).max() == 0.0
 
 
-def test_correction_shear_against_fd(grid_small):
+def test_correction_shear_against_fd(grid_free):
     # constant tangential stress on the top wall, zero friction branch
-    solver = StokesCorrectionSolver(grid_small, 0.0, 2)
+    solver = StokesCorrectionSolver(grid_free, 2)
     c0 = 0.8
     out = solver.solve(np.zeros(3, complex), np.array([c0, 0, 0], complex))
     y_fd, u_fd = fd_stokes_shear(0.0, 0.0, c0, n=1000)
@@ -146,7 +146,7 @@ def test_correction_shear_against_fd(grid_small):
     exact = -c0 * (y_fd**2 / 2 - 1.0 / 6.0)
     assert np.abs(u_fd - exact).max() < 1e-10
     prof = out.vals[0, 0].real
-    exact_gauss = -c0 * (grid_small.y_nodes**2 / 2 - 1.0 / 6.0)
+    exact_gauss = -c0 * (grid_free.y_nodes**2 / 2 - 1.0 / 6.0)
     assert np.abs(prof - exact_gauss).max() < 1e-8
 
 
@@ -161,7 +161,7 @@ def _resample(y_src, vals, y_tgt, deg):
 
 
 def test_correction_shear_alpha_against_fd(grid_small):
-    solver = StokesCorrectionSolver(grid_small, 1.0, 2)
+    solver = StokesCorrectionSolver(grid_small, 2)
     bt_b, bt_t = 0.4, -0.9
     out = solver.solve(np.array([bt_b, 0, 0], complex), np.array([bt_t, 0, 0], complex))
     y_fd, u_fd = fd_stokes_shear(1.0, bt_b, bt_t, n=1600)
@@ -169,13 +169,13 @@ def test_correction_shear_alpha_against_fd(grid_small):
                               grid_small.n_y - 1)
     assert np.abs(prof_fd_nodes - u_fd).max() < 1e-8
     # strong residuals: -u'(0) + a u(0) = bt_b and u'(1) + a u(1) = -bt_t
-    stress = out.tangential_stress_coeffs(1.0)
+    stress = out.tangential_stress_coeffs()
     assert abs(stress[0, 0] - bt_b) < 1e-10
     assert abs(stress[0, 1] - bt_t) < 1e-10
 
 
 def test_correction_mode_against_fd(grid_small):
-    solver = StokesCorrectionSolver(grid_small, 1.0, 2)
+    solver = StokesCorrectionSolver(grid_small, 2)
     rng = np.random.default_rng(2)
     bt_b = complex(rng.standard_normal(), rng.standard_normal())
     bt_t = complex(rng.standard_normal(), rng.standard_normal())
@@ -193,7 +193,7 @@ def test_correction_mode_against_fd(grid_small):
 
 
 def test_correction_normal_trace_zero(grid_small, make_control):
-    solver = StokesCorrectionSolver(grid_small, 1.0, 2)
+    solver = StokesCorrectionSolver(grid_small, 2)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         bb = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -223,7 +223,7 @@ def test_stacked_stages_match_rows(grid_small, make_control):
     # (..., J) rows of wall data give a stack whose rows are the one-row fields
     ctrl = make_control(2 * np.pi, 2, np.linspace(0, 1, 5), 1.0, seed=21)
     tables = ctrl.coeffs(ctrl.gamma)
-    solver = StokesCorrectionSolver(grid_small, 1.0, 2)
+    solver = StokesCorrectionSolver(grid_small, 2)
     stages = (lambda t: solve_harmonic(t[..., 0, :], t[..., 1, :], grid_small, 2),
               lambda t: solver.solve(t[..., 2, :], t[..., 3, :]))
     for stage in stages:
@@ -249,7 +249,7 @@ def test_harmonic_stack_rejects_one_incompatible_row(grid_small, make_control):
 def test_cache_matches_loop_reference(modes_x):
     grid = build_grid(DomainSpec(length_x=2 * np.pi, modes_x=modes_x, nodes_y=24,
                                  friction_alpha=1.0, viscosity=0.5))
-    _close(LiftingCache(grid, 1.0, 2).fields, loop_lifting_fields(grid, 1.0, 2))
+    _close(LiftingCache(grid, 2).fields, loop_lifting_fields(grid, 2))
 
 
 def test_cache_makes_one_solve_per_mode(grid_small, monkeypatch):
@@ -262,7 +262,7 @@ def test_cache_makes_one_solve_per_mode(grid_small, monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(lifting.np.linalg, "solve", counting)
-    cache = LiftingCache(grid_small, 1.0, 2)
+    cache = LiftingCache(grid_small, 2)
     assert len(calls) == cache.n_modes + 1
     assert all(shape[-1] == cache.n_dofs for shape in calls)
 
@@ -303,11 +303,15 @@ def test_lift_linearity(cache_small, make_control):
     assert np.abs(combo.wall_vals - parts.wall_vals).max() < 1e-10 * scale
 
 
-def test_lift_boundary_residuals_random(cache_small, make_control):
+# the alpha = 1 and the alpha = 0 grid: the stress residual is taken at the
+# friction the cache reads from its grid
+@pytest.mark.parametrize("grid", ["grid_small", "grid_free"])
+def test_lift_boundary_residuals_random(grid, request, make_control):
+    cache = LiftingCache(request.getfixturevalue(grid), 2)
     worst = {"normal": 0.0, "tangential": 0.0, "divergence": 0.0}
     for seed in range(20):
         ctrl = make_control(2 * np.pi, 2, np.linspace(0, 1, 3), 0.8, seed=100 + seed)
-        res = lift(ctrl, cache_small).boundary_residuals()
+        res = lift(ctrl, cache).boundary_residuals()
         for key in worst:
             worst[key] = max(worst[key], res[key])
     assert worst["normal"] < 1e-8
@@ -386,6 +390,9 @@ def test_control_validation():
         BoundaryControl(2 * np.pi, 2, np.array([0.0]), np.zeros((2, 20)))
     with pytest.raises(LiftingError):
         BoundaryControl.zeros(2 * np.pi, 2, [0.0], p=2.0)
+    for t_grid in ([0.1, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.2], [0.0, np.nan]):
+        with pytest.raises(LiftingError, match="start at 0 and strictly increase"):
+            BoundaryControl.zeros(2 * np.pi, 2, t_grid)
 
 
 @pytest.mark.parametrize("slot", [("z", "bottom", 1, "re"), ("a", "middle", 1, "re"),
