@@ -232,12 +232,11 @@ class ModeField:
         s = sample_fields(self[None])[0]
         return s[0], s[1]
 
-    def divergence_residual(self) -> float:
-        """Max abs of i*k*v1 + v2' over modes and quadrature nodes."""
-        nj = self.vals.shape[0]
-        k = self.grid.kx[:nj]
-        res = 1j * k[:, None] * self.vals[:, 0, :] + self.dvals[:, 1, :]
-        return float(np.abs(res).max())
+    def divergence_residual(self) -> float | np.ndarray:
+        """Max abs of i*k*v1 + v2' over modes and quadrature nodes; one per field of a stack."""
+        k = self.grid.kx[: self.n_modes + 1, None]
+        res = np.abs(1j * k * self.vals[..., 0, :] + self.dvals[..., 1, :]).max(axis=(-2, -1))
+        return float(res) if res.ndim == 0 else res
 
     def normal_trace_coeffs(self) -> np.ndarray:
         """Coefficients of v.n per ([field,] mode, wall); bottom normal is (0,-1)."""

@@ -21,10 +21,10 @@ paths, chosen by the basis size n:
   block by one GEMM against a table T built once per simulator and one
   batched mat-vec per step, and conv_cc gamma gamma joins the control drift
   by two GEMMs before the loop;
-* from N_PS on, the transform method (`Convection`): per step the block's
-  y and grad y are synthesized on the physical grid by one GEMM per x-mode
-  and one by a real DFT matrix, (y . grad) y is formed pointwise, and the
-  analysis DFT matrix and one GEMM per x-mode project it back (no FFT).
+* from N_PS on, the transform method (`Convection`) in divergence form: per
+  step the block's velocity y is synthesized on the grid and its walls by one
+  GEMM per x-mode and one by a real DFT matrix, and y (x) y is projected onto
+  grad e_i and the wall traces of e_i by the two transposed steps (no FFT).
 
 Both integrate the quadratic products exactly.  The pseudospectral grid is
 wide enough that no aliasing reaches the resolved band.  The dense tensors
@@ -33,8 +33,8 @@ x-integral of three single-mode pieces is exact by orthogonality, so no x
 grid is sampled, and the y-integral is the Gauss rule.  They are checked
 for vanishing off the Fourier triads their fields' modes allow, conv_bb
 also for skew symmetry, at a rounding scale bounded from the coefficients;
-the pseudospectral tables are checked by a skew probe b(u, v, w) =
--b(u, w, v) on seeded random fields.  The lift couplings and Gram matrices
+the pseudospectral tables by a skew probe on seeded random fields, and its
+lifted fields for div y = 0.  The lift couplings and Gram matrices
 are the mass and energy pairings of the basis and lifting stacks, and the
 wall term is exact by Parseval on the trace coefficients.
 
@@ -53,6 +53,7 @@ from N_PS on.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import SimpleNamespace
@@ -220,17 +221,17 @@ class Convection:
     y = sum_i beta_i e_i + sum_c gamma_c a_c lies in the span of the basis
     entries e_i and of a stack of further fields a_c (the lifted unit
     fields); a call maps rows z = (beta, gamma) of shape (W, n + n_a) to the
-    (W, n) convection coefficients.  Per x-mode j one real GEMM synthesizes
-    the [re | im] planes of the spectral samples (v1, v2, d_x v1, d_x v2,
-    d_y v1, d_y v2) of y at j from the coefficients of the entries at j and
-    of the a_c reaching j; the real DFT matrix `to_grid` (n_x, 2 n_bins)
-    gives the grid, the products are formed pointwise, `from_grid` (2 n_bins,
-    n_x) goes back, and one GEMM per j projects onto the entries at j with
-    the Parseval weights w_x m_j w_y.  The grid is wide enough that the
-    quadratic product cannot alias onto the resolved band, so this is the
-    same quadrature as the dense tensors.  The tables depend on (basis,
-    fields) only and every row is independent, so a row's bits depend on
-    its coefficients and the row count W alone.
+    (W, n) convection coefficients.  As div y = 0 and e_i . n = 0, they are
+    -(y (x) y, grad e_i) + int_Gamma (y . n)(y . tau)(e_i . tau), the wall
+    term being [y1 y2 e_i1] from the bottom to the top wall.  Per x-mode j
+    one real GEMM synthesizes the [re | im] planes of (v1, v2) of y at the
+    Gauss nodes and walls from the coefficients of the entries at j and of
+    the a_c reaching j; the real DFT matrix `to_grid` (n_x, 2 n_bins) gives
+    the grid, y1^2, y2^2 and y1 y2 are formed pointwise, `from_grid`
+    (2 n_bins, n_x) goes back, and one GEMM per j pairs them with -d_x e1,
+    -d_y e2, -(d_y e1 + d_x e2) and the wall traces -+e1 of the entries at
+    j.  Alias-free in x and exact in y for these triple products, this is
+    the dense tensors' quadrature.  A row's bits depend on it and W alone.
     """
 
     def __init__(self, basis: Basis, fields: ModeField | None = None):
@@ -238,7 +239,10 @@ class Convection:
         n_a = 0 if fields is None else len(fields)
         if n_a and fields.n_modes > g.spec.modes_x:
             raise DynamicsError("field exceeds the dealiased band of the grid")
-        self.grid, self.n, self.n_a = g, basis.size, n_a
+        if n_a and (fields.divergence_residual()        # the divergence form needs div y = 0
+                    > 1e-12 * (1.0 + g.kx[-1]) * np.abs(fields.vals).max(axis=(1, 2, 3))).any():
+            raise DynamicsError("a lifted field is not divergence-free")
+        self.grid, self.n, self.n_a, self._p = g, basis.size, n_a, np.empty(0)
         self.n_bins = g.spec.modes_x + 1
         if self.n_bins > g.n_x // 2:
             raise DynamicsError("the x-grid has no room for the resolved bins below Nyquist")
@@ -251,48 +255,56 @@ class Convection:
         self.synthesis, self.projection = [], []
         for j in range(self.n_bins):
             own = np.flatnonzero(basis.mode_j == j)
-            rows, vals, dvals = own, e.vals[own, j], e.dvals[own, j]
-            if n_a and j <= fields.n_modes and (fields.vals[:, j].any()
-                                                or fields.dvals[:, j].any()):
+            rows, vals, walls = own, e.vals[own, j], e.wall_vals[own, j]
+            if n_a and j <= fields.n_modes and fields.vals[:, j].any():
                 rows = np.concatenate([own, self.n + np.arange(n_a)])
                 vals = np.concatenate([vals, fields.vals[:, j]])
-                dvals = np.concatenate([dvals, fields.dvals[:, j]])
-            if rows.size:                       # [re | im] planes of (rows, 6, n_q)
-                spec = np.concatenate([vals, 1j * g.kx[j] * vals, dvals], axis=1)
+                walls = np.concatenate([walls, fields.wall_vals[:, j]])
+            if rows.size:                       # [re | im] planes of (rows, 2, n_q + 2)
+                spec = np.concatenate([vals, walls], axis=2)
                 spec = np.concatenate([spec.real, spec.imag], axis=1)
                 self.synthesis.append((j, rows, spec.reshape(rows.size, -1)))
-            if own.size:                        # [re | im] planes of (n_j, 2, n_q)
-                proj = e.vals[own, j] * (g.w_x * (1.0 if j == 0 else 2.0) * g.w_y)
+            if own.size:                        # [re | im] planes of (n_j, 3, n_q + 2)
+                kv, d = 1j * g.kx[j] * e.vals[own, j], e.dvals[own, j]   # d_x e, d_y e
+                proj = np.zeros((own.size, 3, g.n_q + 2), complex)  # y1^2, y2^2, y1 y2
+                proj[..., :-2] = -g.w_y * np.stack([kv[:, 0], d[:, 1], d[:, 0] + kv[:, 1]], 1)
+                proj[:, 2, -2:] = e.wall_vals[own, j, 0] * [-1.0, 1.0]
+                proj *= g.w_x * (1.0 if j == 0 else 2.0)
                 proj = np.concatenate([proj.real, proj.imag], axis=1)
                 self.projection.append((j, own, proj.reshape(own.size, -1).T.copy()))
 
     def samples(self, z: np.ndarray) -> np.ndarray:
-        """(..., n_x, 6, n_q) grid samples of the fields with coefficient rows z.
+        """(..., n_x, 2 (n_q + 2)) grid samples of v1 then v2 (Gauss nodes, walls) of rows z.
 
-        z is (..., n + n_a); a leading stack axis is a stack of row blocks.
-        Each GEMM is then a stacked matmul, which numpy computes block by
-        block, so a row's bits depend on its block's row count, not on the
-        stack.
+        z is (..., n + n_a); a leading stack axis is a stack of row blocks, and
+        each GEMM a stacked matmul, which numpy computes block by block: a
+        row's bits depend on its block's row count, not on the stack.
         """
         lead = z.shape[:-1]
-        spec = np.zeros(lead + (2 * self.n_bins, 6 * self.grid.n_q))
+        spec = np.zeros(lead + (2 * self.n_bins, 2 * (self.grid.n_q + 2)))
         for j, rows, table in self.synthesis:
             out = spec[..., 2 * j : 2 * j + 2, :].reshape(lead + (-1,))
             np.matmul(z[..., rows], table, out=out)
-        return np.matmul(self.to_grid, spec).reshape(lead + (self.grid.n_x, 6, -1))
+        return np.matmul(self.to_grid, spec)
 
-    def project(self, w: np.ndarray) -> np.ndarray:
-        """(..., n) coefficients (w, e_i) of (..., n_x, 2, n_q) grid samples."""
-        lead = w.shape[:-3]
-        f = np.matmul(self.from_grid, w.reshape(lead + (self.grid.n_x, -1)))
+    def project(self, s: np.ndarray) -> np.ndarray:
+        """(..., n) convection coefficients of the fields with (..., n_x, 2 (n_q + 2))
+        grid samples s: their products v1^2, v2^2 and v1 v2, projected."""
+        lead, half = s.shape[:-2], s.shape[-1] // 2
+        # kept between calls of one shape: glibc mmaps a fresh array of this size each time
+        if self._p.shape != s.shape[:-1] + (3 * half,):
+            self._p = np.empty(s.shape[:-1] + (3 * half,))
+        p = self._p
+        np.multiply(s, s, out=p[..., : 2 * half])
+        np.multiply(s[..., :half], s[..., half:], out=p[..., 2 * half :])
+        f = np.matmul(self.from_grid, p)
         out = np.empty(lead + (self.n,))
         for j, own, table in self.projection:
             out[..., own] = f[..., 2 * j : 2 * j + 2, :].reshape(lead + (-1,)) @ table
         return out
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        s = self.samples(z)
-        return self.project(_advect(s, s))
+        return self.project(self.samples(z))
 
     def rows(self, beta: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
         """(m, n + n_a) rows z of stacked states beta (..., n) and controls that broadcast."""
@@ -312,38 +324,36 @@ class Convection:
         return out.reshape(np.shape(beta))
 
 
-def _advect(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Grid samples of (u . grad) v: u from the rows of a, grad v from those of b."""
-    return a[..., 0:1, :] * b[..., 2:4, :] + a[..., 1:2, :] * b[..., 4:6, :]
-
-
 def nonlinear_term(y: ModeField, basis: Basis) -> np.ndarray:
     """Coefficients ((y . grad) y, e_i): the one-field case of `Convection`.
 
-    Exact for fields within the resolved band; the physical grid is wide
-    enough that the quadratic product cannot alias back onto it.
+    Exact for divergence-free fields within the resolved band; the physical
+    grid is wide enough that the quadratic product cannot alias back onto it.
     """
     conv = Convection(basis, y[None])
     return conv.stacked(np.zeros(basis.size), np.ones(1))
 
 
 def _probe_skew(conv: Convection):
-    """Raise unless b(u, v, w) = -b(u, w, v) for 4 seeded random u, v, w in the basis span.
+    """Raise unless the evaluator N is skew on 3 x 2 seeded random u, v, w in the basis span.
 
-    This is the check of the evaluator's tables that `_check_convection` is
-    for the dense tensors, with the same rule: 1e-12 times the summed
-    magnitudes of the quadrature terms of both sides.
+    With 2 S(a, b) = N(a + b) - N(a) - N(b), <S(u, v), w> + <S(v, w), u> +
+    <S(w, u), v> = -1/2 int [u . grad(v . w) + v . grad(w . u) + w . grad(u . v)]
+    vanishes for divergence-free fields with zero normal trace.  The check of
+    the tables that `_check_convection` is for the dense tensors, with its
+    rule: 1e-12 times the summed magnitudes of the terms, here of |products|.
     """
     rng = np.random.default_rng(np.random.SeedSequence([0x5CE3, conv.n]))
-    coef = rng.standard_normal((3, 4, conv.n))
-    su, sv, sw = (conv.samples(conv.rows(c)) for c in coef)
-    b_uvw = np.vecdot(conv.project(_advect(su, sv)), coef[2])
-    b_uwv = np.vecdot(conv.project(_advect(su, sw)), coef[1])
-    w2d = conv.grid.quad_weights_domain
-    au, av, aw = np.abs(su), np.abs(sv), np.abs(sw)
-    scale = ((_advect(au, av) * aw[:, :, :2]).sum(axis=2) * w2d).sum(axis=(1, 2)) + (
-        (_advect(au, aw) * av[:, :, :2]).sum(axis=2) * w2d).sum(axis=(1, 2))
-    if (np.abs(b_uvw + b_uwv) > 1e-12 * scale).any():
+    u, v, w = coef = rng.standard_normal((3, 2, conv.n))
+    s = conv.samples(conv.rows(np.stack([u, v, w, u + v, v + w, w + u])))
+    mag = copy.copy(conv)                      # the projection on magnitudes
+    mag.from_grid = np.abs(conv.from_grid)
+    mag.projection = [(j, own, np.abs(t)) for j, own, t in conv.projection]
+    nl, size = conv.project(s).reshape(6, 2, -1), mag.project(np.abs(s)).reshape(6, 2, -1)
+    a, b, c = [0, 1, 2], [1, 2, 0], [2, 0, 1]               # row 3 + a holds a + b
+    defect = np.vecdot(nl[3:] - nl[a] - nl[b], coef[c]).sum(axis=0)
+    scale = np.vecdot(size[3:] + size[a] + size[b], np.abs(coef[c])).sum(axis=0)
+    if (np.abs(defect) > 1e-12 * scale).any():
         raise DynamicsError("pseudospectral convection is not skew-symmetric")
 
 
@@ -669,15 +679,14 @@ BLOCK = 16
 STACK = 4
 
 # Basis size from which the kernel evaluates the convection pseudospectrally
-# (`Convection`) instead of through the dense n^3 tensors.  Measured at
-# modes_x = 8, nodes_y = 24 with BLAS on one thread, per step of a 16-path
-# block with a control: dense 0.35-0.39 ms at n = 56, 0.40-0.45 ms at n = 60,
-# 0.45-0.52 ms at n = 64 and 0.65-0.69 ms at n = 72, growing as n^3;
-# pseudospectral 0.48-0.78 ms, nearly flat in n.  The dense path also pays
-# 0.016-0.024 s of operator assembly at n = 56-64, so its step is the faster
-# up to about n = 70, and its step plus assembly, on one 200-step block, up
-# to between n = 64 and 72.  Moving N_PS changes the path, and so the bits,
-# of every size in between.
+# (`Convection`) instead of through the dense n^3 tensors.  Per step of a
+# 16-path block with a control (modes_x = 8, nodes_y = 24, BLAS on one
+# thread, four rounds), dense / pseudospectral ms: n = 48 0.20-0.27 /
+# 0.32-0.52, 54 0.28-0.33 / 0.35-0.45, 56 0.30-0.39 / 0.31-0.46, 58 0.35-0.41
+# / 0.33-0.50, 60 0.37-0.45 / 0.31-0.48, 64 0.47-0.59 / 0.33-0.53, 72
+# 0.63-0.92 / 0.35-0.58, and 0.013-0.032 s of dense assembly.  The steps cross
+# between n = 56 and 62 (64-row passes: near 58), so N_PS stays 60; moving it
+# changes the path, and so the bits, of every size in between.
 N_PS = 60
 
 
@@ -774,6 +783,8 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
                 if (blowup_step[:paths] >= 0).all():
                     break
             b = step
+    if conv is not None:
+        conv._p = np.empty(0)                 # its products array lives for the pass
     alive = blowup_step < 0
     beta_final[alive] = b[alive]
 

@@ -101,6 +101,8 @@ class BoundaryControl:
             )
         if not 2.0 < self.p < np.inf:
             raise LiftingError("trace exponent p must lie in (2, inf)")
+        if not (np.abs(self.gamma) <= 1e150).all():     # so that products of two stay finite
+            raise LiftingError("gamma must be finite and at most 1e150 in magnitude")
 
     # -- layout ---------------------------------------------------------
 
@@ -179,9 +181,12 @@ class BoundaryControl:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundaryControl":
+        for key, kind in (("length_x", (int, float)), ("n_modes", int), ("p", (int, float))):
+            if isinstance(data[key], bool) or not isinstance(data[key], kind):
+                raise LiftingError(f"{key} must be {'an integer' if kind is int else 'a number'}")
         return cls(
             length_x=float(data["length_x"]),
-            n_modes=int(data["n_modes"]),
+            n_modes=data["n_modes"],
             t_grid=np.asarray(data["t_grid"], float),
             gamma=np.asarray(data["gamma"], float),
             p=float(data["p"]),

@@ -9,6 +9,11 @@
   module assembles the same tensors triad by triad from the Fourier
   coefficients, without sampling; this is the reference it is tested
   against.
+* `advective_convection`: the pseudospectral convection in advective form,
+  ((y . grad) y, e_i) from the velocity and its gradient sampled on the
+  grid.  The dynamics module's `Convection` samples only the velocity and
+  evaluates the divergence form; this is the reference it is tested
+  against.
 * The loop forms of the set-up layers: `loop_diff_matrix` and
   `loop_interp_matrix` build the barycentric grid matrices one entry and
   one target at a time, and `loop_lifting_fields` lifts one unit control
@@ -171,6 +176,24 @@ def sampled_convection_tensors(basis, cache):
     conv_bc = _sampled_convection(test_w, e[:, :2], a[:, 2:])
     conv_bc += _sampled_convection(test_w, a[:, :2], e[:, 2:]).transpose(0, 2, 1)
     return conv_bb, conv_bc, _sampled_convection(test_w, a[:, :2], a[:, 2:]), scale
+
+
+def advective_convection(basis, fields, z):
+    """(W, n) coefficients ((y . grad) y, e_i) of the rows z = (beta, gamma) of
+    the span of the basis entries and the stack `fields`.
+
+    Every field is sampled with its gradient by `basis.sample_fields`, y
+    and grad y are their combinations by the rows z, (y . grad) y is formed
+    pointwise and projected by quadrature against the sampled test fields.
+    """
+    g = basis.grid
+    e = sample_fields(basis.fields)
+    y = np.tensordot(z, np.concatenate([e, sample_fields(fields)]), axes=1)
+    # sample rows (v1, v2, d_x v1, d_y v1, d_x v2, d_y v2)
+    adv = np.stack([y[:, 0] * y[:, 2] + y[:, 1] * y[:, 3],
+                    y[:, 0] * y[:, 4] + y[:, 1] * y[:, 5]], axis=1)
+    test_w = e[:, :2] * g.quad_weights_domain
+    return adv.reshape(len(z), -1) @ test_w.reshape(len(test_w), -1).T
 
 
 def loop_diff_matrix(nodes, bary_w):

@@ -423,10 +423,13 @@ def test_control_file_fitting_config_runs(tmp_path):
     {"n_modes": None}, [], {"gamma": [[0.0] * 19] * 2}, {"p": 1.0}, {"length_x": 3.0},
     {"n_modes": 3}, {"p": 5.0}, {"t_grid": [0.0, 0.1]},
     {"t_grid": [0.0, 0.5, 0.5], "gamma": [[0.0] * 20] * 3}, {"t_grid": [0.1, 0.2]},
-    {"t_grid": "x"},
+    {"t_grid": "x"}, {"gamma": [[0.0] * 20, [0.1] * 19 + [float("nan")]]},
+    {"gamma": [[0.0] * 20, [1e300] * 20]}, {"n_modes": 2.7}, {"n_modes": "2"},
+    {"n_modes": True}, {"length_x": str(2 * np.pi)}, {"p": "4"},
 ], ids=["null-modes", "top-level-list", "gamma-shape", "p-one", "length-x-differs",
         "modes-differ", "p-differs", "horizon-short", "repeated-time", "late-start",
-        "string-times"])
+        "string-times", "nan-gamma", "overflowing-gamma", "float-modes", "string-modes",
+        "bool-modes", "string-length-x", "string-p"])
 def test_control_file_faults_exit_one(tmp_path, fault):
     data = {**_GOOD_CONTROL, **fault} if isinstance(fault, dict) else fault
     code, lines = _simulate_under_control(tmp_path, data)

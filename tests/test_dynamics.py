@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import sampled_convection_tensors
+from oracles import advective_convection, sampled_convection_tensors
 
 from slipflow import basis as bs
 from slipflow import dynamics as dyn
@@ -917,6 +917,36 @@ def test_pseudospectral_matches_dense(wide, make_control, n, controlled):
 @pytest.mark.parametrize("controlled", [False, True])
 def test_pseudospectral_matches_dense_at_modes_x_3(narrow, make_control, controlled):
     _check_matches_dense(narrow, make_control, narrow.basis.size, controlled)
+
+
+@pytest.mark.parametrize("stack", ["wide", "narrow"])
+def test_divergence_form_matches_advective_oracle(request, make_control, stack):
+    # a 16-row block with a control, so the wall term is on
+    stack = request.getfixturevalue(stack)
+    basis, fields = stack.basis, stack.cache.fields
+    beta = 0.5 * np.random.default_rng(basis.size).standard_normal((BLOCK, basis.size))
+    ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=basis.size)
+    conv = Convection(basis, fields)
+    z = conv.rows(beta, ctrl.series(np.linspace(0.0, 1.0, BLOCK))[0])
+    ref = advective_convection(basis, fields, z)
+    assert np.abs(conv(z) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_convection_conserves_energy(wide):
+    # <N(y), beta> = 0 for y in the basis span, to 1e-12 of the summed
+    # magnitudes of the terms of the pairing
+    conv = Convection(wide.basis, wide.cache.fields)
+    beta = np.random.default_rng(12).standard_normal((BLOCK, conv.n))
+    nl = conv(conv.rows(beta))
+    assert (np.abs(np.vecdot(nl, beta)) <= 1e-12 * np.vecdot(np.abs(nl), np.abs(beta))).all()
+
+
+def test_convection_rejects_non_solenoidal_field(wide):
+    f = wide.cache.fields
+    bad = bs.ModeField(f.grid, f.vals.copy(), f.dvals, f.wall_vals, f.wall_dvals)
+    bad.vals[:, 1, 0] *= 1.0 + 1e-9           # v1 at mode 1 no longer matches v2'
+    with pytest.raises(DynamicsError, match="divergence"):
+        Convection(wide.basis, bad)
 
 
 @pytest.mark.parametrize("modes_x", [1, 3, 8, 16])
