@@ -13,14 +13,15 @@ e_i gives the coefficient dynamics
 with the noise family G_k = g_k + rho_k * u (additive plus diagonal
 multiplicative).  The linear couplings (eigenvalues, lift pairings, wall
 term) are small matrices assembled once per (basis, lifting cache).  The
-convection acts on the whole velocity y and is evaluated on one of two
-paths, chosen by the basis size n:
+convection acts on the whole velocity y, through the control columns of
+gamma not 0 at every time node (the others add exact zeros), and is
+evaluated on one of two paths, chosen by the basis size n:
 
 * below N_PS, dense tensors conv_bb, conv_bc, conv_cc (n^3 entries): the
   kernel contracts conv_bb and conv_bc on the rows (beta, gamma) of its
   block by one GEMM against a table T built once per simulator and one
   batched mat-vec per step, and conv_cc gamma gamma joins the control drift
-  by two GEMMs before the loop;
+  before the loop;
 * from N_PS on, the transform method (`Convection`) in divergence form: per
   step the block's velocity y is synthesized on the grid and its walls by one
   GEMM per x-mode and one by a real DFT matrix, and y (x) y is projected onto
@@ -243,6 +244,7 @@ class Convection:
                     > 1e-12 * (1.0 + g.kx[-1]) * np.abs(fields.vals).max(axis=(1, 2, 3))).any():
             raise DynamicsError("a lifted field is not divergence-free")
         self.grid, self.n, self.n_a, self._p = g, basis.size, n_a, np.empty(0)
+        self._restricted = {}
         self.n_bins = g.spec.modes_x + 1
         if self.n_bins > g.n_x // 2:
             raise DynamicsError("the x-grid has no room for the resolved bins below Nyquist")
@@ -305,6 +307,19 @@ class Convection:
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return self.project(self.samples(z))
+
+    def restricted(self, active: np.ndarray) -> Convection:
+        """This evaluator on rows (beta, gamma[active]), cached per active set: the
+        synthesis tables with other control rows cut, the rest of its tables shared."""
+        key = active.tobytes()
+        if key not in self._restricted:
+            new = np.full(self.n + self.n_a, -1)         # a row's position in the new rows
+            new[np.r_[: self.n, self.n + active]] = np.arange(self.n + active.size)
+            sub = self._restricted[key] = copy.copy(self)
+            sub.n_a, sub.synthesis = active.size, [
+                (j, new[rows][keep], table if keep.all() else table[keep])
+                for j, rows, table in self.synthesis if (keep := new[rows] >= 0).any()]
+        return self._restricted[key]
 
     def rows(self, beta: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
         """(m, n + n_a) rows z of stacked states beta (..., n) and controls that broadcast."""
@@ -680,12 +695,12 @@ STACK = 4
 
 # Basis size from which the kernel evaluates the convection pseudospectrally
 # (`Convection`) instead of through the dense n^3 tensors.  Per step of a
-# 16-path block with a control (modes_x = 8, nodes_y = 24, BLAS on one
-# thread, four rounds), dense / pseudospectral ms: n = 48 0.20-0.27 /
-# 0.32-0.52, 54 0.28-0.33 / 0.35-0.45, 56 0.30-0.39 / 0.31-0.46, 58 0.35-0.41
-# / 0.33-0.50, 60 0.37-0.45 / 0.31-0.48, 64 0.47-0.59 / 0.33-0.53, 72
-# 0.63-0.92 / 0.35-0.58, and 0.013-0.032 s of dense assembly.  The steps cross
-# between n = 56 and 62 (64-row passes: near 58), so N_PS stays 60; moving it
+# 16-path block with the workloads' 2-column control (modes_x = 8, nodes_y =
+# 24, BLAS on one thread, four rounds), dense / pseudospectral ms: n = 48
+# 0.18-0.25 / 0.38-0.57, 56 0.28-0.37 / 0.41-0.57, 60 0.33-0.45 / 0.41-0.56, 64
+# 0.46-0.53 / 0.40-0.58, 72 0.61-0.69 / 0.44-0.61, and 0.011-0.028 s of dense
+# assembly.  They cross near n = 64 (64-row passes: 62), and near 56-58 with all
+# 20 control columns active.  N_PS stays 60, between the two; moving it
 # changes the path, and so the bits, of every size in between.
 N_PS = 60
 
@@ -704,21 +719,21 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
     overwritten: the per-step pushes, then a buffer for the diagnostics,
     and the history, whose rows hold each step's decay factor until the
     step scales it by the state.
-    The control drift (lift_v, btrace, lift_h terms) is the same for every
-    path and is formed once per step.  The convection is evaluated on the
-    rows z = (beta, gamma) of the block: by `conv`, pseudospectrally, or,
-    with `table` the dense (n + n_ctrl, n^2) table T of `Simulator`, as
-    y = z @ T (one GEMM per block) and nl_w = beta_w @ y_w reshaped (n, n)
-    (one batched mat-vec); conv_cc then joins the control drift, by two
-    GEMMs as in `drift`, and without a control only the beta rows of T are read.  Both
-    None is a linear run.  The history (n_steps + 1, W, n) is written in
-    place and the per-step diagnostics (squared mass/energy norms, tracking
-    error against the reference series, squared noise magnitude) are
-    evaluated from it afterwards.  A path aborts when its squared norm is
-    not finite or passes blowup_limit: its abort step is returned, its final
-    state is the offending one, its later diagnostics are NaN and its later
-    history is zero, and its working row is zeroed.  Stepping stops once
-    every non-padding row has aborted.
+    The control drift (lift_v, btrace, lift_h terms) is the same for every path
+    and is formed once per step.  The convection is evaluated on the rows z =
+    (beta, gamma[active]) of the block, active the columns of gamma not 0 at
+    every node: by `conv` restricted to them, pseudospectrally, or, with `table`
+    the dense table T of `Simulator`, as y = z @ T[r_[:n, n + active]] (one GEMM
+    per block) and nl_w = beta_w @ y_w reshaped (n, n) (one batched mat-vec);
+    conv_cc on the active columns then joins the control drift.  Without a
+    control no column is active.  Both None is a linear run.  The history
+    (n_steps + 1, W, n) is written in place and the per-step diagnostics
+    (squared mass/energy norms, tracking error against the reference series,
+    squared noise magnitude) are evaluated from it afterwards.  A path aborts
+    when its squared norm is not finite or passes blowup_limit: its abort step
+    is returned, its final state is the offending one, its later diagnostics are
+    NaN and its later history is zero, and its working row is zeroed.  Stepping
+    stops once every non-padding row has aborted.
     """
     w_rows, n = beta0.shape
     n_blocks = w_rows // BLOCK
@@ -728,11 +743,14 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
     # path-independent drift per step, then each path's additive noise
     ctrl_drift = (-nu * (gamma @ ops.lift_v.T) + nu * (gamma @ ops.btrace.T)
                   - gamma_dot @ ops.lift_h.T)
-    ctrl_on = bool(np.any(gamma))
-    if ctrl_on and table is not None:
-        nc = ops.n_ctrl
-        cc = (gamma @ ops.conv_cc.reshape(n * nc, nc).T).reshape(-1, n, nc)
-        ctrl_drift -= (cc @ gamma[:, :, None])[:, :, 0]
+    # the convection carries only the control columns that are not 0 at every node
+    active = np.flatnonzero(gamma.any(axis=0))
+    n_a, g_a = active.size, gamma[:, active]
+    if table is not None:
+        cc = ops.conv_cc[:, active][:, :, active].reshape(n * n_a, n_a)
+        # the products are rounded one by one before the sum, as a full-width
+        # mat-vec rounds a few terms spread over its lanes
+        ctrl_drift -= ((g_a @ cc.T).reshape(len(g_a), n, n_a) * g_a[:, None]).sum(axis=2)
     push, hist = work[0, :n_steps], work[1]
     push[:] = (dt * ctrl_drift[:n_steps])[:, None, :]
     for k in range(rho.size):
@@ -740,12 +758,13 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
     # decay and multiplicative noise, in the history row each one scales into
     hist[1:] = 1.0 - dt * nu * lam
     hist[1:] += (dw_t * rho).sum(axis=-1, keepdims=True)
-    n_a = conv.n_a if conv is not None else ops.n_ctrl if ctrl_on else 0
-    rows = np.zeros((w_rows, n + n_a))                       # (beta, gamma) per path
+    rows = np.zeros((w_rows, n + n_a))                       # (beta, gamma[active]) per path
     stacked = rows.reshape(n_blocks, BLOCK, -1)              # the same rows, block by block
     hist_stacked = hist.reshape(n_steps + 1, n_blocks, BLOCK, n)
+    if conv is not None:
+        conv = conv.restricted(active)
     if table is not None:
-        table = table[: n + n_a]
+        table = table[np.r_[:n, n + active]]
         y = np.empty((n_blocks, BLOCK, n * n))
         y_rows = y.reshape(w_rows, n, n)
     # a nonfinite norm fails `<= limit` even for an infinite blowup_limit;
@@ -765,7 +784,7 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
             if conv is not None or table is not None:
                 if n_a:
                     rows[:, :n] = b
-                    rows[:, n:] = gamma[ell, :n_a]
+                    rows[:, n:] = g_a[ell]
                 z = stacked if n_a else hist_stacked[ell]      # b is hist[ell]
                 if conv is not None:
                     nl = conv(z).reshape(w_rows, n)
@@ -816,8 +835,9 @@ class Simulator:
     conv_bb[i, p, q] and T[n + c, (p, i)] = conv_bc[i, p, c], the kernel's
     GEMM operand; from N_PS on it is `convection`, a `Convection` on the
     basis and the lifted unit fields whose tables are probed for skew
-    symmetry here, and the dense tensors are not assembled.  A linear run
-    (include_nonlinear False) assembles neither.
+    symmetry here, and the dense tensors are not assembled.  A kernel pass
+    reads the rows of either for its control's active columns only.  A
+    linear run (include_nonlinear False) assembles neither.
     """
 
     def __init__(self, basis: Basis, cache: LiftingCache | None, noise: NoiseModel,

@@ -1033,3 +1033,102 @@ def test_skew_probe_rejects_tampered_table(wide, table):
     tab[4, 4] += 1e-6 * np.abs(tab).max()
     with pytest.raises(DynamicsError, match="skew"):
         _probe_skew(conv)
+
+
+# -- the control columns a pass carries ----------------------------------------------
+
+
+def _two_dof_control(t_final, theta=(0.3, 0.2)):
+    # the workloads' control: static slots a-bottom-1 and b-top-2 (columns 1
+    # and 18 of gamma), made compatible, which leaves the mean pair at +0/-0
+    from slipflow.control import ParamMap
+    from slipflow.lifting import project_compatible
+
+    pmap = ParamMap(2 * np.pi, 2, (0.0, t_final), (("a", "bottom", 1, "re"),
+                                                   ("b", "top", 2, "re")))
+    return project_compatible(pmap.control(theta))
+
+
+def _path_sim(path, request):
+    if path == "dense":
+        sim_small = request.getfixturevalue("sim_small")
+        return Simulator(sim_small.basis, sim_small.cache, sim_small.noise, t_final=0.5,
+                         dt=0.005, ops=sim_small.ops)
+    return _wide_sim(request.getfixturevalue("wide"))
+
+
+def _same_paths(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        _same_path(x, y)
+
+
+@pytest.mark.parametrize("path", ["dense", "pseudospectral"])
+def test_two_dof_kernel_matches_step_em(path, request):
+    sim = _path_sim(path, request)
+    assert (sim.table is None) == (path != "dense")
+    ctrl = _two_dof_control(sim.t_final)
+    assert np.signbit(ctrl.gamma[:, ctrl.dof_index("a", "top", 0)]).all()   # -0.0
+    assert np.flatnonzero(sim.gamma_series(ctrl)[0].any(axis=0)).tolist() == [1, 18]
+    _check_kernel_matches_step_em(sim, ctrl)
+
+
+@pytest.mark.parametrize("path", ["dense", "pseudospectral"])
+def test_inactive_control_rows_never_read(path, request):
+    # NaN in every control row the two-dof control does not use, in the dense
+    # table and conv_cc or in the pseudospectral synthesis tables, leaves the
+    # paths finite and the same bits: 0 * NaN would be NaN
+    clean, poisoned = _path_sim(path, request), _path_sim(path, request)
+    n, ctrl = clean.ops.n, _two_dof_control(clean.t_final)
+    inactive = np.setdiff1d(np.arange(clean.ops.n_ctrl), [1, 18])
+    if path == "dense":
+        poisoned.table = poisoned.table.copy()
+        poisoned.table[n + inactive] = np.nan
+        conv_cc = poisoned.ops.conv_cc.copy()
+        conv_cc[:, inactive] = conv_cc[:, :, inactive] = np.nan
+        poisoned.ops = dataclasses.replace(poisoned.ops, conv_cc=conv_cc)
+    else:
+        for _, rows, table in poisoned.convection.synthesis:
+            table[np.isin(rows, n + inactive)] = np.nan
+    kw = dict(ctrl=ctrl, u0=make_initial_coeffs(n, "random", 3, 0.5, 1.0), store_beta=True)
+    paths = poisoned.run_many(range(BLOCK + 3), **kw)
+    assert np.isfinite(paths.beta_series).all() and np.isfinite(paths.tracking).all()
+    _same_paths(paths, clean.run_many(range(BLOCK + 3), **kw))
+
+
+@pytest.mark.parametrize("path", ["dense", "pseudospectral"])
+def test_zero_control_same_as_no_control(path, request):
+    sim = _path_sim(path, request)
+    ctrl = _two_dof_control(sim.t_final, theta=(0.0, 0.0))
+    assert not ctrl.gamma.any()
+    kw = dict(u0=make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0), store_beta=True)
+    _same_paths(sim.run_many(range(5), ctrl=ctrl, **kw), sim.run_many(range(5), **kw))
+
+
+@pytest.mark.parametrize("path", ["dense", "pseudospectral"])
+def test_active_set_switch_leaks_nothing(path, request, make_control):
+    # a two-dof run, a run with every column active, the two-dof run again
+    sim = _path_sim(path, request)
+    full = make_control(2 * np.pi, 2, [0.0, sim.t_final], 0.3, seed=85)
+    assert sim.gamma_series(full)[0].all()
+    kw = dict(ctrl=_two_dof_control(sim.t_final),
+              u0=make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0), store_beta=True)
+    first = sim.run_many(range(BLOCK + 3), **kw)
+    sim.run_many(range(BLOCK + 3), **{**kw, "ctrl": full})
+    _same_paths(first, sim.run_many(range(BLOCK + 3), **kw))
+
+
+@pytest.mark.parametrize("path", ["dense", "pseudospectral"])
+def test_two_dof_seed_bits_independent_of_batch(path, request):
+    sim = _path_sim(path, request)
+    kw = dict(ctrl=_two_dof_control(sim.t_final),
+              u0=make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0),
+              store_beta=True, keep_wiener=True)
+    seed = 7
+    solo = sim.run(seed=seed, **kw)
+    assert not solo.blown_up
+    for size in (5, BLOCK + 3, STACK * BLOCK + 1):
+        for pos in (0, size - 1):
+            seeds = list(range(100, 100 + size))
+            seeds[pos] = seed
+            _same_path(sim.run_many(seeds, **kw)[pos], solo)
