@@ -14,30 +14,32 @@ with the noise family G_k = g_k + rho_k * u (additive plus diagonal
 multiplicative).  The linear couplings (eigenvalues, lift pairings, wall
 term) are small matrices assembled once per (basis, lifting cache).  The
 convection acts on the whole velocity y, through the control columns of
-gamma not 0 at every time node (the others add exact zeros), and is
-evaluated on one of two paths, chosen by the basis size n:
+gamma not 0 at every time node (the others add exact zeros).  Two
+evaluators with one contract give it, chosen by the basis size n: each,
+restricted to a pass's active columns, maps the stacked (k, BLOCK, n + n_a)
+rows (beta, gamma) of its blocks to (k BLOCK, n), and has a control term,
+the part of gamma alone, which joins the control drift before the loop.
 
-* below N_PS, dense tensors conv_bb, conv_bc, conv_cc (n^3 entries): the
-  kernel contracts conv_bb and conv_bc on the rows (beta, gamma) of its
-  block by one GEMM against a table T built once per simulator and one
-  batched mat-vec per step, and conv_cc gamma gamma joins the control drift
-  before the loop;
-* from N_PS on, the transform method (`Convection`) in divergence form: per
+* below N_PS, `DenseConvection`, dense tensors conv_bb, conv_bc, conv_cc
+  (n^3 entries): per step one GEMM of each block against a table T and one
+  batched mat-vec; its control term is conv_cc gamma gamma;
+* from N_PS on, `Convection`, the transform method in divergence form: per
   step the block's velocity y is synthesized on the grid and its walls by one
   GEMM per x-mode and one by a real DFT matrix, and y (x) y is projected onto
-  grad e_i and the wall traces of e_i by the two transposed steps (no FFT).
+  grad e_i and the wall traces of e_i by the two transposed steps (no FFT);
+  its rows carry the control, so its control term is 0.
 
-Both integrate the quadratic products exactly.  The pseudospectral grid is
-wide enough that no aliasing reaches the resolved band.  The dense tensors
-are summed triad by triad from the Fourier coefficients (`_triad_sum`): the
-x-integral of three single-mode pieces is exact by orthogonality, so no x
-grid is sampled, and the y-integral is the Gauss rule.  They are checked
-for vanishing off the Fourier triads their fields' modes allow, conv_bb
-also for skew symmetry, at a rounding scale bounded from the coefficients;
-the pseudospectral tables by a skew probe on seeded random fields, and its
-lifted fields for div y = 0.  The lift couplings and Gram matrices
-are the mass and energy pairings of the basis and lifting stacks, and the
-wall term is exact by Parseval on the trace coefficients.
+Both integrate the quadratic products exactly: the pseudospectral grid is
+wide enough that no aliasing reaches the resolved band, and the dense
+tensors are summed triad by triad from the Fourier coefficients
+(`_triad_sum`), exact in x by orthogonality, so no x grid is sampled, and
+in y by the Gauss rule.  Each evaluator checks itself where it is built:
+the tensors for vanishing off the Fourier triads their fields' modes allow,
+conv_bb also for skew symmetry, at a rounding scale bounded from the
+coefficients; the pseudospectral tables by a skew probe on seeded random
+fields, and its lifted fields for div y = 0.  The lift couplings and Gram
+matrices are the mass and energy pairings of the basis and lifting stacks,
+and the wall term is exact by Parseval on the trace coefficients.
 
 One numpy kernel steps a pass of up to STACK blocks of BLOCK paths in one
 loop; `Simulator.run_many` hands it its seeds STACK * BLOCK at a time, the
@@ -46,10 +48,9 @@ arrays each pass fills in place.  Every product whose rounding depends on
 the row count runs as a stacked matmul over (k, BLOCK, .) rows, k separate
 BLOCK-row products, and every other operation is per row, so a seed's path
 is bitwise the same whatever its batch, its position in it and the number
-of blocks in its pass.  `drift`/`step_em` on the dense tensors are the
-single-step reference the kernel is tested against on both paths; the
-tensors are assembled on first read, so only that reference builds them
-from N_PS on.
+of blocks in its pass.  `drift`/`step_em` on `GalerkinOperators.dense` are
+the single-step reference the kernel is tested against on both paths; it is
+built on first read, so only that reference builds it from N_PS on.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ __all__ = [
     "Paths",
     "GalerkinOperators",
     "Convection",
+    "DenseConvection",
     "assemble_operators",
     "nonlinear_term",
     "drift",
@@ -233,6 +235,7 @@ class Convection:
     -d_y e2, -(d_y e1 + d_x e2) and the wall traces -+e1 of the entries at
     j.  Alias-free in x and exact in y for these triple products, this is
     the dense tensors' quadrature.  A row's bits depend on it and W alone.
+    The constructor probes the tables for skew symmetry (`_probe_skew`).
     """
 
     def __init__(self, basis: Basis, fields: ModeField | None = None):
@@ -243,8 +246,8 @@ class Convection:
         if n_a and (fields.divergence_residual()        # the divergence form needs div y = 0
                     > 1e-12 * (1.0 + g.kx[-1]) * np.abs(fields.vals).max(axis=(1, 2, 3))).any():
             raise DynamicsError("a lifted field is not divergence-free")
-        self.grid, self.n, self.n_a, self._p = g, basis.size, n_a, np.empty(0)
-        self._restricted = {}
+        self.grid, self.n, self.n_a = g, basis.size, n_a
+        self._restricted, self._scratch = {}, np.empty(0)
         self.n_bins = g.spec.modes_x + 1
         if self.n_bins > g.n_x // 2:
             raise DynamicsError("the x-grid has no room for the resolved bins below Nyquist")
@@ -274,6 +277,7 @@ class Convection:
                 proj *= g.w_x * (1.0 if j == 0 else 2.0)
                 proj = np.concatenate([proj.real, proj.imag], axis=1)
                 self.projection.append((j, own, proj.reshape(own.size, -1).T.copy()))
+        _probe_skew(self)
 
     def samples(self, z: np.ndarray) -> np.ndarray:
         """(..., n_x, 2 (n_q + 2)) grid samples of v1 then v2 (Gauss nodes, walls) of rows z.
@@ -294,9 +298,9 @@ class Convection:
         grid samples s: their products v1^2, v2^2 and v1 v2, projected."""
         lead, half = s.shape[:-2], s.shape[-1] // 2
         # kept between calls of one shape: glibc mmaps a fresh array of this size each time
-        if self._p.shape != s.shape[:-1] + (3 * half,):
-            self._p = np.empty(s.shape[:-1] + (3 * half,))
-        p = self._p
+        if self._scratch.shape != s.shape[:-1] + (3 * half,):
+            self._scratch = np.empty(s.shape[:-1] + (3 * half,))
+        p = self._scratch
         np.multiply(s, s, out=p[..., : 2 * half])
         np.multiply(s[..., :half], s[..., half:], out=p[..., 2 * half :])
         f = np.matmul(self.from_grid, p)
@@ -306,7 +310,12 @@ class Convection:
         return out
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        return self.project(self.samples(z))
+        """(k BLOCK, n) convection of stacked (k, BLOCK, n + n_a) rows z."""
+        return self.project(self.samples(z)).reshape(-1, self.n)
+
+    def control_term(self, gamma: np.ndarray) -> float:
+        """0: the rows carry the control, so a call includes its terms."""
+        return 0.0
 
     def restricted(self, active: np.ndarray) -> Convection:
         """This evaluator on rows (beta, gamma[active]), cached per active set: the
@@ -323,9 +332,7 @@ class Convection:
 
     def rows(self, beta: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
         """(m, n + n_a) rows z of stacked states beta (..., n) and controls that broadcast."""
-        beta = np.asarray(beta, float)
-        lead = beta.shape[:-1]
-        z = np.zeros(lead + (self.n + self.n_a,))
+        z = np.zeros(np.shape(beta)[:-1] + (self.n + self.n_a,))
         z[..., : self.n] = beta
         if self.n_a and gamma is not None:
             z[..., self.n :] = gamma
@@ -345,8 +352,7 @@ def nonlinear_term(y: ModeField, basis: Basis) -> np.ndarray:
     Exact for divergence-free fields within the resolved band; the physical
     grid is wide enough that the quadratic product cannot alias back onto it.
     """
-    conv = Convection(basis, y[None])
-    return conv.stacked(np.zeros(basis.size), np.ones(1))
+    return Convection(basis, y[None]).stacked(np.zeros(basis.size), np.ones(1))
 
 
 def _probe_skew(conv: Convection):
@@ -372,26 +378,6 @@ def _probe_skew(conv: Convection):
         raise DynamicsError("pseudospectral convection is not skew-symmetric")
 
 
-class _Dense:
-    """A convection tensor of GalerkinOperators, assembled (and checked) on first read."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, ops, owner=None):
-        if ops is None:
-            return None                  # the dataclass default: not given
-        if getattr(ops, self.slot) is None:
-            built = _convection_tensors(ops.basis, ops.cache)
-            for name, tensor in zip(("_conv_bb", "_conv_bc", "_conv_cc"), built):
-                if getattr(ops, name) is None:
-                    setattr(ops, name, tensor)
-        return getattr(ops, self.slot)
-
-    def __set__(self, ops, value):
-        setattr(ops, self.slot, value)
-
-
 @dataclass(eq=False, repr=False)
 class GalerkinOperators:
     """Couplings of the basis and the lifting cache.
@@ -399,16 +385,10 @@ class GalerkinOperators:
     lift_h / lift_v  = (A_c, e_i) in the mass / energy pairing
     btrace[i, c]     = int_Gamma b_c (e_i . tau)
     gram_h / gram_v  = pairings of the unit lifted fields
-    conv_bb[i, p, q] = ((e_p . grad) e_q, e_i)
-    conv_bc[i, p, c] = ((e_p . grad) A_c + (A_c . grad) e_p, e_i)
-    conv_cc[i, c, d] = ((A_c . grad) A_d, e_i)
 
-    The dense convection tensors (n^3 entries) are the reference of
-    `drift`/`step_em`, and the kernel's convection below N_PS.  Unless
-    given, they are assembled from `basis` and `cache` on first read,
-    triad by triad from the Fourier coefficients, and checked there: all
-    three vanish off the Fourier triads and conv_bb is skew in (i, q).  At
-    N_PS and above the simulator never reads them.
+    `dense`, the `DenseConvection` of `basis` and the lifted unit fields of
+    `cache`, is built on first read: the reference of `drift`/`step_em`, and
+    the kernel's convection below N_PS; from N_PS on only that reference.
     """
 
     lam: np.ndarray
@@ -417,11 +397,8 @@ class GalerkinOperators:
     btrace: np.ndarray
     gram_h: np.ndarray
     gram_v: np.ndarray
-    conv_bb: np.ndarray | None = _Dense()
-    conv_bc: np.ndarray | None = _Dense()
-    conv_cc: np.ndarray | None = _Dense()
-    basis: Basis | None = None
-    cache: LiftingCache | None = None
+    basis: Basis
+    cache: LiftingCache | None
 
     @property
     def n(self) -> int:
@@ -430,6 +407,10 @@ class GalerkinOperators:
     @property
     def n_ctrl(self) -> int:
         return self.lift_h.shape[1]
+
+    @cached_property
+    def dense(self) -> DenseConvection:
+        return DenseConvection(self.basis, None if self.cache is None else self.cache.fields)
 
 
 class _Pieces:
@@ -555,33 +536,83 @@ def _check_scales(e: _Pieces, a: _Pieces | None) -> tuple:
     return tuple((test * t.max(axis=(1, 2))).max() for t in terms)
 
 
-def _convection_tensors(basis: Basis, cache: LiftingCache | None):
-    """The checked dense tensors (conv_bb, conv_bc, conv_cc) of GalerkinOperators,
-    each assembled by `_triad_sum` on the pieces of the basis entries (e) and
-    of the lifted unit fields (a)."""
-    n = basis.size
-    e = _Pieces(basis.fields)
-    a = None if cache is None else _Pieces(cache.fields)
-    scales = _check_scales(e, a)
-    conv_bb = np.zeros((n, n, n))
-    _triad_sum(conv_bb.transpose(0, 2, 1), e, e, e)
-    _check_convection(conv_bb, basis.mode_j, scales[0])
-    if cache is None:
-        return conv_bb, np.zeros((n, n, 1)), np.zeros((n, 1, 1))
-    n_a = len(cache.fields)
-    conv_bc = np.zeros((n, n, n_a))
-    _triad_sum(conv_bc.transpose(0, 2, 1), e, e, a)
-    _triad_sum(conv_bc, e, a, e)
-    conv_cc = np.zeros((n, n_a, n_a))
-    _triad_sum(conv_cc.transpose(0, 2, 1), e, a, a)
-    _check_convection(conv_bc, basis.mode_j, scales[1], e.support, a.support)
-    _check_convection(conv_cc, basis.mode_j, scales[2], a.support, a.support)
-    return conv_bb, conv_bc, conv_cc
+class DenseConvection:
+    """`Convection`'s contract on dense tensors of the basis entries e_i and a
+    stack of further fields a_c (the lifted unit fields, or one zero field):
+
+    conv_bb[i, p, q] = ((e_p . grad) e_q, e_i)
+    conv_bc[i, p, c] = ((e_p . grad) a_c + (a_c . grad) e_p, e_i)
+    conv_cc[i, c, d] = ((a_c . grad) a_d, e_i)
+
+    each summed by `_triad_sum` and checked here: all three vanish off the
+    Fourier triads and conv_bb is skew in (i, q).  A call takes rows z =
+    (beta, gamma) to y = z @ `table` per block and each row's beta @ y
+    reshaped (n, n); `stacked` is the reference contraction of `drift`.
+    """
+
+    def __init__(self, basis: Basis, fields: ModeField | None = None):
+        n = self.n = basis.size
+        e, a = _Pieces(basis.fields), None if fields is None else _Pieces(fields)
+        scales = _check_scales(e, a)
+        self.conv_bb = np.zeros((n, n, n))
+        _triad_sum(self.conv_bb.transpose(0, 2, 1), e, e, e)
+        _check_convection(self.conv_bb, basis.mode_j, scales[0])
+        n_a = self.n_a = 1 if fields is None else len(fields)
+        self.conv_bc, self.conv_cc = np.zeros((n, n, n_a)), np.zeros((n, n_a, n_a))
+        if fields is not None:
+            _triad_sum(self.conv_bc.transpose(0, 2, 1), e, e, a)
+            _triad_sum(self.conv_bc, e, a, e)
+            _triad_sum(self.conv_cc.transpose(0, 2, 1), e, a, a)
+            _check_convection(self.conv_bc, basis.mode_j, scales[1], e.support, a.support)
+            _check_convection(self.conv_cc, basis.mode_j, scales[2], a.support, a.support)
+        self._restricted, self._scratch = {}, np.empty(0)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """T[q, (p, i)] = conv_bb[i, p, q], T[n + c, (p, i)] = conv_bc[i, p, c]."""
+        return np.concatenate([t.transpose(2, 1, 0).reshape(t.shape[2], self.n**2)
+                               for t in (self.conv_bb, self.conv_bc)])
+
+    def restricted(self, active: np.ndarray) -> DenseConvection:
+        """This evaluator on rows (beta, gamma[active]), cached per active set:
+        conv_bc and conv_cc cut to those columns, with a T of its own."""
+        key = active.tobytes()
+        if key not in self._restricted:
+            sub = self._restricted[key] = copy.copy(self)
+            sub.n_a, sub.conv_bc = active.size, self.conv_bc[:, :, active]
+            sub.conv_cc = self.conv_cc[:, active][:, :, active]
+            vars(sub).pop("table", None)          # its T is built from the cut conv_bc
+        return self._restricted[key]
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """(k BLOCK, n) convection of stacked (k, BLOCK, n + n_a) rows z."""
+        n, y = self.n, self._scratch
+        if len(y) != len(z):               # y (k, BLOCK, n, n), kept between calls of one k
+            y = self._scratch = np.empty(z.shape[:-1] + (n * n,)).reshape(z.shape[:-1] + (n, n))
+        np.matmul(z, self.table, out=y.base)              # y's base is its (k, BLOCK, n^2) view
+        return np.matmul(z[..., None, :n], y).reshape(-1, n)
+
+    def control_term(self, gamma: np.ndarray) -> np.ndarray:
+        """(L, n) conv_cc gamma gamma of control rows gamma (L, n_a)."""
+        # the products are rounded one by one before the sum, as a full-width
+        # mat-vec rounds a few terms spread over its lanes
+        cc = self.conv_cc.reshape(self.n * self.n_a, self.n_a)
+        return ((gamma @ cc.T).reshape(len(gamma), self.n, self.n_a) * gamma[:, None]).sum(2)
+
+    def stacked(self, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+        """Convection of stacked states beta (..., n) and controls (..., n_a)
+        that broadcast against them, term by term: the reference contraction."""
+        n, nc = self.n, self.n_a
+        outer = (beta[..., :, None] * beta[..., None, :]).reshape(beta.shape[:-1] + (n * n,))
+        bc = (gamma @ self.conv_bc.reshape(n * n, nc).T).reshape(gamma.shape[:-1] + (n, n))
+        cc = (gamma @ self.conv_cc.reshape(n * nc, nc).T).reshape(gamma.shape[:-1] + (n, nc))
+        return (outer @ self.conv_bb.reshape(n, -1).T + (bc @ beta[..., None])[..., 0]
+                + (cc @ gamma[..., None])[..., 0])
 
 
 def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOperators:
-    """The couplings of basis and cache; the convection tensors are assembled
-    on first read."""
+    """The couplings of basis and cache; their `dense` convection is built on
+    first read."""
     g = basis.grid
     n = basis.size
     ops = dict(lam=basis.eigenvalues.copy(), basis=basis, cache=cache)
@@ -630,16 +661,7 @@ def drift(beta: np.ndarray, ops: GalerkinOperators, nu: float,
         - gamma_dot @ ops.lift_h.T
     )
     if include_nonlinear:
-        n, nc = ops.n, ops.n_ctrl
-        outer = (beta[..., :, None] * beta[..., None, :]).reshape(beta.shape[:-1] + (n * n,))
-        bc = (gamma @ ops.conv_bc.reshape(n * n, nc).T).reshape(gamma.shape[:-1] + (n, n))
-        cc = (gamma @ ops.conv_cc.reshape(n * nc, nc).T).reshape(gamma.shape[:-1] + (n, nc))
-        nl = (
-            outer @ ops.conv_bb.reshape(n, -1).T
-            + (bc @ beta[..., None])[..., 0]
-            + (cc @ gamma[..., None])[..., 0]
-        )
-        f = f - nl
+        f = f - ops.dense.stacked(beta, gamma)
     return f
 
 
@@ -705,16 +727,16 @@ STACK = 4
 N_PS = 60
 
 
-def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
-              table: np.ndarray | None, nu, dt, gamma, gamma_dot, beta_ref, gamma_ref,
-              add, rho, dw, blowup_limit, paths, work):
+def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection | None,
+              nu, dt, gamma, gamma_dot, beta_ref, gamma_ref, add, rho, dw, blowup_limit,
+              paths, work):
     """Euler-Maruyama over W = k BLOCK paths sharing control and target, in one loop.
 
     beta0 is (W, n) and dw (W, n_steps, m); rows from `paths` on are padding.
-    The dense step's GEMM and the pseudospectral convection take the
-    (k, BLOCK, .) view of the rows, k BLOCK-row products, so a row's bits
-    do not depend on k; the step's other operations are per row, and the
-    block-wide norm only decides whether the per-row norms are needed.
+    The convection takes the (k, BLOCK, .) view of the rows, k BLOCK-row
+    products, so a row's bits do not depend on k; the step's other operations
+    are per row, and the block-wide norm only decides whether the per-row
+    norms are needed.
     work (2, n_steps + 1, W, n) holds the kernel's large arrays and is
     overwritten: the per-step pushes, then a buffer for the diagnostics,
     and the history, whose rows hold each step's decay factor until the
@@ -722,18 +744,16 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
     The control drift (lift_v, btrace, lift_h terms) is the same for every path
     and is formed once per step.  The convection is evaluated on the rows z =
     (beta, gamma[active]) of the block, active the columns of gamma not 0 at
-    every node: by `conv` restricted to them, pseudospectrally, or, with `table`
-    the dense table T of `Simulator`, as y = z @ T[r_[:n, n + active]] (one GEMM
-    per block) and nl_w = beta_w @ y_w reshaped (n, n) (one batched mat-vec);
-    conv_cc on the active columns then joins the control drift.  Without a
-    control no column is active.  Both None is a linear run.  The history
-    (n_steps + 1, W, n) is written in place and the per-step diagnostics
-    (squared mass/energy norms, tracking error against the reference series,
-    squared noise magnitude) are evaluated from it afterwards.  A path aborts
-    when its squared norm is not finite or passes blowup_limit: its abort step
-    is returned, its final state is the offending one, its later diagnostics are
-    NaN and its later history is zero, and its working row is zeroed.  Stepping
-    stops once every non-padding row has aborted.
+    every node, by the evaluator `conv` restricted to them, whose control term
+    joins the control drift; without a control no column is active, and conv
+    None is a linear run.  The history (n_steps + 1, W, n) is written in place
+    and the per-step diagnostics (squared mass/energy norms, tracking error
+    against the reference series, squared noise magnitude) are evaluated from
+    it afterwards.  A path aborts when its squared norm is not finite or
+    passes blowup_limit: its abort step is returned, its final state is the
+    offending one, its later diagnostics are NaN and its later history is
+    zero, and its working row is zeroed.  Stepping stops once every
+    non-padding row has aborted.
     """
     w_rows, n = beta0.shape
     n_blocks = w_rows // BLOCK
@@ -746,11 +766,9 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
     # the convection carries only the control columns that are not 0 at every node
     active = np.flatnonzero(gamma.any(axis=0))
     n_a, g_a = active.size, gamma[:, active]
-    if table is not None:
-        cc = ops.conv_cc[:, active][:, :, active].reshape(n * n_a, n_a)
-        # the products are rounded one by one before the sum, as a full-width
-        # mat-vec rounds a few terms spread over its lanes
-        ctrl_drift -= ((g_a @ cc.T).reshape(len(g_a), n, n_a) * g_a[:, None]).sum(axis=2)
+    if conv is not None:
+        conv = conv.restricted(active)
+        ctrl_drift -= conv.control_term(g_a)
     push, hist = work[0, :n_steps], work[1]
     push[:] = (dt * ctrl_drift[:n_steps])[:, None, :]
     for k in range(rho.size):
@@ -761,12 +779,6 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
     rows = np.zeros((w_rows, n + n_a))                       # (beta, gamma[active]) per path
     stacked = rows.reshape(n_blocks, BLOCK, -1)              # the same rows, block by block
     hist_stacked = hist.reshape(n_steps + 1, n_blocks, BLOCK, n)
-    if conv is not None:
-        conv = conv.restricted(active)
-    if table is not None:
-        table = table[np.r_[:n, n + active]]
-        y = np.empty((n_blocks, BLOCK, n * n))
-        y_rows = y.reshape(w_rows, n, n)
     # a nonfinite norm fails `<= limit` even for an infinite blowup_limit;
     # below `fast` the block's total norm proves every row is inside
     limit = min(blowup_limit, np.finfo(float).max)
@@ -781,16 +793,11 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
             step = hist[ell + 1]
             step *= b
             step += push[ell]
-            if conv is not None or table is not None:
+            if conv is not None:
                 if n_a:
                     rows[:, :n] = b
                     rows[:, n:] = g_a[ell]
-                z = stacked if n_a else hist_stacked[ell]      # b is hist[ell]
-                if conv is not None:
-                    nl = conv(z).reshape(w_rows, n)
-                else:
-                    np.matmul(z, table, out=y)
-                    nl = np.matmul(b[:, None, :], y_rows)[:, 0]
+                nl = conv(stacked if n_a else hist_stacked[ell])
                 nl *= dt
                 step -= nl
             if not np.vdot(step, step) <= fast:
@@ -803,7 +810,7 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
                     break
             b = step
     if conv is not None:
-        conv._p = np.empty(0)                 # its products array lives for the pass
+        conv._scratch = np.empty(0)           # its scratch array lives for the pass
     alive = blowup_step < 0
     beta_final[alive] = b[alive]
 
@@ -830,14 +837,11 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | None,
 class Simulator:
     """Bundles the assembled operators with a time grid and noise model.
 
-    Below N_PS basis entries the convection is the dense tensors of `ops`,
-    assembled here and laid out once as `table`, T[q, (p, i)] =
-    conv_bb[i, p, q] and T[n + c, (p, i)] = conv_bc[i, p, c], the kernel's
-    GEMM operand; from N_PS on it is `convection`, a `Convection` on the
-    basis and the lifted unit fields whose tables are probed for skew
-    symmetry here, and the dense tensors are not assembled.  A kernel pass
-    reads the rows of either for its control's active columns only.  A
-    linear run (include_nonlinear False) assembles neither.
+    `convection` is the kernel's one evaluator: `ops.dense` below N_PS basis
+    entries, built here, and from N_PS on a `Convection` on the basis and the
+    lifted unit fields, when `ops.dense` is not built.  A kernel pass reads
+    its rows for the control's active columns only.  A linear run
+    (include_nonlinear False) has none and builds neither.
     """
 
     def __init__(self, basis: Basis, cache: LiftingCache | None, noise: NoiseModel,
@@ -861,7 +865,6 @@ class Simulator:
         self.times = dt * np.arange(n_steps + 1)
         self.include_nonlinear = include_nonlinear
         self.blowup_limit = blowup_limit
-        wide = basis.size >= N_PS
         self.ops = assemble_operators(basis, cache) if ops is None else ops
         # the kernel's large arrays, reused by every call: fresh ones would be
         # new pages, faulted in on every call.  Sized for the widest pass; a
@@ -869,20 +872,15 @@ class Simulator:
         # it (but for the rest of a 2 MB huge page, where the OS backs the
         # buffer with them)
         self._work = np.empty(2 * (n_steps + 1) * STACK * BLOCK * basis.size)
-        self.convection = self.table = None
-        if wide and include_nonlinear:
-            self.convection = Convection(basis, None if cache is None else cache.fields)
-            _probe_skew(self.convection)
-        elif include_nonlinear:
-            self.table = np.concatenate([t.transpose(2, 1, 0).reshape(t.shape[2], -1)
-                                         for t in (self.ops.conv_bb, self.ops.conv_bc)])
+        fields = None if cache is None else cache.fields
+        self.convection = None if not include_nonlinear else (
+            self.ops.dense if basis.size < N_PS else Convection(basis, fields))
 
     def drift(self, beta: np.ndarray, gamma: np.ndarray, gamma_dot: np.ndarray) -> np.ndarray:
         """The drift the kernel integrates, for one state or stacked (..., n) states."""
-        if self.convection is None:
-            return drift(beta, self.ops, self.nu, gamma, gamma_dot, self.include_nonlinear)
         f = drift(beta, self.ops, self.nu, gamma, gamma_dot, include_nonlinear=False)
-        gamma = gamma[..., : self.convection.n_a]
+        if self.convection is None:
+            return f
         return f - self.convection.stacked(np.broadcast_to(beta, f.shape), gamma)
 
     def blowup_hint(self) -> str:
@@ -953,7 +951,7 @@ class Simulator:
                     wiener_increments(seed, n_steps, m, self.dt) for seed in seeds[cut]]
             work = self._work[: 2 * (n_steps + 1) * w_rows * n]
             hist, beta_final, *diagnostics, blow = _em_block(
-                b0, self.ops, self.convection, self.table, self.nu, self.dt, gamma, gdot,
+                b0, self.ops, self.convection, self.nu, self.dt, gamma, gdot,
                 beta_ref, gamma_ref, add, rho, inc, self.blowup_limit, k,
                 work.reshape(2, n_steps + 1, w_rows, n))
             out.beta_final[cut], out.blowup_step[cut] = beta_final[:k], blow[:k]

@@ -34,8 +34,9 @@ def cache_small(grid_small):
 def wide():
     """An n = 128 basis, above N_PS, with its lifting cache and operators.
 
-    The dense convection tensors of `ops` are assembled on first read, once
-    for the session, by the tests that compare against them.
+    `ops.dense`, the `DenseConvection` of the basis and the lifted fields, is
+    built on first read, once for the session, by the tests that compare
+    against it; the simulators on this basis evaluate with `Convection`.
     """
     spec = DomainSpec(length_x=2 * np.pi, modes_x=8, nodes_y=24,
                       friction_alpha=1.0, viscosity=0.5)

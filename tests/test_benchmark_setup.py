@@ -32,3 +32,19 @@ def test_workload_setup_matches_reference(tmp_path, name):
     noise = cfg.noise()
     sim = cfg.simulator(basis, cache, noise)
     assert workloads.oracle_error(sim, cfg, 1) <= 1e-9
+
+
+def test_workload_oracle_on_pseudospectral_path(tmp_path):
+    # the tiny configs all sit below N_PS; the benchmark's oracle runs
+    # step_em through sim.ops beside a `Convection` simulator too
+    from slipflow.dynamics import N_PS, Convection
+
+    cfg = workloads.make_config("wide_basis", 1)
+    cfg["basis_size"], cfg["time"]["t_final"] = N_PS, 0.01
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    cfg = load_config(path)
+    basis = cfg.basis()
+    sim = cfg.simulator(basis, cfg.lifting_cache(basis.grid), cfg.noise())
+    assert isinstance(sim.convection, Convection)
+    assert workloads.oracle_error(sim, cfg, 1) <= 1e-9

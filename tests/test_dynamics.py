@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from slipflow.dynamics import (
     STACK,
     BlowupError,
     Convection,
+    DenseConvection,
     DynamicsError,
     GalerkinState,
     InsufficientPathsError,
@@ -118,7 +120,7 @@ def test_nonlinear_band_guard(basis_small, grid_small):
 
 def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, make_control):
     rng = np.random.default_rng(8)
-    ops = sim_small.ops
+    dense = sim_small.ops.dense
     n = basis_small.size
     ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=60)
     beta = rng.standard_normal(n)
@@ -126,9 +128,9 @@ def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, ma
     y = basis_small.field(beta) + cache_small.field(gam)
     direct = nonlinear_term(y, basis_small)
     tensor = (
-        ops.conv_bb.reshape(n, -1) @ np.outer(beta, beta).ravel()
-        + (ops.conv_bc @ gam) @ beta
-        + (ops.conv_cc @ gam) @ gam
+        dense.conv_bb.reshape(n, -1) @ np.outer(beta, beta).ravel()
+        + (dense.conv_bc @ gam) @ beta
+        + (dense.conv_cc @ gam) @ gam
     )
     assert np.abs(tensor - direct).max() < 1e-10 * max(1.0, np.abs(direct).max())
 
@@ -138,7 +140,7 @@ def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, ma
                          ids=["skew", "triad", "bc-triad", "cc-triad"])
 def test_convection_check_rejects_tampered_tensor(sim_small, basis_small, cache_small,
                                                   tensor, fault):
-    conv = getattr(sim_small.ops, f"conv_{tensor}").copy()
+    conv = getattr(sim_small.ops.dense, f"conv_{tensor}").copy()
     j = basis_small.mode_j
     scale = np.abs(conv).max()
     # (fields, modes) supports of the advecting and advected stacks
@@ -201,7 +203,7 @@ def test_convection_tensors_match_sampled_oracle(sampled_case):
     stack, oracle = sampled_case
     assert stack.basis.size < N_PS
     for name, ref in zip(("conv_bb", "conv_bc", "conv_cc"), oracle):
-        tensor = getattr(stack.ops, name)
+        tensor = getattr(stack.ops.dense, name)
         assert tensor.shape == ref.shape, name
         assert np.abs(tensor - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
@@ -213,7 +215,7 @@ def test_check_scales_from_coefficients(sampled_case):
     scales = _check_scales(_Pieces(stack.basis.fields), _Pieces(stack.cache.fields))
     assert scales[0] <= oracle[3]
     for name, scale in zip(("conv_bb", "conv_bc", "conv_cc"), scales):
-        assert np.abs(getattr(stack.ops, name)).max() <= scale, name
+        assert np.abs(getattr(stack.ops.dense, name)).max() <= scale, name
 
 
 def test_dense_assembly_samples_no_grid(basis_small, cache_small, monkeypatch):
@@ -223,8 +225,9 @@ def test_dense_assembly_samples_no_grid(basis_small, cache_small, monkeypatch):
     monkeypatch.setattr(bs, "sample_fields", refuse)
     assert not hasattr(dyn, "sample_fields") and basis_small.size < N_PS
     ops = assemble_operators(basis_small, cache_small)
-    ops.conv_bb  # the first read assembles all three
-    assert all(getattr(ops, f"_conv_{k}") is not None for k in ("bb", "bc", "cc"))
+    assert "dense" not in vars(ops)
+    ops.dense  # the first read assembles all three tensors
+    assert "dense" in vars(ops)
 
 
 def test_operators_reject_lifting_of_other_friction(basis_small, grid_free):
@@ -433,32 +436,38 @@ def test_kernel_matches_step_em(sim_small, wide, make_control):
     # time-varying control, without one (the kernel reads only the beta rows
     # of its table), and at n = 48 on the modes_x = 8 grid, the widest dense
     # case below N_PS
-    assert sim_small.convection is None and sim_small.table is not None
+    assert sim_small.convection is sim_small.ops.dense
     _check_kernel_matches_step_em(sim_small, make_control(2 * np.pi, 2, [0.0, 0.25, 0.5],
                                                           0.3, seed=77))
     _check_kernel_matches_step_em(sim_small, None)
     basis = truncate_basis(wide.basis, 48)
     sim = Simulator(basis, wide.cache, build_noise(48, 2, 0.05, 1.0, 7, [0.1, 0.05]),
                     t_final=0.05, dt=0.005)
-    assert basis.size < N_PS and sim.convection is None
+    assert basis.size < N_PS and sim.convection is sim.ops.dense
     _check_kernel_matches_step_em(sim, make_control(2 * np.pi, 2, [0.0, 0.025, 0.05],
                                                     0.3, seed=77))
 
 
 def test_dense_table_built_once(sim_small, make_control, monkeypatch):
-    # T[q, (p, i)] = conv_bb[i, p, q] and T[n + c, (p, i)] = conv_bc[i, p, c],
-    # built by the constructor and handed to every kernel call
-    ops, table = sim_small.ops, sim_small.table
-    n = ops.n
-    assert table.shape == (n + ops.n_ctrl, n * n)
-    assert np.array_equal(table[:n].reshape(n, n, n), ops.conv_bb.transpose(2, 1, 0))
-    assert np.array_equal(table[n:].reshape(-1, n, n), ops.conv_bc.transpose(2, 1, 0))
+    # the simulator's evaluator is ops.dense, handed to every kernel call, and
+    # two passes with one active set read one restricted table T, T[q, (p, i)]
+    # = conv_bb[i, p, q] and T[n + c, (p, i)] = conv_bc[i, p, active[c]]
+    dense, n = sim_small.ops.dense, sim_small.ops.n
+    assert sim_small.convection is dense
     seen, kernel = [], dyn._em_block
-    monkeypatch.setattr(dyn, "_em_block", lambda *a: seen.append(a[3]) or kernel(*a))
+    monkeypatch.setattr(dyn, "_em_block", lambda *a: seen.append(a[2]) or kernel(*a))
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=81)
+    active = np.flatnonzero(sim_small.gamma_series(ctrl)[0].any(axis=0))
     sim_small.run_many(range(3))
     sim_small.run_many(range(2), ctrl=ctrl)
-    assert len(seen) == 2 and all(t is table for t in seen) and sim_small.table is table
+    table = dense.restricted(active).table
+    sim_small.run_many(range(BLOCK + 1), ctrl=ctrl)
+    assert len(seen) == 3 and all(c is dense for c in seen) and sim_small.convection is dense
+    assert dense.restricted(active).table is table
+    assert table.shape == (n + active.size, n * n)
+    assert np.array_equal(table[:n].reshape(n, n, n), dense.conv_bb.transpose(2, 1, 0))
+    assert np.array_equal(table[n:].reshape(-1, n, n),
+                          dense.conv_bc[:, :, active].transpose(2, 1, 0))
 
 
 @pytest.mark.parametrize("dt, t_final", [(0.5, 1.0), (0.1, 2.0)])
@@ -632,10 +641,10 @@ def test_stacked_pass_matches_single_blocks(path, request, make_control):
 
     if path == "dense":
         sim = request.getfixturevalue("sim_small")
-        assert sim.table is not None
+        assert sim.convection is sim.ops.dense
     else:
         sim = _wide_sim(request.getfixturevalue("wide"))
-        assert sim.convection is not None
+        assert isinstance(sim.convection, Convection)
     assert sim.noise.mult_gain.all()
     n = sim.ops.n
     ctrl = make_control(2 * np.pi, 2, [0.0, sim.t_final], 0.3, seed=83)
@@ -891,7 +900,10 @@ def narrow():
 
 
 def _check_matches_dense(stack, make_control, n, controlled):
-    # conv_bb beta beta + conv_bc gamma beta + conv_cc gamma gamma, row by row
+    # conv_bb beta beta + conv_bc gamma beta + conv_cc gamma gamma, row by row,
+    # against Convection on the full rows and both evaluators restricted to
+    # the two-dof columns [1, 18] and to every column, the dense one with its
+    # control term
     basis = truncate_basis(stack.basis, n)
     ops = stack.ops if n == stack.basis.size else assemble_operators(basis, stack.cache)
     rng = np.random.default_rng(n)
@@ -900,12 +912,24 @@ def _check_matches_dense(stack, make_control, n, controlled):
     if controlled:
         ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=n)
         gam[:] = ctrl.series(np.linspace(0.0, 1.0, BLOCK))[0]
-    conv = Convection(basis, stack.cache.fields)
-    ps = conv(conv.rows(beta, gam))
-    dense = (np.einsum("ipq,wp,wq->wi", ops.conv_bb, beta, beta)
-             + np.einsum("ipc,wc,wp->wi", ops.conv_bc, gam, beta)
-             + np.einsum("icd,wc,wd->wi", ops.conv_cc, gam, gam))
-    assert np.abs(ps - dense).max() <= 1e-12 * np.abs(dense).max()
+    conv, dense = Convection(basis, stack.cache.fields), ops.dense
+
+    def einsum_ref(g):
+        return (np.einsum("ipq,wp,wq->wi", dense.conv_bb, beta, beta)
+                + np.einsum("ipc,wc,wp->wi", dense.conv_bc, g, beta)
+                + np.einsum("icd,wc,wd->wi", dense.conv_cc, g, g))
+
+    ref = einsum_ref(gam)
+    assert np.abs(conv(conv.rows(beta, gam)) - ref).max() <= 1e-12 * np.abs(ref).max()
+    for active in (np.array([1, 18]), np.arange(gam.shape[1])):
+        g = np.zeros_like(gam)
+        g[:, active] = gam[:, active]
+        ref = einsum_ref(g)
+        z = np.concatenate([beta, gam[:, active]], axis=1)[None]    # one (1, BLOCK, .) block
+        sub = dense.restricted(active)
+        for got in (sub(z) + sub.control_term(gam[:, active]),
+                    conv.restricted(active)(z)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("controlled", [False, True])
@@ -976,7 +1000,7 @@ def test_convection_rejects_grid_without_room_below_nyquist(basis_small):
 
 def test_pseudospectral_kernel_matches_step_em(wide, make_control):
     sim = _wide_sim(wide)
-    assert wide.basis.size >= N_PS and sim.convection is not None and sim.table is None
+    assert wide.basis.size >= N_PS and isinstance(sim.convection, Convection)
     _check_kernel_matches_step_em(sim, make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=77))
 
 
@@ -998,12 +1022,12 @@ def test_pseudospectral_seed_bits_independent_of_batch(wide, make_control):
 def test_pseudospectral_path_builds_no_dense_tensors(wide, sim_small, make_control):
     from slipflow.diagnostics import empirical_damping_rate
 
-    assert sim_small.convection is None and sim_small.ops._conv_bb is not None
+    assert sim_small.convection is sim_small.ops.dense
     sim = _wide_sim(wide, ops=None)
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=79)
     trajs = sim.run_many(range(3), ctrl=ctrl, store_beta=True)
     assert np.isfinite(empirical_damping_rate(trajs, ctrl, sim))
-    assert all(getattr(sim.ops, f"_conv_{k}") is None for k in ("bb", "bc", "cc"))
+    assert "dense" not in vars(sim.ops)
 
 
 def test_linear_run_builds_no_dense_tensors(basis_small, cache_small, make_control):
@@ -1019,7 +1043,7 @@ def test_linear_run_builds_no_dense_tensors(basis_small, cache_small, make_contr
                store_beta=True)
     trajs = sim.run_many(range(3), **run)
     assert np.isfinite(empirical_damping_rate(trajs, ctrl, sim))
-    assert all(getattr(sim.ops, f"_conv_{k}") is None for k in ("bb", "bc", "cc"))
+    assert "dense" not in vars(sim.ops)
     for a, b in zip(trajs, dense.run_many(range(3), **run)):
         _same_path(a, b)
 
@@ -1066,7 +1090,7 @@ def _same_paths(a, b):
 @pytest.mark.parametrize("path", ["dense", "pseudospectral"])
 def test_two_dof_kernel_matches_step_em(path, request):
     sim = _path_sim(path, request)
-    assert (sim.table is None) == (path != "dense")
+    assert isinstance(sim.convection, DenseConvection) == (path == "dense")
     ctrl = _two_dof_control(sim.t_final)
     assert np.signbit(ctrl.gamma[:, ctrl.dof_index("a", "top", 0)]).all()   # -0.0
     assert np.flatnonzero(sim.gamma_series(ctrl)[0].any(axis=0)).tolist() == [1, 18]
@@ -1075,18 +1099,19 @@ def test_two_dof_kernel_matches_step_em(path, request):
 
 @pytest.mark.parametrize("path", ["dense", "pseudospectral"])
 def test_inactive_control_rows_never_read(path, request):
-    # NaN in every control row the two-dof control does not use, in the dense
-    # table and conv_cc or in the pseudospectral synthesis tables, leaves the
-    # paths finite and the same bits: 0 * NaN would be NaN
+    # NaN in every control column the two-dof control does not use, in the
+    # dense conv_bc and conv_cc or in the pseudospectral synthesis tables,
+    # leaves the paths finite and the same bits: 0 * NaN would be NaN
     clean, poisoned = _path_sim(path, request), _path_sim(path, request)
     n, ctrl = clean.ops.n, _two_dof_control(clean.t_final)
     inactive = np.setdiff1d(np.arange(clean.ops.n_ctrl), [1, 18])
     if path == "dense":
-        poisoned.table = poisoned.table.copy()
-        poisoned.table[n + inactive] = np.nan
-        conv_cc = poisoned.ops.conv_cc.copy()
-        conv_cc[:, inactive] = conv_cc[:, :, inactive] = np.nan
-        poisoned.ops = dataclasses.replace(poisoned.ops, conv_cc=conv_cc)
+        # a copy with its own restricted tables: ops.dense is shared
+        dense = poisoned.convection = copy.copy(poisoned.convection)
+        dense._restricted = {}
+        dense.conv_bc, dense.conv_cc = dense.conv_bc.copy(), dense.conv_cc.copy()
+        dense.conv_bc[:, :, inactive] = np.nan
+        dense.conv_cc[:, inactive] = dense.conv_cc[:, :, inactive] = np.nan
     else:
         for _, rows, table in poisoned.convection.synthesis:
             table[np.isin(rows, n + inactive)] = np.nan
