@@ -83,7 +83,7 @@ def cmd_lift(cfg, out: Path, args) -> int:
     grid = cfg.grid()
     cache = cfg.lifting_cache(grid)
     ctrl = cfg.control()
-    if ctrl is None:
+    if not ctrl.gamma.any():
         ctrl = cfg.param_map().control(np.ones(cfg.param_map().dim))
     ctrl = project_compatible(ctrl)
     lifted = lift(ctrl, cache)
@@ -117,9 +117,7 @@ def cmd_simulate(cfg, out: Path, args) -> int:
     cache = cfg.lifting_cache(basis.grid)
     noise = cfg.noise()
     sim = cfg.simulator(basis, cache, noise)
-    ctrl = cfg.control()
-    if ctrl is not None:
-        ctrl = project_compatible(ctrl)
+    ctrl = project_compatible(cfg.control())
     u0 = cfg.initial_coeffs()
     paths = args.paths or cfg.data["monte_carlo"]["paths"]
     seeds = cfg.seed_bank(paths, args.seed)
@@ -164,9 +162,7 @@ def cmd_verify(cfg, out: Path, args) -> int:
     cache = cfg.lifting_cache(basis.grid)
     noise = cfg.noise()
     sim = cfg.simulator(basis, cache, noise)
-    ctrl = cfg.control()
-    if ctrl is not None:
-        ctrl = project_compatible(ctrl)
+    ctrl = project_compatible(cfg.control())
     u0 = cfg.initial_coeffs()
     c0 = cfg.data["damping_rate"]
     nu = cfg.domain_spec().viscosity
@@ -184,11 +180,10 @@ def cmd_verify(cfg, out: Path, args) -> int:
 
     n_stab = min(cfg.data["verify"]["stability_paths"], paths)
     seeds_s = cfg.seed_bank(n_stab, args.seed)
-    if ctrl is None:
+    ctrl_a = ctrl
+    if not ctrl.gamma.any():
         pmap = cfg.param_map()
         ctrl_a = ctl.project_admissible(pmap.control(0.2 * np.ones(pmap.dim)), cfg.admissible_spec())
-    else:
-        ctrl_a = ctrl
     ctrl_b = ctrl_a.copy()
     ctrl_b.gamma *= cfg.data["verify"]["stability_scale"]
     tr_a = sim.run_many(seeds_s, ctrl=ctrl_a, u0=u0, store_beta=True)

@@ -162,6 +162,11 @@ class RunConfig:
         theta0 = d["optimize"]["theta0"]
         if theta0 is not None:
             _check_leaf([0.0], theta0, "optimize.theta0")
+        for key, theta in (("control.theta", c["theta"]),
+                           ("optimize.theta_star", d["optimize"]["theta_star"]),
+                           ("optimize.theta0", theta0)):
+            if theta is not None and len(theta) != len(c["slots"]):
+                raise ConfigError(f"{key} must hold one entry per control.slots")
         try:
             spec = DomainSpec(**d["domain"])
             proto = BoundaryControl.zeros(d["domain"]["length_x"], c["n_modes"], [0.0], c["p"])
@@ -258,18 +263,13 @@ class RunConfig:
             p=c["p"],
         )
 
-    def control(self) -> BoundaryControl | None:
-        """Control from coeff_file if given, else static slots at theta."""
+    def control(self) -> BoundaryControl:
+        """Control from coeff_file if given, else static slots at theta; an
+        all-zero theta is the zero control on the slots' time grid."""
         c = self.data["control"]
         if c["coeff_file"]:
             return self._control_file(c["coeff_file"])
-        theta = np.asarray(c["theta"], float)
-        if not theta.any():
-            return None
-        pmap = self.param_map()
-        if theta.shape != (pmap.dim,):
-            raise ConfigError("control.theta length must match control.slots")
-        return pmap.control(theta)
+        return self.param_map().control(c["theta"])
 
     def _control_file(self, path) -> BoundaryControl:
         """The control in path, whose constants must be the config's own."""

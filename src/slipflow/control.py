@@ -13,7 +13,8 @@ field plus a deterministic wall penalty on (a, b).  Common random numbers
 so the optimizer's accepted iterates are exactly nonincreasing.  Two
 derivative-free methods are provided: a compass (coordinate pattern) search
 and simultaneous-perturbation descent, both projected onto the admissible
-set at every candidate.
+set at every candidate.  A target and a cost take a `BoundaryControl`: the
+uncontrolled flow is the zero control, whose wall penalty is 0.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class Target:
         )
 
 
-def make_target(ctrl_star: BoundaryControl | None, sim: Simulator,
+def make_target(ctrl_star: BoundaryControl, sim: Simulator,
                 u0: np.ndarray | None = None, meta: dict | None = None) -> Target:
     """Reference field from a noise-free simulation under the given control."""
     tr = sim.run(seed=0, ctrl=ctrl_star, u0=u0, noise_on=False, store_beta=True)
@@ -165,7 +166,7 @@ def penalty_term(ctrl: BoundaryControl, spec: AdmissibleSpec) -> float:
     return float(np.sum(0.5 * spec.lambda1 * ia + 0.5 * spec.lambda2 * ib))
 
 
-def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
+def estimate_cost(ctrl: BoundaryControl, target: Target, sim: Simulator,
                   spec: AdmissibleSpec, seeds, u0: np.ndarray | None = None,
                   noise_on: bool = True) -> CostReport:
     """Monte Carlo tracking cost plus exact penalty under the given seed bank."""
@@ -175,7 +176,7 @@ def estimate_cost(ctrl: BoundaryControl | None, target: Target, sim: Simulator,
     paths = sim.run_many(seeds, ctrl=ctrl, u0=u0, noise_on=noise_on, target=target)
     per_path = 0.5 * np.trapezoid(paths.tracking[paths.usable()], sim.times, axis=-1)
     tracking = float(per_path.mean())
-    pen = 0.0 if ctrl is None else penalty_term(ctrl, spec)
+    pen = penalty_term(ctrl, spec)
     if per_path.size > 1:
         lo, hi = bootstrap_ci(lambda idx: per_path[idx].mean(axis=1), per_path.size,
                               np.random.SeedSequence([0xC051, 0]))

@@ -13,11 +13,12 @@ The exponential damping weight is
     w(t) = exp(-c0 * t - c0 * int_0^t ||(a, b)||^2 ds)
 
 built from the control trace-norm series; it is 1 at t = 0, nonincreasing,
-and strictly positive.  The stability check between two solution bundles
-uses the pathwise weight exp(-int f1) with
-f1 = c3 + max(3 c0, c2) * (1 + combined squared trace norms + energy norm
-of the first solution), mirroring the damping that closes the two-solution
-energy balance.
+and strictly positive.  Every certifier takes a `BoundaryControl`; the
+uncontrolled flow is the zero control, whose trace norms are 0.  The
+stability check between two solution bundles uses the pathwise weight
+exp(-int f1) with f1 = c3 + max(3 c0, c2) * (1 + combined squared trace
+norms + energy norm of the first solution), mirroring the damping that
+closes the two-solution energy balance.
 """
 
 from __future__ import annotations
@@ -67,15 +68,10 @@ def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trace_sq(ctrl: BoundaryControl | None, times: np.ndarray) -> np.ndarray:
-    """Squared trace-norm series of a control; zeros without one."""
-    return np.zeros(len(times)) if ctrl is None else trace_norm_series(ctrl, times) ** 2
-
-
-def energy_weight(ctrl: BoundaryControl | None, c0: float, times: np.ndarray) -> WeightSeries:
+def energy_weight(ctrl: BoundaryControl, c0: float, times: np.ndarray) -> WeightSeries:
     """Damping weight exp(-c0 t - c0 int ||(a,b)||^2) on the given time grid."""
     times = np.asarray(times, float)
-    tn2 = _trace_sq(ctrl, times)
+    tn2 = trace_norm_series(ctrl, times) ** 2
     expo = c0 * times + c0 * _cumtrapz(tn2, times)
     return WeightSeries(
         values=np.exp(-expo), trace_sq=tn2, load2=tn2 + 1.0, load4=tn2**2 + 1.0
@@ -148,7 +144,7 @@ def _report(name, lhs_paths, rhs_paths, rhs_const, total, details) -> EstimateRe
                           n_excluded=total - lhs_paths.size, details=details)
 
 
-def certify_second_moment(paths: Paths, ctrl: BoundaryControl | None, c0: float,
+def certify_second_moment(paths: Paths, ctrl: BoundaryControl, c0: float,
                           nu: float) -> EstimateReport:
     """Fitted constant of the weighted second-moment energy bound.
 
@@ -165,13 +161,12 @@ def certify_second_moment(paths: Paths, ctrl: BoundaryControl | None, c0: float,
                    {"c0": c0, "nu": nu})
 
 
-def certify_fourth_moment(paths: Paths, ctrl: BoundaryControl | None, c0: float,
-                          nu: float, ops: GalerkinOperators | None = None) -> EstimateReport:
+def certify_fourth_moment(paths: Paths, ctrl: BoundaryControl, c0: float,
+                          nu: float, ops: GalerkinOperators) -> EstimateReport:
     """Fitted constant of the weighted fourth-moment bound.
 
     LHS: E max_t w^4 |u|^4 + nu^2 E (int w^2 |u|_E^2)^2.
-    RHS: E |y(0)|^4 + nu^2 int w^4 (trace^4 + 1); with no lifting data the
-    initial term falls back to |u(0)|^4.
+    RHS: E |y(0)|^4 + nu^2 int w^4 (trace^4 + 1).
     """
     ok = paths.usable()
     t, u_sq, u_esq = paths.times, paths.u_sq[ok], paths.u_esq[ok]
@@ -179,21 +174,19 @@ def certify_fourth_moment(paths: Paths, ctrl: BoundaryControl | None, c0: float,
     w2, w4 = w.values**2, w.values**4
     lhs_paths = (np.max(w4 * u_sq**2, axis=1)
                  + nu**2 * np.trapezoid(w2 * u_esq, t, axis=-1) ** 2)
-    if ops is not None and ctrl is not None:
-        # |y(0)|^2 = |u(0) + lift(0)|^2 in coefficients, the same on every path
-        gamma0, _ = ctrl.interp(0.0)
-        b0 = paths.beta0
-        y0_sq = (np.vecdot(b0, b0) + 2.0 * np.vecdot(b0, ops.lift_h @ gamma0)
-                 + gamma0 @ (ops.gram_h @ gamma0))
-        rhs_paths = np.full(len(u_sq), y0_sq**2)
-    else:
-        rhs_paths = u_sq[:, 0] ** 2
+    # |y(0)|^2 = |u(0) + lift(0)|^2 in coefficients, the same on every path
+    gamma0, _ = ctrl.interp(0.0)
+    b0 = paths.beta0
+    y0_sq = (np.vecdot(b0, b0) + 2.0 * np.vecdot(b0, ops.lift_h @ gamma0)
+             + gamma0 @ (ops.gram_h @ gamma0))
+    rhs_paths = np.full(len(u_sq), y0_sq**2)
     rhs_const = float(nu**2 * np.trapezoid(w4 * w.load4, t))
     return _report("fourth_moment", lhs_paths, rhs_paths, rhs_const, len(paths),
                    {"c0": c0, "nu": nu})
 
 
-def certify_stability(one: Paths, ctrl_1, two: Paths, ctrl_2, ops: GalerkinOperators,
+def certify_stability(one: Paths, ctrl_1: BoundaryControl, two: Paths,
+                      ctrl_2: BoundaryControl, ops: GalerkinOperators,
                       c0: float, nu: float, c2: float = 1.0,
                       c3: float = 0.0) -> EstimateReport:
     """Fitted constant of the two-solution stability bound under common noise.
@@ -212,12 +205,13 @@ def certify_stability(one: Paths, ctrl_1, two: Paths, ctrl_2, ops: GalerkinOpera
         raise ValueError("paired paths must share seeds")
     if one.beta_series is None or two.beta_series is None:
         raise ValueError("stability needs paths with stored coefficients")
+    if ctrl_1.t_grid.shape != ctrl_2.t_grid.shape or not np.allclose(ctrl_1.t_grid, ctrl_2.t_grid):
+        raise ValueError("controls must share a time grid for differencing")
     t = one.times
-    zero = np.zeros((len(t), ops.n_ctrl))
-    g1 = zero if ctrl_1 is None else ctrl_1.series(t)[0]
-    g2 = zero if ctrl_2 is None else ctrl_2.series(t)[0]
-    ghat = g1 - g2
-    tnd_sq = _trace_sq(_diff_control(ctrl_1, ctrl_2), t)
+    ghat = ctrl_1.series(t)[0] - ctrl_2.series(t)[0]
+    diff = ctrl_1.copy()
+    diff.gamma = ctrl_1.gamma - ctrl_2.gamma
+    tnd_sq = trace_norm_series(diff, t) ** 2
 
     bhat = one.beta_series[ok] - two.beta_series[ok]                    # (P, L, n)
     yhat_sq = (
@@ -230,7 +224,8 @@ def certify_stability(one: Paths, ctrl_1, two: Paths, ctrl_2, ops: GalerkinOpera
         + 2.0 * np.einsum("pli,li->pl", bhat, ghat @ ops.lift_v.T)
         + np.einsum("lc,lc->l", ghat, ghat @ ops.gram_v.T)
     )
-    load = 1.0 + _trace_sq(ctrl_1, t) + _trace_sq(ctrl_2, t) + one.u_esq[ok]
+    load = (1.0 + trace_norm_series(ctrl_1, t) ** 2 + trace_norm_series(ctrl_2, t) ** 2
+            + one.u_esq[ok])
     xi2 = np.exp(-_cumtrapz(c3 + max(3.0 * c0, c2) * load, t)) ** 2
     lhs_paths = np.max(xi2 * yhat_sq, axis=1) + 2.0 * nu * np.trapezoid(xi2 * yhat_esq, t, axis=-1)
     rhs_paths = yhat_sq[:, 0] + np.trapezoid(xi2 * tnd_sq, t, axis=-1)
@@ -241,22 +236,7 @@ def certify_stability(one: Paths, ctrl_1, two: Paths, ctrl_2, ops: GalerkinOpera
     return rep
 
 
-def _diff_control(c1: BoundaryControl | None, c2: BoundaryControl | None):
-    if c1 is None and c2 is None:
-        return None
-    base = c1 if c1 is not None else c2
-    out = base.copy()
-    if c1 is not None and c2 is not None:
-        if c1.t_grid.shape != c2.t_grid.shape or not np.allclose(c1.t_grid, c2.t_grid):
-            raise ValueError("controls must share a time grid for differencing")
-        out.gamma = c1.gamma - c2.gamma
-    elif c1 is None:
-        out.gamma = -out.gamma
-    return out
-
-
-def certify_wellposed_cost(paths: Paths, ctrl: BoundaryControl | None,
-                           c0: float) -> EstimateReport:
+def certify_wellposed_cost(paths: Paths, ctrl: BoundaryControl, c0: float) -> EstimateReport:
     """Sample-exact chain bounding the unweighted second moment.
 
     Pathwise, max_t |u|^2 <= max_t (w^2 |u|^2) * w(T)^-2 because the weight
@@ -279,8 +259,7 @@ def certify_wellposed_cost(paths: Paths, ctrl: BoundaryControl | None,
     return rep
 
 
-def empirical_damping_rate(paths: Paths, ctrl: BoundaryControl | None,
-                           sim: Simulator) -> float:
+def empirical_damping_rate(paths: Paths, ctrl: BoundaryControl, sim: Simulator) -> float:
     """Smallest rate c closing the drift-side bound along the sampled paths.
 
     The one-step energy balance reads d|u|^2 + 2 nu |u|_E^2 dt = (I1 + I2
@@ -302,5 +281,5 @@ def empirical_damping_rate(paths: Paths, ctrl: BoundaryControl | None,
     b = paths.beta_series[ok]                                           # (P, L, n)
     f = sim.drift(b, gam, gdot)
     total = 2.0 * np.vecdot(b, f) + 2.0 * nu * np.vecdot(b**2, ops.lam) + paths.noise_sq[ok]
-    denom = 2.0 * (_trace_sq(ctrl, t) + 1.0) * (paths.u_sq[ok] + 1.0)
+    denom = 2.0 * (trace_norm_series(ctrl, t) ** 2 + 1.0) * (paths.u_sq[ok] + 1.0)
     return float(np.max(total / denom))

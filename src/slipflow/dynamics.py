@@ -12,7 +12,9 @@ e_i gives the coefficient dynamics
 
 with the noise family G_k = g_k + rho_k * u (additive plus diagonal
 multiplicative).  The linear couplings (eigenvalues, lift pairings, wall
-term) are small matrices assembled once per (basis, lifting cache).  The
+term) are small matrices assembled once per (basis, lifting cache).  Every
+simulator carries a lifting cache and every run a `BoundaryControl`: the
+uncontrolled flow is the zero control a = b = 0, not another equation.  The
 convection acts on the whole velocity y, through the control columns of
 gamma not 0 at every time node (the others add exact zeros).  Two
 evaluators with one contract give it, chosen by the basis size n: each,
@@ -238,15 +240,14 @@ class Convection:
     The constructor probes the tables for skew symmetry (`_probe_skew`).
     """
 
-    def __init__(self, basis: Basis, fields: ModeField | None = None):
+    def __init__(self, basis: Basis, fields: ModeField):
         g = basis.grid
-        n_a = 0 if fields is None else len(fields)
-        if n_a and fields.n_modes > g.spec.modes_x:
+        if fields.n_modes > g.spec.modes_x:
             raise DynamicsError("field exceeds the dealiased band of the grid")
-        if n_a and (fields.divergence_residual()        # the divergence form needs div y = 0
-                    > 1e-12 * (1.0 + g.kx[-1]) * np.abs(fields.vals).max(axis=(1, 2, 3))).any():
+        if (fields.divergence_residual()                # the divergence form needs div y = 0
+                > 1e-12 * (1.0 + g.kx[-1]) * np.abs(fields.vals).max(axis=(1, 2, 3))).any():
             raise DynamicsError("a lifted field is not divergence-free")
-        self.grid, self.n, self.n_a = g, basis.size, n_a
+        self.grid, self.n, self.n_a = g, basis.size, len(fields)
         self._restricted, self._scratch = {}, np.empty(0)
         self.n_bins = g.spec.modes_x + 1
         if self.n_bins > g.n_x // 2:
@@ -261,8 +262,8 @@ class Convection:
         for j in range(self.n_bins):
             own = np.flatnonzero(basis.mode_j == j)
             rows, vals, walls = own, e.vals[own, j], e.wall_vals[own, j]
-            if n_a and j <= fields.n_modes and fields.vals[:, j].any():
-                rows = np.concatenate([own, self.n + np.arange(n_a)])
+            if j <= fields.n_modes and fields.vals[:, j].any():
+                rows = np.concatenate([own, self.n + np.arange(self.n_a)])
                 vals = np.concatenate([vals, fields.vals[:, j]])
                 walls = np.concatenate([walls, fields.wall_vals[:, j]])
             if rows.size:                       # [re | im] planes of (rows, 2, n_q + 2)
@@ -398,7 +399,7 @@ class GalerkinOperators:
     gram_h: np.ndarray
     gram_v: np.ndarray
     basis: Basis
-    cache: LiftingCache | None
+    cache: LiftingCache
 
     @property
     def n(self) -> int:
@@ -410,7 +411,7 @@ class GalerkinOperators:
 
     @cached_property
     def dense(self) -> DenseConvection:
-        return DenseConvection(self.basis, None if self.cache is None else self.cache.fields)
+        return DenseConvection(self.basis, self.cache.fields)
 
 
 class _Pieces:
@@ -519,7 +520,7 @@ def _check_convection(conv: np.ndarray, mode_j, scale: float, supp_p=None, supp_
             raise DynamicsError("convection tensor couples modes off the Fourier triads")
 
 
-def _check_scales(e: _Pieces, a: _Pieces | None) -> tuple:
+def _check_scales(e: _Pieces, a: _Pieces) -> tuple:
     """Rounding scales of conv_bb, conv_bc and conv_cc for their checks.
 
     Each bounds the summed magnitudes |e_i| |u_p| |grad v_q| of the terms of
@@ -531,14 +532,14 @@ def _check_scales(e: _Pieces, a: _Pieces | None) -> tuple:
     g = e.grid
     test = np.zeros(e.support.shape[1])
     np.maximum.at(test, e.mode, g.spec.length_x * (np.abs(e.u) * g.w_y).sum(axis=(1, 2)))
-    (eu, eg), (au, ag) = e.magnitudes(), (e if a is None else a).magnitudes()
+    (eu, eg), (au, ag) = e.magnitudes(), a.magnitudes()
     terms = (_reach(eu, eg), _reach(eu, ag) + _reach(au, eg).transpose(0, 2, 1), _reach(au, ag))
     return tuple((test * t.max(axis=(1, 2))).max() for t in terms)
 
 
 class DenseConvection:
     """`Convection`'s contract on dense tensors of the basis entries e_i and a
-    stack of further fields a_c (the lifted unit fields, or one zero field):
+    stack of further fields a_c (the lifted unit fields):
 
     conv_bb[i, p, q] = ((e_p . grad) e_q, e_i)
     conv_bc[i, p, c] = ((e_p . grad) a_c + (a_c . grad) e_p, e_i)
@@ -550,21 +551,20 @@ class DenseConvection:
     reshaped (n, n); `stacked` is the reference contraction of `drift`.
     """
 
-    def __init__(self, basis: Basis, fields: ModeField | None = None):
+    def __init__(self, basis: Basis, fields: ModeField):
         n = self.n = basis.size
-        e, a = _Pieces(basis.fields), None if fields is None else _Pieces(fields)
+        e, a = _Pieces(basis.fields), _Pieces(fields)
         scales = _check_scales(e, a)
         self.conv_bb = np.zeros((n, n, n))
         _triad_sum(self.conv_bb.transpose(0, 2, 1), e, e, e)
         _check_convection(self.conv_bb, basis.mode_j, scales[0])
-        n_a = self.n_a = 1 if fields is None else len(fields)
+        n_a = self.n_a = len(fields)
         self.conv_bc, self.conv_cc = np.zeros((n, n, n_a)), np.zeros((n, n_a, n_a))
-        if fields is not None:
-            _triad_sum(self.conv_bc.transpose(0, 2, 1), e, e, a)
-            _triad_sum(self.conv_bc, e, a, e)
-            _triad_sum(self.conv_cc.transpose(0, 2, 1), e, a, a)
-            _check_convection(self.conv_bc, basis.mode_j, scales[1], e.support, a.support)
-            _check_convection(self.conv_cc, basis.mode_j, scales[2], a.support, a.support)
+        _triad_sum(self.conv_bc.transpose(0, 2, 1), e, e, a)
+        _triad_sum(self.conv_bc, e, a, e)
+        _triad_sum(self.conv_cc.transpose(0, 2, 1), e, a, a)
+        _check_convection(self.conv_bc, basis.mode_j, scales[1], e.support, a.support)
+        _check_convection(self.conv_cc, basis.mode_j, scales[2], a.support, a.support)
         self._restricted, self._scratch = {}, np.empty(0)
 
     @cached_property
@@ -610,16 +610,10 @@ class DenseConvection:
                 + (cc @ gamma[..., None])[..., 0])
 
 
-def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOperators:
+def assemble_operators(basis: Basis, cache: LiftingCache) -> GalerkinOperators:
     """The couplings of basis and cache; their `dense` convection is built on
     first read."""
     g = basis.grid
-    n = basis.size
-    ops = dict(lam=basis.eigenvalues.copy(), basis=basis, cache=cache)
-    if cache is None:
-        return GalerkinOperators(lift_h=np.zeros((n, 1)), lift_v=np.zeros((n, 1)),
-                                 btrace=np.zeros((n, 1)), gram_h=np.zeros((1, 1)),
-                                 gram_v=np.zeros((1, 1)), **ops)
 
     # wall pairing int_Gamma b_c (e_i . tau) by Parseval on the trace
     # coefficients; only entries with j_i <= n_modes meet the control band
@@ -638,7 +632,9 @@ def assemble_operators(basis: Basis, cache: LiftingCache | None) -> GalerkinOper
         btrace=btrace,
         gram_h=mass_pairing(cache.fields, cache.fields),
         gram_v=energy_pairing(cache.fields, cache.fields),
-        **ops,
+        lam=basis.eigenvalues.copy(),
+        basis=basis,
+        cache=cache,
     )
 
 
@@ -667,15 +663,12 @@ def drift(beta: np.ndarray, ops: GalerkinOperators, nu: float,
 
 def step_em(state: GalerkinState, dt: float, dw: np.ndarray,
             ops: GalerkinOperators, noise: NoiseModel, nu: float,
-            gamma: np.ndarray | None = None, gamma_dot: np.ndarray | None = None,
+            gamma: np.ndarray, gamma_dot: np.ndarray,
             include_nonlinear: bool = True) -> GalerkinState:
     """One explicit step; raises BlowupError on a nonfinite update."""
     if dt <= 0:
         raise DynamicsError("dt must be positive")
-    nc = ops.n_ctrl
-    g = np.zeros(nc) if gamma is None else gamma
-    gd = np.zeros(nc) if gamma_dot is None else gamma_dot
-    f = drift(state.beta, ops, nu, g, gd, include_nonlinear)
+    f = drift(state.beta, ops, nu, gamma, gamma_dot, include_nonlinear)
     beta = state.beta + dt * f + noise.matrix(state.beta) @ dw
     if not np.all(np.isfinite(beta)):
         raise BlowupError(f"state became nonfinite at t = {state.t + dt}")
@@ -745,7 +738,7 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     and is formed once per step.  The convection is evaluated on the rows z =
     (beta, gamma[active]) of the block, active the columns of gamma not 0 at
     every node, by the evaluator `conv` restricted to them, whose control term
-    joins the control drift; without a control no column is active, and conv
+    joins the control drift; a zero control has no active column, and conv
     None is a linear run.  The history (n_steps + 1, W, n) is written in place
     and the per-step diagnostics (squared mass/energy norms, tracking error
     against the reference series, squared noise magnitude) are evaluated from
@@ -844,7 +837,7 @@ class Simulator:
     (include_nonlinear False) has none and builds neither.
     """
 
-    def __init__(self, basis: Basis, cache: LiftingCache | None, noise: NoiseModel,
+    def __init__(self, basis: Basis, cache: LiftingCache, noise: NoiseModel,
                  t_final: float, dt: float, include_nonlinear: bool = True,
                  blowup_limit: float = 1e12, ops: GalerkinOperators | None = None):
         if dt <= 0 or t_final <= 0:
@@ -872,9 +865,8 @@ class Simulator:
         # it (but for the rest of a 2 MB huge page, where the OS backs the
         # buffer with them)
         self._work = np.empty(2 * (n_steps + 1) * STACK * BLOCK * basis.size)
-        fields = None if cache is None else cache.fields
         self.convection = None if not include_nonlinear else (
-            self.ops.dense if basis.size < N_PS else Convection(basis, fields))
+            self.ops.dense if basis.size < N_PS else Convection(basis, cache.fields))
 
     def drift(self, beta: np.ndarray, gamma: np.ndarray, gamma_dot: np.ndarray) -> np.ndarray:
         """The drift the kernel integrates, for one state or stacked (..., n) states."""
@@ -896,21 +888,17 @@ class Simulator:
 
     # -- control plumbing --------------------------------------------------
 
-    def gamma_series(self, ctrl: BoundaryControl | None):
-        """Control values and slopes on the time grid; zeros without a control."""
-        if ctrl is None:
-            z = np.zeros((self.n_steps + 1, self.ops.n_ctrl))
-            return z, z.copy()
-        if self.cache is None or ctrl.n_modes != self.cache.n_modes:
+    def gamma_series(self, ctrl: BoundaryControl):
+        """Control values and slopes on the time grid."""
+        if ctrl.n_modes != self.cache.n_modes:
             raise DynamicsError("control does not match the lifting cache")
         if ctrl.t_grid[-1] < self.t_final - 1e-9:
             raise DynamicsError("control horizon shorter than the simulation")
         return ctrl.series(self.times)
 
-    def _simulate(self, seeds: list, ctrl: BoundaryControl | None = None,
-                  u0: np.ndarray | None = None, noise_on: bool = True,
-                  store_beta: bool = False, target=None, dw: np.ndarray | None = None,
-                  keep_wiener: bool = False) -> Paths:
+    def _simulate(self, seeds: list, ctrl: BoundaryControl, u0: np.ndarray | None = None,
+                  noise_on: bool = True, store_beta: bool = False, target=None,
+                  dw: np.ndarray | None = None, keep_wiener: bool = False) -> Paths:
         """`run_many`'s work: check the options, allocate the result once, and
         let each pass of k = ceil(seeds / BLOCK) blocks, the last one padded,
         write its rows of it, copied out of the kernel's work buffer."""
@@ -963,12 +951,12 @@ class Simulator:
                 out.wiener[cut] = inc[:k]
         return out
 
-    def run(self, seed: int = 0, **kw) -> Trajectory:
+    def run(self, seed: int = 0, *, ctrl: BoundaryControl, **kw) -> Trajectory:
         """One path as a `Trajectory`, bitwise equal to its run_many path; the
         options are run_many's, and dw, if given, is a (1, n_steps, m) stack."""
-        return self._simulate([int(seed)], **kw)[0]
+        return self._simulate([int(seed)], ctrl, **kw)[0]
 
-    def run_many(self, seeds, **kw) -> Paths:
+    def run_many(self, seeds, *, ctrl: BoundaryControl, **kw) -> Paths:
         """Paths for many seeds, one kernel pass per STACK * BLOCK of them.
 
         Each pass steps up to STACK blocks of BLOCK seeds in one loop, the
@@ -976,7 +964,8 @@ class Simulator:
         one-block pass.  dw, if given, is a (len(seeds), n_steps, m) stack
         and path w is driven by dw[w] instead of its seed's increments.  The
         result's arrays are its own: a later call leaves them as they are.
-        Options: ctrl, u0, noise_on, store_beta (keep beta_series), target
-        (of the tracking series), dw and keep_wiener (keep the increments).
+        ctrl is the boundary control, the zero control for an uncontrolled run.
+        Options: u0, noise_on, store_beta (keep beta_series), target (of the
+        tracking series), dw and keep_wiener (keep the increments).
         """
-        return self._simulate([int(s) for s in seeds], **kw)
+        return self._simulate([int(s) for s in seeds], ctrl, **kw)

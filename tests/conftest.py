@@ -31,6 +31,12 @@ def cache_small(grid_small):
 
 
 @pytest.fixture(scope="session")
+def cache_mean(grid_small):
+    """A 0-mode lifting cache: the four mean wall coefficients only."""
+    return LiftingCache(grid_small, 0)
+
+
+@pytest.fixture(scope="session")
 def wide():
     """An n = 128 basis, above N_PS, with its lifting cache and operators.
 
@@ -68,3 +74,13 @@ def random_compatible_control(length_x, n_modes, t_grid, scale, seed, p=4.0):
 @pytest.fixture(scope="session")
 def make_control():
     return random_compatible_control
+
+
+def zero_control(sim):
+    """The zero control over a simulator's horizon: the uncontrolled flow."""
+    return BoundaryControl.zeros(sim.grid.spec.length_x, sim.cache.n_modes, [0.0, sim.t_final])
+
+
+@pytest.fixture(scope="session")
+def zero_ctrl():
+    return zero_control

@@ -137,17 +137,18 @@ def test_criterion_02_lifting_certification(stack):
             f"(<=1e-10), lifting-bound constant {bound:.3f}")
 
 
-def test_criterion_03_homogeneous_energy_identity(stack):
-    _, basis32, _ = stack
+def test_criterion_03_homogeneous_energy_identity(stack, zero_ctrl):
+    grid, basis32, _ = stack
     n = basis32.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
-    ops = assemble_operators(basis32, None)
+    cache = LiftingCache(grid, 0)
+    ops = assemble_operators(basis32, cache)
     b0 = make_initial_coeffs(n, "random", 5, 0.5, 1.0)
     nu = SPEC.viscosity
     rates = []
     for dt in (2e-3, 1e-3, 5e-4):
-        sim = Simulator(basis32, None, noise, t_final=0.2, dt=dt, ops=ops)
-        tr = sim.run(seed=0, u0=b0, noise_on=False)
+        sim = Simulator(basis32, cache, noise, t_final=0.2, dt=dt, ops=ops)
+        tr = sim.run(seed=0, ctrl=zero_ctrl(sim), u0=b0, noise_on=False)
         defect = tr.u_sq[1:] - tr.u_sq[:-1] + 2 * nu * tr.u_esq[:-1] * dt
         rates.append(np.abs(defect).max() / dt)
     orders = np.log2(np.array(rates[:-1]) / np.array(rates[1:]))
@@ -155,34 +156,36 @@ def test_criterion_03_homogeneous_energy_identity(stack):
     _report(3, ok, f"defect-rate convergence orders {np.round(orders, 3)} (>= 0.9)")
 
 
-def test_criterion_04_linear_closed_form(stack):
-    _, basis32, _ = stack
+def test_criterion_04_linear_closed_form(stack, zero_ctrl):
+    grid, basis32, _ = stack
     n = basis32.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
-    ops = assemble_operators(basis32, None)
+    cache = LiftingCache(grid, 0)
+    ops = assemble_operators(basis32, cache)
     b0 = make_initial_coeffs(n, "random", 3, 1.0, 1.0)
     t_final = 0.25
     nu = SPEC.viscosity
     exact = b0 * np.exp(-nu * basis32.eigenvalues * t_final)
     errs = []
     for dt in (2e-3, 1e-3, 5e-4):
-        sim = Simulator(basis32, None, noise, t_final=t_final, dt=dt,
+        sim = Simulator(basis32, cache, noise, t_final=t_final, dt=dt,
                         include_nonlinear=False, ops=ops)
-        tr = sim.run(seed=0, u0=b0, noise_on=False)
+        tr = sim.run(seed=0, ctrl=zero_ctrl(sim), u0=b0, noise_on=False)
         errs.append(np.abs(tr.beta_final - exact).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     ok = bool(np.all(orders > 0.8) and np.all(orders < 1.2))
     _report(4, ok, f"eigen-decay error orders {np.round(orders, 3)} (first order)")
 
 
-def test_criterion_05_strong_sde_convergence():
+def test_criterion_05_strong_sde_convergence(zero_ctrl):
     spec = DomainSpec(length_x=2 * np.pi, modes_x=3, nodes_y=16,
                       friction_alpha=1.0, viscosity=0.05)
     grid = build_grid(spec)
     basis = build_eigenbasis(grid, 6)
     n = basis.size
     noise = build_noise(n, 2, 0.3, 1.0, 3, [0.2, 0.2])
-    ops = assemble_operators(basis, None)
+    cache = LiftingCache(grid, 0)
+    ops = assemble_operators(basis, cache)
     b0 = make_initial_coeffs(n, "random", 5, 0.5, 1.0)
     t_final = 0.25
     n_fine = 1024
@@ -193,9 +196,10 @@ def test_criterion_05_strong_sde_convergence():
     dw_fine = np.stack([wiener_increments(s, n_fine, noise.m, t_final / n_fine) for s in seeds])
     finals = {}
     for lv in levels + [n_fine]:
-        sim = Simulator(basis, None, noise, t_final=t_final, dt=t_final / lv, ops=ops)
+        sim = Simulator(basis, cache, noise, t_final=t_final, dt=t_final / lv, ops=ops)
         dw = dw_fine.reshape(len(seeds), lv, n_fine // lv, noise.m).sum(axis=2)
-        finals[lv] = [tr.beta_final for tr in sim.run_many(seeds, u0=b0, dw=dw)]
+        paths = sim.run_many(seeds, ctrl=zero_ctrl(sim), u0=b0, dw=dw)
+        finals[lv] = [tr.beta_final for tr in paths]
     mean_err = np.array([np.mean([np.linalg.norm(a - b)
                                   for a, b in zip(finals[lv], finals[n_fine])])
                          for lv in levels])
@@ -205,16 +209,17 @@ def test_criterion_05_strong_sde_convergence():
     _report(5, ok, f"strong-error slope {slope:.3f} over 200 coupled paths (in [0.4, 0.6])")
 
 
-def test_criterion_06_galerkin_consistency(stack):
-    _, basis32, _ = stack
+def test_criterion_06_galerkin_consistency(stack, zero_ctrl):
+    grid, basis32, _ = stack
+    cache = LiftingCache(grid, 0)
     noise_full = build_noise(32, 2, 0.05, 2.0, 5, [0.1, 0.1])
     b_full = make_initial_coeffs(32, "random", 8, 0.6, 0.7)
     finals = {}
     for n in (8, 16, 32):
         b = truncate_basis(basis32, n)
         nz = NoiseModel(additive=noise_full.additive[:n], mult_gain=noise_full.mult_gain)
-        sim = Simulator(b, None, nz, t_final=0.4, dt=0.0025)
-        trs = sim.run_many(range(50), u0=b_full[:n])
+        sim = Simulator(b, cache, nz, t_final=0.4, dt=0.0025)
+        trs = sim.run_many(range(50), ctrl=zero_ctrl(sim), u0=b_full[:n])
         mat = np.zeros((50, 32))
         for i, tr in enumerate(trs):
             mat[i, :n] = tr.beta_final

@@ -22,10 +22,16 @@ workloads = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(workloads)
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_workload_setup_matches_reference(tmp_path, name):
+@pytest.mark.parametrize("name, theta", [pytest.param(name, None, id=name)
+                                         for name in sorted(workloads.WORKLOADS)]
+                         + [pytest.param("verify_mc", [0.0, 0.0], id="verify_mc-control-free")])
+def test_workload_setup_matches_reference(tmp_path, name, theta):
+    # a control-free workload (theta all zero) runs the zero control
+    cfg = workloads.make_config(name, 1, tiny=True)
+    if theta is not None:
+        cfg["control"]["theta"] = theta
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(workloads.make_config(name, 1, tiny=True)))
+    path.write_text(json.dumps(cfg))
     cfg = load_config(path)
     basis = cfg.basis()
     cache = cfg.lifting_cache(basis.grid)

@@ -247,6 +247,28 @@ def test_csv_tables_format(tmp_path):
     assert len((out / "history.csv").read_text().splitlines()) == len(iterates) + 2
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("simulate", {"control": {"theta": [0.0, 0.0, 0.0]}}),
+    ("simulate", {"control": {"theta": [0.1, 0.0, 0.0]}}),
+    ("simulate", {"optimize": {"theta_star": [0.6]}}),
+    ("optimize", {"optimize": {"theta_star": [0.6]}}),
+    ("optimize", {"optimize": {"theta0": [0.1, 0.2, 0.3]}}),
+], ids=["zero-theta-three-entries", "theta-three-entries", "simulate-theta-star-one-entry",
+        "optimize-theta-star-one-entry", "theta0-three-entries"])
+def test_parameter_count_must_match_slots(tmp_path, command, overrides):
+    # one entry per control slot, checked when the config loads: one config
+    # error line, before the output directory or any operator is built
+    p = write_cfg(tmp_path, **overrides)
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(p), "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    assert code == 1 and not out.exists()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+    assert "one entry per control.slots" in lines[0]
+
+
 def test_cmd_optimize_zero_budget(tmp_path):
     p = write_cfg(
         tmp_path,
@@ -435,6 +457,26 @@ def test_control_file_faults_exit_one(tmp_path, fault):
     code, lines = _simulate_under_control(tmp_path, data)
     assert code == 1, lines
     assert len(lines) == 1 and lines[0].startswith("validation error: "), lines
+
+
+def test_verify_zero_control_file_is_no_control(tmp_path):
+    # an all-zero coeff_file is the zero control, as an all-zero theta is:
+    # verify then runs its default stability controls, and every report
+    # number agrees with the control-free config's
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({**_GOOD_CONTROL, "gamma": [[0.0] * 20] * 2}))
+    reports = []
+    for name, control in (("free", {"theta": [0.0, 0.0]}), ("file", {"coeff_file": str(zero)})):
+        p = write_cfg(tmp_path, name=f"{name}.json", control=control)
+        out = tmp_path / name
+        assert main(["verify", "--config", str(p), "--out", str(out), "--paths", "6"]) == 0
+        reports.append({f.name: json.loads(f.read_text()) for f in sorted(out.glob("*.json"))})
+    free, from_file = reports
+    assert len(free) == 5 and free.keys() == from_file.keys()
+    for name, rep in free.items():
+        assert rep.pop("config_hash") != from_file[name].pop("config_hash")
+        assert rep == from_file[name], name
+    assert free["verify_summary.json"]["constants"]["stability"] > 0.0
 
 
 # well-formed inputs plus up to two injected faults, so that a fair share

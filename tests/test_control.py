@@ -133,10 +133,11 @@ def test_cost_self_target(sim_det, pmap, aspec):
     assert rep.total >= 0.0
 
 
-def test_cost_zero_everything(sim_det, aspec):
+def test_cost_zero_everything(sim_det, pmap, aspec):
     target = Target.zero(sim_det)
-    rep = estimate_cost(None, target, sim_det, aspec, [0], u0=None, noise_on=False)
-    assert rep.total == 0.0
+    rep = estimate_cost(pmap.control(np.zeros(pmap.dim)), target, sim_det, aspec, [0],
+                        u0=None, noise_on=False)
+    assert rep.total == 0.0 and rep.penalty == 0.0
 
 
 def test_cost_additivity_random(sim_noisy, pmap, aspec, make_control):
@@ -150,16 +151,16 @@ def test_cost_additivity_random(sim_noisy, pmap, aspec, make_control):
     assert rep.paths_used == 6
 
 
-def test_cost_empty_seed_bank(sim_det, aspec):
+def test_cost_empty_seed_bank(sim_det, aspec, zero_ctrl):
     with pytest.raises(ControlError):
-        estimate_cost(None, Target.zero(sim_det), sim_det, aspec, [])
+        estimate_cost(zero_ctrl(sim_det), Target.zero(sim_det), sim_det, aspec, [])
 
 
 # -- target ----------------------------------------------------------------------
 
 
-def test_target_zero_from_zero_data(sim_det):
-    target = make_target(None, sim_det, u0=None)
+def test_target_zero_from_zero_data(sim_det, zero_ctrl):
+    target = make_target(zero_ctrl(sim_det), sim_det, u0=None)
     assert np.abs(target.beta_series).max() == 0.0
 
 

@@ -30,7 +30,7 @@ from slipflow.dynamics import (
     drift,
     make_initial_coeffs,
 )
-from slipflow.lifting import trace_norm, trace_norm_series
+from slipflow.lifting import BoundaryControl, trace_norm, trace_norm_series
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +50,8 @@ def mc_bundle(sim_mod, make_control):
 # -- weights -------------------------------------------------------------------
 
 
-def test_weight_zero_control_closed_form(sim_mod):
-    w = energy_weight(None, 2.0, sim_mod.times)
+def test_weight_zero_control_closed_form(sim_mod, zero_ctrl):
+    w = energy_weight(zero_ctrl(sim_mod), 2.0, sim_mod.times)
     assert np.array_equal(w.values, np.exp(-2.0 * sim_mod.times))
 
 
@@ -64,8 +64,6 @@ def test_weight_bounds_and_monotonicity(sim_mod, make_control):
 
 
 def test_weight_static_control_closed_form(sim_mod):
-    from slipflow.lifting import BoundaryControl
-
     ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 0.5])
     ctrl.gamma[:, ctrl.dof_index("b", "top", 1, "re")] = 0.2
     rho = trace_norm(ctrl, 0.0)
@@ -103,9 +101,10 @@ def _analytic_path(basis, nu, times, b0):
     )
 
 
-def test_second_moment_zero_data(sim_mod):
-    trajs = sim_mod.run_many(range(4), u0=None, noise_on=False)
-    rep = certify_second_moment(trajs, None, 1.0, 0.5)
+def test_second_moment_zero_data(sim_mod, zero_ctrl):
+    ctrl = zero_ctrl(sim_mod)
+    trajs = sim_mod.run_many(range(4), ctrl=ctrl, u0=None, noise_on=False)
+    rep = certify_second_moment(trajs, ctrl, 1.0, 0.5)
     assert rep.lhs == 0.0
     assert rep.fitted_c == 0.0
     assert rep.finite
@@ -117,7 +116,8 @@ def test_second_moment_linear_closed_form(basis_small):
     t_end = 0.4
     times = np.linspace(0.0, t_end, 2001)
     b0 = make_initial_coeffs(basis_small.size, "random", 3, 1.0, 1.0)
-    rep = certify_second_moment(_analytic_path(basis_small, nu, times, b0), None, c0, nu)
+    zero = BoundaryControl.zeros(2 * np.pi, 2, [0.0, t_end])
+    rep = certify_second_moment(_analytic_path(basis_small, nu, times, b0), zero, c0, nu)
     lam = basis_small.eigenvalues
     # closed form: sup at t = 0; integral term analytic
     lhs_exact = b0 @ b0 + nu * np.sum(
@@ -128,13 +128,15 @@ def test_second_moment_linear_closed_form(basis_small):
     assert abs(rep.rhs - rhs_exact) < 1e-6 * rhs_exact
 
 
-def test_fourth_moment_linear_closed_form(basis_small):
+def test_fourth_moment_linear_closed_form(basis_small, sim_mod):
     nu = 0.5
     c0 = 1.0
     t_end = 0.4
     times = np.linspace(0.0, t_end, 2001)
     b0 = make_initial_coeffs(basis_small.size, "random", 3, 1.0, 1.0)
-    rep = certify_fourth_moment(_analytic_path(basis_small, nu, times, b0), None, c0, nu)
+    zero = BoundaryControl.zeros(2 * np.pi, 2, [0.0, t_end])
+    rep = certify_fourth_moment(_analytic_path(basis_small, nu, times, b0), zero, c0, nu,
+                                sim_mod.ops)
     lam = basis_small.eigenvalues
     integral = np.sum(
         lam * b0**2 * (1.0 - np.exp(-2 * (c0 + nu * lam) * t_end)) / (2 * (c0 + nu * lam))
@@ -157,21 +159,22 @@ def test_moment_reports_full_run(sim_mod, mc_bundle):
     assert np.mean(x**2) >= np.mean(x) ** 2 * (1 - 1e-12)
 
 
-def test_min_path_guard(basis_small):
+def test_min_path_guard(basis_small, cache_mean, zero_ctrl):
     # every path blows up, so no certifier has a sample left
     n = basis_small.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([5000.0]))
-    sim = Simulator(basis_small, None, noise, t_final=0.05, dt=0.005)
-    trajs = sim.run_many(range(3), u0=np.ones(n), store_beta=True)
+    sim = Simulator(basis_small, cache_mean, noise, t_final=0.05, dt=0.005)
+    zero = zero_ctrl(sim)
+    trajs = sim.run_many(range(3), ctrl=zero, u0=np.ones(n), store_beta=True)
     assert all(tr.blown_up for tr in trajs)
     with pytest.raises(InsufficientPathsError):
-        certify_second_moment(trajs, None, 1.0, 0.5)
+        certify_second_moment(trajs, zero, 1.0, 0.5)
     with pytest.raises(InsufficientPathsError):
-        certify_fourth_moment(trajs, None, 1.0, 0.5)
+        certify_fourth_moment(trajs, zero, 1.0, 0.5, sim.ops)
     with pytest.raises(InsufficientPathsError):
-        certify_wellposed_cost(trajs, None, 1.0)
+        certify_wellposed_cost(trajs, zero, 1.0)
     with pytest.raises(InsufficientPathsError):
-        certify_stability(trajs, None, trajs, None, sim.ops, 1.0, 0.5)
+        certify_stability(trajs, zero, trajs, zero, sim.ops, 1.0, 0.5)
 
 
 def test_moment_stability_under_refinement(grid_small, make_control):
@@ -304,11 +307,12 @@ def test_wellposed_chain_exact(sim_mod, mc_bundle):
     assert rep.lhs <= rep.rhs * (1 + 1e-12)
 
 
-def test_wellposed_zero_control_reduction(sim_mod):
+def test_wellposed_zero_control_reduction(sim_mod, zero_ctrl):
     b0 = make_initial_coeffs(sim_mod.ops.n, "random", 3, 0.4, 1.0)
-    trajs = sim_mod.run_many(range(20), u0=b0)
+    zero = zero_ctrl(sim_mod)
+    trajs = sim_mod.run_many(range(20), ctrl=zero, u0=b0)
     c0 = 1.0
-    rep = certify_wellposed_cost(trajs, None, c0)
+    rep = certify_wellposed_cost(trajs, zero, c0)
     t_end = trajs[0].times[-1]
     # zero control: bound reduces to e^{2 c0 T} sqrt(E max (w^2|u|^2)^2)
     w2 = np.exp(-2 * c0 * trajs[0].times)
@@ -317,9 +321,10 @@ def test_wellposed_zero_control_reduction(sim_mod):
     assert abs(rep.rhs - expected) < 1e-10 * expected
 
 
-def test_wellposed_trivial_zero(sim_mod):
-    trajs = sim_mod.run_many(range(3), u0=None, noise_on=False)
-    rep = certify_wellposed_cost(trajs, None, 1.0)
+def test_wellposed_trivial_zero(sim_mod, zero_ctrl):
+    zero = zero_ctrl(sim_mod)
+    trajs = sim_mod.run_many(range(3), ctrl=zero, u0=None, noise_on=False)
+    rep = certify_wellposed_cost(trajs, zero, 1.0)
     assert rep.lhs == 0.0
 
 
@@ -334,14 +339,14 @@ def test_empirical_damping_rate_finite(sim_mod, mc_bundle):
 
 def test_empirical_damping_rate_uses_integrated_drift(sim_mod, make_control):
     # a linear run is rated with the drift it integrated: the convection
-    # tensors it never used cannot change the rate
+    # tensors it never used cannot change the rate, even when they are NaN
     ops = sim_mod.ops
     linear = Simulator(sim_mod.basis, sim_mod.cache, sim_mod.noise, t_final=0.5,
                        dt=0.005, include_nonlinear=False, ops=ops)
     no_conv = replace(ops)
     no_conv.dense = copy.copy(ops.dense)
     for name in ("conv_bb", "conv_bc", "conv_cc"):
-        setattr(no_conv.dense, name, np.zeros_like(getattr(ops.dense, name)))
+        setattr(no_conv.dense, name, np.full_like(getattr(ops.dense, name), np.nan))
     zeroed = Simulator(sim_mod.basis, sim_mod.cache, sim_mod.noise, t_final=0.5,
                        dt=0.005, include_nonlinear=False, ops=no_conv)
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=95)

@@ -320,47 +320,48 @@ def test_drift_stacked_rows_match_per_row(sim_small, make_control, nonlinear):
 # -- stepping -------------------------------------------------------------------
 
 
-def test_step_em_trivial(basis_small):
+def test_step_em_trivial(basis_small, cache_mean):
     n = basis_small.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
-    ops = assemble_operators(basis_small, None)
+    ops = assemble_operators(basis_small, cache_mean)
     ops.lam[:] = 0.0
     st = GalerkinState(t=0.0, beta=np.ones(n))
-    out = step_em(st, 0.1, np.zeros(1), ops, noise, 0.5, include_nonlinear=False)
+    zero = np.zeros(ops.n_ctrl)
+    out = step_em(st, 0.1, np.zeros(1), ops, noise, 0.5, zero, zero, include_nonlinear=False)
     assert out.t == pytest.approx(0.1)
     assert np.array_equal(out.beta, st.beta)
 
 
-def test_linear_closed_form_first_order(basis_small):
+def test_linear_closed_form_first_order(basis_small, cache_mean, zero_ctrl):
     n = basis_small.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
-    ops = assemble_operators(basis_small, None)
+    ops = assemble_operators(basis_small, cache_mean)
     b0 = make_initial_coeffs(n, "random", 3, 1.0, 1.0)
     t_final = 0.25
     nu = basis_small.grid.spec.viscosity
     exact = b0 * np.exp(-nu * basis_small.eigenvalues * t_final)
     errs = []
     for dt in (2e-3, 1e-3, 5e-4):
-        sim = Simulator(basis_small, None, noise, t_final=t_final, dt=dt,
+        sim = Simulator(basis_small, cache_mean, noise, t_final=t_final, dt=dt,
                         include_nonlinear=False, ops=ops)
-        tr = sim.run(seed=0, u0=b0, noise_on=False)
+        tr = sim.run(seed=0, ctrl=zero_ctrl(sim), u0=b0, noise_on=False)
         errs.append(np.abs(tr.beta_final - exact).max())
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(rates > 0.8) and np.all(rates < 1.2)
 
 
-def test_homogeneous_energy_identity(basis_small):
-    # noise off, control off: per-step defect of d|u|^2 + 2 nu |u|_E^2 dt
+def test_homogeneous_energy_identity(basis_small, cache_mean, zero_ctrl):
+    # noise off, zero control: per-step defect of d|u|^2 + 2 nu |u|_E^2 dt
     # equals |drift|^2 dt^2 exactly, and the defect rate is first order in dt
     n = basis_small.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
-    ops = assemble_operators(basis_small, None)
+    ops = assemble_operators(basis_small, cache_mean)
     b0 = make_initial_coeffs(n, "random", 5, 0.5, 1.0)
     nu = basis_small.grid.spec.viscosity
     defect_rates = []
     for dt in (4e-3, 2e-3, 1e-3):
-        sim = Simulator(basis_small, None, noise, t_final=0.2, dt=dt, ops=ops)
-        tr = sim.run(seed=0, u0=b0, noise_on=False, store_beta=True)
+        sim = Simulator(basis_small, cache_mean, noise, t_final=0.2, dt=dt, ops=ops)
+        tr = sim.run(seed=0, ctrl=zero_ctrl(sim), u0=b0, noise_on=False, store_beta=True)
         d = tr.u_sq[1:] - tr.u_sq[:-1] + 2 * nu * tr.u_esq[:-1] * dt
         defect_rates.append(np.abs(d).max() / dt)
         # internal consistency: defect equals |drift|^2 dt^2 step by step
@@ -372,7 +373,7 @@ def test_homogeneous_energy_identity(basis_small):
     assert np.all(rates > 0.9)
 
 
-def test_strong_order_multiplicative():
+def test_strong_order_multiplicative(zero_ctrl):
     # drift kept gentle so the multiplicative-noise error dominates the range
     spec = DomainSpec(length_x=2 * np.pi, modes_x=3, nodes_y=16,
                       friction_alpha=1.0, viscosity=0.05)
@@ -380,7 +381,8 @@ def test_strong_order_multiplicative():
     basis = bs.build_eigenbasis(grid, 6)
     n = basis.size
     noise = build_noise(n, 2, 0.3, 1.0, 3, [0.2, 0.2])
-    ops = assemble_operators(basis, None)
+    cache = LiftingCache(grid, 0)
+    ops = assemble_operators(basis, cache)
     b0 = make_initial_coeffs(n, "random", 5, 0.5, 1.0)
     t_final = 0.25
     n_fine = 1024
@@ -391,8 +393,9 @@ def test_strong_order_multiplicative():
     finals = {}
     for lv in levels + [n_fine]:
         dw = dw_fine.reshape(len(seeds), lv, n_fine // lv, noise.m).sum(axis=2)
-        sim = Simulator(basis, None, noise, t_final=t_final, dt=t_final / lv, ops=ops)
-        finals[lv] = [tr.beta_final for tr in sim.run_many(seeds, u0=b0, dw=dw)]
+        sim = Simulator(basis, cache, noise, t_final=t_final, dt=t_final / lv, ops=ops)
+        paths = sim.run_many(seeds, ctrl=zero_ctrl(sim), u0=b0, dw=dw)
+        finals[lv] = [tr.beta_final for tr in paths]
     mean_err = np.array([np.mean([np.linalg.norm(a - b)
                                   for a, b in zip(finals[lv], finals[n_fine])])
                          for lv in levels])
@@ -431,15 +434,15 @@ def _check_kernel_matches_step_em(sim, ctrl):
     assert np.abs(tr.beta_series - np.array(ref)).max() < 1e-12
 
 
-def test_kernel_matches_step_em(sim_small, wide, make_control):
+def test_kernel_matches_step_em(sim_small, wide, make_control, zero_ctrl):
     # dense convection, additive and multiplicative noise on: with a
-    # time-varying control, without one (the kernel reads only the beta rows
-    # of its table), and at n = 48 on the modes_x = 8 grid, the widest dense
-    # case below N_PS
+    # time-varying control, with the zero control (the kernel reads only the
+    # beta rows of its table), and at n = 48 on the modes_x = 8 grid, the
+    # widest dense case below N_PS
     assert sim_small.convection is sim_small.ops.dense
     _check_kernel_matches_step_em(sim_small, make_control(2 * np.pi, 2, [0.0, 0.25, 0.5],
                                                           0.3, seed=77))
-    _check_kernel_matches_step_em(sim_small, None)
+    _check_kernel_matches_step_em(sim_small, zero_ctrl(sim_small))
     basis = truncate_basis(wide.basis, 48)
     sim = Simulator(basis, wide.cache, build_noise(48, 2, 0.05, 1.0, 7, [0.1, 0.05]),
                     t_final=0.05, dt=0.005)
@@ -448,7 +451,7 @@ def test_kernel_matches_step_em(sim_small, wide, make_control):
                                                     0.3, seed=77))
 
 
-def test_dense_table_built_once(sim_small, make_control, monkeypatch):
+def test_dense_table_built_once(sim_small, make_control, zero_ctrl, monkeypatch):
     # the simulator's evaluator is ops.dense, handed to every kernel call, and
     # two passes with one active set read one restricted table T, T[q, (p, i)]
     # = conv_bb[i, p, q] and T[n + c, (p, i)] = conv_bc[i, p, active[c]]
@@ -458,7 +461,7 @@ def test_dense_table_built_once(sim_small, make_control, monkeypatch):
     monkeypatch.setattr(dyn, "_em_block", lambda *a: seen.append(a[2]) or kernel(*a))
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=81)
     active = np.flatnonzero(sim_small.gamma_series(ctrl)[0].any(axis=0))
-    sim_small.run_many(range(3))
+    sim_small.run_many(range(3), ctrl=zero_ctrl(sim_small))
     sim_small.run_many(range(2), ctrl=ctrl)
     table = dense.restricted(active).table
     sim_small.run_many(range(BLOCK + 1), ctrl=ctrl)
@@ -471,18 +474,19 @@ def test_dense_table_built_once(sim_small, make_control, monkeypatch):
 
 
 @pytest.mark.parametrize("dt, t_final", [(0.5, 1.0), (0.1, 2.0)])
-def test_kernel_blowup_step_matches_step_em(basis_small, dt, t_final):
+def test_kernel_blowup_step_matches_step_em(basis_small, cache_mean, zero_ctrl, dt, t_final):
     # explicit Euler past its stability limit on the linear problem
     n = basis_small.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
-    sim = Simulator(basis_small, None, noise, t_final=t_final, dt=dt,
+    sim = Simulator(basis_small, cache_mean, noise, t_final=t_final, dt=dt,
                     include_nonlinear=False, blowup_limit=1e4)
     u0 = 10.0 * np.ones(n)
-    tr = sim.run(seed=0, u0=u0, noise_on=False)
+    tr = sim.run(seed=0, ctrl=zero_ctrl(sim), u0=u0, noise_on=False)
     state = GalerkinState(t=0.0, beta=u0)
     first = -1
+    zero = np.zeros(sim.ops.n_ctrl)
     for ell in range(sim.n_steps):
-        state = step_em(state, dt, np.zeros(1), sim.ops, noise, sim.nu,
+        state = step_em(state, dt, np.zeros(1), sim.ops, noise, sim.nu, zero, zero,
                         include_nonlinear=False)
         if state.beta @ state.beta > sim.blowup_limit:
             first = ell + 1
@@ -491,9 +495,9 @@ def test_kernel_blowup_step_matches_step_em(basis_small, dt, t_final):
     assert tr.blown_up and tr.blowup_step == first
 
 
-def test_parseval_reconstruction(sim_small, basis_small):
+def test_parseval_reconstruction(sim_small, basis_small, zero_ctrl):
     b0 = make_initial_coeffs(basis_small.size, "random", 3, 0.5, 1.0)
-    tr = sim_small.run(seed=2, u0=b0)
+    tr = sim_small.run(seed=2, ctrl=zero_ctrl(sim_small), u0=b0)
     field = basis_small.field(tr.beta_final)
     assert abs(inner_h(field, field) - tr.u_sq[-1]) < 1e-8 * max(1.0, tr.u_sq[-1])
 
@@ -507,17 +511,18 @@ def test_initial_projection_monotone(grid_small):
         assert np.linalg.norm(beta_full[:n]) <= full_norm * (1 + 1e-15)
 
 
-def test_galerkin_consistency_common_noise(grid_small):
+def test_galerkin_consistency_common_noise(grid_small, zero_ctrl):
     # common-noise truncations: the gap shrinks as the basis grows
     big = bs.build_eigenbasis(grid_small, 16)
     noise_full = build_noise(16, 2, 0.05, 1.5, 5, [0.1, 0.1])
     b_full = make_initial_coeffs(16, "random", 8, 0.6, 0.8)
+    cache = LiftingCache(grid_small, 0)
     finals = {}
     for n in (4, 8, 16):
         b = truncate_basis(big, n)
         noise = NoiseModel(additive=noise_full.additive[:n], mult_gain=noise_full.mult_gain)
-        sim = Simulator(b, None, noise, t_final=0.4, dt=0.004)
-        tr = sim.run(seed=21, u0=b_full[:n])
+        sim = Simulator(b, cache, noise, t_final=0.4, dt=0.004)
+        tr = sim.run(seed=21, ctrl=zero_ctrl(sim), u0=b_full[:n])
         pad = np.zeros(16)
         pad[:n] = tr.beta_final
         finals[n] = pad
@@ -526,29 +531,30 @@ def test_galerkin_consistency_common_noise(grid_small):
     assert gap_big <= gap_small
 
 
-def test_blowup_flagged(basis_small):
+def test_blowup_flagged(basis_small, cache_mean, zero_ctrl):
     n = basis_small.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
-    sim = Simulator(basis_small, None, noise, t_final=1.0, dt=0.5,
+    sim = Simulator(basis_small, cache_mean, noise, t_final=1.0, dt=0.5,
                     include_nonlinear=False, blowup_limit=1e4)
     # eigen-decay explicit Euler is unstable at dt = 0.5 for large eigenvalues
-    tr = sim.run(seed=0, u0=10.0 * np.ones(n), noise_on=False)
+    tr = sim.run(seed=0, ctrl=zero_ctrl(sim), u0=10.0 * np.ones(n), noise_on=False)
     assert tr.blown_up and tr.blowup_step > 0
     assert np.isnan(tr.u_sq[-1])
 
 
-def test_step_em_blowup_raises(basis_small):
+def test_step_em_blowup_raises(basis_small, cache_mean):
     n = basis_small.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
-    ops = assemble_operators(basis_small, None)
+    ops = assemble_operators(basis_small, cache_mean)
     st = GalerkinState(t=0.0, beta=np.full(n, 1e200))
+    zero = np.zeros(ops.n_ctrl)
     from slipflow.dynamics import BlowupError
 
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError):
-        step_em(st, 1e6, np.zeros(1), ops, noise, 1e3)
+        step_em(st, 1e6, np.zeros(1), ops, noise, 1e3, zero, zero)
 
 
-def test_simulator_guards(basis_small, cache_small):
+def test_simulator_guards(basis_small, cache_small, zero_ctrl):
     n = basis_small.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
     with pytest.raises(DynamicsError):
@@ -561,7 +567,7 @@ def test_simulator_guards(basis_small, cache_small):
     with pytest.raises(DynamicsError):
         sim.gamma_series(ctrl)
     with pytest.raises(DynamicsError):
-        sim.run(u0=np.zeros(n + 1))
+        sim.run(ctrl=zero_ctrl(sim), u0=np.zeros(n + 1))
 
 
 _PATH_ARRAYS = ("times", "beta0", "beta_final", "u_sq", "u_esq", "tracking", "noise_sq",
@@ -667,19 +673,20 @@ def test_stacked_pass_matches_single_blocks(path, request, make_control):
                 _same_path(a, c)
 
 
-def test_wiener_stack_rows_follow_seeds(sim_small):
+def test_wiener_stack_rows_follow_seeds(sim_small, zero_ctrl):
     # row w of a dw stack drives the w-th seed's path, past the first pass
     # too, and a stack must have one row per seed
     size = STACK * BLOCK + 2
     dw = 0.01 * np.random.default_rng(4).standard_normal((size, sim_small.n_steps,
                                                             sim_small.noise.m))
-    bundle = sim_small.run_many(range(size), dw=dw, keep_wiener=True)
+    ctrl = zero_ctrl(sim_small)
+    bundle = sim_small.run_many(range(size), ctrl=ctrl, dw=dw, keep_wiener=True)
     assert all(np.array_equal(tr.wiener, dw[w]) for w, tr in enumerate(bundle))
-    _same_path(bundle[-1], sim_small.run(seed=size - 1, dw=dw[-1:], keep_wiener=True))
+    _same_path(bundle[-1], sim_small.run(seed=size - 1, ctrl=ctrl, dw=dw[-1:], keep_wiener=True))
     with pytest.raises(DynamicsError, match="stack"):
-        sim_small.run_many(range(2), dw=dw[:3])
+        sim_small.run_many(range(2), ctrl=ctrl, dw=dw[:3])
     with pytest.raises(DynamicsError, match="stack"):
-        sim_small.run(seed=0, dw=dw[0])
+        sim_small.run(seed=0, ctrl=ctrl, dw=dw[0])
 
 
 @pytest.mark.parametrize("path", ["dense", "pseudospectral"])
@@ -738,29 +745,30 @@ def test_result_protocol(sim_small, make_control, monkeypatch):
                         lambda self, seeds, **kw: calls.append(1) or real(self, seeds, **kw))
     make_target(ctrl, sim_small)
     assert calls == []
-    sim_small.run_many(range(2))
+    sim_small.run_many(range(2), ctrl=ctrl)
     assert calls == [1]
 
 
-def test_blowup_masked_per_path(basis_small):
+def test_blowup_masked_per_path(basis_small, cache_mean, zero_ctrl):
     # dt = 0.1 past the explicit stability limit with additive noise: some
     # paths of one bundle blow up, the others must not feel it
     n = basis_small.size
     noise = build_noise(n, 2, 1.0, 0.0, 5, [0.0, 0.0])
-    sim = Simulator(basis_small, None, noise, t_final=2.0, dt=0.1,
+    sim = Simulator(basis_small, cache_mean, noise, t_final=2.0, dt=0.1,
                     include_nonlinear=False, blowup_limit=400.0)
-    kw = dict(u0=np.zeros(n), store_beta=True, keep_wiener=True)
+    kw = dict(ctrl=zero_ctrl(sim), u0=np.zeros(n), store_beta=True, keep_wiener=True)
     bundle = sim.run_many(range(BLOCK + 4), **kw)
     blown = [tr for tr in bundle if tr.blown_up]
     assert 0 < len(blown) < len(bundle)
     for tr in bundle:
         _same_path(tr, sim.run(seed=tr.seed, **kw))
+    zero = np.zeros(sim.ops.n_ctrl)
     for tr in blown:
         state = GalerkinState(t=0.0, beta=np.zeros(n))
         first = -1
         for ell in range(sim.n_steps):
             state = step_em(state, sim.dt, tr.wiener[ell], sim.ops, noise, sim.nu,
-                            include_nonlinear=False)
+                            zero, zero, include_nonlinear=False)
             if state.beta @ state.beta > sim.blowup_limit:
                 first = ell + 1
                 break
@@ -978,7 +986,7 @@ def test_dft_matrices_match_numpy_fft(modes_x):
     spec = DomainSpec(length_x=2 * np.pi, modes_x=modes_x, nodes_y=16,
                       friction_alpha=1.0, viscosity=0.5)
     grid = build_grid(spec)
-    conv = Convection(bs.build_eigenbasis(grid, 4))
+    conv = Convection(bs.build_eigenbasis(grid, 4), LiftingCache(grid, 0).fields)
     n_bins, n_x = modes_x + 1, grid.n_x
     assert conv.to_grid.shape == (n_x, 2 * n_bins) and conv.from_grid.shape == (2 * n_bins, n_x)
     rng = np.random.default_rng(modes_x)
@@ -991,11 +999,11 @@ def test_dft_matrices_match_numpy_fft(modes_x):
     assert np.abs(samples @ conv.from_grid.T - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_convection_rejects_grid_without_room_below_nyquist(basis_small):
+def test_convection_rejects_grid_without_room_below_nyquist(basis_small, cache_mean):
     # modes_x = 4 needs n_bins = 5 <= n_x // 2; 9 nodes leave 4
     grid = dataclasses.replace(basis_small.grid, x_nodes=basis_small.grid.x_nodes[:9])
     with pytest.raises(DynamicsError, match="Nyquist"):
-        Convection(dataclasses.replace(basis_small, grid=grid))
+        Convection(dataclasses.replace(basis_small, grid=grid), cache_mean.fields)
 
 
 def test_pseudospectral_kernel_matches_step_em(wide, make_control):
@@ -1122,12 +1130,19 @@ def test_inactive_control_rows_never_read(path, request):
 
 
 @pytest.mark.parametrize("path", ["dense", "pseudospectral"])
-def test_zero_control_same_as_no_control(path, request):
+def test_zero_control_same_as_no_control(path, request, zero_ctrl):
+    # the zero control runs the same bits on a 2-mode cache (20 dofs) and on a
+    # 0-mode one (the 4 mean dofs): no control column is active on either
     sim = _path_sim(path, request)
+    cache = LiftingCache(sim.grid, 0)
+    mean = Simulator(sim.basis, cache, sim.noise, t_final=sim.t_final, dt=sim.dt)
+    assert isinstance(mean.convection, type(sim.convection))
     ctrl = _two_dof_control(sim.t_final, theta=(0.0, 0.0))
-    assert not ctrl.gamma.any()
-    kw = dict(u0=make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0), store_beta=True)
-    _same_paths(sim.run_many(range(5), ctrl=ctrl, **kw), sim.run_many(range(5), **kw))
+    assert not ctrl.gamma.any() and (sim.ops.n_ctrl, mean.ops.n_ctrl) == (20, 4)
+    kw = dict(u0=make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0), store_beta=True,
+              keep_wiener=True)
+    _same_paths(sim.run_many(range(5), ctrl=ctrl, **kw),
+                mean.run_many(range(5), ctrl=zero_ctrl(mean), **kw))
 
 
 @pytest.mark.parametrize("path", ["dense", "pseudospectral"])
