@@ -284,8 +284,7 @@ class RunConfig:
             ("length_x", abs(ctrl.length_x - lx) <= 1e-12 * lx, "domain.length_x"),
             ("n_modes", ctrl.n_modes == c["n_modes"], "control.n_modes"),
             ("p", ctrl.p == c["p"], "control.p"),
-            ("horizon", ctrl.t_grid.size == 1 or ctrl.t_grid[-1] >= t_final - 1e-12,
-             "time.t_final"),
+            ("horizon", ctrl.covers(t_final), "time.t_final"),
         ):
             if not fits:
                 raise ConfigError(f"control.coeff_file: its {key} does not fit {owner}")

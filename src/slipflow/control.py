@@ -208,7 +208,7 @@ class ParamMap:
     n_modes: int
     t_grid: tuple
     slots: tuple              # tuple of (kind, wall, mode, part)
-    p: float = 4.0
+    p: float                  # trace exponent of its controls
 
     @property
     def dim(self) -> int:

@@ -27,9 +27,10 @@ the part of gamma alone, which joins the control drift before the loop.
   batched mat-vec; its control term is conv_cc gamma gamma;
 * from N_PS on, `Convection`, the transform method in divergence form: per
   step the block's velocity y is synthesized on the grid and its walls by one
-  GEMM per x-mode and one by a real DFT matrix, and y (x) y is projected onto
-  grad e_i and the wall traces of e_i by the two transposed steps (no FFT);
-  its rows carry the control, so its control term is 0.
+  stacked product over the x-modes, whose tables are padded to one shape,
+  and one by a real DFT matrix, and y (x) y is projected onto grad e_i and
+  the wall traces of e_i by the two transposed steps (no FFT); its rows
+  carry the control, so its control term is 0.
 
 Both integrate the quadratic products exactly: the pseudospectral grid is
 wide enough that no aliasing reaches the resolved band, and the dense
@@ -45,14 +46,15 @@ and the wall term is exact by Parseval on the trace coefficients.
 
 One numpy kernel steps a pass of up to STACK blocks of BLOCK paths in one
 loop; `Simulator.run_many` hands it its seeds STACK * BLOCK at a time, the
-last block of the run padded, and returns one `Paths` whose (paths, times)
-arrays each pass fills in place.  Every product whose rounding depends on
-the row count runs as a stacked matmul over (k, BLOCK, .) rows, k separate
-BLOCK-row products, and every other operation is per row, so a seed's path
-is bitwise the same whatever its batch, its position in it and the number
-of blocks in its pass.  `drift`/`step_em` on `GalerkinOperators.dense` are
-the single-step reference the kernel is tested against on both paths; it is
-built on first read, so only that reference builds it from N_PS on.
+last block of the run padded to BLOCK rows, and returns one `Paths` whose
+(paths, times) arrays each pass fills in place.  Every product whose
+rounding depends on the row count runs as a stacked matmul over
+(k, BLOCK, .) rows, k separate BLOCK-row products, and every other
+operation is per row, so a seed's path is bitwise the same whatever its
+batch, its position in it and the number of blocks in its pass.
+`drift`/`step_em` on `GalerkinOperators.dense` are the single-step
+reference the kernel is tested against on both paths; it is built on first
+read, so only that reference builds it from N_PS on.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import numpy as np
 
 from .basis import Basis, ModeField, energy_pairing, mass_pairing
 from .geometry import Grid
-from .lifting import BoundaryControl, LiftingCache
+from .lifting import BoundaryControl, LiftingCache, trace_tables
 
 __all__ = [
     "DynamicsError",
@@ -228,16 +230,25 @@ class Convection:
     fields); a call maps rows z = (beta, gamma) of shape (W, n + n_a) to the
     (W, n) convection coefficients.  As div y = 0 and e_i . n = 0, they are
     -(y (x) y, grad e_i) + int_Gamma (y . n)(y . tau)(e_i . tau), the wall
-    term being [y1 y2 e_i1] from the bottom to the top wall.  Per x-mode j
-    one real GEMM synthesizes the [re | im] planes of (v1, v2) of y at the
+    term being [y1 y2 e_i1] from the bottom to the top wall.  Per x-mode j a
+    real product synthesizes the [re | im] planes of (v1, v2) of y at the
     Gauss nodes and walls from the coefficients of the entries at j and of
     the a_c reaching j; the real DFT matrix `to_grid` (n_x, 2 n_bins) gives
     the grid, y1^2, y2^2 and y1 y2 are formed pointwise, `from_grid`
-    (2 n_bins, n_x) goes back, and one GEMM per j pairs them with -d_x e1,
+    (2 n_bins, n_x) goes back, and a product per j pairs them with -d_x e1,
     -d_y e2, -(d_y e1 + d_x e2) and the wall traces -+e1 of the entries at
     j.  Alias-free in x and exact in y for these triple products, this is
-    the dense tensors' quadrature.  A row's bits depend on it and W alone.
-    The constructor probes the tables for skew symmetry (`_probe_skew`).
+    the dense tensors' quadrature.
+
+    The per-mode tables are padded to one stack each, so every stage is one
+    stacked matmul over (modes, rows): `s_idx` (n_bins, R) holds the rows
+    each mode reads, its first `s_len[j]` real and the rest the mode's first
+    row again, `s_tab` (n_bins, R, 4 (n_q + 2)) their synthesis rows (0 on
+    the padding), `p_tab` (n_bins, 6 (n_q + 2), N) the projection columns of
+    the entries at each mode (0 past them), and `pos` entry i's position in
+    the flattened (n_bins, N) result.  A row's bits depend on it and W
+    alone.  The constructor probes the tables for skew symmetry
+    (`_probe_skew`).
     """
 
     def __init__(self, basis: Basis, fields: ModeField):
@@ -257,45 +268,57 @@ class Convection:
         self.from_grid = np.stack([np.cos(phase), -np.sin(phase)], axis=1).reshape(-1, g.n_x)
         self.to_grid = 2.0 * self.from_grid.T     # irfft(., n_x, norm="forward"),
         self.to_grid[:, 0] = 1.0                  # where bin 0 counts once
-        e = basis.fields
-        self.synthesis, self.projection = [], []
+        e, width = basis.fields, 2 * (g.n_q + 2)
+        count = np.bincount(basis.mode_j, minlength=self.n_bins)
+        self.p_tab = np.zeros((self.n_bins, 3 * width, count.max()))
+        self.pos = np.empty(self.n, int)
+        rows, tabs = [], []
         for j in range(self.n_bins):
             own = np.flatnonzero(basis.mode_j == j)
-            rows, vals, walls = own, e.vals[own, j], e.wall_vals[own, j]
+            r, vals, walls = own, e.vals[own, j], e.wall_vals[own, j]
             if j <= fields.n_modes and fields.vals[:, j].any():
-                rows = np.concatenate([own, self.n + np.arange(self.n_a)])
+                r = np.concatenate([own, self.n + np.arange(self.n_a)])
                 vals = np.concatenate([vals, fields.vals[:, j]])
                 walls = np.concatenate([walls, fields.wall_vals[:, j]])
-            if rows.size:                       # [re | im] planes of (rows, 2, n_q + 2)
-                spec = np.concatenate([vals, walls], axis=2)
-                spec = np.concatenate([spec.real, spec.imag], axis=1)
-                self.synthesis.append((j, rows, spec.reshape(rows.size, -1)))
-            if own.size:                        # [re | im] planes of (n_j, 3, n_q + 2)
-                kv, d = 1j * g.kx[j] * e.vals[own, j], e.dvals[own, j]   # d_x e, d_y e
-                proj = np.zeros((own.size, 3, g.n_q + 2), complex)  # y1^2, y2^2, y1 y2
-                proj[..., :-2] = -g.w_y * np.stack([kv[:, 0], d[:, 1], d[:, 0] + kv[:, 1]], 1)
-                proj[:, 2, -2:] = e.wall_vals[own, j, 0] * [-1.0, 1.0]
-                proj *= g.w_x * (1.0 if j == 0 else 2.0)
-                proj = np.concatenate([proj.real, proj.imag], axis=1)
-                self.projection.append((j, own, proj.reshape(own.size, -1).T.copy()))
+            spec = np.concatenate([vals, walls], axis=2)   # [re | im] planes of (r, 2, n_q + 2)
+            rows.append(r)
+            tabs.append(np.concatenate([spec.real, spec.imag], axis=1).reshape(r.size, 2 * width))
+            # [re | im] planes of (n_j, 3, n_q + 2) against y1^2, y2^2, y1 y2
+            kv, d = 1j * g.kx[j] * e.vals[own, j], e.dvals[own, j]   # d_x e, d_y e
+            proj = np.zeros((own.size, 3, g.n_q + 2), complex)
+            proj[..., :-2] = -g.w_y * np.stack([kv[:, 0], d[:, 1], d[:, 0] + kv[:, 1]], 1)
+            proj[:, 2, -2:] = e.wall_vals[own, j, 0] * [-1.0, 1.0]
+            proj *= g.w_x * (1.0 if j == 0 else 2.0)
+            proj = np.concatenate([proj.real, proj.imag], axis=1)
+            self.p_tab[j, :, : own.size] = proj.reshape(own.size, 3 * width).T
+            self.pos[own] = j * count.max() + np.arange(own.size)
+        self._pack(rows, tabs)
         _probe_skew(self)
+
+    def _pack(self, rows: list, tabs: list):
+        """`s_idx`, `s_len` and `s_tab` of the rows per mode and their synthesis tables."""
+        self.s_len = np.array([r.size for r in rows])
+        self.s_idx = np.zeros((self.n_bins, max(self.s_len.max(), 1)), int)
+        self.s_tab = np.zeros(self.s_idx.shape + (tabs[0].shape[1],))
+        for j, (r, t) in enumerate(zip(rows, tabs)):
+            if r.size:                            # padding: the mode's first row, table rows 0
+                self.s_idx[j], self.s_idx[j, : r.size], self.s_tab[j, : r.size] = r[0], r, t
 
     def samples(self, z: np.ndarray) -> np.ndarray:
         """(..., n_x, 2 (n_q + 2)) grid samples of v1 then v2 (Gauss nodes, walls) of rows z.
 
-        z is (..., n + n_a); a leading stack axis is a stack of row blocks, and
-        each GEMM a stacked matmul, which numpy computes block by block: a
+        z is (..., W, n + n_a), a stack of row blocks; the stacked matmul over
+        (modes, rows) computes each (block, mode) product on its own, so a
         row's bits depend on its block's row count, not on the stack.
         """
         lead = z.shape[:-1]
-        spec = np.zeros(lead + (2 * self.n_bins, 2 * (self.grid.n_q + 2)))
-        for j, rows, table in self.synthesis:
-            out = spec[..., 2 * j : 2 * j + 2, :].reshape(lead + (-1,))
-            np.matmul(z[..., rows], table, out=out)
-        return np.matmul(self.to_grid, spec)
+        spec = np.empty(lead + (self.n_bins, self.s_tab.shape[-1]))
+        np.matmul(np.take(z, self.s_idx, axis=-1).swapaxes(-3, -2), self.s_tab,
+                  out=spec.swapaxes(-3, -2))
+        return np.matmul(self.to_grid, spec.reshape(lead + (2 * self.n_bins, -1)))
 
     def project(self, s: np.ndarray) -> np.ndarray:
-        """(..., n) convection coefficients of the fields with (..., n_x, 2 (n_q + 2))
+        """(..., n) convection coefficients of the fields with (..., W, n_x, 2 (n_q + 2))
         grid samples s: their products v1^2, v2^2 and v1 v2, projected."""
         lead, half = s.shape[:-2], s.shape[-1] // 2
         # kept between calls of one shape: glibc mmaps a fresh array of this size each time
@@ -304,11 +327,10 @@ class Convection:
         p = self._scratch
         np.multiply(s, s, out=p[..., : 2 * half])
         np.multiply(s[..., :half], s[..., half:], out=p[..., 2 * half :])
-        f = np.matmul(self.from_grid, p)
-        out = np.empty(lead + (self.n,))
-        for j, own, table in self.projection:
-            out[..., own] = f[..., 2 * j : 2 * j + 2, :].reshape(lead + (-1,)) @ table
-        return out
+        f = np.matmul(self.from_grid, p).reshape(lead + (self.n_bins, -1))
+        out = np.empty(lead + self.p_tab.shape[::2])
+        np.matmul(f.swapaxes(-3, -2), self.p_tab, out=out.swapaxes(-3, -2))
+        return np.take(out.reshape(lead + (-1,)), self.pos, axis=-1)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """(k BLOCK, n) convection of stacked (k, BLOCK, n + n_a) rows z."""
@@ -320,15 +342,20 @@ class Convection:
 
     def restricted(self, active: np.ndarray) -> Convection:
         """This evaluator on rows (beta, gamma[active]), cached per active set: the
-        synthesis tables with other control rows cut, the rest of its tables shared."""
+        synthesis rows of other controls cut and the rest repacked, the
+        projection tables shared."""
         key = active.tobytes()
         if key not in self._restricted:
             new = np.full(self.n + self.n_a, -1)         # a row's position in the new rows
             new[np.r_[: self.n, self.n + active]] = np.arange(self.n + active.size)
+            rows, tabs = [], []
+            for j, m in enumerate(self.s_len):
+                r = new[self.s_idx[j, :m]]
+                rows.append(r[r >= 0])
+                tabs.append(self.s_tab[j, :m][r >= 0])
             sub = self._restricted[key] = copy.copy(self)
-            sub.n_a, sub.synthesis = active.size, [
-                (j, new[rows][keep], table if keep.all() else table[keep])
-                for j, rows, table in self.synthesis if (keep := new[rows] >= 0).any()]
+            sub.n_a = active.size
+            sub._pack(rows, tabs)
         return self._restricted[key]
 
     def rows(self, beta: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
@@ -370,7 +397,7 @@ def _probe_skew(conv: Convection):
     s = conv.samples(conv.rows(np.stack([u, v, w, u + v, v + w, w + u])))
     mag = copy.copy(conv)                      # the projection on magnitudes
     mag.from_grid = np.abs(conv.from_grid)
-    mag.projection = [(j, own, np.abs(t)) for j, own, t in conv.projection]
+    mag.p_tab = np.abs(conv.p_tab)
     nl, size = conv.project(s).reshape(6, 2, -1), mag.project(np.abs(s)).reshape(6, 2, -1)
     a, b, c = [0, 1, 2], [1, 2, 0], [2, 0, 1]               # row 3 + a holds a + b
     defect = np.vecdot(nl[3:] - nl[a] - nl[b], coef[c]).sum(axis=0)
@@ -618,9 +645,8 @@ def assemble_operators(basis: Basis, cache: LiftingCache) -> GalerkinOperators:
     # wall pairing int_Gamma b_c (e_i . tau) by Parseval on the trace
     # coefficients; only entries with j_i <= n_modes meet the control band
     nc, nm = cache.n_dofs, cache.n_modes
-    proto = BoundaryControl.zeros(g.spec.length_x, nm, [0.0])
     b_rows = np.zeros((nc, 2, g.spec.modes_x + 1), complex)
-    b_rows[:, :, : nm + 1] = proto.coeffs(np.eye(nc))[:, 2:]
+    b_rows[:, :, : nm + 1] = trace_tables(np.eye(nc), nm)[:, 2:]
     j = basis.mode_j
     btrace = g.spec.length_x * np.where(j == 0, 1.0, 2.0)[:, None] * np.einsum(
         "iw,cwi->ic", basis.tau_trace, b_rows[:, :, j].conj()
@@ -699,23 +725,28 @@ def wiener_increments(seed: int, n_steps: int, m: int, dt: float) -> np.ndarray:
 # BLOCK-row blocks (a stacked matmul over (k, BLOCK, .) is k BLOCK-row
 # GEMMs) and the last block of a run is padded: a seed's bits are
 # independent of its batch, its position in it and the width of its pass.
-BLOCK = 16
+# 4 is the narrowest bank a workload runs (optimize's seed bank), so it and
+# verify's 24-path stability bundles step no padding row; 16-row blocks left
+# 12 of optimize's 16 rows padding.
+BLOCK = 4
 
 # Blocks per kernel pass: one Python step loop serves up to STACK * BLOCK
 # paths.  Per-step overhead, not arithmetic, sets the cost of a narrow pass;
 # past 64 rows the gain per path-step is under a tenth (the sweep is in the
 # README's time-stepping section), while 128 rows would add about 6 MB of
 # work arrays to the 53 MB peak of a 200-path `slipflow verify` at n = 16.
-STACK = 4
+STACK = 16
 
 # Basis size from which the kernel evaluates the convection pseudospectrally
 # (`Convection`) instead of through the dense n^3 tensors.  Per step of a
-# 16-path block with the workloads' 2-column control (modes_x = 8, nodes_y =
-# 24, BLAS on one thread, four rounds), dense / pseudospectral ms: n = 48
-# 0.18-0.25 / 0.38-0.57, 56 0.28-0.37 / 0.41-0.57, 60 0.33-0.45 / 0.41-0.56, 64
-# 0.46-0.53 / 0.40-0.58, 72 0.61-0.69 / 0.44-0.61, and 0.011-0.028 s of dense
-# assembly.  They cross near n = 64 (64-row passes: 62), and near 56-58 with all
-# 20 control columns active.  N_PS stays 60, between the two; moving it
+# 16-path pass of 4-row blocks with the workloads' 2-column control (modes_x =
+# 8, nodes_y = 24, BLAS on one thread, four rounds), dense / pseudospectral
+# ms: n = 48 0.16-0.23 / 0.31-0.47, 56 0.24-0.38 / 0.31-0.47, 60 0.35-0.58 /
+# 0.38-0.46, 64 0.82-0.91 / 0.34-0.51, 72 1.17-1.32 / 0.37-0.53, and
+# 0.011-0.028 s of dense assembly.  They cross near n = 58-60, and so do
+# 4-row and 64-row passes.  From n = 64 on, 4-row blocks slow the dense step
+# (at 64, 0.87 against 0.47 ms in 16-row blocks: each block reads all of T,
+# 2.2 MB), but below 60 it costs what it did.  N_PS stays 60; moving it
 # changes the path, and so the bits, of every size in between.
 N_PS = 60
 
@@ -892,7 +923,7 @@ class Simulator:
         """Control values and slopes on the time grid."""
         if ctrl.n_modes != self.cache.n_modes:
             raise DynamicsError("control does not match the lifting cache")
-        if ctrl.t_grid[-1] < self.t_final - 1e-9:
+        if not ctrl.covers(self.t_final):
             raise DynamicsError("control horizon shorter than the simulation")
         return ctrl.series(self.times)
 

@@ -48,6 +48,7 @@ __all__ = [
     "CompatibilityError",
     "BoundaryControl",
     "project_compatible",
+    "trace_tables",
     "solve_harmonic",
     "StokesCorrectionSolver",
     "LiftingCache",
@@ -86,7 +87,7 @@ class BoundaryControl:
     n_modes: int                 # Fourier modes per wall beyond the mean
     t_grid: np.ndarray           # (n_t,) increasing, t_grid[0] = 0
     gamma: np.ndarray            # (n_t, n_dofs)
-    p: float = 4.0
+    p: float                     # trace exponent, in (2, inf)
 
     def __post_init__(self):
         self.t_grid = np.asarray(self.t_grid, float)
@@ -115,7 +116,7 @@ class BoundaryControl:
         return 4 * self.block
 
     @classmethod
-    def zeros(cls, length_x, n_modes, t_grid, p=4.0) -> "BoundaryControl":
+    def zeros(cls, length_x, n_modes, t_grid, p) -> "BoundaryControl":
         t = np.atleast_1d(np.asarray(t_grid, float))
         return cls(length_x, n_modes, t, np.zeros((t.size, 4 * (2 * n_modes + 1))), p)
 
@@ -134,12 +135,11 @@ class BoundaryControl:
 
     def coeffs(self, gamma_rows: np.ndarray) -> np.ndarray:
         """(..., 4, n_modes+1) complex coefficient tables of (..., n_dofs) rows."""
-        rows = np.asarray(gamma_rows, float)
-        blk = rows.reshape(rows.shape[:-1] + (4, self.block))
-        out = np.empty(blk.shape[:-1] + (self.n_modes + 1,), complex)
-        out[..., 0] = blk[..., 0]
-        out[..., 1:] = blk[..., 1::2] + 1j * blk[..., 2::2]
-        return out
+        return trace_tables(gamma_rows, self.n_modes)
+
+    def covers(self, t_final: float) -> bool:
+        """Whether the control is defined up to t_final; a one-point grid is constant."""
+        return self.t_grid.size == 1 or self.t_grid[-1] >= t_final - 1e-12
 
     def interp(self, t: float):
         """Piecewise-linear value and slope of the coefficient vector at t."""
@@ -203,6 +203,29 @@ class BoundaryControl:
             return cls.from_dict(json.load(fh))
 
 
+def trace_tables(gamma_rows: np.ndarray, n_modes: int) -> np.ndarray:
+    """(..., 4, n_modes+1) complex coefficient tables of (..., n_dofs) rows of
+    the `BoundaryControl` layout with n_modes modes per wall."""
+    rows = np.asarray(gamma_rows, float)
+    blk = rows.reshape(rows.shape[:-1] + (4, 2 * n_modes + 1))
+    out = np.empty(blk.shape[:-1] + (n_modes + 1,), complex)
+    out[..., 0] = blk[..., 0]
+    out[..., 1:] = blk[..., 1::2] + 1j * blk[..., 2::2]
+    return out
+
+
+def compatible_rows(gamma_rows: np.ndarray, n_modes: int) -> np.ndarray:
+    """(..., n_dofs) rows with the means of a on the two walls (the first
+    entry of the first and second trace block) replaced by their
+    antisymmetric part: the nearest rows of zero net normal flux."""
+    out = np.array(gamma_rows, float)
+    ib, it = 0, 2 * n_modes + 1
+    mean = 0.5 * (out[..., ib] - out[..., it])
+    out[..., ib] = mean
+    out[..., it] = -mean
+    return out
+
+
 def project_compatible(ctrl: BoundaryControl) -> BoundaryControl:
     """Orthogonal projection onto zero net normal flux through the walls.
 
@@ -211,11 +234,7 @@ def project_compatible(ctrl: BoundaryControl) -> BoundaryControl:
     coefficient space.  Idempotent.
     """
     out = ctrl.copy()
-    ib = ctrl.dof_index(KIND_A, "bottom", 0)
-    it = ctrl.dof_index(KIND_A, "top", 0)
-    mean = 0.5 * (out.gamma[:, ib] - out.gamma[:, it])
-    out.gamma[:, ib] = mean
-    out.gamma[:, it] = -mean
+    out.gamma = compatible_rows(ctrl.gamma, ctrl.n_modes)
     return out
 
 
@@ -380,13 +399,9 @@ class LiftingCache:
     def __init__(self, grid: Grid, n_modes: int):
         self.grid = grid
         self.n_modes = n_modes
-        proto = BoundaryControl.zeros(grid.spec.length_x, n_modes, [0.0])
-        self.n_dofs = proto.n_dofs
-        # every unit coefficient at once, as the rows of an identity gamma
-        # (its time grid only numbers them)
-        units = project_compatible(BoundaryControl(
-            proto.length_x, n_modes, np.arange(self.n_dofs, dtype=float), np.eye(self.n_dofs)))
-        tables = units.coeffs(units.gamma)
+        self.n_dofs = 4 * (2 * n_modes + 1)
+        # every unit coefficient at once, as the rows of an identity made compatible
+        tables = trace_tables(compatible_rows(np.eye(self.n_dofs), n_modes), n_modes)
         # harmonic stage for a, then the correction supplies the rest of b
         har = solve_harmonic(tables[:, 0], tables[:, 1], grid, n_modes)
         stress = har.tangential_stress_coeffs()[:, : n_modes + 1]

@@ -78,7 +78,8 @@ def make_control():
 
 def zero_control(sim):
     """The zero control over a simulator's horizon: the uncontrolled flow."""
-    return BoundaryControl.zeros(sim.grid.spec.length_x, sim.cache.n_modes, [0.0, sim.t_final])
+    return BoundaryControl.zeros(sim.grid.spec.length_x, sim.cache.n_modes, [0.0, sim.t_final],
+                                 4.0)
 
 
 @pytest.fixture(scope="session")

@@ -226,8 +226,8 @@ def loop_lifting_fields(grid, n_modes):
     lx = grid.spec.length_x
     solver = StokesCorrectionSolver(grid, n_modes)
     fields = []
-    for c in range(BoundaryControl.zeros(lx, n_modes, [0.0]).n_dofs):
-        unit = BoundaryControl.zeros(lx, n_modes, [0.0])
+    for c in range(BoundaryControl.zeros(lx, n_modes, [0.0], 4.0).n_dofs):
+        unit = BoundaryControl.zeros(lx, n_modes, [0.0], 4.0)
         unit.gamma[0, c] = 1.0
         unit = project_compatible(unit)
         table = unit.coeffs(unit.gamma[0])
@@ -236,3 +236,30 @@ def loop_lifting_fields(grid, n_modes):
         corr = solver.solve(table[2] - stress[:, 0], table[3] - stress[:, 1])
         fields.append(har + corr)
     return ModeField.stack(fields)
+
+
+def loop_samples(conv, z):
+    """`Convection.samples` one x-mode at a time: per mode j one stacked
+    product of the rows (..., n + n_a) z it reads, unpadded, by its table."""
+    lead = z.shape[:-1]
+    spec = np.zeros(lead + (2 * conv.n_bins, conv.s_tab.shape[-1] // 2))
+    for j, m in enumerate(conv.s_len):
+        if m:
+            out = spec[..., 2 * j : 2 * j + 2, :].reshape(lead + (-1,))
+            np.matmul(z[..., conv.s_idx[j, :m]], conv.s_tab[j, :m], out=out)
+    return np.matmul(conv.to_grid, spec)
+
+
+def loop_project(conv, s):
+    """`Convection.project` one x-mode at a time: per mode j one stacked
+    product of the analysed products by the columns of its own entries."""
+    lead, half = s.shape[:-2], s.shape[-1] // 2
+    f = np.matmul(conv.from_grid, np.concatenate([s * s, s[..., :half] * s[..., half:]], -1))
+    out = np.empty(lead + (conv.n,))
+    mode, col = np.divmod(conv.pos, conv.p_tab.shape[-1])
+    for j in range(conv.n_bins):
+        own = np.flatnonzero(mode == j)
+        if own.size:
+            table = np.ascontiguousarray(conv.p_tab[j][:, col[own]])
+            out[..., own] = f[..., 2 * j : 2 * j + 2, :].reshape(lead + (-1,)) @ table
+    return out

@@ -52,7 +52,8 @@ def stack():
 
 def _control(seed, scale=0.15, t_grid=None):
     rng = np.random.default_rng(np.random.SeedSequence([0xACC, seed]))
-    c = BoundaryControl.zeros(2 * np.pi, 2, np.linspace(0.0, 0.5, 3) if t_grid is None else t_grid)
+    c = BoundaryControl.zeros(2 * np.pi, 2, np.linspace(0.0, 0.5, 3) if t_grid is None else t_grid,
+                               4.0)
     c.gamma[:] = scale * rng.standard_normal(c.gamma.shape)
     return project_compatible(c)
 
@@ -295,7 +296,7 @@ def test_criterion_09_control_recovery(stack):
     basis = truncate_basis(basis32, 12)
     aspec = ctl.AdmissibleSpec(radius=20.0, lambda1=1e-4, lambda2=1e-4)
     pmap = ctl.ParamMap(length_x=2 * np.pi, n_modes=2, t_grid=(0.0, 0.5),
-                        slots=(("a", "bottom", 1, "re"), ("b", "top", 2, "re")))
+                        slots=(("a", "bottom", 1, "re"), ("b", "top", 2, "re")), p=4.0)
     theta_star = np.array([0.5, 0.6])
     ctrl_star = ctl.project_admissible(pmap.control(theta_star), aspec)
     u0 = make_initial_coeffs(12, "random", 3, 0.3, 1.0)

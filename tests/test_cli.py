@@ -441,6 +441,20 @@ def test_control_file_fitting_config_runs(tmp_path):
     assert _simulate_under_control(tmp_path, _GOOD_CONTROL) == (0, [])
 
 
+def test_one_point_control_file_is_constant(tmp_path):
+    # a one-point t_grid covers any horizon, for the config and the simulator
+    # alike: the constant control, the same numbers as on a two-point grid
+    gamma = [0.1] * 10 + [-0.05] * 10
+    tables = []
+    for name, t_grid in (("one", [0.0]), ("two", [0.0, 0.2])):
+        run = tmp_path / name
+        run.mkdir()
+        data = {**_GOOD_CONTROL, "t_grid": t_grid, "gamma": [gamma] * len(t_grid)}
+        assert _simulate_under_control(run, data) == (0, [])
+        tables.append((run / "out" / "summary.csv").read_text().split("\n", 1)[1])
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("fault", [
     {"n_modes": None}, [], {"gamma": [[0.0] * 19] * 2}, {"p": 1.0}, {"length_x": 3.0},
     {"n_modes": 3}, {"p": 5.0}, {"t_grid": [0.0, 0.1]},

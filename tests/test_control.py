@@ -35,6 +35,7 @@ def pmap():
         n_modes=2,
         t_grid=(0.0, 0.5),
         slots=(("a", "bottom", 1, "re"), ("b", "top", 2, "re")),
+        p=4.0,
     )
 
 
@@ -103,7 +104,7 @@ def test_penalty_closed_form(aspec):
     lx = 2 * np.pi
     t_end = 0.5
     amp = 0.5
-    ctrl = BoundaryControl.zeros(lx, 2, [0.0, t_end])
+    ctrl = BoundaryControl.zeros(lx, 2, [0.0, t_end], 4.0)
     ctrl.gamma[:, ctrl.dof_index("a", "bottom", 1, "re")] = amp / 2.0  # a = amp cos x
     pen = penalty_term(ctrl, aspec)
     expected = 0.5 * aspec.lambda1 * t_end * amp**2 * lx / 2.0
@@ -115,7 +116,7 @@ def test_penalty_piecewise_linear_exact(aspec, make_control):
     # refining the grid of the same control leaves the penalty unchanged
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.25, 0.5], 0.4, seed=43)
     fine_t = np.linspace(0.0, 0.5, 9)
-    fine = BoundaryControl.zeros(2 * np.pi, 2, fine_t)
+    fine = BoundaryControl.zeros(2 * np.pi, 2, fine_t, ctrl.p)
     for ell, t in enumerate(fine_t):
         fine.gamma[ell], _ = ctrl.interp(float(t))
     assert abs(penalty_term(ctrl, aspec) - penalty_term(fine, aspec)) < 1e-12

@@ -64,7 +64,7 @@ def test_weight_bounds_and_monotonicity(sim_mod, make_control):
 
 
 def test_weight_static_control_closed_form(sim_mod):
-    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 0.5])
+    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 0.5], 4.0)
     ctrl.gamma[:, ctrl.dof_index("b", "top", 1, "re")] = 0.2
     rho = trace_norm(ctrl, 0.0)
     w = energy_weight(ctrl, 1.5, sim_mod.times)
@@ -116,7 +116,7 @@ def test_second_moment_linear_closed_form(basis_small):
     t_end = 0.4
     times = np.linspace(0.0, t_end, 2001)
     b0 = make_initial_coeffs(basis_small.size, "random", 3, 1.0, 1.0)
-    zero = BoundaryControl.zeros(2 * np.pi, 2, [0.0, t_end])
+    zero = BoundaryControl.zeros(2 * np.pi, 2, [0.0, t_end], 4.0)
     rep = certify_second_moment(_analytic_path(basis_small, nu, times, b0), zero, c0, nu)
     lam = basis_small.eigenvalues
     # closed form: sup at t = 0; integral term analytic
@@ -134,7 +134,7 @@ def test_fourth_moment_linear_closed_form(basis_small, sim_mod):
     t_end = 0.4
     times = np.linspace(0.0, t_end, 2001)
     b0 = make_initial_coeffs(basis_small.size, "random", 3, 1.0, 1.0)
-    zero = BoundaryControl.zeros(2 * np.pi, 2, [0.0, t_end])
+    zero = BoundaryControl.zeros(2 * np.pi, 2, [0.0, t_end], 4.0)
     rep = certify_fourth_moment(_analytic_path(basis_small, nu, times, b0), zero, c0, nu,
                                 sim_mod.ops)
     lam = basis_small.eigenvalues

@@ -4,7 +4,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import advective_convection, sampled_convection_tensors
+from oracles import (
+    advective_convection,
+    loop_project,
+    loop_samples,
+    sampled_convection_tensors,
+)
 
 from slipflow import basis as bs
 from slipflow import dynamics as dyn
@@ -563,7 +568,7 @@ def test_simulator_guards(basis_small, cache_small, zero_ctrl):
     short = make_control(2 * np.pi, 2, [0.0, 0.2], 0.1, seed=1) if False else None
     from slipflow.lifting import BoundaryControl
 
-    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 0.2])
+    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 0.2], 4.0)
     with pytest.raises(DynamicsError):
         sim.gamma_series(ctrl)
     with pytest.raises(DynamicsError):
@@ -671,6 +676,17 @@ def test_stacked_pass_matches_single_blocks(path, request, make_control):
             cut = slice(b * BLOCK, (b + 1) * BLOCK)
             for a, c in zip(stacked[cut], sim.run_many(seeds[cut], dw=dw[cut], **kw)):
                 _same_path(a, c)
+
+
+def test_narrow_banks_step_no_padding(sim_small, make_control, monkeypatch):
+    # optimize's 4-seed bank is one block and verify's 24-seed stability
+    # bundle whole blocks: the kernel is handed no padding row
+    seen, kernel = [], dyn._em_block
+    monkeypatch.setattr(dyn, "_em_block", lambda *a: seen.append(len(a[0])) or kernel(*a))
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=86)
+    for count in (4, 24):
+        assert len(sim_small.run_many(range(count), ctrl=ctrl)) == count
+    assert seen == [-(-4 // BLOCK) * BLOCK, -(-24 // BLOCK) * BLOCK] == [4, 24]
 
 
 def test_wiener_stack_rows_follow_seeds(sim_small, zero_ctrl):
@@ -964,6 +980,23 @@ def test_divergence_form_matches_advective_oracle(request, make_control, stack):
     assert np.abs(conv(z) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("active", [None, [1, 18]])
+def test_stacked_convection_matches_loop_oracle(wide, active):
+    # one stacked product per stage is the per-mode loop form, bitwise: on
+    # (k, BLOCK) stacks of 4-row blocks, 16-row blocks, the 2-D rows of
+    # `stacked`, for the full tables and a restriction
+    conv = Convection(wide.basis, wide.cache.fields)
+    if active is not None:
+        conv = conv.restricted(np.array(active))
+    assert conv.s_len.min() < conv.s_idx.shape[1]                  # some mode is padded
+    rng = np.random.default_rng(13)
+    for lead in ((1, 4), (4, 4), (16, 4), (2, 16), (STACK * BLOCK,), (5,)):
+        z = 0.5 * rng.standard_normal(lead + (conv.n + conv.n_a,))
+        s = conv.samples(z)
+        assert np.array_equal(s, loop_samples(conv, z))
+        assert np.array_equal(conv.project(s), loop_project(conv, s))
+
+
 def test_convection_conserves_energy(wide):
     # <N(y), beta> = 0 for y in the basis span, to 1e-12 of the summed
     # magnitudes of the terms of the pairing
@@ -1058,9 +1091,12 @@ def test_linear_run_builds_no_dense_tensors(basis_small, cache_small, make_contr
 
 @pytest.mark.parametrize("table",["projection", "synthesis", "to_grid", "from_grid"])
 def test_skew_probe_rejects_tampered_table(wide, table):
+    # the packed tables the probe and the kernel read; entry [4, 4] of mode
+    # 2's tables is a real one, not padding: its fifth row, its fifth entry
     conv = Convection(wide.basis, wide.cache.fields)
     _probe_skew(conv)
-    tab = {"projection": conv.projection[2][2], "synthesis": conv.synthesis[2][2],
+    assert conv.s_len[2] > 4 and (conv.pos // conv.p_tab.shape[-1] == 2).sum() > 4
+    tab = {"projection": conv.p_tab[2], "synthesis": conv.s_tab[2],
            "to_grid": conv.to_grid, "from_grid": conv.from_grid}[table]
     tab[4, 4] += 1e-6 * np.abs(tab).max()
     with pytest.raises(DynamicsError, match="skew"):
@@ -1077,7 +1113,7 @@ def _two_dof_control(t_final, theta=(0.3, 0.2)):
     from slipflow.lifting import project_compatible
 
     pmap = ParamMap(2 * np.pi, 2, (0.0, t_final), (("a", "bottom", 1, "re"),
-                                                   ("b", "top", 2, "re")))
+                                                   ("b", "top", 2, "re")), 4.0)
     return project_compatible(pmap.control(theta))
 
 
@@ -1108,8 +1144,9 @@ def test_two_dof_kernel_matches_step_em(path, request):
 @pytest.mark.parametrize("path", ["dense", "pseudospectral"])
 def test_inactive_control_rows_never_read(path, request):
     # NaN in every control column the two-dof control does not use, in the
-    # dense conv_bc and conv_cc or in the pseudospectral synthesis tables,
-    # leaves the paths finite and the same bits: 0 * NaN would be NaN
+    # dense conv_bc and conv_cc or in the packed pseudospectral synthesis
+    # rows that its restriction repacks, leaves the paths finite and the same
+    # bits: 0 * NaN would be NaN
     clean, poisoned = _path_sim(path, request), _path_sim(path, request)
     n, ctrl = clean.ops.n, _two_dof_control(clean.t_final)
     inactive = np.setdiff1d(np.arange(clean.ops.n_ctrl), [1, 18])
@@ -1121,8 +1158,11 @@ def test_inactive_control_rows_never_read(path, request):
         dense.conv_bc[:, :, inactive] = np.nan
         dense.conv_cc[:, inactive] = dense.conv_cc[:, :, inactive] = np.nan
     else:
-        for _, rows, table in poisoned.convection.synthesis:
-            table[np.isin(rows, n + inactive)] = np.nan
+        conv = poisoned.convection
+        assert not conv._restricted
+        for j, m in enumerate(conv.s_len):
+            conv.s_tab[j, :m][np.isin(conv.s_idx[j, :m], n + inactive)] = np.nan
+        assert np.isnan(conv.s_tab).any(axis=2).sum() == 18 * 3        # modes 0-2 reach them
     kw = dict(ctrl=ctrl, u0=make_initial_coeffs(n, "random", 3, 0.5, 1.0), store_beta=True)
     paths = poisoned.run_many(range(BLOCK + 3), **kw)
     assert np.isfinite(paths.beta_series).all() and np.isfinite(paths.tracking).all()

@@ -24,7 +24,7 @@ from slipflow.lifting import (
 
 
 def test_project_compatible_mean_removal():
-    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0])
+    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0], 4.0)
     ib = ctrl.dof_index("a", "bottom", 0)
     it = ctrl.dof_index("a", "top", 0)
     ctrl.gamma[0, ib] = 1.0
@@ -34,7 +34,7 @@ def test_project_compatible_mean_removal():
 
 
 def test_project_compatible_oblique():
-    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0])
+    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0], 4.0)
     ctrl.gamma[0, ctrl.dof_index("a", "bottom", 0)] = 2.0
     out = project_compatible(ctrl)
     assert out.gamma[0, out.dof_index("a", "bottom", 0)] == 1.0
@@ -271,7 +271,7 @@ def test_cache_makes_one_solve_per_mode(grid_small, monkeypatch):
 
 
 def test_lift_zero(cache_small):
-    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 1.0])
+    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 1.0], 4.0)
     lf = lift(ctrl, cache_small)
     f = lf.field_at(0.5)
     assert np.abs(f.vals).max() == 0.0
@@ -287,7 +287,7 @@ def test_lift_static_time_derivative(cache_small, make_control):
 
 
 def test_lift_requires_compatibility(cache_small):
-    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 1.0])
+    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 1.0], 4.0)
     ctrl.gamma[:, ctrl.dof_index("a", "bottom", 0)] = 1.0
     with pytest.raises(CompatibilityError):
         lift(ctrl, cache_small)
@@ -339,7 +339,7 @@ def test_lift_bound_ratio(cache_small, make_control):
 
 
 def test_trace_norm_zero():
-    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 1.0])
+    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 1.0], 4.0)
     assert trace_norm(ctrl, 0.5) == 0.0
 
 
@@ -387,12 +387,12 @@ def test_control_serialization_roundtrip(tmp_path, make_control):
 
 def test_control_validation():
     with pytest.raises(LiftingError):
-        BoundaryControl(2 * np.pi, 2, np.array([0.0]), np.zeros((2, 20)))
+        BoundaryControl(2 * np.pi, 2, np.array([0.0]), np.zeros((2, 20)), 4.0)
     with pytest.raises(LiftingError):
         BoundaryControl.zeros(2 * np.pi, 2, [0.0], p=2.0)
     for t_grid in ([0.1, 0.5], [0.0, 0.5, 0.5], [0.0, 0.5, 0.2], [0.0, np.nan]):
         with pytest.raises(LiftingError, match="start at 0 and strictly increase"):
-            BoundaryControl.zeros(2 * np.pi, 2, t_grid)
+            BoundaryControl.zeros(2 * np.pi, 2, t_grid, 4.0)
 
 
 @pytest.mark.parametrize("slot", [("z", "bottom", 1, "re"), ("a", "middle", 1, "re"),
@@ -401,7 +401,7 @@ def test_control_validation():
                                   ("a", "bottom", 0, "im")])
 def test_dof_index_rejects_missing_coefficient(slot):
     with pytest.raises(LiftingError):
-        BoundaryControl.zeros(2 * np.pi, 2, [0.0]).dof_index(*slot)
+        BoundaryControl.zeros(2 * np.pi, 2, [0.0], 4.0).dof_index(*slot)
 
 
 def test_coeffs_stack_matches_rows(make_control):
@@ -434,7 +434,7 @@ def test_control_series_piecewise_linear(make_control):
         assert np.array_equal(g, gamma[ell]) and np.array_equal(s, slope[ell])
     with pytest.raises(LiftingError, match="outside the control horizon"):
         ctrl.series([0.5, 1.5])
-    static = BoundaryControl.zeros(2 * np.pi, 2, [0.0])
+    static = BoundaryControl.zeros(2 * np.pi, 2, [0.0], 4.0)
     static.gamma[:] = 1.0
     g, s = static.series(times)
     assert np.array_equal(g, np.ones((times.size, static.n_dofs))) and not s.any()
