@@ -42,10 +42,18 @@ def _json_dump(path, payload, cfg):
 
 
 def _write_csv(path, cfg, header, rows):
-    """A CSV table under a config-hash line: integers verbatim, other values to 17 digits."""
+    """A CSV table under a config-hash line: integers verbatim, other values to 17 digits.
+
+    rows is an iterable of rows, or a 2-D float array, whose rows are formatted
+    by one "%.17g" template each (the same text as one value at a time).
+    """
     with open(path, "w") as fh:
         fh.write(f"# config_hash={cfg.config_hash} version={__version__}\n")
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+            line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            fh.writelines(line % tuple(row) for row in rows.tolist())
+            return
         for row in rows:
             # seeds reach 2**64, which a float format would round
             fh.write(",".join(str(v) if isinstance(v, (int, np.integer)) else f"{v:.17g}"
@@ -186,8 +194,9 @@ def cmd_verify(cfg, out: Path, args) -> int:
         ctrl_a = ctl.project_admissible(pmap.control(0.2 * np.ones(pmap.dim)), cfg.admissible_spec())
     ctrl_b = ctrl_a.copy()
     ctrl_b.gamma *= cfg.data["verify"]["stability_scale"]
-    tr_a = sim.run_many(seeds_s, ctrl=ctrl_a, u0=u0, store_beta=True)
-    tr_b = sim.run_many(seeds_s, ctrl=ctrl_b, u0=u0, store_beta=True)
+    dw_s = sim.increments(seeds_s)  # the pair's common noise, drawn once
+    tr_a = sim.run_many(seeds_s, ctrl=ctrl_a, u0=u0, store_beta=True, dw=dw_s)
+    tr_b = sim.run_many(seeds_s, ctrl=ctrl_b, u0=u0, store_beta=True, dw=dw_s)
     reps = diag.certify_stability(
         tr_a, ctrl_a, tr_b, ctrl_b, sim.ops, c0, nu, c3=2.0 * noise.lipschitz_k
     )

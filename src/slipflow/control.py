@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,12 +86,28 @@ def exponential_integrability_bound(ctrl: BoundaryControl, c0: float) -> float:
 
 @dataclass
 class CostReport:
+    """The cost of one control under a seed bank.
+
+    `per_path` holds the usable paths' tracking costs.  `ci_half_width`, half
+    the width of the bootstrap interval of their mean (0.0 for one path), is
+    formed when first read: an optimizer reads it only for the iterates it
+    accepts.
+    """
+
     total: float
     tracking: float
     penalty: float
-    ci_half_width: float
     paths_used: int
     blowup_count: int
+    per_path: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def ci_half_width(self) -> float:
+        if self.per_path.size < 2:
+            return 0.0
+        lo, hi = bootstrap_ci(lambda idx: self.per_path[idx].mean(axis=1), self.per_path.size,
+                              np.random.SeedSequence([0xC051, 0]))
+        return 0.5 * (hi - lo)
 
 
 @dataclass(eq=False)
@@ -168,28 +185,27 @@ def penalty_term(ctrl: BoundaryControl, spec: AdmissibleSpec) -> float:
 
 def estimate_cost(ctrl: BoundaryControl, target: Target, sim: Simulator,
                   spec: AdmissibleSpec, seeds, u0: np.ndarray | None = None,
-                  noise_on: bool = True) -> CostReport:
-    """Monte Carlo tracking cost plus exact penalty under the given seed bank."""
+                  noise_on: bool = True, dw: np.ndarray | None = None) -> CostReport:
+    """Monte Carlo tracking cost plus exact penalty under the given seed bank.
+
+    dw, if given, is the bank's (len(seeds), n_steps, m) stack of increments,
+    `sim.increments(seeds)`, which run_many would otherwise draw again on
+    every call; the report is bitwise the same either way.
+    """
     seeds = list(seeds)
     if not seeds:
         raise ControlError("empty seed bank")
-    paths = sim.run_many(seeds, ctrl=ctrl, u0=u0, noise_on=noise_on, target=target)
+    paths = sim.run_many(seeds, ctrl=ctrl, u0=u0, noise_on=noise_on, target=target, dw=dw)
     per_path = 0.5 * np.trapezoid(paths.tracking[paths.usable()], sim.times, axis=-1)
     tracking = float(per_path.mean())
     pen = penalty_term(ctrl, spec)
-    if per_path.size > 1:
-        lo, hi = bootstrap_ci(lambda idx: per_path[idx].mean(axis=1), per_path.size,
-                              np.random.SeedSequence([0xC051, 0]))
-        ci = 0.5 * (hi - lo)
-    else:
-        ci = 0.0
     return CostReport(
         total=tracking + pen,
         tracking=tracking,
         penalty=pen,
-        ci_half_width=ci,
         paths_used=per_path.size,
         blowup_count=len(paths) - per_path.size,
+        per_path=per_path,
     )
 
 
@@ -275,12 +291,14 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
         raise ControlError(f"unknown optimizer method {method!r}")
     seeds = list(seeds)
     theta = np.asarray(theta0, float).copy()
+    # common random numbers: every evaluation runs the same increments
+    dw = sim.increments(seeds) if noise_on else None
 
     def build(th):
         return project_admissible(pmap.control(th), spec)
 
     def cost(ctrl):
-        return estimate_cost(ctrl, target, sim, spec, seeds, u0=u0, noise_on=noise_on)
+        return estimate_cost(ctrl, target, sim, spec, seeds, u0=u0, noise_on=noise_on, dw=dw)
 
     history = OptimizeHistory(method=method, evaluations=0, budget=budget,
                               budget_exhausted=False)

@@ -60,6 +60,8 @@ read, so only that reference builds it from N_PS on.
 from __future__ import annotations
 
 import copy
+import operator
+import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import SimpleNamespace
@@ -714,10 +716,27 @@ def make_initial_coeffs(n: int, kind: str = "zero", seed: int = 0,
     raise DynamicsError(f"unknown initial kind {kind!r}")
 
 
+# One Philox generator per process, re-keyed for every seed.  Philox is
+# counter-based, a stream a pure function of (key, counter), so setting the
+# whole state (the 128-bit key, counter 0, an empty buffer, no spare 32 bits)
+# draws the bits of a fresh Philox(key=seed) without building one; the lock
+# keeps a re-key and its draw together.
+_PHILOX = np.random.Philox(key=0)
+_NORMAL = np.random.Generator(_PHILOX)
+_PHILOX_LOCK = threading.Lock()
+
+
 def wiener_increments(seed: int, n_steps: int, m: int, dt: float) -> np.ndarray:
-    """Counter-based increments, independent across seeds, N(0, dt I_m) rows."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return np.sqrt(dt) * rng.standard_normal((n_steps, m))
+    """Counter-based increments, independent across seeds, N(0, dt I_m) rows:
+    those of Generator(Philox(key=seed)), for a seed >= 0 and < 2**128."""
+    seed = operator.index(seed)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": (0, 0, 0, 0), "key": (seed & 0xFFFFFFFFFFFFFFFF, seed >> 64)},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    with _PHILOX_LOCK:
+        _PHILOX.state = state
+        z = _NORMAL.standard_normal((n_steps, m))
+    return np.sqrt(dt) * z
 
 
 # Paths per block, the unit that fixes a seed's bits.  BLAS rounding may
@@ -966,8 +985,7 @@ class Simulator:
             b0[:k] = beta0
             inc = np.zeros((w_rows, n_steps, m))      # padding rows: no noise
             if noise_on:
-                inc[:k] = dw[cut] if dw is not None else [
-                    wiener_increments(seed, n_steps, m, self.dt) for seed in seeds[cut]]
+                inc[:k] = dw[cut] if dw is not None else self.increments(seeds[cut])
             work = self._work[: 2 * (n_steps + 1) * w_rows * n]
             hist, beta_final, *diagnostics, blow = _em_block(
                 b0, self.ops, self.convection, self.nu, self.dt, gamma, gdot,
@@ -980,6 +998,15 @@ class Simulator:
                 out.beta_series[cut] = hist[:, :k].transpose(1, 0, 2)
             if keep_wiener:
                 out.wiener[cut] = inc[:k]
+        return out
+
+    def increments(self, seeds) -> np.ndarray:
+        """The (len(seeds), n_steps, m) stack of the seeds' Wiener increments,
+        the ones run_many draws; a caller that runs one seed bank many times
+        draws it once and passes it as dw."""
+        out = np.empty((len(seeds), self.n_steps, self.noise.m))
+        for row, seed in zip(out, seeds):
+            row[...] = wiener_increments(seed, self.n_steps, self.noise.m, self.dt)
         return out
 
     def run(self, seed: int = 0, *, ctrl: BoundaryControl, **kw) -> Trajectory:

@@ -54,3 +54,27 @@ def test_workload_oracle_on_pseudospectral_path(tmp_path):
     sim = cfg.simulator(basis, cfg.lifting_cache(basis.grid), cfg.noise())
     assert isinstance(sim.convection, Convection)
     assert workloads.oracle_error(sim, cfg, 1) <= 1e-9
+
+
+def test_optimize_counts_match_history(tmp_path, monkeypatch):
+    # perfbench checks its traced counts against the artifacts: one
+    # estimate_cost call per evaluation in history.json, and run_many seeds
+    # of one bank per evaluation; a change that bypasses either name would
+    # otherwise fail only as the benchmark's outputs_incorrect
+    from slipflow import control
+    from slipflow.cli import main
+    from slipflow.dynamics import Simulator
+
+    costs, seeds = [], []
+    estimate_cost, run_many = control.estimate_cost, Simulator.run_many
+    monkeypatch.setattr(control, "estimate_cost",
+                        lambda *a, **kw: costs.append(1) or estimate_cost(*a, **kw))
+    monkeypatch.setattr(Simulator, "run_many",
+                        lambda self, s, **kw: seeds.append(len(s)) or run_many(self, s, **kw))
+    cfg = workloads.make_config("optimize_crn", 1, tiny=True)
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    assert main(workloads.cli_args("optimize_crn", path, out, 1)) == 0
+    evaluations = json.loads((out / "history.json").read_text())["evaluations"]
+    assert len(costs) == evaluations == cfg["optimize"]["budget"]
+    assert sum(seeds) == evaluations * cfg["optimize"]["paths"]

@@ -6,14 +6,16 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slipflow.cli import main
+from slipflow.cli import _write_csv, main
 from slipflow.config import ConfigError, load_config
+from slipflow.dynamics import Simulator
 
 BASE = {
     "domain": {"modes_x": 3, "nodes_y": 16, "friction_alpha": 0.0, "viscosity": 0.5},
@@ -169,10 +171,21 @@ def test_cmd_simulate_seed_and_paths_flags(tmp_path):
     assert s1["mean_final_u_sq"] != s2["mean_final_u_sq"]
 
 
-def test_cmd_verify_reports(tmp_path):
+def test_cmd_verify_reports(tmp_path, monkeypatch):
+    # the stability pair shares one draw of its seeds' increments, and each
+    # of its two runs is still driven by exactly those seeds' increments
+    shared, run_many = [], Simulator.run_many
+
+    def spy(self, seeds, **kw):
+        if kw.get("dw") is not None:
+            shared.append(np.array_equal(kw["dw"], self.increments(list(seeds))))
+        return run_many(self, seeds, **kw)
+
+    monkeypatch.setattr(Simulator, "run_many", spy)
     p = write_cfg(tmp_path)
     out = tmp_path / "verify"
     assert main(["verify", "--config", str(p), "--out", str(out), "--paths", "12"]) == 0
+    assert shared == [True, True]
     summary = json.loads((out / "verify_summary.json").read_text())
     assert summary["all_finite"]
     assert summary["holder_chain_exact"]
@@ -245,6 +258,20 @@ def test_csv_tables_format(tmp_path):
     assert [int(r.split(",")[0]) for r in summary] == [seed, seed + 1]
     iterates = json.loads((out / "history.json").read_text())["iterates"]
     assert len((out / "history.csv").read_text().splitlines()) == len(iterates) + 2
+
+
+def test_float_table_rows_match_value_formatting(tmp_path):
+    # a float array's rows take one template each; the text is the same as
+    # formatting one value at a time, on signed zeros, subnormals and nonfinite
+    # values too
+    rows = np.array([[np.nan, np.inf, -np.inf, -0.0, 5e-324],
+                     [1.0 / 3.0, 1e300, -2.5e-310, 0.1, 2.0**64]])
+    cfg = SimpleNamespace(config_hash="cafe")
+    _write_csv(tmp_path / "array.csv", cfg, list("abcde"), rows)
+    _write_csv(tmp_path / "lists.csv", cfg, list("abcde"), [list(r) for r in rows])
+    text = (tmp_path / "array.csv").read_bytes()
+    assert text == (tmp_path / "lists.csv").read_bytes()
+    assert text.splitlines()[2] == b"nan,inf,-inf,-0,4.9406564584124654e-324"
 
 
 @pytest.mark.parametrize("command, overrides", [

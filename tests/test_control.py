@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from slipflow import control as ctl_mod
 from slipflow.cli import _json_dump
 from slipflow.control import (
     AdmissibleSpec,
@@ -19,6 +20,7 @@ from slipflow.control import (
     penalty_term,
     project_admissible,
 )
+from slipflow.diagnostics import bootstrap_ci
 from slipflow.dynamics import Simulator, build_noise, make_initial_coeffs
 from slipflow.lifting import BoundaryControl, compatibility_residual
 
@@ -152,6 +154,40 @@ def test_cost_additivity_random(sim_noisy, pmap, aspec, make_control):
     assert rep.paths_used == 6
 
 
+def test_cost_with_bank_increments_is_the_same(sim_noisy, aspec, make_control):
+    # a bank's increments drawn once and passed as dw give the report of
+    # the call that draws them itself, bit for bit
+    ctrl = project_admissible(make_control(2 * np.pi, 2, [0.0, 0.5], 0.2, seed=45), aspec)
+    u0 = make_initial_coeffs(sim_noisy.ops.n, "random", 3, 0.3, 1.0)
+    target = Target.zero(sim_noisy)
+    seeds = [11, 2**64 + 3, 5, 8]
+    drawn = estimate_cost(ctrl, target, sim_noisy, aspec, seeds, u0=u0)
+    given = estimate_cost(ctrl, target, sim_noisy, aspec, seeds, u0=u0,
+                          dw=sim_noisy.increments(seeds))
+    for name in ("total", "tracking", "penalty", "ci_half_width"):
+        assert np.array_equal(getattr(given, name), getattr(drawn, name)), name
+    assert drawn.ci_half_width > 0.0
+
+
+def test_cost_interval_formed_on_first_read(sim_noisy, aspec, zero_ctrl, monkeypatch):
+    # the interval is the eager bootstrap's, bit for bit, and is formed once,
+    # when first read, not by estimate_cost; one usable path has none
+    calls = []
+    monkeypatch.setattr(ctl_mod, "bootstrap_ci", lambda *a: calls.append(1) or bootstrap_ci(*a))
+    u0 = make_initial_coeffs(sim_noisy.ops.n, "random", 3, 0.3, 1.0)
+    rep = estimate_cost(zero_ctrl(sim_noisy), Target.zero(sim_noisy), sim_noisy, aspec,
+                        range(5), u0=u0)
+    assert calls == [] and rep.paths_used == rep.per_path.size == 5
+    lo, hi = bootstrap_ci(lambda idx: rep.per_path[idx].mean(axis=1), 5,
+                          np.random.SeedSequence([0xC051, 0]))
+    half = 0.5 * (hi - lo)
+    assert rep.ci_half_width == half and rep.ci_half_width == half
+    assert calls == [1]
+    one = estimate_cost(zero_ctrl(sim_noisy), Target.zero(sim_noisy), sim_noisy, aspec, [4],
+                        u0=u0)
+    assert one.ci_half_width == 0.0 and calls == [1]
+
+
 def test_cost_empty_seed_bank(sim_det, aspec, zero_ctrl):
     with pytest.raises(ControlError):
         estimate_cost(zero_ctrl(sim_det), Target.zero(sim_det), sim_det, aspec, [])
@@ -234,7 +270,10 @@ def test_optimize_spsa_descends(sim_det, pmap, aspec):
     assert costs[-1] < costs[0]
 
 
-def test_optimize_crn_deterministic(sim_noisy, pmap, aspec):
+def test_optimize_crn_deterministic(sim_noisy, pmap, aspec, monkeypatch):
+    # only the accepted iterates' intervals are formed
+    calls = []
+    monkeypatch.setattr(ctl_mod, "bootstrap_ci", lambda *a: calls.append(1) or bootstrap_ci(*a))
     theta_star = np.array([0.5, 0.6])
     ctrl_star = project_admissible(pmap.control(theta_star), aspec)
     u0 = make_initial_coeffs(sim_noisy.ops.n, "random", 3, 0.3, 1.0)
@@ -247,6 +286,7 @@ def test_optimize_crn_deterministic(sim_noisy, pmap, aspec):
     assert np.array_equal(runs[0][0], runs[1][0])
     assert np.array_equal(runs[0][1], runs[1][1])
     assert (np.diff(runs[0][1]) <= 0).all()
+    assert len(calls) == 2 * len(hist.iterates) < 2 * hist.evaluations
 
 
 def test_optimize_unknown_method(sim_det, pmap, aspec):

@@ -703,6 +703,25 @@ def test_wiener_stack_rows_follow_seeds(sim_small, zero_ctrl):
         sim_small.run_many(range(2), ctrl=ctrl, dw=dw[:3])
     with pytest.raises(DynamicsError, match="stack"):
         sim_small.run(seed=0, ctrl=ctrl, dw=dw[0])
+    assert np.array_equal(sim_small.increments(range(3)), np.stack(
+        [wiener_increments(s, sim_small.n_steps, sim_small.noise.m, sim_small.dt)
+         for s in range(3)]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**64 - 1, 2**64, 2**64 + 5,
+                                  3 * 2**64 + 1, 2**100 + 3])
+def test_rekeyed_draw_is_a_fresh_philox(seed):
+    # the one re-keyed generator draws a fresh Philox(key=seed)'s bits, also
+    # right after another seed's odd-length draw left a half-used Philox
+    # buffer, and after a 32-bit draw left spare bits in the generator
+    dt = 0.01
+    ref = np.sqrt(dt) * np.random.Generator(np.random.Philox(key=seed)).standard_normal((7, 3))
+    assert np.array_equal(wiener_increments(seed, 7, 3, dt), ref)
+    wiener_increments(seed + 1, 5, 1, dt)
+    assert np.array_equal(wiener_increments(seed, 7, 3, dt), ref)
+    dyn._NORMAL.integers(0, 7, dtype=np.uint32)
+    dyn._PHILOX.random_raw()
+    assert np.array_equal(wiener_increments(seed, 7, 3, dt), ref)
 
 
 @pytest.mark.parametrize("path", ["dense", "pseudospectral"])
