@@ -9,10 +9,10 @@ with each profile sampled at the Gauss quadrature nodes together with its
 wall-normal derivative and wall traces.  A set of fields is one ModeField
 whose arrays carry a leading stack axis; the sampler `sample_fields` and
 the pairings `mass_pairing`/`energy_pairing` work on such stacks, and the
-one-field operations (`inner_h`, `inner_v`, `project`, `physical`) are
-their one-row case.  Divergence-free fields are built
-from per-mode streamfunctions (j >= 1) and shear profiles (j = 0), which
-makes the incompressibility constraint exact by construction.
+one-field operations (`inner_h`, `project`) are their one-row case.
+Divergence-free fields are built from per-mode streamfunctions (j >= 1) and
+shear profiles (j = 0), which makes the incompressibility constraint exact
+by construction.
 
 The eigenbasis diagonalizes the strain-plus-friction energy form
 
@@ -44,12 +44,10 @@ __all__ = [
     "mass_pairing",
     "energy_pairing",
     "inner_h",
-    "inner_v",
     "reduced_pencil",
     "max_basis_size",
     "build_eigenbasis",
     "project",
-    "korn_ratio",
     "save_basis",
     "load_basis",
 ]
@@ -227,11 +225,6 @@ class ModeField:
 
     # -- evaluation and residuals -------------------------------------------
 
-    def physical(self):
-        """Sample both components on the (x_nodes, y_nodes) grid."""
-        s = sample_fields(self[None])[0]
-        return s[0], s[1]
-
     def divergence_residual(self) -> float | np.ndarray:
         """Max abs of i*k*v1 + v2' over modes and quadrature nodes; one per field of a stack."""
         k = self.grid.kx[: self.n_modes + 1, None]
@@ -262,11 +255,6 @@ class ModeField:
         out[..., 0] = -two_d12[..., 0] + alpha * self.wall_vals[..., 0, 0]
         out[..., 1] = -two_d12[..., 1] - alpha * self.wall_vals[..., 0, 1]
         return out
-
-    def mean_value(self) -> np.ndarray:
-        """Integral of the field over the channel (only the j = 0 row contributes)."""
-        g = self.grid
-        return g.spec.length_x * np.real(self.vals[0] @ g.w_y)
 
 
 def _mode_weights(n_modes: int) -> np.ndarray:
@@ -339,11 +327,6 @@ def inner_h(u: ModeField, v: ModeField) -> float:
     return float(mass_pairing(u[None], v[None])[0, 0])
 
 
-def inner_v(u: ModeField, v: ModeField) -> float:
-    """Strain-plus-friction energy inner product 2(Du, Dv) + alpha int_Gamma u.v."""
-    return float(energy_pairing(u[None], v[None])[0, 0])
-
-
 def grad_sq(u: ModeField) -> float:
     """Squared L2 norm of the full velocity gradient."""
     g = u.grid
@@ -359,38 +342,8 @@ def grad_sq(u: ModeField) -> float:
     return float(g.spec.length_x * (_mode_weights(nj - 1) @ s))
 
 
-def norm_v(u: ModeField) -> float:
-    return float(np.sqrt(max(inner_v(u, u), 0.0)))
-
-
 def norm_h1(u: ModeField) -> float:
     return float(np.sqrt(max(inner_h(u, u) + grad_sq(u), 0.0)))
-
-
-def korn_ratio(v: ModeField) -> float:
-    """Ratio of the H1 norm to the energy norm; finite on the discrete space."""
-    nv = norm_v(v)
-    if nv == 0.0:
-        raise BasisError("korn_ratio undefined for the zero field")
-    return norm_h1(v) / nv
-
-
-def lq_norm(u: ModeField, q: float) -> float:
-    """Lq(domain) norm of |v| evaluated on the quadrature grid."""
-    g = u.grid
-    u1, u2 = u.physical()
-    mag = (u1 * u1 + u2 * u2) ** (q / 2.0)
-    return float((g.w_x * mag.sum(axis=0) @ g.w_y) ** (1.0 / q))
-
-
-def wall_lq_norm(u: ModeField, q: float) -> float:
-    """Lq(boundary) norm of |v| from the wall trace coefficients."""
-    g = u.grid
-    total = 0.0
-    for w in (0, 1):
-        t1, t2 = (g.trace_values(u.wall_vals[:, c, w]) for c in (0, 1))
-        total += g.w_x * (np.hypot(t1, t2) ** q).sum()
-    return float(total ** (1.0 / q))
 
 
 # -- eigenbasis -------------------------------------------------------------

@@ -252,7 +252,6 @@ def cmd_optimize(cfg, out: Path, args) -> int:
         sim,
         seeds,
         budget=opt["budget"],
-        method=opt["method"],
         u0=u0,
         noise_on=opt["noise_on"],
         step0=opt["step0"],

@@ -201,6 +201,8 @@ class RunConfig:
             raise ConfigError("verify.stability_scale must be finite")
         if d["simulate"]["save_paths"] < 0:
             raise ConfigError("simulate.save_paths must be >= 0")
+        if d["optimize"]["method"] != "compass":  # its one value, kept so config hashes stay
+            raise ConfigError("optimize.method must be 'compass'")
 
     # -- builders ----------------------------------------------------------
 

@@ -10,11 +10,11 @@ deterministic coefficients.
 The cost is the Monte Carlo tracking error of y = u + lift against a target
 field plus a deterministic wall penalty on (a, b).  Common random numbers
 (a frozen seed bank) make the cost a deterministic function of the control,
-so the optimizer's accepted iterates are exactly nonincreasing.  Two
-derivative-free methods are provided: a compass (coordinate pattern) search
-and simultaneous-perturbation descent, both projected onto the admissible
-set at every candidate.  A target and a cost take a `BoundaryControl`: the
-uncontrolled flow is the zero control, whose wall penalty is 0.
+so the optimizer's accepted iterates are exactly nonincreasing.  The
+optimizer is a derivative-free compass (coordinate pattern) search,
+projected onto the admissible set at every candidate.  A target and a cost
+take a `BoundaryControl`: the uncontrolled flow is the zero control, whose
+wall penalty is 0.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -137,16 +138,6 @@ class Target:
                 gamma_series=data["gamma_series"],
                 meta=json.loads(str(data["meta"])),
             )
-
-    @classmethod
-    def zero(cls, sim: Simulator) -> "Target":
-        n_l = sim.n_steps + 1
-        return cls(
-            times=sim.times.copy(),
-            beta_series=np.zeros((n_l, sim.ops.n)),
-            gamma_series=np.zeros((n_l, sim.ops.n_ctrl)),
-            meta={"kind": "zero"},
-        )
 
 
 def make_target(ctrl_star: BoundaryControl, sim: Simulator,
@@ -277,18 +268,17 @@ class OptimizeHistory:
 
 
 def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
-             sim: Simulator, seeds, budget: int, method: str = "compass",
-             u0: np.ndarray | None = None, noise_on: bool = True,
-             step0: float = 0.25, step_min: float = 1e-4, c0: float = 1.0) -> tuple:
-    """Projected derivative-free descent with a frozen seed bank.
+             sim: Simulator, seeds, budget: int, u0: np.ndarray | None = None,
+             noise_on: bool = True, step0: float = 0.25, step_min: float = 1e-4,
+             c0: float = 1.0) -> tuple:
+    """Projected compass search with a frozen seed bank.
 
-    `budget` counts cost evaluations.  A candidate replaces the incumbent
-    only when its cost is strictly lower, so the accepted-iterate cost
-    sequence is nonincreasing by construction; on ties the incumbent stays.
-    Returns (best control, history).
+    Each poll tries +-step along every coordinate in turn and takes the first
+    candidate whose cost is strictly lower; a poll without one halves the
+    step.  So the accepted-iterate cost sequence is nonincreasing by
+    construction, and on ties the incumbent stays.  `budget` counts cost
+    evaluations.  Returns (best control, history).
     """
-    if method not in ("compass", "spsa"):
-        raise ControlError(f"unknown optimizer method {method!r}")
     seeds = list(seeds)
     theta = np.asarray(theta0, float).copy()
     # common random numbers: every evaluation runs the same increments
@@ -300,7 +290,7 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
     def cost(ctrl):
         return estimate_cost(ctrl, target, sim, spec, seeds, u0=u0, noise_on=noise_on, dw=dw)
 
-    history = OptimizeHistory(method=method, evaluations=0, budget=budget,
+    history = OptimizeHistory(method="compass", evaluations=0, budget=budget,
                               budget_exhausted=False)
     ctrl_inc = build(theta)
     theta = pmap.read(ctrl_inc)  # projection may rescale the parameters
@@ -311,53 +301,22 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
     history.evaluations = 1
     history.record(theta, rep_inc, ctrl_inc, c0)
 
-    dim = pmap.dim
     step = step0
-    rng = np.random.default_rng(np.random.SeedSequence([0x5B5A, len(seeds), dim]))
-    k_spsa = 0
-
     while history.evaluations < budget and step > step_min:
-        improved = False
-        if method == "compass":
-            for d in range(dim):
-                for sgn in (+1.0, -1.0):
-                    if history.evaluations >= budget:
-                        break
-                    cand_theta = theta.copy()
-                    cand_theta[d] += sgn * step
-                    cand = build(cand_theta)
-                    rep = cost(cand)
-                    history.evaluations += 1
-                    if rep.total < rep_inc.total:
-                        theta = pmap.read(cand)
-                        ctrl_inc, rep_inc = cand, rep
-                        history.record(theta, rep_inc, cand, c0)
-                        improved = True
-                        break
-                if improved:
-                    break
-            if not improved:
-                step *= 0.5
-        else:  # spsa
-            k_spsa += 1
-            ck = step / k_spsa**0.101
-            ak = step / k_spsa**0.602
-            delta = rng.integers(0, 2, size=dim) * 2.0 - 1.0
-            if history.evaluations + 3 > budget:
-                history.budget_exhausted = True
+        for d, sgn in product(range(pmap.dim), (1.0, -1.0)):
+            if history.evaluations >= budget:
                 break
-            rp = cost(build(theta + ck * delta))
-            rm = cost(build(theta - ck * delta))
-            history.evaluations += 2
-            grad = (rp.total - rm.total) / (2.0 * ck) * (1.0 / delta)
-            cand = build(theta - ak * grad)
+            cand_theta = theta.copy()
+            cand_theta[d] += sgn * step
+            cand = build(cand_theta)
             rep = cost(cand)
             history.evaluations += 1
             if rep.total < rep_inc.total:
                 theta = pmap.read(cand)
                 ctrl_inc, rep_inc = cand, rep
                 history.record(theta, rep_inc, cand, c0)
-            else:
-                step *= 0.7
+                break
+        else:
+            step *= 0.5
     history.budget_exhausted = history.evaluations >= budget
     return ctrl_inc, history

@@ -84,7 +84,6 @@ __all__ = [
     "Convection",
     "DenseConvection",
     "assemble_operators",
-    "nonlinear_term",
     "drift",
     "step_em",
     "Simulator",
@@ -128,12 +127,6 @@ class NoiseModel:
     def lipschitz_k(self) -> float:
         """Exact squared-increment constant: |G(v)-G(z)|_F^2 = K |v-z|^2."""
         return float(np.sum(self.mult_gain**2))
-
-    @property
-    def growth_k(self) -> float:
-        """Linear-growth constant for the summed channel norms."""
-        g_sum = float(np.linalg.norm(self.additive, axis=0).sum())
-        return max(g_sum, float(self.mult_gain.sum()))
 
     def matrix(self, beta: np.ndarray) -> np.ndarray:
         """Diffusion matrix: column k holds the coefficients of g_k + rho_k u."""
@@ -374,15 +367,6 @@ class Convection:
         z, width = self.rows(beta, gamma), STACK * BLOCK
         out = np.concatenate([self(z[s : s + width]) for s in range(0, len(z), width)])
         return out.reshape(np.shape(beta))
-
-
-def nonlinear_term(y: ModeField, basis: Basis) -> np.ndarray:
-    """Coefficients ((y . grad) y, e_i): the one-field case of `Convection`.
-
-    Exact for divergence-free fields within the resolved band; the physical
-    grid is wide enough that the quadratic product cannot alias back onto it.
-    """
-    return Convection(basis, y[None]).stacked(np.zeros(basis.size), np.ones(1))
 
 
 def _probe_skew(conv: Convection):

@@ -15,20 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BOTTOM",
-    "TOP",
-    "WALLS",
     "GeometryError",
     "DomainSpec",
     "Grid",
     "build_grid",
-    "integrate_domain",
-    "integrate_boundary",
 ]
-
-BOTTOM = "bottom"
-TOP = "top"
-WALLS = (BOTTOM, TOP)
 
 MIN_NODES_Y = 8
 MIN_MODES_X = 1
@@ -155,25 +146,6 @@ class Grid:
         """(n_x, n_q) tensor-product weights; sums to the channel area L_x * 1."""
         return np.full((self.n_x, 1), self.w_x) * self.w_y[None, :]
 
-    def trace_values(self, coeffs) -> np.ndarray:
-        """Samples at the x nodes of the real wall trace c_0 + 2 Re sum_j c_j exp(i k_j x)."""
-        coeffs = np.asarray(coeffs)
-        phases = np.exp(1j * np.outer(self.kx[1 : coeffs.size], self.x_nodes))
-        return coeffs[0].real + 2.0 * (coeffs[1:, None] * phases).real.sum(axis=0)
-
-    def outward_normal(self, wall: str) -> np.ndarray:
-        if wall == BOTTOM:
-            return np.array([0.0, -1.0])
-        if wall == TOP:
-            return np.array([0.0, 1.0])
-        raise GeometryError(f"unknown wall {wall!r}")
-
-    def tangent(self, wall: str) -> np.ndarray:
-        # Rotate the outward normal by +pi/2 so (n, tau) keeps the standard
-        # orientation of the plane on both walls.
-        n = self.outward_normal(wall)
-        return np.array([-n[1], n[0]])
-
 
 def build_grid(spec: DomainSpec) -> Grid:
     """Construct the collocation/quadrature grid for a domain specification."""
@@ -206,31 +178,3 @@ def build_grid(spec: DomainSpec) -> Grid:
         kx=kx,
     )
 
-
-def integrate_domain(samples: np.ndarray, grid: Grid) -> float:
-    """Integrate a scalar field sampled at (x_nodes, y_nodes) over the channel."""
-    samples = np.asarray(samples)
-    if samples.shape != (grid.n_x, grid.n_q):
-        raise GeometryError(
-            f"expected samples of shape {(grid.n_x, grid.n_q)}, got {samples.shape}"
-        )
-    return float(grid.w_x * samples.sum(axis=0) @ grid.w_y)
-
-
-def integrate_boundary(traces: dict, grid: Grid) -> float:
-    """Integrate wall traces over the boundary (sum of the two wall line integrals).
-
-    `traces` maps wall name to samples at the x nodes of that wall.
-    """
-    missing = [w for w in WALLS if w not in traces]
-    if missing:
-        raise GeometryError(f"missing traces for walls: {missing}")
-    total = 0.0
-    for wall in WALLS:
-        t = np.asarray(traces[wall])
-        if t.shape != (grid.n_x,):
-            raise GeometryError(
-                f"expected {grid.n_x} samples on wall {wall!r}, got shape {t.shape}"
-            )
-        total += grid.w_x * t.sum()
-    return float(total)

@@ -54,7 +54,6 @@ __all__ = [
     "LiftingCache",
     "LiftedField",
     "lift",
-    "trace_norm",
     "trace_norm_series",
     "wall_norm_sq",
 ]
@@ -258,11 +257,6 @@ def wall_norm_sq(tables: np.ndarray, order: float, length_x: float) -> np.ndarra
     sq = (np.abs(tables) ** 2).sum(axis=-2)
     # vecdot sums each row as a 1-D dot does, so a stack and its rows agree bitwise
     return length_x * (mult[0] * sq[..., 0] + 2.0 * np.vecdot(sq[..., 1:], mult[1:]))
-
-
-def trace_norm(ctrl: BoundaryControl, t: float) -> float:
-    """Mixed fractional wall norm of (a, b) at time t (multiplier surrogate)."""
-    return float(trace_norm_series(ctrl, [t])[0])
 
 
 def trace_norm_series(ctrl: BoundaryControl, times) -> np.ndarray:

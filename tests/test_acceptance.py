@@ -12,7 +12,7 @@ import pytest
 from slipflow import basis as bs
 from slipflow import control as ctl
 from slipflow import diagnostics as dg
-from slipflow.basis import build_eigenbasis, inner_h, inner_v, truncate_basis
+from slipflow.basis import build_eigenbasis, energy_pairing, inner_h, truncate_basis
 from slipflow.cli import main as cli_main
 from slipflow.dynamics import (
     NoiseModel,
@@ -70,7 +70,7 @@ def test_criterion_01_eigenbasis_certification():
         v = basis.field(rng.standard_normal(32))
         v = v * (1.0 / np.sqrt(inner_h(v, v)))
         for i in range(32):
-            r = abs(inner_v(v, basis.fields[i])
+            r = abs(energy_pairing(v[None], basis.fields[i][None])[0, 0]
                     - basis.eigenvalues[i] * inner_h(v, basis.fields[i]))
             worst_resid = max(worst_resid, r / basis.eigenvalues[i])
 

@@ -136,17 +136,17 @@ def test_cost_self_target(sim_det, pmap, aspec):
     assert rep.total >= 0.0
 
 
-def test_cost_zero_everything(sim_det, pmap, aspec):
-    target = Target.zero(sim_det)
+def test_cost_zero_everything(sim_det, pmap, aspec, zero_ctrl):
+    target = make_target(zero_ctrl(sim_det), sim_det)
     rep = estimate_cost(pmap.control(np.zeros(pmap.dim)), target, sim_det, aspec, [0],
                         u0=None, noise_on=False)
     assert rep.total == 0.0 and rep.penalty == 0.0
 
 
-def test_cost_additivity_random(sim_noisy, pmap, aspec, make_control):
+def test_cost_additivity_random(sim_noisy, pmap, aspec, make_control, zero_ctrl):
     ctrl = project_admissible(make_control(2 * np.pi, 2, [0.0, 0.5], 0.2, seed=44), aspec)
     u0 = make_initial_coeffs(sim_noisy.ops.n, "random", 3, 0.3, 1.0)
-    target = Target.zero(sim_noisy)
+    target = make_target(zero_ctrl(sim_noisy), sim_noisy)
     rep = estimate_cost(ctrl, target, sim_noisy, aspec, range(6), u0=u0)
     assert rep.total == rep.tracking + rep.penalty
     assert rep.total >= 0.0
@@ -154,12 +154,12 @@ def test_cost_additivity_random(sim_noisy, pmap, aspec, make_control):
     assert rep.paths_used == 6
 
 
-def test_cost_with_bank_increments_is_the_same(sim_noisy, aspec, make_control):
+def test_cost_with_bank_increments_is_the_same(sim_noisy, aspec, make_control, zero_ctrl):
     # a bank's increments drawn once and passed as dw give the report of
     # the call that draws them itself, bit for bit
     ctrl = project_admissible(make_control(2 * np.pi, 2, [0.0, 0.5], 0.2, seed=45), aspec)
     u0 = make_initial_coeffs(sim_noisy.ops.n, "random", 3, 0.3, 1.0)
-    target = Target.zero(sim_noisy)
+    target = make_target(zero_ctrl(sim_noisy), sim_noisy)
     seeds = [11, 2**64 + 3, 5, 8]
     drawn = estimate_cost(ctrl, target, sim_noisy, aspec, seeds, u0=u0)
     given = estimate_cost(ctrl, target, sim_noisy, aspec, seeds, u0=u0,
@@ -175,22 +175,23 @@ def test_cost_interval_formed_on_first_read(sim_noisy, aspec, zero_ctrl, monkeyp
     calls = []
     monkeypatch.setattr(ctl_mod, "bootstrap_ci", lambda *a: calls.append(1) or bootstrap_ci(*a))
     u0 = make_initial_coeffs(sim_noisy.ops.n, "random", 3, 0.3, 1.0)
-    rep = estimate_cost(zero_ctrl(sim_noisy), Target.zero(sim_noisy), sim_noisy, aspec,
-                        range(5), u0=u0)
+    zero = zero_ctrl(sim_noisy)
+    target = make_target(zero, sim_noisy)
+    rep = estimate_cost(zero, target, sim_noisy, aspec, range(5), u0=u0)
     assert calls == [] and rep.paths_used == rep.per_path.size == 5
     lo, hi = bootstrap_ci(lambda idx: rep.per_path[idx].mean(axis=1), 5,
                           np.random.SeedSequence([0xC051, 0]))
     half = 0.5 * (hi - lo)
     assert rep.ci_half_width == half and rep.ci_half_width == half
     assert calls == [1]
-    one = estimate_cost(zero_ctrl(sim_noisy), Target.zero(sim_noisy), sim_noisy, aspec, [4],
-                        u0=u0)
+    one = estimate_cost(zero, target, sim_noisy, aspec, [4], u0=u0)
     assert one.ci_half_width == 0.0 and calls == [1]
 
 
 def test_cost_empty_seed_bank(sim_det, aspec, zero_ctrl):
     with pytest.raises(ControlError):
-        estimate_cost(zero_ctrl(sim_det), Target.zero(sim_det), sim_det, aspec, [])
+        estimate_cost(zero_ctrl(sim_det), make_target(zero_ctrl(sim_det), sim_det), sim_det,
+                      aspec, [])
 
 
 # -- target ----------------------------------------------------------------------
@@ -219,8 +220,8 @@ def test_target_roundtrip_bitwise(tmp_path, sim_det, pmap, aspec):
 # -- optimizer -------------------------------------------------------------------
 
 
-def test_optimize_zero_budget(sim_det, pmap, aspec):
-    target = Target.zero(sim_det)
+def test_optimize_zero_budget(sim_det, pmap, aspec, zero_ctrl):
+    target = make_target(zero_ctrl(sim_det), sim_det)
     best, hist = optimize(np.zeros(2), pmap, aspec, target, sim_det, [0], budget=0)
     assert np.abs(best.gamma).max() == 0.0
     assert hist.evaluations == 0
@@ -258,18 +259,6 @@ def test_optimize_recovery_quick(sim_det, pmap, aspec):
         assert np.isfinite(it["exp_integrability"])
 
 
-def test_optimize_spsa_descends(sim_det, pmap, aspec):
-    theta_star = np.array([0.5, 0.6])
-    ctrl_star = project_admissible(pmap.control(theta_star), aspec)
-    u0 = make_initial_coeffs(sim_det.ops.n, "random", 3, 0.3, 1.0)
-    target = make_target(ctrl_star, sim_det, u0=u0)
-    best, hist = optimize(np.zeros(2), pmap, aspec, target, sim_det, [0], budget=120,
-                          method="spsa", u0=u0, noise_on=False, step0=0.3)
-    costs = hist.costs
-    assert (np.diff(costs) <= 0).all()
-    assert costs[-1] < costs[0]
-
-
 def test_optimize_crn_deterministic(sim_noisy, pmap, aspec, monkeypatch):
     # only the accepted iterates' intervals are formed
     calls = []
@@ -287,12 +276,6 @@ def test_optimize_crn_deterministic(sim_noisy, pmap, aspec, monkeypatch):
     assert np.array_equal(runs[0][1], runs[1][1])
     assert (np.diff(runs[0][1]) <= 0).all()
     assert len(calls) == 2 * len(hist.iterates) < 2 * hist.evaluations
-
-
-def test_optimize_unknown_method(sim_det, pmap, aspec):
-    with pytest.raises(ControlError):
-        optimize(np.zeros(2), pmap, aspec, Target.zero(sim_det), sim_det, [0],
-                 budget=5, method="genetic")
 
 
 def test_history_serialization(tmp_path, sim_det, pmap, aspec):

@@ -30,7 +30,7 @@ from slipflow.dynamics import (
     drift,
     make_initial_coeffs,
 )
-from slipflow.lifting import BoundaryControl, trace_norm, trace_norm_series
+from slipflow.lifting import BoundaryControl, trace_norm_series
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ def test_weight_bounds_and_monotonicity(sim_mod, make_control):
 def test_weight_static_control_closed_form(sim_mod):
     ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 0.5], 4.0)
     ctrl.gamma[:, ctrl.dof_index("b", "top", 1, "re")] = 0.2
-    rho = trace_norm(ctrl, 0.0)
+    rho = trace_norm_series(ctrl, [0.0])[0]
     w = energy_weight(ctrl, 1.5, sim_mod.times)
     t_end = sim_mod.times[-1]
     expected = np.exp(-1.5 * t_end * (1.0 + rho**2))
@@ -399,13 +399,12 @@ def test_damping_load_identity(sim_mod, mc_bundle):
     # second part by the divergence-free wall identity and compare routes
     lift_field = sim_mod.cache.field(g)
     # ((u.grad) lift, u) by direct quadrature: project conv of (u, lift)
-    u1, u2 = u.physical()
+    u1, u2 = sample_fields(u[None])[0, :2]
     g1x, g1y, g2x, g2y = sample_fields(lift_field[None])[0, 2:]
     w1 = u1 * g1x + u2 * g1y
     w2 = u1 * g2x + u2 * g2y
     w2d = sim_mod.grid.quad_weights_domain
-    e1, e2 = u.physical()
-    u_grad_lift_u = float(np.sum(w1 * e1 * w2d) + np.sum(w2 * e2 * w2d))
+    u_grad_lift_u = float(np.sum(w1 * u1 * w2d) + np.sum(w2 * u2 * w2d))
     lift_grad_u_u = mixed_total - u_grad_lift_u
     assert abs(lift_grad_u_u - 0.5 * wall) < 1e-9 * max(1.0, abs(wall))
 

@@ -13,7 +13,7 @@ from oracles import (
 
 from slipflow import basis as bs
 from slipflow import dynamics as dyn
-from slipflow.basis import inner_h, inner_v, truncate_basis
+from slipflow.basis import energy_pairing, inner_h, sample_fields, truncate_basis
 from slipflow.dynamics import (
     BLOCK,
     N_PS,
@@ -36,7 +36,6 @@ from slipflow.dynamics import (
     build_noise,
     drift,
     make_initial_coeffs,
-    nonlinear_term,
     step_em,
     wiener_increments,
 )
@@ -79,7 +78,8 @@ def test_noise_lipschitz_and_growth(basis_small):
         d = noise.matrix(b1) - noise.matrix(b2)
         lhs = np.sum(d * d)
         assert lhs <= k_lip * np.sum((b1 - b2) ** 2) * (1 + 1e-12)
-    k_gr = noise.growth_k
+    # linear-growth constant of the summed channel norms
+    k_gr = max(np.linalg.norm(noise.additive, axis=0).sum(), noise.mult_gain.sum())
     for _ in range(100):
         b = 3.0 * rng.standard_normal(n)
         g = noise.matrix(b)
@@ -98,13 +98,15 @@ def test_noise_validation():
 
 
 def test_nonlinear_zero(basis_small, grid_small):
-    out = nonlinear_term(bs.ModeField.zeros(grid_small), basis_small)
+    # ((y . grad) y, e_i) of one field y is Convection's one-field case
+    conv = Convection(basis_small, bs.ModeField.zeros(grid_small)[None])
+    out = conv.stacked(np.zeros(basis_small.size), np.ones(1))
     assert np.abs(out).max() == 0.0
 
 
 def test_nonlinear_pure_shear_vanishes(basis_small, grid_small):
     v = bs.ModeField.from_shear_profile(grid_small, np.cos(np.pi * grid_small.y_cgl))
-    out = nonlinear_term(v, basis_small)
+    out = Convection(basis_small, v[None]).stacked(np.zeros(basis_small.size), np.ones(1))
     assert np.abs(out).max() < 1e-12
 
 
@@ -113,14 +115,14 @@ def test_nonlinear_skew_symmetry(basis_small):
     for _ in range(10):
         beta = rng.standard_normal(basis_small.size)
         v = basis_small.field(beta)
-        val = beta @ nonlinear_term(v, basis_small)
-        assert abs(val) <= 1e-8 * max(1.0, inner_v(v, v))
+        val = beta @ Convection(basis_small, v[None]).stacked(np.zeros(len(beta)), np.ones(1))
+        assert abs(val) <= 1e-8 * max(1.0, energy_pairing(v[None], v[None])[0, 0])
 
 
 def test_nonlinear_band_guard(basis_small, grid_small):
     f = bs.ModeField.zeros(grid_small, n_modes=grid_small.spec.modes_x + 3)
     with pytest.raises(DynamicsError):
-        nonlinear_term(f, basis_small)
+        Convection(basis_small, f[None])
 
 
 def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, make_control):
@@ -131,7 +133,7 @@ def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, ma
     beta = rng.standard_normal(n)
     gam = ctrl.gamma[0]
     y = basis_small.field(beta) + cache_small.field(gam)
-    direct = nonlinear_term(y, basis_small)
+    direct = Convection(basis_small, y[None]).stacked(np.zeros(n), np.ones(1))
     tensor = (
         dense.conv_bb.reshape(n, -1) @ np.outer(beta, beta).ravel()
         + (dense.conv_bc @ gam) @ beta
@@ -246,7 +248,7 @@ def test_mass_pairings_against_quadrature(sim_small, basis_small, cache_small, g
     w2d = grid_small.quad_weights_domain
 
     def quadrature(us, vs):
-        su, sv = [f.physical() for f in us], [f.physical() for f in vs]
+        su, sv = sample_fields(us), sample_fields(vs)
         return np.array([[np.sum((a[0] * b[0] + a[1] * b[1]) * w2d) for b in sv] for a in su])
 
     lift_h = quadrature(basis_small.fields, cache_small.fields)
@@ -284,7 +286,8 @@ def test_drift_control_terms_against_quadrature(sim_small, basis_small, cache_sm
     table = ctrl.coeffs(gam)
     x = grid_small.x_nodes
     oracle = np.empty(basis_small.size)
-    conv = nonlinear_term(lifted, basis_small)
+    conv = Convection(basis_small, lifted[None]).stacked(np.zeros(basis_small.size),
+                                                         np.ones(1))
     for i, e in enumerate(basis_small.fields):
         wall = 0.0
         for w, btab in ((0, table[2]), (1, table[3])):
@@ -297,7 +300,7 @@ def test_drift_control_terms_against_quadrature(sim_small, basis_small, cache_sm
                 tc * np.exp(1j * grid_small.kx[ji] * x)
             ).real
             wall += grid_small.w_x * float(bvals @ tvals)
-        oracle[i] = nu * wall - nu * inner_v(lifted, e) - conv[i]
+        oracle[i] = nu * wall - nu * energy_pairing(lifted[None], e[None])[0, 0] - conv[i]
     assert np.abs(f - oracle).max() < 1e-8
 
 
@@ -885,8 +888,9 @@ def test_weak_form_residual_of_trajectory(basis_small, cache_small, grid_small,
                     tc * np.exp(1j * grid_small.kx[ji] * x)
                 ).real
                 wall += grid_small.w_x * float(bvals @ tvals)
-            conv = nonlinear_term(y, basis_small)[i]
-            acc += sim.dt * (-nu * inner_v(y, e) + nu * wall - conv)
+            conv = Convection(basis_small, y[None]).stacked(np.zeros(basis_small.size),
+                                                            np.ones(1))[i]
+            acc += sim.dt * (-nu * energy_pairing(y[None], e[None])[0, 0] + nu * wall - conv)
             gk = noise.additive[i] + noise.mult_gain * tr.beta_series[ell][i]
             acc += float(gk @ tr.wiener[ell])
         y_end = basis_small.field(tr.beta_series[-1]) + cache_small.field(gam[-1])

@@ -3,16 +3,12 @@ import pytest
 
 from oracles import loop_diff_matrix, loop_interp_matrix
 from slipflow.geometry import (
-    BOTTOM,
-    TOP,
     DomainSpec,
     GeometryError,
     _cheb_bary_weights,
     cheb_lobatto_nodes,
     diff_matrix,
     gauss_legendre_01,
-    integrate_boundary,
-    integrate_domain,
     interp_matrix,
 )
 
@@ -32,26 +28,28 @@ def test_domain_area(grid_small):
 
 
 def test_boundary_measure(grid_small):
+    # the two walls' line integrals of 1
     ones = np.ones(grid_small.n_x)
-    total = integrate_boundary({BOTTOM: ones, TOP: ones}, grid_small)
+    total = grid_small.w_x * ones.sum() + grid_small.w_x * ones.sum()
     assert abs(total - 2 * grid_small.spec.length_x) < 1e-12
 
 
 def test_integrate_closed_form(grid_small):
     # int_0^{2pi} sin^2 x dx * int_0^1 y dy = pi / 2
     x, y = np.meshgrid(grid_small.x_nodes, grid_small.y_nodes, indexing="ij")
-    val = integrate_domain(np.sin(x) ** 2 * y, grid_small)
+    val = grid_small.w_x * (np.sin(x) ** 2 * y).sum(axis=0) @ grid_small.w_y
     assert abs(val - np.pi / 2) < 1e-12
 
 
 def test_integrate_zero_mean_mode(grid_small):
     x, _ = np.meshgrid(grid_small.x_nodes, grid_small.y_nodes, indexing="ij")
-    val = integrate_domain(np.cos(2 * np.pi * x / grid_small.spec.length_x), grid_small)
+    f = np.cos(2 * np.pi * x / grid_small.spec.length_x)
+    val = grid_small.w_x * f.sum(axis=0) @ grid_small.w_y
     assert abs(val) < 1e-12
 
 
 def test_integrate_constant(grid_small):
-    val = integrate_domain(np.ones((grid_small.n_x, grid_small.n_q)), grid_small)
+    val = grid_small.w_x * np.ones((grid_small.n_x, grid_small.n_q)).sum(axis=0) @ grid_small.w_y
     assert abs(val - grid_small.spec.length_x) < 1e-12
 
 
@@ -63,39 +61,17 @@ def test_quadrature_exact_on_resolved_band(grid_small):
     g = np.cos(2 * np.pi * 2 * x / lx) * (1 - y)
     # int cos^2 = lx/2; int y^2 (1 - y) dy = 1/3 - 1/4 = 1/12
     exact = lx / 2 * (1.0 / 12.0)
-    assert abs(integrate_domain(f * g, grid_small) - exact) < 1e-10 * abs(exact)
+    val = grid_small.w_x * (f * g).sum(axis=0) @ grid_small.w_y
+    assert abs(val - exact) < 1e-10 * abs(exact)
 
 
 def test_boundary_cancellation_and_zero_mean(grid_small):
-    c = 0.7 * np.ones(grid_small.n_x)
-    assert abs(integrate_boundary({BOTTOM: c, TOP: -c}, grid_small)) < 1e-12
+    # line integrals over the bottom and top walls, summed
+    w_x, c = grid_small.w_x, 0.7 * np.ones(grid_small.n_x)
+    assert abs(w_x * c.sum() + w_x * (-c).sum()) < 1e-12
     wave = np.cos(2 * np.pi * grid_small.x_nodes / grid_small.spec.length_x)
     zero = np.zeros(grid_small.n_x)
-    assert abs(integrate_boundary({BOTTOM: wave, TOP: zero}, grid_small)) < 1e-12
-
-
-def test_wall_frames(grid_small):
-    for wall in (BOTTOM, TOP):
-        n = grid_small.outward_normal(wall)
-        t = grid_small.tangent(wall)
-        assert abs(n @ t) == 0.0
-        assert abs(n @ n - 1.0) == 0.0
-        assert abs(t @ t - 1.0) == 0.0
-        # standard orientation: det [n tau] = +1
-        assert abs(n[0] * t[1] - n[1] * t[0] - 1.0) == 0.0
-    assert np.array_equal(grid_small.outward_normal(BOTTOM), [0.0, -1.0])
-    assert np.array_equal(grid_small.outward_normal(TOP), [0.0, 1.0])
-
-
-def test_dimension_mismatch_errors(grid_small):
-    with pytest.raises(GeometryError):
-        integrate_domain(np.ones((3, 3)), grid_small)
-    with pytest.raises(GeometryError):
-        integrate_boundary({BOTTOM: np.ones(grid_small.n_x)}, grid_small)
-    with pytest.raises(GeometryError):
-        integrate_boundary(
-            {BOTTOM: np.ones(2), TOP: np.ones(grid_small.n_x)}, grid_small
-        )
+    assert abs(w_x * wave.sum() + w_x * zero.sum()) < 1e-12
 
 
 def test_grid_weights_positive(grid_small):

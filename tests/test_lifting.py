@@ -15,7 +15,6 @@ from slipflow.lifting import (
     lift,
     project_compatible,
     solve_harmonic,
-    trace_norm,
     trace_norm_series,
 )
 
@@ -340,7 +339,7 @@ def test_lift_bound_ratio(cache_small, make_control):
 
 def test_trace_norm_zero():
     ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 1.0], 4.0)
-    assert trace_norm(ctrl, 0.5) == 0.0
+    assert trace_norm_series(ctrl, [0.5])[0] == 0.0
 
 
 def test_trace_norm_homogeneous(make_control):
@@ -348,9 +347,8 @@ def test_trace_norm_homogeneous(make_control):
     doubled = ctrl.copy()
     doubled.gamma *= 2.0
     for t in (0.0, 0.4, 1.0):
-        assert abs(trace_norm(doubled, t) - 2.0 * trace_norm(ctrl, t)) < 1e-12 * max(
-            1.0, trace_norm(ctrl, t)
-        )
+        one, two = trace_norm_series(ctrl, [t])[0], trace_norm_series(doubled, [t])[0]
+        assert abs(two - 2.0 * one) < 1e-12 * max(1.0, one)
 
 
 def test_trace_norm_single_mode_formula():
@@ -360,7 +358,7 @@ def test_trace_norm_single_mode_formula():
     ctrl.gamma[0, ctrl.dof_index("a", "bottom", 1, "re")] = 0.5  # a = cos(x)
     k = 2 * np.pi / lx
     expected = (1 + k * k) ** ((1 - 1 / p) / 2.0) * np.sqrt(lx / 2.0)
-    assert abs(trace_norm(ctrl, 0.0) - expected) < 1e-12
+    assert abs(trace_norm_series(ctrl, [0.0])[0] - expected) < 1e-12
 
 
 def test_trace_norm_series_matches_pointwise(make_control):
@@ -368,7 +366,7 @@ def test_trace_norm_series_matches_pointwise(make_control):
     times = np.linspace(0, 1, 9)
     series = trace_norm_series(ctrl, times)
     for t, v in zip(times, series):
-        assert v == trace_norm(ctrl, float(t))
+        assert v == trace_norm_series(ctrl, [float(t)])[0]
 
 
 def test_control_serialization_roundtrip(tmp_path, make_control):
