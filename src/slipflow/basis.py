@@ -9,7 +9,7 @@ with each profile sampled at the Gauss quadrature nodes together with its
 wall-normal derivative and wall traces.  A set of fields is one ModeField
 whose arrays carry a leading stack axis; the sampler `sample_fields` and
 the pairings `mass_pairing`/`energy_pairing` work on such stacks, and the
-one-field operations (`inner_h`, `project`) are their one-row case.
+one-field `inner_h` is their one-row case.
 Divergence-free fields are built from per-mode streamfunctions (j >= 1) and
 shear profiles (j = 0), which makes the incompressibility constraint exact
 by construction.
@@ -47,7 +47,6 @@ __all__ = [
     "reduced_pencil",
     "max_basis_size",
     "build_eigenbasis",
-    "project",
     "save_basis",
     "load_basis",
 ]
@@ -79,8 +78,8 @@ class ModeField:
     wall_dvals           wall-normal derivative traces
 
     A stack of fields on one grid is one ModeField whose four arrays carry a
-    leading stack axis: indexing and len act on that axis, `f[None]` is the
-    one-field stack of f and `ModeField.stack` stacks single fields.
+    leading stack axis: indexing and len act on that axis, and `f[None]` is
+    the one-field stack of f.
     """
 
     __slots__ = ("grid", "vals", "dvals", "wall_vals", "wall_dvals")
@@ -97,9 +96,9 @@ class ModeField:
         return self.vals.shape[-3] - 1
 
     @classmethod
-    def zeros(cls, grid: Grid, n_modes: int | None = None, stack: tuple = ()) -> "ModeField":
+    def zeros(cls, grid: Grid, stack: tuple = ()) -> "ModeField":
         """The zero field, or a zero stack of the given shape."""
-        j = (grid.spec.modes_x if n_modes is None else n_modes) + 1
+        j = grid.spec.modes_x + 1
         return cls(
             grid,
             np.zeros(stack + (j, 2, grid.n_q), complex),
@@ -107,45 +106,6 @@ class ModeField:
             np.zeros(stack + (j, 2, 2), complex),
             np.zeros(stack + (j, 2, 2), complex),
         )
-
-    @classmethod
-    def stack(cls, fields) -> "ModeField":
-        """One stack of the given single fields, which share the first one's grid."""
-        for f in fields[1:]:
-            _check_same_grid(fields[0], f)
-        return cls(fields[0].grid, *(np.stack([getattr(f, a) for f in fields])
-                                     for a in ("vals", "dvals", "wall_vals", "wall_dvals")))
-
-    @classmethod
-    def from_shear_profile(cls, grid: Grid, u_cgl: np.ndarray) -> "ModeField":
-        """x-independent field (u(y), 0) from CGL nodal values.
-
-        (n_y, m) columns of profiles give a stack of m fields.
-        """
-        u_cgl = np.asarray(u_cgl)
-        f = cls.zeros(grid, stack=u_cgl.shape[1:])
-        f._put_shear(u_cgl)
-        return f
-
-    @classmethod
-    def from_streamfunction(
-        cls, grid: Grid, j: int, phi_cgl: np.ndarray, family: str = "complex"
-    ) -> "ModeField":
-        """Divergence-free mode-j field from a streamfunction profile.
-
-        The velocity is (phi', -i k phi) in coefficient space.  `family`
-        selects the real-field convention: "cos" and "sin" build the two
-        H-orthogonal real fields of a real profile, "complex" uses the
-        profile directly as the complex coefficient.  (n_y, m) columns of
-        profiles give a stack of m fields.
-        """
-        if j < 1 or j > grid.spec.modes_x:
-            raise BasisError(f"mode {j} outside resolved band")
-        scale = {"complex": 1.0, "cos": 0.5, "sin": -0.5j}[family]
-        phi = np.asarray(phi_cgl, dtype=complex) * scale
-        f = cls.zeros(grid, stack=phi.shape[1:])
-        f._put_streamfunction(j, phi)
-        return f
 
     def _columns(self):
         """Transposed views of the four arrays: (node or wall, component, mode[, field])."""
@@ -201,27 +161,6 @@ class ModeField:
             self.wall_vals + other.wall_vals,
             self.wall_dvals + other.wall_dvals,
         )
-
-    def __sub__(self, other: "ModeField") -> "ModeField":
-        _check_same_grid(self, other)
-        return ModeField(
-            self.grid,
-            self.vals - other.vals,
-            self.dvals - other.dvals,
-            self.wall_vals - other.wall_vals,
-            self.wall_dvals - other.wall_dvals,
-        )
-
-    def __mul__(self, c) -> "ModeField":
-        return ModeField(
-            self.grid,
-            self.vals * c,
-            self.dvals * c,
-            self.wall_vals * c,
-            self.wall_dvals * c,
-        )
-
-    __rmul__ = __mul__
 
     # -- evaluation and residuals -------------------------------------------
 
@@ -479,9 +418,11 @@ def build_eigenbasis(grid: Grid, n: int) -> Basis:
     return basis
 
 
-def _self_check(basis: Basis, n_tests: int = 3, tol: float = 1e-6):
-    """Weak eigen-residual (v, e_i)_E = lam_i (v, e_i) for 4 entries e_i against
-    each of n_tests random fields v, all by one energy and one mass pairing."""
+def _self_check(basis: Basis):
+    """Weak eigen-residual (v, e_i)_E = lam_i (v, e_i), to 1e-6 relative, for 4
+    entries e_i against each of 3 random fields v, all by one energy and one
+    mass pairing."""
+    n_tests, tol = 3, 1e-6
     rng = np.random.default_rng(0)
     n = basis.size
     draws = [(rng.standard_normal(n), rng.integers(0, n, size=4)) for _ in range(n_tests)]
@@ -501,15 +442,23 @@ def _self_check(basis: Basis, n_tests: int = 3, tol: float = 1e-6):
 
 def _basis_from_profiles(grid: Grid, eigenvalues, mode_j, family, shell_index,
                          profiles) -> Basis:
-    """Basis whose fields are regenerated from their generating CGL profiles."""
-    fields = []
-    for j, fam, prof in zip(mode_j, family, profiles):
-        if fam == FAMILY_SHEAR:
-            fields.append(ModeField.from_shear_profile(grid, prof))
+    """Basis whose fields are regenerated from their generating CGL profiles.
+
+    Entry i is written into row i of one zeroed stack: a shear profile at
+    mode 0 as the field (u(y), 0), a streamfunction at a mode j in
+    1..modes_x as the cos or sin real field of (phi', -i k phi).  Any other
+    entry, which only a file read by `load_basis` can hold, is a BasisError.
+    """
+    fields = ModeField.zeros(grid, stack=(len(profiles),))
+    for i, (j, fam, prof) in enumerate(zip(mode_j, family, profiles)):
+        if fam == FAMILY_SHEAR and j == 0:
+            fields[i]._put_shear(prof)
+        elif fam in (FAMILY_COS, FAMILY_SIN) and 1 <= j <= grid.spec.modes_x:
+            scale = 0.5 if fam == FAMILY_COS else -0.5j
+            fields[i]._put_streamfunction(int(j), np.asarray(prof, dtype=complex) * scale)
         else:
-            kind = "cos" if fam == FAMILY_COS else "sin"
-            fields.append(ModeField.from_streamfunction(grid, int(j), prof, kind))
-    fields = ModeField.stack(fields)
+            raise BasisError(f"basis entry {i} is family {fam} at mode {j}: not shear at mode 0 "
+                             f"or cos/sin at a mode in 1..{grid.spec.modes_x}")
     tau = fields.tangential_trace_coeffs()[np.arange(len(fields)), mode_j]
     return Basis(
         grid=grid,
@@ -537,11 +486,6 @@ def truncate_basis(basis: Basis, n: int) -> Basis:
         fields=basis.fields[:n],
         tau_trace=basis.tau_trace[:n],
     )
-
-
-def project(field: ModeField, basis: Basis) -> np.ndarray:
-    """L2 coefficients of the field against the basis entries."""
-    return mass_pairing(basis.fields, field[None])[:, 0]
 
 
 # -- persistence -------------------------------------------------------------

@@ -98,8 +98,6 @@ class CostReport:
     total: float
     tracking: float
     penalty: float
-    paths_used: int
-    blowup_count: int
     per_path: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
@@ -194,8 +192,6 @@ def estimate_cost(ctrl: BoundaryControl, target: Target, sim: Simulator,
         total=tracking + pen,
         tracking=tracking,
         penalty=pen,
-        paths_used=per_path.size,
-        blowup_count=len(paths) - per_path.size,
         per_path=per_path,
     )
 

@@ -6,7 +6,7 @@ a bootstrap over paths provides a confidence interval.  Expectations are
 plain path means, `sup over [0, t]` is the max over the time grid, and time
 integrals are trapezoidal.  The certifiers read the (paths, times) stacks of
 a `dynamics.Paths` and its mask of usable paths, and the bootstrap draws all
-its resamples as one (n_boot, n) index matrix.
+its 200 resamples as one (200, n) index matrix.
 
 The exponential damping weight is
 
@@ -17,8 +17,8 @@ and strictly positive.  Every certifier takes a `BoundaryControl`; the
 uncontrolled flow is the zero control, whose trace norms are 0.  The
 stability check between two solution bundles uses the pathwise weight
 exp(-int f1) with f1 = c3 + max(3 c0, c2) * (1 + combined squared trace
-norms + energy norm of the first solution), mirroring the damping that
-closes the two-solution energy balance.
+norms + energy norm of the first solution), c2 = 1, mirroring the damping
+that closes the two-solution energy balance.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ class WeightSeries:
     """Exponential damping weight and the control load series on a time grid."""
 
     values: np.ndarray          # weight in (0, 1]
-    trace_sq: np.ndarray        # squared trace-norm series of the control
-    load2: np.ndarray           # trace_sq + 1
-    load4: np.ndarray           # trace_sq^2 + 1
+    load2: np.ndarray           # squared trace-norm series of the control + 1
+    load4: np.ndarray           # its square + 1
 
     def __post_init__(self):
         v = self.values
@@ -73,9 +72,7 @@ def energy_weight(ctrl: BoundaryControl, c0: float, times: np.ndarray) -> Weight
     times = np.asarray(times, float)
     tn2 = trace_norm_series(ctrl, times) ** 2
     expo = c0 * times + c0 * _cumtrapz(tn2, times)
-    return WeightSeries(
-        values=np.exp(-expo), trace_sq=tn2, load2=tn2 + 1.0, load4=tn2**2 + 1.0
-    )
+    return WeightSeries(values=np.exp(-expo), load2=tn2 + 1.0, load4=tn2**2 + 1.0)
 
 
 @dataclass
@@ -97,15 +94,14 @@ class EstimateReport:
         return bool(np.isfinite(self.fitted_c))
 
 
-def bootstrap_ci(stat, n: int, seed, n_boot: int = 200) -> tuple:
-    """2.5/97.5 percentile interval of stat over path resamples.
+def bootstrap_ci(stat, n: int, seed) -> tuple:
+    """2.5/97.5 percentile interval of stat over 200 path resamples.
 
-    The resamples are the rows of one (n_boot, n) matrix of path indices
-    drawn with replacement from a generator seeded by `seed`, the same
-    stream as n_boot successive draws of n; stat maps the matrix to n_boot
-    values.
+    The resamples are the rows of one (200, n) matrix of path indices drawn
+    with replacement from a generator seeded by `seed`, the same stream as
+    200 successive draws of n; stat maps the matrix to 200 values.
     """
-    stats = np.sort(stat(np.random.default_rng(seed).integers(0, n, size=(n_boot, n))))
+    stats = np.sort(stat(np.random.default_rng(seed).integers(0, n, size=(200, n))))
     return _quantile(stats, 0.025), _quantile(stats, 0.975)
 
 
@@ -187,8 +183,7 @@ def certify_fourth_moment(paths: Paths, ctrl: BoundaryControl, c0: float,
 
 def certify_stability(one: Paths, ctrl_1: BoundaryControl, two: Paths,
                       ctrl_2: BoundaryControl, ops: GalerkinOperators,
-                      c0: float, nu: float, c2: float = 1.0,
-                      c3: float = 0.0) -> EstimateReport:
+                      c0: float, nu: float, c3: float = 0.0) -> EstimateReport:
     """Fitted constant of the two-solution stability bound under common noise.
 
     Paths are paired by position (they must share Wiener increments).  The
@@ -226,6 +221,7 @@ def certify_stability(one: Paths, ctrl_1: BoundaryControl, two: Paths,
     )
     load = (1.0 + trace_norm_series(ctrl_1, t) ** 2 + trace_norm_series(ctrl_2, t) ** 2
             + one.u_esq[ok])
+    c2 = 1.0
     xi2 = np.exp(-_cumtrapz(c3 + max(3.0 * c0, c2) * load, t)) ** 2
     lhs_paths = np.max(xi2 * yhat_sq, axis=1) + 2.0 * nu * np.trapezoid(xi2 * yhat_esq, t, axis=-1)
     rhs_paths = yhat_sq[:, 0] + np.trapezoid(xi2 * tnd_sq, t, axis=-1)

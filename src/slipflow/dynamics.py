@@ -753,6 +753,10 @@ STACK = 16
 # changes the path, and so the bits, of every size in between.
 N_PS = 60
 
+# Squared coefficient norm past which a path counts as blown up.  run_many
+# reads it at call time.
+BLOWUP_LIMIT = 1e12
+
 
 def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection | None,
               nu, dt, gamma, gamma_dot, beta_ref, gamma_ref, add, rho, dw, blowup_limit,
@@ -873,7 +877,7 @@ class Simulator:
 
     def __init__(self, basis: Basis, cache: LiftingCache, noise: NoiseModel,
                  t_final: float, dt: float, include_nonlinear: bool = True,
-                 blowup_limit: float = 1e12, ops: GalerkinOperators | None = None):
+                 ops: GalerkinOperators | None = None):
         if dt <= 0 or t_final <= 0:
             raise DynamicsError("dt and t_final must be positive")
         n_steps = int(round(t_final / dt))
@@ -891,7 +895,6 @@ class Simulator:
         self.n_steps = n_steps
         self.times = dt * np.arange(n_steps + 1)
         self.include_nonlinear = include_nonlinear
-        self.blowup_limit = blowup_limit
         self.ops = assemble_operators(basis, cache) if ops is None else ops
         # the kernel's large arrays, reused by every call: fresh ones would be
         # new pages, faulted in on every call.  Sized for the widest pass; a
@@ -973,7 +976,7 @@ class Simulator:
             work = self._work[: 2 * (n_steps + 1) * w_rows * n]
             hist, beta_final, *diagnostics, blow = _em_block(
                 b0, self.ops, self.convection, self.nu, self.dt, gamma, gdot,
-                beta_ref, gamma_ref, add, rho, inc, self.blowup_limit, k,
+                beta_ref, gamma_ref, add, rho, inc, BLOWUP_LIMIT, k,
                 work.reshape(2, n_steps + 1, w_rows, n))
             out.beta_final[cut], out.blowup_step[cut] = beta_final[:k], blow[:k]
             for rows, value in zip(series, diagnostics):

@@ -16,18 +16,20 @@
   against.
 * The loop forms of the set-up layers: `loop_diff_matrix` and
   `loop_interp_matrix` build the barycentric grid matrices one entry and
-  one target at a time, and `loop_lifting_fields` lifts one unit control
-  coefficient at a time through single-row harmonic and correction solves.
-  `geometry` builds the matrices by broadcasting and `LiftingCache` lifts
-  every coefficient in one stacked pass; these are the references they are
-  tested against.
+  one target at a time, `loop_basis_fields` writes each basis entry into a
+  zero field of its own and stacks them, and `loop_lifting_fields` lifts
+  one unit control coefficient at a time through single-row harmonic and
+  correction solves.  `geometry` builds the matrices by broadcasting, the
+  basis writes every entry into a row of one zeroed stack and
+  `LiftingCache` lifts every coefficient in one stacked pass; these are the
+  references they are tested against.
 """
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from slipflow.basis import ModeField, sample_fields
+from slipflow.basis import FAMILY_COS, FAMILY_SHEAR, ModeField, sample_fields
 from slipflow.lifting import (
     BoundaryControl,
     StokesCorrectionSolver,
@@ -221,6 +223,28 @@ def loop_interp_matrix(nodes, bary_w, targets):
     return p
 
 
+def stack_fields(fields):
+    """One stack of the given single fields on the first one's grid."""
+    return ModeField(fields[0].grid, *(np.stack([getattr(f, a) for f in fields])
+                                       for a in ("vals", "dvals", "wall_vals", "wall_dvals")))
+
+
+def loop_basis_fields(basis):
+    """(fields, tau_trace) of a basis, entry by entry: each generating profile
+    written into a zero field of its own, then the fields stacked."""
+    fields, tau = [], []
+    for j, fam, prof in zip(basis.mode_j, basis.family, basis.profiles_cgl):
+        f = ModeField.zeros(basis.grid)
+        if fam == FAMILY_SHEAR:
+            f._put_shear(prof)
+        else:
+            scale = 0.5 if fam == FAMILY_COS else -0.5j
+            f._put_streamfunction(int(j), np.asarray(prof, dtype=complex) * scale)
+        fields.append(f)
+        tau.append(f.tangential_trace_coeffs()[j])
+    return stack_fields(fields), np.array(tau)
+
+
 def loop_lifting_fields(grid, n_modes):
     """The lifted unit fields of a LiftingCache, one coefficient at a time."""
     lx = grid.spec.length_x
@@ -235,7 +259,7 @@ def loop_lifting_fields(grid, n_modes):
         stress = har.tangential_stress_coeffs()[: n_modes + 1]
         corr = solver.solve(table[2] - stress[:, 0], table[3] - stress[:, 1])
         fields.append(har + corr)
-    return ModeField.stack(fields)
+    return stack_fields(fields)
 
 
 def loop_samples(conv, z):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+from oracles import loop_basis_fields, stack_fields
 
 from slipflow import basis as bs
 from slipflow.basis import (
@@ -12,26 +13,32 @@ from slipflow.basis import (
     energy_pairing,
     inner_h,
     load_basis,
+    mass_pairing,
     max_basis_size,
-    project,
     save_basis,
     truncate_basis,
 )
 from slipflow.geometry import DomainSpec, build_grid
 
 
-def random_field(grid, seed, n_modes=None, smooth=1.5):
-    """Random divergence-free field in the discrete space."""
+def shear_field(grid, u_cgl):
+    """The x-independent field (u(y), 0) of the CGL profile u_cgl."""
+    f = ModeField.zeros(grid)
+    f._put_shear(u_cgl)
+    return f
+
+
+def random_field(grid, seed, smooth=1.5):
+    """Random divergence-free field in the discrete space: a zero-mean shear
+    profile and a complex streamfunction at every mode."""
     rng = np.random.default_rng(np.random.SeedSequence([0xF1E1D, seed]))
-    nm = grid.spec.modes_x if n_modes is None else n_modes
     y = grid.y_cgl
     ms = np.arange(1, 7)
     u0 = (rng.standard_normal(6) / ms**smooth) @ np.cos(np.outer(ms, np.pi * y))
-    f = ModeField.from_shear_profile(grid, u0 - (grid.w_y @ grid.interp) @ u0)
-    for j in range(1, nm + 1):
+    f = shear_field(grid, u0 - (grid.w_y @ grid.interp) @ u0)
+    for j in range(1, grid.spec.modes_x + 1):
         coef = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / ms**smooth
-        phi = coef @ np.sin(np.outer(ms, np.pi * y))
-        f = f + ModeField.from_streamfunction(grid, j, phi, "complex")
+        f._put_streamfunction(j, coef @ np.sin(np.outer(ms, np.pi * y)))
     return f
 
 
@@ -75,15 +82,14 @@ def test_free_slip_shear_eigenvalues(grid_free):
 def test_free_slip_energy_ratio(grid_free):
     # (v, v)_E / (v, v) = (j pi)^2 for the free-slip shear mode cos(j pi y)
     for j in (1, 2, 3):
-        v = ModeField.from_shear_profile(grid_free, np.cos(j * np.pi * grid_free.y_cgl))
+        v = shear_field(grid_free, np.cos(j * np.pi * grid_free.y_cgl))
         ratio = energy_pairing(v[None], v[None])[0, 0] / inner_h(v, v)
         assert abs(ratio - (j * np.pi) ** 2) < 1e-6 * (j * np.pi) ** 2
 
 
 def test_friction_increases_energy_norm(grid_small, grid_free):
     # one profile on the alpha = 1 and the alpha = 0 grid, which differ in nothing else
-    rough, free = (ModeField.from_shear_profile(g, np.cos(np.pi * g.y_cgl) + 0.3)
-                   for g in (grid_small, grid_free))
+    rough, free = (shear_field(g, np.cos(np.pi * g.y_cgl) + 0.3) for g in (grid_small, grid_free))
     e_rough, e_free = (energy_pairing(f[None], f[None])[0, 0] for f in (rough, free))
     assert e_rough > e_free >= 0.0
 
@@ -93,10 +99,11 @@ def test_weak_eigen_residual(basis_small):
     lam = basis_small.eigenvalues
     for _ in range(10):
         v = basis_small.field(rng.standard_normal(basis_small.size))
-        v = v * (1.0 / np.sqrt(inner_h(v, v)))
+        norm = np.sqrt(inner_h(v, v))
         for i in range(basis_small.size):
             e = basis_small.fields[i]
-            r = energy_pairing(v[None], e[None])[0, 0] - lam[i] * inner_h(v, e)
+            # the residual is linear in v: that of the unit field v / norm
+            r = (energy_pairing(v[None], e[None])[0, 0] - lam[i] * inner_h(v, e)) / norm
             assert abs(r) <= 1e-6 * lam[i]
 
 
@@ -128,14 +135,14 @@ def test_mean_free(basis_small, grid_small):
 
 
 def test_project_unit_vector(basis_small):
-    c = project(basis_small.fields[3], basis_small)
+    c = mass_pairing(basis_small.fields, basis_small.fields[3][None])[:, 0]
     expected = np.zeros(basis_small.size)
     expected[3] = 1.0
     assert np.abs(c - expected).max() < 1e-8
 
 
 def test_project_zero(basis_small, grid_small):
-    c = project(ModeField.zeros(grid_small), basis_small)
+    c = mass_pairing(basis_small.fields, ModeField.zeros(grid_small)[None])[:, 0]
     assert np.abs(c).max() == 0.0
 
 
@@ -144,7 +151,7 @@ def test_projection_contracts(basis_small, grid_small):
     # outside the span)
     for seed in range(8):
         v = random_field(grid_small, seed)
-        c = project(v, basis_small)
+        c = mass_pairing(basis_small.fields, v[None])[:, 0]
         assert np.sqrt(c @ c) <= np.sqrt(inner_h(v, v)) * (1 + 1e-12)
 
 
@@ -203,13 +210,50 @@ def test_capacity_guard(spec_small, grid_small):
         build_eigenbasis(grid_small, cap + 1)
 
 
+FIELD_ARRAYS = ("vals", "dvals", "wall_vals", "wall_dvals")
+
+
 def test_save_load_roundtrip(tmp_path, basis_small):
     path = tmp_path / "basis.npz"
     save_basis(path, basis_small)
     again = load_basis(path)
-    assert np.array_equal(again.eigenvalues, basis_small.eigenvalues)
-    assert np.array_equal(again.mode_j, basis_small.mode_j)
-    assert np.array_equal(again.fields.vals, basis_small.fields.vals)
+    assert again.grid.spec == basis_small.grid.spec
+    for name in ("eigenvalues", "mode_j", "family", "shell_index", "profiles_cgl",
+                 "tau_trace"):
+        assert np.array_equal(getattr(again, name), getattr(basis_small, name)), name
+    for name in FIELD_ARRAYS:
+        assert np.array_equal(getattr(again.fields, name), getattr(basis_small.fields, name))
+
+
+def _doctored(tmp_path, basis, edit):
+    """The path of a save_basis file of basis whose arrays `edit` changed in place."""
+    path = tmp_path / "basis.npz"
+    save_basis(path, basis)
+    with np.load(path) as data:
+        payload = dict(data)
+    edit(payload)
+    np.savez(path, **payload)
+    return path
+
+
+def _set_entry(key, family, value):
+    """An edit that sets `key` of the first entry of the given family to value."""
+    def edit(payload):
+        payload[key][np.flatnonzero(payload["family"] == family)[0]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set_entry("family", bs.FAMILY_SIN, 3),              # no such family
+    _set_entry("mode_j", bs.FAMILY_SHEAR, 1),            # a shear profile off mode 0
+    _set_entry("mode_j", bs.FAMILY_COS, 0),              # streamfunctions off 1..modes_x
+    _set_entry("mode_j", bs.FAMILY_SIN, 5),
+], ids=["family-3", "shear-at-1", "cos-at-0", "sin-past-band"])
+def test_load_basis_rejects_a_doctored_file(tmp_path, basis_small, edit):
+    # basis_small resolves modes 0..4; every entry the file holds is checked
+    assert basis_small.grid.spec.modes_x == 4
+    with pytest.raises(BasisError, match="basis entry"):
+        load_basis(_doctored(tmp_path, basis_small, edit))
 
 
 def test_deterministic_rebuild(grid_small, basis_small):
@@ -246,7 +290,7 @@ def test_stack_pairings_against_quadrature(basis_small, grid_small):
     # mass and energy pairings of a stack against sampled-field quadrature
     g = grid_small
     fields = [random_field(g, s) for s in range(3)] + list(basis_small.fields[:4])
-    stack = ModeField.stack(fields)
+    stack = stack_fields(fields)
     w2d = g.quad_weights_domain
     m = len(fields)
     mass, energy = np.empty((m, m)), np.empty((m, m))
@@ -269,22 +313,11 @@ def test_fields_are_one_stack(basis_small, cache_small):
     assert isinstance(cache_small.fields, ModeField)
     assert len(basis_small.fields) == basis_small.size
     assert len(cache_small.fields) == cache_small.n_dofs
-    g = basis_small.grid
-    for i, (j, fam, prof) in enumerate(zip(basis_small.mode_j, basis_small.family,
-                                           basis_small.profiles_cgl)):
-        if fam == bs.FAMILY_SHEAR:
-            ref = ModeField.from_shear_profile(g, prof)
-        else:
-            ref = ModeField.from_streamfunction(g, int(j), prof,
-                                                "cos" if fam == bs.FAMILY_COS else "sin")
-        got = basis_small.fields[i]
-        for name in ("vals", "dvals", "wall_vals", "wall_dvals"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name))
     weights = np.random.default_rng(5).standard_normal((5, basis_small.size))
     rows = basis_small.fields.combine(weights)
     for r, w in enumerate(weights):
         one = basis_small.field(w)
-        for name in ("vals", "dvals", "wall_vals", "wall_dvals"):
+        for name in FIELD_ARRAYS:
             ref = getattr(one, name)
             assert np.abs(getattr(rows, name)[r] - ref).max() <= 1e-14 * np.abs(ref).max()
     small = truncate_basis(basis_small, 5)
@@ -301,6 +334,21 @@ def test_canonical_sign_survives_rounding():
         for _ in range(20):
             noisy = prof * (1.0 + 1e-12 * rng.standard_normal(prof.size))
             assert np.array_equal(bs._canonical_sign(noisy), noisy)
+
+
+# the fixture basis, a free-slip grid, and the benchmark workloads' two bases
+@pytest.mark.parametrize("modes_x, nodes_y, alpha, n",
+                         [(4, 24, 1.0, 12), (3, 16, 0.0, 12), (8, 24, 1.0, 16), (8, 24, 1.0, 128)])
+def test_basis_fields_match_loop_reference(modes_x, nodes_y, alpha, n):
+    # every entry written into its row of one stack gives the bits of the
+    # entry written into a field of its own
+    basis = build_eigenbasis(build_grid(DomainSpec(length_x=2 * np.pi, modes_x=modes_x,
+                                                   nodes_y=nodes_y, friction_alpha=alpha,
+                                                   viscosity=0.5)), n)
+    fields, tau = loop_basis_fields(basis)
+    for name in FIELD_ARRAYS:
+        assert np.array_equal(getattr(basis.fields, name), getattr(fields, name)), name
+    assert np.array_equal(basis.tau_trace, tau)
 
 
 # the grids of the test fixtures, the CLI tests and the benchmark workloads

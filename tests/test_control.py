@@ -151,7 +151,7 @@ def test_cost_additivity_random(sim_noisy, pmap, aspec, make_control, zero_ctrl)
     assert rep.total == rep.tracking + rep.penalty
     assert rep.total >= 0.0
     assert rep.ci_half_width >= 0.0
-    assert rep.paths_used == 6
+    assert rep.per_path.size == 6
 
 
 def test_cost_with_bank_increments_is_the_same(sim_noisy, aspec, make_control, zero_ctrl):
@@ -178,7 +178,7 @@ def test_cost_interval_formed_on_first_read(sim_noisy, aspec, zero_ctrl, monkeyp
     zero = zero_ctrl(sim_noisy)
     target = make_target(zero, sim_noisy)
     rep = estimate_cost(zero, target, sim_noisy, aspec, range(5), u0=u0)
-    assert calls == [] and rep.paths_used == rep.per_path.size == 5
+    assert calls == [] and rep.per_path.size == 5
     lo, hi = bootstrap_ci(lambda idx: rep.per_path[idx].mean(axis=1), 5,
                           np.random.SeedSequence([0xC051, 0]))
     half = 0.5 * (hi - lo)

@@ -76,8 +76,9 @@ def test_weight_static_control_closed_form(sim_mod):
 def test_weight_loads(sim_mod, make_control):
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=93)
     w = energy_weight(ctrl, 1.0, sim_mod.times)
-    assert np.allclose(w.load2, w.trace_sq + 1.0)
-    assert np.allclose(w.load4, w.trace_sq**2 + 1.0)
+    trace_sq = trace_norm_series(ctrl, sim_mod.times) ** 2
+    assert np.allclose(w.load2, trace_sq + 1.0)
+    assert np.allclose(w.load4, trace_sq**2 + 1.0)
 
 
 # -- moment certification --------------------------------------------------------

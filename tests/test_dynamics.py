@@ -105,7 +105,8 @@ def test_nonlinear_zero(basis_small, grid_small):
 
 
 def test_nonlinear_pure_shear_vanishes(basis_small, grid_small):
-    v = bs.ModeField.from_shear_profile(grid_small, np.cos(np.pi * grid_small.y_cgl))
+    v = bs.ModeField.zeros(grid_small)
+    v._put_shear(np.cos(np.pi * grid_small.y_cgl))
     out = Convection(basis_small, v[None]).stacked(np.zeros(basis_small.size), np.ones(1))
     assert np.abs(out).max() < 1e-12
 
@@ -120,7 +121,9 @@ def test_nonlinear_skew_symmetry(basis_small):
 
 
 def test_nonlinear_band_guard(basis_small, grid_small):
-    f = bs.ModeField.zeros(grid_small, n_modes=grid_small.spec.modes_x + 3)
+    # three modes past the grid's band
+    nj, nq = grid_small.spec.modes_x + 4, grid_small.n_q
+    f = bs.ModeField(grid_small, *(np.zeros((nj, 2, q)) for q in (nq, nq, 2, 2)))
     with pytest.raises(DynamicsError):
         Convection(basis_small, f[None])
 
@@ -482,12 +485,14 @@ def test_dense_table_built_once(sim_small, make_control, zero_ctrl, monkeypatch)
 
 
 @pytest.mark.parametrize("dt, t_final", [(0.5, 1.0), (0.1, 2.0)])
-def test_kernel_blowup_step_matches_step_em(basis_small, cache_mean, zero_ctrl, dt, t_final):
+def test_kernel_blowup_step_matches_step_em(basis_small, cache_mean, zero_ctrl, dt, t_final,
+                                            monkeypatch):
     # explicit Euler past its stability limit on the linear problem
     n = basis_small.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
+    monkeypatch.setattr(dyn, "BLOWUP_LIMIT", 1e4)
     sim = Simulator(basis_small, cache_mean, noise, t_final=t_final, dt=dt,
-                    include_nonlinear=False, blowup_limit=1e4)
+                    include_nonlinear=False)
     u0 = 10.0 * np.ones(n)
     tr = sim.run(seed=0, ctrl=zero_ctrl(sim), u0=u0, noise_on=False)
     state = GalerkinState(t=0.0, beta=u0)
@@ -496,7 +501,7 @@ def test_kernel_blowup_step_matches_step_em(basis_small, cache_mean, zero_ctrl, 
     for ell in range(sim.n_steps):
         state = step_em(state, dt, np.zeros(1), sim.ops, noise, sim.nu, zero, zero,
                         include_nonlinear=False)
-        if state.beta @ state.beta > sim.blowup_limit:
+        if state.beta @ state.beta > dyn.BLOWUP_LIMIT:
             first = ell + 1
             break
     assert first > 0
@@ -539,11 +544,12 @@ def test_galerkin_consistency_common_noise(grid_small, zero_ctrl):
     assert gap_big <= gap_small
 
 
-def test_blowup_flagged(basis_small, cache_mean, zero_ctrl):
+def test_blowup_flagged(basis_small, cache_mean, zero_ctrl, monkeypatch):
     n = basis_small.size
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
+    monkeypatch.setattr(dyn, "BLOWUP_LIMIT", 1e4)
     sim = Simulator(basis_small, cache_mean, noise, t_final=1.0, dt=0.5,
-                    include_nonlinear=False, blowup_limit=1e4)
+                    include_nonlinear=False)
     # eigen-decay explicit Euler is unstable at dt = 0.5 for large eigenvalues
     tr = sim.run(seed=0, ctrl=zero_ctrl(sim), u0=10.0 * np.ones(n), noise_on=False)
     assert tr.blown_up and tr.blowup_step > 0
@@ -787,13 +793,14 @@ def test_result_protocol(sim_small, make_control, monkeypatch):
     assert calls == [1]
 
 
-def test_blowup_masked_per_path(basis_small, cache_mean, zero_ctrl):
+def test_blowup_masked_per_path(basis_small, cache_mean, zero_ctrl, monkeypatch):
     # dt = 0.1 past the explicit stability limit with additive noise: some
     # paths of one bundle blow up, the others must not feel it
     n = basis_small.size
     noise = build_noise(n, 2, 1.0, 0.0, 5, [0.0, 0.0])
+    monkeypatch.setattr(dyn, "BLOWUP_LIMIT", 400.0)
     sim = Simulator(basis_small, cache_mean, noise, t_final=2.0, dt=0.1,
-                    include_nonlinear=False, blowup_limit=400.0)
+                    include_nonlinear=False)
     kw = dict(ctrl=zero_ctrl(sim), u0=np.zeros(n), store_beta=True, keep_wiener=True)
     bundle = sim.run_many(range(BLOCK + 4), **kw)
     blown = [tr for tr in bundle if tr.blown_up]
@@ -807,7 +814,7 @@ def test_blowup_masked_per_path(basis_small, cache_mean, zero_ctrl):
         for ell in range(sim.n_steps):
             state = step_em(state, sim.dt, tr.wiener[ell], sim.ops, noise, sim.nu,
                             zero, zero, include_nonlinear=False)
-            if state.beta @ state.beta > sim.blowup_limit:
+            if state.beta @ state.beta > dyn.BLOWUP_LIMIT:
                 first = ell + 1
                 break
         s = tr.blowup_step
@@ -818,15 +825,15 @@ def test_blowup_masked_per_path(basis_small, cache_mean, zero_ctrl):
         assert np.any(tr.beta_series[s - 1]) and not np.any(tr.beta_series[s:])
 
 
-def test_nonfinite_abort_leaks_no_warning(basis_small, cache_small, make_control):
+def test_nonfinite_abort_leaks_no_warning(basis_small, cache_small, make_control, monkeypatch):
     # huge multiplicative noise and no norm limit: every path overflows, is
     # caught as nonfinite, and no RuntimeWarning leaks from its row
     import warnings
 
     n = basis_small.size
     noise = build_noise(n, 2, 0.05, 1.0, 7, [5000.0, 5000.0])
-    sim = Simulator(basis_small, cache_small, noise, t_final=2.0, dt=0.005,
-                    blowup_limit=np.inf)
+    monkeypatch.setattr(dyn, "BLOWUP_LIMIT", np.inf)
+    sim = Simulator(basis_small, cache_small, noise, t_final=2.0, dt=0.005)
     ctrl = make_control(2 * np.pi, 2, [0.0, 2.0], 0.3, seed=77)
     u0 = np.ones(n)
     with warnings.catch_warnings():
@@ -919,9 +926,9 @@ def test_tracking_series_matches_field_quadrature(basis_small, cache_small,
     tr = sim.run(seed=5, ctrl=ctrl, u0=b0, store_beta=True, target=target)
     gam, _ = sim.gamma_series(ctrl)
     for ell in (0, sim.n_steps // 2, sim.n_steps):
-        y = basis_small.field(tr.beta_series[ell]) + cache_small.field(gam[ell])
-        y_ref = basis_small.field(beta_ref[ell]) + cache_small.field(gamma_ref[ell])
-        diff = y - y_ref
+        # y - y_ref, combined from the coefficient differences
+        diff = (basis_small.field(tr.beta_series[ell] - beta_ref[ell])
+                + cache_small.field(gam[ell] - gamma_ref[ell]))
         direct = inner_h(diff, diff)
         assert abs(tr.tracking[ell] - direct) < 1e-10 * max(1.0, direct)
 

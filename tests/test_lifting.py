@@ -296,10 +296,11 @@ def test_lift_linearity(cache_small, make_control):
     c1 = make_control(2 * np.pi, 2, [0.0, 1.0], 1.0, seed=11)
     c2 = make_control(2 * np.pi, 2, [0.0, 1.0], 1.0, seed=12)
     combo = cache_small.field(0.7 * c1.gamma[0] - 1.3 * c2.gamma[0])
-    parts = 0.7 * cache_small.field(c1.gamma[0]) + (-1.3) * cache_small.field(c2.gamma[0])
+    f1, f2 = (cache_small.field(c.gamma[0]) for c in (c1, c2))
     scale = max(np.abs(combo.vals).max(), 1.0)
-    assert np.abs(combo.vals - parts.vals).max() < 1e-10 * scale
-    assert np.abs(combo.wall_vals - parts.wall_vals).max() < 1e-10 * scale
+    for name in ("vals", "wall_vals"):
+        parts = 0.7 * getattr(f1, name) + (-1.3) * getattr(f2, name)
+        assert np.abs(getattr(combo, name) - parts).max() < 1e-10 * scale
 
 
 # the alpha = 1 and the alpha = 0 grid: the stress residual is taken at the

@@ -1,12 +1,22 @@
-"""Every public function, class and method of slipflow has a caller in the program.
+"""Every public function, class and method of slipflow has a caller in the
+program, and every defaulted parameter a call in the program that passes it.
 
-A name that only tests call is library surface that no workflow needs.  The
-scan parses src/slipflow and perfbench with `ast`.  A top-level function or
-class counts as referenced when its name occurs as a name or an attribute, a
-method when its name occurs as an attribute, and perfbench's tracer targets
-("slipflow.<module>:<qualified name>" strings) count for both; `__all__`
-strings do not.  Names are matched without types, so a method is referenced
-by any attribute of the same name.
+A name or a default that only tests use is library surface that no workflow
+needs.  The scan parses src/slipflow and perfbench with `ast`; `__all__`
+strings count for nothing.
+
+* A top-level function or class counts as referenced by a bare name, by an
+  attribute of a name bound to a slipflow module (`ctl.optimize`,
+  `diag.bootstrap_ci`) or by a perfbench tracer target
+  ("slipflow.<module>:<qualified name>").  An attribute of the same name on
+  anything else does not count: `conv.project` is no call of a top-level
+  `project`.
+* A method counts as referenced by any attribute of its name, or by a tracer
+  target.  Methods are matched without types.
+* A defaulted parameter of a src function or method counts as passed by a
+  call of that name (a class name calls `__init__`) that names it as a
+  keyword, reaches it by position, or has a `*` or `**` argument that may
+  carry it.
 """
 
 import ast
@@ -25,34 +35,107 @@ ALLOWED = {
     "cli._ArgumentParser.error": "argparse calls it on a usage error",
 }
 
+# the defaulted parameters no program call passes, each with the reason it stays
+ALLOWED_PARAMS = {
+    "dynamics.Simulator.__init__.ops": "tests share one assembly across time steps",
+    "cli.main.argv": "perfbench passes it through tracer.span, as a positional argument",
+}
 
-def unreferenced_names() -> set:
+
+def _module_aliases(tree) -> set:
+    """The names one file binds to slipflow modules."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "slipflow" or (node.level and node.module is None)):
+            out.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(a.asname for a in node.names
+                       if a.name.startswith("slipflow.") and a.asname)
+    return out
+
+
+def _scan():
+    """(names, attrs, calls, defined): the references and calls of the program
+    and the (qualified name, def node, is method) of every src function."""
     src = sorted((ROOT / "src" / "slipflow").glob("*.py"))
-    names, attrs, defined = set(), set(), []
+    names, attrs, calls, defined = set(), set(), [], []
     for path in src + sorted((ROOT / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
+        modules = _module_aliases(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    names.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 target = re.fullmatch(r"slipflow\.\w+:([\w.]+)", node.value)
-                attrs.update(target.group(1).split(".") if target else ())
+                if target:
+                    top, *rest = target.group(1).split(".")
+                    names.add(top)
+                    attrs.update(rest)
+            elif isinstance(node, ast.Call):
+                calls.append(node)
         if path not in src:
             continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((f"{path.stem}.{node.name}", False))
+                defined.append((f"{path.stem}.{node.name}", node, False))
             if isinstance(node, ast.ClassDef):
-                defined += [(f"{path.stem}.{node.name}.{sub.name}", True) for sub in node.body
-                            if isinstance(sub, ast.FunctionDef)]
-    return {qual for qual, method in defined
+                defined += [(f"{path.stem}.{node.name}.{sub.name}", sub, True)
+                            for sub in node.body if isinstance(sub, ast.FunctionDef)]
+    return names, attrs, calls, defined
+
+
+def unreferenced_names() -> set:
+    names, attrs, _, defined = _scan()
+    return {qual for qual, _, method in defined
             if not (leaf := qual.rsplit(".", 1)[1]).startswith("_")
-            and leaf not in (attrs if method else names | attrs)}
+            and leaf not in (attrs if method else names)}
+
+
+def _callee(call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def unpassed_parameters() -> set:
+    _, _, calls, defined = _scan()
+    out = set()
+    for qual, fn, method in defined:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        *owner, leaf = qual.split(".")
+        callees = {leaf, owner[-1]} if leaf == "__init__" else {leaf}
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = positional[len(positional) - len(a.defaults):] + [
+            p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        bound = method and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in fn.decorator_list)
+        passed = set()
+        for call in calls:
+            if _callee(call) not in callees:
+                continue
+            if any(k.arg is None for k in call.keywords):          # **kwargs
+                passed.update(p.arg for p in defaulted)
+            if any(isinstance(x, ast.Starred) for x in call.args):  # *args
+                passed.update(p.arg for p in positional)
+            passed.update(p.arg for p in positional[bound : bound + len(call.args)])
+            passed.update(k.arg for k in call.keywords)
+        out.update(f"{qual}.{p.arg}" for p in defaulted if p.arg not in passed)
+    return out
 
 
 def test_every_public_name_has_a_caller_in_the_program():
     found = unreferenced_names()
     assert sorted(found - ALLOWED.keys()) == []
     assert sorted(ALLOWED.keys() - found) == []  # a name with a caller leaves the list
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    found = unpassed_parameters()
+    assert sorted(found - ALLOWED_PARAMS.keys()) == []
+    assert sorted(ALLOWED_PARAMS.keys() - found) == []  # a passed parameter leaves the list
