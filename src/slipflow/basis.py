@@ -107,35 +107,33 @@ class ModeField:
             np.zeros(stack + (j, 2, 2), complex),
         )
 
-    def _columns(self):
-        """Transposed views of the four arrays: (node or wall, component, mode[, field])."""
-        return self.vals.T, self.dvals.T, self.wall_vals.T, self.wall_dvals.T
-
-    def _put_shear(self, u_cgl):
-        """Write row j = 0 of the shear field(s) of the (n_y[, m]) profile(s) u_cgl."""
+    def _put_shear(self, rows, u_cgl):
+        """Write mode 0 of the stack rows `rows` from the shear profiles u_cgl,
+        laid out (n_y, m) as columns or (m, n_y, 1) as one column per row."""
         g = self.grid
-        vals, dvals, wall_vals, wall_dvals = self._columns()
         walls = slice(None, None, g.n_y - 1)  # nodes 0 and n_y - 1
-        vals[:, 0, 0] = g.interp @ u_cgl
-        dvals[:, 0, 0] = g.interp_d1 @ u_cgl
-        wall_vals[:, 0, 0] = u_cgl[walls]
-        wall_dvals[:, 0, 0] = (g.d1 @ u_cgl)[walls]
+        self.vals[rows, 0, 0] = _by_row(g.interp @ u_cgl)
+        self.dvals[rows, 0, 0] = _by_row(g.interp_d1 @ u_cgl)
+        self.wall_vals[rows, 0, 0] = _by_row(u_cgl)[:, walls]
+        self.wall_dvals[rows, 0, 0] = _by_row(g.d1 @ u_cgl)[:, walls]
 
-    def _put_streamfunction(self, j: int, phi):
-        """Write row j of the field(s) of the (n_y[, m]) complex streamfunction(s) phi."""
+    def _put_streamfunction(self, rows, j, phi):
+        """Write mode j (an int, or one mode per row) of the stack rows `rows`
+        from the complex streamfunctions phi, laid out as in `_put_shear`."""
         g = self.grid
-        vals, dvals, wall_vals, wall_dvals = self._columns()
         walls = slice(None, None, g.n_y - 1)
-        ik = -1j * g.kx[j]
+        ik = -1j * g.kx[np.reshape(j, (-1, 1))]
         dphi = g.d1 @ phi
-        vals[:, 0, j] = g.interp @ dphi
-        vals[:, 1, j] = ik * (g.interp @ phi)
-        dvals[:, 0, j] = g.interp_d2 @ phi
-        dvals[:, 1, j] = ik * (g.interp @ dphi)
-        wall_vals[:, 0, j] = dphi[walls]
-        wall_vals[:, 1, j] = ik * phi[walls]
-        wall_dvals[:, 0, j] = (g.d2 @ phi)[walls]
-        wall_dvals[:, 1, j] = ik * dphi[walls]
+        u = _by_row(g.interp @ dphi)
+        phi_w, dphi_w = _by_row(phi)[:, walls], _by_row(dphi)[:, walls]
+        self.vals[rows, j, 0] = u
+        self.vals[rows, j, 1] = ik * _by_row(g.interp @ phi)
+        self.dvals[rows, j, 0] = _by_row(g.interp_d2 @ phi)
+        self.dvals[rows, j, 1] = ik * u
+        self.wall_vals[rows, j, 0] = dphi_w
+        self.wall_vals[rows, j, 1] = ik * phi_w
+        self.wall_dvals[rows, j, 0] = _by_row(g.d2 @ phi)[:, walls]
+        self.wall_dvals[rows, j, 1] = ik * dphi_w
 
     def combine(self, weights) -> "ModeField":
         """The stack's linear combination(s) with (..., m) weights over its m fields."""
@@ -194,6 +192,11 @@ class ModeField:
         out[..., 0] = -two_d12[..., 0] + alpha * self.wall_vals[..., 0, 0]
         out[..., 1] = -two_d12[..., 1] - alpha * self.wall_vals[..., 0, 1]
         return out
+
+
+def _by_row(x) -> np.ndarray:
+    """(m, len) view of profiles laid out (len, m) or (m, len, 1)."""
+    return x[..., 0] if x.ndim == 3 else x.T
 
 
 def _mode_weights(n_modes: int) -> np.ndarray:
@@ -444,21 +447,21 @@ def _basis_from_profiles(grid: Grid, eigenvalues, mode_j, family, shell_index,
                          profiles) -> Basis:
     """Basis whose fields are regenerated from their generating CGL profiles.
 
-    Entry i is written into row i of one zeroed stack: a shear profile at
-    mode 0 as the field (u(y), 0), a streamfunction at a mode j in
-    1..modes_x as the cos or sin real field of (phi', -i k phi).  Any other
-    entry, which only a file read by `load_basis` can hold, is a BasisError.
+    A shear profile u at mode 0 gives the field (u(y), 0), and a
+    streamfunction phi at a mode j >= 1 the cos or sin real field of
+    (phi', -i k_j phi).  All entries are written into one zeroed stack, each
+    derivative matrix applied once to the (m, n_y, 1) stack of the shear
+    profiles and once to that of the scaled streamfunctions: one mat-vec per
+    entry, the product a field of its own would get, scattered into the
+    entry's row at its mode.
     """
     fields = ModeField.zeros(grid, stack=(len(profiles),))
-    for i, (j, fam, prof) in enumerate(zip(mode_j, family, profiles)):
-        if fam == FAMILY_SHEAR and j == 0:
-            fields[i]._put_shear(prof)
-        elif fam in (FAMILY_COS, FAMILY_SIN) and 1 <= j <= grid.spec.modes_x:
-            scale = 0.5 if fam == FAMILY_COS else -0.5j
-            fields[i]._put_streamfunction(int(j), np.asarray(prof, dtype=complex) * scale)
-        else:
-            raise BasisError(f"basis entry {i} is family {fam} at mode {j}: not shear at mode 0 "
-                             f"or cos/sin at a mode in 1..{grid.spec.modes_x}")
+    shear = family == FAMILY_SHEAR
+    rows = np.flatnonzero(shear)
+    fields._put_shear(rows, profiles[rows, :, None])
+    rows = np.flatnonzero(~shear)
+    scale = np.where(family[rows] == FAMILY_COS, 0.5, -0.5j)[:, None, None]
+    fields._put_streamfunction(rows, mode_j[rows], profiles[rows, :, None] * scale)
     tau = fields.tangential_trace_coeffs()[np.arange(len(fields)), mode_j]
     return Basis(
         grid=grid,
@@ -508,14 +511,29 @@ def save_basis(path, basis: Basis, meta: dict | None = None):
 
 
 def load_basis(path) -> Basis:
+    """The basis of a `save_basis` file, its fields regenerated from the profiles.
+
+    A file whose arrays do not describe one basis on its grid is a BasisError.
+    """
     with np.load(path) as data:
         length_x, modes_x, nodes_y, alpha, nu = data["spec"]
         spec = DomainSpec(float(length_x), int(modes_x), int(nodes_y), float(alpha), float(nu))
-        return _basis_from_profiles(
-            build_grid(spec),
-            data["eigenvalues"],
-            data["mode_j"],
-            data["family"],
-            data["shell_index"],
-            data["profiles_cgl"],
-        )
+        arrays = {key: data[key] for key in
+                  ("eigenvalues", "mode_j", "family", "shell_index", "profiles_cgl")}
+    grid = build_grid(spec)
+    n = arrays["eigenvalues"].size
+    for key, a in arrays.items():
+        want = (n, grid.n_y) if key == "profiles_cgl" else (n,)
+        if a.shape != want:
+            raise BasisError(f"basis file: {key} has shape {a.shape}, not {want} "
+                             f"for {n} eigenvalues on {grid.n_y} nodes")
+        if key in ("mode_j", "family", "shell_index") and a.dtype.kind not in "iu":
+            raise BasisError(f"basis file: {key} holds {a.dtype}, not integers")
+    j, fam = arrays["mode_j"], arrays["family"]
+    ok = np.where(fam == FAMILY_SHEAR, j == 0,
+                  ((fam == FAMILY_COS) | (fam == FAMILY_SIN)) & (1 <= j) & (j <= spec.modes_x))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise BasisError(f"basis entry {i} is family {fam[i]} at mode {j[i]}: not shear at "
+                         f"mode 0 or cos/sin at a mode in 1..{spec.modes_x}")
+    return _basis_from_profiles(grid, *arrays.values())

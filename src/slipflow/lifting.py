@@ -371,10 +371,10 @@ class StokesCorrectionSolver:
         rhs = np.zeros((g.n_y, bt_bottom.shape[1]))
         rhs[0] = lx * bt_bottom[0].real
         rhs[-1] = -lx * bt_top[0].real
-        out._put_shear(self._solve_mode(0, rhs))
+        out._put_shear(slice(None), self._solve_mode(0, rhs))
         for j in range(1, self.n_modes + 1):
             rhs = 0.5 * lx * (np.outer(g.d1[0], bt_bottom[j]) - np.outer(g.d1[-1], bt_top[j]))
-            out._put_streamfunction(j, self._solve_mode(j, rhs))
+            out._put_streamfunction(slice(None), j, self._solve_mode(j, rhs))
         return ModeField(g, *(a.reshape(stack + a.shape[1:])
                               for a in (out.vals, out.dvals, out.wall_vals, out.wall_dvals)))
 

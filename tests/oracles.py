@@ -17,12 +17,13 @@
 * The loop forms of the set-up layers: `loop_diff_matrix` and
   `loop_interp_matrix` build the barycentric grid matrices one entry and
   one target at a time, `loop_basis_fields` writes each basis entry into a
-  zero field of its own and stacks them, and `loop_lifting_fields` lifts
-  one unit control coefficient at a time through single-row harmonic and
-  correction solves.  `geometry` builds the matrices by broadcasting, the
-  basis writes every entry into a row of one zeroed stack and
-  `LiftingCache` lifts every coefficient in one stacked pass; these are the
-  references they are tested against.
+  zero field of its own by 1-D mat-vecs and stacks them, and
+  `loop_lifting_fields` lifts one unit control coefficient at a time
+  through single-row harmonic and correction solves.  `geometry` builds
+  the matrices by broadcasting, the basis applies each derivative matrix
+  once to the (m, n_y, 1) stack of all its profiles and scatters the rows
+  at their modes, and `LiftingCache` lifts every coefficient in one stacked
+  pass; these are the references they are tested against.
 """
 
 import numpy as np
@@ -231,15 +232,30 @@ def stack_fields(fields):
 
 def loop_basis_fields(basis):
     """(fields, tau_trace) of a basis, entry by entry: each generating profile
-    written into a zero field of its own, then the fields stacked."""
+    written into a zero field of its own by 1-D mat-vecs, then the fields
+    stacked."""
+    g = basis.grid
+    walls = [0, -1]
     fields, tau = [], []
     for j, fam, prof in zip(basis.mode_j, basis.family, basis.profiles_cgl):
-        f = ModeField.zeros(basis.grid)
+        f = ModeField.zeros(g)
         if fam == FAMILY_SHEAR:
-            f._put_shear(prof)
+            f.vals[0, 0] = g.interp @ prof
+            f.dvals[0, 0] = g.interp_d1 @ prof
+            f.wall_vals[0, 0] = prof[walls]
+            f.wall_dvals[0, 0] = (g.d1 @ prof)[walls]
         else:
-            scale = 0.5 if fam == FAMILY_COS else -0.5j
-            f._put_streamfunction(int(j), np.asarray(prof, dtype=complex) * scale)
+            phi = np.asarray(prof, dtype=complex) * (0.5 if fam == FAMILY_COS else -0.5j)
+            ik = -1j * g.kx[j]
+            dphi = g.d1 @ phi
+            f.vals[j, 0] = g.interp @ dphi
+            f.vals[j, 1] = ik * (g.interp @ phi)
+            f.dvals[j, 0] = g.interp_d2 @ phi
+            f.dvals[j, 1] = ik * (g.interp @ dphi)
+            f.wall_vals[j, 0] = dphi[walls]
+            f.wall_vals[j, 1] = ik * phi[walls]
+            f.wall_dvals[j, 0] = (g.d2 @ phi)[walls]
+            f.wall_dvals[j, 1] = ik * dphi[walls]
         fields.append(f)
         tau.append(f.tangential_trace_coeffs()[j])
     return stack_fields(fields), np.array(tau)

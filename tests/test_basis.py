@@ -24,7 +24,7 @@ from slipflow.geometry import DomainSpec, build_grid
 def shear_field(grid, u_cgl):
     """The x-independent field (u(y), 0) of the CGL profile u_cgl."""
     f = ModeField.zeros(grid)
-    f._put_shear(u_cgl)
+    f[None]._put_shear([0], u_cgl[:, None])
     return f
 
 
@@ -38,7 +38,7 @@ def random_field(grid, seed, smooth=1.5):
     f = shear_field(grid, u0 - (grid.w_y @ grid.interp) @ u0)
     for j in range(1, grid.spec.modes_x + 1):
         coef = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / ms**smooth
-        f._put_streamfunction(j, coef @ np.sin(np.outer(ms, np.pi * y)))
+        f[None]._put_streamfunction([0], j, (coef @ np.sin(np.outer(ms, np.pi * y)))[:, None])
     return f
 
 
@@ -243,17 +243,50 @@ def _set_entry(key, family, value):
     return edit
 
 
-@pytest.mark.parametrize("edit", [
-    _set_entry("family", bs.FAMILY_SIN, 3),              # no such family
-    _set_entry("mode_j", bs.FAMILY_SHEAR, 1),            # a shear profile off mode 0
-    _set_entry("mode_j", bs.FAMILY_COS, 0),              # streamfunctions off 1..modes_x
-    _set_entry("mode_j", bs.FAMILY_SIN, 5),
-], ids=["family-3", "shear-at-1", "cos-at-0", "sin-past-band"])
-def test_load_basis_rejects_a_doctored_file(tmp_path, basis_small, edit):
-    # basis_small resolves modes 0..4; every entry the file holds is checked
-    assert basis_small.grid.spec.modes_x == 4
-    with pytest.raises(BasisError, match="basis entry"):
+def _with(key, edit):
+    """An edit that replaces array `key` by edit(array)."""
+    def apply(payload):
+        payload[key] = edit(payload[key])
+    return apply
+
+
+def _float_mode(payload):
+    """Float mode indices, the first cos entry's at 1.5."""
+    mode_j = payload["mode_j"].astype(float)
+    mode_j[np.flatnonzero(payload["family"] == bs.FAMILY_COS)[0]] = 1.5
+    payload["mode_j"] = mode_j
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_set_entry("family", bs.FAMILY_SIN, 3), "basis entry"),     # no such family
+    (_set_entry("mode_j", bs.FAMILY_SHEAR, 1), "basis entry"),   # a shear profile off mode 0
+    (_set_entry("mode_j", bs.FAMILY_COS, 0), "basis entry"),     # streamfunctions off 1..modes_x
+    (_set_entry("mode_j", bs.FAMILY_SIN, 5), "basis entry"),
+    (_float_mode, "mode_j holds float64"),
+    (_with("profiles_cgl", lambda a: a[:, :-1]), r"profiles_cgl has shape \(12, 23\)"),
+    (_with("mode_j", lambda a: a[:-1]), r"mode_j has shape \(11,\)"),
+    (_with("eigenvalues", lambda a: a[:-1]),
+     r"mode_j has shape \(12,\), not \(11,\) for 11 eigenvalues"),
+], ids=["family-3", "shear-at-1", "cos-at-0", "sin-past-band", "mode-float", "short-profile",
+        "mode-missing", "eigenvalue-missing"])
+def test_load_basis_rejects_a_doctored_file(tmp_path, basis_small, edit, match):
+    # basis_small resolves modes 0..4 on 24 nodes; every array the file holds is checked
+    assert basis_small.grid.spec.modes_x == 4 and basis_small.grid.n_y == 24
+    assert basis_small.size == 12
+    with pytest.raises(BasisError, match=match):
         load_basis(_doctored(tmp_path, basis_small, edit))
+
+
+def test_save_load_roundtrip_is_bitwise_at_the_workload_size(tmp_path):
+    # the wide_basis workload's 128 entries, regenerated from the file's profiles
+    basis = build_eigenbasis(build_grid(DomainSpec(length_x=2 * np.pi, modes_x=8, nodes_y=24,
+                                                   friction_alpha=1.0, viscosity=0.5)), 128)
+    path = tmp_path / "basis.npz"
+    save_basis(path, basis)
+    again = load_basis(path)
+    for name in FIELD_ARRAYS:
+        assert np.array_equal(getattr(again.fields, name), getattr(basis.fields, name)), name
+    assert np.array_equal(again.tau_trace, basis.tau_trace)
 
 
 def test_deterministic_rebuild(grid_small, basis_small):
@@ -336,9 +369,14 @@ def test_canonical_sign_survives_rounding():
             assert np.array_equal(bs._canonical_sign(noisy), noisy)
 
 
-# the fixture basis, a free-slip grid, and the benchmark workloads' two bases
+_TINY = DomainSpec(length_x=2 * np.pi, modes_x=3, nodes_y=8, friction_alpha=1.0, viscosity=0.5)
+
+
+# the fixture basis, a free-slip grid, the benchmark workloads' two bases, a
+# shear-only basis (no streamfunction row) and every entry a small grid resolves
 @pytest.mark.parametrize("modes_x, nodes_y, alpha, n",
-                         [(4, 24, 1.0, 12), (3, 16, 0.0, 12), (8, 24, 1.0, 16), (8, 24, 1.0, 128)])
+                         [(4, 24, 1.0, 12), (3, 16, 0.0, 12), (8, 24, 1.0, 16), (8, 24, 1.0, 128),
+                          (4, 24, 1.0, 1), (3, 8, 1.0, max_basis_size(_TINY))])
 def test_basis_fields_match_loop_reference(modes_x, nodes_y, alpha, n):
     # every entry written into its row of one stack gives the bits of the
     # entry written into a field of its own

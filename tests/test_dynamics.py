@@ -106,7 +106,7 @@ def test_nonlinear_zero(basis_small, grid_small):
 
 def test_nonlinear_pure_shear_vanishes(basis_small, grid_small):
     v = bs.ModeField.zeros(grid_small)
-    v._put_shear(np.cos(np.pi * grid_small.y_cgl))
+    v[None]._put_shear([0], np.cos(np.pi * grid_small.y_cgl)[:, None])
     out = Convection(basis_small, v[None]).stacked(np.zeros(basis_small.size), np.ones(1))
     assert np.abs(out).max() < 1e-12
 

@@ -16,7 +16,8 @@ strings count for nothing.
 * A defaulted parameter of a src function or method counts as passed by a
   call of that name (a class name calls `__init__`) that names it as a
   keyword, reaches it by position, or has a `*` or `**` argument that may
-  carry it.
+  carry it.  A call made on a bare src class name, `Class.name(...)`, is a
+  call of that class's method only.
 """
 
 import ast
@@ -55,13 +56,20 @@ def _module_aliases(tree) -> set:
     return out
 
 
-def _scan():
-    """(names, attrs, calls, defined): the references and calls of the program
-    and the (qualified name, def node, is method) of every src function."""
+def _program() -> dict:
+    """{module stem: (source, is src)} of src/slipflow and perfbench."""
     src = sorted((ROOT / "src" / "slipflow").glob("*.py"))
-    names, attrs, calls, defined = set(), set(), [], []
-    for path in src + sorted((ROOT / "perfbench").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    return {path.stem: (path.read_text(), path in src)
+            for path in src + sorted((ROOT / "perfbench").glob("*.py"))}
+
+
+def _scan(program):
+    """(names, attrs, calls, defined, classes): the references and calls of the
+    program, the (qualified name, def node, is method) of every src function
+    and the names of the src classes."""
+    names, attrs, calls, defined, classes = set(), set(), [], [], set()
+    for stem, (text, is_src) in program.items():
+        tree = ast.parse(text, stem)
         modules = _module_aliases(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -78,31 +86,39 @@ def _scan():
                     attrs.update(rest)
             elif isinstance(node, ast.Call):
                 calls.append(node)
-        if path not in src:
+        if not is_src:
             continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((f"{path.stem}.{node.name}", node, False))
+                defined.append((f"{stem}.{node.name}", node, False))
             if isinstance(node, ast.ClassDef):
-                defined += [(f"{path.stem}.{node.name}.{sub.name}", sub, True)
+                classes.add(node.name)
+                defined += [(f"{stem}.{node.name}.{sub.name}", sub, True)
                             for sub in node.body if isinstance(sub, ast.FunctionDef)]
-    return names, attrs, calls, defined
+    return names, attrs, calls, defined, classes
 
 
 def unreferenced_names() -> set:
-    names, attrs, _, defined = _scan()
+    names, attrs, _, defined, _ = _scan(_program())
     return {qual for qual, _, method in defined
             if not (leaf := qual.rsplit(".", 1)[1]).startswith("_")
             and leaf not in (attrs if method else names)}
 
 
-def _callee(call) -> str | None:
+def _callee(call, classes) -> tuple:
+    """(name, class) of a call: the class is the src class a `Class.name(...)`
+    call is made on, None for any other receiver."""
     f = call.func
-    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+    if isinstance(f, ast.Name):
+        return f.id, None
+    if isinstance(f, ast.Attribute):
+        on = f.value.id if isinstance(f.value, ast.Name) else None
+        return f.attr, on if on in classes else None
+    return None, None
 
 
-def unpassed_parameters() -> set:
-    _, _, calls, defined = _scan()
+def unpassed_parameters(program=None) -> set:
+    _, _, calls, defined, classes = _scan(program or _program())
     out = set()
     for qual, fn, method in defined:
         if not isinstance(fn, ast.FunctionDef):
@@ -117,7 +133,9 @@ def unpassed_parameters() -> set:
                                    for d in fn.decorator_list)
         passed = set()
         for call in calls:
-            if _callee(call) not in callees:
+            name, on = _callee(call, classes)
+            # `Class.name(...)` is a call of that class's method only
+            if name not in callees or on not in (None, method and owner[-1]):
                 continue
             if any(k.arg is None for k in call.keywords):          # **kwargs
                 passed.update(p.arg for p in defaulted)
@@ -139,3 +157,22 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
     found = unpassed_parameters()
     assert sorted(found - ALLOWED_PARAMS.keys()) == []
     assert sorted(ALLOWED_PARAMS.keys() - found) == []  # a passed parameter leaves the list
+
+
+def test_a_call_on_a_class_passes_only_that_class_parameters():
+    # B.zeros shares its leaf name with A.zeros, but a call made on A is no call of it
+    snippet = """
+class A:
+    @classmethod
+    def zeros(cls, n, stack=()):
+        return n
+
+class B:
+    @classmethod
+    def zeros(cls, n, stack=()):
+        return n
+
+def use():
+    return A.zeros(1, ()), B.zeros(1)
+"""
+    assert unpassed_parameters({"m": (snippet, True)}) == {"m.B.zeros.stack"}
