@@ -6,7 +6,9 @@ a bootstrap over paths provides a confidence interval.  Expectations are
 plain path means, `sup over [0, t]` is the max over the time grid, and time
 integrals are trapezoidal.  The certifiers read the (paths, times) stacks of
 a `dynamics.Paths` and its mask of usable paths, and the bootstrap draws all
-its 200 resamples as one (200, n) index matrix.
+its 200 resamples as one (200, n) index matrix.  Norms of y = u + lift, and
+of differences of two such fields, come from `GalerkinOperators.y_sq`, the
+form of the kernel's tracking series.
 
 The exponential damping weight is
 
@@ -170,12 +172,8 @@ def certify_fourth_moment(paths: Paths, ctrl: BoundaryControl, c0: float,
     w2, w4 = w.values**2, w.values**4
     lhs_paths = (np.max(w4 * u_sq**2, axis=1)
                  + nu**2 * np.trapezoid(w2 * u_esq, t, axis=-1) ** 2)
-    # |y(0)|^2 = |u(0) + lift(0)|^2 in coefficients, the same on every path
-    gamma0, _ = ctrl.interp(0.0)
-    b0 = paths.beta0
-    y0_sq = (np.vecdot(b0, b0) + 2.0 * np.vecdot(b0, ops.lift_h @ gamma0)
-             + gamma0 @ (ops.gram_h @ gamma0))
-    rhs_paths = np.full(len(u_sq), y0_sq**2)
+    # |y(0)|^2 = |u(0) + lift(0)|^2, the same on every path
+    rhs_paths = np.full(len(u_sq), ops.y_sq(paths.beta0, ctrl.interp(0.0)[0]) ** 2)
     rhs_const = float(nu**2 * np.trapezoid(w4 * w.load4, t))
     return _report("fourth_moment", lhs_paths, rhs_paths, rhs_const, len(paths),
                    {"c0": c0, "nu": nu})
@@ -209,16 +207,7 @@ def certify_stability(one: Paths, ctrl_1: BoundaryControl, two: Paths,
     tnd_sq = trace_norm_series(diff, t) ** 2
 
     bhat = one.beta_series[ok] - two.beta_series[ok]                    # (P, L, n)
-    yhat_sq = (
-        np.einsum("pli,pli->pl", bhat, bhat)
-        + 2.0 * np.einsum("pli,li->pl", bhat, ghat @ ops.lift_h.T)
-        + np.einsum("lc,lc->l", ghat, ghat @ ops.gram_h.T)
-    )
-    yhat_esq = (
-        np.einsum("pli,pli,i->pl", bhat, bhat, ops.lam)
-        + 2.0 * np.einsum("pli,li->pl", bhat, ghat @ ops.lift_v.T)
-        + np.einsum("lc,lc->l", ghat, ghat @ ops.gram_v.T)
-    )
+    yhat_sq, yhat_esq = ops.y_sq(bhat, ghat), ops.y_sq(bhat, ghat, energy=True)
     load = (1.0 + trace_norm_series(ctrl_1, t) ** 2 + trace_norm_series(ctrl_2, t) ** 2
             + one.u_esq[ok])
     c2 = 1.0

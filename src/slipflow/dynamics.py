@@ -44,14 +44,16 @@ fields, and its lifted fields for div y = 0.  The lift couplings and Gram
 matrices are the mass and energy pairings of the basis and lifting stacks,
 and the wall term is exact by Parseval on the trace coefficients.
 
-One numpy kernel steps a pass of up to STACK blocks of BLOCK paths in one
-loop; `Simulator.run_many` hands it its seeds STACK * BLOCK at a time, the
-last block of the run padded to BLOCK rows, and returns one `Paths` whose
-(paths, times) arrays each pass fills in place.  Every product whose
-rounding depends on the row count runs as a stacked matmul over
-(k, BLOCK, .) rows, k separate BLOCK-row products, and every other
-operation is per row, so a seed's path is bitwise the same whatever its
-batch, its position in it and the number of blocks in its pass.
+One numpy kernel, `_em_block`, only steps a pass of up to STACK blocks of
+BLOCK paths in one loop and returns its history; `Simulator.run_many` hands
+it its seeds STACK * BLOCK at a time, the last block of the run padded to
+BLOCK rows, and `_measure` forms each pass's series from the history into
+the (paths, times) arrays of one `Paths`, the norms of y = u + lift by
+`GalerkinOperators.y_sq`.  Every product whose rounding depends on the row
+count runs as a stacked matmul over (k, BLOCK, .) rows, k separate
+BLOCK-row products, and every other operation is per row, so a seed's path
+is bitwise the same whatever its batch, its position in it and the number
+of blocks in its pass.
 `drift`/`step_em` on `GalerkinOperators.dense` are the single-step
 reference the kernel is tested against on both paths; it is built on first
 read, so only that reference builds it from N_PS on.
@@ -160,7 +162,8 @@ class Paths:
 
     `u_sq` and `u_esq` (paths, times) are the squared mass and energy norms
     of the homogeneous part, `tracking` the squared L2 distance of y to the
-    target, `noise_sq` the squared Frobenius magnitude of the diffusion;
+    target (|y|^2 without one), `noise_sq` the squared Frobenius magnitude of
+    the diffusion, each NaN from a blown-up path's blowup step on;
     `beta_series` (paths, times, n) and `wiener` (paths, n_steps, m) are kept
     on request.  `blowup_step` is -1 on a path that did not blow up; `seeds`
     holds Python ints (a seed bank may pass 2**64).  `paths[i]` is path i as
@@ -418,13 +421,18 @@ class GalerkinOperators:
     def n(self) -> int:
         return self.lam.size
 
-    @property
-    def n_ctrl(self) -> int:
-        return self.lift_h.shape[1]
-
     @cached_property
     def dense(self) -> DenseConvection:
         return DenseConvection(self.basis, self.cache.fields)
+
+    def y_sq(self, beta: np.ndarray, gamma: np.ndarray, energy: bool = False) -> np.ndarray:
+        """Squared mass (energy) norm of y = sum_i beta_i e_i + sum_c gamma_c a_c,
+        for stacked states beta (..., n) and controls (..., n_ctrl) that broadcast."""
+        lift, gram = (self.lift_v, self.gram_v) if energy else (self.lift_h, self.gram_h)
+        sq = (np.einsum("...i,...i,i->...", beta, beta, self.lam) if energy
+              else np.einsum("...i,...i->...", beta, beta))
+        return (sq + 2.0 * np.einsum("...i,...i->...", beta, gamma @ lift.T)
+                + np.einsum("...c,...c->...", gamma, gamma @ gram.T))
 
 
 class _Pieces:
@@ -759,9 +767,9 @@ BLOWUP_LIMIT = 1e12
 
 
 def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection | None,
-              nu, dt, gamma, gamma_dot, beta_ref, gamma_ref, add, rho, dw, blowup_limit,
-              paths, work):
-    """Euler-Maruyama over W = k BLOCK paths sharing control and target, in one loop.
+              nu, dt, gamma, gamma_dot, add, rho, dw, paths, work):
+    """Euler-Maruyama over W = k BLOCK paths sharing one control, in one loop:
+    (history, beta_final, blowup_step).
 
     beta0 is (W, n) and dw (W, n_steps, m); rows from `paths` on are padding.
     The convection takes the (k, BLOCK, .) view of the rows, k BLOCK-row
@@ -769,27 +777,23 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     are per row, and the block-wide norm only decides whether the per-row
     norms are needed.
     work (2, n_steps + 1, W, n) holds the kernel's large arrays and is
-    overwritten: the per-step pushes, then a buffer for the diagnostics,
-    and the history, whose rows hold each step's decay factor until the
-    step scales it by the state.
+    overwritten: the per-step pushes, spent when the pass ends, and the
+    history (n_steps + 1, W, n), returned, whose rows hold each step's decay
+    factor until the step scales it by the state.
     The control drift (lift_v, btrace, lift_h terms) is the same for every path
     and is formed once per step.  The convection is evaluated on the rows z =
     (beta, gamma[active]) of the block, active the columns of gamma not 0 at
     every node, by the evaluator `conv` restricted to them, whose control term
     joins the control drift; a zero control has no active column, and conv
-    None is a linear run.  The history (n_steps + 1, W, n) is written in place
-    and the per-step diagnostics (squared mass/energy norms, tracking error
-    against the reference series, squared noise magnitude) are evaluated from
-    it afterwards.  A path aborts when its squared norm is not finite or
-    passes blowup_limit: its abort step is returned, its final state is the
-    offending one, its later diagnostics are NaN and its later history is
-    zero, and its working row is zeroed.  Stepping stops once every
-    non-padding row has aborted.
+    None is a linear run.  A path aborts when its squared norm is not finite
+    or passes BLOWUP_LIMIT, read at call time: its abort step is returned, its
+    final state is the offending one, its history is zero from that step on,
+    and its working row is zeroed.  Stepping stops once every non-padding row
+    has aborted.
     """
     w_rows, n = beta0.shape
     n_blocks = w_rows // BLOCK
     n_steps = dw.shape[1]
-    lam = ops.lam
     dw_t = dw.transpose(1, 0, 2)                             # (n_steps, W, m)
     # path-independent drift per step, then each path's additive noise
     ctrl_drift = (-nu * (gamma @ ops.lift_v.T) + nu * (gamma @ ops.btrace.T)
@@ -805,14 +809,14 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     for k in range(rho.size):
         push += np.multiply(dw_t[:, :, k, None], add[:, k], out=hist[1:])
     # decay and multiplicative noise, in the history row each one scales into
-    hist[1:] = 1.0 - dt * nu * lam
+    hist[1:] = 1.0 - dt * nu * ops.lam
     hist[1:] += (dw_t * rho).sum(axis=-1, keepdims=True)
     rows = np.zeros((w_rows, n + n_a))                       # (beta, gamma[active]) per path
     stacked = rows.reshape(n_blocks, BLOCK, -1)              # the same rows, block by block
     hist_stacked = hist.reshape(n_steps + 1, n_blocks, BLOCK, n)
-    # a nonfinite norm fails `<= limit` even for an infinite blowup_limit;
+    # a nonfinite norm fails `<= limit` even for an infinite BLOWUP_LIMIT;
     # below `fast` the block's total norm proves every row is inside
-    limit = min(blowup_limit, np.finfo(float).max)
+    limit = min(BLOWUP_LIMIT, np.finfo(float).max)
     fast = limit * (1.0 - 1e-9)
 
     hist[0] = beta0
@@ -844,25 +848,34 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
         conv._scratch = np.empty(0)           # its scratch array lives for the pass
     alive = blowup_step < 0
     beta_final[alive] = b[alive]
-
-    u_sq = np.einsum("twi,twi->tw", hist, hist)
-    u_esq = np.einsum("twi,twi,i->tw", hist, hist, lam)
-    gd = gamma - gamma_ref
-    buf = np.subtract(hist, beta_ref[:, None, :], out=work[0])       # push is spent
-    tracking = (np.einsum("twi,twi->tw", buf, buf)
-                + 2.0 * np.einsum("twi,ti->tw", buf, gd @ ops.lift_h.T)
-                + ((gd @ ops.gram_h) * gd).sum(axis=1)[:, None])
-    noise_sq = np.zeros_like(u_sq)
-    for k in range(rho.size):
-        np.multiply(hist, rho[k], out=buf)
-        buf += add[:, k]
-        noise_sq += np.einsum("twi,twi->tw", buf, buf)
     for w in np.flatnonzero(~alive):
-        s = blowup_step[w]
-        for series in (u_sq, u_esq, tracking, noise_sq):
-            series[s:, w] = np.nan
-        hist[s:, w] = 0.0
-    return hist, beta_final, u_sq, u_esq, tracking, noise_sq, blowup_step
+        hist[blowup_step[w]:, w] = 0.0
+    return hist, beta_final, blowup_step
+
+
+def _measure(out: Paths, cut: slice, hist, ops: GalerkinOperators, gamma, target, add, rho, buf):
+    """Write u_sq, u_esq, tracking and noise_sq of the paths out[cut] from the
+    first rows of a pass's history hist (n_steps + 1, W, n).
+
+    tracking is |y - y_ref|^2 against the target's series, |y|^2 without one;
+    buf is scratch of the history's shape.  A blown-up path's series are NaN
+    from its blowup step on.
+    """
+    # (paths, times, n) views of the (times, W, n) layout; einsum follows it
+    h, buf = (a[:, : cut.stop - cut.start].transpose(1, 0, 2) for a in (hist, buf))
+    out.u_sq[cut] = np.einsum("...i,...i->...", h, h)
+    out.u_esq[cut] = np.einsum("...i,...i,i->...", h, h, ops.lam)
+    ref = (0.0, 0.0) if target is None else (target.beta_series, target.gamma_series)
+    out.tracking[cut] = ops.y_sq(np.subtract(h, ref[0], out=buf), gamma - ref[1])
+    out.noise_sq[cut] = 0.0
+    for k in range(rho.size):
+        np.multiply(h, rho[k], out=buf)
+        buf += add[:, k]
+        out.noise_sq[cut] += np.einsum("...i,...i->...", buf, buf)
+    step, length = out.blowup_step[cut], h.shape[1]
+    past = np.arange(length) >= np.where(step < 0, length, step)[:, None]
+    for series in (out.u_sq, out.u_esq, out.tracking, out.noise_sq):
+        series[cut][past] = np.nan
 
 
 class Simulator:
@@ -948,19 +961,14 @@ class Simulator:
         if beta0.shape != (n,):
             raise DynamicsError("initial coefficients do not match the basis size")
         gamma, gdot = self.gamma_series(ctrl)
-        if target is None:
-            beta_ref = np.zeros((n_steps + 1, n))
-            gamma_ref = np.zeros((n_steps + 1, self.ops.n_ctrl))
-        else:
-            beta_ref, gamma_ref = target.beta_series, target.gamma_series
-            if beta_ref.shape != (n_steps + 1, n):
-                raise DynamicsError("target does not match the simulation grid")
+        if target is not None and target.beta_series.shape != (n_steps + 1, n):
+            raise DynamicsError("target does not match the simulation grid")
         add, rho = self.noise.additive, self.noise.mult_gain
         if not noise_on:
             add, rho = np.zeros_like(add), np.zeros_like(rho)
-        series = np.empty((4, count, n_steps + 1))    # u_sq, u_esq, tracking, noise_sq
         out = Paths(np.array(seeds, dtype=object), self.times.copy(), beta0,
-                    np.empty((count, n)), *series, blowup_step=np.empty(count, int),
+                    np.empty((count, n)), *np.empty((4, count, n_steps + 1)),
+                    blowup_step=np.empty(count, int),
                     beta_series=np.empty((count, n_steps + 1, n)) if store_beta else None,
                     wiener=np.empty((count, n_steps, m)) if keep_wiener else None,
                     hint=self.blowup_hint())
@@ -973,14 +981,11 @@ class Simulator:
             inc = np.zeros((w_rows, n_steps, m))      # padding rows: no noise
             if noise_on:
                 inc[:k] = dw[cut] if dw is not None else self.increments(seeds[cut])
-            work = self._work[: 2 * (n_steps + 1) * w_rows * n]
-            hist, beta_final, *diagnostics, blow = _em_block(
-                b0, self.ops, self.convection, self.nu, self.dt, gamma, gdot,
-                beta_ref, gamma_ref, add, rho, inc, BLOWUP_LIMIT, k,
-                work.reshape(2, n_steps + 1, w_rows, n))
+            work = self._work[: 2 * (n_steps + 1) * w_rows * n].reshape(2, n_steps + 1, w_rows, n)
+            hist, beta_final, blow = _em_block(b0, self.ops, self.convection, self.nu,
+                                               self.dt, gamma, gdot, add, rho, inc, k, work)
             out.beta_final[cut], out.blowup_step[cut] = beta_final[:k], blow[:k]
-            for rows, value in zip(series, diagnostics):
-                rows[cut] = value[:, :k].T
+            _measure(out, cut, hist, self.ops, gamma, target, add, rho, work[0])
             if store_beta:                            # hist views the work buffer
                 out.beta_series[cut] = hist[:, :k].transpose(1, 0, 2)
             if keep_wiener:

@@ -13,7 +13,7 @@ from oracles import (
 
 from slipflow import basis as bs
 from slipflow import dynamics as dyn
-from slipflow.basis import energy_pairing, inner_h, sample_fields, truncate_basis
+from slipflow.basis import energy_pairing, inner_h, mass_pairing, sample_fields, truncate_basis
 from slipflow.dynamics import (
     BLOCK,
     N_PS,
@@ -260,11 +260,33 @@ def test_mass_pairings_against_quadrature(sim_small, basis_small, cache_small, g
     assert np.abs(sim_small.ops.gram_h - gram_h).max() <= 1e-12 * np.abs(gram_h).max()
 
 
+def test_y_sq_matches_field_pairings(sim_small, basis_small, cache_small):
+    # the squared mass and energy norms of y = sum beta_i e_i + sum gamma_c a_c
+    # for one state, an (L, n) series with (L, n_ctrl) controls and a (P, L, n)
+    # stack of series; with gamma = 0 they are |beta|^2 and beta . Lambda beta
+    ops, rng = sim_small.ops, np.random.default_rng(31)
+    n, nc = ops.n, ops.cache.n_dofs
+    for shape in [(), (5,), (3, 5)]:
+        beta = rng.standard_normal(shape + (n,))
+        gamma = rng.standard_normal(shape[-1:] + (nc,))
+        y = (basis_small.field(beta.reshape(-1, n))
+             + cache_small.field(np.broadcast_to(gamma, shape + (nc,)).reshape(-1, nc)))
+        for energy, pairing in ((False, mass_pairing), (True, energy_pairing)):
+            direct = np.diagonal(pairing(y, y)).reshape(shape)
+            got = ops.y_sq(beta, gamma, energy=energy)
+            assert got.shape == shape
+            assert np.abs(got - direct).max() <= 1e-10 * np.abs(direct).max()
+        zero = np.zeros(nc)
+        assert np.allclose(ops.y_sq(beta, zero), (beta**2).sum(-1), rtol=1e-14, atol=0)
+        assert np.allclose(ops.y_sq(beta, zero, energy=True), (beta**2 * ops.lam).sum(-1),
+                           rtol=1e-14, atol=0)
+
+
 # -- drift ----------------------------------------------------------------------
 
 
 def test_drift_zero_state(sim_small):
-    nc = sim_small.ops.n_ctrl
+    nc = sim_small.ops.cache.n_dofs
     f = drift(np.zeros(sim_small.ops.n), sim_small.ops, 0.5, np.zeros(nc), np.zeros(nc))
     assert np.abs(f).max() == 0.0
 
@@ -272,7 +294,7 @@ def test_drift_zero_state(sim_small):
 def test_drift_linear_eigendecay(sim_small, basis_small):
     rng = np.random.default_rng(12)
     beta = rng.standard_normal(basis_small.size)
-    nc = sim_small.ops.n_ctrl
+    nc = sim_small.ops.cache.n_dofs
     f = drift(beta, sim_small.ops, 0.5, np.zeros(nc), np.zeros(nc), include_nonlinear=False)
     assert np.allclose(f, -0.5 * basis_small.eigenvalues * beta, rtol=1e-12, atol=1e-14)
 
@@ -337,7 +359,7 @@ def test_step_em_trivial(basis_small, cache_mean):
     ops = assemble_operators(basis_small, cache_mean)
     ops.lam[:] = 0.0
     st = GalerkinState(t=0.0, beta=np.ones(n))
-    zero = np.zeros(ops.n_ctrl)
+    zero = np.zeros(ops.cache.n_dofs)
     out = step_em(st, 0.1, np.zeros(1), ops, noise, 0.5, zero, zero, include_nonlinear=False)
     assert out.t == pytest.approx(0.1)
     assert np.array_equal(out.beta, st.beta)
@@ -376,7 +398,7 @@ def test_homogeneous_energy_identity(basis_small, cache_mean, zero_ctrl):
         d = tr.u_sq[1:] - tr.u_sq[:-1] + 2 * nu * tr.u_esq[:-1] * dt
         defect_rates.append(np.abs(d).max() / dt)
         # internal consistency: defect equals |drift|^2 dt^2 step by step
-        nc = sim.ops.n_ctrl
+        nc = sim.ops.cache.n_dofs
         for ell in (0, len(tr.times) // 2):
             f = drift(tr.beta_series[ell], sim.ops, nu, np.zeros(nc), np.zeros(nc))
             assert abs(d[ell] - (f @ f) * dt * dt) < 1e-10 * max(1.0, f @ f * dt * dt)
@@ -497,7 +519,7 @@ def test_kernel_blowup_step_matches_step_em(basis_small, cache_mean, zero_ctrl, 
     tr = sim.run(seed=0, ctrl=zero_ctrl(sim), u0=u0, noise_on=False)
     state = GalerkinState(t=0.0, beta=u0)
     first = -1
-    zero = np.zeros(sim.ops.n_ctrl)
+    zero = np.zeros(sim.ops.cache.n_dofs)
     for ell in range(sim.n_steps):
         state = step_em(state, dt, np.zeros(1), sim.ops, noise, sim.nu, zero, zero,
                         include_nonlinear=False)
@@ -561,7 +583,7 @@ def test_step_em_blowup_raises(basis_small, cache_mean):
     noise = NoiseModel(additive=np.zeros((n, 1)), mult_gain=np.array([0.0]))
     ops = assemble_operators(basis_small, cache_mean)
     st = GalerkinState(t=0.0, beta=np.full(n, 1e200))
-    zero = np.zeros(ops.n_ctrl)
+    zero = np.zeros(ops.cache.n_dofs)
     from slipflow.dynamics import BlowupError
 
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(BlowupError):
@@ -807,7 +829,7 @@ def test_blowup_masked_per_path(basis_small, cache_mean, zero_ctrl, monkeypatch)
     assert 0 < len(blown) < len(bundle)
     for tr in bundle:
         _same_path(tr, sim.run(seed=tr.seed, **kw))
-    zero = np.zeros(sim.ops.n_ctrl)
+    zero = np.zeros(sim.ops.cache.n_dofs)
     for tr in blown:
         state = GalerkinState(t=0.0, beta=np.zeros(n))
         first = -1
@@ -909,8 +931,8 @@ def test_weak_form_residual_of_trajectory(basis_small, cache_small, grid_small,
 
 def test_tracking_series_matches_field_quadrature(basis_small, cache_small,
                                                   make_control):
-    # the in-loop tracking diagnostic equals the quadrature of |y - y_ref|^2
-    # over reconstructed fields
+    # the tracking series equals the quadrature of |y - y_ref|^2 over
+    # reconstructed fields, and of |y|^2 on a run without a target
     from slipflow.control import Target
 
     noise = build_noise(basis_small.size, 2, 0.05, 1.0, 7, [0.1, 0.05])
@@ -924,13 +946,17 @@ def test_tracking_series_matches_field_quadrature(basis_small, cache_small,
     target = Target(times=sim.times.copy(), beta_series=beta_ref,
                     gamma_series=gamma_ref)
     tr = sim.run(seed=5, ctrl=ctrl, u0=b0, store_beta=True, target=target)
+    free = sim.run(seed=5, ctrl=ctrl, u0=b0, store_beta=True)
+    assert np.array_equal(free.beta_series, tr.beta_series)
     gam, _ = sim.gamma_series(ctrl)
     for ell in (0, sim.n_steps // 2, sim.n_steps):
-        # y - y_ref, combined from the coefficient differences
+        # y - y_ref, combined from the coefficient differences, and y alone
         diff = (basis_small.field(tr.beta_series[ell] - beta_ref[ell])
                 + cache_small.field(gam[ell] - gamma_ref[ell]))
-        direct = inner_h(diff, diff)
-        assert abs(tr.tracking[ell] - direct) < 1e-10 * max(1.0, direct)
+        y = basis_small.field(tr.beta_series[ell]) + cache_small.field(gam[ell])
+        for series, field in ((tr.tracking, diff), (free.tracking, y)):
+            direct = inner_h(field, field)
+            assert abs(series[ell] - direct) < 1e-10 * max(1.0, direct)
 
 
 # -- pseudospectral convection (n >= N_PS) -----------------------------------------
@@ -1179,7 +1205,7 @@ def test_inactive_control_rows_never_read(path, request):
     # bits: 0 * NaN would be NaN
     clean, poisoned = _path_sim(path, request), _path_sim(path, request)
     n, ctrl = clean.ops.n, _two_dof_control(clean.t_final)
-    inactive = np.setdiff1d(np.arange(clean.ops.n_ctrl), [1, 18])
+    inactive = np.setdiff1d(np.arange(clean.ops.cache.n_dofs), [1, 18])
     if path == "dense":
         # a copy with its own restricted tables: ops.dense is shared
         dense = poisoned.convection = copy.copy(poisoned.convection)
@@ -1208,7 +1234,7 @@ def test_zero_control_same_as_no_control(path, request, zero_ctrl):
     mean = Simulator(sim.basis, cache, sim.noise, t_final=sim.t_final, dt=sim.dt)
     assert isinstance(mean.convection, type(sim.convection))
     ctrl = _two_dof_control(sim.t_final, theta=(0.0, 0.0))
-    assert not ctrl.gamma.any() and (sim.ops.n_ctrl, mean.ops.n_ctrl) == (20, 4)
+    assert not ctrl.gamma.any() and (sim.ops.cache.n_dofs, mean.ops.cache.n_dofs) == (20, 4)
     kw = dict(u0=make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0), store_beta=True,
               keep_wiener=True)
     _same_paths(sim.run_many(range(5), ctrl=ctrl, **kw),
