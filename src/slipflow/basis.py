@@ -7,9 +7,9 @@ complex Fourier-coefficient profiles
 
 with each profile sampled at the Gauss quadrature nodes together with its
 wall-normal derivative and wall traces.  A set of fields is one ModeField
-whose arrays carry a leading stack axis; the sampler `sample_fields` and
-the pairings `mass_pairing`/`energy_pairing` work on such stacks, and the
-one-field `inner_h` is their one-row case.
+whose arrays carry a leading stack axis; the sampler `sample_fields`, the
+pairings `mass_pairing`/`energy_pairing` and the squared H1 norms `h1_sq`
+work on such stacks, and a one-field stack `f[None]` gives one field's value.
 Divergence-free fields are built from per-mode streamfunctions (j >= 1) and
 shear profiles (j = 0), which makes the incompressibility constraint exact
 by construction.
@@ -43,7 +43,7 @@ __all__ = [
     "sample_fields",
     "mass_pairing",
     "energy_pairing",
-    "inner_h",
+    "h1_sq",
     "reduced_pencil",
     "max_basis_size",
     "build_eigenbasis",
@@ -264,28 +264,16 @@ def energy_pairing(a: ModeField, b: ModeField) -> np.ndarray:
     return _real_gram(np.concatenate(left, axis=1), np.concatenate(right, axis=1))
 
 
-def inner_h(u: ModeField, v: ModeField) -> float:
-    """L2 inner product over the channel."""
-    return float(mass_pairing(u[None], v[None])[0, 0])
-
-
-def grad_sq(u: ModeField) -> float:
-    """Squared L2 norm of the full velocity gradient."""
-    g = u.grid
-    nj = u.vals.shape[0]
-    k = g.kx[:nj][:, None]
-    parts = (
-        np.abs(1j * k * u.vals[:, 0]) ** 2
-        + np.abs(u.dvals[:, 0]) ** 2
-        + np.abs(1j * k * u.vals[:, 1]) ** 2
-        + np.abs(u.dvals[:, 1]) ** 2
-    )
-    s = np.einsum("jq,q->j", parts, g.w_y)
-    return float(g.spec.length_x * (_mode_weights(nj - 1) @ s))
-
-
-def norm_h1(u: ModeField) -> float:
-    return float(np.sqrt(max(inner_h(u, u) + grad_sq(u), 0.0)))
+def h1_sq(fields: ModeField) -> np.ndarray:
+    """Squared H1 norms |v|^2 + |grad v|^2 of a stack of fields, one per field."""
+    grid = fields.grid
+    nj = fields.n_modes + 1
+    k2 = grid.kx[:nj, None] ** 2
+    sq = ((1.0 + k2) * (np.abs(fields.vals) ** 2).sum(axis=-2)
+          + (np.abs(fields.dvals) ** 2).sum(axis=-2))
+    w = grid.spec.length_x * _mode_weights(nj - 1)[:, None] * grid.w_y
+    # vecdot sums each row as a 1-D dot does, so a stack and its rows agree bitwise
+    return np.vecdot(sq.reshape(sq.shape[:-2] + (-1,)), w.ravel())
 
 
 # -- eigenbasis -------------------------------------------------------------

@@ -12,7 +12,7 @@ per wavenumber:
    stress supplies the remainder b - [2 D(c) n + alpha c] . tau, alpha the
    friction of the grid, where the stress of c is
    `ModeField.tangential_stress_coeffs`, the one slip-stress formula of the
-   package.  It is solved on the reduced energy systems of
+   package.  `solve_correction` solves it on the reduced energy systems of
    `basis.reduced_pencil` that the eigenbasis also uses (zero-mean shear
    profiles for the mean mode, clamped streamfunctions above).
 
@@ -20,7 +20,10 @@ Both stages are linear and take (..., n_modes+1) stacks of wall data, so
 `LiftingCache` lifts the unit response of every control degree of freedom
 in one pass: one harmonic call on the stacked rows, then, per x-mode, one
 Stokes solve whose right-hand-side columns are all the coefficients' data
-at that mode.  Any compatible control is a superposition of these fields.
+at that mode.  Any compatible control is a superposition of these fields,
+and `lift` evaluates a control on its whole time grid as one stack: one
+`combine` for the values and one for the slopes give every node's wall
+residuals and lifted size at once.
 
 Trace regularity is measured by a Fourier-multiplier surrogate of the mixed
 fractional wall norm: a term of differential order s contributes
@@ -36,11 +39,11 @@ of the control problem are calls to it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ModeField, reduced_pencil
+from .basis import ModeField, h1_sq, mass_pairing, reduced_pencil
 from .geometry import Grid
 
 __all__ = [
@@ -50,9 +53,8 @@ __all__ = [
     "project_compatible",
     "trace_tables",
     "solve_harmonic",
-    "StokesCorrectionSolver",
+    "solve_correction",
     "LiftingCache",
-    "LiftedField",
     "lift",
     "trace_norm_series",
     "wall_norm_sq",
@@ -237,12 +239,6 @@ def project_compatible(ctrl: BoundaryControl) -> BoundaryControl:
     return out
 
 
-def compatibility_residual(ctrl: BoundaryControl) -> float:
-    ib = ctrl.dof_index(KIND_A, "bottom", 0)
-    it = ctrl.dof_index(KIND_A, "top", 0)
-    return float(np.abs(ctrl.gamma[:, ib] + ctrl.gamma[:, it]).max())
-
-
 # -- trace norms --------------------------------------------------------------
 
 
@@ -325,8 +321,8 @@ def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> ModeField:
 # -- Stokes correction stage --------------------------------------------------
 
 
-class StokesCorrectionSolver:
-    """Per-mode stationary Stokes solves with prescribed tangential stress.
+def solve_correction(bt_bottom, bt_top, grid: Grid, n_modes: int) -> ModeField:
+    """Stationary Stokes correction per mode with prescribed tangential stress.
 
     Seeks a divergence-free field with zero normal trace whose tangential
     stress at the grid's friction equals the given wall data, variationally:
@@ -334,49 +330,39 @@ class StokesCorrectionSolver:
     pairing with the data.  The mean mode runs on zero-mean shear profiles,
     which fixes the one-parameter indeterminacy of the periodic channel (a
     mean pressure gradient appears implicitly as the Lagrange multiplier of
-    that constraint).
+    that constraint).  (..., n_modes+1) rows of data give a stack of fields,
+    solved as the columns of one right-hand side per mode.
     """
-
-    def __init__(self, grid: Grid, n_modes: int):
-        if n_modes > grid.spec.modes_x:
-            raise LiftingError("control modes exceed the resolved band")
-        self.grid = grid
-        self.n_modes = n_modes
-        # (reduced energy matrix, columns) per mode
-        self._systems = [reduced_pencil(grid, j)[::2] for j in range(n_modes + 1)]
-
-    def _solve_mode(self, j: int, rhs) -> np.ndarray:
-        """Nodal profiles of mode j whose energy pairings with every admissible
-        profile are the (n_y, m) columns of rhs, one solve for all columns."""
-        energy, cols = self._systems[j]
+    if n_modes > grid.spec.modes_x:
+        raise LiftingError("control modes exceed the resolved band")
+    lx = grid.spec.length_x
+    bt_bottom = np.asarray(bt_bottom, complex)
+    stack = bt_bottom.shape[:-1]
+    bt_bottom = bt_bottom.reshape(-1, n_modes + 1).T
+    bt_top = np.asarray(bt_top, complex).reshape(-1, n_modes + 1).T
+    out = ModeField.zeros(grid, stack=bt_bottom.shape[1:])
+    for j in range(n_modes + 1):
+        if j == 0:
+            # zero-mean shear profiles; the mean data of a real trace is real
+            rhs = np.zeros((grid.n_y, bt_bottom.shape[1]))
+            rhs[0] = lx * bt_bottom[0].real
+            rhs[-1] = -lx * bt_top[0].real
+        else:
+            rhs = 0.5 * lx * (np.outer(grid.d1[0], bt_bottom[j])
+                              - np.outer(grid.d1[-1], bt_top[j]))
+        # nodal profiles whose energy pairings with every admissible profile
+        # are the columns of rhs
+        energy, _, cols = reduced_pencil(grid, j)
         try:
-            return cols @ np.linalg.solve(energy, cols.T @ rhs)
+            prof = cols @ np.linalg.solve(energy, cols.T @ rhs)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise LiftingError(f"singular correction system at mode {j}") from exc
-
-    def solve(self, bt_bottom, bt_top) -> ModeField:
-        """Correction field for tangential-stress coefficients per wall.
-
-        (..., n_modes+1) rows of data give a stack of fields, solved as
-        columns of one right-hand side per mode.
-        """
-        g = self.grid
-        lx = g.spec.length_x
-        bt_bottom = np.asarray(bt_bottom, complex)
-        stack = bt_bottom.shape[:-1]
-        bt_bottom = bt_bottom.reshape(-1, self.n_modes + 1).T
-        bt_top = np.asarray(bt_top, complex).reshape(-1, self.n_modes + 1).T
-        out = ModeField.zeros(g, stack=bt_bottom.shape[1:])
-        # zero-mean shear profiles at j = 0; the mean data of a real trace is real
-        rhs = np.zeros((g.n_y, bt_bottom.shape[1]))
-        rhs[0] = lx * bt_bottom[0].real
-        rhs[-1] = -lx * bt_top[0].real
-        out._put_shear(slice(None), self._solve_mode(0, rhs))
-        for j in range(1, self.n_modes + 1):
-            rhs = 0.5 * lx * (np.outer(g.d1[0], bt_bottom[j]) - np.outer(g.d1[-1], bt_top[j]))
-            out._put_streamfunction(slice(None), j, self._solve_mode(j, rhs))
-        return ModeField(g, *(a.reshape(stack + a.shape[1:])
-                              for a in (out.vals, out.dvals, out.wall_vals, out.wall_dvals)))
+        if j == 0:
+            out._put_shear(slice(None), prof)
+        else:
+            out._put_streamfunction(slice(None), j, prof)
+    return ModeField(grid, *(a.reshape(stack + a.shape[1:])
+                             for a in (out.vals, out.dvals, out.wall_vals, out.wall_dvals)))
 
 
 # -- unit-response cache ------------------------------------------------------
@@ -399,62 +385,39 @@ class LiftingCache:
         # harmonic stage for a, then the correction supplies the rest of b
         har = solve_harmonic(tables[:, 0], tables[:, 1], grid, n_modes)
         stress = har.tangential_stress_coeffs()[:, : n_modes + 1]
-        corr = StokesCorrectionSolver(grid, n_modes).solve(
-            tables[:, 2] - stress[..., 0], tables[:, 3] - stress[..., 1])
+        corr = solve_correction(tables[:, 2] - stress[..., 0], tables[:, 3] - stress[..., 1],
+                                grid, n_modes)
         self.fields = har + corr
 
-    def field(self, gamma_row) -> ModeField:
-        return self.fields.combine(np.asarray(gamma_row, float))
 
+def lift(ctrl: BoundaryControl, cache: LiftingCache) -> dict:
+    """The lifting of a compatible control at every node of its time grid.
 
-@dataclass(eq=False)
-class LiftedField:
-    """Lifted boundary data over the control time grid."""
-
-    ctrl: BoundaryControl
-    cache: LiftingCache
-    trace_norms: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.trace_norms = trace_norm_series(self.ctrl, self.ctrl.t_grid)
-
-    def field_at(self, t: float) -> ModeField:
-        row, _ = self.ctrl.interp(t)
-        return self.cache.field(row)
-
-    def dt_field_at(self, t: float) -> ModeField:
-        _, slope = self.ctrl.interp(t)
-        return self.cache.field(slope)
-
-    def boundary_residuals(self) -> dict:
-        """Worst-case coefficient-space residuals of the two wall conditions."""
-        normal = 0.0
-        tangential = 0.0
-        divr = 0.0
-        nm = self.ctrl.n_modes
-        for ti, t in enumerate(self.ctrl.t_grid):
-            table = self.ctrl.coeffs(self.ctrl.gamma[ti])
-            f = self.field_at(float(t))
-            ntr = f.normal_trace_coeffs()[: nm + 1]
-            normal = max(
-                normal,
-                np.abs(ntr[:, 0] - table[0]).max(),
-                np.abs(ntr[:, 1] - table[1]).max(),
-            )
-            stress = f.tangential_stress_coeffs()[: nm + 1]
-            tangential = max(
-                tangential,
-                np.abs(stress[:, 0] - table[2]).max(),
-                np.abs(stress[:, 1] - table[3]).max(),
-            )
-            divr = max(divr, f.divergence_residual())
-        return {"normal": normal, "tangential": tangential, "divergence": divr}
-
-
-def lift(ctrl: BoundaryControl, cache: LiftingCache) -> LiftedField:
-    """Lift a compatible control; raises if the compatibility constraint fails."""
-    if compatibility_residual(ctrl) > 1e-10 * max(1.0, np.abs(ctrl.gamma).max()):
+    The lifted fields A(gamma) and A(gamma-dot) of all nodes are two stacks,
+    one `combine` each.  Returns (n_t,) arrays: the worst coefficient-space
+    residuals of the two wall conditions against the node's data (`normal`,
+    `tangential`) and the `divergence` residual, the lifted `size`
+    |A(gamma)|_H1 + |A(gamma-dot)|_L2 and the `trace_norm`.  Raises if the
+    control violates the compatibility constraint or its mode count is not
+    the cache's.
+    """
+    g = ctrl.gamma
+    flux = g[:, ctrl.dof_index(KIND_A, "bottom", 0)] + g[:, ctrl.dof_index(KIND_A, "top", 0)]
+    if np.abs(flux).max() > 1e-10 * max(1.0, np.abs(g).max()):
         raise CompatibilityError("control violates the zero-net-flux constraint")
     if ctrl.n_modes != cache.n_modes:
         raise LiftingError("control and cache mode counts differ")
-    return LiftedField(ctrl=ctrl, cache=cache)
+    rows, slopes = ctrl.series(ctrl.t_grid)
+    f, df = cache.fields.combine(rows), cache.fields.combine(slopes)
+    nm = ctrl.n_modes + 1
+    # per node, (mode, wall) tables of the data: a on the two walls, then b
+    table = ctrl.coeffs(g).swapaxes(-2, -1)
+    normal = np.abs(f.normal_trace_coeffs()[:, :nm] - table[..., :2])
+    tangential = np.abs(f.tangential_stress_coeffs()[:, :nm] - table[..., 2:])
+    return {
+        "normal": normal.max(axis=(-2, -1)),
+        "tangential": tangential.max(axis=(-2, -1)),
+        "divergence": f.divergence_residual(),
+        "size": np.sqrt(h1_sq(f)) + np.sqrt(mass_pairing(df, df).diagonal()),
+        "trace_norm": trace_norm_series(ctrl, ctrl.t_grid),
+    }

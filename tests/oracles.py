@@ -33,8 +33,8 @@ import scipy.sparse.linalg
 from slipflow.basis import FAMILY_COS, FAMILY_SHEAR, ModeField, sample_fields
 from slipflow.lifting import (
     BoundaryControl,
-    StokesCorrectionSolver,
     project_compatible,
+    solve_correction,
     solve_harmonic,
 )
 
@@ -264,7 +264,6 @@ def loop_basis_fields(basis):
 def loop_lifting_fields(grid, n_modes):
     """The lifted unit fields of a LiftingCache, one coefficient at a time."""
     lx = grid.spec.length_x
-    solver = StokesCorrectionSolver(grid, n_modes)
     fields = []
     for c in range(BoundaryControl.zeros(lx, n_modes, [0.0], 4.0).n_dofs):
         unit = BoundaryControl.zeros(lx, n_modes, [0.0], 4.0)
@@ -273,7 +272,7 @@ def loop_lifting_fields(grid, n_modes):
         table = unit.coeffs(unit.gamma[0])
         har = solve_harmonic(table[0], table[1], grid, n_modes)
         stress = har.tangential_stress_coeffs()[: n_modes + 1]
-        corr = solver.solve(table[2] - stress[:, 0], table[3] - stress[:, 1])
+        corr = solve_correction(table[2] - stress[:, 0], table[3] - stress[:, 1], grid, n_modes)
         fields.append(har + corr)
     return stack_fields(fields)
 

@@ -9,10 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from slipflow import basis as bs
 from slipflow import control as ctl
 from slipflow import diagnostics as dg
-from slipflow.basis import build_eigenbasis, energy_pairing, inner_h, truncate_basis
+from slipflow.basis import build_eigenbasis, energy_pairing, mass_pairing, truncate_basis
 from slipflow.cli import main as cli_main
 from slipflow.dynamics import (
     NoiseModel,
@@ -65,18 +64,17 @@ def test_criterion_01_eigenbasis_certification():
     basis = build_eigenbasis(grid, 32)
 
     worst_resid = 0.0
+    lam = basis.eigenvalues
     rng = np.random.default_rng(1)
     for _ in range(5):
-        v = basis.field(rng.standard_normal(32))
-        norm = np.sqrt(inner_h(v, v))
-        for i in range(32):
-            # the residual is linear in v: that of the unit field v / norm
-            r = abs(energy_pairing(v[None], basis.fields[i][None])[0, 0]
-                    - basis.eigenvalues[i] * inner_h(v, basis.fields[i])) / norm
-            worst_resid = max(worst_resid, r / basis.eigenvalues[i])
+        v = basis.field(rng.standard_normal(32))[None]
+        norm = np.sqrt(mass_pairing(v, v)[0, 0])
+        # the residual is linear in v: that of the unit field v / norm
+        r = np.abs(energy_pairing(v, basis.fields)[0]
+                   - lam * mass_pairing(v, basis.fields)[0]) / norm
+        worst_resid = max(worst_resid, (r / lam).max())
 
-    gram = np.array([[inner_h(basis.fields[i], basis.fields[j])
-                      for j in range(32)] for i in range(32)])
+    gram = mass_pairing(basis.fields, basis.fields)
     ortho = np.abs(gram - np.eye(32)).max()
     div = max(f.divergence_residual() for f in basis.fields)
     ntr = max(np.abs(f.normal_trace_coeffs()).max() for f in basis.fields)
@@ -103,9 +101,8 @@ def test_criterion_02_lifting_certification(stack):
     for seed in range(20):
         ctrl = _control(seed, scale=0.5)
         lifted = lift(ctrl, cache)
-        res = lifted.boundary_residuals()
-        worst["normal"] = max(worst["normal"], res["normal"])
-        worst["tangential"] = max(worst["tangential"], res["tangential"])
+        worst["normal"] = max(worst["normal"], lifted["normal"].max())
+        worst["tangential"] = max(worst["tangential"], lifted["tangential"].max())
         table = ctrl.coeffs(ctrl.gamma[0])
         har = solve_harmonic(table[0], table[1], grid, ctrl.n_modes)
         for j in range(1, ctrl.n_modes + 1):
@@ -115,15 +112,14 @@ def test_criterion_02_lifting_certification(stack):
                 worst["harmonic"],
                 np.abs(har.dvals[j, 1] - k * k * prof).max(),
             )
-        f = lifted.field_at(0.0)
-        df = lifted.dt_field_at(0.0)
-        tn = lifted.trace_norms[0]
+        tn = lifted["trace_norm"][0]
         if tn > 1e-12:
-            ratios.append((bs.norm_h1(f) + np.sqrt(max(inner_h(df, df), 0.0))) / tn)
+            ratios.append(lifted["size"][0] / tn)
         # linearity against a second control
         other = _control(1000 + seed, scale=0.5)
-        combo = cache.field(0.6 * ctrl.gamma[0] + 1.7 * other.gamma[0])
-        split = 0.6 * cache.field(ctrl.gamma[0]).vals + 1.7 * cache.field(other.gamma[0]).vals
+        combo = cache.fields.combine(0.6 * ctrl.gamma[0] + 1.7 * other.gamma[0])
+        split = (0.6 * cache.fields.combine(ctrl.gamma[0]).vals
+                 + 1.7 * cache.fields.combine(other.gamma[0]).vals)
         scale = max(np.abs(combo.vals).max(), 1.0)
         worst["linearity"] = max(worst["linearity"], np.abs(combo.vals - split).max() / scale)
     bound = max(ratios)
@@ -347,10 +343,11 @@ def test_criterion_10_determinism(tmp_path):
     pairs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        for cmd in ("basis", "simulate", "optimize", "verify"):
+        for cmd in ("basis", "lift", "simulate", "optimize", "verify"):
             assert cli_main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
         pairs.append(out)
-    files = ["basis.npz", "eigenvalues.csv", "traj_000.csv", "summary.csv",
+    files = ["basis.npz", "eigenvalues.csv", "lift_report.json", "trace_norms.csv",
+             "control.json", "traj_000.csv", "summary.csv",
              "summary.json", "history.json", "history.csv", "best_control.json",
              "target.npz", "report_second_moment.json", "report_fourth_moment.json",
              "report_wellposed_cost.json", "report_stability.json",

@@ -398,7 +398,7 @@ def test_damping_load_identity(sim_mod, mc_bundle):
         wall += grid.w_x * float(a_vals @ tau_vals**2)
     # mixed_total = ((u.grad) lift, u) + ((lift.grad) u, u); isolate the
     # second part by the divergence-free wall identity and compare routes
-    lift_field = sim_mod.cache.field(g)
+    lift_field = sim_mod.cache.fields.combine(g)
     # ((u.grad) lift, u) by direct quadrature: project conv of (u, lift)
     u1, u2 = sample_fields(u[None])[0, :2]
     g1x, g1y, g2x, g2y = sample_fields(lift_field[None])[0, 2:]

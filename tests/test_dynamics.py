@@ -13,7 +13,7 @@ from oracles import (
 
 from slipflow import basis as bs
 from slipflow import dynamics as dyn
-from slipflow.basis import energy_pairing, inner_h, mass_pairing, sample_fields, truncate_basis
+from slipflow.basis import energy_pairing, mass_pairing, sample_fields, truncate_basis
 from slipflow.dynamics import (
     BLOCK,
     N_PS,
@@ -135,7 +135,7 @@ def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, ma
     ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=60)
     beta = rng.standard_normal(n)
     gam = ctrl.gamma[0]
-    y = basis_small.field(beta) + cache_small.field(gam)
+    y = basis_small.field(beta) + cache_small.fields.combine(gam)
     direct = Convection(basis_small, y[None]).stacked(np.zeros(n), np.ones(1))
     tensor = (
         dense.conv_bb.reshape(n, -1) @ np.outer(beta, beta).ravel()
@@ -270,7 +270,7 @@ def test_y_sq_matches_field_pairings(sim_small, basis_small, cache_small):
         beta = rng.standard_normal(shape + (n,))
         gamma = rng.standard_normal(shape[-1:] + (nc,))
         y = (basis_small.field(beta.reshape(-1, n))
-             + cache_small.field(np.broadcast_to(gamma, shape + (nc,)).reshape(-1, nc)))
+             + cache_small.fields.combine(np.broadcast_to(gamma, shape + (nc,)).reshape(-1, nc)))
         for energy, pairing in ((False, mass_pairing), (True, energy_pairing)):
             direct = np.diagonal(pairing(y, y)).reshape(shape)
             got = ops.y_sq(beta, gamma, energy=energy)
@@ -307,7 +307,7 @@ def test_drift_control_terms_against_quadrature(sim_small, basis_small, cache_sm
     ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.4, seed=61)
     gam = ctrl.gamma[0]
     f = drift(np.zeros(basis_small.size), sim_small.ops, nu, gam, np.zeros_like(gam))
-    lifted = cache_small.field(gam)
+    lifted = cache_small.fields.combine(gam)
     table = ctrl.coeffs(gam)
     x = grid_small.x_nodes
     oracle = np.empty(basis_small.size)
@@ -334,8 +334,8 @@ def test_drift_time_derivative_term(sim_small, cache_small, basis_small, make_co
     gam, gdot = ctrl.interp(0.25)
     f_move = drift(np.zeros(basis_small.size), sim_small.ops, 0.5, gam, gdot)
     f_stat = drift(np.zeros(basis_small.size), sim_small.ops, 0.5, gam, np.zeros_like(gdot))
-    dfield = cache_small.field(gdot)
-    expected = np.array([-inner_h(dfield, e) for e in basis_small.fields])
+    dfield = cache_small.fields.combine(gdot)
+    expected = -mass_pairing(basis_small.fields, dfield[None])[:, 0]
     assert np.abs((f_move - f_stat) - expected).max() < 1e-10
 
 
@@ -534,7 +534,8 @@ def test_parseval_reconstruction(sim_small, basis_small, zero_ctrl):
     b0 = make_initial_coeffs(basis_small.size, "random", 3, 0.5, 1.0)
     tr = sim_small.run(seed=2, ctrl=zero_ctrl(sim_small), u0=b0)
     field = basis_small.field(tr.beta_final)
-    assert abs(inner_h(field, field) - tr.u_sq[-1]) < 1e-8 * max(1.0, tr.u_sq[-1])
+    u_sq = mass_pairing(field[None], field[None])[0, 0]
+    assert abs(u_sq - tr.u_sq[-1]) < 1e-8 * max(1.0, tr.u_sq[-1])
 
 
 def test_initial_projection_monotone(grid_small):
@@ -903,7 +904,7 @@ def test_weak_form_residual_of_trajectory(basis_small, cache_small, grid_small,
         e = basis_small.fields[i]
         acc = 0.0
         for ell in range(sim.n_steps):
-            y = basis_small.field(tr.beta_series[ell]) + cache_small.field(gam[ell])
+            y = basis_small.field(tr.beta_series[ell]) + cache_small.fields.combine(gam[ell])
             # wall forcing term by direct sampling
             table = ctrl.coeffs(gam[ell])
             wall = 0.0
@@ -922,9 +923,9 @@ def test_weak_form_residual_of_trajectory(basis_small, cache_small, grid_small,
             acc += sim.dt * (-nu * energy_pairing(y[None], e[None])[0, 0] + nu * wall - conv)
             gk = noise.additive[i] + noise.mult_gain * tr.beta_series[ell][i]
             acc += float(gk @ tr.wiener[ell])
-        y_end = basis_small.field(tr.beta_series[-1]) + cache_small.field(gam[-1])
-        y_start = basis_small.field(tr.beta_series[0]) + cache_small.field(gam[0])
-        lhs = inner_h(y_end, e) - inner_h(y_start, e)
+        y_end = basis_small.field(tr.beta_series[-1]) + cache_small.fields.combine(gam[-1])
+        y_start = basis_small.field(tr.beta_series[0]) + cache_small.fields.combine(gam[0])
+        lhs = (mass_pairing(y_end[None], e[None]) - mass_pairing(y_start[None], e[None]))[0, 0]
         resid[pi] = abs(lhs - acc)
     assert resid.max() < 1e-9
 
@@ -952,10 +953,10 @@ def test_tracking_series_matches_field_quadrature(basis_small, cache_small,
     for ell in (0, sim.n_steps // 2, sim.n_steps):
         # y - y_ref, combined from the coefficient differences, and y alone
         diff = (basis_small.field(tr.beta_series[ell] - beta_ref[ell])
-                + cache_small.field(gam[ell] - gamma_ref[ell]))
-        y = basis_small.field(tr.beta_series[ell]) + cache_small.field(gam[ell])
+                + cache_small.fields.combine(gam[ell] - gamma_ref[ell]))
+        y = basis_small.field(tr.beta_series[ell]) + cache_small.fields.combine(gam[ell])
         for series, field in ((tr.tracking, diff), (free.tracking, y)):
-            direct = inner_h(field, field)
+            direct = mass_pairing(field[None], field[None])[0, 0]
             assert abs(series[ell] - direct) < 1e-10 * max(1.0, direct)
 
 

@@ -3,17 +3,16 @@ import pytest
 
 from oracles import fd_harmonic, fd_stokes_mode, fd_stokes_shear, loop_lifting_fields
 from slipflow import lifting
-from slipflow.basis import inner_h, norm_h1
+from slipflow.basis import ModeField, h1_sq, sample_fields
 from slipflow.geometry import DomainSpec, build_grid
 from slipflow.lifting import (
     BoundaryControl,
     CompatibilityError,
     LiftingCache,
     LiftingError,
-    StokesCorrectionSolver,
-    compatibility_residual,
     lift,
     project_compatible,
+    solve_correction,
     solve_harmonic,
     trace_norm_series,
 )
@@ -44,7 +43,9 @@ def test_project_compatible_idempotent_bitwise(make_control):
     ctrl = make_control(2 * np.pi, 2, np.linspace(0, 1, 4), 0.5, seed=3)
     twice = project_compatible(ctrl)
     assert np.array_equal(twice.gamma, ctrl.gamma)
-    assert compatibility_residual(ctrl) < 1e-14
+    a_mean = ctrl.gamma[:, [ctrl.dof_index("a", "bottom", 0), ctrl.dof_index("a", "top", 0)]]
+    flux = a_mean.sum(axis=1)
+    assert np.abs(flux).max() < 1e-14
 
 
 def test_project_compatible_leaves_other_modes(make_control):
@@ -129,16 +130,20 @@ def test_harmonic_incompatible_rejected(grid_small):
 
 
 def test_correction_zero(grid_small):
-    solver = StokesCorrectionSolver(grid_small, 2)
-    out = solver.solve(np.zeros(3, complex), np.zeros(3, complex))
+    out = solve_correction(np.zeros(3, complex), np.zeros(3, complex), grid_small, 2)
     assert np.abs(out.vals).max() == 0.0
+
+
+def test_correction_rejects_modes_past_the_band(grid_small):
+    n = grid_small.spec.modes_x + 1
+    with pytest.raises(LiftingError, match="resolved band"):
+        solve_correction(np.zeros(n + 1, complex), np.zeros(n + 1, complex), grid_small, n)
 
 
 def test_correction_shear_against_fd(grid_free):
     # constant tangential stress on the top wall, zero friction branch
-    solver = StokesCorrectionSolver(grid_free, 2)
     c0 = 0.8
-    out = solver.solve(np.zeros(3, complex), np.array([c0, 0, 0], complex))
+    out = solve_correction(np.zeros(3, complex), np.array([c0, 0, 0], complex), grid_free, 2)
     y_fd, u_fd = fd_stokes_shear(0.0, 0.0, c0, n=1000)
     # spectral profile interpolated at fd nodes via the closed quadratic form:
     # u'' = G, u'(0) = 0, u'(1) = -c0, zero mean -> u = -c0 (y^2/2 - 1/6)
@@ -160,9 +165,9 @@ def _resample(y_src, vals, y_tgt, deg):
 
 
 def test_correction_shear_alpha_against_fd(grid_small):
-    solver = StokesCorrectionSolver(grid_small, 2)
     bt_b, bt_t = 0.4, -0.9
-    out = solver.solve(np.array([bt_b, 0, 0], complex), np.array([bt_t, 0, 0], complex))
+    out = solve_correction(np.array([bt_b, 0, 0], complex), np.array([bt_t, 0, 0], complex),
+                           grid_small, 2)
     y_fd, u_fd = fd_stokes_shear(1.0, bt_b, bt_t, n=1600)
     prof_fd_nodes = _resample(grid_small.y_nodes, out.vals[0, 0].real, y_fd,
                               grid_small.n_y - 1)
@@ -174,14 +179,13 @@ def test_correction_shear_alpha_against_fd(grid_small):
 
 
 def test_correction_mode_against_fd(grid_small):
-    solver = StokesCorrectionSolver(grid_small, 2)
     rng = np.random.default_rng(2)
     bt_b = complex(rng.standard_normal(), rng.standard_normal())
     bt_t = complex(rng.standard_normal(), rng.standard_normal())
     bb = np.zeros(3, complex)
     tt = np.zeros(3, complex)
     bb[1], tt[1] = bt_b, bt_t
-    out = solver.solve(bb, tt)
+    out = solve_correction(bb, tt, grid_small, 2)
     k = grid_small.kx[1]
     y_fd, phi_fd = fd_stokes_mode(k, 1.0, bt_b, bt_t, n=1600)
     # streamfunction from the solved field: phi = v2 / (-ik)
@@ -192,14 +196,13 @@ def test_correction_mode_against_fd(grid_small):
 
 
 def test_correction_normal_trace_zero(grid_small, make_control):
-    solver = StokesCorrectionSolver(grid_small, 2)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         bb = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         tt = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         bb[0] = bb[0].real
         tt[0] = tt[0].real
-        out = solver.solve(bb, tt)
+        out = solve_correction(bb, tt, grid_small, 2)
         assert np.abs(out.normal_trace_coeffs()).max() < 1e-10
         assert out.divergence_residual() < 1e-10
 
@@ -222,9 +225,8 @@ def test_stacked_stages_match_rows(grid_small, make_control):
     # (..., J) rows of wall data give a stack whose rows are the one-row fields
     ctrl = make_control(2 * np.pi, 2, np.linspace(0, 1, 5), 1.0, seed=21)
     tables = ctrl.coeffs(ctrl.gamma)
-    solver = StokesCorrectionSolver(grid_small, 2)
     stages = (lambda t: solve_harmonic(t[..., 0, :], t[..., 1, :], grid_small, 2),
-              lambda t: solver.solve(t[..., 2, :], t[..., 3, :]))
+              lambda t: solve_correction(t[..., 2, :], t[..., 3, :], grid_small, 2))
     for stage in stages:
         stacked = stage(tables)
         assert len(stacked) == len(tables)
@@ -270,19 +272,21 @@ def test_cache_makes_one_solve_per_mode(grid_small, monkeypatch):
 
 
 def test_lift_zero(cache_small):
-    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 1.0], 4.0)
-    lf = lift(ctrl, cache_small)
-    f = lf.field_at(0.5)
-    assert np.abs(f.vals).max() == 0.0
-    assert np.abs(lf.trace_norms).max() == 0.0
+    ctrl = BoundaryControl.zeros(2 * np.pi, 2, [0.0, 0.5, 1.0], 4.0)
+    lifted = lift(ctrl, cache_small)
+    for key in ("normal", "tangential", "divergence", "size", "trace_norm"):
+        assert lifted[key].shape == (3,)
+        assert np.abs(lifted[key]).max() == 0.0, key
 
 
 def test_lift_static_time_derivative(cache_small, make_control):
+    # a constant control lifts to a field with no time derivative: the size is
+    # the H1 norm of the field alone
     ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=8)
     ctrl.gamma[1] = ctrl.gamma[0]
-    lf = lift(ctrl, cache_small)
-    df = lf.dt_field_at(0.3)
-    assert np.abs(df.vals).max() < 1e-12
+    size = lift(ctrl, cache_small)["size"]
+    h1 = np.sqrt(h1_sq(cache_small.fields.combine(ctrl.gamma)))
+    assert np.abs(size - h1).max() < 1e-12 * h1.max()
 
 
 def test_lift_requires_compatibility(cache_small):
@@ -292,11 +296,18 @@ def test_lift_requires_compatibility(cache_small):
         lift(ctrl, cache_small)
 
 
+def test_lift_requires_the_cache_mode_count(cache_small, cache_mean, make_control):
+    for cache, n_modes in ((cache_small, 3), (cache_mean, 2)):
+        ctrl = make_control(2 * np.pi, n_modes, [0.0, 1.0], 1.0, seed=9)
+        with pytest.raises(LiftingError, match="mode counts differ"):
+            lift(ctrl, cache)
+
+
 def test_lift_linearity(cache_small, make_control):
     c1 = make_control(2 * np.pi, 2, [0.0, 1.0], 1.0, seed=11)
     c2 = make_control(2 * np.pi, 2, [0.0, 1.0], 1.0, seed=12)
-    combo = cache_small.field(0.7 * c1.gamma[0] - 1.3 * c2.gamma[0])
-    f1, f2 = (cache_small.field(c.gamma[0]) for c in (c1, c2))
+    combo = cache_small.fields.combine(0.7 * c1.gamma[0] - 1.3 * c2.gamma[0])
+    f1, f2 = (cache_small.fields.combine(c.gamma[0]) for c in (c1, c2))
     scale = max(np.abs(combo.vals).max(), 1.0)
     for name in ("vals", "wall_vals"):
         parts = 0.7 * getattr(f1, name) + (-1.3) * getattr(f2, name)
@@ -311,9 +322,9 @@ def test_lift_boundary_residuals_random(grid, request, make_control):
     worst = {"normal": 0.0, "tangential": 0.0, "divergence": 0.0}
     for seed in range(20):
         ctrl = make_control(2 * np.pi, 2, np.linspace(0, 1, 3), 0.8, seed=100 + seed)
-        res = lift(ctrl, cache).boundary_residuals()
+        res = lift(ctrl, cache)
         for key in worst:
-            worst[key] = max(worst[key], res[key])
+            worst[key] = max(worst[key], res[key].max())
     assert worst["normal"] < 1e-8
     assert worst["tangential"] < 1e-6
     assert worst["divergence"] < 1e-10
@@ -324,15 +335,30 @@ def test_lift_bound_ratio(cache_small, make_control):
     ratios = []
     for seed in range(20):
         ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 1.0, seed=300 + seed)
-        lf = lift(ctrl, cache_small)
-        f = lf.field_at(0.0)
-        df = lf.dt_field_at(0.0)
-        tn = lf.trace_norms[0]
+        lifted = lift(ctrl, cache_small)
+        tn = lifted["trace_norm"][0]
         if tn > 1e-12:
-            ratios.append((norm_h1(f) + np.sqrt(max(inner_h(df, df), 0))) / tn)
+            ratios.append(lifted["size"][0] / tn)
     ratios = np.array(ratios)
     assert np.isfinite(ratios).all()
     assert ratios.max() < 10 * np.median(ratios)
+
+
+def test_h1_sq_matches_grid_quadrature(grid_small, basis_small, cache_small, make_control):
+    # basis entries and lifted fields in one stack, against the tensor-product
+    # quadrature of |v|^2 + |grad v|^2 on the grid samples
+    ctrl = make_control(2 * np.pi, 2, np.linspace(0, 1, 4), 1.0, seed=61)
+    lifted = cache_small.fields.combine(ctrl.gamma)
+    stack = ModeField(grid_small, *(np.concatenate([getattr(basis_small.fields, name),
+                                                    getattr(lifted, name)])
+                                    for name in _ARRAYS))
+    got = h1_sq(stack)
+    samples = sample_fields(stack)
+    ref = np.einsum("mxq,xq->m", (samples * samples).sum(axis=1), grid_small.quad_weights_domain)
+    assert got.shape == (len(stack),)
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+    for r in range(len(stack)):
+        assert abs(h1_sq(stack[r][None])[0] - got[r]) <= 1e-15 * got[r]
 
 
 # -- trace norm -----------------------------------------------------------------
