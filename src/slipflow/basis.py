@@ -10,6 +10,9 @@ wall-normal derivative and wall traces.  A set of fields is one ModeField
 whose arrays carry a leading stack axis; the sampler `sample_fields`, the
 pairings `mass_pairing`/`energy_pairing` and the squared H1 norms `h1_sq`
 work on such stacks, and a one-field stack `f[None]` gives one field's value.
+A stack's mode axis is its band: it holds modes 0..n_modes, where n_modes
+may be below the grid's modes_x (the lifted fields live on the control's
+modes), and the pairings run over the modes both stacks hold.
 Divergence-free fields are built from per-mode streamfunctions (j >= 1) and
 shear profiles (j = 0), which makes the incompressibility constraint exact
 by construction.
@@ -79,7 +82,8 @@ class ModeField:
 
     A stack of fields on one grid is one ModeField whose four arrays carry a
     leading stack axis: indexing and len act on that axis, and `f[None]` is
-    the one-field stack of f.
+    the one-field stack of f.  The mode axis j = 0..n_modes is the stack's
+    band; the modes above it are zero.
     """
 
     __slots__ = ("grid", "vals", "dvals", "wall_vals", "wall_dvals")
@@ -96,9 +100,10 @@ class ModeField:
         return self.vals.shape[-3] - 1
 
     @classmethod
-    def zeros(cls, grid: Grid, stack: tuple = ()) -> "ModeField":
-        """The zero field, or a zero stack of the given shape."""
-        j = grid.spec.modes_x + 1
+    def zeros(cls, grid: Grid, stack: tuple = (), n_modes: int | None = None) -> "ModeField":
+        """The zero field, or a zero stack of the given shape, on modes 0..n_modes
+        (the grid's modes_x by default)."""
+        j = (grid.spec.modes_x if n_modes is None else n_modes) + 1
         return cls(
             grid,
             np.zeros(stack + (j, 2, grid.n_q), complex),
@@ -334,7 +339,8 @@ def reduced_pencil(grid: Grid, j: int):
 
 
 def _canonical_sign(vecs: np.ndarray) -> np.ndarray:
-    """Columns of vecs (or one vector) signed so that their leading entry is positive.
+    """Profiles along axis 0 of vecs (columns, or one vector) signed so that
+    their leading entry is positive.
 
     The leading entry is the first one within 1e-8 relative of the largest
     magnitude, not the largest itself: the channel is mirror-symmetric in y,
@@ -348,15 +354,16 @@ def _canonical_sign(vecs: np.ndarray) -> np.ndarray:
 
 
 def _solve_pencil(a, m):
-    """Eigenpairs of the symmetric-definite pencil (a, m), ascending, m-orthonormal.
+    """Eigenpairs of the symmetric-definite pencil (a, m), ascending, m-orthonormal;
+    (..., k, k) stacks of pencils are solved matrix by matrix.
 
     Cholesky reduction m = L L^T turns it into the standard problem for
     L^-1 a L^-T, whose eigenvectors y give the pencil's as L^-T y.
     """
     low = np.linalg.cholesky(m)
-    c = np.linalg.solve(low, np.linalg.solve(low, a).T)
+    c = np.linalg.solve(low, np.linalg.solve(low, a).mT)
     lam, y = np.linalg.eigh(c)
-    return lam, np.linalg.solve(low.T, y)
+    return lam, np.linalg.solve(low.mT, y)
 
 
 def max_basis_size(spec: DomainSpec) -> int:
@@ -378,55 +385,47 @@ def build_eigenbasis(grid: Grid, n: int) -> Basis:
     if n < 1 or n > capacity:
         raise BasisError(f"requested {n} eigenpairs, capacity is {capacity}")
 
-    lams, js, fams, shells, profiles = [], [], [], [], []
-    for j in range(spec.modes_x + 1):
-        energy, mass, cols = reduced_pencil(grid, j)
-        lamj, vecs = _solve_pencil(energy, mass)
-        profj = _canonical_sign(cols @ vecs)
-        for m in range(lamj.size):
-            for fam in (FAMILY_SHEAR,) if j == 0 else (FAMILY_COS, FAMILY_SIN):
-                lams.append(lamj[m])
-                js.append(j)
-                fams.append(fam)
-                shells.append(m)
-                profiles.append(profj[:, m])
+    # mode 0, then the equal-size pencils of modes 1..K as one stack
+    energy, mass, cols = reduced_pencil(grid, 0)
+    lam0, vec0 = _solve_pencil(energy, mass)
+    energy, mass, cols_k = (np.stack(a) for a in zip(
+        *(reduced_pencil(grid, j) for j in range(1, spec.modes_x + 1))))
+    lamk, veck = _solve_pencil(energy, mass)
+    # entries in (mode, shell, family) order, each eigenvalue at j >= 1 a cos and a sin
+    m0, (k, mk) = lam0.size, lamk.shape
+    lams = np.concatenate([lam0, np.repeat(lamk, 2, axis=1).ravel()])
+    js = np.concatenate([np.zeros(m0, int), np.repeat(np.arange(1, k + 1), 2 * mk)])
+    fams = np.concatenate([np.full(m0, FAMILY_SHEAR), np.tile([FAMILY_COS, FAMILY_SIN], k * mk)])
+    shells = np.concatenate([np.arange(m0), np.tile(np.repeat(np.arange(mk), 2), k)])
+    prof_k = _canonical_sign(np.moveaxis(cols_k @ veck, 1, 0))   # (n_y, K, mk)
+    profiles = np.concatenate([_canonical_sign(cols @ vec0).T, np.repeat(
+        prof_k.transpose(1, 2, 0), 2, axis=1).reshape(-1, grid.n_y)])
 
-    lams = np.asarray(lams)
     order = np.argsort(lams, kind="stable")[:n]
     lam = lams[order]
     if lam[0] <= 0:
         raise BasisError("nonpositive eigenvalue: resolution too low")
 
-    basis = _basis_from_profiles(
-        grid,
-        lam,
-        np.asarray(js)[order],
-        np.asarray(fams)[order],
-        np.asarray(shells)[order],
-        np.asarray([profiles[i] for i in order]),
-    )
+    basis = _basis_from_profiles(grid, lam, js[order], fams[order], shells[order],
+                                 profiles[order])
     _self_check(basis)
     return basis
 
 
 def _self_check(basis: Basis):
     """Weak eigen-residual (v, e_i)_E = lam_i (v, e_i), to 1e-6 relative, for 4
-    entries e_i against each of 3 random fields v, all by one energy and one
-    mass pairing."""
+    gathered entries e_i against each of 3 random fields v."""
     n_tests, tol = 3, 1e-6
     rng = np.random.default_rng(0)
     n = basis.size
     draws = [(rng.standard_normal(n), rng.integers(0, n, size=4)) for _ in range(n_tests)]
     idx = np.concatenate([i for _, i in draws])
-    # the v's, then the e_i's (unit weights combine to the entries exactly)
-    fields = basis.field(np.concatenate([[c for c, _ in draws], np.eye(n)[idx]]))
-    v, e = fields[:n_tests], fields[n_tests:]
+    v, e = basis.field([c for c, _ in draws]), basis.fields[idx]
     pair = (np.repeat(np.arange(n_tests), 4), np.arange(idx.size))
-    mass = mass_pairing(v, fields)
     lam = basis.eigenvalues[idx]
     lhs = energy_pairing(v, e)[pair]
-    rhs = lam * mass[:, n_tests:][pair]
-    norm = np.sqrt(np.maximum(mass[:, :n_tests].diagonal(), 0.0))[pair[0]]
+    rhs = lam * mass_pairing(v, e)[pair]
+    norm = np.sqrt(np.maximum(mass_pairing(v, v).diagonal(), 0.0))[pair[0]]
     if (np.abs(lhs - rhs) > tol * lam * np.maximum(1.0, norm)).any():
         raise BasisError("weak eigen-residual check failed")
 

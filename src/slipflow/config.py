@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import build_eigenbasis, max_basis_size
+from .basis import Basis, build_eigenbasis, max_basis_size
 from .control import AdmissibleSpec, ParamMap
 from .dynamics import Simulator, build_noise, make_initial_coeffs
 from .geometry import DomainSpec, GeometryError, build_grid
@@ -212,7 +212,7 @@ class RunConfig:
     def grid(self):
         return build_grid(self.domain_spec())
 
-    def basis(self):
+    def basis(self) -> Basis:
         return build_eigenbasis(self.grid(), self.data["basis_size"])
 
     def lifting_cache(self, grid) -> LiftingCache:

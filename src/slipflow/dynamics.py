@@ -867,11 +867,9 @@ def _measure(out: Paths, cut: slice, hist, ops: GalerkinOperators, gamma, target
     out.u_esq[cut] = np.einsum("...i,...i,i->...", h, h, ops.lam)
     ref = (0.0, 0.0) if target is None else (target.beta_series, target.gamma_series)
     out.tracking[cut] = ops.y_sq(np.subtract(h, ref[0], out=buf), gamma - ref[1])
-    out.noise_sq[cut] = 0.0
-    for k in range(rho.size):
-        np.multiply(h, rho[k], out=buf)
-        buf += add[:, k]
-        out.noise_sq[cut] += np.einsum("...i,...i->...", buf, buf)
+    # sum_k |rho_k h + g_k|^2 expanded: rho_k is a scalar and |h|^2 is u_sq
+    out.noise_sq[cut] = ((rho @ rho) * out.u_sq[cut] + 2.0 * np.einsum("...i,i->...", h, add @ rho)
+                         + np.einsum("ik,ik->", add, add))
     step, length = out.blowup_step[cut], h.shape[1]
     past = np.arange(length) >= np.where(step < 0, length, step)[:, None]
     for series in (out.u_sq, out.u_esq, out.tracking, out.noise_sq):

@@ -278,8 +278,8 @@ def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> ModeField:
 
     The mean mode reduces to a linear profile and is solvable only under the
     zero-net-flux compatibility a_b(0) + a_t(0) = 0; the potential is pinned
-    by a zero boundary mean.  Returns the gradient as a velocity field, and
-    (..., n_modes+1) rows of data give a stack of fields.
+    by a zero boundary mean.  Returns the gradient as a velocity field on
+    modes 0..n_modes, and (..., n_modes+1) rows of data give a stack of fields.
     """
     a_bottom = np.asarray(a_bottom, complex)
     a_top = np.asarray(a_top, complex)
@@ -288,7 +288,7 @@ def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> ModeField:
         raise CompatibilityError(
             "mean normal data does not cancel across the walls"
         )
-    f = ModeField.zeros(grid, stack=a_bottom.shape[:-1])
+    f = ModeField.zeros(grid, stack=a_bottom.shape[:-1], n_modes=n_modes)
 
     # mean mode: h = c0 + c1 y, c1 = -a_b(0); vertical through-flow (0, c1)
     c1 = -a_bottom[..., :1]
@@ -330,8 +330,8 @@ def solve_correction(bt_bottom, bt_top, grid: Grid, n_modes: int) -> ModeField:
     pairing with the data.  The mean mode runs on zero-mean shear profiles,
     which fixes the one-parameter indeterminacy of the periodic channel (a
     mean pressure gradient appears implicitly as the Lagrange multiplier of
-    that constraint).  (..., n_modes+1) rows of data give a stack of fields,
-    solved as the columns of one right-hand side per mode.
+    that constraint).  (..., n_modes+1) rows of data give a stack of fields on
+    modes 0..n_modes, solved as the columns of one right-hand side per mode.
     """
     if n_modes > grid.spec.modes_x:
         raise LiftingError("control modes exceed the resolved band")
@@ -340,7 +340,7 @@ def solve_correction(bt_bottom, bt_top, grid: Grid, n_modes: int) -> ModeField:
     stack = bt_bottom.shape[:-1]
     bt_bottom = bt_bottom.reshape(-1, n_modes + 1).T
     bt_top = np.asarray(bt_top, complex).reshape(-1, n_modes + 1).T
-    out = ModeField.zeros(grid, stack=bt_bottom.shape[1:])
+    out = ModeField.zeros(grid, stack=bt_bottom.shape[1:], n_modes=n_modes)
     for j in range(n_modes + 1):
         if j == 0:
             # zero-mean shear profiles; the mean data of a real trace is real
@@ -371,9 +371,10 @@ def solve_correction(bt_bottom, bt_top, grid: Grid, n_modes: int) -> ModeField:
 class LiftingCache:
     """Unit lifted fields per control degree of freedom (compatible projection).
 
-    `fields` stacks the lifting of each projected unit coefficient, so any
-    compatible coefficient vector lifts by superposition.  The cache is
-    immutable after construction and safe to share.
+    `fields` stacks the lifting of each projected unit coefficient on the
+    control's band, modes 0..n_modes, so any compatible coefficient vector
+    lifts by superposition.  The cache is immutable after construction and
+    safe to share.
     """
 
     def __init__(self, grid: Grid, n_modes: int):
@@ -384,7 +385,7 @@ class LiftingCache:
         tables = trace_tables(compatible_rows(np.eye(self.n_dofs), n_modes), n_modes)
         # harmonic stage for a, then the correction supplies the rest of b
         har = solve_harmonic(tables[:, 0], tables[:, 1], grid, n_modes)
-        stress = har.tangential_stress_coeffs()[:, : n_modes + 1]
+        stress = har.tangential_stress_coeffs()
         corr = solve_correction(tables[:, 2] - stress[..., 0], tables[:, 3] - stress[..., 1],
                                 grid, n_modes)
         self.fields = har + corr
@@ -409,11 +410,10 @@ def lift(ctrl: BoundaryControl, cache: LiftingCache) -> dict:
         raise LiftingError("control and cache mode counts differ")
     rows, slopes = ctrl.series(ctrl.t_grid)
     f, df = cache.fields.combine(rows), cache.fields.combine(slopes)
-    nm = ctrl.n_modes + 1
     # per node, (mode, wall) tables of the data: a on the two walls, then b
     table = ctrl.coeffs(g).swapaxes(-2, -1)
-    normal = np.abs(f.normal_trace_coeffs()[:, :nm] - table[..., :2])
-    tangential = np.abs(f.tangential_stress_coeffs()[:, :nm] - table[..., 2:])
+    normal = np.abs(f.normal_trace_coeffs() - table[..., :2])
+    tangential = np.abs(f.tangential_stress_coeffs() - table[..., 2:])
     return {
         "normal": normal.max(axis=(-2, -1)),
         "tangential": tangential.max(axis=(-2, -1)),

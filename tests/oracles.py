@@ -230,6 +230,15 @@ def stack_fields(fields):
                                        for a in ("vals", "dvals", "wall_vals", "wall_dvals")))
 
 
+def padded(fields):
+    """A stack of fields on its grid's full band, modes 0..modes_x: the stack's
+    own modes, zeros above them."""
+    out = ModeField.zeros(fields.grid, stack=fields.vals.shape[:-3])
+    for a in ("vals", "dvals", "wall_vals", "wall_dvals"):
+        getattr(out, a)[..., : fields.n_modes + 1, :, :] = getattr(fields, a)
+    return out
+
+
 def loop_basis_fields(basis):
     """(fields, tau_trace) of a basis, entry by entry: each generating profile
     written into a zero field of its own by 1-D mat-vecs, then the fields

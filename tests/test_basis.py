@@ -404,3 +404,9 @@ def test_pencil_matches_scipy_eigh(modes_x, nodes_y, alpha):
         got, ref = (bs._canonical_sign(cols @ v) for v in (vecs, ref_vecs))
         err = np.linalg.norm(got - ref, axis=0) / np.linalg.norm(ref, axis=0)
         assert err.max() <= 1e-11
+    # the pencils of modes 1..K as one stack keep every bit of the per-mode solves
+    pencils = [bs.reduced_pencil(grid, j)[:2] for j in range(1, modes_x + 1)]
+    lam, vecs = bs._solve_pencil(*(np.stack(a) for a in zip(*pencils)))
+    for j, (a, m) in enumerate(pencils):
+        one_lam, one_vecs = bs._solve_pencil(a, m)
+        assert np.array_equal(lam[j], one_lam) and np.array_equal(vecs[j], one_vecs)

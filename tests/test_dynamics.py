@@ -8,6 +8,7 @@ from oracles import (
     advective_convection,
     loop_project,
     loop_samples,
+    padded,
     sampled_convection_tensors,
 )
 
@@ -135,7 +136,7 @@ def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, ma
     ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=60)
     beta = rng.standard_normal(n)
     gam = ctrl.gamma[0]
-    y = basis_small.field(beta) + cache_small.fields.combine(gam)
+    y = basis_small.field(beta) + padded(cache_small.fields.combine(gam))
     direct = Convection(basis_small, y[None]).stacked(np.zeros(n), np.ones(1))
     tensor = (
         dense.conv_bb.reshape(n, -1) @ np.outer(beta, beta).ravel()
@@ -270,7 +271,8 @@ def test_y_sq_matches_field_pairings(sim_small, basis_small, cache_small):
         beta = rng.standard_normal(shape + (n,))
         gamma = rng.standard_normal(shape[-1:] + (nc,))
         y = (basis_small.field(beta.reshape(-1, n))
-             + cache_small.fields.combine(np.broadcast_to(gamma, shape + (nc,)).reshape(-1, nc)))
+             + padded(cache_small.fields.combine(
+                 np.broadcast_to(gamma, shape + (nc,)).reshape(-1, nc))))
         for energy, pairing in ((False, mass_pairing), (True, energy_pairing)):
             direct = np.diagonal(pairing(y, y)).reshape(shape)
             got = ops.y_sq(beta, gamma, energy=energy)
@@ -898,13 +900,17 @@ def test_weak_form_residual_of_trajectory(basis_small, cache_small, grid_small,
     for ell, t in enumerate(sim.times):
         gam[ell], _ = ctrl.interp(float(t))
     x = grid_small.x_nodes
+
+    def y_at(ell):
+        return basis_small.field(tr.beta_series[ell]) + padded(cache_small.fields.combine(gam[ell]))
+
     probes = [0, 3, 7]
     resid = np.zeros(len(probes))
     for pi, i in enumerate(probes):
         e = basis_small.fields[i]
         acc = 0.0
         for ell in range(sim.n_steps):
-            y = basis_small.field(tr.beta_series[ell]) + cache_small.fields.combine(gam[ell])
+            y = y_at(ell)
             # wall forcing term by direct sampling
             table = ctrl.coeffs(gam[ell])
             wall = 0.0
@@ -923,8 +929,7 @@ def test_weak_form_residual_of_trajectory(basis_small, cache_small, grid_small,
             acc += sim.dt * (-nu * energy_pairing(y[None], e[None])[0, 0] + nu * wall - conv)
             gk = noise.additive[i] + noise.mult_gain * tr.beta_series[ell][i]
             acc += float(gk @ tr.wiener[ell])
-        y_end = basis_small.field(tr.beta_series[-1]) + cache_small.fields.combine(gam[-1])
-        y_start = basis_small.field(tr.beta_series[0]) + cache_small.fields.combine(gam[0])
+        y_end, y_start = y_at(-1), y_at(0)
         lhs = (mass_pairing(y_end[None], e[None]) - mass_pairing(y_start[None], e[None]))[0, 0]
         resid[pi] = abs(lhs - acc)
     assert resid.max() < 1e-9
@@ -953,8 +958,8 @@ def test_tracking_series_matches_field_quadrature(basis_small, cache_small,
     for ell in (0, sim.n_steps // 2, sim.n_steps):
         # y - y_ref, combined from the coefficient differences, and y alone
         diff = (basis_small.field(tr.beta_series[ell] - beta_ref[ell])
-                + cache_small.fields.combine(gam[ell] - gamma_ref[ell]))
-        y = basis_small.field(tr.beta_series[ell]) + cache_small.fields.combine(gam[ell])
+                + padded(cache_small.fields.combine(gam[ell] - gamma_ref[ell])))
+        y = basis_small.field(tr.beta_series[ell]) + padded(cache_small.fields.combine(gam[ell]))
         for series, field in ((tr.tracking, diff), (free.tracking, y)):
             direct = mass_pairing(field[None], field[None])[0, 0]
             assert abs(series[ell] - direct) < 1e-10 * max(1.0, direct)

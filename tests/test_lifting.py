@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import fd_harmonic, fd_stokes_mode, fd_stokes_shear, loop_lifting_fields
+from oracles import (fd_harmonic, fd_stokes_mode, fd_stokes_shear, loop_lifting_fields,
+                     padded)
 from slipflow import lifting
-from slipflow.basis import ModeField, h1_sq, sample_fields
+from slipflow.basis import ModeField, energy_pairing, h1_sq, mass_pairing, sample_fields
 from slipflow.geometry import DomainSpec, build_grid
 from slipflow.lifting import (
     BoundaryControl,
@@ -348,7 +349,7 @@ def test_h1_sq_matches_grid_quadrature(grid_small, basis_small, cache_small, mak
     # basis entries and lifted fields in one stack, against the tensor-product
     # quadrature of |v|^2 + |grad v|^2 on the grid samples
     ctrl = make_control(2 * np.pi, 2, np.linspace(0, 1, 4), 1.0, seed=61)
-    lifted = cache_small.fields.combine(ctrl.gamma)
+    lifted = padded(cache_small.fields.combine(ctrl.gamma))
     stack = ModeField(grid_small, *(np.concatenate([getattr(basis_small.fields, name),
                                                     getattr(lifted, name)])
                                     for name in _ARRAYS))
@@ -359,6 +360,25 @@ def test_h1_sq_matches_grid_quadrature(grid_small, basis_small, cache_small, mak
     assert np.abs(got - ref).max() <= 1e-12 * ref.max()
     for r in range(len(stack)):
         assert abs(h1_sq(stack[r][None])[0] - got[r]) <= 1e-15 * got[r]
+
+
+@pytest.mark.parametrize("cache", ["cache_mean", "cache_small"])
+def test_band_stack_pairs_as_its_padded_stack(request, basis_small, cache):
+    # the lifted fields hold the control's modes 0..n_modes only, and a band
+    # stack pairs with itself and with the full-band basis as its zero-padded
+    # stack does
+    cache = request.getfixturevalue(cache)
+    band = cache.fields
+    assert band.n_modes == cache.n_modes
+    assert all(getattr(band, name).shape[1] == cache.n_modes + 1 for name in _ARRAYS)
+    full, e = padded(band), basis_small.fields
+    for pairing in (mass_pairing, energy_pairing):
+        for got, ref in ((pairing(band, band), pairing(full, full)),
+                         (pairing(e, band), pairing(e, full)),
+                         (pairing(band, e), pairing(full, e))):
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+    ref = h1_sq(full)
+    assert np.abs(h1_sq(band) - ref).max() <= 1e-15 * ref.max()
 
 
 # -- trace norm -----------------------------------------------------------------
