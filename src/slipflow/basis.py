@@ -37,7 +37,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .geometry import DomainSpec, Grid, GeometryError, build_grid
+from .geometry import DomainSpec, Grid, GeometryError
 
 __all__ = [
     "BasisError",
@@ -51,7 +51,6 @@ __all__ = [
     "max_basis_size",
     "build_eigenbasis",
     "save_basis",
-    "load_basis",
 ]
 
 FAMILY_SHEAR = 0
@@ -301,10 +300,6 @@ class Basis:
     def size(self) -> int:
         return self.eigenvalues.size
 
-    def field(self, coeffs) -> ModeField:
-        """Velocity field with the given basis coefficients; (..., n) rows give a stack."""
-        return self.fields.combine(np.asarray(coeffs, float))
-
 
 def reduced_pencil(grid: Grid, j: int):
     """Energy and mass matrices of mode j on its admissible profiles.
@@ -420,7 +415,7 @@ def _self_check(basis: Basis):
     n = basis.size
     draws = [(rng.standard_normal(n), rng.integers(0, n, size=4)) for _ in range(n_tests)]
     idx = np.concatenate([i for _, i in draws])
-    v, e = basis.field([c for c, _ in draws]), basis.fields[idx]
+    v, e = basis.fields.combine([c for c, _ in draws]), basis.fields[idx]
     pair = (np.repeat(np.arange(n_tests), 4), np.arange(idx.size))
     lam = basis.eigenvalues[idx]
     lhs = energy_pairing(v, e)[pair]
@@ -432,7 +427,7 @@ def _self_check(basis: Basis):
 
 def _basis_from_profiles(grid: Grid, eigenvalues, mode_j, family, shell_index,
                          profiles) -> Basis:
-    """Basis whose fields are regenerated from their generating CGL profiles.
+    """Basis whose fields are written from their generating CGL profiles.
 
     A shear profile u at mode 0 gives the field (u(y), 0), and a
     streamfunction phi at a mode j >= 1 the cos or sin real field of
@@ -462,22 +457,6 @@ def _basis_from_profiles(grid: Grid, eigenvalues, mode_j, family, shell_index,
     )
 
 
-def truncate_basis(basis: Basis, n: int) -> Basis:
-    """First n entries of a basis; nested because the spectrum sort is stable."""
-    if n > basis.size:
-        raise BasisError(f"cannot truncate size-{basis.size} basis to {n}")
-    return Basis(
-        grid=basis.grid,
-        eigenvalues=basis.eigenvalues[:n],
-        mode_j=basis.mode_j[:n],
-        family=basis.family[:n],
-        shell_index=basis.shell_index[:n],
-        profiles_cgl=basis.profiles_cgl[:n],
-        fields=basis.fields[:n],
-        tau_trace=basis.tau_trace[:n],
-    )
-
-
 # -- persistence -------------------------------------------------------------
 
 
@@ -496,31 +475,3 @@ def save_basis(path, basis: Basis, meta: dict | None = None):
     with open(path, "wb") as fh:
         np.savez(fh, **payload)
 
-
-def load_basis(path) -> Basis:
-    """The basis of a `save_basis` file, its fields regenerated from the profiles.
-
-    A file whose arrays do not describe one basis on its grid is a BasisError.
-    """
-    with np.load(path) as data:
-        length_x, modes_x, nodes_y, alpha, nu = data["spec"]
-        spec = DomainSpec(float(length_x), int(modes_x), int(nodes_y), float(alpha), float(nu))
-        arrays = {key: data[key] for key in
-                  ("eigenvalues", "mode_j", "family", "shell_index", "profiles_cgl")}
-    grid = build_grid(spec)
-    n = arrays["eigenvalues"].size
-    for key, a in arrays.items():
-        want = (n, grid.n_y) if key == "profiles_cgl" else (n,)
-        if a.shape != want:
-            raise BasisError(f"basis file: {key} has shape {a.shape}, not {want} "
-                             f"for {n} eigenvalues on {grid.n_y} nodes")
-        if key in ("mode_j", "family", "shell_index") and a.dtype.kind not in "iu":
-            raise BasisError(f"basis file: {key} holds {a.dtype}, not integers")
-    j, fam = arrays["mode_j"], arrays["family"]
-    ok = np.where(fam == FAMILY_SHEAR, j == 0,
-                  ((fam == FAMILY_COS) | (fam == FAMILY_SIN)) & (1 <= j) & (j <= spec.modes_x))
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise BasisError(f"basis entry {i} is family {fam[i]} at mode {j[i]}: not shear at "
-                         f"mode 0 or cos/sin at a mode in 1..{spec.modes_x}")
-    return _basis_from_profiles(grid, *arrays.values())

@@ -67,7 +67,7 @@ def cmd_basis(cfg, out: Path, args) -> int:
     rows = zip(range(basis.size), basis.eigenvalues, basis.mode_j, basis.family, basis.shell_index)
     _write_csv(out / "eigenvalues.csv", cfg, columns, rows)
     # residual report over a fixed probe set
-    probes = basis.field(np.random.default_rng(0).standard_normal((5, basis.size)))
+    probes = basis.fields.combine(np.random.default_rng(0).standard_normal((5, basis.size)))
     lam = basis.eigenvalues
     worst = np.abs(energy_pairing(probes, basis.fields)
                    - lam * mass_pairing(probes, basis.fields)) / lam

@@ -66,7 +66,6 @@ _DEFAULTS = {
     "simulate": {"store_beta": False, "save_paths": 2, "nonlinear": True, "noise_on": True},
     "verify": {"paths": None, "stability_paths": 24, "stability_scale": 0.5},
     "optimize": {
-        "method": "compass",
         "budget": 80,
         "theta_star": [0.6, 0.8],
         "theta0": None,
@@ -201,8 +200,6 @@ class RunConfig:
             raise ConfigError("verify.stability_scale must be finite")
         if d["simulate"]["save_paths"] < 0:
             raise ConfigError("simulate.save_paths must be >= 0")
-        if d["optimize"]["method"] != "compass":  # its one value, kept so config hashes stay
-            raise ConfigError("optimize.method must be 'compass'")
 
     # -- builders ----------------------------------------------------------
 

@@ -127,16 +127,6 @@ class Target:
             meta=np.array(json.dumps(self.meta, sort_keys=True)),
         )
 
-    @classmethod
-    def load(cls, path) -> "Target":
-        with np.load(path) as data:
-            return cls(
-                times=data["times"],
-                beta_series=data["beta_series"],
-                gamma_series=data["gamma_series"],
-                meta=json.loads(str(data["meta"])),
-            )
-
 
 def make_target(ctrl_star: BoundaryControl, sim: Simulator,
                 u0: np.ndarray | None = None, meta: dict | None = None) -> Target:
@@ -237,7 +227,6 @@ class ParamMap:
 
 @dataclass
 class OptimizeHistory:
-    method: str
     evaluations: int
     budget: int
     budget_exhausted: bool
@@ -257,10 +246,6 @@ class OptimizeHistory:
                 "exp_integrability": exponential_integrability_bound(ctrl, c0),
             }
         )
-
-    @property
-    def costs(self) -> np.ndarray:
-        return np.array([it["cost"] for it in self.iterates])
 
 
 def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
@@ -286,8 +271,7 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
     def cost(ctrl):
         return estimate_cost(ctrl, target, sim, spec, seeds, u0=u0, noise_on=noise_on, dw=dw)
 
-    history = OptimizeHistory(method="compass", evaluations=0, budget=budget,
-                              budget_exhausted=False)
+    history = OptimizeHistory(evaluations=0, budget=budget, budget_exhausted=False)
     ctrl_inc = build(theta)
     theta = pmap.read(ctrl_inc)  # projection may rescale the parameters
     if budget < 1:

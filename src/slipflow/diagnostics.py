@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DynamicsError, GalerkinOperators, InsufficientPathsError, Paths, Simulator
+from .dynamics import (DynamicsError, GalerkinOperators, InsufficientPathsError, Paths, Simulator,
+                       drift)
 from .lifting import BoundaryControl, trace_norm_series
 
 __all__ = [
@@ -264,7 +265,7 @@ def empirical_damping_rate(paths: Paths, ctrl: BoundaryControl, sim: Simulator) 
     ops, nu, t = sim.ops, sim.nu, sim.times
     gam, gdot = sim.gamma_series(ctrl)
     b = paths.beta_series[ok]                                           # (P, L, n)
-    f = sim.drift(b, gam, gdot)
+    f = drift(b, ops, nu, gam, gdot, sim.convection)
     total = 2.0 * np.vecdot(b, f) + 2.0 * nu * np.vecdot(b**2, ops.lam) + paths.noise_sq[ok]
     denom = 2.0 * (trace_norm_series(ctrl, t) ** 2 + 1.0) * (paths.u_sq[ok] + 1.0)
     return float(np.max(total / denom))

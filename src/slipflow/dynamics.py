@@ -663,8 +663,9 @@ def assemble_operators(basis: Basis, cache: LiftingCache) -> GalerkinOperators:
 
 def drift(beta: np.ndarray, ops: GalerkinOperators, nu: float,
           gamma: np.ndarray, gamma_dot: np.ndarray,
-          include_nonlinear: bool = True) -> np.ndarray:
-    """Reference drift assembly (numpy, mirrors the kernel contraction).
+          conv: DenseConvection | Convection | None) -> np.ndarray:
+    """The drift the kernel integrates, with the convection of the evaluator
+    conv (None for a linear run).
 
     beta is one state (n,) or a stack (..., n) with controls (..., n_ctrl)
     that broadcast against it; the one-state case is the reference of
@@ -676,9 +677,9 @@ def drift(beta: np.ndarray, ops: GalerkinOperators, nu: float,
         + nu * (gamma @ ops.btrace.T)
         - gamma_dot @ ops.lift_h.T
     )
-    if include_nonlinear:
-        f = f - ops.dense.stacked(beta, gamma)
-    return f
+    if conv is None:
+        return f
+    return f - conv.stacked(np.broadcast_to(beta, f.shape), gamma)
 
 
 def step_em(state: GalerkinState, dt: float, dw: np.ndarray,
@@ -688,7 +689,7 @@ def step_em(state: GalerkinState, dt: float, dw: np.ndarray,
     """One explicit step; raises BlowupError on a nonfinite update."""
     if dt <= 0:
         raise DynamicsError("dt must be positive")
-    f = drift(state.beta, ops, nu, gamma, gamma_dot, include_nonlinear)
+    f = drift(state.beta, ops, nu, gamma, gamma_dot, ops.dense if include_nonlinear else None)
     beta = state.beta + dt * f + noise.matrix(state.beta) @ dw
     if not np.all(np.isfinite(beta)):
         raise BlowupError(f"state became nonfinite at t = {state.t + dt}")
@@ -915,13 +916,6 @@ class Simulator:
         self._work = np.empty(2 * (n_steps + 1) * STACK * BLOCK * basis.size)
         self.convection = None if not include_nonlinear else (
             self.ops.dense if basis.size < N_PS else Convection(basis, cache.fields))
-
-    def drift(self, beta: np.ndarray, gamma: np.ndarray, gamma_dot: np.ndarray) -> np.ndarray:
-        """The drift the kernel integrates, for one state or stacked (..., n) states."""
-        f = drift(beta, self.ops, self.nu, gamma, gamma_dot, include_nonlinear=False)
-        if self.convection is None:
-            return f
-        return f - self.convection.stacked(np.broadcast_to(beta, f.shape), gamma)
 
     def blowup_hint(self) -> str:
         """Names the explicit Euler limit dt < 2 / (nu lam_max) if dt is past it, else "".

@@ -11,7 +11,7 @@ import pytest
 
 from slipflow import control as ctl
 from slipflow import diagnostics as dg
-from slipflow.basis import build_eigenbasis, energy_pairing, mass_pairing, truncate_basis
+from slipflow.basis import build_eigenbasis, energy_pairing, mass_pairing
 from slipflow.cli import main as cli_main
 from slipflow.dynamics import (
     NoiseModel,
@@ -67,7 +67,7 @@ def test_criterion_01_eigenbasis_certification():
     lam = basis.eigenvalues
     rng = np.random.default_rng(1)
     for _ in range(5):
-        v = basis.field(rng.standard_normal(32))[None]
+        v = basis.fields.combine(rng.standard_normal(32))[None]
         norm = np.sqrt(mass_pairing(v, v)[0, 0])
         # the residual is linear in v: that of the unit field v / norm
         r = np.abs(energy_pairing(v, basis.fields)[0]
@@ -206,13 +206,13 @@ def test_criterion_05_strong_sde_convergence(zero_ctrl):
 
 
 def test_criterion_06_galerkin_consistency(stack, zero_ctrl):
-    grid, basis32, _ = stack
+    grid, _, _ = stack
     cache = LiftingCache(grid, 0)
     noise_full = build_noise(32, 2, 0.05, 2.0, 5, [0.1, 0.1])
     b_full = make_initial_coeffs(32, "random", 8, 0.6, 0.7)
     finals = {}
     for n in (8, 16, 32):
-        b = truncate_basis(basis32, n)
+        b = build_eigenbasis(grid, n)
         nz = NoiseModel(additive=noise_full.additive[:n], mult_gain=noise_full.mult_gain)
         sim = Simulator(b, cache, nz, t_final=0.4, dt=0.0025)
         trs = sim.run_many(range(50), ctrl=zero_ctrl(sim), u0=b_full[:n])
@@ -228,14 +228,14 @@ def test_criterion_06_galerkin_consistency(stack, zero_ctrl):
 
 
 def test_criterion_07_estimate_certification(stack):
-    _, basis32, cache = stack
+    grid, _, cache = stack
     ctrl = _control(7, scale=0.15)
     noise_full = build_noise(32, 2, 0.05, 1.5, 5, [0.1, 0.1])
     b_full = make_initial_coeffs(32, "random", 8, 0.5, 1.0)
     nu = SPEC.viscosity
     out = {}
     for n, paths in ((16, 400), (32, 1600)):
-        b = truncate_basis(basis32, n)
+        b = build_eigenbasis(grid, n)
         nz = NoiseModel(additive=noise_full.additive[:n], mult_gain=noise_full.mult_gain)
         sim = Simulator(b, cache, nz, t_final=0.5, dt=0.0025)
         trs = sim.run_many(range(paths), ctrl=ctrl, u0=b_full[:n])
@@ -256,8 +256,8 @@ def test_criterion_07_estimate_certification(stack):
 
 
 def test_criterion_08_stability(stack):
-    _, basis32, cache = stack
-    basis = truncate_basis(basis32, 16)
+    grid, _, cache = stack
+    basis = build_eigenbasis(grid, 16)
     noise = build_noise(16, 2, 0.04, 1.5, 5, [0.1, 0.1])
     sim = Simulator(basis, cache, noise, t_final=0.5, dt=0.0025)
     b0 = make_initial_coeffs(16, "random", 8, 0.5, 1.0)
@@ -287,8 +287,8 @@ def test_criterion_08_stability(stack):
 
 
 def test_criterion_09_control_recovery(stack):
-    _, basis32, cache = stack
-    basis = truncate_basis(basis32, 12)
+    grid, _, cache = stack
+    basis = build_eigenbasis(grid, 12)
     aspec = ctl.AdmissibleSpec(radius=20.0, lambda1=1e-4, lambda2=1e-4)
     pmap = ctl.ParamMap(length_x=2 * np.pi, n_modes=2, t_grid=(0.0, 0.5),
                         slots=(("a", "bottom", 1, "re"), ("b", "top", 2, "re")), p=4.0)
@@ -303,7 +303,7 @@ def test_criterion_09_control_recovery(stack):
     best, hist = ctl.optimize(np.zeros(2), pmap, aspec, target, sim_det, [0],
                               budget=120, u0=u0, noise_on=False,
                               step0=0.25, step_min=1e-5)
-    costs = hist.costs
+    costs = np.array([it["cost"] for it in hist.iterates])
     theta = pmap.read(best)
     rel = np.abs(theta - theta_star) / np.abs(theta_star)
     det_ok = (costs[-1] <= 0.1 * costs[0] and rel.max() <= 0.1
@@ -317,7 +317,7 @@ def test_criterion_09_control_recovery(stack):
     best_s, hist_s = ctl.optimize(np.zeros(2), pmap, aspec, target_s, sim_sto,
                                   list(range(8)), budget=60, u0=u0,
                                   noise_on=True, step0=0.25)
-    costs_s = hist_s.costs
+    costs_s = np.array([it["cost"] for it in hist_s.iterates])
     sto_ok = (costs_s[-1] <= 0.5 * costs_s[0]
               and bool((np.diff(costs_s) <= 0).all()))
     ok = det_ok and sto_ok

@@ -12,11 +12,9 @@ from slipflow.basis import (
     build_eigenbasis,
     energy_pairing,
     h1_sq,
-    load_basis,
     mass_pairing,
     max_basis_size,
     save_basis,
-    truncate_basis,
 )
 from slipflow.geometry import DomainSpec, build_grid
 
@@ -101,7 +99,7 @@ def test_weak_eigen_residual(basis_small):
     rng = np.random.default_rng(5)
     lam = basis_small.eigenvalues
     for _ in range(10):
-        v = basis_small.field(rng.standard_normal(basis_small.size))
+        v = basis_small.fields.combine(rng.standard_normal(basis_small.size))
         norm = np.sqrt(l2_sq(v))
         # the residual is linear in v: that of the unit field v / norm
         r = (energy_pairing(v[None], basis_small.fields)[0]
@@ -130,7 +128,7 @@ def test_eigenfields_constraints(basis_small):
 def test_mean_free(basis_small, grid_small):
     rng = np.random.default_rng(9)
     for _ in range(5):
-        v = basis_small.field(rng.standard_normal(basis_small.size))
+        v = basis_small.fields.combine(rng.standard_normal(basis_small.size))
         # the channel integral: only the j = 0 row contributes
         mean = grid_small.spec.length_x * np.real(v.vals[0] @ grid_small.w_y)
         assert np.abs(mean).max() < 1e-10 * np.sqrt(l2_sq(v))
@@ -162,7 +160,7 @@ def test_interpolation_inequality_sampling(basis_small, grid_small):
     rng = np.random.default_rng(17)
     consts = []
     for _ in range(100):
-        v = basis_small.field(rng.standard_normal(basis_small.size))
+        v = basis_small.fields.combine(rng.standard_normal(basis_small.size))
         u1, u2 = bs.sample_fields(v[None])[0, :2]
         l4 = (grid_small.w_x * ((u1 * u1 + u2 * u2) ** 2.0).sum(axis=0) @ grid_small.w_y) ** 0.25
         l2_v = l2_sq(v)
@@ -178,7 +176,7 @@ def test_trace_inequality_sampling(basis_small, grid_small):
     rng = np.random.default_rng(23)
     consts = []
     for _ in range(100):
-        v = basis_small.field(rng.standard_normal(basis_small.size))
+        v = basis_small.fields.combine(rng.standard_normal(basis_small.size))
         # both walls' traces at the x nodes, (n_x, component, wall)
         t = np.fft.irfft(v.wall_vals, grid_small.n_x, axis=0, norm="forward")
         tr = (grid_small.w_x * (t * t).sum()) ** 0.5
@@ -194,7 +192,7 @@ def test_korn_sampling(basis_small):
     rng = np.random.default_rng(31)
     ratios = []
     for _ in range(100):
-        v = basis_small.field(rng.standard_normal(basis_small.size))
+        v = basis_small.fields.combine(rng.standard_normal(basis_small.size))
         r = np.sqrt(h1_sq(v[None])[0] / energy_pairing(v[None], v[None])[0, 0])
         assert np.isfinite(r) and r > 0
         ratios.append(r)
@@ -213,82 +211,23 @@ def test_capacity_guard(spec_small, grid_small):
 
 
 FIELD_ARRAYS = ("vals", "dvals", "wall_vals", "wall_dvals")
+BASIS_ARRAYS = ("eigenvalues", "mode_j", "family", "shell_index", "profiles_cgl", "tau_trace")
 
 
 def test_save_load_roundtrip(tmp_path, basis_small):
-    path = tmp_path / "basis.npz"
-    save_basis(path, basis_small)
-    again = load_basis(path)
-    assert again.grid.spec == basis_small.grid.spec
-    for name in ("eigenvalues", "mode_j", "family", "shell_index", "profiles_cgl",
-                 "tau_trace"):
-        assert np.array_equal(getattr(again, name), getattr(basis_small, name)), name
-    for name in FIELD_ARRAYS:
-        assert np.array_equal(getattr(again.fields, name), getattr(basis_small.fields, name))
-
-
-def _doctored(tmp_path, basis, edit):
-    """The path of a save_basis file of basis whose arrays `edit` changed in place."""
-    path = tmp_path / "basis.npz"
-    save_basis(path, basis)
-    with np.load(path) as data:
-        payload = dict(data)
-    edit(payload)
-    np.savez(path, **payload)
-    return path
-
-
-def _set_entry(key, family, value):
-    """An edit that sets `key` of the first entry of the given family to value."""
-    def edit(payload):
-        payload[key][np.flatnonzero(payload["family"] == family)[0]] = value
-    return edit
-
-
-def _with(key, edit):
-    """An edit that replaces array `key` by edit(array)."""
-    def apply(payload):
-        payload[key] = edit(payload[key])
-    return apply
-
-
-def _float_mode(payload):
-    """Float mode indices, the first cos entry's at 1.5."""
-    mode_j = payload["mode_j"].astype(float)
-    mode_j[np.flatnonzero(payload["family"] == bs.FAMILY_COS)[0]] = 1.5
-    payload["mode_j"] = mode_j
-
-
-@pytest.mark.parametrize("edit, match", [
-    (_set_entry("family", bs.FAMILY_SIN, 3), "basis entry"),     # no such family
-    (_set_entry("mode_j", bs.FAMILY_SHEAR, 1), "basis entry"),   # a shear profile off mode 0
-    (_set_entry("mode_j", bs.FAMILY_COS, 0), "basis entry"),     # streamfunctions off 1..modes_x
-    (_set_entry("mode_j", bs.FAMILY_SIN, 5), "basis entry"),
-    (_float_mode, "mode_j holds float64"),
-    (_with("profiles_cgl", lambda a: a[:, :-1]), r"profiles_cgl has shape \(12, 23\)"),
-    (_with("mode_j", lambda a: a[:-1]), r"mode_j has shape \(11,\)"),
-    (_with("eigenvalues", lambda a: a[:-1]),
-     r"mode_j has shape \(12,\), not \(11,\) for 11 eigenvalues"),
-], ids=["family-3", "shear-at-1", "cos-at-0", "sin-past-band", "mode-float", "short-profile",
-        "mode-missing", "eigenvalue-missing"])
-def test_load_basis_rejects_a_doctored_file(tmp_path, basis_small, edit, match):
-    # basis_small resolves modes 0..4 on 24 nodes; every array the file holds is checked
-    assert basis_small.grid.spec.modes_x == 4 and basis_small.grid.n_y == 24
-    assert basis_small.size == 12
-    with pytest.raises(BasisError, match=match):
-        load_basis(_doctored(tmp_path, basis_small, edit))
-
-
-def test_save_load_roundtrip_is_bitwise_at_the_workload_size(tmp_path):
-    # the wide_basis workload's 128 entries, regenerated from the file's profiles
-    basis = build_eigenbasis(build_grid(DomainSpec(length_x=2 * np.pi, modes_x=8, nodes_y=24,
-                                                   friction_alpha=1.0, viscosity=0.5)), 128)
-    path = tmp_path / "basis.npz"
-    save_basis(path, basis)
-    again = load_basis(path)
-    for name in FIELD_ARRAYS:
-        assert np.array_equal(getattr(again.fields, name), getattr(basis.fields, name)), name
-    assert np.array_equal(again.tau_trace, basis.tau_trace)
+    # the file holds the basis's per-entry arrays, its grid's spec and the
+    # meta, bit for bit, and saving again writes the same bytes
+    paths = [tmp_path / "basis.npz", tmp_path / "again.npz"]
+    for path in paths:
+        save_basis(path, basis_small, meta={"config_hash": "abc123"})
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    with np.load(paths[0]) as data:
+        assert sorted(data.files) == sorted(BASIS_ARRAYS[:5] + ("spec", "meta_config_hash"))
+        for name in BASIS_ARRAYS[:5]:
+            assert np.array_equal(data[name], getattr(basis_small, name)), name
+            assert data[name].dtype == getattr(basis_small, name).dtype, name
+        assert data["spec"].tolist() == list(dataclasses.astuple(basis_small.grid.spec))
+        assert str(data["meta_config_hash"]) == "abc123"
 
 
 def test_deterministic_rebuild(grid_small, basis_small):
@@ -297,18 +236,25 @@ def test_deterministic_rebuild(grid_small, basis_small):
     assert np.array_equal(again.fields.vals, basis_small.fields.vals)
 
 
-def test_truncation_nested(basis_small):
-    small = truncate_basis(basis_small, 6)
-    assert small.size == 6
-    assert np.array_equal(small.eigenvalues, basis_small.eigenvalues[:6])
-    with pytest.raises(BasisError):
-        truncate_basis(basis_small, basis_small.size + 1)
+def test_truncation_nested(basis_small, wide):
+    # a smaller basis is the head of a larger build, bit for bit, in every
+    # per-entry and field array: on the small grid and on the acceptance grid
+    for big, heads in ((basis_small, (4, 6, 8)),
+                       (build_eigenbasis(wide.basis.grid, 32), (8, 12, 16)),
+                       (wide.basis, (48,))):
+        for m in heads:
+            small = build_eigenbasis(big.grid, m)
+            for name in BASIS_ARRAYS:
+                assert np.array_equal(getattr(small, name), getattr(big, name)[:m]), (m, name)
+            for name in FIELD_ARRAYS:
+                assert np.array_equal(getattr(small.fields, name),
+                                      getattr(big.fields, name)[:m]), (m, name)
 
 
 def test_parseval(basis_small):
     rng = np.random.default_rng(3)
     beta = rng.standard_normal(basis_small.size)
-    v = basis_small.field(beta)
+    v = basis_small.fields.combine(beta)
     assert abs(l2_sq(v) - beta @ beta) < 1e-8 * (beta @ beta)
 
 
@@ -351,12 +297,10 @@ def test_fields_are_one_stack(basis_small, cache_small):
     weights = np.random.default_rng(5).standard_normal((5, basis_small.size))
     rows = basis_small.fields.combine(weights)
     for r, w in enumerate(weights):
-        one = basis_small.field(w)
+        one = basis_small.fields.combine(w)
         for name in FIELD_ARRAYS:
             ref = getattr(one, name)
             assert np.abs(getattr(rows, name)[r] - ref).max() <= 1e-14 * np.abs(ref).max()
-    small = truncate_basis(basis_small, 5)
-    assert np.array_equal(small.fields.vals, basis_small.fields.vals[:5])
 
 
 def test_canonical_sign_survives_rounding():

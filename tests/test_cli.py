@@ -296,17 +296,18 @@ def test_parameter_count_must_match_slots(tmp_path, command, overrides):
     assert "one entry per control.slots" in lines[0]
 
 
-@pytest.mark.parametrize("method", ["spsa", "genetic"])
+@pytest.mark.parametrize("method", ["compass", "spsa", "genetic"])
 def test_optimize_unknown_method(tmp_path, method):
-    # compass is the one optimizer: any other method fails as the config
-    # loads, before the output directory or the target simulation
+    # compass is the one optimizer and has no key: a config that names a
+    # method, even compass, fails as it loads, before the output directory
     p = write_cfg(tmp_path, optimize={"method": method})
     out = tmp_path / "out"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["optimize", "--config", str(p), "--out", str(out)])
     assert code == 1 and not out.exists()
-    assert err.getvalue().splitlines() == ["config error: optimize.method must be 'compass'"]
+    assert err.getvalue().splitlines() == [
+        "config error: unknown keys ['method'] in section optimize"]
 
 
 def test_cmd_optimize_zero_budget(tmp_path):

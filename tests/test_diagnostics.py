@@ -180,15 +180,14 @@ def test_min_path_guard(basis_small, cache_mean, zero_ctrl):
 
 def test_moment_stability_under_refinement(grid_small, make_control):
     # fitted constant moves by less than 2x when the basis doubles
-    from slipflow.basis import build_eigenbasis, truncate_basis
+    from slipflow.basis import build_eigenbasis
     from slipflow.lifting import LiftingCache
 
-    big = build_eigenbasis(grid_small, 16)
     cache = LiftingCache(grid_small, 2)
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.15, seed=94)
     cs = {}
     for n in (8, 16):
-        b = truncate_basis(big, n)
+        b = build_eigenbasis(grid_small, n)
         noise = build_noise(16, 2, 0.04, 1.0, 7, [0.1, 0.05])
         from slipflow.dynamics import NoiseModel
 
@@ -283,7 +282,8 @@ def test_empirical_damping_rate_matches_per_time_loop(sim_mod, mc_bundle):
     worst = -np.inf
     for tr in trajs[:3]:
         b = tr.beta_series
-        total = np.array([2.0 * b[ell] @ drift(b[ell], ops, nu, gam[ell], gdot[ell])
+        total = np.array([2.0 * b[ell] @ drift(b[ell], ops, nu, gam[ell], gdot[ell],
+                                               sim_mod.convection)
                           + 2.0 * nu * (ops.lam @ b[ell] ** 2) for ell in range(len(t))])
         worst = max(worst, float(np.max((total + tr.noise_sq) / (2.0 * load * (tr.u_sq + 1.0)))))
     assert abs(empirical_damping_rate(trajs[:3], ctrl, sim_mod) - worst) <= 1e-13 * abs(worst)
@@ -384,7 +384,7 @@ def test_damping_load_identity(sim_mod, mc_bundle):
     g = ctrl.gamma[0]
     mixed_total = b @ np.einsum("ipc,p,c->i", ops.dense.conv_bc, b, g)
     # wall = int_Gamma a (u.tau)^2 by direct sampling of both traces
-    u = sim_mod.basis.field(b)
+    u = sim_mod.basis.fields.combine(b)
     grid = sim_mod.grid
     table = ctrl.coeffs(g)
     wall = 0.0

@@ -14,7 +14,7 @@ from oracles import (
 
 from slipflow import basis as bs
 from slipflow import dynamics as dyn
-from slipflow.basis import energy_pairing, mass_pairing, sample_fields, truncate_basis
+from slipflow.basis import energy_pairing, mass_pairing, sample_fields
 from slipflow.dynamics import (
     BLOCK,
     N_PS,
@@ -116,7 +116,7 @@ def test_nonlinear_skew_symmetry(basis_small):
     rng = np.random.default_rng(6)
     for _ in range(10):
         beta = rng.standard_normal(basis_small.size)
-        v = basis_small.field(beta)
+        v = basis_small.fields.combine(beta)
         val = beta @ Convection(basis_small, v[None]).stacked(np.zeros(len(beta)), np.ones(1))
         assert abs(val) <= 1e-8 * max(1.0, energy_pairing(v[None], v[None])[0, 0])
 
@@ -136,7 +136,7 @@ def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, ma
     ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=60)
     beta = rng.standard_normal(n)
     gam = ctrl.gamma[0]
-    y = basis_small.field(beta) + padded(cache_small.fields.combine(gam))
+    y = basis_small.fields.combine(beta) + padded(cache_small.fields.combine(gam))
     direct = Convection(basis_small, y[None]).stacked(np.zeros(n), np.ones(1))
     tensor = (
         dense.conv_bb.reshape(n, -1) @ np.outer(beta, beta).ravel()
@@ -198,7 +198,7 @@ def test_reach_counts_fourier_triads():
 def full_band(wide):
     """n = 48 on the modes_x = 8 grid with a control of n_modes = 8: the lifted
     fields reach the top mode, so products land past the band."""
-    basis = truncate_basis(wide.basis, 48)
+    basis = bs.build_eigenbasis(wide.basis.grid, 48)
     cache = LiftingCache(basis.grid, 8)
     return SimpleNamespace(basis=basis, cache=cache, ops=assemble_operators(basis, cache))
 
@@ -270,7 +270,7 @@ def test_y_sq_matches_field_pairings(sim_small, basis_small, cache_small):
     for shape in [(), (5,), (3, 5)]:
         beta = rng.standard_normal(shape + (n,))
         gamma = rng.standard_normal(shape[-1:] + (nc,))
-        y = (basis_small.field(beta.reshape(-1, n))
+        y = (basis_small.fields.combine(beta.reshape(-1, n))
              + padded(cache_small.fields.combine(
                  np.broadcast_to(gamma, shape + (nc,)).reshape(-1, nc))))
         for energy, pairing in ((False, mass_pairing), (True, energy_pairing)):
@@ -289,7 +289,8 @@ def test_y_sq_matches_field_pairings(sim_small, basis_small, cache_small):
 
 def test_drift_zero_state(sim_small):
     nc = sim_small.ops.cache.n_dofs
-    f = drift(np.zeros(sim_small.ops.n), sim_small.ops, 0.5, np.zeros(nc), np.zeros(nc))
+    f = drift(np.zeros(sim_small.ops.n), sim_small.ops, 0.5, np.zeros(nc), np.zeros(nc),
+              sim_small.convection)
     assert np.abs(f).max() == 0.0
 
 
@@ -297,7 +298,7 @@ def test_drift_linear_eigendecay(sim_small, basis_small):
     rng = np.random.default_rng(12)
     beta = rng.standard_normal(basis_small.size)
     nc = sim_small.ops.cache.n_dofs
-    f = drift(beta, sim_small.ops, 0.5, np.zeros(nc), np.zeros(nc), include_nonlinear=False)
+    f = drift(beta, sim_small.ops, 0.5, np.zeros(nc), np.zeros(nc), None)
     assert np.allclose(f, -0.5 * basis_small.eigenvalues * beta, rtol=1e-12, atol=1e-14)
 
 
@@ -308,7 +309,8 @@ def test_drift_control_terms_against_quadrature(sim_small, basis_small, cache_sm
     nu = grid_small.spec.viscosity
     ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.4, seed=61)
     gam = ctrl.gamma[0]
-    f = drift(np.zeros(basis_small.size), sim_small.ops, nu, gam, np.zeros_like(gam))
+    f = drift(np.zeros(basis_small.size), sim_small.ops, nu, gam, np.zeros_like(gam),
+              sim_small.convection)
     lifted = cache_small.fields.combine(gam)
     table = ctrl.coeffs(gam)
     x = grid_small.x_nodes
@@ -334,8 +336,9 @@ def test_drift_control_terms_against_quadrature(sim_small, basis_small, cache_sm
 def test_drift_time_derivative_term(sim_small, cache_small, basis_small, make_control):
     ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.4, seed=62)
     gam, gdot = ctrl.interp(0.25)
-    f_move = drift(np.zeros(basis_small.size), sim_small.ops, 0.5, gam, gdot)
-    f_stat = drift(np.zeros(basis_small.size), sim_small.ops, 0.5, gam, np.zeros_like(gdot))
+    conv = sim_small.convection
+    f_move = drift(np.zeros(basis_small.size), sim_small.ops, 0.5, gam, gdot, conv)
+    f_stat = drift(np.zeros(basis_small.size), sim_small.ops, 0.5, gam, np.zeros_like(gdot), conv)
     dfield = cache_small.fields.combine(gdot)
     expected = -mass_pairing(basis_small.fields, dfield[None])[:, 0]
     assert np.abs((f_move - f_stat) - expected).max() < 1e-10
@@ -346,8 +349,9 @@ def test_drift_stacked_rows_match_per_row(sim_small, make_control, nonlinear):
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.3, 1.0], 0.4, seed=63)
     gam, gdot = ctrl.series(np.linspace(0.0, 1.0, 7))
     beta = np.random.default_rng(64).standard_normal((2, 7, sim_small.ops.n))
-    stacked = drift(beta, sim_small.ops, 0.5, gam, gdot, nonlinear)
-    rows = np.array([[drift(b, sim_small.ops, 0.5, g, d, nonlinear)
+    conv = sim_small.convection if nonlinear else None
+    stacked = drift(beta, sim_small.ops, 0.5, gam, gdot, conv)
+    rows = np.array([[drift(b, sim_small.ops, 0.5, g, d, conv)
                       for b, g, d in zip(path, gam, gdot)] for path in beta])
     assert np.abs(stacked - rows).max() <= 1e-13 * np.abs(rows).max()
 
@@ -402,7 +406,7 @@ def test_homogeneous_energy_identity(basis_small, cache_mean, zero_ctrl):
         # internal consistency: defect equals |drift|^2 dt^2 step by step
         nc = sim.ops.cache.n_dofs
         for ell in (0, len(tr.times) // 2):
-            f = drift(tr.beta_series[ell], sim.ops, nu, np.zeros(nc), np.zeros(nc))
+            f = drift(tr.beta_series[ell], sim.ops, nu, np.zeros(nc), np.zeros(nc), sim.convection)
             assert abs(d[ell] - (f @ f) * dt * dt) < 1e-10 * max(1.0, f @ f * dt * dt)
     rates = np.log2(np.array(defect_rates[:-1]) / np.array(defect_rates[1:]))
     assert np.all(rates > 0.9)
@@ -478,7 +482,7 @@ def test_kernel_matches_step_em(sim_small, wide, make_control, zero_ctrl):
     _check_kernel_matches_step_em(sim_small, make_control(2 * np.pi, 2, [0.0, 0.25, 0.5],
                                                           0.3, seed=77))
     _check_kernel_matches_step_em(sim_small, zero_ctrl(sim_small))
-    basis = truncate_basis(wide.basis, 48)
+    basis = bs.build_eigenbasis(wide.basis.grid, 48)
     sim = Simulator(basis, wide.cache, build_noise(48, 2, 0.05, 1.0, 7, [0.1, 0.05]),
                     t_final=0.05, dt=0.005)
     assert basis.size < N_PS and sim.convection is sim.ops.dense
@@ -535,7 +539,7 @@ def test_kernel_blowup_step_matches_step_em(basis_small, cache_mean, zero_ctrl, 
 def test_parseval_reconstruction(sim_small, basis_small, zero_ctrl):
     b0 = make_initial_coeffs(basis_small.size, "random", 3, 0.5, 1.0)
     tr = sim_small.run(seed=2, ctrl=zero_ctrl(sim_small), u0=b0)
-    field = basis_small.field(tr.beta_final)
+    field = basis_small.fields.combine(tr.beta_final)
     u_sq = mass_pairing(field[None], field[None])[0, 0]
     assert abs(u_sq - tr.u_sq[-1]) < 1e-8 * max(1.0, tr.u_sq[-1])
 
@@ -557,7 +561,7 @@ def test_galerkin_consistency_common_noise(grid_small, zero_ctrl):
     cache = LiftingCache(grid_small, 0)
     finals = {}
     for n in (4, 8, 16):
-        b = truncate_basis(big, n)
+        b = bs.build_eigenbasis(grid_small, n)
         noise = NoiseModel(additive=noise_full.additive[:n], mult_gain=noise_full.mult_gain)
         sim = Simulator(b, cache, noise, t_final=0.4, dt=0.004)
         tr = sim.run(seed=21, ctrl=zero_ctrl(sim), u0=b_full[:n])
@@ -902,7 +906,8 @@ def test_weak_form_residual_of_trajectory(basis_small, cache_small, grid_small,
     x = grid_small.x_nodes
 
     def y_at(ell):
-        return basis_small.field(tr.beta_series[ell]) + padded(cache_small.fields.combine(gam[ell]))
+        return (basis_small.fields.combine(tr.beta_series[ell])
+                + padded(cache_small.fields.combine(gam[ell])))
 
     probes = [0, 3, 7]
     resid = np.zeros(len(probes))
@@ -957,9 +962,10 @@ def test_tracking_series_matches_field_quadrature(basis_small, cache_small,
     gam, _ = sim.gamma_series(ctrl)
     for ell in (0, sim.n_steps // 2, sim.n_steps):
         # y - y_ref, combined from the coefficient differences, and y alone
-        diff = (basis_small.field(tr.beta_series[ell] - beta_ref[ell])
+        diff = (basis_small.fields.combine(tr.beta_series[ell] - beta_ref[ell])
                 + padded(cache_small.fields.combine(gam[ell] - gamma_ref[ell])))
-        y = basis_small.field(tr.beta_series[ell]) + padded(cache_small.fields.combine(gam[ell]))
+        y = (basis_small.fields.combine(tr.beta_series[ell])
+             + padded(cache_small.fields.combine(gam[ell])))
         for series, field in ((tr.tracking, diff), (free.tracking, y)):
             direct = mass_pairing(field[None], field[None])[0, 0]
             assert abs(series[ell] - direct) < 1e-10 * max(1.0, direct)
@@ -990,7 +996,7 @@ def _check_matches_dense(stack, make_control, n, controlled):
     # against Convection on the full rows and both evaluators restricted to
     # the two-dof columns [1, 18] and to every column, the dense one with its
     # control term
-    basis = truncate_basis(stack.basis, n)
+    basis = bs.build_eigenbasis(stack.basis.grid, n)
     ops = stack.ops if n == stack.basis.size else assemble_operators(basis, stack.cache)
     rng = np.random.default_rng(n)
     beta = 0.5 * rng.standard_normal((BLOCK, n))

@@ -13,7 +13,9 @@ strings count for nothing.
   `project`.
 * A method counts as referenced by an attribute of its name on a receiver of
   its class, on a receiver whose class the scan does not know, or by a tracer
-  target.  The scan knows the class of `self` and `cls` in a method of a src
+  target.  An attribute of a name bound by `import` of a module outside
+  slipflow references no src name: `np.load` and `json.load` are no call of
+  a `load` method.  The scan knows the class of `self` and `cls` in a method of a src
   class that no other src class derives from or is derived from, of a bare
   src class name, and of a name that every binding in its function binds to
   one src class: as a parameter annotated with it (`basis: Basis`), by a
@@ -36,11 +38,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the public names no program code calls, each with the reason it stays
 ALLOWED = {
-    "basis.truncate_basis": "library basis API beside save_basis; tests cut bases with it",
-    "basis.load_basis": "reads back what save_basis writes for the basis command",
     "basis.sample_fields": "the sampler tests/oracles.py builds its reference tensors with",
     "geometry.Grid.quad_weights_domain": "the reference weights tests/oracles.py integrates with",
-    "control.OptimizeHistory.costs": "the accepted costs as an array, for checks on a history",
     "cli._ArgumentParser.error": "argparse calls it on a usage error",
 }
 
@@ -62,6 +61,13 @@ def _module_aliases(tree) -> set:
             out.update(a.asname for a in node.names
                        if a.name.startswith("slipflow.") and a.asname)
     return out
+
+
+def _foreign_modules(tree) -> set:
+    """The names one file binds by `import` of a module outside slipflow."""
+    return {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for a in node.names
+            if a.name.split(".")[0] != "slipflow"}
 
 
 def _program() -> dict:
@@ -152,12 +158,12 @@ def _scan(program):
             if isinstance(node, ast.FunctionDef):
                 returns.setdefault(node.name, set()).add(_annotated(node.returns, classes))
     for stem, (tree, is_src) in trees.items():
-        modules = _module_aliases(tree)
+        modules, foreign = _module_aliases(tree), _foreign_modules(tree)
         known = _receivers(tree, classes, returns)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) not in foreign:
                 attrs.add((node.attr, known.get(id(node))))
                 if isinstance(node.value, ast.Name) and node.value.id in modules:
                     names.add(node.attr)
@@ -288,3 +294,20 @@ KINDS = (A, B, use)
     assert unreferenced_names({"m": (snippet, True)}) == {"m.A.field"}
     unknown = snippet + "\ndef any_field(x):\n    return x.field()\n\nKINDS += (any_field,)\n"
     assert unreferenced_names({"m": (unknown, True)}) == set()
+
+
+def test_a_module_attribute_references_no_method():
+    # json.load is the json module's function: it reaches no src method named load
+    snippet = """
+import json
+
+class A:
+    @classmethod
+    def load(cls, fh):
+        return cls(json.load(fh))
+
+KINDS = (A,)
+"""
+    assert unreferenced_names({"m": (snippet, True)}) == {"m.A.load"}
+    used = snippet + "\ndef use(fh):\n    return A.load(fh)\n\nKINDS += (use,)\n"
+    assert unreferenced_names({"m": (used, True)}) == set()
