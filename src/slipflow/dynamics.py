@@ -26,15 +26,16 @@ the part of gamma alone, which joins the control drift before the loop.
   (n^3 entries): per step one GEMM of each block against a table T and one
   batched mat-vec; its control term is conv_cc gamma gamma;
 * from N_PS on, `Convection`, the transform method in divergence form: per
-  step the block's velocity y is synthesized on the grid and its walls by one
-  stacked product over the x-modes, whose tables are padded to one shape,
-  and one by a real DFT matrix, and y (x) y is projected onto grad e_i and
-  the wall traces of e_i by the two transposed steps (no FFT); its rows
-  carry the control, so its control term is 0.
+  step the block's velocity y is synthesized on its own 3 modes_x + 1
+  x-nodes, at the Gauss nodes and walls in y, by one stacked product over
+  the x-modes, whose tables are padded to one shape, and one by a real DFT
+  matrix, and y (x) y is projected onto grad e_i and the wall traces of e_i
+  by the two transposed steps (no FFT); its rows carry the control, so its
+  control term is 0.
 
-Both integrate the quadratic products exactly: the pseudospectral grid is
-wide enough that no aliasing reaches the resolved band, and the dense
-tensors are summed triad by triad from the Fourier coefficients
+Both integrate the quadratic products exactly: 3 modes_x + 1 x-nodes are
+the fewest on which no aliasing of a product reaches the resolved band, and
+the dense tensors are summed triad by triad from the Fourier coefficients
 (`_triad_sum`), exact in x by orthogonality, so no x grid is sampled, and
 in y by the Gauss rule.  Each evaluator checks itself where it is built:
 the tensors for vanishing off the Fourier triads their fields' modes allow,
@@ -232,21 +233,25 @@ class Convection:
     real product synthesizes the [re | im] planes of (v1, v2) of y at the
     Gauss nodes and walls from the coefficients of the entries at j and of
     the a_c reaching j; the real DFT matrix `to_grid` (n_x, 2 n_bins) gives
-    the grid, y1^2, y2^2 and y1 y2 are formed pointwise, `from_grid`
-    (2 n_bins, n_x) goes back, and a product per j pairs them with -d_x e1,
+    them on the evaluator's own n_x = 3 modes_x + 1 equispaced x-nodes, not
+    the grid's.  There y1^2 and y2^2 are formed pointwise into one
+    contiguous array and y1 y2 into another, `from_grid` (2 n_bins, n_x)
+    takes each back, and two products per j, summed, pair them with -d_x e1,
     -d_y e2, -(d_y e1 + d_x e2) and the wall traces -+e1 of the entries at
-    j.  Alias-free in x and exact in y for these triple products, this is
-    the dense tensors' quadrature.
+    j.  A product of two band-K fields reaches bin 2K, which on 3K + 1 nodes
+    aliases only onto bins past K (Orszag's 3/2 rule); with the Gauss rule
+    in y, exact for these triple products, this is the dense tensors'
+    quadrature.
 
     The per-mode tables are padded to one stack each, so every stage is one
     stacked matmul over (modes, rows): `s_idx` (n_bins, R) holds the rows
     each mode reads, its first `s_len[j]` real and the rest the mode's first
     row again, `s_tab` (n_bins, R, 4 (n_q + 2)) their synthesis rows (0 on
     the padding), `p_tab` (n_bins, 6 (n_q + 2), N) the projection columns of
-    the entries at each mode (0 past them), and `pos` entry i's position in
-    the flattened (n_bins, N) result.  A row's bits depend on it and W
-    alone.  The constructor probes the tables for skew symmetry
-    (`_probe_skew`).
+    the entries at each mode (0 past them), its rows [re | im] of (y1^2,
+    y2^2) then [re | im] of y1 y2, and `pos` entry i's position in the
+    flattened (n_bins, N) result.  A row's bits depend on it and W alone.
+    The constructor probes the tables for skew symmetry (`_probe_skew`).
     """
 
     def __init__(self, basis: Basis, fields: ModeField):
@@ -259,14 +264,15 @@ class Convection:
         self.grid, self.n, self.n_a = g, basis.size, len(fields)
         self._restricted, self._scratch = {}, np.empty(0)
         self.n_bins = g.spec.modes_x + 1
-        if self.n_bins > g.n_x // 2:
-            raise DynamicsError("the x-grid has no room for the resolved bins below Nyquist")
+        # 3K + 1 nodes: a product of two band-K fields has bins up to 2K, and
+        # none aliases onto bins 0..K
+        n_x = 3 * g.spec.modes_x + 1
         # bin axis rows 2j, 2j + 1: re and im of bin j at phase k_j x_m mod 2 pi
-        phase = np.outer(np.arange(self.n_bins), np.arange(g.n_x)) % g.n_x * (2 * np.pi / g.n_x)
-        self.from_grid = np.stack([np.cos(phase), -np.sin(phase)], axis=1).reshape(-1, g.n_x)
+        phase = np.outer(np.arange(self.n_bins), np.arange(n_x)) % n_x * (2 * np.pi / n_x)
+        self.from_grid = np.stack([np.cos(phase), -np.sin(phase)], axis=1).reshape(-1, n_x)
         self.to_grid = 2.0 * self.from_grid.T     # irfft(., n_x, norm="forward"),
         self.to_grid[:, 0] = 1.0                  # where bin 0 counts once
-        e, width = basis.fields, 2 * (g.n_q + 2)
+        e, width, w_x = basis.fields, 2 * (g.n_q + 2), g.spec.length_x / n_x
         count = np.bincount(basis.mode_j, minlength=self.n_bins)
         self.p_tab = np.zeros((self.n_bins, 3 * width, count.max()))
         self.pos = np.empty(self.n, int)
@@ -286,8 +292,10 @@ class Convection:
             proj = np.zeros((own.size, 3, g.n_q + 2), complex)
             proj[..., :-2] = -g.w_y * np.stack([kv[:, 0], d[:, 1], d[:, 0] + kv[:, 1]], 1)
             proj[:, 2, -2:] = e.wall_vals[own, j, 0] * [-1.0, 1.0]
-            proj *= g.w_x * (1.0 if j == 0 else 2.0)
-            proj = np.concatenate([proj.real, proj.imag], axis=1)
+            proj *= w_x * (1.0 if j == 0 else 2.0)
+            # rows [re | im] of (y1^2, y2^2), then [re | im] of y1 y2
+            proj = np.concatenate([proj[:, :2].real, proj[:, :2].imag,
+                                   proj[:, 2:].real, proj[:, 2:].imag], axis=1)
             self.p_tab[j, :, : own.size] = proj.reshape(own.size, 3 * width).T
             self.pos[own] = j * count.max() + np.arange(own.size)
         self._pack(rows, tabs)
@@ -318,16 +326,20 @@ class Convection:
     def project(self, s: np.ndarray) -> np.ndarray:
         """(..., n) convection coefficients of the fields with (..., W, n_x, 2 (n_q + 2))
         grid samples s: their products v1^2, v2^2 and v1 v2, projected."""
-        lead, half = s.shape[:-2], s.shape[-1] // 2
+        lead, half, size = s.shape[:-2], s.shape[-1] // 2, s.size
         # kept between calls of one shape: glibc mmaps a fresh array of this size each time
-        if self._scratch.shape != s.shape[:-1] + (3 * half,):
-            self._scratch = np.empty(s.shape[:-1] + (3 * half,))
-        p = self._scratch
-        np.multiply(s, s, out=p[..., : 2 * half])
-        np.multiply(s[..., :half], s[..., half:], out=p[..., 2 * half :])
-        f = np.matmul(self.from_grid, p).reshape(lead + (self.n_bins, -1))
+        if self._scratch.size != size + size // 2:
+            self._scratch = np.empty(size + size // 2)
+        squares = np.multiply(s, s, out=self._scratch[:size].reshape(s.shape))
+        cross = np.multiply(s[..., :half], s[..., half:],
+                            out=self._scratch[size:].reshape(s.shape[:-1] + (half,)))
+        # p_tab rows [re | im] of (v1^2, v2^2), then [re | im] of v1 v2
+        f_sq, f_cross = (np.matmul(self.from_grid, p).reshape(lead + (self.n_bins, -1))
+                         .swapaxes(-3, -2) for p in (squares, cross))
         out = np.empty(lead + self.p_tab.shape[::2])
-        np.matmul(f.swapaxes(-3, -2), self.p_tab, out=out.swapaxes(-3, -2))
+        by_mode = out.swapaxes(-3, -2)
+        np.matmul(f_sq, self.p_tab[:, : 4 * half], out=by_mode)
+        by_mode += np.matmul(f_cross, self.p_tab[:, 4 * half :])
         return np.take(out.reshape(lead + (-1,)), self.pos, axis=-1)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
@@ -752,14 +764,16 @@ STACK = 16
 # Basis size from which the kernel evaluates the convection pseudospectrally
 # (`Convection`) instead of through the dense n^3 tensors.  Per step of a
 # 16-path pass of 4-row blocks with the workloads' 2-column control (modes_x =
-# 8, nodes_y = 24, BLAS on one thread, four rounds), dense / pseudospectral
-# ms: n = 48 0.16-0.23 / 0.31-0.47, 56 0.24-0.38 / 0.31-0.47, 60 0.35-0.58 /
-# 0.38-0.46, 64 0.82-0.91 / 0.34-0.51, 72 1.17-1.32 / 0.37-0.53, and
-# 0.011-0.028 s of dense assembly.  They cross near n = 58-60, and so do
-# 4-row and 64-row passes.  From n = 64 on, 4-row blocks slow the dense step
-# (at 64, 0.87 against 0.47 ms in 16-row blocks: each block reads all of T,
-# 2.2 MB), but below 60 it costs what it did.  N_PS stays 60; moving it
-# changes the path, and so the bits, of every size in between.
+# 8, nodes_y = 24, BLAS on one thread, four rounds, a 2-vCPU host), dense /
+# pseudospectral ms: n = 40 0.09-0.12 / 0.22-0.34, 48 0.14-0.17 / 0.22-0.25,
+# 52 0.17-0.21 / 0.23-0.27, 56 0.22-0.25 / 0.22-0.23, 60 0.28-0.30 /
+# 0.22-0.24, 64 0.80-0.95 / 0.22-0.27, 72 1.09-1.22 / 0.25-0.39, and
+# 0.012-0.030 s of dense assembly.  They cross near n = 54-56; on the grid's
+# 32 x-nodes, with the products in one strided buffer, the pseudospectral
+# step took 0.26-0.28 ms from n = 48 to 60 and they crossed near 58-60.
+# From n = 64 on, 4-row blocks slow the dense step (each block reads all of
+# T, 2.2 MB).  N_PS stays 60: moving it changes the path, and so the bits,
+# of every size in between, for at most 0.06 ms a step.
 N_PS = 60
 
 # Squared coefficient norm past which a path counts as blown up.  run_many

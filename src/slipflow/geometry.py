@@ -150,7 +150,7 @@ class Grid:
 def build_grid(spec: DomainSpec) -> Grid:
     """Construct the collocation/quadrature grid for a domain specification."""
     k = spec.modes_x
-    n_x = max(8, 4 * k)  # >= 3K+2: quadratic products de-alias exactly
+    n_x = max(8, 4 * k)  # >= 3K+2 for the sampled fields; Convection has its own 3K+1
     x = np.arange(n_x) * (spec.length_x / n_x)
 
     n_y = spec.nodes_y

@@ -302,12 +302,17 @@ def loop_project(conv, s):
     """`Convection.project` one x-mode at a time: per mode j one stacked
     product of the analysed products by the columns of its own entries."""
     lead, half = s.shape[:-2], s.shape[-1] // 2
-    f = np.matmul(conv.from_grid, np.concatenate([s * s, s[..., :half] * s[..., half:]], -1))
+    f_sq = np.matmul(conv.from_grid, s * s)
+    f_cross = np.matmul(conv.from_grid, s[..., :half] * s[..., half:])
     out = np.empty(lead + (conv.n,))
     mode, col = np.divmod(conv.pos, conv.p_tab.shape[-1])
     for j in range(conv.n_bins):
         own = np.flatnonzero(mode == j)
         if own.size:
+            # rows [re | im] of (v1^2, v2^2), then [re | im] of v1 v2
             table = np.ascontiguousarray(conv.p_tab[j][:, col[own]])
-            out[..., own] = f[..., 2 * j : 2 * j + 2, :].reshape(lead + (-1,)) @ table
+            out[..., own] = (f_sq[..., 2 * j : 2 * j + 2, :].reshape(lead + (-1,))
+                             @ table[: 4 * half]
+                             + f_cross[..., 2 * j : 2 * j + 2, :].reshape(lead + (-1,))
+                             @ table[4 * half :])
     return out

@@ -329,23 +329,30 @@ def test_criterion_09_control_recovery(stack):
             f"({100 * costs_s[-1] / costs_s[0]:.2f}% <= 50%); accepted costs nonincreasing")
 
 
+# criterion 10's run: this config through these commands, in one output directory
+DETERMINISM_CONFIG = {
+    "domain": {"modes_x": 3, "nodes_y": 16, "friction_alpha": 1.0, "viscosity": 0.5},
+    "basis_size": 8,
+    "time": {"t_final": 0.2, "dt": 0.005},
+    "monte_carlo": {"paths": 4},
+    "control": {"n_modes": 2, "theta": [0.3, 0.2]},
+    "optimize": {"budget": 15, "theta_star": [0.4, 0.5], "paths": 2, "noise_on": False},
+}
+DETERMINISM_COMMANDS = ("basis", "lift", "simulate", "optimize", "verify")
+
+
+def run_determinism_config(out):
+    cfg_path = out.with_name(out.name + ".json")
+    cfg_path.write_text(json.dumps(DETERMINISM_CONFIG))
+    for cmd in DETERMINISM_COMMANDS:
+        assert cli_main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
+
+
 def test_criterion_10_determinism(tmp_path):
-    cfg = {
-        "domain": {"modes_x": 3, "nodes_y": 16, "friction_alpha": 1.0, "viscosity": 0.5},
-        "basis_size": 8,
-        "time": {"t_final": 0.2, "dt": 0.005},
-        "monte_carlo": {"paths": 4},
-        "control": {"n_modes": 2, "theta": [0.3, 0.2]},
-        "optimize": {"budget": 15, "theta_star": [0.4, 0.5], "paths": 2, "noise_on": False},
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
     pairs = []
     for tag in ("a", "b"):
-        out = tmp_path / tag
-        for cmd in ("basis", "lift", "simulate", "optimize", "verify"):
-            assert cli_main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
-        pairs.append(out)
+        run_determinism_config(tmp_path / tag)
+        pairs.append(tmp_path / tag)
     files = ["basis.npz", "eigenvalues.csv", "lift_report.json", "trace_norms.csv",
              "control.json", "traj_000.csv", "summary.csv",
              "summary.json", "history.json", "history.csv", "best_control.json",

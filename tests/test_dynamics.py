@@ -490,6 +490,21 @@ def test_kernel_matches_step_em(sim_small, wide, make_control, zero_ctrl):
                                                     0.3, seed=77))
 
 
+@pytest.mark.parametrize("n", [59, 60])
+def test_evaluator_switches_at_60(wide, n):
+    # on the workloads' grid the kernel's evaluator is the dense tensors up to
+    # 59 entries and `Convection` from 60 on: moving N_PS moves the bits of
+    # every size in between, which the numeric reference does not run
+    basis = bs.build_eigenbasis(wide.basis.grid, n)
+    sim = Simulator(basis, wide.cache, build_noise(n, 2, 0.05, 1.0, 7, [0.1, 0.05]),
+                    t_final=0.05, dt=0.005)
+    assert (wide.basis.grid.spec.modes_x, wide.basis.grid.spec.nodes_y) == (8, 24)
+    if n < 60:
+        assert sim.convection is sim.ops.dense
+    else:
+        assert isinstance(sim.convection, Convection) and "dense" not in vars(sim.ops)
+
+
 def test_dense_table_built_once(sim_small, make_control, zero_ctrl, monkeypatch):
     # the simulator's evaluator is ops.dense, handed to every kernel call, and
     # two passes with one active set read one restricted table T, T[q, (p, i)]
@@ -545,12 +560,14 @@ def test_parseval_reconstruction(sim_small, basis_small, zero_ctrl):
 
 
 def test_initial_projection_monotone(grid_small):
+    # the fields of a coefficient vector's heads beta[:n]: the basis is
+    # orthonormal, so their mass norms are |beta[:n]|^2, nondecreasing in n
     big = bs.build_eigenbasis(grid_small, 16)
-    rng = np.random.default_rng(14)
-    beta_full = rng.standard_normal(16)
-    full_norm = np.linalg.norm(beta_full)
-    for n in (4, 8, 12, 16):
-        assert np.linalg.norm(beta_full[:n]) <= full_norm * (1 + 1e-15)
+    beta = np.random.default_rng(14).standard_normal(16)
+    fields = big.fields.combine(np.tril(np.ones((16, 16))) * beta)   # row n - 1: beta[:n]
+    norms = np.diagonal(mass_pairing(fields, fields))
+    assert np.abs(norms - np.cumsum(beta**2)).max() <= 1e-12 * (beta @ beta)
+    assert (np.diff(norms) > 0).all()
 
 
 def test_galerkin_consistency_common_noise(grid_small, zero_ctrl):
@@ -1088,7 +1105,7 @@ def test_dft_matrices_match_numpy_fft(modes_x):
                       friction_alpha=1.0, viscosity=0.5)
     grid = build_grid(spec)
     conv = Convection(bs.build_eigenbasis(grid, 4), LiftingCache(grid, 0).fields)
-    n_bins, n_x = modes_x + 1, grid.n_x
+    n_bins, n_x = modes_x + 1, 3 * modes_x + 1          # the evaluator's own x-rule
     assert conv.to_grid.shape == (n_x, 2 * n_bins) and conv.from_grid.shape == (2 * n_bins, n_x)
     rng = np.random.default_rng(modes_x)
     spectra = rng.standard_normal((8, n_bins)) + 1j * rng.standard_normal((8, n_bins))
@@ -1100,11 +1117,20 @@ def test_dft_matrices_match_numpy_fft(modes_x):
     assert np.abs(samples @ conv.from_grid.T - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_convection_rejects_grid_without_room_below_nyquist(basis_small, cache_mean):
-    # modes_x = 4 needs n_bins = 5 <= n_x // 2; 9 nodes leave 4
-    grid = dataclasses.replace(basis_small.grid, x_nodes=basis_small.grid.x_nodes[:9])
-    with pytest.raises(DynamicsError, match="Nyquist"):
-        Convection(dataclasses.replace(basis_small, grid=grid), cache_mean.fields)
+def test_convection_x_rule_is_3k_plus_1_nodes(basis_small, cache_mean):
+    # the evaluator's x-rule has 3 modes_x + 1 nodes whatever the grid's n_x:
+    # 13 at modes_x = 4 on the grid's 16 nodes and on a grid cut to 9, which
+    # has no room for the 5 resolved bins below its Nyquist bin; both give
+    # the same bits
+    g = basis_small.grid
+    beta = np.random.default_rng(9).standard_normal((BLOCK, basis_small.size))
+    got = []
+    for nodes in (g.x_nodes, g.x_nodes[:9]):
+        basis = dataclasses.replace(basis_small, grid=dataclasses.replace(g, x_nodes=nodes))
+        conv = Convection(basis, cache_mean.fields)
+        assert conv.to_grid.shape == (13, 10) and conv.from_grid.shape == (10, 13)
+        got.append(conv.stacked(beta))
+    assert np.array_equal(*got)
 
 
 def test_pseudospectral_kernel_matches_step_em(wide, make_control):

@@ -1,10 +1,12 @@
 """The benchmark workloads' numbers against a committed reference.
 
 Each workload of perfbench/workloads.py runs its command on its seed-3
-config, and every numeric leaf of the JSON reports and CSV tables it writes
-is compared with tests/numeric_reference.json.  A leaf belongs to a series:
-a CSV column, or a JSON key with its list positions dropped
-(`iterates.cost` holds every iterate's cost).
+config, and criterion 10's config runs through `basis`, `lift`, `simulate`,
+`optimize` and `verify`.  Every numeric leaf of the JSON reports, CSV tables
+and npz arrays they write is compared with tests/numeric_reference.json.  A
+leaf belongs to a series: a CSV column, an npz array (flattened), or a JSON
+key with its list positions dropped (`iterates.cost` holds every iterate's
+cost).
 
 * Counts, booleans, seeds, iterates and the accepted theta sequence must
   match exactly.
@@ -16,7 +18,10 @@ A change that moves a number past the tolerance rewrites the reference with
 
     PYTHONPATH=src python tests/test_numeric_reference.py
 
-and lists every number that moved, with its old and new value.
+and lists every number that moved, with its old and new value.  Before it
+writes, the script prints each series' largest move against the committed
+file: |new - old| / max(|old|, 1e-2 of the series' scale), so a series passes
+while its move is at most 1e-12; inf for a changed exact value, NaN or count.
 """
 
 import csv
@@ -27,7 +32,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_acceptance import run_determinism_config
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = Path(__file__).with_name("numeric_reference.json")
@@ -59,8 +66,13 @@ def _csv_series(path: Path) -> dict:
     return {col: [float(r[i]) for r in rows[1:]] for i, col in enumerate(rows[0])}
 
 
+def _npz_series(path: Path) -> dict:
+    with np.load(path) as z:
+        return {k: z[k].ravel().tolist() for k in z.files if z[k].dtype.kind in "biuf"}
+
+
 def artifact_numbers(out: Path) -> dict:
-    """{artifact: {series: values}} of every JSON and CSV artifact in out; NaN is None."""
+    """{artifact: {series: values}} of every JSON, CSV and npz artifact in out; NaN is None."""
     found = {}
     for path in sorted(out.iterdir()):
         if path.suffix == ".json":
@@ -68,6 +80,8 @@ def artifact_numbers(out: Path) -> dict:
             _leaves(json.loads(path.read_text()), "", series)
         elif path.suffix == ".csv":
             series = _csv_series(path)
+        elif path.suffix == ".npz":
+            series = _npz_series(path)
         else:
             continue
         found[path.name] = {k: [None if isinstance(v, float) and math.isnan(v) else v
@@ -85,33 +99,60 @@ def run_workload(name: str, tmp: Path) -> dict:
     return artifact_numbers(out)
 
 
+def run_determinism(tmp: Path) -> dict:
+    """The artifact numbers of criterion 10's config through its five commands."""
+    run_determinism_config(tmp / "determinism")
+    return artifact_numbers(tmp / "determinism")
+
+
 def _exact(series: str, values: list) -> bool:
     leaf = series.rsplit(".", 1)[-1]
     return (leaf in EXACT or leaf.startswith("theta")
             or all(isinstance(v, (bool, int)) for v in values))
 
 
-def mismatches(ref: dict, new: dict) -> list:
-    """One line per leaf of ref that new lacks or that differs past the tolerance."""
-    bad = []
+def _series(ref: dict, new: dict):
+    """(where, ref values, new values, moves) per series of ref or new: the
+    move of each leaf, or None when the two differ in length."""
     for art in sorted(ref.keys() | new.keys()):
         want, got = ref.get(art, {}), new.get(art, {})
         for series in sorted(want.keys() | got.keys()):
             a, b = want.get(series, []), got.get(series, [])
             where = f"{art} {series}"
             if len(a) != len(b):
-                bad.append(f"{where}: {len(b)} values, reference has {len(a)}")
+                yield where, a, b, None
                 continue
             exact = _exact(series, a)
-            scale = max((abs(v) for v in a if v is not None), default=0.0)
-            for i, (x, y) in enumerate(zip(a, b)):
-                if (x is None or y is None or exact) and x != y:
-                    bad.append(f"{where}[{i}]: {y!r}, reference {x!r}")
-                elif x is not None and y is not None and abs(x - y) > max(
-                        RTOL * abs(x), FLOOR * scale):
-                    bad.append(f"{where}[{i}]: {y!r}, reference {x!r}, "
-                               f"off by {abs(x - y) / max(abs(x), 1e-300):.2e} relative")
+            scale = FLOOR / RTOL * max((abs(v) for v in a if v is not None), default=0.0)
+            moves = []
+            for x, y in zip(a, b):
+                if x is None or y is None or exact or not max(abs(x), scale):
+                    moves.append(0.0 if x == y else math.inf)
+                else:
+                    moves.append(abs(x - y) / max(abs(x), scale))
+            yield where, a, b, moves
+
+
+def mismatches(ref: dict, new: dict) -> list:
+    """One line per leaf of ref that new lacks or that moved past RTOL."""
+    bad = []
+    for where, a, b, moves in _series(ref, new):
+        if moves is None:
+            bad.append(f"{where}: {len(b)} values, reference has {len(a)}")
+            continue
+        for i, (x, y, move) in enumerate(zip(a, b, moves)):
+            if move == math.inf:
+                bad.append(f"{where}[{i}]: {y!r}, reference {x!r}")
+            elif move > RTOL:
+                bad.append(f"{where}[{i}]: {y!r}, reference {x!r}, off by {move:.2e} relative")
     return bad
+
+
+def largest_moves(ref: dict, new: dict) -> list:
+    """(move, where) of every series that moved, the largest first."""
+    found = [(math.inf if moves is None else max(moves, default=0.0), where)
+             for where, _, _, moves in _series(ref, new)]
+    return sorted((m for m in found if m[0] > 0.0), reverse=True)
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -122,11 +163,33 @@ def test_workload_numbers_match_reference(tmp_path, name):
     assert not bad, f"{name} (seed {SEED}):\n" + "\n".join(bad[:20])
 
 
-def write_reference():
+def test_determinism_config_numbers_match_reference(tmp_path):
+    ref = json.loads(REFERENCE.read_text())
+    bad = mismatches(ref["determinism"], run_determinism(tmp_path))
+    assert not bad, "criterion 10's config:\n" + "\n".join(bad[:20])
+
+
+def reference_numbers() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        numbers = {name: run_workload(name, Path(tmp)) for name in sorted(workloads.WORKLOADS)}
+        return {"seed": SEED,
+                "workloads": {name: run_workload(name, Path(tmp))
+                              for name in sorted(workloads.WORKLOADS)},
+                "determinism": run_determinism(Path(tmp))}
+
+
+def _runs(numbers: dict) -> dict:
+    """{run: {artifact: {series: values}}} of a reference."""
+    return {**numbers["workloads"], "determinism": numbers["determinism"]}
+
+
+def write_reference():
+    numbers = reference_numbers()
+    old = _runs(json.loads(REFERENCE.read_text())) if REFERENCE.exists() else {}
+    for run, found in _runs(numbers).items():
+        for move, where in largest_moves(old.get(run, {}), found):
+            print(f"{run} {where}: {move:.2e}")
     # json writes each float as its shortest round-trip repr, at most 17 digits
-    REFERENCE.write_text(json.dumps({"seed": SEED, "workloads": numbers}, indent=0) + "\n")
+    REFERENCE.write_text(json.dumps(numbers, indent=0) + "\n")
 
 
 if __name__ == "__main__":
