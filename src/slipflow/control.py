@@ -12,9 +12,14 @@ field plus a deterministic wall penalty on (a, b).  Common random numbers
 (a frozen seed bank) make the cost a deterministic function of the control,
 so the optimizer's accepted iterates are exactly nonincreasing.  The
 optimizer is a derivative-free compass (coordinate pattern) search,
-projected onto the admissible set at every candidate.  A target and a cost
-take a `BoundaryControl`: the uncontrolled flow is the zero control, whose
-wall penalty is 0.
+projected onto the admissible set at every candidate.  It polls completely
+(Kolda, Lewis and Torczon, SIAM Review 45, 2003): every candidate of a poll
+is simulated, in one run_many call with one seed group per candidate, and
+counts as an evaluation, and the first improving one in poll order is
+taken; a poll that would pass the budget is cut to the evaluations left.
+`estimate_cost` forms one control's cost from its rows of such a call.  A
+target and a cost take a `BoundaryControl`: the uncontrolled flow is the
+zero control, whose wall penalty is 0.
 """
 
 from __future__ import annotations
@@ -22,12 +27,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
 from .diagnostics import bootstrap_ci
-from .dynamics import BlowupError, Simulator
+from .dynamics import BlowupError, Paths, Simulator
 from .lifting import BoundaryControl, project_compatible, trace_norm_series, wall_norm_sq
 
 __all__ = [
@@ -162,20 +167,16 @@ def penalty_term(ctrl: BoundaryControl, spec: AdmissibleSpec) -> float:
     return float(np.sum(0.5 * spec.lambda1 * ia + 0.5 * spec.lambda2 * ib))
 
 
-def estimate_cost(ctrl: BoundaryControl, target: Target, sim: Simulator,
-                  spec: AdmissibleSpec, seeds, u0: np.ndarray | None = None,
-                  noise_on: bool = True, dw: np.ndarray | None = None) -> CostReport:
-    """Monte Carlo tracking cost plus exact penalty under the given seed bank.
+def estimate_cost(ctrl: BoundaryControl, paths: Paths, spec: AdmissibleSpec) -> CostReport:
+    """Monte Carlo tracking cost plus exact penalty of one control.
 
-    dw, if given, is the bank's (len(seeds), n_steps, m) stack of increments,
-    `sim.increments(seeds)`, which run_many would otherwise draw again on
-    every call; the report is bitwise the same either way.
+    paths are the control's simulated paths under the seed bank, run_many's
+    rows of it with the target's tracking series; a bank's paths are the same
+    bits in a run of several controls' seed groups as in a run of its own.
     """
-    seeds = list(seeds)
-    if not seeds:
+    if not len(paths):
         raise ControlError("empty seed bank")
-    paths = sim.run_many(seeds, ctrl=ctrl, u0=u0, noise_on=noise_on, target=target, dw=dw)
-    per_path = 0.5 * np.trapezoid(paths.tracking[paths.usable()], sim.times, axis=-1)
+    per_path = 0.5 * np.trapezoid(paths.tracking[paths.usable()], paths.times, axis=-1)
     tracking = float(per_path.mean())
     pen = penalty_term(ctrl, spec)
     return CostReport(
@@ -252,13 +253,16 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
              sim: Simulator, seeds, budget: int, u0: np.ndarray | None = None,
              noise_on: bool = True, step0: float = 0.25, step_min: float = 1e-4,
              c0: float = 1.0) -> tuple:
-    """Projected compass search with a frozen seed bank.
+    """Projected compass search with a frozen seed bank, polling completely.
 
-    Each poll tries +-step along every coordinate in turn and takes the first
-    candidate whose cost is strictly lower; a poll without one halves the
-    step.  So the accepted-iterate cost sequence is nonincreasing by
-    construction, and on ties the incumbent stays.  `budget` counts cost
-    evaluations.  Returns (best control, history).
+    Each poll evaluates +-step along every coordinate, all 2 dim candidates in
+    one run_many call with one seed group per candidate, and counts each one
+    as an evaluation; it takes the first candidate in poll order whose cost is
+    strictly lower, and a poll without one halves the step.  So the
+    accepted-iterate cost sequence is nonincreasing by construction, and on
+    ties the incumbent stays.  `budget` counts cost evaluations: a poll that
+    would pass it is cut to the evaluations left.  Returns (best control,
+    history).
     """
     seeds = list(seeds)
     theta = np.asarray(theta0, float).copy()
@@ -268,8 +272,14 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
     def build(th):
         return project_admissible(pmap.control(th), spec)
 
-    def cost(ctrl):
-        return estimate_cost(ctrl, target, sim, spec, seeds, u0=u0, noise_on=noise_on, dw=dw)
+    def costs(ctrls):
+        """Each control's report, its seed group's rows of one run_many call."""
+        paths = sim.run_many(seeds * len(ctrls), ctrl=ctrls, u0=u0, noise_on=noise_on,
+                             target=target,
+                             dw=None if dw is None else np.tile(dw, (len(ctrls), 1, 1)))
+        size = len(seeds)
+        return [estimate_cost(c, paths[i * size : (i + 1) * size], spec)
+                for i, c in enumerate(ctrls)]
 
     history = OptimizeHistory(evaluations=0, budget=budget, budget_exhausted=False)
     ctrl_inc = build(theta)
@@ -277,20 +287,20 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
     if budget < 1:
         return ctrl_inc, history
 
-    rep_inc = cost(ctrl_inc)
+    (rep_inc,) = costs([ctrl_inc])
     history.evaluations = 1
     history.record(theta, rep_inc, ctrl_inc, c0)
 
     step = step0
     while history.evaluations < budget and step > step_min:
-        for d, sgn in product(range(pmap.dim), (1.0, -1.0)):
-            if history.evaluations >= budget:
-                break
+        poll = []
+        for d, sgn in islice(product(range(pmap.dim), (1.0, -1.0)), budget - history.evaluations):
             cand_theta = theta.copy()
             cand_theta[d] += sgn * step
-            cand = build(cand_theta)
-            rep = cost(cand)
-            history.evaluations += 1
+            poll.append(build(cand_theta))
+        reports = costs(poll)
+        history.evaluations += len(poll)
+        for cand, rep in zip(poll, reports):
             if rep.total < rep_inc.total:
                 theta = pmap.read(cand)
                 ctrl_inc, rep_inc = cand, rep

@@ -54,7 +54,10 @@ the (paths, times) arrays of one `Paths`, the norms of y = u + lift by
 count runs as a stacked matmul over (k, BLOCK, .) rows, k separate
 BLOCK-row products, and every other operation is per row, so a seed's path
 is bitwise the same whatever its batch, its position in it and the number
-of blocks in its pass.
+of blocks in its pass.  A run may take one control per contiguous seed
+group (a compass poll's candidates): the kernel forms each group's control
+drift from that group's control alone, and sets its rows' control columns
+on row slices, so a group's paths are the bits of its own run.
 `drift`/`step_em` on `GalerkinOperators.dense` are the single-step
 reference the kernel is tested against on both paths; it is built on first
 read, so only that reference builds it from N_PS on.
@@ -65,6 +68,7 @@ from __future__ import annotations
 import copy
 import operator
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import SimpleNamespace
@@ -782,11 +786,14 @@ BLOWUP_LIMIT = 1e12
 
 
 def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection | None,
-              nu, dt, gamma, gamma_dot, add, rho, dw, paths, work):
-    """Euler-Maruyama over W = k BLOCK paths sharing one control, in one loop:
-    (history, beta_final, blowup_step).
+              nu, dt, gamma, gamma_dot, groups, add, rho, dw, paths, work):
+    """Euler-Maruyama over W = k BLOCK paths in one loop, in contiguous row
+    groups that each share one control: (history, beta_final, blowup_step).
 
     beta0 is (W, n) and dw (W, n_steps, m); rows from `paths` on are padding.
+    gamma and gamma_dot are (C, L, n_ctrl), the values and slopes of C
+    controls on the time grid, and groups C row slices covering the W rows
+    in order: the rows of groups[c] run under control c.
     The convection takes the (k, BLOCK, .) view of the rows, k BLOCK-row
     products, so a row's bits do not depend on k; the step's other operations
     are per row, and the block-wide norm only decides whether the per-row
@@ -796,37 +803,45 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     history (n_steps + 1, W, n), returned, whose rows hold each step's decay
     factor until the step scales it by the state.
     The control drift (lift_v, btrace, lift_h terms) is the same for every path
-    and is formed once per step.  The convection is evaluated on the rows z =
-    (beta, gamma[active]) of the block, active the columns of gamma not 0 at
-    every node, by the evaluator `conv` restricted to them, whose control term
-    joins the control drift; a zero control has no active column, and conv
-    None is a linear run.  A path aborts when its squared norm is not finite
-    or passes BLOWUP_LIMIT, read at call time: its abort step is returned, its
-    final state is the offending one, its history is zero from that step on,
-    and its working row is zeroed.  Stepping stops once every non-padding row
-    has aborted.
+    of a group and is formed once per step from the group's (L, n_ctrl)
+    control, the products of a one-control pass.  The convection is evaluated
+    on the rows z = (beta, gamma[active]) of the block, active the columns not
+    0 at every node of some group's control, by the evaluator `conv`
+    restricted to them, whose control term of each group's (L, |active|)
+    columns joins its control drift; a column that a group does not use adds
+    exact zeros to its rows' sums, a zero control has no active column, and
+    conv None is a linear run.  A path aborts when its squared norm is not
+    finite or passes BLOWUP_LIMIT, read at call time: its abort step is
+    returned, its final state is the offending one, its history is zero from
+    that step on, and its working row is zeroed.  Stepping stops once every
+    non-padding row has aborted.
     """
     w_rows, n = beta0.shape
     n_blocks = w_rows // BLOCK
     n_steps = dw.shape[1]
     dw_t = dw.transpose(1, 0, 2)                             # (n_steps, W, m)
-    # path-independent drift per step, then each path's additive noise
-    ctrl_drift = (-nu * (gamma @ ops.lift_v.T) + nu * (gamma @ ops.btrace.T)
-                  - gamma_dot @ ops.lift_h.T)
-    # the convection carries only the control columns that are not 0 at every node
-    active = np.flatnonzero(gamma.any(axis=0))
-    n_a, g_a = active.size, gamma[:, active]
+    # the convection carries only the control columns that are not 0 at
+    # every node of some group's control
+    active = np.flatnonzero(gamma.any(axis=(0, 1)))
+    n_a, g_a = active.size, gamma[:, :, active]
     if conv is not None:
         conv = conv.restricted(active)
-        ctrl_drift -= conv.control_term(g_a)
     push, hist = work[0, :n_steps], work[1]
-    push[:] = (dt * ctrl_drift[:n_steps])[:, None, :]
+    # each group's path-independent drift per step, then each path's additive noise
+    for g, g_dot, a, cut in zip(gamma, gamma_dot, g_a, groups):
+        ctrl_drift = (-nu * (g @ ops.lift_v.T) + nu * (g @ ops.btrace.T)
+                      - g_dot @ ops.lift_h.T)
+        if conv is not None:
+            ctrl_drift -= conv.control_term(a)
+        push[:, cut] = (dt * ctrl_drift[:n_steps])[:, None, :]
     for k in range(rho.size):
         push += np.multiply(dw_t[:, :, k, None], add[:, k], out=hist[1:])
     # decay and multiplicative noise, in the history row each one scales into
     hist[1:] = 1.0 - dt * nu * ops.lam
     hist[1:] += (dw_t * rho).sum(axis=-1, keepdims=True)
     rows = np.zeros((w_rows, n + n_a))                       # (beta, gamma[active]) per path
+    # each group's control columns of the rows, and its control values per step
+    fills = [(rows[cut, n:], a) for a, cut in zip(g_a, groups)]
     stacked = rows.reshape(n_blocks, BLOCK, -1)              # the same rows, block by block
     hist_stacked = hist.reshape(n_steps + 1, n_blocks, BLOCK, n)
     # a nonfinite norm fails `<= limit` even for an infinite BLOWUP_LIMIT;
@@ -846,7 +861,8 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
             if conv is not None:
                 if n_a:
                     rows[:, :n] = b
-                    rows[:, n:] = g_a[ell]
+                    for dst, a in fills:
+                        dst[...] = a[ell]
                 nl = conv(stacked if n_a else hist_stacked[ell])
                 nl *= dt
                 step -= nl
@@ -868,16 +884,19 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     return hist, beta_final, blowup_step
 
 
-def _measure(out: Paths, cut: slice, hist, ops: GalerkinOperators, gamma, target, add, rho, buf):
-    """Write u_sq, u_esq, tracking and noise_sq of the paths out[cut] from the
-    first rows of a pass's history hist (n_steps + 1, W, n).
+def _measure(out: Paths, lo: int, rows: slice, hist, ops: GalerkinOperators, gamma, target,
+             add, rho, buf):
+    """Write u_sq, u_esq, tracking and noise_sq of the paths out[lo + rows]
+    from the rows of a pass's history hist (n_steps + 1, W, n), run under the
+    control values gamma (L, n_ctrl); lo is the pass's first path.
 
     tracking is |y - y_ref|^2 against the target's series, |y|^2 without one;
     buf is scratch of the history's shape.  A blown-up path's series are NaN
     from its blowup step on.
     """
     # (paths, times, n) views of the (times, W, n) layout; einsum follows it
-    h, buf = (a[:, : cut.stop - cut.start].transpose(1, 0, 2) for a in (hist, buf))
+    h, buf = (a[:, rows].transpose(1, 0, 2) for a in (hist, buf))
+    cut = slice(lo + rows.start, lo + rows.stop)
     out.u_sq[cut] = np.einsum("...i,...i->...", h, h)
     out.u_esq[cut] = np.einsum("...i,...i,i->...", h, h, ops.lam)
     ref = (0.0, 0.0) if target is None else (target.beta_series, target.gamma_series)
@@ -952,13 +971,18 @@ class Simulator:
             raise DynamicsError("control horizon shorter than the simulation")
         return ctrl.series(self.times)
 
-    def _simulate(self, seeds: list, ctrl: BoundaryControl, u0: np.ndarray | None = None,
+    def _simulate(self, seeds: list, ctrl: BoundaryControl | Sequence[BoundaryControl],
+                  u0: np.ndarray | None = None,
                   noise_on: bool = True, store_beta: bool = False, target=None,
                   dw: np.ndarray | None = None, keep_wiener: bool = False) -> Paths:
         """`run_many`'s work: check the options, allocate the result once, and
         let each pass of k = ceil(seeds / BLOCK) blocks, the last one padded,
         write its rows of it, copied out of the kernel's work buffer."""
         n, m, n_steps, count = self.ops.n, self.noise.m, self.n_steps, len(seeds)
+        ctrls = [ctrl] if isinstance(ctrl, BoundaryControl) else list(ctrl)
+        if not ctrls or count % len(ctrls):
+            raise DynamicsError("seeds must form one group of equal size per control")
+        size = count // len(ctrls)                    # seeds per control
         if dw is not None:
             dw = np.asarray(dw, float)
             if dw.shape != (count, n_steps, m):
@@ -966,7 +990,7 @@ class Simulator:
         beta0 = np.zeros(n) if u0 is None else np.asarray(u0, float).copy()
         if beta0.shape != (n,):
             raise DynamicsError("initial coefficients do not match the basis size")
-        gamma, gdot = self.gamma_series(ctrl)
+        gamma, gdot = map(np.stack, zip(*map(self.gamma_series, ctrls)))   # (C, L, n_ctrl)
         if target is not None and target.beta_series.shape != (n_steps + 1, n):
             raise DynamicsError("target does not match the simulation grid")
         add, rho = self.noise.additive, self.noise.mult_gain
@@ -987,11 +1011,18 @@ class Simulator:
             inc = np.zeros((w_rows, n_steps, m))      # padding rows: no noise
             if noise_on:
                 inc[:k] = dw[cut] if dw is not None else self.increments(seeds[cut])
+            # the pass's rows of the controls' seed groups, padding with the last
+            first, last = lo // size, (cut.stop - 1) // size + 1
+            edges = [0, *range((first + 1) * size - lo, k, size), w_rows]
+            groups = [slice(a, b) for a, b in zip(edges, edges[1:])]
             work = self._work[: 2 * (n_steps + 1) * w_rows * n].reshape(2, n_steps + 1, w_rows, n)
-            hist, beta_final, blow = _em_block(b0, self.ops, self.convection, self.nu,
-                                               self.dt, gamma, gdot, add, rho, inc, k, work)
+            hist, beta_final, blow = _em_block(b0, self.ops, self.convection, self.nu, self.dt,
+                                               gamma[first:last], gdot[first:last], groups,
+                                               add, rho, inc, k, work)
             out.beta_final[cut], out.blowup_step[cut] = beta_final[:k], blow[:k]
-            _measure(out, cut, hist, self.ops, gamma, target, add, rho, work[0])
+            for c, rows in enumerate(groups, first):
+                _measure(out, lo, slice(rows.start, min(rows.stop, k)), hist, self.ops, gamma[c],
+                         target, add, rho, work[0])
             if store_beta:                            # hist views the work buffer
                 out.beta_series[cut] = hist[:, :k].transpose(1, 0, 2)
             if keep_wiener:
@@ -1012,7 +1043,8 @@ class Simulator:
         options are run_many's, and dw, if given, is a (1, n_steps, m) stack."""
         return self._simulate([int(seed)], ctrl, **kw)[0]
 
-    def run_many(self, seeds, *, ctrl: BoundaryControl, **kw) -> Paths:
+    def run_many(self, seeds, *, ctrl: BoundaryControl | Sequence[BoundaryControl],
+                 **kw) -> Paths:
         """Paths for many seeds, one kernel pass per STACK * BLOCK of them.
 
         Each pass steps up to STACK blocks of BLOCK seeds in one loop, the
@@ -1020,7 +1052,11 @@ class Simulator:
         one-block pass.  dw, if given, is a (len(seeds), n_steps, m) stack
         and path w is driven by dw[w] instead of its seed's increments.  The
         result's arrays are its own: a later call leaves them as they are.
-        ctrl is the boundary control, the zero control for an uncontrolled run.
+        ctrl is the boundary control, the zero control for an uncontrolled
+        run, or a sequence of C controls: then len(seeds) is a multiple of C,
+        the seeds form C contiguous groups of equal size, and group c runs
+        under ctrl[c], each path the same bits as in a run of its group's
+        seeds under that control alone.
         Options: u0, noise_on, store_beta (keep beta_series), target (of the
         tracking series), dw and keep_wiener (keep the increments).
         """

@@ -60,7 +60,9 @@ def test_optimize_counts_match_history(tmp_path, monkeypatch):
     # perfbench checks its traced counts against the artifacts: one
     # estimate_cost call per evaluation in history.json, and run_many seeds
     # of one bank per evaluation; a change that bypasses either name would
-    # otherwise fail only as the benchmark's outputs_incorrect
+    # otherwise fail only as the benchmark's outputs_incorrect.  Each poll is
+    # one run_many call: the incumbent's, then polls of 2 dim candidates, the
+    # last cut to the budget
     from slipflow import control
     from slipflow.cli import main
     from slipflow.dynamics import Simulator
@@ -78,3 +80,5 @@ def test_optimize_counts_match_history(tmp_path, monkeypatch):
     evaluations = json.loads((out / "history.json").read_text())["evaluations"]
     assert len(costs) == evaluations == cfg["optimize"]["budget"]
     assert sum(seeds) == evaluations * cfg["optimize"]["paths"]
+    poll = 2 * len(cfg["control"]["theta"])
+    assert len(seeds) == 1 + -(-(evaluations - 1) // poll) == 3

@@ -1,11 +1,13 @@
 import json
 from dataclasses import asdict
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from slipflow import control as ctl_mod
+from slipflow.basis import build_eigenbasis
 from slipflow.cli import _json_dump
 from slipflow.control import (
     AdmissibleSpec,
@@ -20,7 +22,7 @@ from slipflow.control import (
     project_admissible,
 )
 from slipflow.diagnostics import bootstrap_ci
-from slipflow.dynamics import Simulator, build_noise, make_initial_coeffs
+from slipflow.dynamics import N_PS, DenseConvection, Simulator, build_noise, make_initial_coeffs
 from slipflow.lifting import BoundaryControl
 
 
@@ -102,6 +104,11 @@ def test_exponential_integrability_bound(make_control):
 # -- cost ------------------------------------------------------------------------
 
 
+def cost(ctrl, target, sim, spec, seeds, **kw):
+    """The report of the control's own run_many paths under the seed bank."""
+    return estimate_cost(ctrl, sim.run_many(seeds, ctrl=ctrl, target=target, **kw), spec)
+
+
 def test_penalty_closed_form(aspec):
     # static single cosine mode on one wall: int a^2 over the wall = A^2 Lx/2
     lx = 2 * np.pi
@@ -130,7 +137,7 @@ def test_cost_self_target(sim_det, pmap, aspec):
     ctrl = project_admissible(pmap.control(theta), aspec)
     u0 = make_initial_coeffs(sim_det.ops.n, "random", 3, 0.3, 1.0)
     target = make_target(ctrl, sim_det, u0=u0)
-    rep = estimate_cost(ctrl, target, sim_det, aspec, [0], u0=u0, noise_on=False)
+    rep = cost(ctrl, target, sim_det, aspec, [0], u0=u0, noise_on=False)
     assert rep.tracking == 0.0
     assert rep.total == rep.penalty
     assert rep.total == rep.tracking + rep.penalty
@@ -139,8 +146,8 @@ def test_cost_self_target(sim_det, pmap, aspec):
 
 def test_cost_zero_everything(sim_det, pmap, aspec, zero_ctrl):
     target = make_target(zero_ctrl(sim_det), sim_det)
-    rep = estimate_cost(pmap.control(np.zeros(pmap.dim)), target, sim_det, aspec, [0],
-                        u0=None, noise_on=False)
+    rep = cost(pmap.control(np.zeros(pmap.dim)), target, sim_det, aspec, [0],
+               u0=None, noise_on=False)
     assert rep.total == 0.0 and rep.penalty == 0.0
 
 
@@ -148,7 +155,7 @@ def test_cost_additivity_random(sim_noisy, pmap, aspec, make_control, zero_ctrl)
     ctrl = project_admissible(make_control(2 * np.pi, 2, [0.0, 0.5], 0.2, seed=44), aspec)
     u0 = make_initial_coeffs(sim_noisy.ops.n, "random", 3, 0.3, 1.0)
     target = make_target(zero_ctrl(sim_noisy), sim_noisy)
-    rep = estimate_cost(ctrl, target, sim_noisy, aspec, range(6), u0=u0)
+    rep = cost(ctrl, target, sim_noisy, aspec, range(6), u0=u0)
     assert rep.total == rep.tracking + rep.penalty
     assert rep.total >= 0.0
     assert rep.ci_half_width >= 0.0
@@ -162,9 +169,8 @@ def test_cost_with_bank_increments_is_the_same(sim_noisy, aspec, make_control, z
     u0 = make_initial_coeffs(sim_noisy.ops.n, "random", 3, 0.3, 1.0)
     target = make_target(zero_ctrl(sim_noisy), sim_noisy)
     seeds = [11, 2**64 + 3, 5, 8]
-    drawn = estimate_cost(ctrl, target, sim_noisy, aspec, seeds, u0=u0)
-    given = estimate_cost(ctrl, target, sim_noisy, aspec, seeds, u0=u0,
-                          dw=sim_noisy.increments(seeds))
+    drawn = cost(ctrl, target, sim_noisy, aspec, seeds, u0=u0)
+    given = cost(ctrl, target, sim_noisy, aspec, seeds, u0=u0, dw=sim_noisy.increments(seeds))
     for name in ("total", "tracking", "penalty", "ci_half_width"):
         assert np.array_equal(getattr(given, name), getattr(drawn, name)), name
     assert drawn.ci_half_width > 0.0
@@ -178,21 +184,57 @@ def test_cost_interval_formed_on_first_read(sim_noisy, aspec, zero_ctrl, monkeyp
     u0 = make_initial_coeffs(sim_noisy.ops.n, "random", 3, 0.3, 1.0)
     zero = zero_ctrl(sim_noisy)
     target = make_target(zero, sim_noisy)
-    rep = estimate_cost(zero, target, sim_noisy, aspec, range(5), u0=u0)
+    rep = cost(zero, target, sim_noisy, aspec, range(5), u0=u0)
     assert calls == [] and rep.per_path.size == 5
     lo, hi = bootstrap_ci(lambda idx: rep.per_path[idx].mean(axis=1), 5,
                           np.random.SeedSequence([0xC051, 0]))
     half = 0.5 * (hi - lo)
     assert rep.ci_half_width == half and rep.ci_half_width == half
     assert calls == [1]
-    one = estimate_cost(zero, target, sim_noisy, aspec, [4], u0=u0)
+    one = cost(zero, target, sim_noisy, aspec, [4], u0=u0)
     assert one.ci_half_width == 0.0 and calls == [1]
 
 
 def test_cost_empty_seed_bank(sim_det, aspec, zero_ctrl):
     with pytest.raises(ControlError):
-        estimate_cost(zero_ctrl(sim_det), make_target(zero_ctrl(sim_det), sim_det), sim_det,
-                      aspec, [])
+        cost(zero_ctrl(sim_det), make_target(zero_ctrl(sim_det), sim_det), sim_det, aspec, [])
+
+
+@pytest.mark.parametrize("bank", [3, 4])
+@pytest.mark.parametrize("theta", [(0.0, 0.0), (0.4, 0.3)])
+@pytest.mark.parametrize("n", [16, 128])
+def test_poll_batch_reports_match_one_candidate_runs(wide, pmap, aspec, n, theta, bank):
+    # each candidate's report from a poll's one run_many call, with one seed
+    # group per candidate, is bitwise its one-candidate evaluation: on the
+    # dense (n = 16) and the pseudospectral (n = 128) path, at theta = 0, where
+    # each candidate's active columns ({1} or {18}) are fewer than the poll's,
+    # and with a 3-seed bank, whose candidates share a block
+    basis = wide.basis if n == wide.basis.size else build_eigenbasis(wide.basis.grid, n)
+    sim = Simulator(basis, wide.cache, build_noise(n, 2, 0.05, 1.0, 7, [0.1, 0.05]),
+                    t_final=0.05, dt=0.005, ops=wide.ops if basis is wide.basis else None)
+    assert isinstance(sim.convection, DenseConvection) == (n < N_PS)
+    u0 = make_initial_coeffs(n, "random", 3, 0.3, 1.0)
+    target = make_target(project_admissible(pmap.control(np.array([0.5, 0.6])), aspec), sim,
+                         u0=u0)
+    seeds = list(range(10, 10 + bank))
+    dw = sim.increments(seeds)
+    poll = []
+    for d, sgn in product(range(pmap.dim), (1.0, -1.0)):
+        cand_theta = np.array(theta)
+        cand_theta[d] += sgn * 0.25
+        poll.append(project_admissible(pmap.control(cand_theta), aspec))
+    active = [set(np.flatnonzero(sim.gamma_series(c)[0].any(axis=0)).tolist()) for c in poll]
+    assert set().union(*active) == {1, 18}
+    assert all(a < {1, 18} for a in active) == (theta == (0.0, 0.0))
+    batch = sim.run_many(seeds * len(poll), ctrl=poll, u0=u0, target=target,
+                         dw=np.tile(dw, (len(poll), 1, 1)))
+    for i, ctrl in enumerate(poll):
+        rows = batch[i * bank : (i + 1) * bank]
+        alone = sim.run_many(seeds, ctrl=ctrl, u0=u0, target=target, dw=dw)
+        got, want = estimate_cost(ctrl, rows, aspec), estimate_cost(ctrl, alone, aspec)
+        for name in ("total", "tracking", "penalty", "per_path"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
+        assert np.array_equal(rows.beta_final, alone.beta_final), i
 
 
 # -- target ----------------------------------------------------------------------

@@ -1306,3 +1306,36 @@ def test_two_dof_seed_bits_independent_of_batch(path, request):
             seeds = list(range(100, 100 + size))
             seeds[pos] = seed
             _same_path(sim.run_many(seeds, **kw)[pos], solo)
+
+
+@pytest.mark.parametrize("size", [3, STACK * BLOCK // 3 + 1])
+@pytest.mark.parametrize("path", ["dense", "pseudospectral"])
+def test_control_groups_match_one_control_runs(path, request, size):
+    # a sequence of controls runs the contiguous seed group c under control c:
+    # every row of the middle group blows up, the others' do not, and each
+    # group's paths are the same bits as a run of its seeds under its control
+    # alone, blowup_step, beta_final and tracking included; groups of 3 share
+    # blocks, and a group of 22 straddles the 64-row pass boundary
+    from slipflow.control import Target
+
+    sim = _path_sim(path, request)
+    n = sim.ops.n
+    ctrls = [_two_dof_control(sim.t_final), _two_dof_control(sim.t_final, theta=(100.0, 100.0)),
+             _two_dof_control(sim.t_final, theta=(0.0, 0.0))]
+    rng = np.random.default_rng(5)
+    target = Target(times=sim.times.copy(),
+                    beta_series=0.1 * rng.standard_normal((sim.n_steps + 1, n)),
+                    gamma_series=0.5 * sim.gamma_series(ctrls[0])[0])
+    kw = dict(u0=make_initial_coeffs(n, "random", 3, 0.5, 1.0), target=target,
+              store_beta=True, keep_wiener=True)
+    seeds = list(range(300, 300 + len(ctrls) * size))
+    paths = sim.run_many(seeds, ctrl=ctrls, **kw)
+    for c, ctrl in enumerate(ctrls):
+        cut = slice(c * size, (c + 1) * size)
+        alone = sim.run_many(seeds[cut], ctrl=ctrl, **kw)
+        assert alone.blown_up.all() == alone.blown_up.any() == (c == 1)
+        _same_paths(paths[cut], alone)
+    with pytest.raises(DynamicsError, match="group"):
+        sim.run_many(seeds[:-1], ctrl=ctrls)
+    with pytest.raises(DynamicsError, match="group"):
+        sim.run_many(seeds, ctrl=[])

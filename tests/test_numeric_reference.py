@@ -16,12 +16,16 @@ cost).
 
 A change that moves a number past the tolerance rewrites the reference with
 
-    PYTHONPATH=src python tests/test_numeric_reference.py
+    PYTHONPATH=src python tests/test_numeric_reference.py [BASE.json ...]
 
 and lists every number that moved, with its old and new value.  Before it
 writes, the script prints each series' largest move against the committed
 file: |new - old| / max(|old|, 1e-2 of the series' scale), so a series passes
 while its move is at most 1e-12; inf for a changed exact value, NaN or count.
+It prints the same list against each BASE, a reference this script wrote
+elsewhere.  The committed file may come from another host, whose BLAS rounds
+some sums differently; a BASE written by a checkout of the parent commit on
+the same host gives the moves of the change alone.
 """
 
 import csv
@@ -182,16 +186,18 @@ def _runs(numbers: dict) -> dict:
     return {**numbers["workloads"], "determinism": numbers["determinism"]}
 
 
-def write_reference():
+def write_reference(bases: list):
     numbers = reference_numbers()
-    old = _runs(json.loads(REFERENCE.read_text())) if REFERENCE.exists() else {}
-    for run, found in _runs(numbers).items():
-        for move, where in largest_moves(old.get(run, {}), found):
-            print(f"{run} {where}: {move:.2e}")
+    for base in [REFERENCE, *map(Path, bases)]:
+        print(f"moves against {base}:")
+        old = _runs(json.loads(base.read_text())) if base.exists() else {}
+        for run, found in _runs(numbers).items():
+            for move, where in largest_moves(old.get(run, {}), found):
+                print(f"{run} {where}: {move:.2e}")
     # json writes each float as its shortest round-trip repr, at most 17 digits
     REFERENCE.write_text(json.dumps(numbers, indent=0) + "\n")
 
 
 if __name__ == "__main__":
-    write_reference()
+    write_reference(sys.argv[1:])
     print(f"wrote {REFERENCE.relative_to(ROOT)}", file=sys.stderr)
