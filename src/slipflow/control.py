@@ -14,12 +14,16 @@ so the optimizer's accepted iterates are exactly nonincreasing.  The
 optimizer is a derivative-free compass (coordinate pattern) search,
 projected onto the admissible set at every candidate.  It polls completely
 (Kolda, Lewis and Torczon, SIAM Review 45, 2003): every candidate of a poll
-is simulated, in one run_many call with one seed group per candidate, and
-counts as an evaluation, and the first improving one in poll order is
-taken; a poll that would pass the budget is cut to the evaluations left.
-`estimate_cost` forms one control's cost from its rows of such a call.  A
-target and a cost take a `BoundaryControl`: the uncontrolled flow is the
-zero control, whose wall penalty is 0.
+is simulated and counts as an evaluation, and the first improving one in
+poll order is taken; a poll that would pass the budget is cut to the
+evaluations left.  A poll's C candidates are one stacked `BoundaryControl`
+(C, n_t, n_dofs): one projection, one admissible norm and one wall penalty
+each take the whole stack, and one run_many call runs one seed group per
+candidate, every group on the same increments.  `estimate_cost` forms one
+candidate's cost from its rows of that call and its entry of the stacked
+penalty.  Each candidate's numbers are the bits of its own one-control
+calls.  A target and a cost take a `BoundaryControl`: the uncontrolled flow
+is the zero control, whose wall penalty is 0.
 """
 
 from __future__ import annotations
@@ -68,26 +72,35 @@ class AdmissibleSpec:
             raise ControlError("penalty weights must be positive")
 
 
-def admissible_norm(ctrl: BoundaryControl) -> float:
-    """sqrt of the time integral of the squared trace norm over the horizon."""
+def _per_control(values: np.ndarray):
+    """A float for one control, the (C,) array of a stack's."""
+    return values if values.ndim else float(values)
+
+
+def admissible_norm(ctrl: BoundaryControl):
+    """sqrt of the time integral of the squared trace norm over the horizon,
+    (C,) for a stack."""
     tn = trace_norm_series(ctrl, ctrl.t_grid)
     if ctrl.t_grid.size == 1:
-        return float(tn[0])
-    return float(np.sqrt(np.trapezoid(tn**2, ctrl.t_grid)))
+        return _per_control(tn[..., 0])
+    return _per_control(np.sqrt(np.trapezoid(tn**2, ctrl.t_grid)))
 
 
 def project_admissible(ctrl: BoundaryControl, spec: AdmissibleSpec) -> BoundaryControl:
-    """Compatibility projection followed by radial scaling into the norm ball."""
+    """Compatibility projection followed by radial scaling into the norm ball;
+    a stack's controls each scaled by their own norm."""
     out = project_compatible(ctrl)
-    nrm = admissible_norm(out)
-    if nrm > spec.radius:
-        out.gamma *= spec.radius / nrm
+    nrm = np.asarray(admissible_norm(out))
+    # inside the ball the factor is 1.0, which leaves gamma's bits as they are
+    scale = np.divide(spec.radius, nrm, out=np.ones_like(nrm), where=nrm > spec.radius)
+    out.gamma *= scale[..., None, None]
     return out
 
 
-def exponential_integrability_bound(ctrl: BoundaryControl, c0: float) -> float:
-    """Deterministic value of exp(4 c0 int ||(a,b)||^2); finite on the ball."""
-    return float(np.exp(4.0 * c0 * admissible_norm(ctrl) ** 2))
+def exponential_integrability_bound(norm: float, c0: float) -> float:
+    """Deterministic value exp(4 c0 int ||(a,b)||^2) of a control of admissible
+    norm `norm`; finite on the ball."""
+    return float(np.exp(4.0 * c0 * norm**2))
 
 
 @dataclass
@@ -110,7 +123,7 @@ class CostReport:
         if self.per_path.size < 2:
             return 0.0
         lo, hi = bootstrap_ci(lambda idx: self.per_path[idx].mean(axis=1), self.per_path.size,
-                              np.random.SeedSequence([0xC051, 0]))
+                              (0xC051, 0))
         return 0.5 * (hi - lo)
 
 
@@ -148,8 +161,8 @@ def make_target(ctrl_star: BoundaryControl, sim: Simulator,
     )
 
 
-def penalty_term(ctrl: BoundaryControl, spec: AdmissibleSpec) -> float:
-    """Exact wall penalty int_0^T int_Gamma (l1/2 a^2 + l2/2 b^2).
+def penalty_term(ctrl: BoundaryControl, spec: AdmissibleSpec):
+    """Exact wall penalty int_0^T int_Gamma (l1/2 a^2 + l2/2 b^2), (C,) for a stack.
 
     Coefficients are piecewise linear in time, so the squared wall norm is
     piecewise quadratic and Simpson per segment integrates it exactly.
@@ -158,31 +171,32 @@ def penalty_term(ctrl: BoundaryControl, spec: AdmissibleSpec) -> float:
     if tg.size == 1:
         raise ControlError("penalty needs a time horizon (t_grid of length >= 2)")
     # (start, mid, end) rows of every segment
-    tab = ctrl.coeffs(np.stack([g[:-1], 0.5 * (g[:-1] + g[1:]), g[1:]]))
+    start, end = g[..., :-1, :], g[..., 1:, :]
+    tab = ctrl.coeffs(np.stack([start, 0.5 * (start + end), end]))
     a0, am, a1 = wall_norm_sq(tab[..., :2, :], 0.0, ctrl.length_x)
     b0, bm, b1 = wall_norm_sq(tab[..., 2:, :], 0.0, ctrl.length_x)
     h = np.diff(tg)
     ia = h / 6.0 * (a0 + 4.0 * am + a1)
     ib = h / 6.0 * (b0 + 4.0 * bm + b1)
-    return float(np.sum(0.5 * spec.lambda1 * ia + 0.5 * spec.lambda2 * ib))
+    return _per_control(np.sum(0.5 * spec.lambda1 * ia + 0.5 * spec.lambda2 * ib, axis=-1))
 
 
-def estimate_cost(ctrl: BoundaryControl, paths: Paths, spec: AdmissibleSpec) -> CostReport:
-    """Monte Carlo tracking cost plus exact penalty of one control.
+def estimate_cost(paths: Paths, penalty: float) -> CostReport:
+    """Monte Carlo tracking cost plus the exact wall penalty of one control.
 
     paths are the control's simulated paths under the seed bank, run_many's
-    rows of it with the target's tracking series; a bank's paths are the same
-    bits in a run of several controls' seed groups as in a run of its own.
+    rows of it with the target's tracking series, and penalty its
+    `penalty_term`; a control's paths and penalty are the same bits as its
+    seed group's rows and its entry of a stack's.
     """
     if not len(paths):
         raise ControlError("empty seed bank")
     per_path = 0.5 * np.trapezoid(paths.tracking[paths.usable()], paths.times, axis=-1)
     tracking = float(per_path.mean())
-    pen = penalty_term(ctrl, spec)
     return CostReport(
-        total=tracking + pen,
+        total=tracking + penalty,
         tracking=tracking,
-        penalty=pen,
+        penalty=penalty,
         per_path=per_path,
     )
 
@@ -195,7 +209,8 @@ class ParamMap:
     """Maps a low-dimensional parameter vector onto static control slots.
 
     Each slot names (kind, wall, mode, part); the parameter value fills that
-    coefficient at every control time point.
+    coefficient at every control time point.  A (C, dim) stack of vectors
+    maps to a stack of C controls.
     """
 
     length_x: float
@@ -210,13 +225,13 @@ class ParamMap:
 
     def control(self, theta) -> BoundaryControl:
         theta = np.asarray(theta, float)
-        if theta.shape != (self.dim,):
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
             raise ControlError(f"expected {self.dim} parameters")
         ctrl = BoundaryControl.zeros(
-            self.length_x, self.n_modes, np.asarray(self.t_grid), self.p
+            self.length_x, self.n_modes, np.asarray(self.t_grid), self.p, stack=theta.shape[:-1]
         )
-        for val, (kind, wall, mode, part) in zip(theta, self.slots):
-            ctrl.gamma[:, ctrl.dof_index(kind, wall, mode, part)] = val
+        for d, (kind, wall, mode, part) in enumerate(self.slots):
+            ctrl.gamma[..., ctrl.dof_index(kind, wall, mode, part)] = theta[..., d, None]
         return ctrl
 
     def read(self, ctrl: BoundaryControl) -> np.ndarray:
@@ -235,6 +250,7 @@ class OptimizeHistory:
 
     def record(self, theta, report: CostReport, ctrl: BoundaryControl, c0: float):
         """Append an accepted iterate with the admissibility bookkeeping of its control."""
+        norm = admissible_norm(ctrl)
         self.iterates.append(
             {
                 "iterate": len(self.iterates),
@@ -243,8 +259,8 @@ class OptimizeHistory:
                 "tracking": report.tracking,
                 "penalty": report.penalty,
                 "ci_half_width": report.ci_half_width,
-                "admissible_norm": admissible_norm(ctrl),
-                "exp_integrability": exponential_integrability_bound(ctrl, c0),
+                "admissible_norm": norm,
+                "exp_integrability": exponential_integrability_bound(norm, c0),
             }
         )
 
@@ -255,56 +271,53 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
              c0: float = 1.0) -> tuple:
     """Projected compass search with a frozen seed bank, polling completely.
 
-    Each poll evaluates +-step along every coordinate, all 2 dim candidates in
-    one run_many call with one seed group per candidate, and counts each one
-    as an evaluation; it takes the first candidate in poll order whose cost is
-    strictly lower, and a poll without one halves the step.  So the
-    accepted-iterate cost sequence is nonincreasing by construction, and on
-    ties the incumbent stays.  `budget` counts cost evaluations: a poll that
-    would pass it is cut to the evaluations left.  Returns (best control,
-    history).
+    Each poll evaluates +-step along every coordinate, all 2 dim candidates as
+    one projected stack in one run_many call with one seed group per
+    candidate, and counts each one as an evaluation; it takes the first
+    candidate in poll order whose cost is strictly lower, and a poll without
+    one halves the step.  So the accepted-iterate cost sequence is
+    nonincreasing by construction, and on ties the incumbent stays.  `budget`
+    counts cost evaluations: a poll that would pass it is cut to the
+    evaluations left.  Returns (best control, history).
     """
     seeds = list(seeds)
     theta = np.asarray(theta0, float).copy()
     # common random numbers: every evaluation runs the same increments
     dw = sim.increments(seeds) if noise_on else None
 
-    def build(th):
-        return project_admissible(pmap.control(th), spec)
-
     def costs(ctrls):
-        """Each control's report, its seed group's rows of one run_many call."""
-        paths = sim.run_many(seeds * len(ctrls), ctrl=ctrls, u0=u0, noise_on=noise_on,
-                             target=target,
-                             dw=None if dw is None else np.tile(dw, (len(ctrls), 1, 1)))
+        """Each report of a stack of controls (or of one), its seed group's rows
+        of one run_many call and its entry of one stacked penalty."""
+        pens = np.atleast_1d(penalty_term(ctrls, spec)).tolist()
+        paths = sim.run_many(seeds * len(pens), ctrl=ctrls, u0=u0, noise_on=noise_on,
+                             target=target, dw=dw)
         size = len(seeds)
-        return [estimate_cost(c, paths[i * size : (i + 1) * size], spec)
-                for i, c in enumerate(ctrls)]
+        return [estimate_cost(paths[c * size : (c + 1) * size], pen) for c, pen in enumerate(pens)]
 
     history = OptimizeHistory(evaluations=0, budget=budget, budget_exhausted=False)
-    ctrl_inc = build(theta)
+    ctrl_inc = project_admissible(pmap.control(theta), spec)
     theta = pmap.read(ctrl_inc)  # projection may rescale the parameters
     if budget < 1:
         return ctrl_inc, history
 
-    (rep_inc,) = costs([ctrl_inc])
+    (rep_inc,) = costs(ctrl_inc)
     history.evaluations = 1
     history.record(theta, rep_inc, ctrl_inc, c0)
 
     step = step0
     while history.evaluations < budget and step > step_min:
-        poll = []
-        for d, sgn in islice(product(range(pmap.dim), (1.0, -1.0)), budget - history.evaluations):
-            cand_theta = theta.copy()
-            cand_theta[d] += sgn * step
-            poll.append(build(cand_theta))
+        moves = list(islice(product(range(pmap.dim), (1.0, -1.0)), budget - history.evaluations))
+        thetas = np.tile(theta, (len(moves), 1))
+        for row, (d, sgn) in zip(thetas, moves):
+            row[d] += sgn * step
+        poll = project_admissible(pmap.control(thetas), spec)
         reports = costs(poll)
-        history.evaluations += len(poll)
-        for cand, rep in zip(poll, reports):
+        history.evaluations += len(reports)
+        for c, rep in enumerate(reports):
             if rep.total < rep_inc.total:
-                theta = pmap.read(cand)
-                ctrl_inc, rep_inc = cand, rep
-                history.record(theta, rep_inc, cand, c0)
+                ctrl_inc, rep_inc = poll[c], rep
+                theta = pmap.read(ctrl_inc)
+                history.record(theta, rep_inc, ctrl_inc, c0)
                 break
         else:
             step *= 0.5

@@ -54,10 +54,15 @@ the (paths, times) arrays of one `Paths`, the norms of y = u + lift by
 count runs as a stacked matmul over (k, BLOCK, .) rows, k separate
 BLOCK-row products, and every other operation is per row, so a seed's path
 is bitwise the same whatever its batch, its position in it and the number
-of blocks in its pass.  A run may take one control per contiguous seed
-group (a compass poll's candidates): the kernel forms each group's control
-drift from that group's control alone, and sets its rows' control columns
-on row slices, so a group's paths are the bits of its own run.
+of blocks in its pass.  A run may take a stack of C controls, one per
+contiguous seed group (a compass poll's candidates), every group on the
+same bank of increments if `dw` is given: one `series` call samples the
+stack, the kernel forms every group's control drift by one stacked product
+per operator, C separate products with a one-control pass's bits, and fills
+the rows' control columns of each step from one array made before the loop;
+`_measure` forms the state's series of the whole pass at once and each
+group's tracking on its row slice.  So a group's paths are the bits of its
+own run.
 `drift`/`step_em` on `GalerkinOperators.dense` are the single-step
 reference the kernel is tested against on both paths; it is built on first
 read, so only that reference builds it from N_PS on.
@@ -68,7 +73,6 @@ from __future__ import annotations
 import copy
 import operator
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import SimpleNamespace
@@ -792,8 +796,8 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
 
     beta0 is (W, n) and dw (W, n_steps, m); rows from `paths` on are padding.
     gamma and gamma_dot are (C, L, n_ctrl), the values and slopes of C
-    controls on the time grid, and groups C row slices covering the W rows
-    in order: the rows of groups[c] run under control c.
+    controls on the time grid (a stack's `series`), and groups C row slices
+    covering the W rows in order: the rows of groups[c] run under control c.
     The convection takes the (k, BLOCK, .) view of the rows, k BLOCK-row
     products, so a row's bits do not depend on k; the step's other operations
     are per row, and the block-wide norm only decides whether the per-row
@@ -803,18 +807,21 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     history (n_steps + 1, W, n), returned, whose rows hold each step's decay
     factor until the step scales it by the state.
     The control drift (lift_v, btrace, lift_h terms) is the same for every path
-    of a group and is formed once per step from the group's (L, n_ctrl)
-    control, the products of a one-control pass.  The convection is evaluated
-    on the rows z = (beta, gamma[active]) of the block, active the columns not
-    0 at every node of some group's control, by the evaluator `conv`
-    restricted to them, whose control term of each group's (L, |active|)
-    columns joins its control drift; a column that a group does not use adds
-    exact zeros to its rows' sums, a zero control has no active column, and
-    conv None is a linear run.  A path aborts when its squared norm is not
-    finite or passes BLOWUP_LIMIT, read at call time: its abort step is
-    returned, its final state is the offending one, its history is zero from
-    that step on, and its working row is zeroed.  Stepping stops once every
-    non-padding row has aborted.
+    of a group: one stacked (C, L, n_ctrl) product per operator forms every
+    group's, C separate products with the bits of a one-control pass, and it
+    fills the group's rows of the pushes before the loop.  The convection is
+    evaluated on the rows z = (beta, gamma[active]) of the block, active the
+    columns not 0 at every node of some group's control, by the evaluator
+    `conv` restricted to them, whose control term of each group's
+    (L, |active|) columns joins its control drift; a column that a group does
+    not use adds exact zeros to its rows' sums, a zero control has no active
+    column, and conv None is a linear run.  A step writes the control columns
+    of all rows in one assignment from an (n_steps, W, |active|) array filled
+    before the loop, a broadcast view of the control for a one-group pass.  A path
+    aborts when its squared norm is not finite or passes BLOWUP_LIMIT, read at
+    call time: its abort step is returned, its final state is the offending
+    one, its history is zero from that step on, and its working row is
+    zeroed.  Stepping stops once every non-padding row has aborted.
     """
     w_rows, n = beta0.shape
     n_blocks = w_rows // BLOCK
@@ -827,21 +834,36 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     if conv is not None:
         conv = conv.restricted(active)
     push, hist = work[0, :n_steps], work[1]
-    # each group's path-independent drift per step, then each path's additive noise
-    for g, g_dot, a, cut in zip(gamma, gamma_dot, g_a, groups):
-        ctrl_drift = (-nu * (g @ ops.lift_v.T) + nu * (g @ ops.btrace.T)
-                      - g_dot @ ops.lift_h.T)
-        if conv is not None:
-            ctrl_drift -= conv.control_term(a)
-        push[:, cut] = (dt * ctrl_drift[:n_steps])[:, None, :]
+    # each group's path-independent drift per step, dt (-nu gamma lift_v^T +
+    # nu gamma btrace^T - gamma_dot lift_h^T - the convection's control term),
+    # formed in place: a poll's (C, L, .) temporaries are C times a
+    # one-control pass's, so the control term, whose products are (L, n, n_a)
+    # per group, is formed group by group; then each path's additive noise
+    ctrl_drift, term = np.matmul(gamma, ops.lift_v.T), np.matmul(gamma, ops.btrace.T)
+    ctrl_drift *= -nu
+    term *= nu
+    ctrl_drift += term
+    ctrl_drift -= np.matmul(gamma_dot, ops.lift_h.T, out=term)
+    del term
+    if conv is not None:
+        for d, a in zip(ctrl_drift, g_a):
+            d -= conv.control_term(a)
+    ctrl_drift *= dt
+    for d, cut in zip(ctrl_drift[:, :n_steps], groups):
+        push[:, cut] = d[:, None, :]
     for k in range(rho.size):
         push += np.multiply(dw_t[:, :, k, None], add[:, k], out=hist[1:])
     # decay and multiplicative noise, in the history row each one scales into
     hist[1:] = 1.0 - dt * nu * ops.lam
     hist[1:] += (dw_t * rho).sum(axis=-1, keepdims=True)
     rows = np.zeros((w_rows, n + n_a))                       # (beta, gamma[active]) per path
-    # each group's control columns of the rows, and its control values per step
-    fills = [(rows[cut, n:], a) for a, cut in zip(g_a, groups)]
+    # the rows' control columns, and their values per step if the convection reads them
+    ctrl_cols, cols = rows[:, n:], None
+    if conv is not None and n_a:
+        cols = (np.broadcast_to(g_a[0, :n_steps, None], (n_steps, w_rows, n_a))
+                if len(groups) == 1
+                else np.repeat(g_a[:, :n_steps].swapaxes(0, 1),
+                               [c.stop - c.start for c in groups], axis=1))
     stacked = rows.reshape(n_blocks, BLOCK, -1)              # the same rows, block by block
     hist_stacked = hist.reshape(n_steps + 1, n_blocks, BLOCK, n)
     # a nonfinite norm fails `<= limit` even for an infinite BLOWUP_LIMIT;
@@ -861,8 +883,7 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
             if conv is not None:
                 if n_a:
                     rows[:, :n] = b
-                    for dst, a in fills:
-                        dst[...] = a[ell]
+                    ctrl_cols[...] = cols[ell]
                 nl = conv(stacked if n_a else hist_stacked[ell])
                 nl *= dt
                 step -= nl
@@ -884,23 +905,27 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     return hist, beta_final, blowup_step
 
 
-def _measure(out: Paths, lo: int, rows: slice, hist, ops: GalerkinOperators, gamma, target,
+def _measure(out: Paths, cut: slice, groups: list, hist, ops: GalerkinOperators, gamma, target,
              add, rho, buf):
-    """Write u_sq, u_esq, tracking and noise_sq of the paths out[lo + rows]
-    from the rows of a pass's history hist (n_steps + 1, W, n), run under the
-    control values gamma (L, n_ctrl); lo is the pass's first path.
+    """Write u_sq, u_esq, tracking and noise_sq of the paths out[cut] from the
+    first rows of a pass's history hist (n_steps + 1, W, n), whose row groups
+    ran under the control values gamma (C, L, n_ctrl).
 
-    tracking is |y - y_ref|^2 against the target's series, |y|^2 without one;
-    buf is scratch of the history's shape.  A blown-up path's series are NaN
-    from its blowup step on.
+    tracking is |y - y_ref|^2 against the target's series, |y|^2 without one,
+    formed by `y_sq` on each group's rows with its control; the other series
+    take all the rows at once.  buf is scratch of the history's shape.  A blown-up path's
+    series are NaN from its blowup step on.
     """
+    k = cut.stop - cut.start
     # (paths, times, n) views of the (times, W, n) layout; einsum follows it
-    h, buf = (a[:, rows].transpose(1, 0, 2) for a in (hist, buf))
-    cut = slice(lo + rows.start, lo + rows.stop)
+    h, buf = (a[:, :k].transpose(1, 0, 2) for a in (hist, buf))
     out.u_sq[cut] = np.einsum("...i,...i->...", h, h)
     out.u_esq[cut] = np.einsum("...i,...i,i->...", h, h, ops.lam)
     ref = (0.0, 0.0) if target is None else (target.beta_series, target.gamma_series)
-    out.tracking[cut] = ops.y_sq(np.subtract(h, ref[0], out=buf), gamma - ref[1])
+    diff, tracking = np.subtract(h, ref[0], out=buf), out.tracking[cut]
+    for g, rows in zip(gamma, groups):
+        rows = slice(rows.start, min(rows.stop, k))
+        tracking[rows] = ops.y_sq(diff[rows], g - ref[1])
     # sum_k |rho_k h + g_k|^2 expanded: rho_k is a scalar and |h|^2 is u_sq
     out.noise_sq[cut] = ((rho @ rho) * out.u_sq[cut] + 2.0 * np.einsum("...i,i->...", h, add @ rho)
                          + np.einsum("ik,ik->", add, add))
@@ -964,33 +989,34 @@ class Simulator:
     # -- control plumbing --------------------------------------------------
 
     def gamma_series(self, ctrl: BoundaryControl):
-        """Control values and slopes on the time grid."""
+        """Control values and slopes on the time grid, (C, L, n_ctrl) each for
+        a stack of C controls."""
         if ctrl.n_modes != self.cache.n_modes:
             raise DynamicsError("control does not match the lifting cache")
         if not ctrl.covers(self.t_final):
             raise DynamicsError("control horizon shorter than the simulation")
         return ctrl.series(self.times)
 
-    def _simulate(self, seeds: list, ctrl: BoundaryControl | Sequence[BoundaryControl],
-                  u0: np.ndarray | None = None,
+    def _simulate(self, seeds: list, ctrl: BoundaryControl, u0: np.ndarray | None = None,
                   noise_on: bool = True, store_beta: bool = False, target=None,
                   dw: np.ndarray | None = None, keep_wiener: bool = False) -> Paths:
         """`run_many`'s work: check the options, allocate the result once, and
         let each pass of k = ceil(seeds / BLOCK) blocks, the last one padded,
         write its rows of it, copied out of the kernel's work buffer."""
         n, m, n_steps, count = self.ops.n, self.noise.m, self.n_steps, len(seeds)
-        ctrls = [ctrl] if isinstance(ctrl, BoundaryControl) else list(ctrl)
-        if not ctrls or count % len(ctrls):
+        gamma, gdot = self.gamma_series(ctrl)
+        gamma, gdot = (a.reshape((-1,) + a.shape[-2:]) for a in (gamma, gdot))   # (C, L, n_ctrl)
+        if not len(gamma) or count % len(gamma):
             raise DynamicsError("seeds must form one group of equal size per control")
-        size = count // len(ctrls)                    # seeds per control
+        size = count // len(gamma)                    # seeds per control
         if dw is not None:
             dw = np.asarray(dw, float)
-            if dw.shape != (count, n_steps, m):
-                raise DynamicsError("dw must be a (seeds, n_steps, m) stack of increments")
+            if dw.shape != (size, n_steps, m):
+                raise DynamicsError("dw must be a (seeds per control, n_steps, m) stack of "
+                                    "increments")
         beta0 = np.zeros(n) if u0 is None else np.asarray(u0, float).copy()
         if beta0.shape != (n,):
             raise DynamicsError("initial coefficients do not match the basis size")
-        gamma, gdot = map(np.stack, zip(*map(self.gamma_series, ctrls)))   # (C, L, n_ctrl)
         if target is not None and target.beta_series.shape != (n_steps + 1, n):
             raise DynamicsError("target does not match the simulation grid")
         add, rho = self.noise.additive, self.noise.mult_gain
@@ -1009,8 +1035,10 @@ class Simulator:
             b0 = np.zeros((w_rows, n))
             b0[:k] = beta0
             inc = np.zeros((w_rows, n_steps, m))      # padding rows: no noise
-            if noise_on:
-                inc[:k] = dw[cut] if dw is not None else self.increments(seeds[cut])
+            if noise_on and dw is None:
+                inc[:k] = self.increments(seeds[cut])
+            elif noise_on:                            # row r of the run takes dw[r % size]
+                np.take(dw, np.arange(lo, cut.stop), axis=0, mode="wrap", out=inc[:k])
             # the pass's rows of the controls' seed groups, padding with the last
             first, last = lo // size, (cut.stop - 1) // size + 1
             edges = [0, *range((first + 1) * size - lo, k, size), w_rows]
@@ -1020,9 +1048,8 @@ class Simulator:
                                                gamma[first:last], gdot[first:last], groups,
                                                add, rho, inc, k, work)
             out.beta_final[cut], out.blowup_step[cut] = beta_final[:k], blow[:k]
-            for c, rows in enumerate(groups, first):
-                _measure(out, lo, slice(rows.start, min(rows.stop, k)), hist, self.ops, gamma[c],
-                         target, add, rho, work[0])
+            _measure(out, cut, groups, hist, self.ops, gamma[first:last], target, add, rho,
+                     work[0])
             if store_beta:                            # hist views the work buffer
                 out.beta_series[cut] = hist[:, :k].transpose(1, 0, 2)
             if keep_wiener:
@@ -1043,20 +1070,19 @@ class Simulator:
         options are run_many's, and dw, if given, is a (1, n_steps, m) stack."""
         return self._simulate([int(seed)], ctrl, **kw)[0]
 
-    def run_many(self, seeds, *, ctrl: BoundaryControl | Sequence[BoundaryControl],
-                 **kw) -> Paths:
+    def run_many(self, seeds, *, ctrl: BoundaryControl, **kw) -> Paths:
         """Paths for many seeds, one kernel pass per STACK * BLOCK of them.
 
         Each pass steps up to STACK blocks of BLOCK seeds in one loop, the
         last block of the run padded; a seed's path is the same bits as in a
-        one-block pass.  dw, if given, is a (len(seeds), n_steps, m) stack
-        and path w is driven by dw[w] instead of its seed's increments.  The
-        result's arrays are its own: a later call leaves them as they are.
-        ctrl is the boundary control, the zero control for an uncontrolled
-        run, or a sequence of C controls: then len(seeds) is a multiple of C,
-        the seeds form C contiguous groups of equal size, and group c runs
-        under ctrl[c], each path the same bits as in a run of its group's
-        seeds under that control alone.
+        one-block pass.  The result's arrays are its own: a later call leaves
+        them as they are.  ctrl is the boundary control, the zero control for
+        an uncontrolled run, or a stack of C controls: then len(seeds) is a
+        multiple of C, the seeds form C contiguous groups of equal size, and
+        group c runs under ctrl[c], each path the same bits as in a run of its
+        group's seeds under that control alone.  dw, if given, is a
+        (len(seeds) / C, n_steps, m) stack that every group runs: path w of a
+        group is driven by dw[w] instead of its seed's increments.
         Options: u0, noise_on, store_beta (keep beta_series), target (of the
         tracking series), dw and keep_wiener (keep the increments).
         """

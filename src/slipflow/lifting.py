@@ -82,12 +82,17 @@ class BoundaryControl:
     the four traces (a-bottom, a-top, b-bottom, b-top) occupies a block
     [mean, re_1, im_1, ..., re_K, im_K].  Values between grid points are
     piecewise linear, so time derivatives are segment slopes.
+
+    gamma may carry a leading stack axis, (C, n_t, n_dofs): C controls on one
+    time grid, such as a compass poll's candidates.  `series` and the norms
+    and penalty built on it then give (C, ...) results, each row the bits of
+    its control's own call, and `ctrl[c]` is control c.
     """
 
     length_x: float
     n_modes: int                 # Fourier modes per wall beyond the mean
     t_grid: np.ndarray           # (n_t,) increasing, t_grid[0] = 0
-    gamma: np.ndarray            # (n_t, n_dofs)
+    gamma: np.ndarray            # (n_t, n_dofs), or (C, n_t, n_dofs) for a stack
     p: float                     # trace exponent, in (2, inf)
 
     def __post_init__(self):
@@ -97,10 +102,9 @@ class BoundaryControl:
             raise LiftingError("time grid must hold at least one point")
         if not (self.t_grid[0] == 0.0 and (np.diff(self.t_grid) > 0.0).all()):
             raise LiftingError("time grid must start at 0 and strictly increase")
-        if self.gamma.shape != (self.t_grid.size, self.n_dofs):
-            raise LiftingError(
-                f"gamma must have shape {(self.t_grid.size, self.n_dofs)}"
-            )
+        shape = (self.t_grid.size, self.n_dofs)
+        if self.gamma.ndim not in (2, 3) or self.gamma.shape[-2:] != shape:
+            raise LiftingError(f"gamma must have shape {shape} or (C, {shape[0]}, {shape[1]})")
         if not 2.0 < self.p < np.inf:
             raise LiftingError("trace exponent p must lie in (2, inf)")
         if not (np.abs(self.gamma) <= 1e150).all():     # so that products of two stay finite
@@ -117,9 +121,13 @@ class BoundaryControl:
         return 4 * self.block
 
     @classmethod
-    def zeros(cls, length_x, n_modes, t_grid, p) -> "BoundaryControl":
+    def zeros(cls, length_x, n_modes, t_grid, p, stack: tuple = ()) -> "BoundaryControl":
         t = np.atleast_1d(np.asarray(t_grid, float))
-        return cls(length_x, n_modes, t, np.zeros((t.size, 4 * (2 * n_modes + 1))), p)
+        return cls(length_x, n_modes, t, np.zeros(stack + (t.size, 4 * (2 * n_modes + 1))), p)
+
+    def __getitem__(self, c) -> "BoundaryControl":
+        """Control c of a stack; its gamma views the stack's."""
+        return BoundaryControl(self.length_x, self.n_modes, self.t_grid, self.gamma[c], self.p)
 
     def dof_index(self, kind: str, wall: str, j: int, part: str = "re") -> int:
         """Position of one coefficient in a gamma row; LiftingError if it does not exist."""
@@ -148,17 +156,20 @@ class BoundaryControl:
         return gamma[0], slope[0]
 
     def series(self, times):
-        """Piecewise-linear values and slopes at each time, (n_times, n_dofs) each."""
+        """Piecewise-linear values and slopes at each time, (..., n_times, n_dofs) each."""
         t = np.asarray(times, float)
-        tg = self.t_grid
+        tg, g = self.t_grid, self.gamma
         if tg.size == 1:
-            return np.repeat(self.gamma[:1], t.size, axis=0), np.zeros((t.size, self.n_dofs))
+            values = np.repeat(g[..., :1, :], t.size, axis=-2)
+            return values, np.zeros_like(values)
         outside = (t < tg[0] - 1e-12) | (t > tg[-1] + 1e-12)
         if outside.any():
             raise LiftingError(f"time {float(t[outside][0])} outside the control horizon")
         s = np.clip(np.searchsorted(tg, t, side="right") - 1, 0, tg.size - 2)
-        slope = (self.gamma[s + 1] - self.gamma[s]) / (tg[s + 1] - tg[s])[:, None]
-        return self.gamma[s] + (t - tg[s])[:, None] * slope, slope
+        slope = (np.diff(g, axis=-2) / np.diff(tg)[:, None])[..., s, :]    # of s's segment
+        values = (t - tg[s])[:, None] * slope
+        values += g[..., s, :]
+        return values, slope
 
     def copy(self) -> "BoundaryControl":
         return BoundaryControl(
@@ -185,11 +196,14 @@ class BoundaryControl:
         for key, kind in (("length_x", (int, float)), ("n_modes", int), ("p", (int, float))):
             if isinstance(data[key], bool) or not isinstance(data[key], kind):
                 raise LiftingError(f"{key} must be {'an integer' if kind is int else 'a number'}")
+        gamma = np.asarray(data["gamma"], float)
+        if gamma.ndim != 2:             # a stack of controls is never read from a file
+            raise LiftingError("gamma must be one control's (n_t, n_dofs) table")
         return cls(
             length_x=float(data["length_x"]),
             n_modes=data["n_modes"],
             t_grid=np.asarray(data["t_grid"], float),
-            gamma=np.asarray(data["gamma"], float),
+            gamma=gamma,
             p=float(data["p"]),
         )
 
@@ -256,8 +270,8 @@ def wall_norm_sq(tables: np.ndarray, order: float, length_x: float) -> np.ndarra
 
 
 def trace_norm_series(ctrl: BoundaryControl, times) -> np.ndarray:
-    """Trace norm at each time: a at order 1 - 1/p, b at -1/p and 0, and the
-    slopes of a and b at 1/2 and -1/2."""
+    """Trace norm at each time, (..., n_times): a at order 1 - 1/p, b at -1/p
+    and 0, and the slopes of a and b at 1/2 and -1/2."""
     rows, slopes = ctrl.series(times)
     tab, dtab = ctrl.coeffs(rows), ctrl.coeffs(slopes)
     p, lx = ctrl.p, ctrl.length_x

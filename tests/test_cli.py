@@ -503,10 +503,11 @@ def test_one_point_control_file_is_constant(tmp_path):
     {"t_grid": "x"}, {"gamma": [[0.0] * 20, [0.1] * 19 + [float("nan")]]},
     {"gamma": [[0.0] * 20, [1e300] * 20]}, {"n_modes": 2.7}, {"n_modes": "2"},
     {"n_modes": True}, {"length_x": str(2 * np.pi)}, {"p": "4"},
+    {"gamma": [_GOOD_CONTROL["gamma"]] * 2},
 ], ids=["null-modes", "top-level-list", "gamma-shape", "p-one", "length-x-differs",
         "modes-differ", "p-differs", "horizon-short", "repeated-time", "late-start",
         "string-times", "nan-gamma", "overflowing-gamma", "float-modes", "string-modes",
-        "bool-modes", "string-length-x", "string-p"])
+        "bool-modes", "string-length-x", "string-p", "stacked-gamma"])
 def test_control_file_faults_exit_one(tmp_path, fault):
     data = {**_GOOD_CONTROL, **fault} if isinstance(fault, dict) else fault
     code, lines = _simulate_under_control(tmp_path, data)

@@ -91,12 +91,48 @@ def test_project_admissible_idempotent(make_control):
         assert admissible_norm(once) <= spec.radius * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("t_grid", [[0.0, 0.25, 0.5], [0.0]])
+def test_stack_matches_one_control_calls(make_control, t_grid):
+    # a (C, n_t, n_dofs) stack's series, admissible norm, projection and
+    # penalty are, row by row, the bits of the one-control calls: one
+    # candidate inside the ball, one radially scaled onto it, one made
+    # compatible, and a one-point time grid (a constant control, no penalty)
+    spec = AdmissibleSpec(radius=10.0, lambda1=0.3, lambda2=0.7)
+    ctrls = [make_control(2 * np.pi, 2, t_grid, scale, seed=60 + i)
+             for i, scale in enumerate([0.01, 5.0, 0.02])]
+    ctrls[2].gamma[:, [0, 5]] = [0.3, 0.1]                    # net flux: not compatible
+    stack = BoundaryControl(2 * np.pi, 2, t_grid, np.stack([c.gamma for c in ctrls]), 4.0)
+    norms = [admissible_norm(c) for c in ctrls]
+    assert norms[0] < spec.radius < norms[1]
+    times = np.linspace(0.0, t_grid[-1], 7)
+    values, slopes = stack.series(times)
+    projected = project_admissible(stack, spec)
+    assert isinstance(admissible_norm(ctrls[0]), float) and admissible_norm(stack).shape == (3,)
+    for c, ctrl in enumerate(ctrls):
+        one_values, one_slopes = ctrl.series(times)
+        assert np.array_equal(values[c], one_values) and np.array_equal(slopes[c], one_slopes)
+        assert admissible_norm(stack)[c] == norms[c]
+        assert np.array_equal(projected.gamma[c], project_admissible(ctrl, spec).gamma), c
+        assert admissible_norm(projected)[c] == admissible_norm(project_admissible(ctrl, spec))
+        assert np.array_equal(stack[c].gamma, ctrl.gamma)
+    assert np.array_equal(projected.gamma[0], ctrls[0].gamma)
+    assert not np.array_equal(projected.gamma[2], ctrls[2].gamma)
+    if len(t_grid) == 1:
+        with pytest.raises(ControlError, match="horizon"):
+            penalty_term(stack, spec)
+        return
+    pens = penalty_term(stack, spec)
+    assert pens.shape == (3,) and isinstance(penalty_term(ctrls[0], spec), float)
+    for c, ctrl in enumerate(ctrls):
+        assert pens[c] == penalty_term(ctrl, spec), c
+
+
 def test_exponential_integrability_bound(make_control):
     spec = AdmissibleSpec(radius=0.5)
     ctrl = project_admissible(
         make_control(2 * np.pi, 2, [0.0, 0.5], 1.0, seed=42), spec
     )
-    val = exponential_integrability_bound(ctrl, 1.0)
+    val = exponential_integrability_bound(admissible_norm(ctrl), 1.0)
     assert np.isfinite(val)
     assert val <= np.exp(4.0 * spec.radius**2) * (1 + 1e-9)
 
@@ -106,7 +142,8 @@ def test_exponential_integrability_bound(make_control):
 
 def cost(ctrl, target, sim, spec, seeds, **kw):
     """The report of the control's own run_many paths under the seed bank."""
-    return estimate_cost(ctrl, sim.run_many(seeds, ctrl=ctrl, target=target, **kw), spec)
+    return estimate_cost(sim.run_many(seeds, ctrl=ctrl, target=target, **kw),
+                         penalty_term(ctrl, spec))
 
 
 def test_penalty_closed_form(aspec):
@@ -218,20 +255,21 @@ def test_poll_batch_reports_match_one_candidate_runs(wide, pmap, aspec, n, theta
                          u0=u0)
     seeds = list(range(10, 10 + bank))
     dw = sim.increments(seeds)
-    poll = []
-    for d, sgn in product(range(pmap.dim), (1.0, -1.0)):
-        cand_theta = np.array(theta)
-        cand_theta[d] += sgn * 0.25
-        poll.append(project_admissible(pmap.control(cand_theta), aspec))
-    active = [set(np.flatnonzero(sim.gamma_series(c)[0].any(axis=0)).tolist()) for c in poll]
+    thetas = np.tile(theta, (2 * pmap.dim, 1))
+    for row, (d, sgn) in zip(thetas, product(range(pmap.dim), (1.0, -1.0))):
+        row[d] += sgn * 0.25
+    poll = project_admissible(pmap.control(thetas), aspec)
+    active = [set(np.flatnonzero(g.any(axis=0)).tolist()) for g in sim.gamma_series(poll)[0]]
     assert set().union(*active) == {1, 18}
     assert all(a < {1, 18} for a in active) == (theta == (0.0, 0.0))
-    batch = sim.run_many(seeds * len(poll), ctrl=poll, u0=u0, target=target,
-                         dw=np.tile(dw, (len(poll), 1, 1)))
-    for i, ctrl in enumerate(poll):
+    batch = sim.run_many(seeds * len(thetas), ctrl=poll, u0=u0, target=target, dw=dw)
+    pens = penalty_term(poll, aspec)
+    for i, th in enumerate(thetas):
+        ctrl = project_admissible(pmap.control(th), aspec)
         rows = batch[i * bank : (i + 1) * bank]
         alone = sim.run_many(seeds, ctrl=ctrl, u0=u0, target=target, dw=dw)
-        got, want = estimate_cost(ctrl, rows, aspec), estimate_cost(ctrl, alone, aspec)
+        got = estimate_cost(rows, pens[i])
+        want = estimate_cost(alone, penalty_term(ctrl, aspec))
         for name in ("total", "tracking", "penalty", "per_path"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
         assert np.array_equal(rows.beta_final, alone.beta_final), i
@@ -321,6 +359,29 @@ def test_optimize_crn_deterministic(sim_noisy, pmap, aspec, monkeypatch):
     assert np.array_equal(runs[0][1], runs[1][1])
     assert (np.diff(runs[0][1]) <= 0).all()
     assert len(calls) == 2 * len(hist.iterates) < 2 * hist.evaluations
+
+
+def test_optimize_projects_and_penalizes_each_poll_once(sim_noisy, pmap, aspec, monkeypatch):
+    # a poll's candidates are one stack: one projection and one penalty call
+    # per poll (and one for the starting point), and still one estimate_cost
+    # call per evaluation
+    calls = {"project_admissible": [], "penalty_term": [], "estimate_cost": []}
+    for name, seen in calls.items():
+        real = getattr(ctl_mod, name)
+        monkeypatch.setattr(ctl_mod, name,
+                            lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
+    u0 = make_initial_coeffs(sim_noisy.ops.n, "random", 3, 0.3, 1.0)
+    target = make_target(project_admissible(pmap.control(np.array([0.5, 0.6])), aspec),
+                         sim_noisy, u0=u0)
+    budget = 11                                # the last poll is cut to 2 candidates
+    _, hist = optimize(np.zeros(2), pmap, aspec, target, sim_noisy, list(range(3)),
+                       budget=budget, u0=u0)
+    polls = -(-(budget - 1) // (2 * pmap.dim))
+    assert hist.evaluations == budget and polls == 3
+    assert len(calls["project_admissible"]) == len(calls["penalty_term"]) == 1 + polls
+    assert len(calls["estimate_cost"]) == budget
+    sizes = [a[0].gamma.shape[:-2] for a in calls["penalty_term"]]
+    assert sizes == [(), (4,), (4,), (2,)]
 
 
 def test_history_serialization(tmp_path, sim_det, pmap, aspec):

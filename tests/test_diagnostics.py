@@ -452,6 +452,32 @@ def test_ratio_ci_matches_scalar_rule():
     assert lo == np.quantile(stats, 0.025) and hi == np.inf
 
 
+def test_moment_reports_draw_one_index_matrix(sim_mod, mc_bundle, monkeypatch):
+    # the second-, fourth-moment and well-posed-cost reports of one bundle
+    # resample the same paths with the same seed: the (200, n) index matrix
+    # is drawn once, read-only, and each report's interval is the one it
+    # forms from a fresh draw
+    from slipflow import diagnostics as diag
+
+    trajs, ctrl, _ = mc_bundle
+    nu = sim_mod.nu
+    certifiers = [lambda: certify_second_moment(trajs, ctrl, 1.0, nu),
+                  lambda: certify_fourth_moment(trajs, ctrl, 1.0, nu, sim_mod.ops),
+                  lambda: certify_wellposed_cost(trajs, ctrl, 1.0)]
+    diag._resamples.cache_clear()
+    draws = []
+    real = np.random.default_rng
+    monkeypatch.setattr(diag.np.random, "default_rng", lambda s: draws.append(s) or real(s))
+    together = [certify() for certify in certifiers]
+    assert draws == [(0xB001, 0)]
+    assert not diag._resamples(len(trajs), (0xB001, 0)).flags.writeable
+    monkeypatch.undo()
+    for rep, certify in zip(together, certifiers):
+        diag._resamples.cache_clear()
+        alone = certify()
+        assert (rep.ci_low, rep.ci_high) == (alone.ci_low, alone.ci_high), rep.name
+
+
 # -- report serialization --------------------------------------------------------
 
 

@@ -1311,31 +1311,39 @@ def test_two_dof_seed_bits_independent_of_batch(path, request):
 @pytest.mark.parametrize("size", [3, STACK * BLOCK // 3 + 1])
 @pytest.mark.parametrize("path", ["dense", "pseudospectral"])
 def test_control_groups_match_one_control_runs(path, request, size):
-    # a sequence of controls runs the contiguous seed group c under control c:
+    # a stack of controls runs the contiguous seed group c under control c:
     # every row of the middle group blows up, the others' do not, and each
     # group's paths are the same bits as a run of its seeds under its control
     # alone, blowup_step, beta_final and tracking included; groups of 3 share
-    # blocks, and a group of 22 straddles the 64-row pass boundary
+    # blocks, and a group of 22 straddles the 64-row pass boundary.  A dw
+    # bank of one row per seed of a group drives every group
     from slipflow.control import Target
 
     sim = _path_sim(path, request)
     n = sim.ops.n
-    ctrls = [_two_dof_control(sim.t_final), _two_dof_control(sim.t_final, theta=(100.0, 100.0)),
-             _two_dof_control(sim.t_final, theta=(0.0, 0.0))]
+    thetas = [(0.3, 0.2), (100.0, 100.0), (0.0, 0.0)]
+    stack = _two_dof_control(sim.t_final, theta=thetas)
+    assert stack.gamma.shape[0] == len(thetas)
     rng = np.random.default_rng(5)
     target = Target(times=sim.times.copy(),
                     beta_series=0.1 * rng.standard_normal((sim.n_steps + 1, n)),
-                    gamma_series=0.5 * sim.gamma_series(ctrls[0])[0])
+                    gamma_series=0.5 * sim.gamma_series(stack[0])[0])
     kw = dict(u0=make_initial_coeffs(n, "random", 3, 0.5, 1.0), target=target,
               store_beta=True, keep_wiener=True)
-    seeds = list(range(300, 300 + len(ctrls) * size))
-    paths = sim.run_many(seeds, ctrl=ctrls, **kw)
-    for c, ctrl in enumerate(ctrls):
+    seeds = list(range(300, 300 + len(thetas) * size))
+    bank = sim.increments(seeds[:size])
+    paths = sim.run_many(seeds, ctrl=stack, **kw)
+    shared = sim.run_many(seeds[:size] * len(thetas), ctrl=stack, dw=bank, **kw)
+    for c, theta in enumerate(thetas):
         cut = slice(c * size, (c + 1) * size)
+        ctrl = _two_dof_control(sim.t_final, theta=theta)
         alone = sim.run_many(seeds[cut], ctrl=ctrl, **kw)
         assert alone.blown_up.all() == alone.blown_up.any() == (c == 1)
         _same_paths(paths[cut], alone)
+        _same_paths(shared[cut], sim.run_many(seeds[:size], ctrl=ctrl, dw=bank, **kw))
     with pytest.raises(DynamicsError, match="group"):
-        sim.run_many(seeds[:-1], ctrl=ctrls)
+        sim.run_many(seeds[:-1], ctrl=stack)
     with pytest.raises(DynamicsError, match="group"):
-        sim.run_many(seeds, ctrl=[])
+        sim.run_many(seeds, ctrl=stack[:0])
+    with pytest.raises(DynamicsError, match="dw"):
+        sim.run_many(seeds, ctrl=stack, dw=sim.increments(seeds))
