@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -166,35 +166,28 @@ def cmd_verify(cfg, out: Path, args) -> int:
     sim = cfg.simulator(basis, cache, noise)
     ctrl = project_compatible(cfg.control())
     u0 = cfg.initial_coeffs()
-    c0 = cfg.data["damping_rate"]
-    nu = cfg.domain_spec().viscosity
+    c0, nu = cfg.data["damping_rate"], sim.nu
 
-    paths = args.paths
-    if paths is None:
-        paths = cfg.data["verify"]["paths"]
-    if paths is None:
-        paths = cfg.data["monte_carlo"]["paths"]
+    paths = args.paths or cfg.data["verify"]["paths"] or cfg.data["monte_carlo"]["paths"]
     seeds = cfg.seed_bank(paths, args.seed)
     bundle = sim.run_many(seeds, ctrl=ctrl, u0=u0)
     rep2 = diag.certify_second_moment(bundle, ctrl, c0, nu)  # exit 2 if every path blew up
     rep4 = diag.certify_fourth_moment(bundle, ctrl, c0, nu, sim.ops)
     repw = diag.certify_wellposed_cost(bundle, ctrl, c0)
 
-    n_stab = min(cfg.data["verify"]["stability_paths"], paths)
-    seeds_s = cfg.seed_bank(n_stab, args.seed)
-    ctrl_a = ctrl
+    # the stability pair as one two-control stack on the bank's first seeds:
+    # each group draws its seeds' increments, so the pair shares its noise
+    n = min(cfg.data["verify"]["stability_paths"], paths)
     if not ctrl.gamma.any():
         pmap = cfg.param_map()
-        ctrl_a = ctl.project_admissible(pmap.control(0.2 * np.ones(pmap.dim)), cfg.admissible_spec())
-    ctrl_b = ctrl_a.copy()
-    ctrl_b.gamma *= cfg.data["verify"]["stability_scale"]
-    dw_s = sim.increments(seeds_s)  # the pair's common noise, drawn once
-    tr_a = sim.run_many(seeds_s, ctrl=ctrl_a, u0=u0, store_beta=True, dw=dw_s)
-    tr_b = sim.run_many(seeds_s, ctrl=ctrl_b, u0=u0, store_beta=True, dw=dw_s)
+        ctrl = ctl.project_admissible(pmap.control(0.2 * np.ones(pmap.dim)), cfg.admissible_spec())
+    scale = cfg.data["verify"]["stability_scale"]
+    pair = replace(ctrl, gamma=np.stack([ctrl.gamma, ctrl.gamma * scale]))
+    runs = sim.run_many(seeds[:n] * 2, ctrl=pair, u0=u0, store_beta=True)
     reps = diag.certify_stability(
-        tr_a, ctrl_a, tr_b, ctrl_b, sim.ops, c0, nu, c3=2.0 * noise.lipschitz_k
+        runs[:n], pair[0], runs[n:], pair[1], sim.ops, c0, nu, c3=2.0 * noise.lipschitz_k
     )
-    damping = diag.empirical_damping_rate(tr_a[:5], ctrl_a, sim)
+    damping = diag.empirical_damping_rate(runs[:min(n, 5)], pair[0], sim)
 
     reports = {
         "second_moment": rep2,

@@ -758,7 +758,7 @@ def wiener_increments(seed: int, n_steps: int, m: int, dt: float) -> np.ndarray:
 # GEMMs) and the last block of a run is padded: a seed's bits are
 # independent of its batch, its position in it and the width of its pass.
 # 4 is the narrowest bank a workload runs (optimize's seed bank), so it and
-# verify's 24-path stability bundles step no padding row; 16-row blocks left
+# verify's 24-seed stability groups step no padding row; 16-row blocks left
 # 12 of optimize's 16 rows padding.
 BLOCK = 4
 
@@ -817,7 +817,7 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     not use adds exact zeros to its rows' sums, a zero control has no active
     column, and conv None is a linear run.  A step writes the control columns
     of all rows in one assignment from an (n_steps, W, |active|) array filled
-    before the loop, a broadcast view of the control for a one-group pass.  A path
+    before the loop.  A path
     aborts when its squared norm is not finite or passes BLOWUP_LIMIT, read at
     call time: its abort step is returned, its final state is the offending
     one, its history is zero from that step on, and its working row is
@@ -859,13 +859,10 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     rows = np.zeros((w_rows, n + n_a))                       # (beta, gamma[active]) per path
     # the rows' control columns, and their values per step if the convection reads them
     ctrl_cols, cols = rows[:, n:], None
-    if conv is not None and n_a:
-        cols = (np.broadcast_to(g_a[0, :n_steps, None], (n_steps, w_rows, n_a))
-                if len(groups) == 1
-                else np.repeat(g_a[:, :n_steps].swapaxes(0, 1),
-                               [c.stop - c.start for c in groups], axis=1))
+    if conv is not None:
+        cols = np.repeat(g_a[:, :n_steps].swapaxes(0, 1),
+                         [c.stop - c.start for c in groups], axis=1)
     stacked = rows.reshape(n_blocks, BLOCK, -1)              # the same rows, block by block
-    hist_stacked = hist.reshape(n_steps + 1, n_blocks, BLOCK, n)
     # a nonfinite norm fails `<= limit` even for an infinite BLOWUP_LIMIT;
     # below `fast` the block's total norm proves every row is inside
     limit = min(BLOWUP_LIMIT, np.finfo(float).max)
@@ -881,10 +878,9 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
             step *= b
             step += push[ell]
             if conv is not None:
-                if n_a:
-                    rows[:, :n] = b
-                    ctrl_cols[...] = cols[ell]
-                nl = conv(stacked if n_a else hist_stacked[ell])
+                rows[:, :n] = b
+                ctrl_cols[...] = cols[ell]
+                nl = conv(stacked)
                 nl *= dt
                 step -= nl
             if not np.vdot(step, step) <= fast:

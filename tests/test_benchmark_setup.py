@@ -82,3 +82,22 @@ def test_optimize_counts_match_history(tmp_path, monkeypatch):
     assert sum(seeds) == evaluations * cfg["optimize"]["paths"]
     poll = 2 * len(cfg["control"]["theta"])
     assert len(seeds) == 1 + -(-(evaluations - 1) // poll) == 3
+
+
+def test_verify_counts_match_paths(tmp_path, monkeypatch):
+    # perfbench's traced check_counts reads the run_many seeds of verify as
+    # paths + 2 min(stability_paths, paths): the bundle, then the stability
+    # pair as one call of its seeds twice over
+    from slipflow.cli import main
+    from slipflow.dynamics import Simulator
+
+    seeds, run_many = [], Simulator.run_many
+    monkeypatch.setattr(Simulator, "run_many",
+                        lambda self, s, **kw: seeds.append(len(s)) or run_many(self, s, **kw))
+    cfg = workloads.make_config("verify_mc", 1, tiny=True)
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    assert main(workloads.cli_args("verify_mc", path, out, 1)) == 0
+    paths = cfg["verify"]["paths"]
+    assert seeds == [paths, 2 * min(cfg["verify"]["stability_paths"], paths)]
+    assert sum(seeds) == workloads.check_outputs("verify_mc", cfg, out)

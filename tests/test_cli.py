@@ -112,6 +112,23 @@ def test_cmd_lift_report(tmp_path):
     assert (out / "control.json").exists()
 
 
+def test_cmd_lift_default_control(tmp_path):
+    # an all-zero theta lifts the default control, theta = 1 in every slot
+    from slipflow.lifting import project_compatible
+
+    p = write_cfg(tmp_path, control={"theta": [0.0, 0.0]})
+    out = tmp_path / "out"
+    assert main(["lift", "--config", str(p), "--out", str(out)]) == 0
+    pmap = load_config(p).param_map()
+    project_compatible(pmap.control(np.ones(pmap.dim))).save(tmp_path / "expected.json")
+    assert (out / "control.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+    rep = json.loads((out / "lift_report.json").read_text())
+    for key in ("normal_residual", "tangential_residual", "divergence_residual",
+                "bound_ratio_max"):
+        assert np.isfinite(rep[key]), key
+    assert rep["bound_ratio_max"] > 0.0
+
+
 def test_cmd_simulate_reproducible(tmp_path):
     p = write_cfg(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -172,27 +189,48 @@ def test_cmd_simulate_seed_and_paths_flags(tmp_path):
 
 
 def test_cmd_verify_reports(tmp_path, monkeypatch):
-    # the stability pair shares one draw of its seeds' increments, and each
-    # of its two runs is still driven by exactly those seeds' increments
-    shared, run_many = [], Simulator.run_many
+    # verify makes two kernel calls and passes no increments: the bundle, then
+    # the stability pair as one two-control stack on the bank's first seeds
+    # twice over, each group driven by its own seeds' increments, so each
+    # group's paths are bitwise its one-control run on those seeds; the
+    # damping rate reads at most 5 paths of the first group, also when it
+    # has fewer (at n = 3 and scale 2 the second group's paths would move it)
+    from slipflow.diagnostics import empirical_damping_rate
+
+    calls, run_many = [], Simulator.run_many
 
     def spy(self, seeds, **kw):
-        if kw.get("dw") is not None:
-            shared.append(np.array_equal(kw["dw"], self.increments(list(seeds))))
-        return run_many(self, seeds, **kw)
+        paths = run_many(self, seeds, **kw)
+        calls.append((self, list(seeds), kw, paths))
+        return paths
 
     monkeypatch.setattr(Simulator, "run_many", spy)
-    p = write_cfg(tmp_path)
-    out = tmp_path / "verify"
-    assert main(["verify", "--config", str(p), "--out", str(out), "--paths", "12"]) == 0
-    assert shared == [True, True]
-    summary = json.loads((out / "verify_summary.json").read_text())
-    assert summary["all_finite"]
-    assert summary["holder_chain_exact"]
-    assert np.isfinite(summary["empirical_damping_rate"])
-    for name in ("second_moment", "fourth_moment", "wellposed_cost", "stability"):
-        rep = json.loads((out / f"report_{name}.json").read_text())
-        assert np.isfinite(rep["fitted_c"])
+    for n in (3, 7):
+        calls.clear()
+        p = write_cfg(tmp_path, name=f"v{n}.json", verify={"stability_paths": n, "stability_scale": 2.0})
+        out = tmp_path / f"verify{n}"
+        assert main(["verify", "--config", str(p), "--out", str(out), "--paths", "12"]) == 0
+        assert len(calls) == 2
+        assert all("dw" not in kw for _, _, kw, _ in calls)
+        (_, seeds, _, _), (sim, pair_seeds, kw, pair) = calls
+        assert seeds == load_config(p).seed_bank(12) and pair_seeds == seeds[:n] * 2
+        ctrl = kw["ctrl"]
+        assert ctrl.gamma.shape[0] == 2
+        assert np.array_equal(ctrl.gamma[1], ctrl.gamma[0] * 2.0)
+        for c, rows in enumerate((slice(0, n), slice(n, 2 * n))):
+            alone = run_many(sim, seeds[:n], ctrl=ctrl[c], u0=kw["u0"], store_beta=True)
+            for name in ("beta_series", "beta_final", "u_sq", "u_esq", "tracking", "noise_sq"):
+                assert np.array_equal(getattr(pair, name)[rows], getattr(alone, name))
+            if c == 0:
+                damping = empirical_damping_rate(alone[:5], ctrl[0], sim)
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert summary["empirical_damping_rate"] == damping
+        assert summary["all_finite"]
+        assert summary["holder_chain_exact"]
+        assert np.isfinite(summary["empirical_damping_rate"])
+        for name in ("second_moment", "fourth_moment", "wellposed_cost", "stability"):
+            rep = json.loads((out / f"report_{name}.json").read_text())
+            assert np.isfinite(rep["fitted_c"])
 
 
 def test_cmd_verify_refinement_gate(tmp_path):
