@@ -114,11 +114,13 @@ def cmd_lift(cfg, out: Path, args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg, out: Path, args) -> int:
+def _simulator(cfg):
     basis = cfg.basis()
-    cache = cfg.lifting_cache(basis.grid)
-    noise = cfg.noise()
-    sim = cfg.simulator(basis, cache, noise)
+    return cfg.simulator(basis, cfg.lifting_cache(basis.grid), cfg.noise())
+
+
+def cmd_simulate(cfg, out: Path, args) -> int:
+    sim = _simulator(cfg)
     ctrl = project_compatible(cfg.control())
     u0 = cfg.initial_coeffs()
     paths = args.paths or cfg.data["monte_carlo"]["paths"]
@@ -127,7 +129,7 @@ def cmd_simulate(cfg, out: Path, args) -> int:
     paths = sim.run_many(seeds, ctrl=ctrl, u0=u0, noise_on=noise_on,
                          store_beta=cfg.data["simulate"]["store_beta"])
     saved = paths[: cfg.data["simulate"]["save_paths"]]
-    cols = min(4, basis.size)
+    cols = min(4, sim.ops.n)
     norms = np.sqrt(np.stack([saved.u_sq, saved.u_esq, saved.noise_sq], axis=-1))
     norms[~np.isfinite(norms)] = np.nan  # a blown-up path writes nan, not inf
     beta = (np.full(norms.shape[:2] + (cols,), np.nan) if saved.beta_series is None
@@ -160,10 +162,7 @@ def cmd_simulate(cfg, out: Path, args) -> int:
 
 
 def cmd_verify(cfg, out: Path, args) -> int:
-    basis = cfg.basis()
-    cache = cfg.lifting_cache(basis.grid)
-    noise = cfg.noise()
-    sim = cfg.simulator(basis, cache, noise)
+    sim = _simulator(cfg)
     ctrl = project_compatible(cfg.control())
     u0 = cfg.initial_coeffs()
     c0, nu = cfg.data["damping_rate"], sim.nu
@@ -175,17 +174,17 @@ def cmd_verify(cfg, out: Path, args) -> int:
     rep4 = diag.certify_fourth_moment(bundle, ctrl, c0, nu, sim.ops)
     repw = diag.certify_wellposed_cost(bundle, ctrl, c0)
 
-    # the stability pair as one two-control stack on the bank's first seeds:
-    # each group draws its seeds' increments, so the pair shares its noise
+    # the stability pair as one two-control stack over the bank's first seeds,
+    # each seed's increments drawn once and driving both controls
     n = min(cfg.data["verify"]["stability_paths"], paths)
     if not ctrl.gamma.any():
         pmap = cfg.param_map()
         ctrl = ctl.project_admissible(pmap.control(0.2 * np.ones(pmap.dim)), cfg.admissible_spec())
     scale = cfg.data["verify"]["stability_scale"]
     pair = replace(ctrl, gamma=np.stack([ctrl.gamma, ctrl.gamma * scale]))
-    runs = sim.run_many(seeds[:n] * 2, ctrl=pair, u0=u0, store_beta=True)
+    runs = sim.run_many(seeds[:n], ctrl=pair, u0=u0, store_beta=True)
     reps = diag.certify_stability(
-        runs[:n], pair[0], runs[n:], pair[1], sim.ops, c0, nu, c3=2.0 * noise.lipschitz_k
+        runs[:n], pair[0], runs[n:], pair[1], sim.ops, c0, nu, c3=2.0 * sim.noise.lipschitz_k
     )
     damping = diag.empirical_damping_rate(runs[:min(n, 5)], pair[0], sim)
 
@@ -214,10 +213,7 @@ def cmd_verify(cfg, out: Path, args) -> int:
 
 
 def cmd_optimize(cfg, out: Path, args) -> int:
-    basis = cfg.basis()
-    cache = cfg.lifting_cache(basis.grid)
-    noise = cfg.noise()
-    sim = cfg.simulator(basis, cache, noise)
+    sim = _simulator(cfg)
     aspec = cfg.admissible_spec()
     pmap = cfg.param_map()
     u0 = cfg.initial_coeffs()

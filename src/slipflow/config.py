@@ -27,11 +27,6 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-_SECTIONS = {
-    "domain", "basis_size", "time", "noise", "control", "initial",
-    "monte_carlo", "damping_rate", "simulate", "verify", "optimize", "output",
-}
-
 _DEFAULTS = {
     "domain": {
         "length_x": 2.0 * np.pi,
@@ -217,16 +212,13 @@ class RunConfig:
 
     def noise(self):
         nz = self.data["noise"]
-        gains = nz["mult_gain"]
-        if len(gains) == 1:
-            gains = gains * nz["m"]
         return build_noise(
             self.data["basis_size"],
             nz["m"],
             nz["additive_scale"],
             nz["additive_decay"],
             nz["seed"],
-            gains,
+            nz["mult_gain"],
         )
 
     def simulator(self, basis, cache, noise) -> Simulator:
@@ -306,7 +298,4 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("the config's top level is not a JSON object")
-    unknown = set(user) - _SECTIONS
-    if unknown:
-        raise ConfigError(f"unknown top-level sections {sorted(unknown)}")
     return RunConfig(_merge(_DEFAULTS, user))

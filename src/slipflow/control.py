@@ -18,12 +18,12 @@ is simulated and counts as an evaluation, and the first improving one in
 poll order is taken; a poll that would pass the budget is cut to the
 evaluations left.  A poll's C candidates are one stacked `BoundaryControl`
 (C, n_t, n_dofs): one projection, one admissible norm and one wall penalty
-each take the whole stack, and one run_many call runs one seed group per
-candidate, every group on the same increments.  `estimate_cost` forms one
-candidate's cost from its rows of that call and its entry of the stacked
-penalty.  Each candidate's numbers are the bits of its own one-control
-calls.  A target and a cost take a `BoundaryControl`: the uncontrolled flow
-is the zero control, whose wall penalty is 0.
+each take the whole stack, and one run_many call runs the seed bank under
+every candidate, one seed group each, on the same increments.
+`estimate_cost` forms one candidate's cost from its rows of that call and
+its entry of the stacked penalty.  Each candidate's numbers are the bits of
+its own one-control calls.  A target and a cost take a `BoundaryControl`:
+the uncontrolled flow is the zero control, whose wall penalty is 0.
 """
 
 from __future__ import annotations
@@ -272,7 +272,7 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
     """Projected compass search with a frozen seed bank, polling completely.
 
     Each poll evaluates +-step along every coordinate, all 2 dim candidates as
-    one projected stack in one run_many call with one seed group per
+    one projected stack in one run_many call that runs the bank under each
     candidate, and counts each one as an evaluation; it takes the first
     candidate in poll order whose cost is strictly lower, and a poll without
     one halves the step.  So the accepted-iterate cost sequence is
@@ -289,8 +289,7 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
         """Each report of a stack of controls (or of one), its seed group's rows
         of one run_many call and its entry of one stacked penalty."""
         pens = np.atleast_1d(penalty_term(ctrls, spec)).tolist()
-        paths = sim.run_many(seeds * len(pens), ctrl=ctrls, u0=u0, noise_on=noise_on,
-                             target=target, dw=dw)
+        paths = sim.run_many(seeds, ctrl=ctrls, u0=u0, noise_on=noise_on, target=target, dw=dw)
         size = len(seeds)
         return [estimate_cost(paths[c * size : (c + 1) * size], pen) for c, pen in enumerate(pens)]
 

@@ -47,16 +47,16 @@ and the wall term is exact by Parseval on the trace coefficients.
 
 One numpy kernel, `_em_block`, only steps a pass of up to STACK blocks of
 BLOCK paths in one loop and returns its history; `Simulator.run_many` hands
-it its seeds STACK * BLOCK at a time, the last block of the run padded to
+it its rows STACK * BLOCK at a time, the last block of the run padded to
 BLOCK rows, and `_measure` forms each pass's series from the history into
 the (paths, times) arrays of one `Paths`, the norms of y = u + lift by
 `GalerkinOperators.y_sq`.  Every product whose rounding depends on the row
 count runs as a stacked matmul over (k, BLOCK, .) rows, k separate
 BLOCK-row products, and every other operation is per row, so a seed's path
 is bitwise the same whatever its batch, its position in it and the number
-of blocks in its pass.  A run may take a stack of C controls, one per
-contiguous seed group (a compass poll's candidates), every group on the
-same bank of increments if `dw` is given: one `series` call samples the
+of blocks in its pass.  A run may take a stack of C controls (a compass
+poll's candidates), each over every seed, one contiguous group per control,
+and each seed's increments drawn once a pass: one `series` call samples the
 stack, the kernel forms every group's control drift by one stacked product
 per operator, C separate products with a one-control pass's bits, and fills
 the rows' control columns of each step from one array made before the loop;
@@ -997,19 +997,16 @@ class Simulator:
                   noise_on: bool = True, store_beta: bool = False, target=None,
                   dw: np.ndarray | None = None, keep_wiener: bool = False) -> Paths:
         """`run_many`'s work: check the options, allocate the result once, and
-        let each pass of k = ceil(seeds / BLOCK) blocks, the last one padded,
+        let each pass of k = ceil(rows / BLOCK) blocks, the last one padded,
         write its rows of it, copied out of the kernel's work buffer."""
-        n, m, n_steps, count = self.ops.n, self.noise.m, self.n_steps, len(seeds)
+        n, m, n_steps, size = self.ops.n, self.noise.m, self.n_steps, len(seeds)
         gamma, gdot = self.gamma_series(ctrl)
         gamma, gdot = (a.reshape((-1,) + a.shape[-2:]) for a in (gamma, gdot))   # (C, L, n_ctrl)
-        if not len(gamma) or count % len(gamma):
-            raise DynamicsError("seeds must form one group of equal size per control")
-        size = count // len(gamma)                    # seeds per control
+        count = size * len(gamma)
         if dw is not None:
             dw = np.asarray(dw, float)
             if dw.shape != (size, n_steps, m):
-                raise DynamicsError("dw must be a (seeds per control, n_steps, m) stack of "
-                                    "increments")
+                raise DynamicsError("dw must be a (seeds, n_steps, m) stack of increments")
         beta0 = np.zeros(n) if u0 is None else np.asarray(u0, float).copy()
         if beta0.shape != (n,):
             raise DynamicsError("initial coefficients do not match the basis size")
@@ -1018,7 +1015,7 @@ class Simulator:
         add, rho = self.noise.additive, self.noise.mult_gain
         if not noise_on:
             add, rho = np.zeros_like(add), np.zeros_like(rho)
-        out = Paths(np.array(seeds, dtype=object), self.times.copy(), beta0,
+        out = Paths(np.array(seeds * len(gamma), dtype=object), self.times.copy(), beta0,
                     np.empty((count, n)), *np.empty((4, count, n_steps + 1)),
                     blowup_step=np.empty(count, int),
                     beta_series=np.empty((count, n_steps + 1, n)) if store_beta else None,
@@ -1031,10 +1028,10 @@ class Simulator:
             b0 = np.zeros((w_rows, n))
             b0[:k] = beta0
             inc = np.zeros((w_rows, n_steps, m))      # padding rows: no noise
-            if noise_on and dw is None:
-                inc[:k] = self.increments(seeds[cut])
-            elif noise_on:                            # row r of the run takes dw[r % size]
-                np.take(dw, np.arange(lo, cut.stop), axis=0, mode="wrap", out=inc[:k])
+            if noise_on:      # row r takes seed r mod size: each seed the pass needs, once
+                need = (lo + np.arange(min(k, size))) % size
+                drawn = self.increments([seeds[j] for j in need]) if dw is None else dw[need]
+                np.take(drawn, np.arange(k), axis=0, mode="wrap", out=inc[:k])
             # the pass's rows of the controls' seed groups, padding with the last
             first, last = lo // size, (cut.stop - 1) // size + 1
             edges = [0, *range((first + 1) * size - lo, k, size), w_rows]
@@ -1073,12 +1070,12 @@ class Simulator:
         last block of the run padded; a seed's path is the same bits as in a
         one-block pass.  The result's arrays are its own: a later call leaves
         them as they are.  ctrl is the boundary control, the zero control for
-        an uncontrolled run, or a stack of C controls: then len(seeds) is a
-        multiple of C, the seeds form C contiguous groups of equal size, and
-        group c runs under ctrl[c], each path the same bits as in a run of its
-        group's seeds under that control alone.  dw, if given, is a
-        (len(seeds) / C, n_steps, m) stack that every group runs: path w of a
-        group is driven by dw[w] instead of its seed's increments.
+        an uncontrolled run, or a stack of C controls: then the result is C
+        contiguous groups of len(seeds) paths, group c every seed under
+        ctrl[c], each path the same bits as in a run of the seeds under that
+        control alone.  dw, if given, is a (len(seeds), n_steps, m) stack that
+        every group runs: path w of a group is driven by dw[w] instead of its
+        seed's increments.
         Options: u0, noise_on, store_beta (keep beta_series), target (of the
         tracking series), dw and keep_wiener (keep the increments).
         """

@@ -56,9 +56,15 @@ def test_workload_oracle_on_pseudospectral_path(tmp_path):
     assert workloads.oracle_error(sim, cfg, 1) <= 1e-9
 
 
+def _count(counts, paths):
+    """Record the path count of a run_many result, the number perfbench's probe reads."""
+    counts.append(len(paths))
+    return paths
+
+
 def test_optimize_counts_match_history(tmp_path, monkeypatch):
     # perfbench checks its traced counts against the artifacts: one
-    # estimate_cost call per evaluation in history.json, and run_many seeds
+    # estimate_cost call per evaluation in history.json, and run_many paths
     # of one bank per evaluation; a change that bypasses either name would
     # otherwise fail only as the benchmark's outputs_incorrect.  Each poll is
     # one run_many call: the incumbent's, then polls of 2 dim candidates, the
@@ -67,37 +73,37 @@ def test_optimize_counts_match_history(tmp_path, monkeypatch):
     from slipflow.cli import main
     from slipflow.dynamics import Simulator
 
-    costs, seeds = [], []
+    costs, counts = [], []
     estimate_cost, run_many = control.estimate_cost, Simulator.run_many
     monkeypatch.setattr(control, "estimate_cost",
                         lambda *a, **kw: costs.append(1) or estimate_cost(*a, **kw))
     monkeypatch.setattr(Simulator, "run_many",
-                        lambda self, s, **kw: seeds.append(len(s)) or run_many(self, s, **kw))
+                        lambda self, s, **kw: _count(counts, run_many(self, s, **kw)))
     cfg = workloads.make_config("optimize_crn", 1, tiny=True)
     path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
     assert main(workloads.cli_args("optimize_crn", path, out, 1)) == 0
     evaluations = json.loads((out / "history.json").read_text())["evaluations"]
     assert len(costs) == evaluations == cfg["optimize"]["budget"]
-    assert sum(seeds) == evaluations * cfg["optimize"]["paths"]
+    assert sum(counts) == evaluations * cfg["optimize"]["paths"]
     poll = 2 * len(cfg["control"]["theta"])
-    assert len(seeds) == 1 + -(-(evaluations - 1) // poll) == 3
+    assert len(counts) == 1 + -(-(evaluations - 1) // poll) == 3
 
 
 def test_verify_counts_match_paths(tmp_path, monkeypatch):
-    # perfbench's traced check_counts reads the run_many seeds of verify as
+    # perfbench's traced check_counts reads the run_many paths of verify as
     # paths + 2 min(stability_paths, paths): the bundle, then the stability
-    # pair as one call of its seeds twice over
+    # pair as one call of its seeds under two controls
     from slipflow.cli import main
     from slipflow.dynamics import Simulator
 
-    seeds, run_many = [], Simulator.run_many
+    counts, run_many = [], Simulator.run_many
     monkeypatch.setattr(Simulator, "run_many",
-                        lambda self, s, **kw: seeds.append(len(s)) or run_many(self, s, **kw))
+                        lambda self, s, **kw: _count(counts, run_many(self, s, **kw)))
     cfg = workloads.make_config("verify_mc", 1, tiny=True)
     path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
     assert main(workloads.cli_args("verify_mc", path, out, 1)) == 0
     paths = cfg["verify"]["paths"]
-    assert seeds == [paths, 2 * min(cfg["verify"]["stability_paths"], paths)]
-    assert sum(seeds) == workloads.check_outputs("verify_mc", cfg, out)
+    assert counts == [paths, 2 * min(cfg["verify"]["stability_paths"], paths)]
+    assert sum(counts) == workloads.check_outputs("verify_mc", cfg, out)

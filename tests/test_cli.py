@@ -50,11 +50,18 @@ def test_config_defaults_and_hash(tmp_path):
 def test_config_rejects_unknown_keys(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"domian": {}}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"unknown keys \['domian'\] in section <root>"):
         load_config(p)
     p.write_text(json.dumps({"time": {"dt": 0.1, "t_end": 1.0}}))
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+def test_config_one_gain_serves_every_factor(tmp_path):
+    # a one-entry mult_gain is the gain of each of the m noise factors
+    for m, want in ((3, [0.2] * 3), (0, [])):
+        p = write_cfg(tmp_path, name=f"m{m}.json", noise={"m": m, "mult_gain": [0.2]})
+        assert load_config(p).noise().mult_gain.tolist() == want
 
 
 def test_config_validation_errors(tmp_path):
@@ -190,11 +197,11 @@ def test_cmd_simulate_seed_and_paths_flags(tmp_path):
 
 def test_cmd_verify_reports(tmp_path, monkeypatch):
     # verify makes two kernel calls and passes no increments: the bundle, then
-    # the stability pair as one two-control stack on the bank's first seeds
-    # twice over, each group driven by its own seeds' increments, so each
-    # group's paths are bitwise its one-control run on those seeds; the
-    # damping rate reads at most 5 paths of the first group, also when it
-    # has fewer (at n = 3 and scale 2 the second group's paths would move it)
+    # the stability pair as one two-control stack over the bank's first seeds,
+    # every seed under each control, so each group's paths are bitwise its
+    # one-control run on those seeds; the damping rate reads at most 5 paths
+    # of the first group, also when it has fewer (at n = 3 and scale 2 the
+    # second group's paths would move it)
     from slipflow.diagnostics import empirical_damping_rate
 
     calls, run_many = [], Simulator.run_many
@@ -213,7 +220,7 @@ def test_cmd_verify_reports(tmp_path, monkeypatch):
         assert len(calls) == 2
         assert all("dw" not in kw for _, _, kw, _ in calls)
         (_, seeds, _, _), (sim, pair_seeds, kw, pair) = calls
-        assert seeds == load_config(p).seed_bank(12) and pair_seeds == seeds[:n] * 2
+        assert seeds == load_config(p).seed_bank(12) and pair_seeds == seeds[:n]
         ctrl = kw["ctrl"]
         assert ctrl.gamma.shape[0] == 2
         assert np.array_equal(ctrl.gamma[1], ctrl.gamma[0] * 2.0)

@@ -241,9 +241,9 @@ def test_cost_empty_seed_bank(sim_det, aspec, zero_ctrl):
 @pytest.mark.parametrize("theta", [(0.0, 0.0), (0.4, 0.3)])
 @pytest.mark.parametrize("n", [16, 128])
 def test_poll_batch_reports_match_one_candidate_runs(wide, pmap, aspec, n, theta, bank):
-    # each candidate's report from a poll's one run_many call, with one seed
-    # group per candidate, is bitwise its one-candidate evaluation: on the
-    # dense (n = 16) and the pseudospectral (n = 128) path, at theta = 0, where
+    # each candidate's report from a poll's one run_many call, which runs the
+    # bank under every candidate, is bitwise its one-candidate evaluation: on
+    # the dense (n = 16) and the pseudospectral (n = 128) path, at theta = 0, where
     # each candidate's active columns ({1} or {18}) are fewer than the poll's,
     # and with a 3-seed bank, whose candidates share a block
     basis = wide.basis if n == wide.basis.size else build_eigenbasis(wide.basis.grid, n)
@@ -262,7 +262,8 @@ def test_poll_batch_reports_match_one_candidate_runs(wide, pmap, aspec, n, theta
     active = [set(np.flatnonzero(g.any(axis=0)).tolist()) for g in sim.gamma_series(poll)[0]]
     assert set().union(*active) == {1, 18}
     assert all(a < {1, 18} for a in active) == (theta == (0.0, 0.0))
-    batch = sim.run_many(seeds * len(thetas), ctrl=poll, u0=u0, target=target, dw=dw)
+    batch = sim.run_many(seeds, ctrl=poll, u0=u0, target=target, dw=dw)
+    assert len(batch) == len(thetas) * bank
     pens = penalty_term(poll, aspec)
     for i, th in enumerate(thetas):
         ctrl = project_admissible(pmap.control(th), aspec)

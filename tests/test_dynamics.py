@@ -1311,12 +1311,13 @@ def test_two_dof_seed_bits_independent_of_batch(path, request):
 @pytest.mark.parametrize("size", [3, STACK * BLOCK // 3 + 1])
 @pytest.mark.parametrize("path", ["dense", "pseudospectral"])
 def test_control_groups_match_one_control_runs(path, request, size):
-    # a stack of controls runs the contiguous seed group c under control c:
-    # every row of the middle group blows up, the others' do not, and each
-    # group's paths are the same bits as a run of its seeds under its control
-    # alone, blowup_step, beta_final and tracking included; groups of 3 share
-    # blocks, and a group of 22 straddles the 64-row pass boundary.  A dw
-    # bank of one row per seed of a group drives every group
+    # a stack of controls runs every seed under each control, group c the
+    # contiguous rows of control c: every row of the middle group blows up,
+    # the others' do not, and each group's paths are the same bits as a run
+    # of the seeds under its control alone, blowup_step, beta_final and
+    # tracking included; groups of 3 share blocks, and the third group of 22
+    # straddles the 64-row pass boundary.  A dw bank of one row per seed
+    # drives every group, and an empty stack runs no path
     from slipflow.control import Target
 
     sim = _path_sim(path, request)
@@ -1330,20 +1331,36 @@ def test_control_groups_match_one_control_runs(path, request, size):
                     gamma_series=0.5 * sim.gamma_series(stack[0])[0])
     kw = dict(u0=make_initial_coeffs(n, "random", 3, 0.5, 1.0), target=target,
               store_beta=True, keep_wiener=True)
-    seeds = list(range(300, 300 + len(thetas) * size))
-    bank = sim.increments(seeds[:size])
+    seeds = list(range(300, 300 + size))
+    bank = sim.increments(range(900, 900 + size))
     paths = sim.run_many(seeds, ctrl=stack, **kw)
-    shared = sim.run_many(seeds[:size] * len(thetas), ctrl=stack, dw=bank, **kw)
+    shared = sim.run_many(seeds, ctrl=stack, dw=bank, **kw)
+    assert len(paths) == len(shared) == len(thetas) * size
+    assert paths.seeds.tolist() == shared.seeds.tolist() == seeds * len(thetas)
     for c, theta in enumerate(thetas):
         cut = slice(c * size, (c + 1) * size)
         ctrl = _two_dof_control(sim.t_final, theta=theta)
-        alone = sim.run_many(seeds[cut], ctrl=ctrl, **kw)
+        alone = sim.run_many(seeds, ctrl=ctrl, **kw)
         assert alone.blown_up.all() == alone.blown_up.any() == (c == 1)
         _same_paths(paths[cut], alone)
-        _same_paths(shared[cut], sim.run_many(seeds[:size], ctrl=ctrl, dw=bank, **kw))
-    with pytest.raises(DynamicsError, match="group"):
-        sim.run_many(seeds[:-1], ctrl=stack)
-    with pytest.raises(DynamicsError, match="group"):
-        sim.run_many(seeds, ctrl=stack[:0])
+        _same_paths(shared[cut], sim.run_many(seeds, ctrl=ctrl, dw=bank, **kw))
+    empty = sim.run_many(seeds, ctrl=stack[:0], **kw)
+    assert len(empty) == 0 and empty.beta_series.shape == (0, sim.n_steps + 1, n)
     with pytest.raises(DynamicsError, match="dw"):
-        sim.run_many(seeds, ctrl=stack, dw=sim.increments(seeds))
+        sim.run_many(seeds, ctrl=stack, dw=sim.increments(seeds * len(thetas)))
+
+
+def test_control_groups_draw_each_seed_once_a_pass(sim_small, monkeypatch):
+    # a stack's groups share their seeds' increments: verify's 24-seed pair
+    # draws 24, not 48, and a 3-control stack of 22 seeds draws all 22 in its
+    # first 64-row pass and the 2 seeds of its second pass's rows once more
+    drawn, draw = [], dyn.wiener_increments
+    monkeypatch.setattr(dyn, "wiener_increments",
+                        lambda seed, *a: drawn.append(seed) or draw(seed, *a))
+    for size, thetas, want in ((24, [(0.3, 0.2), (0.15, 0.1)], list(range(24))),
+                               (22, [(0.3, 0.2), (0.1, 0.0), (0.0, 0.0)],
+                                list(range(22)) + [20, 21])):
+        drawn.clear()
+        stack = _two_dof_control(sim_small.t_final, theta=thetas)
+        assert len(sim_small.run_many(range(size), ctrl=stack)) == len(thetas) * size
+        assert drawn == want
