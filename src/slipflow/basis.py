@@ -7,9 +7,10 @@ complex Fourier-coefficient profiles
 
 with each profile sampled at the Gauss quadrature nodes together with its
 wall-normal derivative and wall traces.  A set of fields is one ModeField
-whose arrays carry a leading stack axis; the sampler `sample_fields`, the
-pairings `mass_pairing`/`energy_pairing` and the squared H1 norms `h1_sq`
-work on such stacks, and a one-field stack `f[None]` gives one field's value.
+whose arrays carry a leading stack axis; the pairings
+`mass_pairing`/`energy_pairing` and the squared H1 norms `h1_sq` work on
+such stacks, and a one-field stack `f[None]` gives one field's value.  They
+integrate in x by Parseval on the coefficients, so no field is sampled in x.
 A stack's mode axis is its band: it holds modes 0..n_modes, where n_modes
 may be below the grid's modes_x (the lifted fields live on the control's
 modes), and the pairings run over the modes both stacks hold.
@@ -43,7 +44,6 @@ __all__ = [
     "BasisError",
     "ModeField",
     "Basis",
-    "sample_fields",
     "mass_pairing",
     "energy_pairing",
     "h1_sq",
@@ -207,29 +207,6 @@ def _mode_weights(n_modes: int) -> np.ndarray:
     w = np.full(n_modes + 1, 2.0)
     w[0] = 1.0
     return w
-
-
-def sample_fields(fields: ModeField) -> np.ndarray:
-    """Samples of a stack of m fields on the (n_x, n_q) grid, one irfft per 16.
-
-    The result is (m, 6, n_x, n_q) with rows (v1, v2, d_x v1, d_y v1,
-    d_x v2, d_y v2).
-    """
-    grid, vals, dvals = fields.grid, fields.vals, fields.dvals
-    m, nj = vals.shape[:2]
-    ik = 1j * grid.kx[:nj, None]
-    out = np.empty((m, 6, grid.n_x, grid.n_q))
-    for s in range(0, m, 16):  # bounds the complex temporaries
-        v, d = vals[s : s + 16], dvals[s : s + 16]
-        spec = np.zeros((v.shape[0], 6, grid.n_x // 2 + 1, grid.n_q), complex)
-        spec[:, :2, :nj] = v.transpose(0, 2, 1, 3)
-        spec[:, 2, :nj] = ik * v[:, :, 0]
-        spec[:, 3, :nj] = d[:, :, 0]
-        spec[:, 4, :nj] = ik * v[:, :, 1]
-        spec[:, 5, :nj] = d[:, :, 1]
-        spec *= grid.n_x
-        out[s : s + 16] = np.fft.irfft(spec, n=grid.n_x, axis=2)
-    return out
 
 
 def _real_gram(a, b) -> np.ndarray:

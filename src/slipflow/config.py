@@ -195,6 +195,8 @@ class RunConfig:
             raise ConfigError("verify.stability_scale must be finite")
         if d["simulate"]["save_paths"] < 0:
             raise ConfigError("simulate.save_paths must be >= 0")
+        if d["optimize"]["paths"] < 1:
+            raise ConfigError("optimize.paths must be >= 1")
 
     # -- builders ----------------------------------------------------------
 

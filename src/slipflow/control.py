@@ -72,18 +72,13 @@ class AdmissibleSpec:
             raise ControlError("penalty weights must be positive")
 
 
-def _per_control(values: np.ndarray):
-    """A float for one control, the (C,) array of a stack's."""
-    return values if values.ndim else float(values)
-
-
 def admissible_norm(ctrl: BoundaryControl):
     """sqrt of the time integral of the squared trace norm over the horizon,
     (C,) for a stack."""
     tn = trace_norm_series(ctrl, ctrl.t_grid)
     if ctrl.t_grid.size == 1:
-        return _per_control(tn[..., 0])
-    return _per_control(np.sqrt(np.trapezoid(tn**2, ctrl.t_grid)))
+        return np.take(tn, 0, axis=-1)
+    return np.sqrt(np.trapezoid(tn**2, ctrl.t_grid))
 
 
 def project_admissible(ctrl: BoundaryControl, spec: AdmissibleSpec) -> BoundaryControl:
@@ -178,7 +173,7 @@ def penalty_term(ctrl: BoundaryControl, spec: AdmissibleSpec):
     h = np.diff(tg)
     ia = h / 6.0 * (a0 + 4.0 * am + a1)
     ib = h / 6.0 * (b0 + 4.0 * bm + b1)
-    return _per_control(np.sum(0.5 * spec.lambda1 * ia + 0.5 * spec.lambda2 * ib, axis=-1))
+    return np.sum(0.5 * spec.lambda1 * ia + 0.5 * spec.lambda2 * ib, axis=-1)
 
 
 def estimate_cost(paths: Paths, penalty: float) -> CostReport:

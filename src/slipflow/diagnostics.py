@@ -27,7 +27,7 @@ that closes the two-solution energy balance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -220,9 +220,7 @@ def certify_stability(one: Paths, ctrl_1: BoundaryControl, two: Paths,
         raise ValueError("controls must share a time grid for differencing")
     t = one.times
     ghat = ctrl_1.series(t)[0] - ctrl_2.series(t)[0]
-    diff = ctrl_1.copy()
-    diff.gamma = ctrl_1.gamma - ctrl_2.gamma
-    tnd_sq = trace_norm_series(diff, t) ** 2
+    tnd_sq = trace_norm_series(replace(ctrl_1, gamma=ctrl_1.gamma - ctrl_2.gamma), t) ** 2
 
     bhat = one.beta_series[ok] - two.beta_series[ok]                    # (P, L, n)
     yhat_sq, yhat_esq = ops.y_sq(bhat, ghat), ops.y_sq(bhat, ghat, energy=True)

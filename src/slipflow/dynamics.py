@@ -57,12 +57,12 @@ is bitwise the same whatever its batch, its position in it and the number
 of blocks in its pass.  A run may take a stack of C controls (a compass
 poll's candidates), each over every seed, one contiguous group per control,
 and each seed's increments drawn once a pass: one `series` call samples the
-stack, the kernel forms every group's control drift by one stacked product
-per operator, C separate products with a one-control pass's bits, and fills
-the rows' control columns of each step from one array made before the loop;
-`_measure` forms the state's series of the whole pass at once and each
-group's tracking on its row slice.  So a group's paths are the bits of its
-own run.
+stack, the kernel forms every group's control drift by `drift` at beta = 0
+on the stack, C separate products per operator with a one-control pass's
+bits, and fills the rows' control columns of each step from one array made
+before the loop; `_measure` forms the state's series of the whole pass at
+once and each group's tracking on its row slice.  So a group's paths are
+the bits of its own run.
 `drift`/`step_em` on `GalerkinOperators.dense` are the single-step
 reference the kernel is tested against on both paths; it is built on first
 read, so only that reference builds it from N_PS on.
@@ -241,8 +241,8 @@ class Convection:
     real product synthesizes the [re | im] planes of (v1, v2) of y at the
     Gauss nodes and walls from the coefficients of the entries at j and of
     the a_c reaching j; the real DFT matrix `to_grid` (n_x, 2 n_bins) gives
-    them on the evaluator's own n_x = 3 modes_x + 1 equispaced x-nodes, not
-    the grid's.  There y1^2 and y2^2 are formed pointwise into one
+    them on the evaluator's own n_x = 3 modes_x + 1 equispaced x-nodes, the
+    package's one x-rule.  There y1^2 and y2^2 are formed pointwise into one
     contiguous array and y1 y2 into another, `from_grid` (2 n_bins, n_x)
     takes each back, and two products per j, summed, pair them with -d_x e1,
     -d_y e2, -(d_y e1 + d_x e2) and the wall traces -+e1 of the entries at
@@ -807,21 +807,21 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     history (n_steps + 1, W, n), returned, whose rows hold each step's decay
     factor until the step scales it by the state.
     The control drift (lift_v, btrace, lift_h terms) is the same for every path
-    of a group: one stacked (C, L, n_ctrl) product per operator forms every
-    group's, C separate products with the bits of a one-control pass, and it
-    fills the group's rows of the pushes before the loop.  The convection is
-    evaluated on the rows z = (beta, gamma[active]) of the block, active the
-    columns not 0 at every node of some group's control, by the evaluator
-    `conv` restricted to them, whose control term of each group's
-    (L, |active|) columns joins its control drift; a column that a group does
-    not use adds exact zeros to its rows' sums, a zero control has no active
-    column, and conv None is a linear run.  A step writes the control columns
-    of all rows in one assignment from an (n_steps, W, |active|) array filled
-    before the loop.  A path
-    aborts when its squared norm is not finite or passes BLOWUP_LIMIT, read at
-    call time: its abort step is returned, its final state is the offending
-    one, its history is zero from that step on, and its working row is
-    zeroed.  Stepping stops once every non-padding row has aborted.
+    of a group: `drift` at beta = 0 on the (C, L, n_ctrl) stack forms every
+    group's, C separate products per operator with the bits of a one-control
+    pass, and it fills the group's rows of the pushes before the loop.  The
+    convection is evaluated on the rows z = (beta, gamma[active]) of the
+    block, active the columns not 0 at every node of some group's control,
+    by the evaluator `conv` restricted to them, whose control term of each
+    group's (L, |active|) columns joins its control drift; a column that a
+    group does not use adds exact zeros to its rows' sums, a zero control has
+    no active column, and conv None is a linear run.  A step writes the
+    control columns of all rows in one assignment from an (n_steps, W,
+    |active|) array filled before the loop.  A path aborts when its squared
+    norm is not finite or passes BLOWUP_LIMIT, read at call time: its abort
+    step is returned, its final state is the offending one, its history is
+    zero from that step on, and its working row is zeroed.  Stepping stops
+    once every non-padding row has aborted.
     """
     w_rows, n = beta0.shape
     n_blocks = w_rows // BLOCK
@@ -834,17 +834,12 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     if conv is not None:
         conv = conv.restricted(active)
     push, hist = work[0, :n_steps], work[1]
-    # each group's path-independent drift per step, dt (-nu gamma lift_v^T +
-    # nu gamma btrace^T - gamma_dot lift_h^T - the convection's control term),
-    # formed in place: a poll's (C, L, .) temporaries are C times a
-    # one-control pass's, so the control term, whose products are (L, n, n_a)
-    # per group, is formed group by group; then each path's additive noise
-    ctrl_drift, term = np.matmul(gamma, ops.lift_v.T), np.matmul(gamma, ops.btrace.T)
-    ctrl_drift *= -nu
-    term *= nu
-    ctrl_drift += term
-    ctrl_drift -= np.matmul(gamma_dot, ops.lift_h.T, out=term)
-    del term
+    # each group's path-independent drift per step, dt (the linear drift at
+    # beta = 0 - the convection's control term): the control term, whose
+    # products are (L, n, n_a) per group, is formed group by group, since a
+    # poll's (C, L, .) temporaries are C times a one-control pass's; then each
+    # path's additive noise
+    ctrl_drift = drift(np.zeros(n), ops, nu, gamma, gamma_dot, None)
     if conv is not None:
         for d, a in zip(ctrl_drift, g_a):
             d -= conv.control_term(a)

@@ -1,11 +1,13 @@
-"""Periodic-channel geometry: collocation grids, quadrature, wall bookkeeping.
+"""Periodic-channel geometry: the y collocation grid, its quadrature and the
+x wavenumbers.
 
 The computational domain is the channel (0, L_x) x (0, 1), periodic in x and
 bounded by two flat walls.  Fields are resolved by Fourier modes in x and by
-polynomial collocation in y.  Integrals use equispaced (trapezoidal, exact on
-the resolved trigonometric band) quadrature in x and Gauss-Legendre quadrature
-in y, chosen fine enough that all bilinear and trilinear products of resolved
-profiles are integrated exactly.
+polynomial collocation in y.  Integrals in x are exact by orthogonality of the
+Fourier modes, so the grid holds no x-nodes: the one x-rule of the package is
+the pseudospectral convection's own (`dynamics.Convection`).  Integrals in y
+use Gauss-Legendre quadrature, chosen fine enough that all bilinear and
+trilinear products of resolved profiles are integrated exactly.
 """
 
 from __future__ import annotations
@@ -107,14 +109,12 @@ def gauss_legendre_01(nq: int):
 class Grid:
     """Immutable discrete geometry shared by all field operations.
 
-    x quadrature is the equispaced rule on n_x points (exact on trig
-    polynomials of degree < n_x); y carries both the Chebyshev-Lobatto
-    representation nodes and an embedded Gauss-Legendre quadrature fine
-    enough for exact triple products of collocation polynomials.
+    y carries both the Chebyshev-Lobatto representation nodes and an embedded
+    Gauss-Legendre quadrature fine enough for exact triple products of
+    collocation polynomials; x carries only the wavenumbers of the modes.
     """
 
     spec: DomainSpec
-    x_nodes: np.ndarray        # (n_x,) equispaced in [0, L_x)
     y_cgl: np.ndarray          # (n_y,) Chebyshev-Lobatto nodes in [0, 1]
     d1: np.ndarray             # (n_y, n_y) differentiation on CGL nodes
     d2: np.ndarray             # d1 @ d1
@@ -126,10 +126,6 @@ class Grid:
     kx: np.ndarray             # (modes_x + 1,) wavenumbers 2*pi*j/L_x
 
     @property
-    def n_x(self) -> int:
-        return self.x_nodes.size
-
-    @property
     def n_y(self) -> int:
         return self.y_cgl.size
 
@@ -137,22 +133,9 @@ class Grid:
     def n_q(self) -> int:
         return self.y_nodes.size
 
-    @property
-    def w_x(self) -> float:
-        return self.spec.length_x / self.n_x
-
-    @property
-    def quad_weights_domain(self) -> np.ndarray:
-        """(n_x, n_q) tensor-product weights; sums to the channel area L_x * 1."""
-        return np.full((self.n_x, 1), self.w_x) * self.w_y[None, :]
-
 
 def build_grid(spec: DomainSpec) -> Grid:
     """Construct the collocation/quadrature grid for a domain specification."""
-    k = spec.modes_x
-    n_x = max(8, 4 * k)  # >= 3K+2 for the sampled fields; Convection has its own 3K+1
-    x = np.arange(n_x) * (spec.length_x / n_x)
-
     n_y = spec.nodes_y
     y = cheb_lobatto_nodes(n_y)
     bw = _cheb_bary_weights(n_y)
@@ -163,10 +146,9 @@ def build_grid(spec: DomainSpec) -> Grid:
     yq, wq = gauss_legendre_01(n_q)
     p = interp_matrix(y, bw, yq)
 
-    kx = 2.0 * np.pi * np.arange(k + 1) / spec.length_x
+    kx = 2.0 * np.pi * np.arange(spec.modes_x + 1) / spec.length_x
     return Grid(
         spec=spec,
-        x_nodes=x,
         y_cgl=y,
         d1=d1,
         d2=d2,

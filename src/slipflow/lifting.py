@@ -39,7 +39,7 @@ of the control problem are calls to it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -171,11 +171,6 @@ class BoundaryControl:
         values += g[..., s, :]
         return values, slope
 
-    def copy(self) -> "BoundaryControl":
-        return BoundaryControl(
-            self.length_x, self.n_modes, self.t_grid.copy(), self.gamma.copy(), self.p
-        )
-
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -246,11 +241,10 @@ def project_compatible(ctrl: BoundaryControl) -> BoundaryControl:
 
     Only the two mean coefficients of `a` are touched: they are replaced by
     their antisymmetric part, which is the nearest compatible point in
-    coefficient space.  Idempotent.
+    coefficient space.  Idempotent.  The result is a new control with a
+    gamma of its own; ctrl is left as it is.
     """
-    out = ctrl.copy()
-    out.gamma = compatible_rows(ctrl.gamma, ctrl.n_modes)
-    return out
+    return replace(ctrl, gamma=compatible_rows(ctrl.gamma, ctrl.n_modes))
 
 
 # -- trace norms --------------------------------------------------------------

@@ -3,12 +3,18 @@
 * Finite differences for the 1D wall-value problems: second-order central
   differences on a uniform grid with Richardson extrapolation, kept
   deliberately separate from the spectral solvers they check.
+* The oracles' x-rule: `x_rule` gives max(8, 4 modes_x) equispaced x-nodes
+  and their weight, `quad_weights_domain` the tensor product with the grid's
+  Gauss rule in y, and `sample_fields` the samples of a stack of fields and
+  their gradients there, by an inverse real FFT.  slipflow integrates in x
+  by Parseval on the Fourier coefficients and samples in x only in
+  `Convection`, on its own 3 modes_x + 1 nodes; this rule is independent of
+  both.
 * `sampled_convection_tensors`: the dense convection tensors by quadrature
-  on the sampled (n_x, n_q) grid, every field sampled by
-  `basis.sample_fields` and every product formed pointwise.  The dynamics
-  module assembles the same tensors triad by triad from the Fourier
-  coefficients, without sampling; this is the reference it is tested
-  against.
+  on the sampled (n_x, n_q) grid, every field sampled by `sample_fields` and
+  every product formed pointwise.  The dynamics module assembles the same
+  tensors triad by triad from the Fourier coefficients, without sampling;
+  this is the reference it is tested against.
 * `advective_convection`: the pseudospectral convection in advective form,
   ((y . grad) y, e_i) from the velocity and its gradient sampled on the
   grid.  The dynamics module's `Convection` samples only the velocity and
@@ -30,7 +36,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from slipflow.basis import FAMILY_COS, FAMILY_SHEAR, ModeField, sample_fields
+from slipflow.basis import FAMILY_COS, FAMILY_SHEAR, ModeField
 from slipflow.lifting import (
     BoundaryControl,
     project_compatible,
@@ -142,6 +148,46 @@ def fd_stokes_mode(k, alpha, bt_bottom, bt_top, n=2000):
     return y, (4.0 * fine[::2] - coarse) / 3.0
 
 
+def x_rule(grid):
+    """(x_nodes, w_x): n_x = max(8, 4 modes_x) equispaced nodes on [0, L_x),
+    each of weight L_x / n_x.  The rule is exact on trigonometric polynomials
+    of degree below n_x, so on the triple products of band-modes_x fields."""
+    n_x = max(8, 4 * grid.spec.modes_x)
+    return np.arange(n_x) * (grid.spec.length_x / n_x), grid.spec.length_x / n_x
+
+
+def quad_weights_domain(grid):
+    """(n_x, n_q) tensor-product weights of `x_rule` and the grid's Gauss rule;
+    they sum to the channel area L_x * 1."""
+    x, w_x = x_rule(grid)
+    return np.full((x.size, 1), w_x) * grid.w_y[None, :]
+
+
+def sample_fields(fields):
+    """Samples of a stack of m fields at the (n_x, n_q) nodes of `x_rule` and
+    the Gauss rule, one irfft per 16 fields.
+
+    The result is (m, 6, n_x, n_q) with rows (v1, v2, d_x v1, d_y v1,
+    d_x v2, d_y v2).
+    """
+    grid, vals, dvals = fields.grid, fields.vals, fields.dvals
+    n_x = x_rule(grid)[0].size
+    m, nj = vals.shape[:2]
+    ik = 1j * grid.kx[:nj, None]
+    out = np.empty((m, 6, n_x, grid.n_q))
+    for s in range(0, m, 16):  # bounds the complex temporaries
+        v, d = vals[s : s + 16], dvals[s : s + 16]
+        spec = np.zeros((v.shape[0], 6, n_x // 2 + 1, grid.n_q), complex)
+        spec[:, :2, :nj] = v.transpose(0, 2, 1, 3)
+        spec[:, 2, :nj] = ik * v[:, :, 0]
+        spec[:, 3, :nj] = d[:, :, 0]
+        spec[:, 4, :nj] = ik * v[:, :, 1]
+        spec[:, 5, :nj] = d[:, :, 1]
+        spec *= n_x
+        out[s : s + 16] = np.fft.irfft(spec, n=n_x, axis=2)
+    return out
+
+
 def _sampled_convection(test_w, u, grad_v):
     """C[i, p, q] = ((u_p . grad) v_q, e_i) from sampled fields.
 
@@ -171,7 +217,7 @@ def sampled_convection_tensors(basis, cache):
     """
     g = basis.grid
     e = sample_fields(basis.fields)
-    test_w = e[:, :2] * g.quad_weights_domain
+    test_w = e[:, :2] * quad_weights_domain(g)
     conv_bb = _sampled_convection(test_w, e[:, :2], e[:, 2:])
     u_max, g_max = (max(x.max(), -x.min()) for x in (e[:, :2], e[:, 2:]))
     scale = 2.0 * np.abs(test_w).sum(axis=(1, 2, 3)).max() * u_max * g_max
@@ -185,7 +231,7 @@ def advective_convection(basis, fields, z):
     """(W, n) coefficients ((y . grad) y, e_i) of the rows z = (beta, gamma) of
     the span of the basis entries and the stack `fields`.
 
-    Every field is sampled with its gradient by `basis.sample_fields`, y
+    Every field is sampled with its gradient by `sample_fields`, y
     and grad y are their combinations by the rows z, (y . grad) y is formed
     pointwise and projected by quadrature against the sampled test fields.
     """
@@ -195,7 +241,7 @@ def advective_convection(basis, fields, z):
     # sample rows (v1, v2, d_x v1, d_y v1, d_x v2, d_y v2)
     adv = np.stack([y[:, 0] * y[:, 2] + y[:, 1] * y[:, 3],
                     y[:, 0] * y[:, 4] + y[:, 1] * y[:, 5]], axis=1)
-    test_w = e[:, :2] * g.quad_weights_domain
+    test_w = e[:, :2] * quad_weights_domain(g)
     return adv.reshape(len(z), -1) @ test_w.reshape(len(test_w), -1).T
 
 

@@ -5,6 +5,7 @@ carry the same tolerances as the printed verdicts.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,8 +276,7 @@ def test_criterion_08_stability(stack):
             first_pair = (c1, c2, t1)
     c_max = max(consts)
     c1, c2, t1 = first_pair
-    cmid = c1.copy()
-    cmid.gamma = c1.gamma + 0.5 * (c2.gamma - c1.gamma)
+    cmid = replace(c1, gamma=c1.gamma + 0.5 * (c2.gamma - c1.gamma))
     tmid = sim.run_many(range(40), ctrl=cmid, u0=b0, store_beta=True)
     rep_half = dg.certify_stability(t1, c1, tmid, cmid, sim.ops, 1.0, sim.nu, c3=c3)
     ok = (all(np.isfinite(consts)) and np.isfinite(rep_half.fitted_c)

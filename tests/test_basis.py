@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from oracles import loop_basis_fields, stack_fields
+from oracles import loop_basis_fields, quad_weights_domain, sample_fields, stack_fields, x_rule
 
 from slipflow import basis as bs
 from slipflow.basis import (
@@ -158,11 +158,11 @@ def test_projection_contracts(basis_small, grid_small):
 def test_interpolation_inequality_sampling(basis_small, grid_small):
     # |v|_4 <= C |v|_2^(1/2) |grad v|_2^(1/2) with one stable constant
     rng = np.random.default_rng(17)
-    consts = []
+    consts, w_x = [], x_rule(grid_small)[1]
     for _ in range(100):
         v = basis_small.fields.combine(rng.standard_normal(basis_small.size))
-        u1, u2 = bs.sample_fields(v[None])[0, :2]
-        l4 = (grid_small.w_x * ((u1 * u1 + u2 * u2) ** 2.0).sum(axis=0) @ grid_small.w_y) ** 0.25
+        u1, u2 = sample_fields(v[None])[0, :2]
+        l4 = (w_x * ((u1 * u1 + u2 * u2) ** 2.0).sum(axis=0) @ grid_small.w_y) ** 0.25
         l2_v = l2_sq(v)
         l2, gr = np.sqrt(l2_v), np.sqrt(h1_sq(v[None])[0] - l2_v)
         consts.append(l4 / (np.sqrt(l2) * np.sqrt(gr)))
@@ -174,12 +174,12 @@ def test_interpolation_inequality_sampling(basis_small, grid_small):
 def test_trace_inequality_sampling(basis_small, grid_small):
     # wall L2 trace against |v|_2^(1/2) |grad v|_2^(1/2)
     rng = np.random.default_rng(23)
-    consts = []
+    consts, (x, w_x) = [], x_rule(grid_small)
     for _ in range(100):
         v = basis_small.fields.combine(rng.standard_normal(basis_small.size))
         # both walls' traces at the x nodes, (n_x, component, wall)
-        t = np.fft.irfft(v.wall_vals, grid_small.n_x, axis=0, norm="forward")
-        tr = (grid_small.w_x * (t * t).sum()) ** 0.5
+        t = np.fft.irfft(v.wall_vals, x.size, axis=0, norm="forward")
+        tr = (w_x * (t * t).sum()) ** 0.5
         l2_v = l2_sq(v)
         l2, gr = np.sqrt(l2_v), np.sqrt(h1_sq(v[None])[0] - l2_v)
         consts.append(tr / (np.sqrt(l2) * np.sqrt(gr)))
@@ -272,18 +272,18 @@ def test_stack_pairings_against_quadrature(basis_small, grid_small):
     g = grid_small
     fields = [random_field(g, s) for s in range(3)] + list(basis_small.fields[:4])
     stack = stack_fields(fields)
-    w2d = g.quad_weights_domain
+    w2d, (x, w_x) = quad_weights_domain(g), x_rule(g)
     m = len(fields)
     mass, energy = np.empty((m, m)), np.empty((m, m))
     for r, u in enumerate(fields):
         for s, v in enumerate(fields):
-            (u1, u2, *a), (v1, v2, *b) = (bs.sample_fields(f[None])[0] for f in (u, v))
+            (u1, u2, *a), (v1, v2, *b) = (sample_fields(f[None])[0] for f in (u, v))
             strain = a[0] * b[0] + a[3] * b[3] + 0.5 * (a[1] + a[2]) * (b[1] + b[2])
             # wall traces at the x nodes, (n_x, component, wall)
-            tu, tv = (np.fft.irfft(f.wall_vals, g.n_x, axis=0, norm="forward") for f in (u, v))
+            tu, tv = (np.fft.irfft(f.wall_vals, x.size, axis=0, norm="forward") for f in (u, v))
             wall = np.sum(tu * tv)
             mass[r, s] = np.sum((u1 * v1 + u2 * v2) * w2d)
-            energy[r, s] = 2.0 * np.sum(strain * w2d) + g.spec.friction_alpha * g.w_x * wall
+            energy[r, s] = 2.0 * np.sum(strain * w2d) + g.spec.friction_alpha * w_x * wall
     assert np.abs(bs.mass_pairing(stack, stack) - mass).max() < 1e-12 * np.abs(mass).max()
     assert np.abs(bs.energy_pairing(stack, stack) - energy).max() < 1e-12 * np.abs(energy).max()
 

@@ -382,6 +382,8 @@ def test_cmd_optimize_zero_budget(tmp_path):
         ("verify", [], {"verify": {"paths": 0}}, 1),
         ("verify", [], {"verify": {"paths": -2}}, 1),
         ("verify", [], {"verify": {"stability_paths": 0}}, 1),
+        ("optimize", [], {"optimize": {"paths": 0}}, 1),
+        ("optimize", [], {"optimize": {"paths": -2}}, 1),
         ("simulate", ["--threads", "0"], {}, 1),
         ("simulate", ["--threads", "-2"], {}, 1),
         ("simulate", ["--threads", "2"], {}, 1),
@@ -422,6 +424,7 @@ def test_cmd_optimize_zero_budget(tmp_path):
     ],
     ids=["verify-all-paths-blow-up", "optimize-all-paths-blow-up", "negative-seed", "negative-paths", "zero-paths",
          "negative-seed-bank", "zero-verify-paths", "negative-verify-paths", "zero-stability-paths",
+         "zero-optimize-paths", "negative-optimize-paths",
          "zero-threads", "negative-threads", "threads-above-one", "seed-past-philox-range",
          "string-paths",
          "string-basis-size", "string-budget", "string-in-theta", "string-theta0",
@@ -436,6 +439,8 @@ def test_cmd_optimize_zero_budget(tmp_path):
 )
 def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, code):
     _check_exit_code(tmp_path, command, flags, overrides, code)
+    if code == 1:   # found before optimize writes its target
+        assert not (tmp_path / "out" / "target.npz").exists()
 
 
 def test_main_returns_1_on_usage_errors(tmp_path, capsys):

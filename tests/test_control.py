@@ -23,7 +23,7 @@ from slipflow.control import (
 )
 from slipflow.diagnostics import bootstrap_ci
 from slipflow.dynamics import N_PS, DenseConvection, Simulator, build_noise, make_initial_coeffs
-from slipflow.lifting import BoundaryControl
+from slipflow.lifting import BoundaryControl, project_compatible
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +125,25 @@ def test_stack_matches_one_control_calls(make_control, t_grid):
     assert pens.shape == (3,) and isinstance(penalty_term(ctrls[0], spec), float)
     for c, ctrl in enumerate(ctrls):
         assert pens[c] == penalty_term(ctrl, spec), c
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_projection_never_writes_or_aliases_its_input(make_control, stacked):
+    # both projections return a gamma of their own and leave the input's bits
+    # as they were (project_admissible scales its result in place), on one
+    # control and on a 4-stack, each control with net flux and outside the ball
+    spec = AdmissibleSpec(radius=0.1)
+    ctrls = [make_control(2 * np.pi, 2, [0.0, 0.25, 0.5], 5.0, seed=70 + i) for i in range(4)]
+    for c in ctrls:
+        c.gamma[:, [0, 5]] = [0.3, 0.1]
+    ctrl = (BoundaryControl(2 * np.pi, 2, ctrls[0].t_grid, np.stack([c.gamma for c in ctrls]), 4.0)
+            if stacked else ctrls[0])
+    before = ctrl.gamma.copy()
+    for project in (project_compatible, lambda c: project_admissible(c, spec)):
+        out = project(ctrl)
+        assert np.array_equal(ctrl.gamma.view(np.int64), before.view(np.int64))
+        assert not np.shares_memory(out.gamma, ctrl.gamma)
+        assert out.gamma.shape == before.shape and not np.array_equal(out.gamma, before)
 
 
 def test_exponential_integrability_bound(make_control):

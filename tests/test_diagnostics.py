@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from slipflow.basis import sample_fields
+from oracles import quad_weights_domain, sample_fields, x_rule
 from slipflow.cli import _json_dump
 from slipflow.diagnostics import (
     _ratio,
@@ -214,10 +214,8 @@ def test_stability_scaling_and_constant(sim_mod, mc_bundle, make_control):
     trajs, ctrl, b0 = mc_bundle
     noise_k = 2.0 * 0.0125  # 2 K for gains (0.1, 0.05)
     # noise-off pair: RHS scales by 4 when the control distance doubles
-    ctrl_half = ctrl.copy()
-    ctrl_half.gamma *= 0.5
-    ctrl_quar = ctrl.copy()
-    ctrl_quar.gamma *= 0.75
+    ctrl_half = replace(ctrl, gamma=ctrl.gamma * 0.5)
+    ctrl_quar = replace(ctrl, gamma=ctrl.gamma * 0.75)
     t_full = sim_mod.run_many(range(20), ctrl=ctrl, u0=b0, noise_on=False, store_beta=True)
     t_half = sim_mod.run_many(range(20), ctrl=ctrl_half, u0=b0, noise_on=False, store_beta=True)
     t_quar = sim_mod.run_many(range(20), ctrl=ctrl_quar, u0=b0, noise_on=False, store_beta=True)
@@ -254,8 +252,7 @@ def test_stability_matches_per_pair_loop(sim_mod, mc_bundle, make_control):
     pair = sim_mod.run_many(range(60), ctrl=other, u0=b0, store_beta=True)
     rep = certify_stability(trajs, ctrl, pair, other, ops, 1.0, nu, c3=0.025)
     ghat = ctrl.series(t)[0] - other.series(t)[0]
-    diff = ctrl.copy()
-    diff.gamma = ctrl.gamma - other.gamma
+    diff = replace(ctrl, gamma=ctrl.gamma - other.gamma)
     tn1, tn2, tnd = (trace_norm_series(c, t) for c in (ctrl, other, diff))
     lhs, rhs = [], []
     for tr1, tr2 in zip(trajs, pair):
@@ -386,16 +383,17 @@ def test_damping_load_identity(sim_mod, mc_bundle):
     # wall = int_Gamma a (u.tau)^2 by direct sampling of both traces
     u = sim_mod.basis.fields.combine(b)
     grid = sim_mod.grid
+    x, w_x = x_rule(grid)
     table = ctrl.coeffs(g)
     wall = 0.0
     for w in (0, 1):
         a_vals, tau_vals = (
             c[0].real + 2.0 * (
-                c[1:, None] * np.exp(1j * np.outer(grid.kx[1 : c.size], grid.x_nodes))
+                c[1:, None] * np.exp(1j * np.outer(grid.kx[1 : c.size], x))
             ).real.sum(axis=0)
             for c in (table[w], u.tangential_trace_coeffs()[:, w])
         )
-        wall += grid.w_x * float(a_vals @ tau_vals**2)
+        wall += w_x * float(a_vals @ tau_vals**2)
     # mixed_total = ((u.grad) lift, u) + ((lift.grad) u, u); isolate the
     # second part by the divergence-free wall identity and compare routes
     lift_field = sim_mod.cache.fields.combine(g)
@@ -404,7 +402,7 @@ def test_damping_load_identity(sim_mod, mc_bundle):
     g1x, g1y, g2x, g2y = sample_fields(lift_field[None])[0, 2:]
     w1 = u1 * g1x + u2 * g1y
     w2 = u1 * g2x + u2 * g2y
-    w2d = sim_mod.grid.quad_weights_domain
+    w2d = quad_weights_domain(grid)
     u_grad_lift_u = float(np.sum(w1 * u1 * w2d) + np.sum(w2 * u2 * w2d))
     lift_grad_u_u = mixed_total - u_grad_lift_u
     assert abs(lift_grad_u_u - 0.5 * wall) < 1e-9 * max(1.0, abs(wall))

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,12 +8,15 @@ from oracles import (
     loop_project,
     loop_samples,
     padded,
+    quad_weights_domain,
+    sample_fields,
     sampled_convection_tensors,
+    x_rule,
 )
 
 from slipflow import basis as bs
 from slipflow import dynamics as dyn
-from slipflow.basis import energy_pairing, mass_pairing, sample_fields
+from slipflow.basis import energy_pairing, mass_pairing
 from slipflow.dynamics import (
     BLOCK,
     N_PS,
@@ -230,11 +232,14 @@ def test_check_scales_from_coefficients(sampled_case):
 
 
 def test_dense_assembly_samples_no_grid(basis_small, cache_small, monkeypatch):
-    def refuse(fields):
-        raise AssertionError("the dense assembly sampled fields on the grid")
+    # src has no field sampler and no FFT: the assembly reads coefficients only
+    def refuse(*args, **kw):
+        raise AssertionError("the dense assembly sampled fields on an x grid")
 
-    monkeypatch.setattr(bs, "sample_fields", refuse)
-    assert not hasattr(dyn, "sample_fields") and basis_small.size < N_PS
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, refuse)
+    assert not hasattr(bs, "sample_fields") and not hasattr(dyn, "sample_fields")
+    assert basis_small.size < N_PS
     ops = assemble_operators(basis_small, cache_small)
     assert "dense" not in vars(ops)
     ops.dense  # the first read assembles all three tensors
@@ -249,7 +254,7 @@ def test_operators_reject_lifting_of_other_friction(basis_small, grid_free):
 
 
 def test_mass_pairings_against_quadrature(sim_small, basis_small, cache_small, grid_small):
-    w2d = grid_small.quad_weights_domain
+    w2d = quad_weights_domain(grid_small)
 
     def quadrature(us, vs):
         su, sv = sample_fields(us), sample_fields(vs)
@@ -313,7 +318,7 @@ def test_drift_control_terms_against_quadrature(sim_small, basis_small, cache_sm
               sim_small.convection)
     lifted = cache_small.fields.combine(gam)
     table = ctrl.coeffs(gam)
-    x = grid_small.x_nodes
+    x, w_x = x_rule(grid_small)
     oracle = np.empty(basis_small.size)
     conv = Convection(basis_small, lifted[None]).stacked(np.zeros(basis_small.size),
                                                          np.ones(1))
@@ -328,7 +333,7 @@ def test_drift_control_terms_against_quadrature(sim_small, basis_small, cache_sm
             tvals = tc.real * np.ones_like(x) if ji == 0 else 2.0 * (
                 tc * np.exp(1j * grid_small.kx[ji] * x)
             ).real
-            wall += grid_small.w_x * float(bvals @ tvals)
+            wall += w_x * float(bvals @ tvals)
         oracle[i] = nu * wall - nu * energy_pairing(lifted[None], e[None])[0, 0] - conv[i]
     assert np.abs(f - oracle).max() < 1e-8
 
@@ -920,7 +925,7 @@ def test_weak_form_residual_of_trajectory(basis_small, cache_small, grid_small,
     gam = np.empty((sim.n_steps + 1, cache_small.n_dofs))
     for ell, t in enumerate(sim.times):
         gam[ell], _ = ctrl.interp(float(t))
-    x = grid_small.x_nodes
+    x, w_x = x_rule(grid_small)
 
     def y_at(ell):
         return (basis_small.fields.combine(tr.beta_series[ell])
@@ -945,7 +950,7 @@ def test_weak_form_residual_of_trajectory(basis_small, cache_small, grid_small,
                 tvals = tc.real * np.ones_like(x) if ji == 0 else 2.0 * (
                     tc * np.exp(1j * grid_small.kx[ji] * x)
                 ).real
-                wall += grid_small.w_x * float(bvals @ tvals)
+                wall += w_x * float(bvals @ tvals)
             conv = Convection(basis_small, y[None]).stacked(np.zeros(basis_small.size),
                                                             np.ones(1))[i]
             acc += sim.dt * (-nu * energy_pairing(y[None], e[None])[0, 0] + nu * wall - conv)
@@ -999,7 +1004,8 @@ def _wide_sim(wide, **kw):
 
 @pytest.fixture(scope="module")
 def narrow():
-    """A modes_x = 3 grid (n_x = 12) with an n = 24 basis and its operators."""
+    """A modes_x = 3 grid (12 x-nodes in the oracles, 10 in `Convection`) with an
+    n = 24 basis and its operators."""
     spec = DomainSpec(length_x=2 * np.pi, modes_x=3, nodes_y=16,
                       friction_alpha=1.0, viscosity=0.5)
     grid = build_grid(spec)
@@ -1118,19 +1124,17 @@ def test_dft_matrices_match_numpy_fft(modes_x):
 
 
 def test_convection_x_rule_is_3k_plus_1_nodes(basis_small, cache_mean):
-    # the evaluator's x-rule has 3 modes_x + 1 nodes whatever the grid's n_x:
-    # 13 at modes_x = 4 on the grid's 16 nodes and on a grid cut to 9, which
-    # has no room for the 5 resolved bins below its Nyquist bin; both give
-    # the same bits
+    # the evaluator's x-rule has 3 modes_x + 1 nodes, 13 at modes_x = 4, and
+    # is the only one: the grid holds no x-nodes it could read instead, and on
+    # the oracles' own 16 nodes the advective form gives the same coefficients
     g = basis_small.grid
-    beta = np.random.default_rng(9).standard_normal((BLOCK, basis_small.size))
-    got = []
-    for nodes in (g.x_nodes, g.x_nodes[:9]):
-        basis = dataclasses.replace(basis_small, grid=dataclasses.replace(g, x_nodes=nodes))
-        conv = Convection(basis, cache_mean.fields)
-        assert conv.to_grid.shape == (13, 10) and conv.from_grid.shape == (10, 13)
-        got.append(conv.stacked(beta))
-    assert np.array_equal(*got)
+    assert not any(hasattr(g, name) for name in ("x_nodes", "n_x", "w_x"))
+    assert x_rule(g)[0].size == 16
+    conv = Convection(basis_small, cache_mean.fields)
+    assert conv.to_grid.shape == (13, 10) and conv.from_grid.shape == (10, 13)
+    z = conv.rows(np.random.default_rng(9).standard_normal((BLOCK, basis_small.size)))
+    ref = advective_convection(basis_small, cache_mean.fields, z)
+    assert np.abs(conv(z) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_pseudospectral_kernel_matches_step_em(wide, make_control):

@@ -38,8 +38,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the public names no program code calls, each with the reason it stays
 ALLOWED = {
-    "basis.sample_fields": "the sampler tests/oracles.py builds its reference tensors with",
-    "geometry.Grid.quad_weights_domain": "the reference weights tests/oracles.py integrates with",
     "cli._ArgumentParser.error": "argparse calls it on a usage error",
 }
 
