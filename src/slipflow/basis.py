@@ -330,12 +330,16 @@ def _solve_pencil(a, m):
     (..., k, k) stacks of pencils are solved matrix by matrix.
 
     Cholesky reduction m = L L^T turns it into the standard problem for
-    L^-1 a L^-T, whose eigenvectors y give the pencil's as L^-T y.
+    L^-1 a L^-T, whose eigenvectors y give the pencil's as L^-T y.  A solver
+    failure (a degenerate grid's pencils overflow) raises BasisError.
     """
-    low = np.linalg.cholesky(m)
-    c = np.linalg.solve(low, np.linalg.solve(low, a).mT)
-    lam, y = np.linalg.eigh(c)
-    return lam, np.linalg.solve(low.mT, y)
+    try:
+        low = np.linalg.cholesky(m)
+        c = np.linalg.solve(low, np.linalg.solve(low, a).mT)
+        lam, y = np.linalg.eigh(c)
+        return lam, np.linalg.solve(low.mT, y)
+    except np.linalg.LinAlgError as exc:
+        raise BasisError(f"eigensolver failed: {exc}") from exc
 
 
 def max_basis_size(spec: DomainSpec) -> int:

@@ -197,6 +197,8 @@ class RunConfig:
             raise ConfigError("simulate.save_paths must be >= 0")
         if d["optimize"]["paths"] < 1:
             raise ConfigError("optimize.paths must be >= 1")
+        if d["optimize"]["budget"] < 0:
+            raise ConfigError("optimize.budget must be >= 0")
 
     # -- builders ----------------------------------------------------------
 
@@ -290,10 +292,19 @@ class RunConfig:
         return [s0 + i for i in range(n)]
 
 
+def _finite(literal: str) -> float:
+    """A JSON number as a float; NaN, Infinity and -Infinity, which JSON does
+    not have, and a literal past the float range are rejected."""
+    x = float(literal)
+    if not math.isfinite(x):
+        raise ValueError(f"{literal} is not a finite number")
+    return x
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+            user = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep

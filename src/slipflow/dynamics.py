@@ -63,9 +63,10 @@ bits, and fills the rows' control columns of each step from one array made
 before the loop; `_measure` forms the state's series of the whole pass at
 once and each group's tracking on its row slice.  So a group's paths are
 the bits of its own run.
-`drift`/`step_em` on `GalerkinOperators.dense` are the single-step
-reference the kernel is tested against on both paths; it is built on first
-read, so only that reference builds it from N_PS on.
+`GalerkinOperators.convection` is the one evaluator of an operator set,
+chosen by n once: the kernel, `drift`/`step_em` (the single-step reference
+the kernel is tested against) and the damping rate all read it, so src
+builds the n^3 tensors below N_PS only.
 """
 
 from __future__ import annotations
@@ -423,9 +424,10 @@ class GalerkinOperators:
     btrace[i, c]     = int_Gamma b_c (e_i . tau)
     gram_h / gram_v  = pairings of the unit lifted fields
 
-    `dense`, the `DenseConvection` of `basis` and the lifted unit fields of
-    `cache`, is built on first read: the reference of `drift`/`step_em`, and
-    the kernel's convection below N_PS; from N_PS on only that reference.
+    `convection`, the one evaluator on `basis` and the lifted unit fields of
+    `cache`, built on first read: a `DenseConvection` below N_PS basis
+    entries and a `Convection` from N_PS on.  Every simulator sharing these
+    operators, and `step_em`, reads it, with its cache of restrictions.
     """
 
     lam: np.ndarray
@@ -442,8 +444,9 @@ class GalerkinOperators:
         return self.lam.size
 
     @cached_property
-    def dense(self) -> DenseConvection:
-        return DenseConvection(self.basis, self.cache.fields)
+    def convection(self) -> DenseConvection | Convection:
+        kind = DenseConvection if self.n < N_PS else Convection
+        return kind(self.basis, self.cache.fields)
 
     def y_sq(self, beta: np.ndarray, gamma: np.ndarray, energy: bool = False) -> np.ndarray:
         """Squared mass (energy) norm of y = sum_i beta_i e_i + sum_c gamma_c a_c,
@@ -652,8 +655,8 @@ class DenseConvection:
 
 
 def assemble_operators(basis: Basis, cache: LiftingCache) -> GalerkinOperators:
-    """The couplings of basis and cache; their `dense` convection is built on
-    first read."""
+    """The couplings of basis and cache; their `convection` is built on first
+    read."""
     g = basis.grid
 
     # wall pairing int_Gamma b_c (e_i . tau) by Parseval on the trace
@@ -709,7 +712,7 @@ def step_em(state: GalerkinState, dt: float, dw: np.ndarray,
     """One explicit step; raises BlowupError on a nonfinite update."""
     if dt <= 0:
         raise DynamicsError("dt must be positive")
-    f = drift(state.beta, ops, nu, gamma, gamma_dot, ops.dense if include_nonlinear else None)
+    f = drift(state.beta, ops, nu, gamma, gamma_dot, ops.convection if include_nonlinear else None)
     beta = state.beta + dt * f + noise.matrix(state.beta) @ dw
     if not np.all(np.isfinite(beta)):
         raise BlowupError(f"state became nonfinite at t = {state.t + dt}")
@@ -929,11 +932,10 @@ def _measure(out: Paths, cut: slice, groups: list, hist, ops: GalerkinOperators,
 class Simulator:
     """Bundles the assembled operators with a time grid and noise model.
 
-    `convection` is the kernel's one evaluator: `ops.dense` below N_PS basis
-    entries, built here, and from N_PS on a `Convection` on the basis and the
-    lifted unit fields, when `ops.dense` is not built.  A kernel pass reads
-    its rows for the control's active columns only.  A linear run
-    (include_nonlinear False) has none and builds neither.
+    `convection` is the kernel's one evaluator, `ops.convection`, shared
+    with `step_em` and every simulator on the same `ops`.  A kernel pass
+    reads its rows for the control's active columns only.  A linear run
+    (include_nonlinear False) has none and builds none.
     """
 
     def __init__(self, basis: Basis, cache: LiftingCache, noise: NoiseModel,
@@ -963,8 +965,7 @@ class Simulator:
         # it (but for the rest of a 2 MB huge page, where the OS backs the
         # buffer with them)
         self._work = np.empty(2 * (n_steps + 1) * STACK * BLOCK * basis.size)
-        self.convection = None if not include_nonlinear else (
-            self.ops.dense if basis.size < N_PS else Convection(basis, cache.fields))
+        self.convection = self.ops.convection if include_nonlinear else None
 
     def blowup_hint(self) -> str:
         """Names the explicit Euler limit dt < 2 / (nu lam_max) if dt is past it, else "".

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slipflow.basis import build_eigenbasis
-from slipflow.dynamics import assemble_operators
+from slipflow.dynamics import DenseConvection, assemble_operators
 from slipflow.geometry import DomainSpec, build_grid
 from slipflow.lifting import BoundaryControl, LiftingCache, project_compatible
 
@@ -40,17 +40,18 @@ def cache_mean(grid_small):
 def wide():
     """An n = 128 basis, above N_PS, with its lifting cache and operators.
 
-    `ops.dense`, the `DenseConvection` of the basis and the lifted fields, is
-    built on first read, once for the session, by the tests that compare
-    against it; the simulators on this basis evaluate with `Convection`.
+    The simulators on `ops` evaluate with `ops.convection`, a `Convection`,
+    and so does `step_em`; `dense`, the `DenseConvection` of the basis and
+    the lifted fields, is the tests' reference for it, built here once for
+    the session: src builds the dense tensors below N_PS only.
     """
     spec = DomainSpec(length_x=2 * np.pi, modes_x=8, nodes_y=24,
                       friction_alpha=1.0, viscosity=0.5)
     grid = build_grid(spec)
     basis = build_eigenbasis(grid, 128)
     cache = LiftingCache(grid, 2)
-    return SimpleNamespace(basis=basis, cache=cache,
-                           ops=assemble_operators(basis, cache))
+    return SimpleNamespace(basis=basis, cache=cache, ops=assemble_operators(basis, cache),
+                           dense=DenseConvection(basis, cache.fields))
 
 
 @pytest.fixture(scope="session")

@@ -40,11 +40,16 @@ def test_workload_setup_matches_reference(tmp_path, name, theta):
     assert workloads.oracle_error(sim, cfg, 1) <= 1e-9
 
 
-def test_workload_oracle_on_pseudospectral_path(tmp_path):
+def test_workload_oracle_on_pseudospectral_path(tmp_path, monkeypatch):
     # the tiny configs all sit below N_PS; the benchmark's oracle runs
-    # step_em through sim.ops beside a `Convection` simulator too
-    from slipflow.dynamics import N_PS, Convection
+    # step_em through sim.ops beside a `Convection` simulator too, on the
+    # simulator's own evaluator: neither builds the dense tensors
+    from slipflow.dynamics import N_PS, Convection, DenseConvection
 
+    def refuse(*args, **kw):
+        raise AssertionError("a DenseConvection was built from N_PS on")
+
+    monkeypatch.setattr(DenseConvection, "__init__", refuse)
     cfg = workloads.make_config("wide_basis", 1)
     cfg["basis_size"], cfg["time"]["t_final"] = N_PS, 0.01
     path = tmp_path / "config.json"
@@ -52,7 +57,7 @@ def test_workload_oracle_on_pseudospectral_path(tmp_path):
     cfg = load_config(path)
     basis = cfg.basis()
     sim = cfg.simulator(basis, cfg.lifting_cache(basis.grid), cfg.noise())
-    assert isinstance(sim.convection, Convection)
+    assert isinstance(sim.convection, Convection) and sim.convection is sim.ops.convection
     assert workloads.oracle_error(sim, cfg, 1) <= 1e-9
 
 

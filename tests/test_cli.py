@@ -421,6 +421,14 @@ def test_cmd_optimize_zero_budget(tmp_path):
         ("simulate", [], {"simulate": {"save_paths": -1}}, 1),
         ("basis", [], {"basis_size": 10000}, 1),
         ("simulate", [], {"basis_size": 100}, 1),
+        ("simulate", [], {"time": {"dt": float("nan")}}, 1),
+        ("simulate", [], {"time": {"t_final": float("inf")}}, 1),
+        ("simulate", [], {"domain": {"friction_alpha": float("nan")}}, 1),
+        ("optimize", [], {"control": {"lambda1": float("nan")}}, 1),
+        ("verify", [], {"damping_rate": float("nan")}, 1),
+        ("simulate", [], b'{"time": {"t_final": 1e400}}', 1),
+        ("basis", [], {"domain": {"length_x": 1e-300}}, 2),
+        ("optimize", [], {"optimize": {"budget": -3}}, 1),
     ],
     ids=["verify-all-paths-blow-up", "optimize-all-paths-blow-up", "negative-seed", "negative-paths", "zero-paths",
          "negative-seed-bank", "zero-verify-paths", "negative-verify-paths", "zero-stability-paths",
@@ -435,10 +443,17 @@ def test_cmd_optimize_zero_budget(tmp_path):
          "unknown-flag", "string-seed", "top-level-number", "top-level-null",
          "top-level-list", "top-level-string", "config-not-utf8", "config-nested-too-deep",
          "config-is-directory", "out-is-file", "out-under-file", "negative-save-paths",
-         "basis-size-past-capacity", "basis-size-one-past-capacity"],
+         "basis-size-past-capacity", "basis-size-one-past-capacity", "nan-dt",
+         "infinite-t-final", "nan-friction", "nan-lambda1", "nan-damping-rate",
+         "t-final-past-float-range", "length-x-defeats-eigensolver",
+         "negative-budget"],
 )
 def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, code):
-    _check_exit_code(tmp_path, command, flags, overrides, code)
+    err = _check_exit_code(tmp_path, command, flags, overrides, code)
+    # one error line, the last (a numpy RuntimeWarning may come before it)
+    lines = err.strip().splitlines()
+    kinds = ("config error: ", "validation error: ") if code == 1 else ("numerical failure: ",)
+    assert [line for line in lines if line.startswith(kinds)] == lines[-1:], err
     if code == 1:   # found before optimize writes its target
         assert not (tmp_path / "out" / "target.npz").exists()
 

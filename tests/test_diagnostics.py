@@ -342,9 +342,9 @@ def test_empirical_damping_rate_uses_integrated_drift(sim_mod, make_control):
     linear = Simulator(sim_mod.basis, sim_mod.cache, sim_mod.noise, t_final=0.5,
                        dt=0.005, include_nonlinear=False, ops=ops)
     no_conv = replace(ops)
-    no_conv.dense = copy.copy(ops.dense)
+    no_conv.convection = copy.copy(ops.convection)
     for name in ("conv_bb", "conv_bc", "conv_cc"):
-        setattr(no_conv.dense, name, np.full_like(getattr(ops.dense, name), np.nan))
+        setattr(no_conv.convection, name, np.full_like(getattr(ops.convection, name), np.nan))
     zeroed = Simulator(sim_mod.basis, sim_mod.cache, sim_mod.noise, t_final=0.5,
                        dt=0.005, include_nonlinear=False, ops=no_conv)
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=95)
@@ -357,11 +357,11 @@ def test_empirical_damping_rate_uses_integrated_drift(sim_mod, make_control):
 
 def test_empirical_damping_rate_on_pseudospectral_path(wide, make_control):
     # at n >= N_PS the rate uses the simulator's pseudospectral convection;
-    # the same simulator with the dense tensors rates the paths alike
+    # the same simulator with the tests' dense tensors rates the paths alike
     noise = build_noise(wide.basis.size, 2, 0.04, 1.0, 7, [0.1, 0.05])
     sim = Simulator(wide.basis, wide.cache, noise, t_final=0.05, dt=0.005, ops=wide.ops)
     dense = copy.copy(sim)
-    dense.convection = sim.ops.dense
+    dense.convection = wide.dense
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=96)
     b0 = make_initial_coeffs(sim.ops.n, "random", 3, 0.4, 1.0)
     trajs = sim.run_many(range(3), ctrl=ctrl, u0=b0, store_beta=True)
@@ -379,7 +379,7 @@ def test_damping_load_identity(sim_mod, mc_bundle):
     rng = np.random.default_rng(56)
     b = rng.standard_normal(ops.n)
     g = ctrl.gamma[0]
-    mixed_total = b @ np.einsum("ipc,p,c->i", ops.dense.conv_bc, b, g)
+    mixed_total = b @ np.einsum("ipc,p,c->i", ops.convection.conv_bc, b, g)
     # wall = int_Gamma a (u.tau)^2 by direct sampling of both traces
     u = sim_mod.basis.fields.combine(b)
     grid = sim_mod.grid

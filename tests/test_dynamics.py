@@ -133,7 +133,7 @@ def test_nonlinear_band_guard(basis_small, grid_small):
 
 def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, make_control):
     rng = np.random.default_rng(8)
-    dense = sim_small.ops.dense
+    dense = sim_small.ops.convection
     n = basis_small.size
     ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=60)
     beta = rng.standard_normal(n)
@@ -153,7 +153,7 @@ def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, ma
                          ids=["skew", "triad", "bc-triad", "cc-triad"])
 def test_convection_check_rejects_tampered_tensor(sim_small, basis_small, cache_small,
                                                   tensor, fault):
-    conv = getattr(sim_small.ops.dense, f"conv_{tensor}").copy()
+    conv = getattr(sim_small.ops.convection, f"conv_{tensor}").copy()
     j = basis_small.mode_j
     scale = np.abs(conv).max()
     # (fields, modes) supports of the advecting and advected stacks
@@ -216,7 +216,7 @@ def test_convection_tensors_match_sampled_oracle(sampled_case):
     stack, oracle = sampled_case
     assert stack.basis.size < N_PS
     for name, ref in zip(("conv_bb", "conv_bc", "conv_cc"), oracle):
-        tensor = getattr(stack.ops.dense, name)
+        tensor = getattr(stack.ops.convection, name)
         assert tensor.shape == ref.shape, name
         assert np.abs(tensor - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
@@ -228,7 +228,7 @@ def test_check_scales_from_coefficients(sampled_case):
     scales = _check_scales(_Pieces(stack.basis.fields), _Pieces(stack.cache.fields))
     assert scales[0] <= oracle[3]
     for name, scale in zip(("conv_bb", "conv_bc", "conv_cc"), scales):
-        assert np.abs(getattr(stack.ops.dense, name)).max() <= scale, name
+        assert np.abs(getattr(stack.ops.convection, name)).max() <= scale, name
 
 
 def test_dense_assembly_samples_no_grid(basis_small, cache_small, monkeypatch):
@@ -241,9 +241,9 @@ def test_dense_assembly_samples_no_grid(basis_small, cache_small, monkeypatch):
     assert not hasattr(bs, "sample_fields") and not hasattr(dyn, "sample_fields")
     assert basis_small.size < N_PS
     ops = assemble_operators(basis_small, cache_small)
-    assert "dense" not in vars(ops)
-    ops.dense  # the first read assembles all three tensors
-    assert "dense" in vars(ops)
+    assert "convection" not in vars(ops)
+    ops.convection  # the first read assembles all three tensors
+    assert "convection" in vars(ops)
 
 
 def test_operators_reject_lifting_of_other_friction(basis_small, grid_free):
@@ -462,20 +462,27 @@ def test_determinism_bitwise(sim_small, make_control):
 # -- kernel against the single-step reference ------------------------------------
 
 
-def _check_kernel_matches_step_em(sim, ctrl):
+def _check_kernel_matches_step_em(sim, ctrl, dense=None):
     # the whole stored path agrees with step_em iterated on the same Wiener
-    # increments
+    # increments and, given a pseudospectral simulator's `dense` reference,
+    # with Euler-Maruyama on drift(..., dense)
     b0 = make_initial_coeffs(sim.ops.n, "random", 3, 0.5, 1.0)
     tr = sim.run(seed=4, ctrl=ctrl, u0=b0, store_beta=True, keep_wiener=True)
     assert not tr.blown_up
     gamma, gdot = sim.gamma_series(ctrl)
     state = GalerkinState(t=0.0, beta=b0.copy())
-    ref = [state.beta]
+    ref, ref_dense = [state.beta], [state.beta]
     for ell in range(sim.n_steps):
         state = step_em(state, sim.dt, tr.wiener[ell], sim.ops, sim.noise, sim.nu,
                         gamma[ell], gdot[ell])
         ref.append(state.beta)
+        if dense is not None:
+            b = ref_dense[-1]
+            ref_dense.append(b + sim.dt * drift(b, sim.ops, sim.nu, gamma[ell], gdot[ell], dense)
+                             + sim.noise.matrix(b) @ tr.wiener[ell])
     assert np.abs(tr.beta_series - np.array(ref)).max() < 1e-12
+    if dense is not None:
+        assert np.abs(tr.beta_series - np.array(ref_dense)).max() < 1e-12
 
 
 def test_kernel_matches_step_em(sim_small, wide, make_control, zero_ctrl):
@@ -483,14 +490,14 @@ def test_kernel_matches_step_em(sim_small, wide, make_control, zero_ctrl):
     # time-varying control, with the zero control (the kernel reads only the
     # beta rows of its table), and at n = 48 on the modes_x = 8 grid, the
     # widest dense case below N_PS
-    assert sim_small.convection is sim_small.ops.dense
+    assert sim_small.convection is sim_small.ops.convection
     _check_kernel_matches_step_em(sim_small, make_control(2 * np.pi, 2, [0.0, 0.25, 0.5],
                                                           0.3, seed=77))
     _check_kernel_matches_step_em(sim_small, zero_ctrl(sim_small))
     basis = bs.build_eigenbasis(wide.basis.grid, 48)
     sim = Simulator(basis, wide.cache, build_noise(48, 2, 0.05, 1.0, 7, [0.1, 0.05]),
                     t_final=0.05, dt=0.005)
-    assert basis.size < N_PS and sim.convection is sim.ops.dense
+    assert basis.size < N_PS and isinstance(sim.convection, DenseConvection)
     _check_kernel_matches_step_em(sim, make_control(2 * np.pi, 2, [0.0, 0.025, 0.05],
                                                     0.3, seed=77))
 
@@ -504,17 +511,15 @@ def test_evaluator_switches_at_60(wide, n):
     sim = Simulator(basis, wide.cache, build_noise(n, 2, 0.05, 1.0, 7, [0.1, 0.05]),
                     t_final=0.05, dt=0.005)
     assert (wide.basis.grid.spec.modes_x, wide.basis.grid.spec.nodes_y) == (8, 24)
-    if n < 60:
-        assert sim.convection is sim.ops.dense
-    else:
-        assert isinstance(sim.convection, Convection) and "dense" not in vars(sim.ops)
+    assert sim.convection is sim.ops.convection
+    assert isinstance(sim.convection, DenseConvection if n < 60 else Convection)
 
 
 def test_dense_table_built_once(sim_small, make_control, zero_ctrl, monkeypatch):
-    # the simulator's evaluator is ops.dense, handed to every kernel call, and
+    # the simulator's evaluator is ops.convection, handed to every kernel call, and
     # two passes with one active set read one restricted table T, T[q, (p, i)]
     # = conv_bb[i, p, q] and T[n + c, (p, i)] = conv_bc[i, p, active[c]]
-    dense, n = sim_small.ops.dense, sim_small.ops.n
+    dense, n = sim_small.ops.convection, sim_small.ops.n
     assert sim_small.convection is dense
     seen, kernel = [], dyn._em_block
     monkeypatch.setattr(dyn, "_em_block", lambda *a: seen.append(a[2]) or kernel(*a))
@@ -712,7 +717,7 @@ def test_stacked_pass_matches_single_blocks(path, request, make_control):
 
     if path == "dense":
         sim = request.getfixturevalue("sim_small")
-        assert sim.convection is sim.ops.dense
+        assert isinstance(sim.convection, DenseConvection)
     else:
         sim = _wide_sim(request.getfixturevalue("wide"))
         assert isinstance(sim.convection, Convection)
@@ -1020,14 +1025,16 @@ def _check_matches_dense(stack, make_control, n, controlled):
     # the two-dof columns [1, 18] and to every column, the dense one with its
     # control term
     basis = bs.build_eigenbasis(stack.basis.grid, n)
-    ops = stack.ops if n == stack.basis.size else assemble_operators(basis, stack.cache)
     rng = np.random.default_rng(n)
     beta = 0.5 * rng.standard_normal((BLOCK, n))
     gam = np.zeros((BLOCK, stack.cache.n_dofs))
     if controlled:
         ctrl = make_control(2 * np.pi, 2, [0.0, 1.0], 0.5, seed=n)
         gam[:] = ctrl.series(np.linspace(0.0, 1.0, BLOCK))[0]
-    conv, dense = Convection(basis, stack.cache.fields), ops.dense
+    # the dense reference: the wide stack's own, built once, at its size
+    conv = Convection(basis, stack.cache.fields)
+    dense = (stack.dense if n == stack.basis.size >= N_PS
+             else DenseConvection(basis, stack.cache.fields))
 
     def einsum_ref(g):
         return (np.einsum("ipq,wp,wq->wi", dense.conv_bb, beta, beta)
@@ -1140,7 +1147,8 @@ def test_convection_x_rule_is_3k_plus_1_nodes(basis_small, cache_mean):
 def test_pseudospectral_kernel_matches_step_em(wide, make_control):
     sim = _wide_sim(wide)
     assert wide.basis.size >= N_PS and isinstance(sim.convection, Convection)
-    _check_kernel_matches_step_em(sim, make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=77))
+    _check_kernel_matches_step_em(sim, make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=77),
+                                  dense=wide.dense)
 
 
 def test_pseudospectral_seed_bits_independent_of_batch(wide, make_control):
@@ -1158,15 +1166,25 @@ def test_pseudospectral_seed_bits_independent_of_batch(wide, make_control):
             _same_path(bundle[pos], solo)
 
 
-def test_pseudospectral_path_builds_no_dense_tensors(wide, sim_small, make_control):
+def test_pseudospectral_path_builds_no_dense_tensors(wide, sim_small, make_control,
+                                                    monkeypatch):
+    # the simulator, step_em and the damping rate read the one `Convection`
     from slipflow.diagnostics import empirical_damping_rate
 
-    assert sim_small.convection is sim_small.ops.dense
+    def refuse(*args, **kw):
+        raise AssertionError("a DenseConvection was built from N_PS on")
+
+    assert sim_small.convection is sim_small.ops.convection
+    monkeypatch.setattr(DenseConvection, "__init__", refuse)
     sim = _wide_sim(wide, ops=None)
+    assert sim.convection is sim.ops.convection and isinstance(sim.convection, Convection)
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.05], 0.3, seed=79)
-    trajs = sim.run_many(range(3), ctrl=ctrl, store_beta=True)
+    trajs = sim.run_many(range(3), ctrl=ctrl, store_beta=True, keep_wiener=True)
     assert np.isfinite(empirical_damping_rate(trajs, ctrl, sim))
-    assert "dense" not in vars(sim.ops)
+    gamma, gdot = sim.gamma_series(ctrl)
+    state = step_em(GalerkinState(t=0.0, beta=np.zeros(sim.ops.n)), sim.dt, trajs[0].wiener[0],
+                    sim.ops, sim.noise, sim.nu, gamma[0], gdot[0])
+    assert np.abs(state.beta - trajs[0].beta_series[1]).max() < 1e-12
 
 
 def test_linear_run_builds_no_dense_tensors(basis_small, cache_small, make_control):
@@ -1182,7 +1200,7 @@ def test_linear_run_builds_no_dense_tensors(basis_small, cache_small, make_contr
                store_beta=True)
     trajs = sim.run_many(range(3), **run)
     assert np.isfinite(empirical_damping_rate(trajs, ctrl, sim))
-    assert "dense" not in vars(sim.ops)
+    assert "convection" not in vars(sim.ops)
     for a, b in zip(trajs, dense.run_many(range(3), **run)):
         _same_path(a, b)
 
@@ -1236,7 +1254,8 @@ def test_two_dof_kernel_matches_step_em(path, request):
     ctrl = _two_dof_control(sim.t_final)
     assert np.signbit(ctrl.gamma[:, ctrl.dof_index("a", "top", 0)]).all()   # -0.0
     assert np.flatnonzero(sim.gamma_series(ctrl)[0].any(axis=0)).tolist() == [1, 18]
-    _check_kernel_matches_step_em(sim, ctrl)
+    _check_kernel_matches_step_em(
+        sim, ctrl, dense=None if path == "dense" else request.getfixturevalue("wide").dense)
 
 
 @pytest.mark.parametrize("path", ["dense", "pseudospectral"])
@@ -1248,16 +1267,15 @@ def test_inactive_control_rows_never_read(path, request):
     clean, poisoned = _path_sim(path, request), _path_sim(path, request)
     n, ctrl = clean.ops.n, _two_dof_control(clean.t_final)
     inactive = np.setdiff1d(np.arange(clean.ops.cache.n_dofs), [1, 18])
+    # a copy with its own restricted tables: ops.convection is shared
+    conv = poisoned.convection = copy.copy(poisoned.convection)
+    conv._restricted = {}
     if path == "dense":
-        # a copy with its own restricted tables: ops.dense is shared
-        dense = poisoned.convection = copy.copy(poisoned.convection)
-        dense._restricted = {}
-        dense.conv_bc, dense.conv_cc = dense.conv_bc.copy(), dense.conv_cc.copy()
-        dense.conv_bc[:, :, inactive] = np.nan
-        dense.conv_cc[:, inactive] = dense.conv_cc[:, :, inactive] = np.nan
+        conv.conv_bc, conv.conv_cc = conv.conv_bc.copy(), conv.conv_cc.copy()
+        conv.conv_bc[:, :, inactive] = np.nan
+        conv.conv_cc[:, inactive] = conv.conv_cc[:, :, inactive] = np.nan
     else:
-        conv = poisoned.convection
-        assert not conv._restricted
+        conv.s_tab = conv.s_tab.copy()
         for j, m in enumerate(conv.s_len):
             conv.s_tab[j, :m][np.isin(conv.s_idx[j, :m], n + inactive)] = np.nan
         assert np.isnan(conv.s_tab).any(axis=2).sum() == 18 * 3        # modes 0-2 reach them
