@@ -17,33 +17,34 @@ simulator carries a lifting cache and every run a `BoundaryControl`: the
 uncontrolled flow is the zero control a = b = 0, not another equation.  The
 convection acts on the whole velocity y, through the control columns of
 gamma not 0 at every time node (the others add exact zeros).  Two
-evaluators with one contract give it, chosen by the basis size n: each,
-restricted to a pass's active columns, maps the stacked (k, BLOCK, n + n_a)
-rows (beta, gamma) of its blocks to (k BLOCK, n), and has a control term,
-the part of gamma alone, which joins the control drift before the loop.
+evaluators with one contract of three parts give it, chosen by the basis
+size n: `restricted(active)`, the evaluator on a pass's active columns; a
+call, which maps the stacked (k, BLOCK, n + n_a) rows (beta,
+gamma[active]) of its blocks to (k BLOCK, n); and `stacked`, the
+convection of stacked states and controls, the reference of `drift`.
 
-* below N_PS, `DenseConvection`, dense tensors conv_bb, conv_bc, conv_cc
-  (n^3 entries): per step one GEMM of each block against a table T and one
-  batched mat-vec; its control term is conv_cc gamma gamma;
+* below N_PS, `DenseConvection`, one dense tensor C of the trilinear form
+  over the joint stack of the basis entries and the lifted unit fields,
+  (n, n + n_a, n + n_a) entries: per step one GEMM of each block against a
+  table T and one batched mat-vec, both over the whole row (beta, gamma);
 * from N_PS on, `Convection`, the transform method in divergence form: per
   step the block's velocity y is synthesized on its own 3 modes_x + 1
   x-nodes, at the Gauss nodes and walls in y, by one stacked product over
   the x-modes, whose tables are padded to one shape, and one by a real DFT
   matrix, and y (x) y is projected onto grad e_i and the wall traces of e_i
-  by the two transposed steps (no FFT); its rows carry the control, so its
-  control term is 0.
+  by the two transposed steps (no FFT).
 
 Both integrate the quadratic products exactly: 3 modes_x + 1 x-nodes are
 the fewest on which no aliasing of a product reaches the resolved band, and
-the dense tensors are summed triad by triad from the Fourier coefficients
+the dense tensor is summed triad by triad from the Fourier coefficients
 (`_triad_sum`), exact in x by orthogonality, so no x grid is sampled, and
 in y by the Gauss rule.  Each evaluator checks itself where it is built:
-the tensors for vanishing off the Fourier triads their fields' modes allow,
-conv_bb also for skew symmetry, at a rounding scale bounded from the
-coefficients; the pseudospectral tables by a skew probe on seeded random
-fields, and its lifted fields for div y = 0.  The lift couplings and Gram
-matrices are the mass and energy pairings of the basis and lifting stacks,
-and the wall term is exact by Parseval on the trace coefficients.
+each block of the tensor for vanishing off the Fourier triads its fields'
+modes allow, the basis block also for skew symmetry, at a rounding scale
+bounded from the coefficients; the pseudospectral tables by a skew probe
+on seeded random fields, its lifted fields for div y = 0.  The lift
+couplings and Gram matrices are the basis and lifting stacks' mass and
+energy pairings; the wall term is exact by Parseval on trace coefficients.
 
 One numpy kernel, `_em_block`, only steps a pass of up to STACK blocks of
 BLOCK paths in one loop and returns its history; `Simulator.run_many` hands
@@ -66,7 +67,7 @@ the bits of its own run.
 `GalerkinOperators.convection` is the one evaluator of an operator set,
 chosen by n once: the kernel, `drift`/`step_em` (the single-step reference
 the kernel is tested against) and the damping rate all read it, so src
-builds the n^3 tensors below N_PS only.
+builds the dense tensor below N_PS only.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ class Convection:
     -d_y e2, -(d_y e1 + d_x e2) and the wall traces -+e1 of the entries at
     j.  A product of two band-K fields reaches bin 2K, which on 3K + 1 nodes
     aliases only onto bins past K (Orszag's 3/2 rule); with the Gauss rule
-    in y, exact for these triple products, this is the dense tensors'
+    in y, exact for these triple products, this is the dense tensor's
     quadrature.
 
     The per-mode tables are padded to one stack each, so every stage is one
@@ -355,10 +356,6 @@ class Convection:
         """(k BLOCK, n) convection of stacked (k, BLOCK, n + n_a) rows z."""
         return self.project(self.samples(z)).reshape(-1, self.n)
 
-    def control_term(self, gamma: np.ndarray) -> float:
-        """0: the rows carry the control, so a call includes its terms."""
-        return 0.0
-
     def restricted(self, active: np.ndarray) -> Convection:
         """This evaluator on rows (beta, gamma[active]), cached per active set: the
         synthesis rows of other controls cut and the rest repacked, the
@@ -399,7 +396,7 @@ def _probe_skew(conv: Convection):
     With 2 S(a, b) = N(a + b) - N(a) - N(b), <S(u, v), w> + <S(v, w), u> +
     <S(w, u), v> = -1/2 int [u . grad(v . w) + v . grad(w . u) + w . grad(u . v)]
     vanishes for divergence-free fields with zero normal trace.  The check of
-    the tables that `_check_convection` is for the dense tensors, with its
+    the tables that `_check_convection` is for the dense tensor, with its
     rule: 1e-12 times the summed magnitudes of the terms, here of |products|.
     """
     rng = np.random.default_rng(np.random.SeedSequence([0x5CE3, conv.n]))
@@ -426,8 +423,10 @@ class GalerkinOperators:
 
     `convection`, the one evaluator on `basis` and the lifted unit fields of
     `cache`, built on first read: a `DenseConvection` below N_PS basis
-    entries and a `Convection` from N_PS on.  Every simulator sharing these
-    operators, and `step_em`, reads it, with its cache of restrictions.
+    entries and a `Convection` from N_PS on.  Its contract has three parts:
+    `restricted(active)`, a call on the rows (beta, gamma[active]) and
+    `stacked`.  Every simulator sharing these operators, and `step_em`,
+    reads it, with its cache of restrictions.
     """
 
     lam: np.ndarray
@@ -459,28 +458,34 @@ class GalerkinOperators:
 
 
 class _Pieces:
-    """The single-mode pieces of a stack of fields, sorted by mode.
+    """The single-mode pieces of a stack of fields, or of stacks joined, sorted by mode.
 
-    Piece r is the mode-`mode[r]` part A e^{i k x} + c.c. of field
-    `owner[r]`.  `u` (r, 2, n_q) holds A as an advecting velocity and `grad`
-    (r, 2, 2, n_q) the gradient 2 (i k A_c, A_c') as an advected field
-    (axis 1: d_x, d_y), with the 2 of the conjugate half that `_triad_sum`
-    leaves out.  At j = 0 both hold the full real profile: synthesis on the
-    grid drops the imaginary part of bin 0.  `blocks` maps each mode j to
-    the slice of its pieces and their owners, the positions their entries
-    take in a tensor over the fields.
+    Piece r is the mode-`mode[r]` part A e^{i k x} + c.c. of field `owner[r]`
+    (numbered stack after stack).  `u` (r, 2, n_q) holds A as an advecting
+    velocity and `grad` (r, 2, 2, n_q) the gradient 2 (i k A_c, A_c') as an
+    advected field (axis 1: d_x, d_y), with the 2 of the conjugate half that
+    `_triad_sum` leaves out.  At j = 0 both hold the full real profile:
+    synthesis on the grid drops the imaginary part of bin 0.  `blocks` maps
+    each mode j to the slice of its pieces and their owners, the positions
+    their entries take in a tensor over the fields.
     """
 
-    def __init__(self, fields: ModeField):
-        self.grid = fields.grid
-        # (fields, modes): where a field of the stack does not vanish
-        self.support = np.zeros((len(fields), self.grid.spec.modes_x + 1), bool)
-        self.support[:, : fields.n_modes + 1] = (fields.vals.any(axis=(2, 3))
-                                                 | fields.dvals.any(axis=(2, 3)))
+    def __init__(self, *stacks: ModeField):
+        self.grid = stacks[0].grid
+        # (fields, modes): where a field of the joint stack does not vanish
+        at = np.cumsum([0] + [len(f) for f in stacks])
+        self.support = np.zeros((at[-1], self.grid.spec.modes_x + 1), bool)
+        for lo, f in zip(at, stacks):
+            self.support[lo : lo + len(f), : f.n_modes + 1] = (f.vals.any(axis=(2, 3))
+                                                              | f.dvals.any(axis=(2, 3)))
         self.mode, self.owner = np.nonzero(self.support.T)  # sorted by (mode, owner)
         zero = self.mode == 0
-        self.u = fields.vals[self.owner, self.mode]
-        dvals = fields.dvals[self.owner, self.mode]
+        self.u = np.empty((self.mode.size, 2, self.grid.n_q), complex)
+        dvals = np.empty_like(self.u)
+        for lo, hi, f in zip(at, at[1:], stacks):
+            own = (self.owner >= lo) & (self.owner < hi)
+            self.u[own] = f.vals[self.owner[own] - lo, self.mode[own]]
+            dvals[own] = f.dvals[self.owner[own] - lo, self.mode[own]]
         self.u[zero], dvals[zero] = self.u[zero].real, dvals[zero].real
         ik = 1j * self.grid.kx[self.mode, None, None]
         self.grad = np.stack([ik * self.u, dvals], axis=1)
@@ -516,10 +521,10 @@ def _triad_sum(out: np.ndarray, test: _Pieces, adv: _Pieces, advd: _Pieces):
     product of three is L_x times the sum over the sign choices with
     s_i j_i + s_p j_p + s_q j_q = 0.  They come in conjugate pairs, so an
     entry is 2 L_x Re of the half with s_q = +1 (`grad` carries the 2).  Per
-    mode j_p and sign s_p the profiles (u_p . grad) v_q are formed for every
-    piece q at once; per block j_q, one GEMM takes them against the
-    Gauss-weighted test block at j_i = |s_p j_p + j_q|, conjugated where
-    s_i = -1, and the result is added at its fields' positions.
+    mode j_p, sign s_p and block j_q reaching a test block at |s_p j_p + j_q|,
+    one GEMM takes the profiles (u_p . grad) v_q of their pieces (formed a
+    block at a time to bound the temporaries) against it, Gauss-weighted and
+    conjugated where s_i = -1, and adds the result at its fields' positions.
     """
     g = test.grid
     w = g.spec.length_x * g.w_y * test.u
@@ -528,14 +533,13 @@ def _triad_sum(out: np.ndarray, test: _Pieces, adv: _Pieces, advd: _Pieces):
     for jp, (ps, at_p) in adv.blocks.items():
         for sp in (1,) if jp == 0 else (1, -1):
             u = adv.u[ps] if sp > 0 else adv.u[ps].conj()
-            f = advd.grad[:, None, 0] * u[None, :, 0, None]
-            f += advd.grad[:, None, 1] * u[None, :, 1, None]   # (Q, P, 2, n_q)
-            f = f.view(float).reshape(f.shape[0], f.shape[1], -1)
             for jq, (qs, at_q) in advd.blocks.items():
                 t = sp * jp + jq
                 if abs(t) in test.blocks:
                     i_s, at_i = test.blocks[abs(t)]
-                    res = rows[t < 0][i_s] @ f[qs].reshape(-1, f.shape[2]).T
+                    f = advd.grad[qs, None, 0] * u[None, :, 0, None]
+                    f += advd.grad[qs, None, 1] * u[None, :, 1, None]   # (Q, P, 2, n_q)
+                    res = rows[t < 0][i_s] @ f.view(float).reshape(f.shape[0] * f.shape[1], -1).T
                     out[at_i[:, None, None], at_q[:, None], at_p] += res.reshape(
                         at_i.size, at_q.size, -1)
 
@@ -545,8 +549,8 @@ def _check_convection(conv: np.ndarray, mode_j, scale: float, supp_p=None, supp_
     {a + b, |a - b|}, a and b modes of the p-th and q-th fields, to 1e-12 * scale.
 
     supp_p and supp_q are the (fields, modes) supports of the advecting and
-    advected stacks; without them conv is conv_bb, whose fields are the
-    basis entries, and it must also be skew in (i, q).
+    advected stacks; without them conv is the basis block of a tensor, whose
+    fields are the basis entries, and it must also be skew in (i, q).
     """
     bound = 1e-12 * scale
     j = np.asarray(mode_j)
@@ -564,8 +568,11 @@ def _check_convection(conv: np.ndarray, mode_j, scale: float, supp_p=None, supp_
             raise DynamicsError("convection tensor couples modes off the Fourier triads")
 
 
-def _check_scales(e: _Pieces, a: _Pieces) -> tuple:
-    """Rounding scales of conv_bb, conv_bc and conv_cc for their checks.
+def _check_scales(e: _Pieces, z: _Pieces) -> np.ndarray:
+    """(2, 2) rounding scales of the blocks of a tensor over z's fields for
+    their checks, the test fields those of e: entry [b, c] is the scale of
+    the block whose advecting fields are part b of z and advected fields
+    part c, part 0 e's fields and part 1 the rest.
 
     Each bounds the summed magnitudes |e_i| |u_p| |grad v_q| of the terms of
     any entry's sum in `_triad_sum`, over its triads, y and the components,
@@ -576,81 +583,72 @@ def _check_scales(e: _Pieces, a: _Pieces) -> tuple:
     g = e.grid
     test = np.zeros(e.support.shape[1])
     np.maximum.at(test, e.mode, g.spec.length_x * (np.abs(e.u) * g.w_y).sum(axis=(1, 2)))
-    (eu, eg), (au, ag) = e.magnitudes(), a.magnitudes()
-    terms = (_reach(eu, eg), _reach(eu, ag) + _reach(au, eg).transpose(0, 2, 1), _reach(au, ag))
-    return tuple((test * t.max(axis=(1, 2))).max() for t in terms)
+    per_pq = (test[:, None, None] * _reach(*z.magnitudes())).max(axis=0)
+    cut = [len(e.support)]
+    return np.array([[block.max(initial=0.0) for block in np.split(row, cut, axis=1)]
+                     for row in np.split(per_pq, cut)])
 
 
 class DenseConvection:
-    """`Convection`'s contract on dense tensors of the basis entries e_i and a
-    stack of further fields a_c (the lifted unit fields):
+    """`Convection`'s contract on the dense tensor of the trilinear form over
+    the joint stack z of the basis entries e_i and further fields a_c (the
+    lifted unit fields), z_p = e_p and z_{n + c} = a_c:
 
-    conv_bb[i, p, q] = ((e_p . grad) e_q, e_i)
-    conv_bc[i, p, c] = ((e_p . grad) a_c + (a_c . grad) e_p, e_i)
-    conv_cc[i, c, d] = ((a_c . grad) a_d, e_i)
+    C[i, p, q] = ((z_p . grad) z_q, e_i),   (n, n + n_a, n + n_a)
 
-    each summed by `_triad_sum` and checked here: all three vanish off the
-    Fourier triads and conv_bb is skew in (i, q).  A call takes rows z =
-    (beta, gamma) to y = z @ `table` per block and each row's beta @ y
-    reshaped (n, n); `stacked` is the reference contraction of `drift`.
+    summed in one `_triad_sum` pass and checked here block by block: each
+    of its four blocks vanishes off the Fourier triads, and the basis block
+    C[:, :n, :n] is skew in (i, q).  A call takes rows z = (beta, gamma) to
+    y = z @ `table` per block and each row's z @ y reshaped (n + n_a, n);
+    `stacked` is the reference contraction of `drift`.
     """
 
     def __init__(self, basis: Basis, fields: ModeField):
-        n = self.n = basis.size
-        e, a = _Pieces(basis.fields), _Pieces(fields)
-        scales = _check_scales(e, a)
-        self.conv_bb = np.zeros((n, n, n))
-        _triad_sum(self.conv_bb.transpose(0, 2, 1), e, e, e)
-        _check_convection(self.conv_bb, basis.mode_j, scales[0])
-        n_a = self.n_a = len(fields)
-        self.conv_bc, self.conv_cc = np.zeros((n, n, n_a)), np.zeros((n, n_a, n_a))
-        _triad_sum(self.conv_bc.transpose(0, 2, 1), e, e, a)
-        _triad_sum(self.conv_bc, e, a, e)
-        _triad_sum(self.conv_cc.transpose(0, 2, 1), e, a, a)
-        _check_convection(self.conv_bc, basis.mode_j, scales[1], e.support, a.support)
-        _check_convection(self.conv_cc, basis.mode_j, scales[2], a.support, a.support)
+        n, n_a = self.n, self.n_a = basis.size, len(fields)
+        e, z = _Pieces(basis.fields), _Pieces(basis.fields, fields)
+        scales = _check_scales(e, z)
+        self.conv = np.zeros((n, n + n_a, n + n_a))
+        _triad_sum(self.conv.transpose(0, 2, 1), e, z, z)
+        parts = (slice(None, n), slice(n, None))
+        for b, c in np.ndindex(2, 2):                 # the basis block: skew, no supports
+            sup = () if b == c == 0 else (z.support[parts[b]], z.support[parts[c]])
+            _check_convection(self.conv[:, parts[b], parts[c]], basis.mode_j, scales[b, c], *sup)
         self._restricted, self._scratch = {}, np.empty(0)
 
     @cached_property
     def table(self) -> np.ndarray:
-        """T[q, (p, i)] = conv_bb[i, p, q], T[n + c, (p, i)] = conv_bc[i, p, c]."""
-        return np.concatenate([t.transpose(2, 1, 0).reshape(t.shape[2], self.n**2)
-                               for t in (self.conv_bb, self.conv_bc)])
+        """T[q, (p, i)] = C[i, p, q] over the n + n_a rows."""
+        return self.conv.transpose(2, 1, 0).reshape(self.conv.shape[2], -1)
 
     def restricted(self, active: np.ndarray) -> DenseConvection:
         """This evaluator on rows (beta, gamma[active]), cached per active set:
-        conv_bc and conv_cc cut to those columns, with a T of its own."""
+        C cut to the rows of those columns, with a T of its own."""
         key = active.tobytes()
         if key not in self._restricted:
+            rows = np.r_[: self.n, self.n + active]
             sub = self._restricted[key] = copy.copy(self)
-            sub.n_a, sub.conv_bc = active.size, self.conv_bc[:, :, active]
-            sub.conv_cc = self.conv_cc[:, active][:, :, active]
-            vars(sub).pop("table", None)          # its T is built from the cut conv_bc
+            sub.n_a, sub.conv = active.size, self.conv[:, rows[:, None], rows]
+            vars(sub).pop("table", None)          # its T is built from the cut C
         return self._restricted[key]
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """(k BLOCK, n) convection of stacked (k, BLOCK, n + n_a) rows z."""
         n, y = self.n, self._scratch
-        if len(y) != len(z):               # y (k, BLOCK, n, n), kept between calls of one k
-            y = self._scratch = np.empty(z.shape[:-1] + (n * n,)).reshape(z.shape[:-1] + (n, n))
-        np.matmul(z, self.table, out=y.base)              # y's base is its (k, BLOCK, n^2) view
-        return np.matmul(z[..., None, :n], y).reshape(-1, n)
-
-    def control_term(self, gamma: np.ndarray) -> np.ndarray:
-        """(L, n) conv_cc gamma gamma of control rows gamma (L, n_a)."""
-        # the products are rounded one by one before the sum, as a full-width
-        # mat-vec rounds a few terms spread over its lanes
-        cc = self.conv_cc.reshape(self.n * self.n_a, self.n_a)
-        return ((gamma @ cc.T).reshape(len(gamma), self.n, self.n_a) * gamma[:, None]).sum(2)
+        if len(y) != len(z):       # y (k, BLOCK, n + n_a, n), kept between calls of one k
+            y = self._scratch = np.empty(z.shape[:-1] + (z.shape[-1] * n,)).reshape(z.shape + (n,))
+        np.matmul(z, self.table, out=y.base)      # y's base is its (k, BLOCK, (n + n_a) n) view
+        return np.matmul(z[..., None, :], y).reshape(-1, n)
 
     def stacked(self, beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
         """Convection of stacked states beta (..., n) and controls (..., n_a)
-        that broadcast against them, term by term: the reference contraction."""
-        n, nc = self.n, self.n_a
+        that broadcast against them: the reference contraction, by blocks of
+        C, those that gamma enters first against gamma's (fewer) rows."""
+        n, nc, c = self.n, self.n_a, self.conv
         outer = (beta[..., :, None] * beta[..., None, :]).reshape(beta.shape[:-1] + (n * n,))
-        bc = (gamma @ self.conv_bc.reshape(n * n, nc).T).reshape(gamma.shape[:-1] + (n, n))
-        cc = (gamma @ self.conv_cc.reshape(n * nc, nc).T).reshape(gamma.shape[:-1] + (n, nc))
-        return (outer @ self.conv_bb.reshape(n, -1).T + (bc @ beta[..., None])[..., 0]
+        mixed = c[:, :n, n:] + c[:, n:, :n].transpose(0, 2, 1)       # [i, p, c]
+        bc = (gamma @ mixed.reshape(n * n, nc).T).reshape(gamma.shape[:-1] + (n, n))
+        cc = (gamma @ c[:, n:, n:].reshape(n * nc, nc).T).reshape(gamma.shape[:-1] + (n, nc))
+        return (outer @ c[:, :n, :n].reshape(n, -1).T + (bc @ beta[..., None])[..., 0]
                 + (cc @ gamma[..., None])[..., 0])
 
 
@@ -773,7 +771,7 @@ BLOCK = 4
 STACK = 16
 
 # Basis size from which the kernel evaluates the convection pseudospectrally
-# (`Convection`) instead of through the dense n^3 tensors.  Per step of a
+# (`Convection`) instead of through the dense tensor.  Per step of a
 # 16-path pass of 4-row blocks with the workloads' 2-column control (modes_x =
 # 8, nodes_y = 24, BLAS on one thread, four rounds, a 2-vCPU host), dense /
 # pseudospectral ms: n = 40 0.09-0.12 / 0.22-0.34, 48 0.14-0.17 / 0.22-0.25,
@@ -812,13 +810,14 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     The control drift (lift_v, btrace, lift_h terms) is the same for every path
     of a group: `drift` at beta = 0 on the (C, L, n_ctrl) stack forms every
     group's, C separate products per operator with the bits of a one-control
-    pass, and it fills the group's rows of the pushes before the loop.  The
-    convection is evaluated on the rows z = (beta, gamma[active]) of the
-    block, active the columns not 0 at every node of some group's control,
-    by the evaluator `conv` restricted to them, whose control term of each
-    group's (L, |active|) columns joins its control drift; a column that a
-    group does not use adds exact zeros to its rows' sums, a zero control has
-    no active column, and conv None is a linear run.  A step writes the
+    pass, and it fills the group's rows of the pushes before the loop.  Of
+    the evaluator's contract (`restricted`, a call on the rows (beta,
+    gamma[active]), and `stacked`, the reference of `drift`) the kernel uses
+    the first two: the convection, the terms of gamma alone included, is a
+    call of `conv.restricted(active)` on the rows z of the block, active the
+    columns not 0 at every node of some group's control; a column that a
+    group does not use adds exact zeros to its rows' sums, a zero control
+    has no active column, and conv None is a linear run.  A step writes the
     control columns of all rows in one assignment from an (n_steps, W,
     |active|) array filled before the loop.  A path aborts when its squared
     norm is not finite or passes BLOWUP_LIMIT, read at call time: its abort
@@ -838,14 +837,9 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
         conv = conv.restricted(active)
     push, hist = work[0, :n_steps], work[1]
     # each group's path-independent drift per step, dt (the linear drift at
-    # beta = 0 - the convection's control term): the control term, whose
-    # products are (L, n, n_a) per group, is formed group by group, since a
-    # poll's (C, L, .) temporaries are C times a one-control pass's; then each
-    # path's additive noise
+    # beta = 0; the convection's rows carry the control), then each path's
+    # additive noise
     ctrl_drift = drift(np.zeros(n), ops, nu, gamma, gamma_dot, None)
-    if conv is not None:
-        for d, a in zip(ctrl_drift, g_a):
-            d -= conv.control_term(a)
     ctrl_drift *= dt
     for d, cut in zip(ctrl_drift[:, :n_steps], groups):
         push[:, cut] = d[:, None, :]

@@ -12,6 +12,7 @@ trilinear products of resolved profiles are integrated exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class GeometryError(ValueError):
 class DomainSpec:
     """Physical and resolution parameters of the periodic channel.
 
-    length_x: channel period L_x.
+    length_x: channel period L_x, with (2 pi modes_x / L_x)^4 finite.
     modes_x: number K of resolved Fourier wavenumbers (k_j = 2*pi*j/L_x, |j| <= K).
     nodes_y: wall-normal collocation nodes across y in [0, 1].
     friction_alpha: wall friction coefficient (>= 0), the one alpha that the
@@ -60,6 +61,10 @@ class DomainSpec:
             raise GeometryError(f"modes_x must be an integer >= {MIN_MODES_X}")
         if int(self.nodes_y) != self.nodes_y or self.nodes_y < MIN_NODES_Y:
             raise GeometryError(f"nodes_y must be an integer >= {MIN_NODES_Y}")
+        k = 2.0 * math.pi * float(self.modes_x) / float(self.length_x)
+        if not math.isfinite(k * k * k * k):    # k^4 scales the j >= 1 pencils; floats give inf
+            raise GeometryError(f"length_x = {self.length_x:g} is too small for modes_x = "
+                                f"{self.modes_x}: the top wavenumber's fourth power overflows")
 
 
 def cheb_lobatto_nodes(n: int) -> np.ndarray:

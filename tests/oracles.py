@@ -10,10 +10,10 @@
   by Parseval on the Fourier coefficients and samples in x only in
   `Convection`, on its own 3 modes_x + 1 nodes; this rule is independent of
   both.
-* `sampled_convection_tensors`: the dense convection tensors by quadrature
+* `sampled_convection_tensors`: the dense convection tensor by quadrature
   on the sampled (n_x, n_q) grid, every field sampled by `sample_fields` and
   every product formed pointwise.  The dynamics module assembles the same
-  tensors triad by triad from the Fourier coefficients, without sampling;
+  tensor triad by triad from the Fourier coefficients, without sampling;
   this is the reference it is tested against.
 * `advective_convection`: the pseudospectral convection in advective form,
   ((y . grad) y, e_i) from the velocity and its gradient sampled on the
@@ -209,22 +209,22 @@ def _sampled_convection(test_w, u, grad_v):
 
 
 def sampled_convection_tensors(basis, cache):
-    """(conv_bb, conv_bc, conv_cc, scale) by quadrature on the sampled grid.
+    """(C, scale): C[i, p, q] = ((z_p . grad) z_q, e_i) over the joint stack z
+    of the basis entries and the lifted unit fields, by quadrature on the
+    sampled grid, the stack sampled once.
 
-    scale bounds the summed magnitudes of any conv_bb entry's quadrature
-    terms: the scale of its rounding, even where the entry vanishes in
-    exact arithmetic.
+    scale bounds the summed magnitudes of the quadrature terms of any entry
+    of the basis block C[:, :n, :n]: the scale of its rounding, even where
+    the entry vanishes in exact arithmetic.
     """
-    g = basis.grid
-    e = sample_fields(basis.fields)
+    g, n, a = basis.grid, basis.size, padded(cache.fields)
+    z = sample_fields(ModeField(g, *(np.concatenate([getattr(basis.fields, k), getattr(a, k)])
+                                     for k in ("vals", "dvals", "wall_vals", "wall_dvals"))))
+    e = z[:n]
     test_w = e[:, :2] * quad_weights_domain(g)
-    conv_bb = _sampled_convection(test_w, e[:, :2], e[:, 2:])
     u_max, g_max = (max(x.max(), -x.min()) for x in (e[:, :2], e[:, 2:]))
     scale = 2.0 * np.abs(test_w).sum(axis=(1, 2, 3)).max() * u_max * g_max
-    a = sample_fields(cache.fields)
-    conv_bc = _sampled_convection(test_w, e[:, :2], a[:, 2:])
-    conv_bc += _sampled_convection(test_w, a[:, :2], e[:, 2:]).transpose(0, 2, 1)
-    return conv_bb, conv_bc, _sampled_convection(test_w, a[:, :2], a[:, 2:]), scale
+    return _sampled_convection(test_w, z[:, :2], z[:, 2:]), scale
 
 
 def advective_convection(basis, fields, z):

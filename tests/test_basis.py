@@ -354,3 +354,20 @@ def test_pencil_matches_scipy_eigh(modes_x, nodes_y, alpha):
     for j, (a, m) in enumerate(pencils):
         one_lam, one_vecs = bs._solve_pencil(a, m)
         assert np.array_equal(lam[j], one_lam) and np.array_equal(vecs[j], one_vecs)
+
+
+@pytest.mark.parametrize("bad", ["energy", "mass", "stacked"])
+def test_solve_pencil_raises_basis_error_on_nonfinite_pencil(bad):
+    # an overflowed pencil (inf and nan entries) fails in numpy.linalg; the
+    # LinAlgError reaches the caller as one BasisError
+    grid = build_grid(DomainSpec(length_x=2 * np.pi, modes_x=3, nodes_y=16,
+                                 friction_alpha=0.0, viscosity=0.5))
+    a, m, _ = bs.reduced_pencil(grid, 1)
+    if bad == "energy":
+        a = np.where(a != 0.0, np.inf, a)
+    elif bad == "mass":
+        m = np.full_like(m, np.nan)
+    else:                                     # one bad pencil of a stack
+        a, m = np.stack([a, np.full_like(a, np.inf)]), np.stack([m, m])
+    with pytest.raises(BasisError, match="eigensolver failed"):
+        bs._solve_pencil(a, m)

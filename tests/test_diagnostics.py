@@ -337,14 +337,13 @@ def test_empirical_damping_rate_finite(sim_mod, mc_bundle):
 
 def test_empirical_damping_rate_uses_integrated_drift(sim_mod, make_control):
     # a linear run is rated with the drift it integrated: the convection
-    # tensors it never used cannot change the rate, even when they are NaN
+    # tensor it never used cannot change the rate, even when it is NaN
     ops = sim_mod.ops
     linear = Simulator(sim_mod.basis, sim_mod.cache, sim_mod.noise, t_final=0.5,
                        dt=0.005, include_nonlinear=False, ops=ops)
     no_conv = replace(ops)
     no_conv.convection = copy.copy(ops.convection)
-    for name in ("conv_bb", "conv_bc", "conv_cc"):
-        setattr(no_conv.convection, name, np.full_like(getattr(ops.convection, name), np.nan))
+    no_conv.convection.conv = np.full_like(ops.convection.conv, np.nan)
     zeroed = Simulator(sim_mod.basis, sim_mod.cache, sim_mod.noise, t_final=0.5,
                        dt=0.005, include_nonlinear=False, ops=no_conv)
     ctrl = make_control(2 * np.pi, 2, [0.0, 0.5], 0.3, seed=95)
@@ -379,7 +378,9 @@ def test_damping_load_identity(sim_mod, mc_bundle):
     rng = np.random.default_rng(56)
     b = rng.standard_normal(ops.n)
     g = ctrl.gamma[0]
-    mixed_total = b @ np.einsum("ipc,p,c->i", ops.convection.conv_bc, b, g)
+    c, n = ops.convection.conv, ops.n
+    mixed_total = b @ (np.einsum("ipc,p,c->i", c[:, :n, n:], b, g)
+                       + np.einsum("icp,c,p->i", c[:, n:, :n], g, b))
     # wall = int_Gamma a (u.tau)^2 by direct sampling of both traces
     u = sim_mod.basis.fields.combine(b)
     grid = sim_mod.grid

@@ -31,7 +31,6 @@ from slipflow.dynamics import (
     Paths,
     Simulator,
     Trajectory,
-    _check_convection,
     _check_scales,
     _Pieces,
     _probe_skew,
@@ -140,47 +139,49 @@ def test_convection_tensors_match_direct(sim_small, basis_small, cache_small, ma
     gam = ctrl.gamma[0]
     y = basis_small.fields.combine(beta) + padded(cache_small.fields.combine(gam))
     direct = Convection(basis_small, y[None]).stacked(np.zeros(n), np.ones(1))
-    tensor = (
-        dense.conv_bb.reshape(n, -1) @ np.outer(beta, beta).ravel()
-        + (dense.conv_bc @ gam) @ beta
-        + (dense.conv_cc @ gam) @ gam
-    )
+    z = np.concatenate([beta, gam])
+    tensor = dense.conv.reshape(n, -1) @ np.outer(z, z).ravel()
     assert np.abs(tensor - direct).max() < 1e-10 * max(1.0, np.abs(direct).max())
 
 
-@pytest.mark.parametrize("tensor,fault", [("bb", "skew"), ("bb", "triad"),
-                                          ("bc", "triad"), ("cc", "triad")],
-                         ids=["skew", "triad", "bc-triad", "cc-triad"])
+@pytest.mark.parametrize("block,fault", [((0, 0), "skew"), ((0, 0), "triad"), ((0, 1), "triad"),
+                                         ((1, 0), "triad"), ((1, 1), "triad")],
+                         ids=["skew", "triad", "bc-triad", "cb-triad", "cc-triad"])
 def test_convection_check_rejects_tampered_tensor(sim_small, basis_small, cache_small,
-                                                  tensor, fault):
-    conv = getattr(sim_small.ops.convection, f"conv_{tensor}").copy()
-    j = basis_small.mode_j
-    scale = np.abs(conv).max()
-    # (fields, modes) supports of the advecting and advected stacks
-    basis_supp, lift_supp = (_Pieces(f).support for f in (basis_small.fields, cache_small.fields))
-    supports = {"bb": (), "bc": (basis_supp, lift_supp), "cc": (lift_supp, lift_supp)}[tensor]
-    _check_convection(conv, j, scale, *supports)
+                                                  block, fault, monkeypatch):
+    # a fault of 1e-6 of its block's scale in the triad sum's C, in each of
+    # the four blocks (advecting part, advected part: 0 the basis entries, 1
+    # the lifted fields), makes the constructor raise
+    clean, n, j = sim_small.ops.convection.conv, basis_small.size, basis_small.mode_j
+    z = _Pieces(basis_small.fields, cache_small.fields)
+    scale = _check_scales(_Pieces(basis_small.fields), z)[block]
+    ps, qs = (np.arange(n) if b == 0 else n + np.arange(cache_small.n_dofs) for b in block)
+    faults = {}
     if fault == "skew":
         # break skew symmetry on the largest (on-triad) entry
-        conv[np.unravel_index(np.abs(conv).argmax(), conv.shape)] += 1e-6 * scale
-    elif tensor == "bb":
+        faults[np.unravel_index(np.abs(clean[:, :n, :n]).argmax(), (n, n, n))] = 1e-6 * scale
+    elif block == (0, 0):
         # a skew-symmetric pair of entries off the Fourier triads
-        i, p, q = next((i, p, q) for i in range(j.size) for p in range(j.size)
-                       for q in range(i + 1, j.size)
+        i, p, q = next((i, p, q) for i in range(n) for p in range(n) for q in range(i + 1, n)
                        if j[i] not in (j[p] + j[q], abs(j[p] - j[q])))
-        conv[i, p, q] += 1e-6 * scale
-        conv[q, p, i] -= 1e-6 * scale
+        faults[i, p, q], faults[q, p, i] = 1e-6 * scale, -1e-6 * scale
     else:
         # an entry no triad of the two fields' modes reaches
-        supp_p, supp_q = supports
-        i, p, q = next((i, p, q) for i in range(j.size) for p in range(conv.shape[1])
-                       for q in range(conv.shape[2])
-                       if not any(j[i] in (a + b, abs(a - b)) for a in np.flatnonzero(supp_p[p])
-                                  for b in np.flatnonzero(supp_q[q])))
-        assert conv[i, p, q] == 0.0
-        conv[i, p, q] += 1e-6 * scale
+        i, p, q = next((i, p, q) for i in range(n) for p in ps for q in qs
+                       if not any(j[i] in (a + b, abs(a - b)) for a in np.flatnonzero(z.support[p])
+                                  for b in np.flatnonzero(z.support[q])))
+        assert clean[i, p, q] == 0.0
+        faults[i, p, q] = 1e-6 * scale
+    triad_sum = dyn._triad_sum
+
+    def faulty(out, *pieces):                 # out is C viewed as (i, q, p)
+        triad_sum(out, *pieces)
+        for (i, p, q), d in faults.items():
+            out[i, q, p] += d
+
+    monkeypatch.setattr(dyn, "_triad_sum", faulty)
     with pytest.raises(DynamicsError, match=fault):
-        _check_convection(conv, j, scale, *supports)
+        DenseConvection(basis_small, cache_small.fields)
 
 
 def test_reach_counts_fourier_triads():
@@ -212,23 +213,38 @@ def sampled_case(request):
     return stack, sampled_convection_tensors(stack.basis, stack.cache)
 
 
+def _blocks(tensor, n):
+    """The four blocks of a tensor C (n, n + n_a, n + n_a), by (advecting part,
+    advected part), 0 the basis entries and 1 the lifted fields."""
+    parts = (slice(None, n), slice(n, None))
+    return {(b, c): tensor[:, parts[b], parts[c]] for b in (0, 1) for c in (0, 1)}
+
+
 def test_convection_tensors_match_sampled_oracle(sampled_case):
-    stack, oracle = sampled_case
-    assert stack.basis.size < N_PS
-    for name, ref in zip(("conv_bb", "conv_bc", "conv_cc"), oracle):
-        tensor = getattr(stack.ops.convection, name)
-        assert tensor.shape == ref.shape, name
-        assert np.abs(tensor - ref).max() <= 1e-13 * np.abs(ref).max(), name
+    # each block against its own largest entry, and the two mixed blocks'
+    # sum C(E, A) + C(A, E)^T against its own
+    stack, (ref, _) = sampled_case
+    n = stack.basis.size
+    assert n < N_PS
+    tensor = stack.ops.convection.conv
+    assert tensor.shape == ref.shape
+    got, want = _blocks(tensor, n), _blocks(ref, n)
+    for t in (got, want):
+        t["mixed"] = t[0, 1] + t[1, 0].transpose(0, 2, 1)
+    for key in got:
+        assert np.abs(got[key] - want[key]).max() <= 1e-13 * np.abs(want[key]).max(), key
 
 
 def test_check_scales_from_coefficients(sampled_case):
-    # each scale bounds every entry (an entry is at most its summed term
-    # magnitudes), and conv_bb's is no larger than the sampled quadrature's
-    stack, oracle = sampled_case
-    scales = _check_scales(_Pieces(stack.basis.fields), _Pieces(stack.cache.fields))
-    assert scales[0] <= oracle[3]
-    for name, scale in zip(("conv_bb", "conv_bc", "conv_cc"), scales):
-        assert np.abs(getattr(stack.ops.convection, name)).max() <= scale, name
+    # each block's scale bounds its every entry (an entry is at most its
+    # summed term magnitudes), and the basis block's is no larger than the
+    # sampled quadrature's
+    stack, (_, oracle_scale) = sampled_case
+    scales = _check_scales(_Pieces(stack.basis.fields),
+                           _Pieces(stack.basis.fields, stack.cache.fields))
+    assert scales[0, 0] <= oracle_scale
+    for key, block in _blocks(stack.ops.convection.conv, stack.basis.size).items():
+        assert np.abs(block).max() <= scales[key], key
 
 
 def test_dense_assembly_samples_no_grid(basis_small, cache_small, monkeypatch):
@@ -518,7 +534,7 @@ def test_evaluator_switches_at_60(wide, n):
 def test_dense_table_built_once(sim_small, make_control, zero_ctrl, monkeypatch):
     # the simulator's evaluator is ops.convection, handed to every kernel call, and
     # two passes with one active set read one restricted table T, T[q, (p, i)]
-    # = conv_bb[i, p, q] and T[n + c, (p, i)] = conv_bc[i, p, active[c]]
+    # = C[i, p, q] over the rows r = (0..n-1, n + active)
     dense, n = sim_small.ops.convection, sim_small.ops.n
     assert sim_small.convection is dense
     seen, kernel = [], dyn._em_block
@@ -531,10 +547,10 @@ def test_dense_table_built_once(sim_small, make_control, zero_ctrl, monkeypatch)
     sim_small.run_many(range(BLOCK + 1), ctrl=ctrl)
     assert len(seen) == 3 and all(c is dense for c in seen) and sim_small.convection is dense
     assert dense.restricted(active).table is table
-    assert table.shape == (n + active.size, n * n)
-    assert np.array_equal(table[:n].reshape(n, n, n), dense.conv_bb.transpose(2, 1, 0))
-    assert np.array_equal(table[n:].reshape(-1, n, n),
-                          dense.conv_bc[:, :, active].transpose(2, 1, 0))
+    r = np.r_[:n, n + active]
+    assert table.shape == (r.size, r.size * n)
+    assert np.array_equal(table.reshape(r.size, r.size, n),
+                          dense.conv[:, r][:, :, r].transpose(2, 1, 0))
 
 
 @pytest.mark.parametrize("dt, t_final", [(0.5, 1.0), (0.1, 2.0)])
@@ -1020,10 +1036,9 @@ def narrow():
 
 
 def _check_matches_dense(stack, make_control, n, controlled):
-    # conv_bb beta beta + conv_bc gamma beta + conv_cc gamma gamma, row by row,
-    # against Convection on the full rows and both evaluators restricted to
-    # the two-dof columns [1, 18] and to every column, the dense one with its
-    # control term
+    # C z z of the rows z = (beta, gamma), row by row, against Convection on
+    # the full rows and both evaluators restricted to the two-dof columns
+    # [1, 18] and to every column
     basis = bs.build_eigenbasis(stack.basis.grid, n)
     rng = np.random.default_rng(n)
     beta = 0.5 * rng.standard_normal((BLOCK, n))
@@ -1037,9 +1052,8 @@ def _check_matches_dense(stack, make_control, n, controlled):
              else DenseConvection(basis, stack.cache.fields))
 
     def einsum_ref(g):
-        return (np.einsum("ipq,wp,wq->wi", dense.conv_bb, beta, beta)
-                + np.einsum("ipc,wc,wp->wi", dense.conv_bc, g, beta)
-                + np.einsum("icd,wc,wd->wi", dense.conv_cc, g, g))
+        z = np.concatenate([beta, g], axis=1)
+        return np.einsum("ipq,wp,wq->wi", dense.conv, z, z)
 
     ref = einsum_ref(gam)
     assert np.abs(conv(conv.rows(beta, gam)) - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -1049,8 +1063,7 @@ def _check_matches_dense(stack, make_control, n, controlled):
         ref = einsum_ref(g)
         z = np.concatenate([beta, gam[:, active]], axis=1)[None]    # one (1, BLOCK, .) block
         sub = dense.restricted(active)
-        for got in (sub(z) + sub.control_term(gam[:, active]),
-                    conv.restricted(active)(z)):
+        for got in (sub(z), conv.restricted(active)(z)):
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -1261,7 +1274,7 @@ def test_two_dof_kernel_matches_step_em(path, request):
 @pytest.mark.parametrize("path", ["dense", "pseudospectral"])
 def test_inactive_control_rows_never_read(path, request):
     # NaN in every control column the two-dof control does not use, in the
-    # dense conv_bc and conv_cc or in the packed pseudospectral synthesis
+    # rows of the dense C or in the packed pseudospectral synthesis
     # rows that its restriction repacks, leaves the paths finite and the same
     # bits: 0 * NaN would be NaN
     clean, poisoned = _path_sim(path, request), _path_sim(path, request)
@@ -1271,9 +1284,8 @@ def test_inactive_control_rows_never_read(path, request):
     conv = poisoned.convection = copy.copy(poisoned.convection)
     conv._restricted = {}
     if path == "dense":
-        conv.conv_bc, conv.conv_cc = conv.conv_bc.copy(), conv.conv_cc.copy()
-        conv.conv_bc[:, :, inactive] = np.nan
-        conv.conv_cc[:, inactive] = conv.conv_cc[:, :, inactive] = np.nan
+        conv.conv = conv.conv.copy()
+        conv.conv[:, n + inactive] = conv.conv[:, :, n + inactive] = np.nan
     else:
         conv.s_tab = conv.s_tab.copy()
         for j, m in enumerate(conv.s_len):

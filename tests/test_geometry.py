@@ -6,6 +6,7 @@ from slipflow.geometry import (
     DomainSpec,
     GeometryError,
     _cheb_bary_weights,
+    build_grid,
     cheb_lobatto_nodes,
     diff_matrix,
     gauss_legendre_01,
@@ -20,6 +21,19 @@ def test_spec_rejects_bad_parameters():
                 {"friction_alpha": -0.1}):
         with pytest.raises(GeometryError):
             DomainSpec(**{**good, **bad})
+
+
+@pytest.mark.parametrize("modes_x", [1, 3, 8])
+def test_spec_bounds_the_top_wavenumber(modes_x):
+    # (2 pi modes_x / length_x)^4 must be finite: the bound rejects without
+    # an overflow warning or error down to the smallest float, and a length
+    # 5% above it builds a grid
+    good = dict(modes_x=modes_x, nodes_y=16, friction_alpha=1.0, viscosity=0.5)
+    bound = 2.0 * np.pi * modes_x / np.finfo(float).max ** 0.25
+    for tiny in (0.95 * bound, 1e-300, 5e-324):
+        with pytest.raises(GeometryError, match="fourth power overflows"):
+            DomainSpec(length_x=tiny, **good)
+    build_grid(DomainSpec(length_x=1.05 * bound, **good))
 
 
 def test_domain_area(grid_small):
