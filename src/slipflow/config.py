@@ -18,7 +18,7 @@ from .basis import Basis, build_eigenbasis, max_basis_size
 from .control import AdmissibleSpec, ParamMap
 from .dynamics import Simulator, build_noise, make_initial_coeffs
 from .geometry import DomainSpec, GeometryError, build_grid
-from .lifting import BoundaryControl, LiftingCache, LiftingError
+from .lifting import BoundaryControl, LiftingCache, LiftingError, check_harmonic_band
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -164,6 +164,7 @@ class RunConfig:
         try:
             spec = DomainSpec(**d["domain"])
             proto = BoundaryControl.zeros(d["domain"]["length_x"], c["n_modes"], [0.0], c["p"])
+            check_harmonic_band(d["domain"]["length_x"], c["n_modes"])
         except (GeometryError, LiftingError) as exc:
             raise ConfigError(str(exc)) from exc
         if not 1 <= d["basis_size"] <= max_basis_size(spec):

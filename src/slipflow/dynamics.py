@@ -58,12 +58,12 @@ is bitwise the same whatever its batch, its position in it and the number
 of blocks in its pass.  A run may take a stack of C controls (a compass
 poll's candidates), each over every seed, one contiguous group per control,
 and each seed's increments drawn once a pass: one `series` call samples the
-stack, the kernel forms every group's control drift by `drift` at beta = 0
-on the stack, C separate products per operator with a one-control pass's
-bits, and fills the rows' control columns of each step from one array made
-before the loop; `_measure` forms the state's series of the whole pass at
-once and each group's tracking on its row slice.  So a group's paths are
-the bits of its own run.
+stack, the kernel forms each group's control drift by `drift` at beta = 0
+on that control's own series, with a one-control pass's bits, and fills
+the rows' control columns of each step from one array made before the
+loop; `_measure` forms the state's series of the whole pass at once and
+each group's tracking on its row slice.  So a group's paths are the bits of
+its own run.
 `GalerkinOperators.convection` is the one evaluator of an operator set,
 chosen by n once: the kernel, `drift`/`step_em` (the single-step reference
 the kernel is tested against) and the damping rate all read it, so src
@@ -808,16 +808,16 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     history (n_steps + 1, W, n), returned, whose rows hold each step's decay
     factor until the step scales it by the state.
     The control drift (lift_v, btrace, lift_h terms) is the same for every path
-    of a group: `drift` at beta = 0 on the (C, L, n_ctrl) stack forms every
-    group's, C separate products per operator with the bits of a one-control
-    pass, and it fills the group's rows of the pushes before the loop.  Of
-    the evaluator's contract (`restricted`, a call on the rows (beta,
-    gamma[active]), and `stacked`, the reference of `drift`) the kernel uses
-    the first two: the convection, the terms of gamma alone included, is a
-    call of `conv.restricted(active)` on the rows z of the block, active the
-    columns not 0 at every node of some group's control; a column that a
-    group does not use adds exact zeros to its rows' sums, a zero control
-    has no active column, and conv None is a linear run.  A step writes the
+    of a group: `drift` at beta = 0 on the group's own (L, n_ctrl) series
+    forms it, one call per group with the bits of a one-control pass and no
+    (C, L, n) temporaries, and fills the group's rows of the pushes before
+    the loop.  Of the evaluator's contract (`restricted`, a call on the rows
+    (beta, gamma[active]), and `stacked`, the reference of `drift`) the
+    kernel uses the first two: the convection, the terms of gamma alone
+    included, is a call of `conv.restricted(active)` on the rows z of the
+    block, active the columns not 0 at every node of some group's control; a
+    column that a group does not use adds exact zeros to its rows' sums, a
+    zero control has no active column, and conv None is a linear run.  A step writes the
     control columns of all rows in one assignment from an (n_steps, W,
     |active|) array filled before the loop.  A path aborts when its squared
     norm is not finite or passes BLOWUP_LIMIT, read at call time: its abort
@@ -839,10 +839,10 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     # each group's path-independent drift per step, dt (the linear drift at
     # beta = 0; the convection's rows carry the control), then each path's
     # additive noise
-    ctrl_drift = drift(np.zeros(n), ops, nu, gamma, gamma_dot, None)
-    ctrl_drift *= dt
-    for d, cut in zip(ctrl_drift[:, :n_steps], groups):
-        push[:, cut] = d[:, None, :]
+    for g, g_dot, cut in zip(gamma, gamma_dot, groups):
+        d = drift(np.zeros(n), ops, nu, g, g_dot, None)
+        d *= dt
+        push[:, cut] = d[:n_steps, None, :]
     for k in range(rho.size):
         push += np.multiply(dw_t[:, :, k, None], add[:, k], out=hist[1:])
     # decay and multiplicative noise, in the history row each one scales into

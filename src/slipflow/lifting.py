@@ -39,6 +39,7 @@ of the control problem are calls to it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
     "BoundaryControl",
     "project_compatible",
     "trace_tables",
+    "check_harmonic_band",
     "solve_harmonic",
     "solve_correction",
     "LiftingCache",
@@ -281,6 +283,27 @@ def trace_norm_series(ctrl: BoundaryControl, times) -> np.ndarray:
 # -- harmonic stage -----------------------------------------------------------
 
 
+# Largest wavenumber the harmonic stage resolves.  Its profiles are
+# differences of cosh and sinh terms of size e^k / k that cancel to the
+# field's size 1 / k, so its rounding error relative to the field is about
+# eps e^k: sqrt(eps) at this k.  Measured on unit wall data against the
+# decaying-exponential form: 7e-9 at k = 18, 3e-6 at 24, 10 at 40, and past
+# 1e60 at some k in the hundreds; cosh itself overflows past 710.
+HARMONIC_K_MAX = 0.5 * math.log(1.0 / np.finfo(float).eps)
+
+
+def check_harmonic_band(length_x: float, n_modes: int) -> None:
+    """Raise LiftingError unless the top lifted wavenumber 2 pi n_modes /
+    length_x is at most HARMONIC_K_MAX.  The check compares Python floats,
+    so a rejected length leaves no numpy warning."""
+    k = 2.0 * math.pi * n_modes / length_x
+    if k > HARMONIC_K_MAX:
+        raise LiftingError(f"length_x = {length_x:g} is too short for n_modes = {n_modes}: "
+                           f"the top lifted wavenumber {k:.4g} passes {HARMONIC_K_MAX:.4g}, "
+                           "past which the harmonic profiles' cosh and sinh terms cancel "
+                           "to rounding error")
+
+
 def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> ModeField:
     """Neumann potential per mode: h'' = k^2 h with -h'(0)=a_b, h'(1)=a_t.
 
@@ -289,6 +312,7 @@ def solve_harmonic(a_bottom, a_top, grid: Grid, n_modes: int) -> ModeField:
     by a zero boundary mean.  Returns the gradient as a velocity field on
     modes 0..n_modes, and (..., n_modes+1) rows of data give a stack of fields.
     """
+    check_harmonic_band(grid.spec.length_x, n_modes)
     a_bottom = np.asarray(a_bottom, complex)
     a_top = np.asarray(a_top, complex)
     scale = np.maximum(np.abs(a_bottom).max(axis=-1), np.abs(a_top).max(axis=-1))

@@ -72,8 +72,8 @@ def test_optimize_counts_match_history(tmp_path, monkeypatch):
     # estimate_cost call per evaluation in history.json, and run_many paths
     # of one bank per evaluation; a change that bypasses either name would
     # otherwise fail only as the benchmark's outputs_incorrect.  Each poll is
-    # one run_many call: the incumbent's, then polls of 2 dim candidates, the
-    # last cut to the budget
+    # one run_many call: the incumbent's, then two-scale polls of 4 dim
+    # candidates, the last cut to the budget
     from slipflow import control
     from slipflow.cli import main
     from slipflow.dynamics import Simulator
@@ -91,8 +91,8 @@ def test_optimize_counts_match_history(tmp_path, monkeypatch):
     evaluations = json.loads((out / "history.json").read_text())["evaluations"]
     assert len(costs) == evaluations == cfg["optimize"]["budget"]
     assert sum(counts) == evaluations * cfg["optimize"]["paths"]
-    poll = 2 * len(cfg["control"]["theta"])
-    assert len(counts) == 1 + -(-(evaluations - 1) // poll) == 3
+    poll = 4 * len(cfg["control"]["theta"])
+    assert len(counts) == 1 + -(-(evaluations - 1) // poll) == 2
 
 
 def test_verify_counts_match_paths(tmp_path, monkeypatch):

@@ -428,7 +428,12 @@ def test_cmd_optimize_zero_budget(tmp_path):
         ("verify", [], {"damping_rate": float("nan")}, 1),
         ("simulate", [], b'{"time": {"t_final": 1e400}}', 1),
         ("basis", [], {"domain": {"length_x": 1e-300}}, 1),
-        ("basis", [], {"domain": {"length_x": 1.7e-76}}, 0),
+        # no lifted wavenumber: the basis bound alone
+        ("basis", [], {"domain": {"length_x": 1.7e-76},
+                       "control": {"n_modes": 0, "slots": [], "theta": []},
+                       "optimize": {"theta_star": []}}, 0),
+        ("simulate", [], {"domain": {"length_x": 0.01}}, 1),
+        ("simulate", [], {"domain": {"length_x": 0.7}}, 0),
         ("optimize", [], {"optimize": {"budget": -3}}, 1),
     ],
     ids=["verify-all-paths-blow-up", "optimize-all-paths-blow-up", "negative-seed", "negative-paths", "zero-paths",
@@ -447,7 +452,8 @@ def test_cmd_optimize_zero_budget(tmp_path):
          "basis-size-past-capacity", "basis-size-one-past-capacity", "nan-dt",
          "infinite-t-final", "nan-friction", "nan-lambda1", "nan-damping-rate",
          "t-final-past-float-range", "length-x-defeats-eigensolver",
-         "length-x-inside-wavenumber-bound", "negative-budget"],
+         "length-x-inside-wavenumber-bound", "length-x-defeats-lifting",
+         "length-x-inside-lifting-bound", "negative-budget"],
 )
 def test_cli_exit_code_without_traceback(tmp_path, command, flags, overrides, code):
     err = _check_exit_code(tmp_path, command, flags, overrides, code)

@@ -12,6 +12,7 @@ from slipflow.cli import _json_dump
 from slipflow.control import (
     AdmissibleSpec,
     ControlError,
+    CostReport,
     ParamMap,
     admissible_norm,
     estimate_cost,
@@ -260,11 +261,12 @@ def test_cost_empty_seed_bank(sim_det, aspec, zero_ctrl):
 @pytest.mark.parametrize("theta", [(0.0, 0.0), (0.4, 0.3)])
 @pytest.mark.parametrize("n", [16, 128])
 def test_poll_batch_reports_match_one_candidate_runs(wide, pmap, aspec, n, theta, bank):
-    # each candidate's report from a poll's one run_many call, which runs the
-    # bank under every candidate, is bitwise its one-candidate evaluation: on
-    # the dense (n = 16) and the pseudospectral (n = 128) path, at theta = 0, where
-    # each candidate's active columns ({1} or {18}) are fewer than the poll's,
-    # and with a 3-seed bank, whose candidates share a block
+    # each candidate's report from a two-scale poll's one run_many call, which
+    # runs the bank under all 4 dim candidates (32 rows on a 4-seed bank, 24 on
+    # a 3-seed one), is bitwise its one-candidate evaluation: on the dense
+    # (n = 16) and the pseudospectral (n = 128) path, at theta = 0, where each
+    # candidate's active columns ({1} or {18}) are fewer than the poll's, and
+    # with a 3-seed bank, whose candidates share a block
     basis = wide.basis if n == wide.basis.size else build_eigenbasis(wide.basis.grid, n)
     sim = Simulator(basis, wide.cache, build_noise(n, 2, 0.05, 1.0, 7, [0.1, 0.05]),
                     t_final=0.05, dt=0.005, ops=wide.ops if basis is wide.basis else None)
@@ -274,15 +276,15 @@ def test_poll_batch_reports_match_one_candidate_runs(wide, pmap, aspec, n, theta
                          u0=u0)
     seeds = list(range(10, 10 + bank))
     dw = sim.increments(seeds)
-    thetas = np.tile(theta, (2 * pmap.dim, 1))
-    for row, (d, sgn) in zip(thetas, product(range(pmap.dim), (1.0, -1.0))):
-        row[d] += sgn * 0.25
+    thetas = np.tile(theta, (4 * pmap.dim, 1))
+    for row, (scale, d, sgn) in zip(thetas, product((1.0, 0.5), range(pmap.dim), (1.0, -1.0))):
+        row[d] += sgn * scale * 0.25
     poll = project_admissible(pmap.control(thetas), aspec)
     active = [set(np.flatnonzero(g.any(axis=0)).tolist()) for g in sim.gamma_series(poll)[0]]
     assert set().union(*active) == {1, 18}
     assert all(a < {1, 18} for a in active) == (theta == (0.0, 0.0))
     batch = sim.run_many(seeds, ctrl=poll, u0=u0, target=target, dw=dw)
-    assert len(batch) == len(thetas) * bank
+    assert len(batch) == len(thetas) * bank == 8 * bank
     pens = penalty_term(poll, aspec)
     for i, th in enumerate(thetas):
         ctrl = project_admissible(pmap.control(th), aspec)
@@ -396,12 +398,47 @@ def test_optimize_projects_and_penalizes_each_poll_once(sim_noisy, pmap, aspec, 
     budget = 11                                # the last poll is cut to 2 candidates
     _, hist = optimize(np.zeros(2), pmap, aspec, target, sim_noisy, list(range(3)),
                        budget=budget, u0=u0)
-    polls = -(-(budget - 1) // (2 * pmap.dim))
-    assert hist.evaluations == budget and polls == 3
+    polls = -(-(budget - 1) // (4 * pmap.dim))
+    assert hist.evaluations == budget and polls == 2
     assert len(calls["project_admissible"]) == len(calls["penalty_term"]) == 1 + polls
     assert len(calls["estimate_cost"]) == budget
     sizes = [a[0].gamma.shape[:-2] for a in calls["penalty_term"]]
-    assert sizes == [(), (4,), (4,), (2,)]
+    assert sizes == [(), (8,), (2,)]
+
+
+def test_optimize_two_scale_poll_rule(sim_det, pmap, aspec, zero_ctrl, monkeypatch):
+    # a poll tries +-step along every coordinate, then +-step/2 along every
+    # coordinate; the first strictly lower cost is taken, a full-step one
+    # keeps the step, a half-step one halves it, a poll without one (ties
+    # included) quarters it, and the last poll is cut to the budget
+    polls, real_penalty = [], ctl_mod.penalty_term
+    monkeypatch.setattr(ctl_mod, "penalty_term",
+                        lambda ctrls, spec: polls.append(ctrls) or real_penalty(ctrls, spec))
+    # scripted costs in evaluation order: the start, then four polls
+    script = [10.0] + [11.0] * 8 + [12.0] * 8 + [8.0] * 8 + [9.0] * 3
+    script[1 + 2] = 9.0                        # poll 1: the full step along +e_1
+    script[9 + 5] = 8.0                        # poll 2: the half step along -e_0
+    costs = iter(script)                       # poll 3 ties the incumbent throughout
+    monkeypatch.setattr(ctl_mod, "estimate_cost",
+                        lambda paths, pen: CostReport(next(costs), 0.0, pen, np.zeros(1)))
+    target = make_target(zero_ctrl(sim_det), sim_det)
+    _, hist = optimize(np.zeros(2), pmap, aspec, target, sim_det, [0], budget=len(script),
+                       noise_on=False, step0=0.25)
+    assert hist.evaluations == len(script) and hist.budget_exhausted
+    assert [it["cost"] for it in hist.iterates] == [10.0, 9.0, 8.0]
+    theta1, theta2 = np.array([0.0, 0.25]), np.array([-0.125, 0.25])
+    assert np.array_equal([it["theta"] for it in hist.iterates], [[0.0, 0.0], theta1, theta2])
+    offsets = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                        [0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]])
+    want = [0.25 * offsets,                    # step 0.25
+            theta1 + 0.25 * offsets,           # kept after the full-step acceptance
+            theta2 + 0.125 * offsets,          # halved after the half-step one
+            theta2 + 0.03125 * offsets[:3]]    # quartered after the failed poll, cut to 3
+    assert polls[0].gamma.shape[:-2] == ()
+    got = [[pmap.read(poll[c]) for c in range(poll.gamma.shape[0])] for poll in polls[1:]]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w), (g, w)
 
 
 def test_history_serialization(tmp_path, sim_det, pmap, aspec):

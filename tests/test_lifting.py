@@ -9,6 +9,7 @@ from slipflow import lifting
 from slipflow.basis import ModeField, energy_pairing, h1_sq, mass_pairing
 from slipflow.geometry import DomainSpec, build_grid
 from slipflow.lifting import (
+    HARMONIC_K_MAX,
     BoundaryControl,
     CompatibilityError,
     LiftingCache,
@@ -119,6 +120,25 @@ def test_harmonic_interior_residual(grid_small, make_control):
             d2h = h.dvals[j, 1]  # H''
             assert np.abs(d2h - k * k * prof).max() < 1e-8
         assert h.divergence_residual() < 1e-10
+
+
+def test_harmonic_band_bound():
+    # just inside the bound the profiles keep about sqrt(eps) of accuracy,
+    # against the cancellation-free form H'(y) = (a_t sinh(k y) - a_b sinh(k (1 - y))) / sinh k;
+    # just past it the stage refuses
+    grid = build_grid(DomainSpec(2 * np.pi / (0.999 * HARMONIC_K_MAX), 1, 24, 0.0, 0.5))
+    k, y = grid.kx[1], grid.y_nodes
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        ab, at = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        h = solve_harmonic(np.array([0, ab]), np.array([0, at]), grid, 1)
+        decay = 1.0 - np.exp(-2.0 * k)
+        exact = (at * np.exp(k * (y - 1.0)) * (1.0 - np.exp(-2.0 * k * y))
+                 - ab * np.exp(-k * y) * (1.0 - np.exp(-2.0 * k * (1.0 - y)))) / decay
+        assert np.abs(h.vals[1, 1] - exact).max() < 1e-7 * max(abs(ab), abs(at))
+    grid = build_grid(DomainSpec(2 * np.pi / (1.001 * HARMONIC_K_MAX), 1, 24, 0.0, 0.5))
+    with pytest.raises(LiftingError, match="too short for n_modes = 1"):
+        solve_harmonic(np.zeros(2, complex), np.zeros(2, complex), grid, 1)
 
 
 def test_harmonic_incompatible_rejected(grid_small):
