@@ -33,7 +33,7 @@ the uncontrolled flow is the zero control, whose wall penalty is 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import islice, product
 
@@ -274,7 +274,8 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
     Each poll evaluates +-step along every coordinate, then +-step/2 along
     every coordinate, all 4 dim candidates as one projected stack in one
     run_many call that runs the bank under each candidate, and counts each
-    one as an evaluation.  It takes the first candidate in that order whose
+    one as an evaluation; the starting point rides the first poll's call,
+    first in its stack.  It takes the first candidate in that order whose
     cost is strictly lower: a full-step one keeps the step, a half-step one
     halves it, and a poll without one quarters it, since both scales failed.
     So the accepted-iterate cost sequence is nonincreasing by construction,
@@ -301,28 +302,35 @@ def optimize(theta0, pmap: ParamMap, spec: AdmissibleSpec, target: Target,
     if budget < 1:
         return ctrl_inc, history
 
-    (rep_inc,) = costs(ctrl_inc)
-    history.evaluations = 1
-    history.record(theta, rep_inc, ctrl_inc, c0)
-
-    step = step0
-    while history.evaluations < budget and step > step_min:
-        moves = list(islice(product((1.0, 0.5), range(pmap.dim), (1.0, -1.0)),
-                            budget - history.evaluations))
+    def poll(left):
+        """(moves, projected stack) of a poll around theta, cut to `left` candidates."""
+        moves = list(islice(product((1.0, 0.5), range(pmap.dim), (1.0, -1.0)), left))
         thetas = np.tile(theta, (len(moves), 1))
         for row, (scale, d, sgn) in zip(thetas, moves):
             row[d] += sgn * scale * step
-        poll = project_admissible(pmap.control(thetas), spec)
-        reports = costs(poll)
-        history.evaluations += len(reports)
+        return moves, project_admissible(pmap.control(thetas), spec)
+
+    step, moves, stack = step0, [], ctrl_inc
+    if budget > 1 and step > step_min:      # the incumbent rides the first poll's pass
+        moves, cands = poll(budget - 1)
+        stack = replace(cands, gamma=np.concatenate([ctrl_inc.gamma[None], cands.gamma]))
+    rep_inc, *reports = costs(stack)
+    history.evaluations = 1 + len(reports)
+    history.record(theta, rep_inc, ctrl_inc, c0)
+    while moves:
         for c, ((scale, _, _), rep) in enumerate(zip(moves, reports)):
             if rep.total < rep_inc.total:
-                ctrl_inc, rep_inc = poll[c], rep
+                ctrl_inc, rep_inc = cands[c], rep
                 theta = pmap.read(ctrl_inc)
                 history.record(theta, rep_inc, ctrl_inc, c0)
                 step *= scale        # a half-step success halves the step
                 break
         else:
             step *= 0.25             # both scales failed
+        moves = []
+        if history.evaluations < budget and step > step_min:
+            moves, cands = poll(budget - history.evaluations)
+            reports = costs(cands)
+            history.evaluations += len(reports)
     history.budget_exhausted = history.evaluations >= budget
     return ctrl_inc, history

@@ -55,15 +55,20 @@ the (paths, times) arrays of one `Paths`, the norms of y = u + lift by
 count runs as a stacked matmul over (k, BLOCK, .) rows, k separate
 BLOCK-row products, and every other operation is per row, so a seed's path
 is bitwise the same whatever its batch, its position in it and the number
-of blocks in its pass.  A run may take a stack of C controls (a compass
-poll's candidates), each over every seed, one contiguous group per control,
-and each seed's increments drawn once a pass: one `series` call samples the
+of blocks in its pass.  Only the noise set-up spans all W rows: per step
+one (W, m) x (m, n) GEMM of the increments against the m additive
+channels, each entry an m-term sum that OpenBLAS forms alike at every row
+position (measured for m = 1 to 8; the seed-bits tests pin it).  A
+blown-up row runs on, and the blow-up steps are read off the history after
+the loop.  A run may take a stack of C controls (a compass poll's
+candidates), each over every seed, one contiguous group per control, and
+each seed's increments drawn once a pass: one `series` call samples the
 stack, the kernel forms each group's control drift by `drift` at beta = 0
 on that control's own series, with a one-control pass's bits, and fills
 the rows' control columns of each step from one array made before the
 loop; `_measure` forms the state's series of the whole pass at once and
-each group's tracking on its row slice.  So a group's paths are the bits of
-its own run.
+each group's tracking on its row slice.  So a group's paths are the bits
+of its own run.
 `GalerkinOperators.convection` is the one evaluator of an operator set,
 chosen by n once: the kernel, `drift`/`step_em` (the single-step reference
 the kernel is tested against) and the damping rate all read it, so src
@@ -77,6 +82,7 @@ import operator
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -791,44 +797,43 @@ BLOWUP_LIMIT = 1e12
 
 
 def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection | None,
-              nu, dt, gamma, gamma_dot, groups, add, rho, dw, paths, work):
+              nu, dt, gamma, gamma_dot, groups, add, rho, dw, work):
     """Euler-Maruyama over W = k BLOCK paths in one loop, in contiguous row
     groups that each share one control: (history, beta_final, blowup_step).
 
-    beta0 is (W, n) and dw (W, n_steps, m); rows from `paths` on are padding.
-    gamma and gamma_dot are (C, L, n_ctrl), the values and slopes of C
-    controls on the time grid (a stack's `series`), and groups C row slices
-    covering the W rows in order: the rows of groups[c] run under control c.
-    The convection takes the (k, BLOCK, .) view of the rows, k BLOCK-row
-    products, so a row's bits do not depend on k; the step's other operations
-    are per row, and the block-wide norm only decides whether the per-row
-    norms are needed.
+    beta0 is (W, n) and dw (W, n_steps, m).  gamma and gamma_dot are (C, L,
+    n_ctrl), the values and slopes of C controls on the time grid (a
+    stack's `series`), and groups C row slices covering the W rows in
+    order: the rows of groups[c] run under control c.  The convection takes
+    the (k, BLOCK, .) view of the rows, k BLOCK-row products, so a row's
+    bits do not depend on k; the step's other operations are per row.
     work (2, n_steps + 1, W, n) holds the kernel's large arrays and is
-    overwritten: the per-step pushes, spent when the pass ends, and the
+    overwritten: the per-step pushes, spent when the loop ends, and the
     history (n_steps + 1, W, n), returned, whose rows hold each step's decay
     factor until the step scales it by the state.
-    The control drift (lift_v, btrace, lift_h terms) is the same for every path
-    of a group: `drift` at beta = 0 on the group's own (L, n_ctrl) series
-    forms it, one call per group with the bits of a one-control pass and no
-    (C, L, n) temporaries, and fills the group's rows of the pushes before
-    the loop.  Of the evaluator's contract (`restricted`, a call on the rows
-    (beta, gamma[active]), and `stacked`, the reference of `drift`) the
-    kernel uses the first two: the convection, the terms of gamma alone
-    included, is a call of `conv.restricted(active)` on the rows z of the
-    block, active the columns not 0 at every node of some group's control; a
-    column that a group does not use adds exact zeros to its rows' sums, a
-    zero control has no active column, and conv None is a linear run.  A step writes the
-    control columns of all rows in one assignment from an (n_steps, W,
-    |active|) array filled before the loop.  A path aborts when its squared
-    norm is not finite or passes BLOWUP_LIMIT, read at call time: its abort
-    step is returned, its final state is the offending one, its history is
-    zero from that step on, and its working row is zeroed.  Stepping stops
-    once every non-padding row has aborted.
+    The pushes are each path's additive noise, one (W, m) x (m, n) GEMM per
+    step, plus its group's control drift: `drift` at beta = 0 on the group's
+    own (L, n_ctrl) series, one call per group with a one-control pass's
+    bits.  The multiplicative noise is one mat-vec per path, dw @ rho, added
+    across the decay rows.  Of the evaluator's contract (`restricted`, a
+    call on the rows (beta, gamma[active]), and `stacked`, the reference of
+    `drift`) the kernel uses the first two: the convection, the terms of
+    gamma alone included, is a call of `conv.restricted(active)` on the rows
+    z of the block, active the columns not 0 at every node of some group's
+    control; a column that a group does not use adds exact zeros to its
+    rows' sums, a zero control has no active column, and conv None is a
+    linear run.  The rows hold sqrt(dt) (beta, gamma[active]): the
+    convection is quadratic in them, so the call returns dt times it.  A
+    step writes the control columns of all rows in one assignment from an
+    (n_steps, W, |active|) array scaled before the loop.
+    Every step runs every row, each product row by row, so a blown-up row
+    runs on, nonfinite, without touching the others.  After the loop a
+    path's abort step is the first whose squared norm is not finite or
+    passes BLOWUP_LIMIT, read at call time; its final state is the offending
+    one and its history is zero from that step on.
     """
     w_rows, n = beta0.shape
-    n_blocks = w_rows // BLOCK
     n_steps = dw.shape[1]
-    dw_t = dw.transpose(1, 0, 2)                             # (n_steps, W, m)
     # the convection carries only the control columns that are not 0 at
     # every node of some group's control
     active = np.flatnonzero(gamma.any(axis=(0, 1)))
@@ -836,59 +841,44 @@ def _em_block(beta0, ops: GalerkinOperators, conv: Convection | DenseConvection 
     if conv is not None:
         conv = conv.restricted(active)
     push, hist = work[0, :n_steps], work[1]
-    # each group's path-independent drift per step, dt (the linear drift at
-    # beta = 0; the convection's rows carry the control), then each path's
-    # additive noise
+    # each path's additive noise, then its group's drift per step, dt (the
+    # linear drift at beta = 0; the convection's rows carry the control)
+    np.matmul(dw.transpose(1, 0, 2), add.T, out=push)
     for g, g_dot, cut in zip(gamma, gamma_dot, groups):
         d = drift(np.zeros(n), ops, nu, g, g_dot, None)
         d *= dt
-        push[:, cut] = d[:n_steps, None, :]
-    for k in range(rho.size):
-        push += np.multiply(dw_t[:, :, k, None], add[:, k], out=hist[1:])
+        push[:, cut] += d[:n_steps, None, :]
     # decay and multiplicative noise, in the history row each one scales into
+    hist[0] = beta0
     hist[1:] = 1.0 - dt * nu * ops.lam
-    hist[1:] += (dw_t * rho).sum(axis=-1, keepdims=True)
-    rows = np.zeros((w_rows, n + n_a))                       # (beta, gamma[active]) per path
-    # the rows' control columns, and their values per step if the convection reads them
-    ctrl_cols, cols = rows[:, n:], None
+    hist[1:] += (dw @ rho).T[:, :, None]
+    sqrt_dt = np.sqrt(dt)
+    rows = np.zeros((w_rows, n + n_a))                 # sqrt(dt) (beta, gamma[active]) per path
+    beta_rows, ctrl_cols = rows[:, :n], rows[:, n:]
+    stacked = rows.reshape(-1, BLOCK, n + n_a)               # the same rows, block by block
+    cols = repeat(None)                        # the rows' control columns per step, if read
     if conv is not None:
         cols = np.repeat(g_a[:, :n_steps].swapaxes(0, 1),
                          [c.stop - c.start for c in groups], axis=1)
-    stacked = rows.reshape(n_blocks, BLOCK, -1)              # the same rows, block by block
-    # a nonfinite norm fails `<= limit` even for an infinite BLOWUP_LIMIT;
-    # below `fast` the block's total norm proves every row is inside
-    limit = min(BLOWUP_LIMIT, np.finfo(float).max)
-    fast = limit * (1.0 - 1e-9)
-
-    hist[0] = beta0
-    b = hist[0]
-    beta_final = np.empty((w_rows, n))
-    blowup_step = np.full(w_rows, -1)
+        cols *= sqrt_dt
     with np.errstate(over="ignore", invalid="ignore"):
-        for ell in range(n_steps):
-            step = hist[ell + 1]
+        for b, step, p, c in zip(hist, hist[1:], push, cols):
             step *= b
-            step += push[ell]
+            step += p
             if conv is not None:
-                rows[:, :n] = b
-                ctrl_cols[...] = cols[ell]
-                nl = conv(stacked)
-                nl *= dt
-                step -= nl
-            if not np.vdot(step, step) <= fast:
-                bad = ~(np.vecdot(step, step) <= limit)
-                fresh = bad & (blowup_step < 0)
-                blowup_step[fresh] = ell + 1
-                beta_final[fresh] = step[fresh]
-                step[bad] = 0.0
-                if (blowup_step[:paths] >= 0).all():
-                    break
-            b = step
-    if conv is not None:
-        conv._scratch = np.empty(0)           # its scratch array lives for the pass
-    alive = blowup_step < 0
-    beta_final[alive] = b[alive]
-    for w in np.flatnonzero(~alive):
+                np.multiply(b, sqrt_dt, out=beta_rows)
+                ctrl_cols[...] = c
+                step -= conv(stacked)
+        if conv is not None:
+            conv._scratch = np.empty(0)       # its scratch array lives for the pass
+        # each step's squared norms, into the spent pushes; a nonfinite norm
+        # fails `<= limit` even for an infinite BLOWUP_LIMIT
+        norms = np.vecdot(hist[1:], hist[1:], out=push[..., 0])
+        bad = ~(norms <= min(BLOWUP_LIMIT, np.finfo(float).max))
+    blown = bad.any(axis=0)
+    blowup_step = np.where(blown, bad.argmax(axis=0) + 1, -1)
+    beta_final = hist[np.where(blown, blowup_step, n_steps), np.arange(w_rows)]
+    for w in np.flatnonzero(blown):
         hist[blowup_step[w]:, w] = 0.0
     return hist, beta_final, blowup_step
 
@@ -901,19 +891,20 @@ def _measure(out: Paths, cut: slice, groups: list, hist, ops: GalerkinOperators,
 
     tracking is |y - y_ref|^2 against the target's series, |y|^2 without one,
     formed by `y_sq` on each group's rows with its control; the other series
-    take all the rows at once.  buf is scratch of the history's shape.  A blown-up path's
-    series are NaN from its blowup step on.
+    take all the rows at once.  buf, scratch of the history's shape, holds
+    the differences from a target; without one the history and gamma are
+    their own.  A blown-up path's series are NaN from its blowup step on.
     """
     k = cut.stop - cut.start
     # (paths, times, n) views of the (times, W, n) layout; einsum follows it
     h, buf = (a[:, :k].transpose(1, 0, 2) for a in (hist, buf))
     out.u_sq[cut] = np.einsum("...i,...i->...", h, h)
     out.u_esq[cut] = np.einsum("...i,...i,i->...", h, h, ops.lam)
-    ref = (0.0, 0.0) if target is None else (target.beta_series, target.gamma_series)
-    diff, tracking = np.subtract(h, ref[0], out=buf), out.tracking[cut]
+    diff = h if target is None else np.subtract(h, target.beta_series, out=buf)
+    tracking = out.tracking[cut]
     for g, rows in zip(gamma, groups):
         rows = slice(rows.start, min(rows.stop, k))
-        tracking[rows] = ops.y_sq(diff[rows], g - ref[1])
+        tracking[rows] = ops.y_sq(diff[rows], g if target is None else g - target.gamma_series)
     # sum_k |rho_k h + g_k|^2 expanded: rho_k is a scalar and |h|^2 is u_sq
     out.noise_sq[cut] = ((rho @ rho) * out.u_sq[cut] + 2.0 * np.einsum("...i,i->...", h, add @ rho)
                          + np.einsum("ik,ik->", add, add))
@@ -1029,7 +1020,7 @@ class Simulator:
             work = self._work[: 2 * (n_steps + 1) * w_rows * n].reshape(2, n_steps + 1, w_rows, n)
             hist, beta_final, blow = _em_block(b0, self.ops, self.convection, self.nu, self.dt,
                                                gamma[first:last], gdot[first:last], groups,
-                                               add, rho, inc, k, work)
+                                               add, rho, inc, work)
             out.beta_final[cut], out.blowup_step[cut] = beta_final[:k], blow[:k]
             _measure(out, cut, groups, hist, self.ops, gamma[first:last], target, add, rho,
                      work[0])

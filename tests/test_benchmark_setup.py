@@ -72,8 +72,8 @@ def test_optimize_counts_match_history(tmp_path, monkeypatch):
     # estimate_cost call per evaluation in history.json, and run_many paths
     # of one bank per evaluation; a change that bypasses either name would
     # otherwise fail only as the benchmark's outputs_incorrect.  Each poll is
-    # one run_many call: the incumbent's, then two-scale polls of 4 dim
-    # candidates, the last cut to the budget
+    # one run_many call: two-scale polls of 4 dim candidates, the last cut to
+    # the budget, the starting point riding the first one's call
     from slipflow import control
     from slipflow.cli import main
     from slipflow.dynamics import Simulator
@@ -92,7 +92,7 @@ def test_optimize_counts_match_history(tmp_path, monkeypatch):
     assert len(costs) == evaluations == cfg["optimize"]["budget"]
     assert sum(counts) == evaluations * cfg["optimize"]["paths"]
     poll = 4 * len(cfg["control"]["theta"])
-    assert len(counts) == 1 + -(-(evaluations - 1) // poll) == 2
+    assert len(counts) == -(-(evaluations - 1) // poll) == 1
 
 
 def test_verify_counts_match_paths(tmp_path, monkeypatch):

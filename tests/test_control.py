@@ -384,9 +384,10 @@ def test_optimize_crn_deterministic(sim_noisy, pmap, aspec, monkeypatch):
 
 
 def test_optimize_projects_and_penalizes_each_poll_once(sim_noisy, pmap, aspec, monkeypatch):
-    # a poll's candidates are one stack: one projection and one penalty call
-    # per poll (and one for the starting point), and still one estimate_cost
-    # call per evaluation
+    # a poll's candidates are one stack: one projection per poll (and one for
+    # the starting point), one penalty call per poll, the starting point
+    # riding the first poll's stack, and still one estimate_cost call per
+    # evaluation
     calls = {"project_admissible": [], "penalty_term": [], "estimate_cost": []}
     for name, seen in calls.items():
         real = getattr(ctl_mod, name)
@@ -400,17 +401,19 @@ def test_optimize_projects_and_penalizes_each_poll_once(sim_noisy, pmap, aspec, 
                        budget=budget, u0=u0)
     polls = -(-(budget - 1) // (4 * pmap.dim))
     assert hist.evaluations == budget and polls == 2
-    assert len(calls["project_admissible"]) == len(calls["penalty_term"]) == 1 + polls
+    assert len(calls["project_admissible"]) == 1 + polls
+    assert len(calls["penalty_term"]) == polls
     assert len(calls["estimate_cost"]) == budget
     sizes = [a[0].gamma.shape[:-2] for a in calls["penalty_term"]]
-    assert sizes == [(), (8,), (2,)]
+    assert sizes == [(9,), (2,)]
 
 
 def test_optimize_two_scale_poll_rule(sim_det, pmap, aspec, zero_ctrl, monkeypatch):
     # a poll tries +-step along every coordinate, then +-step/2 along every
     # coordinate; the first strictly lower cost is taken, a full-step one
     # keeps the step, a half-step one halves it, a poll without one (ties
-    # included) quarters it, and the last poll is cut to the budget
+    # included) quarters it, and the last poll is cut to the budget; the
+    # starting point opens the first poll's stack
     polls, real_penalty = [], ctl_mod.penalty_term
     monkeypatch.setattr(ctl_mod, "penalty_term",
                         lambda ctrls, spec: polls.append(ctrls) or real_penalty(ctrls, spec))
@@ -434,8 +437,9 @@ def test_optimize_two_scale_poll_rule(sim_det, pmap, aspec, zero_ctrl, monkeypat
             theta1 + 0.25 * offsets,           # kept after the full-step acceptance
             theta2 + 0.125 * offsets,          # halved after the half-step one
             theta2 + 0.03125 * offsets[:3]]    # quartered after the failed poll, cut to 3
-    assert polls[0].gamma.shape[:-2] == ()
-    got = [[pmap.read(poll[c]) for c in range(poll.gamma.shape[0])] for poll in polls[1:]]
+    assert polls[0].gamma.shape[:-2] == (9,)
+    got = [[pmap.read(poll[c]) for c in range(poll.gamma.shape[0])] for poll in polls]
+    assert np.array_equal(got[0].pop(0), [0.0, 0.0])
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w), (g, w)

@@ -1398,3 +1398,69 @@ def test_control_groups_draw_each_seed_once_a_pass(sim_small, monkeypatch):
         stack = _two_dof_control(sim_small.t_final, theta=thetas)
         assert len(sim_small.run_many(range(size), ctrl=stack)) == len(thetas) * size
         assert drawn == want
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("path", ["dense", "pseudospectral"])
+def test_kernel_matches_step_em_on_m_channels(path, m, request, make_control):
+    # the pushes' GEMM and the multiplicative mat-vec over one and five noise
+    # channels, with unequal gains and additive noise on, against step_em
+    base = _path_sim(path, request)
+    noise = build_noise(base.ops.n, m, 0.05, 1.0, 7, np.linspace(0.12, 0.02, m))
+    assert noise.m == m and np.abs(noise.additive).min() > 0.0
+    sim = Simulator(base.basis, base.cache, noise, t_final=base.t_final, dt=base.dt,
+                    ops=base.ops)
+    ctrl = make_control(2 * np.pi, 2, [0.0, sim.t_final / 2, sim.t_final], 0.3, seed=77)
+    _check_kernel_matches_step_em(
+        sim, ctrl, dense=None if path == "dense" else request.getfixturevalue("wide").dense)
+
+
+@pytest.mark.parametrize("path", ["dense", "pseudospectral"])
+def test_nonlinear_blowup_in_a_shared_pass(path, wide, make_control):
+    # Wiener kicks send one row of each block of an 8-row pass past
+    # BLOWUP_LIMIT through the convection and on to nonfinite values before
+    # the pass ends; the kernel steps them on, so their NaN rows run through
+    # the evaluator (dense at n = 16, pseudospectral at n = 128).  Every other
+    # row is the bits of its own run; a blown row's blowup step is step_em's
+    # first step past the limit, and its series are NaN and its history zero
+    # from there on, with no RuntimeWarning
+    import warnings
+
+    n = 16 if path == "dense" else wide.basis.size
+    basis = wide.basis if n == wide.basis.size else bs.build_eigenbasis(wide.basis.grid, n)
+    sim = Simulator(basis, wide.cache, build_noise(n, 2, 0.05, 1.0, 7, [0.1, 0.05]),
+                    t_final=0.1, dt=0.005, ops=wide.ops if basis is wide.basis else None)
+    assert isinstance(sim.convection, DenseConvection) == (path == "dense")
+    ctrl = make_control(2 * np.pi, 2, [0.0, 0.1], 0.3, seed=77)
+    u0 = make_initial_coeffs(n, "random", 3, 0.5, 1.0)
+    kw = dict(ctrl=ctrl, u0=u0, store_beta=True, keep_wiener=True)
+    seeds = list(range(2 * BLOCK))
+    dw = sim.increments(seeds)
+    dw[1, 1], dw[6, 0] = 1e4, 1e8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        paths = sim.run_many(seeds, dw=dw, **kw)
+    assert paths.blown_up.tolist() == [w in (1, 6) for w in seeds]
+    gamma, gdot = sim.gamma_series(ctrl)
+    for w, tr in enumerate(paths):
+        if not tr.blown_up:
+            _same_path(tr, sim.run_many([w], dw=dw[w : w + 1], **kw)[0])
+            continue
+        state, first, nonfinite = GalerkinState(t=0.0, beta=u0), -1, -1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ell in range(sim.n_steps):
+                try:
+                    state = step_em(state, sim.dt, dw[w, ell], sim.ops, sim.noise, sim.nu,
+                                    gamma[ell], gdot[ell])
+                except BlowupError:
+                    nonfinite = ell + 1
+                    break
+                if first < 0 and not state.beta @ state.beta <= dyn.BLOWUP_LIMIT:
+                    first, at_first = ell + 1, state.beta
+        assert 0 < first < nonfinite <= sim.n_steps
+        s = tr.blowup_step
+        assert s == first
+        assert np.abs(tr.beta_final - at_first).max() <= 1e-12 * np.abs(at_first).max()
+        for series in (tr.u_sq, tr.u_esq, tr.tracking, tr.noise_sq):
+            assert np.isfinite(series[:s]).all() and np.isnan(series[s:]).all()
+        assert np.isfinite(tr.beta_series[:s]).all() and not tr.beta_series[s:].any()

@@ -25,7 +25,9 @@ while its move is at most 1e-12; inf for a changed exact value, NaN or count.
 It prints the same list against each BASE, a reference this script wrote
 elsewhere.  The committed file may come from another host, whose BLAS rounds
 some sums differently; a BASE written by a checkout of the parent commit on
-the same host gives the moves of the change alone.
+the same host gives the moves of the change alone.  So a series whose new
+values equal a BASE's keeps its committed values: the rewrite holds the
+change's own moves, not this host's rounding.
 """
 
 import csv
@@ -173,6 +175,22 @@ def test_determinism_config_numbers_match_reference(tmp_path):
     assert not bad, "criterion 10's config:\n" + "\n".join(bad[:20])
 
 
+def test_rewrite_keeps_series_that_equal_base():
+    # against a BASE the series that did not move keep their committed values
+    # (another host's rounding); moved, new and uncommitted series take the new
+    def ref(a, b, **more):
+        return {"seed": SEED, "workloads": {"w": {"x.json": {"a": a, "b": b, **more}}},
+                "determinism": {"x.json": {"a": a}}}
+
+    committed = ref([1.0, None], [2.0])
+    base = ref([1.0 + 1e-15, None], [2.0], c=[3.0])
+    new = ref([1.0 + 1e-15, None], [2.5], c=[3.0])
+    assert keep_unmoved(new, committed, [base]) == 2
+    assert new == ref([1.0, None], [2.5], c=[3.0])
+    new = ref([1.0 + 1e-15, None], [2.5])
+    assert keep_unmoved(new, committed, []) == 0 and new == ref([1.0 + 1e-15, None], [2.5])
+
+
 def reference_numbers() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         return {"seed": SEED,
@@ -186,14 +204,34 @@ def _runs(numbers: dict) -> dict:
     return {**numbers["workloads"], "determinism": numbers["determinism"]}
 
 
+def keep_unmoved(numbers: dict, committed: dict, bases: list) -> int:
+    """Give each series of numbers whose values equal a base's, and that the
+    committed reference has, its committed values; returns how many."""
+    committed, bases, kept = _runs(committed), [_runs(b) for b in bases], 0
+    for run, found in _runs(numbers).items():
+        for art, series in found.items():
+            for key, values in series.items():
+                old = committed.get(run, {}).get(art, {}).get(key)
+                if old is not None and any(
+                        b.get(run, {}).get(art, {}).get(key) == values for b in bases):
+                    series[key], kept = old, kept + 1
+    return kept
+
+
 def write_reference(bases: list):
     numbers = reference_numbers()
-    for base in [REFERENCE, *map(Path, bases)]:
+    refs = {base: json.loads(base.read_text()) if base.exists() else None
+            for base in [REFERENCE, *map(Path, bases)]}
+    for base, ref in refs.items():
         print(f"moves against {base}:")
-        old = _runs(json.loads(base.read_text())) if base.exists() else {}
+        old = _runs(ref) if ref else {}
         for run, found in _runs(numbers).items():
             for move, where in largest_moves(old.get(run, {}), found):
                 print(f"{run} {where}: {move:.2e}")
+    committed, *found = refs.values()
+    if committed and any(found):
+        kept = keep_unmoved(numbers, committed, [ref for ref in found if ref])
+        print(f"kept {kept} series that equal a BASE as committed")
     # json writes each float as its shortest round-trip repr, at most 17 digits
     REFERENCE.write_text(json.dumps(numbers, indent=0) + "\n")
 
